@@ -14,5 +14,11 @@ pub const NETIO_DGRAM_RX: CounterKey = CounterKey::new("netio.dgram_rx");
 pub const NETIO_BYTES_TX: CounterKey = CounterKey::new("netio.bytes_tx");
 /// Frames dropped by per-peer send-queue backpressure.
 pub const NETIO_QUEUE_DROPPED: CounterKey = CounterKey::new("netio.queue_dropped");
+/// Frames addressed to a node that was never registered as a peer
+/// (dropped: there is no queue to hold them and no address to try).
+pub const NETIO_UNROUTABLE: CounterKey = CounterKey::new("netio.unroutable");
+/// Socket calls that failed at run time (send or receive); each is
+/// treated as a lost datagram.
+pub const NETIO_IO_ERRORS: CounterKey = CounterKey::new("netio.io_errors");
 /// Peers currently in the `Up` state.
 pub const NETIO_PEERS_UP: GaugeKey = GaugeKey::new("netio.peers_up");

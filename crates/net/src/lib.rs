@@ -13,14 +13,17 @@
 //!
 //! * [`WallClock`] — real elapsed time as monotone `SimTime` micros.
 //! * [`NetMsg`] + datagram envelope ([`pack_datagram`] /
-//!   [`unpack_datagram`]) — multi-frame UDP datagrams reusing the
-//!   `plwg-wire` codec, demuxed by frame family.
+//!   [`unpack_datagram`]) — multi-frame UDP datagrams (kept under
+//!   [`DGRAM_BUDGET`]) reusing the `plwg-wire` codec, demuxed by frame
+//!   family.
 //! * [`PeerPool`] — hello/alive/bye connection lifecycle, bounded
 //!   per-peer send queues (drop-newest-and-count backpressure) and the
 //!   heartbeat failure detector, as a socket-free state machine.
-//! * [`NetRuntime`] — the poll-based reactor that owns the socket and
-//!   timer heap and hosts any [`Process`](plwg_sim::Process): an
-//!   `LwgNode`, a `NameServer`, or both.
+//! * [`NetRuntime`] — the reactor that owns the socket and timer heap and
+//!   hosts any [`Process`](plwg_sim::Process): an `LwgNode`, a
+//!   `NameServer`, or both. Its turn drains what has arrived, coalesces
+//!   what it sends per peer and flushes before it waits; a receive thread
+//!   does the one blocking socket read.
 //! * [`NetSubstrate`] — `VsyncStack` branded for real-network use, the
 //!   workspace's third [`HwgSubstrate`](plwg_hwg::HwgSubstrate).
 //! * [`harness`] — spawn child processes, exchange address books over
@@ -52,11 +55,12 @@ pub mod keys;
 mod msg;
 mod peer;
 mod runtime;
+mod rx;
 mod substrate;
 
 pub use clock::WallClock;
 pub use events::NetEvent;
-pub use msg::{net_frame, pack_datagram, unpack_datagram, NetMsg};
-pub use peer::{NetOptions, PeerPool, PeerState, PoolAction};
+pub use msg::{net_frame, pack_datagram, unpack_datagram, NetMsg, DGRAM_BUDGET};
+pub use peer::{NetOptions, Offer, PeerPool, PeerState, PoolAction};
 pub use runtime::NetRuntime;
 pub use substrate::NetSubstrate;

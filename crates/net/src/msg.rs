@@ -8,8 +8,9 @@
 //!
 //! The envelope names the *sending node* — UDP source addresses are not
 //! identities (a node may rebind after a restart), and the protocol
-//! layers above route by [`NodeId`]. A datagram may carry several frames;
-//! the receiver slices them zero-copy out of one receive buffer.
+//! layers above route by [`NodeId`]. A datagram may carry several frames
+//! (the runtime coalesces what it sends to one peer within a turn); the
+//! receiver slices them zero-copy out of the datagram's one allocation.
 //!
 //! [`NetMsg`] frames (family [`family::NET`]) are the transport's own
 //! traffic: the hello/alive/bye peer lifecycle, plus the harness control
@@ -17,6 +18,11 @@
 //! socket level.
 
 use plwg_sim::{encode_frame, family, Decode, Encode, Frame, NodeId, Payload, Reader, WireError};
+
+/// Size a coalesced datagram is kept under: an Ethernet MTU less IP/UDP
+/// headers and some slack, so it is not fragmented on the way. A single
+/// frame larger than this still travels, alone in its datagram.
+pub const DGRAM_BUDGET: usize = 1400;
 
 /// Transport-level messages of the peer pool (never seen above the seam).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -118,28 +124,39 @@ pub fn net_frame(msg: &NetMsg) -> Payload {
     encode_frame(family::NET, msg)
 }
 
+/// Starts a datagram in `out`: the envelope header naming `from`. Frames
+/// follow, each appended with [`Encode::encode_into`] (length-prefixed).
+pub(crate) fn datagram_header(from: NodeId, out: &mut Vec<u8>) {
+    (from.0 as u64).encode_into(out);
+}
+
 /// Packs `frames` into one datagram from `from`.
 pub fn pack_datagram(from: NodeId, frames: &[Frame]) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + frames.iter().map(|f| f.len() + 4).sum::<usize>());
-    (from.0 as u64).encode_into(&mut out);
+    datagram_header(from, &mut out);
     for f in frames {
         f.encode_into(&mut out);
     }
     out
 }
 
-/// Unpacks a received datagram into its sender and frames. The buffer is
-/// copied once into a shared [`Frame`]; the contained frames are zero-copy
-/// sub-slices of that allocation.
-pub fn unpack_datagram(buf: &[u8]) -> Result<(NodeId, Vec<Frame>), WireError> {
-    let whole = Frame::copy_from_slice(buf);
-    let mut r = Reader::new(&whole);
+/// Unpacks a received datagram: returns its sender and leaves its frames
+/// in `frames` (cleared first) as zero-copy sub-slices of `dgram`'s
+/// allocation. All or nothing: a malformed datagram yields no frames.
+pub fn unpack_datagram(dgram: &Frame, frames: &mut Vec<Frame>) -> Result<NodeId, WireError> {
+    frames.clear();
+    let mut r = Reader::new(dgram);
     let from = NodeId(u32::decode_from(&mut r)?);
-    let mut frames = Vec::new();
     while r.remaining() > 0 {
-        frames.push(r.read_frame()?);
+        match r.read_frame() {
+            Ok(f) => frames.push(f),
+            Err(e) => {
+                frames.clear();
+                return Err(e);
+            }
+        }
     }
-    Ok((from, frames))
+    Ok(from)
 }
 
 #[cfg(test)]
@@ -170,18 +187,26 @@ mod tests {
     fn datagram_roundtrip_multiframe() {
         let a = net_frame(&NetMsg::Hello { node: NodeId(1) });
         let b = Frame::copy_from_slice(&[9, 8, 7]);
-        let buf = pack_datagram(NodeId(1), &[a.clone(), b.clone()]);
-        let (from, frames) = unpack_datagram(&buf).expect("unpack");
+        let dgram = Frame::from_vec(pack_datagram(NodeId(1), &[a.clone(), b.clone()]));
+        let mut frames = Vec::new();
+        let from = unpack_datagram(&dgram, &mut frames).expect("unpack");
         assert_eq!(from, NodeId(1));
         assert_eq!(frames.len(), 2);
         assert_eq!(frames[0].bytes(), a.bytes());
         assert_eq!(frames[1].bytes(), b.bytes());
+        // Zero-copy: both frames view the datagram's own allocation.
+        assert!(frames
+            .iter()
+            .all(|f| std::sync::Arc::ptr_eq(f.backing(), dgram.backing())));
     }
 
     #[test]
     fn truncated_datagram_rejected() {
         let a = net_frame(&NetMsg::Alive { node: NodeId(1) });
-        let buf = pack_datagram(NodeId(1), &[a]);
-        assert!(unpack_datagram(&buf[..buf.len() - 1]).is_err());
+        let buf = pack_datagram(NodeId(1), &[a.clone(), a]);
+        let cut = Frame::copy_from_slice(&buf[..buf.len() - 1]);
+        let mut frames = Vec::new();
+        assert!(unpack_datagram(&cut, &mut frames).is_err());
+        assert!(frames.is_empty(), "no frame of a malformed datagram leaks");
     }
 }

@@ -112,6 +112,19 @@ struct Peer {
     dropped: u64,
 }
 
+/// What became of a frame handed to [`PeerPool::offer`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Offer {
+    /// The peer is `Up`: put the frame on the wire now.
+    Wire,
+    /// The peer is not `Up`: the frame waits in its send queue.
+    Queued,
+    /// The send queue is full: the frame was dropped and counted.
+    Dropped,
+    /// No such peer is registered: the frame was dropped.
+    NoSuchPeer,
+}
+
 /// An instruction from the pool to the runtime's socket loop.
 #[derive(Debug, PartialEq, Eq)]
 pub enum PoolAction {
@@ -180,24 +193,23 @@ impl PeerPool {
             .count()
     }
 
-    /// Offers a frame for `to`. Returns `true` when the frame should be
-    /// put on the wire right now (peer `Up`); otherwise the frame was
-    /// queued (or dropped-and-counted on overflow) and `false` comes back.
-    pub fn offer(&mut self, to: NodeId, frame: Payload) -> bool {
+    /// Offers a frame for `to`: it is queued (cloned) only while the peer
+    /// is not `Up`; see [`Offer`] for what the caller does next.
+    pub fn offer(&mut self, to: NodeId, frame: &Payload) -> Offer {
         let Some(p) = self.peers.get_mut(&to) else {
-            return false;
+            return Offer::NoSuchPeer;
         };
         if p.state == PeerState::Up {
-            return true;
+            return Offer::Wire;
         }
         if p.queue.len() >= self.opts.queue_capacity {
             p.dropped += 1;
             let dropped = p.dropped;
             self.events.push(NetEvent::QueueDrop { peer: to, dropped });
-            return false;
+            return Offer::Dropped;
         }
-        p.queue.push_back(frame);
-        false
+        p.queue.push_back(frame.clone());
+        Offer::Queued
     }
 
     /// Notes that a datagram arrived from `peer`. Any traffic is proof of
@@ -249,8 +261,28 @@ impl PeerPool {
         actions
     }
 
+    /// When [`PeerPool::tick`] next has something to do — the earliest
+    /// heartbeat, hello or suspicion deadline — or `None` with no peers.
+    /// Traffic only ever moves suspicion later, so a value computed
+    /// earlier is at worst early; a peer changing state (which always
+    /// leaves an event, see [`PeerPool::has_events`]) can move it nearer.
+    pub fn next_deadline(&self) -> Option<SimTime> {
+        let after = |t: SimTime, d: SimDuration| t.checked_add(d).unwrap_or(SimTime::MAX);
+        let heartbeat = after(self.last_hb, self.opts.hb_interval);
+        self.peers
+            .values()
+            .map(|p| match p.state {
+                PeerState::Up => heartbeat.min(after(p.last_heard, self.opts.suspect_timeout)),
+                PeerState::Greeting | PeerState::Down => {
+                    after(p.last_greet, self.opts.hello_interval)
+                }
+            })
+            .min()
+    }
+
     /// Periodic maintenance: greet non-`Up` peers, heartbeat `Up` peers,
-    /// and take silent peers down. Call at least every `hb_interval`.
+    /// and take silent peers down. Call when [`PeerPool::next_deadline`]
+    /// has passed.
     pub fn tick(&mut self, now: SimTime) -> Vec<PoolAction> {
         let mut actions = Vec::new();
         let hb_due = now.saturating_since(self.last_hb) >= self.opts.hb_interval;
@@ -287,6 +319,11 @@ impl PeerPool {
             .collect()
     }
 
+    /// Whether [`PeerPool::drain_events`] has anything to hand over.
+    pub fn has_events(&self) -> bool {
+        !self.events.is_empty()
+    }
+
     /// Drains the pool's protocol events (peer up/down, queue drops).
     pub fn drain_events(&mut self) -> Vec<NetEvent> {
         std::mem::take(&mut self.events)
@@ -313,9 +350,10 @@ mod tests {
     #[test]
     fn queue_overflow_drops_and_counts() {
         let (mut pool, _clk) = pool(2);
-        assert!(!pool.offer(NodeId(1), frame(1)));
-        assert!(!pool.offer(NodeId(1), frame(2)));
-        assert!(!pool.offer(NodeId(1), frame(3))); // over capacity
+        assert_eq!(pool.offer(NodeId(1), &frame(1)), Offer::Queued);
+        assert_eq!(pool.offer(NodeId(1), &frame(2)), Offer::Queued);
+        assert_eq!(pool.offer(NodeId(1), &frame(3)), Offer::Dropped); // over capacity
+        assert_eq!(pool.offer(NodeId(7), &frame(4)), Offer::NoSuchPeer);
         assert_eq!(pool.dropped_of(NodeId(1)), 1);
         let evs = pool.drain_events();
         assert!(matches!(
@@ -331,7 +369,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         // Up peer: frames go straight to the wire.
-        assert!(pool.offer(NodeId(1), frame(4)));
+        assert_eq!(pool.offer(NodeId(1), &frame(4)), Offer::Wire);
     }
 
     #[test]
@@ -354,6 +392,39 @@ mod tests {
             .drain_events()
             .iter()
             .any(|e| matches!(e, NetEvent::PeerDown { peer: NodeId(1) })));
+    }
+
+    #[test]
+    fn next_deadline_tracks_hello_heartbeat_and_suspicion() {
+        let opts = NetOptions::default();
+        let (hb, hello, suspect) = (opts.hb_interval, opts.hello_interval, opts.suspect_timeout);
+        let mut pool = PeerPool::new(NodeId(0), opts);
+        let clk = ManualClock::new();
+        assert_eq!(pool.next_deadline(), None, "no peers, nothing to do");
+        pool.add_peer(NodeId(1));
+        // A fresh peer is greeted at once, then every hello_interval.
+        assert!(pool.next_deadline().expect("peer") <= clk.now() + hello);
+        clk.advance(SimDuration::from_secs(1));
+        let t0 = clk.now();
+        assert_eq!(pool.tick(t0).len(), 1);
+        assert_eq!(pool.next_deadline(), Some(t0 + hello));
+        // Up: the next thing due is the heartbeat...
+        pool.heard_from(NodeId(1), t0);
+        assert!(pool.has_events());
+        pool.tick(t0);
+        assert_eq!(pool.next_deadline(), Some(t0 + hb));
+        // ...and ticking exactly on the deadlines still suspects on time.
+        let mut down_at = None;
+        while down_at.is_none() {
+            let due = pool.next_deadline().expect("peer");
+            assert!(due > clk.now(), "a deadline in the past would spin");
+            clk.advance(due.saturating_since(clk.now()));
+            pool.tick(clk.now());
+            if pool.state_of(NodeId(1)) == Some(PeerState::Down) {
+                down_at = Some(clk.now());
+            }
+        }
+        assert_eq!(down_at, Some(t0 + suspect));
     }
 
     #[test]

@@ -1,18 +1,51 @@
-//! The poll-based reactor: one UDP socket, one timer heap, one process.
+//! The reactor: one UDP socket, one timer heap, one process.
 //!
 //! [`NetRuntime`] is the real-network counterpart of the simulator's
-//! per-node context. It owns a non-blocking-style UDP socket (poll with a
-//! deadline-driven read timeout — the single-fd equivalent of `poll(2)`),
-//! a monotone [`WallClock`], a binary-heap timer wheel and the
-//! [`PeerPool`] lifecycle machine, and it lends itself to the hosted
-//! [`Process`] as `&mut dyn Transport` — so the vsync/naming/LWG stack
-//! runs over it unchanged.
+//! per-node context. It owns the socket, a monotone [`WallClock`], a
+//! binary-heap timer wheel and the [`PeerPool`] lifecycle machine, and it
+//! lends itself to the hosted [`Process`] as `&mut dyn Transport` — so the
+//! vsync/naming/LWG stack runs over it unchanged.
 //!
-//! The reactor turn is: deliver self-sends → fire due timers → service
-//! the peer pool (heartbeats, hellos, suspicion) → wait for a datagram
-//! until the next deadline → demux. Frames of family [`family::NET`] are
-//! the transport's own lifecycle and harness-control traffic; every other
-//! family goes up to the process.
+//! # The turn
+//!
+//! [`NetRuntime::run_for`] repeats, until its deadline:
+//!
+//! 1. deliver self-sends, fire due timers, service the peer pool if one of
+//!    its deadlines (heartbeat, hello, suspicion) has passed;
+//! 2. dispatch every datagram that is already waiting (in batches, so a
+//!    flood cannot starve step 1) — frames of family [`family::NET`] are
+//!    the transport's own lifecycle and harness-control traffic, every
+//!    other family goes up to the process;
+//! 3. **flush**: put on the wire whatever steps 1–2 — or the caller, since
+//!    the previous turn — sent;
+//! 4. wait for the next datagram, at most until the earliest of the turn's
+//!    deadline, the next timer and the pool's next deadline.
+//!
+//! Work per turn is proportional to traffic: an idle runtime sleeps until
+//! its next heartbeat, a busy one never waits.
+//!
+//! **Sending.** [`Transport::send`] appends the frame to a datagram pending
+//! for that peer; the envelope carries any number of frames. The datagram
+//! leaves when the next frame would take it past [`DGRAM_BUDGET`] (a frame
+//! larger than the budget travels alone) and in any case at step 3, so
+//! *nothing sent is ever held across a wait* — coalescing costs a frame
+//! the encode time of the frames behind it, never a timer. Per-peer order
+//! is send order.
+//!
+//! **Waiting.** `std` can only wait on a socket through `SO_RCVTIMEO`,
+//! which rounds up to a kernel timer tick (4 ms on a 250 Hz kernel), so
+//! the reactor does not read the socket at all: a receive thread
+//! ([`crate::rx`]) blocks in `recv_from` and hands each datagram over a
+//! bounded channel, already copied into the one exactly-sized allocation
+//! its zero-copy frames will share. Step 4 waits on the channel, which
+//! honours microsecond deadlines and wakes on arrival. The thread lives as
+//! long as the runtime: `bind` starts it, `Drop` stops and joins it.
+//!
+//! **Errors.** `bind` returns whatever the socket or the thread refused.
+//! At run time a failed `sendto`/`recvfrom` is counted
+//! (`netio.io_errors`) and treated as a lost datagram — the layers above
+//! repair loss anyway — and a persistently failing socket is paced by the
+//! receive thread, so it cannot spin the reactor.
 //!
 //! Partitions, for real: the harness sends [`NetMsg::Block`] and the
 //! runtime installs a socket-level drop filter — datagrams to or from a
@@ -23,29 +56,49 @@
 use crate::clock::WallClock;
 use crate::events::NetEvent;
 use crate::keys::{
-    NETIO_BYTES_TX, NETIO_DGRAM_RX, NETIO_DGRAM_TX, NETIO_PEERS_UP, NETIO_QUEUE_DROPPED,
+    NETIO_BYTES_TX, NETIO_DGRAM_RX, NETIO_DGRAM_TX, NETIO_IO_ERRORS, NETIO_PEERS_UP,
+    NETIO_QUEUE_DROPPED, NETIO_UNROUTABLE,
 };
-use crate::msg::{net_frame, pack_datagram, unpack_datagram, NetMsg};
-use crate::peer::{NetOptions, PeerPool, PeerState, PoolAction};
+use crate::msg::{datagram_header, net_frame, unpack_datagram, NetMsg, DGRAM_BUDGET};
+use crate::peer::{NetOptions, Offer, PeerPool, PeerState, PoolAction};
+use crate::rx::{Received, RxThread};
 use plwg_sim::{
-    family, peek_family, Clock, MetricsRegistry, NodeId, Payload, Process, SimDuration, SimTime,
-    TimerToken, Trace, Transport, TransportExt,
+    family, peek_family, Clock, Encode, MetricsRegistry, NodeId, Payload, Process, SimDuration,
+    SimTime, TimerToken, Trace, Transport, TransportExt,
 };
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
+use std::time::Duration;
 
-/// Longest single socket wait; bounds how stale pool maintenance can get.
-const MAX_POLL: SimDuration = SimDuration::from_millis(25);
+/// Datagrams dispatched in a row before the turn looks at its timers and
+/// its deadline again, so a flood cannot starve them.
+const RX_BATCH: usize = 64;
+
+/// Where a peer's datagrams go, and the one being filled for it.
+struct Route {
+    addr: SocketAddr,
+    /// The envelope header, then the frames sent since the last flush.
+    pending: Vec<u8>,
+}
 
 /// The real-socket runtime hosting one protocol [`Process`].
 pub struct NetRuntime {
     me: NodeId,
     clock: WallClock,
     socket: UdpSocket,
-    book: BTreeMap<NodeId, SocketAddr>,
+    rx: RxThread,
+    /// Scratch for the frames of the datagram being dispatched.
+    rx_frames: Vec<Payload>,
+    book: BTreeMap<NodeId, Route>,
+    /// Length of the envelope header every pending datagram starts with.
+    header_len: usize,
+    /// Peers whose pending datagram holds at least one frame.
+    unflushed: Vec<NodeId>,
     pool: PeerPool,
+    /// When the pool next needs a [`PeerPool::tick`].
+    pool_due: SimTime,
     timers: BinaryHeap<Reverse<(u64, u64, u64)>>,
     timer_gen: BTreeMap<u64, u64>,
     next_gen: u64,
@@ -58,17 +111,26 @@ pub struct NetRuntime {
 
 impl NetRuntime {
     /// Binds a runtime for node `me` on `addr` (use port 0 to let the OS
-    /// pick; read it back with [`NetRuntime::local_addr`]).
+    /// pick; read it back with [`NetRuntime::local_addr`]) and starts its
+    /// receive thread.
     pub fn bind(me: NodeId, addr: impl ToSocketAddrs, opts: NetOptions) -> io::Result<NetRuntime> {
         opts.validate()
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
         let socket = UdpSocket::bind(addr)?;
+        let rx = RxThread::spawn(&socket)?;
+        let mut header = Vec::new();
+        datagram_header(me, &mut header);
         Ok(NetRuntime {
             me,
             clock: WallClock::start(),
             socket,
+            rx,
+            rx_frames: Vec::new(),
             book: BTreeMap::new(),
+            header_len: header.len(),
+            unflushed: Vec::new(),
             pool: PeerPool::new(me, opts),
+            pool_due: SimTime::ZERO,
             timers: BinaryHeap::new(),
             timer_gen: BTreeMap::new(),
             next_gen: 0,
@@ -90,8 +152,9 @@ impl NetRuntime {
         if node == self.me {
             return;
         }
-        self.book.insert(node, addr);
+        self.learn_route(node, addr);
         self.pool.add_peer(node);
+        self.pool_due = SimTime::ZERO;
     }
 
     /// Turns trace recording on (off by default, as on the simulator).
@@ -125,41 +188,42 @@ impl NetRuntime {
     ///
     /// The first call delivers `p`'s [`Process::on_start`] (arming its
     /// periodic timers), mirroring the simulator's node-admission hook.
+    /// Frames sent since the previous call leave before anything is
+    /// waited for.
     pub fn run_for(&mut self, p: &mut dyn Process, dur: SimDuration) {
         if !self.started {
             self.started = true;
             p.on_start(self);
         }
         let deadline = self.clock.now().checked_add(dur).unwrap_or(SimTime::MAX);
-        let mut buf = vec![0u8; 65_536];
         loop {
             self.deliver_local(p);
             self.fire_timers(p);
             self.service_pool();
+            let mut batch = RX_BATCH;
+            while batch > 0 {
+                let Some(item) = self.rx.try_recv() else {
+                    break;
+                };
+                self.on_received(p, item);
+                batch -= 1;
+            }
+            // Nothing this turn produced may sit out a wait.
+            self.flush();
             let now = self.clock.now();
             if now >= deadline {
                 return;
             }
-            let mut next = deadline;
+            if batch == 0 || !self.pending_local.is_empty() {
+                continue;
+            }
+            let mut next = deadline.min(self.pool_due);
             if let Some(&Reverse((due, _, _))) = self.timers.peek() {
                 next = next.min(SimTime::from_micros(due));
             }
-            let wait = next.saturating_since(now);
-            let wait_us = wait.as_micros().clamp(1, MAX_POLL.as_micros());
-            self.socket
-                .set_read_timeout(Some(std::time::Duration::from_micros(wait_us)))
-                .expect("set_read_timeout");
-            match self.socket.recv_from(&mut buf) {
-                Ok((n, addr)) => {
-                    let dgram = buf[..n].to_vec();
-                    self.on_datagram(p, &dgram, addr);
-                }
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut => {}
-                // Transient socket errors (e.g. ICMP-induced) are treated
-                // as loss, with a pause so a persistent fault cannot spin.
-                Err(_) => std::thread::sleep(std::time::Duration::from_millis(1)),
+            let wait = Duration::from_micros(next.saturating_since(now).as_micros());
+            if let Some(item) = self.rx.recv_timeout(wait) {
+                self.on_received(p, item);
             }
         }
     }
@@ -191,6 +255,7 @@ impl NetRuntime {
         for a in self.pool.goodbyes() {
             self.apply_action(a);
         }
+        self.flush();
     }
 
     fn deliver_local(&mut self, p: &mut dyn Process) {
@@ -216,8 +281,14 @@ impl NetRuntime {
         }
     }
 
+    /// Pool maintenance, when it is due: a heartbeat, hello or suspicion
+    /// deadline has passed, or the pool has events to publish (every state
+    /// change leaves one, and may have moved the deadlines).
     fn service_pool(&mut self) {
         let now = self.clock.now();
+        if now < self.pool_due && !self.pool.has_events() {
+            return;
+        }
         for a in self.pool.tick(now) {
             self.apply_action(a);
         }
@@ -229,52 +300,108 @@ impl NetRuntime {
             }
             self.emit(move || ev);
         }
+        self.pool_due = self.pool.next_deadline().unwrap_or(SimTime::MAX);
     }
 
     fn apply_action(&mut self, action: PoolAction) {
         match action {
-            PoolAction::Control(to, msg) => self.transmit(to, &[net_frame(&msg)]),
+            PoolAction::Control(to, msg) => self.transmit(to, &net_frame(&msg)),
             PoolAction::Flush(to, frames) => {
-                if !frames.is_empty() {
-                    self.transmit(to, &frames);
+                for f in &frames {
+                    self.transmit(to, f);
                 }
             }
         }
     }
 
-    /// Puts `frames` on the wire towards `to`, applying the drop filter.
-    fn transmit(&mut self, to: NodeId, frames: &[Payload]) {
-        if self.blocked.contains(&to) {
+    /// Records where `node`'s datagrams go (keeping what is pending).
+    fn learn_route(&mut self, node: NodeId, addr: SocketAddr) {
+        if let Some(route) = self.book.get_mut(&node) {
+            route.addr = addr;
             return;
         }
-        let Some(&addr) = self.book.get(&to) else {
+        let mut pending = Vec::new();
+        datagram_header(self.me, &mut pending);
+        self.book.insert(node, Route { addr, pending });
+    }
+
+    /// Appends `frame` to the datagram pending for `to`. What was pending
+    /// goes out first if `frame` would take it past [`DGRAM_BUDGET`]; the
+    /// rest waits for [`NetRuntime::flush`].
+    fn transmit(&mut self, to: NodeId, frame: &Payload) {
+        let Some(route) = self.book.get_mut(&to) else {
             return;
         };
-        let dgram = pack_datagram(self.me, frames);
-        if self.socket.send_to(&dgram, addr).is_ok() {
-            self.metrics.incr(NETIO_DGRAM_TX);
-            self.metrics.add(NETIO_BYTES_TX, dgram.len() as u64);
+        let mark = route.pending.len();
+        frame.encode_into(&mut route.pending);
+        if mark == self.header_len {
+            self.unflushed.push(to);
+        } else if route.pending.len() > DGRAM_BUDGET {
+            if !self.blocked.contains(&to) {
+                send_dgram(
+                    &self.socket,
+                    &mut self.metrics,
+                    route.addr,
+                    &route.pending[..mark],
+                );
+            }
+            route.pending.drain(self.header_len..mark);
         }
     }
 
-    fn on_datagram(&mut self, p: &mut dyn Process, buf: &[u8], addr: SocketAddr) {
-        let Ok((from, frames)) = unpack_datagram(buf) else {
-            return;
-        };
-        if self.blocked.contains(&from) {
-            return;
+    /// Puts every pending datagram on the wire (the drop filter applies
+    /// here: what is pending for a blocked peer is discarded).
+    fn flush(&mut self) {
+        for i in 0..self.unflushed.len() {
+            let to = self.unflushed[i];
+            let Some(route) = self.book.get_mut(&to) else {
+                continue;
+            };
+            if !self.blocked.contains(&to) {
+                send_dgram(&self.socket, &mut self.metrics, route.addr, &route.pending);
+            }
+            route.pending.truncate(self.header_len);
         }
+        self.unflushed.clear();
+    }
+
+    fn on_received(&mut self, p: &mut dyn Process, item: Received) {
+        match item {
+            Ok((dgram, addr)) => self.on_datagram(p, &dgram, addr),
+            // A receive error is loss; the receive thread paces itself.
+            Err(_) => self.metrics.incr(NETIO_IO_ERRORS),
+        }
+    }
+
+    fn on_datagram(&mut self, p: &mut dyn Process, dgram: &Payload, addr: SocketAddr) {
+        let mut frames = std::mem::take(&mut self.rx_frames);
+        if let Ok(from) = unpack_datagram(dgram, &mut frames) {
+            if !self.blocked.contains(&from) {
+                self.dispatch(p, from, addr, &mut frames);
+            }
+        }
+        frames.clear();
+        self.rx_frames = frames;
+    }
+
+    fn dispatch(
+        &mut self,
+        p: &mut dyn Process,
+        from: NodeId,
+        addr: SocketAddr,
+        frames: &mut Vec<Payload>,
+    ) {
         self.metrics.incr(NETIO_DGRAM_RX);
         // Source address is authoritative for the sending node: a peer
         // that rebound after a restart is re-learned here.
         if from != self.me {
-            self.book.insert(from, addr);
+            self.learn_route(from, addr);
         }
         let now = self.clock.now();
         if let Some(a) = self.pool.heard_from(from, now) {
             self.apply_action(a);
         }
-        for frame in frames {
+        for frame in frames.drain(..) {
             if peek_family(&frame) == Some(family::NET) {
                 if let Ok(msg) = plwg_sim::decode_frame::<NetMsg>(family::NET, &frame) {
                     self.on_net_msg(from, msg);
@@ -283,7 +410,6 @@ impl NetRuntime {
                 p.on_message(self, from, frame);
             }
         }
-        self.service_pool();
     }
 
     fn on_net_msg(&mut self, from: NodeId, msg: NetMsg) {
@@ -308,6 +434,24 @@ impl NetRuntime {
     }
 }
 
+/// One `sendto`. A failure is counted and otherwise treated as loss, as
+/// on the wire.
+fn send_dgram(socket: &UdpSocket, metrics: &mut MetricsRegistry, addr: SocketAddr, dgram: &[u8]) {
+    match socket.send_to(dgram, addr) {
+        Ok(_) => {
+            metrics.incr(NETIO_DGRAM_TX);
+            metrics.add(NETIO_BYTES_TX, dgram.len() as u64);
+        }
+        Err(_) => metrics.incr(NETIO_IO_ERRORS),
+    }
+}
+
+impl Drop for NetRuntime {
+    fn drop(&mut self) {
+        self.rx.stop(&self.socket);
+    }
+}
+
 impl Transport for NetRuntime {
     fn now(&self) -> SimTime {
         self.clock.now()
@@ -325,8 +469,10 @@ impl Transport for NetRuntime {
         if self.blocked.contains(&to) {
             return;
         }
-        if self.pool.offer(to, msg.clone()) {
-            self.transmit(to, &[msg]);
+        match self.pool.offer(to, &msg) {
+            Offer::Wire => self.transmit(to, &msg),
+            Offer::Queued | Offer::Dropped => {}
+            Offer::NoSuchPeer => self.metrics.incr(NETIO_UNROUTABLE),
         }
     }
 

@@ -41,6 +41,13 @@ use crate::{GroupStatus, VsEvent, VsyncConfig};
 use plwg_hwg::{keys, HwgId, HwgTraceEvent, View, ViewId};
 use plwg_sim::{NodeId, Payload, SimTime, Transport, TransportExt};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound::{Excluded, Unbounded};
+
+/// Messages stored since the last stability advertisement that trigger the
+/// next one: with the time trigger alone the retransmission store holds
+/// `stability_interval` worth of traffic, whatever the rate. Large enough
+/// that view-change control traffic never reaches it.
+const STABILITY_VOLUME: usize = 1024;
 
 /// Member-side state of an in-progress flush.
 #[derive(Debug)]
@@ -127,6 +134,8 @@ pub(crate) struct GroupEndpoint {
     /// Latest stability prefixes received from members of the current view.
     stable_info: BTreeMap<NodeId, BTreeMap<NodeId, u64>>,
     last_stability_sent: SimTime,
+    /// Messages stored since the last stability advertisement.
+    stored_since_advert: usize,
 
     // --- joining ---
     probe_attempts: u32,
@@ -193,6 +202,7 @@ impl GroupEndpoint {
             gap_since: BTreeMap::new(),
             stable_info: BTreeMap::new(),
             last_stability_sent: SimTime::ZERO,
+            stored_since_advert: 0,
             probe_attempts: 0,
             probe_deadline: None,
             join_target: None,
@@ -279,12 +289,6 @@ impl GroupEndpoint {
         }
         self.send_seq += 1;
         let view = self.view.as_ref().expect("checked above");
-        let view_members: Vec<NodeId> = view
-            .members
-            .iter()
-            .copied()
-            .filter(|&m| m != self.me)
-            .collect();
         // Encoded once; every receiver copy shares this one allocation.
         let frame = wire::frame(&VsMsg::Data {
             hwg: self.hwg,
@@ -295,7 +299,11 @@ impl GroupEndpoint {
         });
         ctx.metrics().incr(keys::DATA_SENT);
         ctx.metrics().add(keys::BYTES_MULTICAST, data.len() as u64);
-        self.multicast(ctx, &view_members, &frame);
+        for &m in &view.members {
+            if m != self.me {
+                ctx.send(m, frame.clone());
+            }
+        }
         // Synchronous self-delivery.
         self.holdback
             .insert((self.me, self.send_seq), Slot::Full(data));
@@ -331,22 +339,20 @@ impl GroupEndpoint {
         self.send_seq += 1;
         let seq = self.send_seq;
         let view = self.view.as_ref().expect("checked above");
-        // Two frames per subset multicast — the real payload and the thin
-        // marker — each encoded once and refcount-shared by its receivers.
-        let real = wire::frame(&VsMsg::Data {
-            hwg: self.hwg,
-            view_id: view.id,
-            sender: self.me,
-            seq,
-            payload: Slot::Full(data.clone()),
-        });
-        let marker = wire::frame(&VsMsg::Data {
-            hwg: self.hwg,
-            view_id: view.id,
-            sender: self.me,
-            seq,
-            payload: Slot::Skip,
-        });
+        // At most two frames per subset multicast — the real payload and,
+        // once a member outside `targets` turns up, the thin marker — each
+        // encoded once and refcount-shared by its receivers.
+        let data_frame = |payload: Slot| {
+            wire::frame(&VsMsg::Data {
+                hwg: self.hwg,
+                view_id: view.id,
+                sender: self.me,
+                seq,
+                payload,
+            })
+        };
+        let real = data_frame(Slot::Full(data.clone()));
+        let mut marker: Option<Payload> = None;
         let mut trimmed = 0u64;
         for &m in &view.members {
             if m == self.me {
@@ -355,6 +361,7 @@ impl GroupEndpoint {
             if targets.contains(&m) {
                 ctx.send(m, real.clone());
             } else {
+                let marker = marker.get_or_insert_with(|| data_frame(Slot::Skip));
                 ctx.send(m, marker.clone());
                 trimmed += 1;
             }
@@ -713,44 +720,53 @@ impl GroupEndpoint {
         let Some(view) = &self.view else { return };
         let view_id = view.id;
         let target = self.flush.as_ref().and_then(|f| f.target.clone());
-        loop {
-            let mut delivered_any = false;
-            let senders: Vec<NodeId> = self.holdback.keys().map(|&(s, _)| s).collect();
-            for sender in senders {
+        // Senders in ascending order; for each, the run of consecutive
+        // messages starting at its next expected seq.
+        let mut cursor = self.holdback.keys().next().map(|&(sender, _)| sender);
+        while let Some(sender) = cursor {
+            loop {
                 let next = self.expected.get(&sender).copied().unwrap_or(1);
                 // During the fill phase deliver only up to the agreed target.
                 if let Some(t) = &target {
                     if next > t.get(&sender).copied().unwrap_or(0) {
-                        continue;
+                        break;
                     }
                 }
-                if let Some(slot) = self.holdback.remove(&(sender, next)) {
-                    self.expected.insert(sender, next + 1);
-                    self.store.insert((sender, next), slot.clone());
-                    match slot {
-                        Slot::Skip => {
-                            // Subset-delivery marker: the slot is consumed
-                            // (so FIFO, stability and flush digests advance)
-                            // but nothing is delivered to the layer above.
-                            self.thin_held.insert((sender, next));
-                            ctx.metrics().incr(keys::SUBSET_SKIPPED);
-                        }
-                        Slot::Full(data) => {
-                            ctx.metrics().incr(keys::DATA_DELIVERED);
-                            events.push(VsEvent::Data {
-                                hwg: self.hwg,
-                                view_id,
-                                src: sender,
-                                data,
-                            });
-                        }
+                let Some(slot) = self.holdback.remove(&(sender, next)) else {
+                    break;
+                };
+                self.expected.insert(sender, next + 1);
+                self.store.insert((sender, next), slot.clone());
+                self.stored_since_advert += 1;
+                match slot {
+                    Slot::Skip => {
+                        // Subset-delivery marker: the slot is consumed
+                        // (so FIFO, stability and flush digests advance)
+                        // but nothing is delivered to the layer above.
+                        self.thin_held.insert((sender, next));
+                        ctx.metrics().incr(keys::SUBSET_SKIPPED);
                     }
-                    delivered_any = true;
+                    Slot::Full(data) => {
+                        ctx.metrics().incr(keys::DATA_DELIVERED);
+                        events.push(VsEvent::Data {
+                            hwg: self.hwg,
+                            view_id,
+                            src: sender,
+                            data,
+                        });
+                    }
                 }
             }
-            if !delivered_any {
-                break;
-            }
+            cursor = self
+                .holdback
+                .range((Excluded((sender, u64::MAX)), Unbounded))
+                .next()
+                .map(|(&(next_sender, _), _)| next_sender);
+        }
+        // Every delivery — own sends included — stores its message just
+        // above, so this one check bounds the store on all of them.
+        if self.stored_since_advert >= STABILITY_VOLUME {
+            self.advertise_stability(ctx);
         }
     }
 
@@ -1408,17 +1424,26 @@ impl GroupEndpoint {
         }
     }
 
-    /// Periodically advertise the delivered prefix and garbage-collect the
-    /// retransmission store below the view-wide stable point.
+    /// Time trigger of the stability exchange: advertise once
+    /// `stability_interval` has passed since the last advertisement.
     fn stability_tick(&mut self, ctx: &mut dyn Transport, now: SimTime, cfg: &VsyncConfig) {
+        if now.saturating_since(self.last_stability_sent) >= cfg.stability_interval {
+            self.advertise_stability(ctx);
+        }
+    }
+
+    /// Advertises the delivered prefix and garbage-collects the
+    /// retransmission store below the view-wide stable point. Triggered by
+    /// time ([`Self::stability_tick`]) or by volume ([`STABILITY_VOLUME`]
+    /// messages stored since the last advertisement), whichever is first;
+    /// not while a view change is running (the flush settles the store).
+    fn advertise_stability(&mut self, ctx: &mut dyn Transport) {
         let Some(view) = &self.view else { return };
         if view.len() < 2 || self.flush.is_some() || self.running.is_some() {
             return;
         }
-        if now.saturating_since(self.last_stability_sent) < cfg.stability_interval {
-            return;
-        }
-        self.last_stability_sent = now;
+        self.last_stability_sent = ctx.now();
+        self.stored_since_advert = 0;
         let prefix: BTreeMap<NodeId, u64> = view
             .members
             .iter()
