@@ -28,9 +28,8 @@
 use plwg_core::{DirCounters, HwgId, LwgConfig, LwgId, LwgMsg, ScriptedHwg, View, ViewId};
 use plwg_naming::{NameServer, NamingConfig};
 use plwg_sim::{Frame, NetConfig, NodeId, SimDuration, World, WorldConfig};
-use plwg_workload::Table;
+use plwg_workload::{write_json_rows, Table};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -281,30 +280,23 @@ fn run_cell(l: u64) -> Row {
     }
 }
 
-fn json(rows: &[Row]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"lwg_scale_sweep\",\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"lwgs\": {}, \"hwgs\": {HWGS}, \"bytes_per_lwg\": {}, \
-             \"probe_lookups\": {}, \"probe_index_queries\": {}, \"probe_visited\": {}, \
-             \"multicasts\": {}, \"delivered\": {}, \"multicasts_per_delivered\": {:.2}, \
-             \"rebalance_moves\": {}, \"rebalance_converge_ms\": {}}}{}",
-            r.lwgs,
-            r.bytes_per_lwg,
-            r.probe_lookups,
-            r.probe_index_queries,
-            r.probe_visited,
-            r.sends,
-            r.delivered,
-            r.multicasts_per_delivered(),
-            r.rebalance_moves,
-            r.converge_ms(),
-            if i + 1 == rows.len() { "" } else { "," }
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
+fn json_row(r: &Row) -> String {
+    format!(
+        "\"lwgs\": {}, \"hwgs\": {HWGS}, \"bytes_per_lwg\": {}, \
+         \"probe_lookups\": {}, \"probe_index_queries\": {}, \"probe_visited\": {}, \
+         \"multicasts\": {}, \"delivered\": {}, \"multicasts_per_delivered\": {:.2}, \
+         \"rebalance_moves\": {}, \"rebalance_converge_ms\": {}",
+        r.lwgs,
+        r.bytes_per_lwg,
+        r.probe_lookups,
+        r.probe_index_queries,
+        r.probe_visited,
+        r.sends,
+        r.delivered,
+        r.multicasts_per_delivered(),
+        r.rebalance_moves,
+        r.converge_ms(),
+    )
 }
 
 /// The CI gates: every figure here is a deterministic counter, so a
@@ -400,9 +392,5 @@ fn main() {
         gate(&rows);
         return;
     }
-    let path = "BENCH_scale.json";
-    match std::fs::write(path, json(&rows)) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    write_json_rows("BENCH_scale.json", "lwg_scale_sweep", &rows, json_row);
 }

@@ -20,8 +20,7 @@
 
 use plwg_net::{NetOptions, NetRuntime};
 use plwg_sim::{NodeId, Payload, Process, SimDuration, Transport};
-use plwg_workload::Table;
-use std::fmt::Write as _;
+use plwg_workload::{write_json_rows, Table};
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -161,27 +160,20 @@ fn run(payload_bytes: usize, frames: u64) -> Row {
     }
 }
 
-fn json(rows: &[Row]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"net_throughput\",\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"payload_bytes\": {}, \"sent\": {}, \"received\": {}, \
-             \"delivery_ratio\": {:.3}, \"wall_ms\": {:.1}, \"msgs_per_s\": {:.0}, \
-             \"mib_per_s\": {:.1}, \"bytes_tx\": {}}}{}",
-            r.payload_bytes,
-            r.sent,
-            r.received,
-            r.delivery_ratio(),
-            r.wall_ms,
-            r.msgs_per_s(),
-            r.mib_per_s(),
-            r.bytes_tx,
-            if i + 1 == rows.len() { "" } else { "," }
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
+fn json_row(r: &Row) -> String {
+    format!(
+        "\"payload_bytes\": {}, \"sent\": {}, \"received\": {}, \
+         \"delivery_ratio\": {:.3}, \"wall_ms\": {:.1}, \"msgs_per_s\": {:.0}, \
+         \"mib_per_s\": {:.1}, \"bytes_tx\": {}",
+        r.payload_bytes,
+        r.sent,
+        r.received,
+        r.delivery_ratio(),
+        r.wall_ms,
+        r.msgs_per_s(),
+        r.mib_per_s(),
+        r.bytes_tx,
+    )
 }
 
 fn gate(rows: &[Row]) {
@@ -248,9 +240,5 @@ fn main() {
         gate(&rows);
         return;
     }
-    let path = "BENCH_net.json";
-    match std::fs::write(path, json(&rows)) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    write_json_rows("BENCH_net.json", "net_throughput", &rows, json_row);
 }

@@ -26,8 +26,7 @@ use plwg_vsync::VsyncStack;
 type LwgNode = plwg_core::LwgNode<VsyncStack>;
 use plwg_naming::{NameServer, NamingConfig};
 use plwg_sim::{Frame, NodeId, SimDuration, World, WorldConfig};
-use plwg_workload::Table;
-use std::fmt::Write as _;
+use plwg_workload::{write_json_rows, Table};
 
 /// One swept configuration.
 struct Cfg {
@@ -171,34 +170,27 @@ fn run(groups: usize, cfg: &Cfg, seed: u64) -> Row {
     }
 }
 
-fn json(rows: &[Row]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"pack_sweep\",\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"config\": \"{}\", \"groups\": {}, \"pack_max_msgs\": {}, \
-             \"pack_delay_ms\": {}, \"subset_delivery\": {}, \"lwg_sent\": {}, \
-             \"lwg_delivered\": {}, \"hwg_data_multicasts\": {}, \"lwg_filtered\": {}, \
-             \"multicasts_per_delivered\": {:.4}, \"filtered_per_delivered\": {:.4}, \
-             \"batch_occupancy_mean\": {:.2}, \"throughput_msgs_per_s\": {:.1}}}{}",
-            r.label,
-            r.groups,
-            r.pack_max_msgs,
-            r.pack_delay_ms,
-            r.subset,
-            r.sent,
-            r.delivered,
-            r.hwg_multicasts,
-            r.filtered,
-            r.multicasts_per_delivered(),
-            r.filtered_per_delivered(),
-            r.occupancy_mean,
-            r.throughput,
-            if i + 1 == rows.len() { "" } else { "," }
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
+fn json_row(r: &Row) -> String {
+    format!(
+        "\"config\": \"{}\", \"groups\": {}, \"pack_max_msgs\": {}, \
+         \"pack_delay_ms\": {}, \"subset_delivery\": {}, \"lwg_sent\": {}, \
+         \"lwg_delivered\": {}, \"hwg_data_multicasts\": {}, \"lwg_filtered\": {}, \
+         \"multicasts_per_delivered\": {:.4}, \"filtered_per_delivered\": {:.4}, \
+         \"batch_occupancy_mean\": {:.2}, \"throughput_msgs_per_s\": {:.1}",
+        r.label,
+        r.groups,
+        r.pack_max_msgs,
+        r.pack_delay_ms,
+        r.subset,
+        r.sent,
+        r.delivered,
+        r.hwg_multicasts,
+        r.filtered,
+        r.multicasts_per_delivered(),
+        r.filtered_per_delivered(),
+        r.occupancy_mean,
+        r.throughput,
+    )
 }
 
 fn main() {
@@ -292,9 +284,5 @@ fn main() {
         }
     }
     println!("\n{}", table.render());
-    let path = "BENCH_pack.json";
-    match std::fs::write(path, json(&rows)) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    write_json_rows("BENCH_pack.json", "pack_sweep", &rows, json_row);
 }

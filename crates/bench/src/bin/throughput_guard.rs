@@ -15,6 +15,7 @@
 //! deltas are printed so a regression in the checked-in baselines is
 //! visible in the job log. Exits non-zero when a gate fails.
 
+use plwg_workload::{json_field, json_row_lines};
 use std::process::ExitCode;
 
 /// The gated slice of one sweep row.
@@ -28,25 +29,12 @@ struct Cell {
     allocs_per_delivered: f64,
 }
 
-/// Pulls `"key": <number>` out of one JSON row line. The guard files are
-/// written by this repo's own benches (one row object per line), so a
-/// full JSON parser is not needed — and the workspace takes no deps.
-fn field(row: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let rest = &row[row.find(&pat)? + pat.len()..];
-    let rest = rest.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn parse(path: &str) -> Result<Vec<Cell>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let mut cells = Vec::new();
-    for line in text.lines().filter(|l| l.contains("\"payload_bytes\"")) {
+    for line in json_row_lines(&text) {
         let get = |key: &str| {
-            field(line, key).ok_or_else(|| format!("{path}: row missing \"{key}\": {line}"))
+            json_field(line, key).ok_or_else(|| format!("{path}: row missing \"{key}\": {line}"))
         };
         cells.push(Cell {
             payload_bytes: get("payload_bytes")? as u64,

@@ -22,9 +22,8 @@ use plwg_vsync::VsyncStack;
 type LwgNode = plwg_core::LwgNode<VsyncStack>;
 use plwg_naming::{NameServer, NamingConfig};
 use plwg_sim::{Frame, NodeId, SimDuration, World, WorldConfig};
-use plwg_workload::Table;
+use plwg_workload::{write_json_rows, Table};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -172,31 +171,24 @@ fn run(groups: usize, payload_bytes: usize, seed: u64) -> Row {
     }
 }
 
-fn json(rows: &[Row]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"throughput_sweep\",\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"payload_bytes\": {}, \"groups\": {}, \"delivered\": {}, \
-             \"hwg_data_multicasts\": {}, \"bytes_per_multicast\": {:.0}, \
-             \"wall_ms\": {:.1}, \
-             \"msgs_per_s_core\": {:.0}, \"allocs\": {}, \
-             \"allocs_per_delivered\": {:.1}, \"alloc_mib\": {:.1}}}{}",
-            r.payload_bytes,
-            r.groups,
-            r.delivered,
-            r.hwg_multicasts,
-            r.bytes_per_multicast(),
-            r.wall_ms,
-            r.msgs_per_s_core(),
-            r.allocs,
-            r.allocs_per_delivered(),
-            r.alloc_bytes as f64 / (1024.0 * 1024.0),
-            if i + 1 == rows.len() { "" } else { "," }
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
+fn json_row(r: &Row) -> String {
+    format!(
+        "\"payload_bytes\": {}, \"groups\": {}, \"delivered\": {}, \
+         \"hwg_data_multicasts\": {}, \"bytes_per_multicast\": {:.0}, \
+         \"wall_ms\": {:.1}, \
+         \"msgs_per_s_core\": {:.0}, \"allocs\": {}, \
+         \"allocs_per_delivered\": {:.1}, \"alloc_mib\": {:.1}",
+        r.payload_bytes,
+        r.groups,
+        r.delivered,
+        r.hwg_multicasts,
+        r.bytes_per_multicast(),
+        r.wall_ms,
+        r.msgs_per_s_core(),
+        r.allocs,
+        r.allocs_per_delivered(),
+        r.alloc_bytes as f64 / (1024.0 * 1024.0),
+    )
 }
 
 fn main() {
@@ -232,9 +224,5 @@ fn main() {
         }
     }
     println!("{}", table.render());
-    let path = "BENCH_throughput.json";
-    match std::fs::write(path, json(&rows)) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    write_json_rows("BENCH_throughput.json", "throughput_sweep", &rows, json_row);
 }

@@ -5,7 +5,6 @@
 //! custom reaction logic) or use [`LwgNode`] and subscribe to its upcall
 //! stream via [`LwgNode::events`].
 
-use crate::config::LwgConfig;
 use crate::events::LwgEvents;
 use crate::service::LwgService;
 use plwg_hwg::{HwgSubstrate, View};
@@ -48,23 +47,6 @@ impl<S: HwgSubstrate> LwgNode<S> {
     /// ```
     pub fn builder(me: NodeId) -> crate::LwgNodeBuilder<S> {
         crate::LwgNodeBuilder::new(me)
-    }
-
-    /// Creates a node for `me`, using the given name servers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` is invalid or `servers` is empty.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `LwgNode::builder(me).servers(..).config(cfg).build()`"
-    )]
-    pub fn new(me: NodeId, servers: Vec<NodeId>, cfg: LwgConfig) -> Self {
-        Self::builder(me)
-            .servers(servers)
-            .config(cfg)
-            .build()
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     pub(crate) fn from_service(service: LwgService<S>, events: LwgEvents) -> Self {

@@ -28,8 +28,7 @@
 
 use plwg_hwg::{GroupStatus, HwgConfig, HwgEvent, HwgId, HwgSubstrate, View, ViewId};
 use plwg_sim::{
-    decode_frame, encode_frame, family, peek_family, Decode, Encode, NodeId, Payload, Reader,
-    TimerToken, Transport, WireError,
+    decode_frame, encode_frame, family, peek_family, NodeId, Payload, TimerToken, Transport,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -50,67 +49,12 @@ enum ScriptedMsg {
     NewView { hwg: HwgId, view: View },
 }
 
-// Variant tags; wire-stable, append-only.
-const T_DATA: u8 = 0;
-const T_FLUSH: u8 = 1;
-const T_STOP_ACK: u8 = 2;
-const T_NEW_VIEW: u8 = 3;
-
-impl Encode for ScriptedMsg {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            ScriptedMsg::Data { hwg, view_id, data } => {
-                out.push(T_DATA);
-                hwg.encode_into(out);
-                view_id.encode_into(out);
-                data.encode_into(out);
-            }
-            ScriptedMsg::Flush { hwg, nonce } => {
-                out.push(T_FLUSH);
-                hwg.encode_into(out);
-                nonce.encode_into(out);
-            }
-            ScriptedMsg::StopAck { hwg, nonce } => {
-                out.push(T_STOP_ACK);
-                hwg.encode_into(out);
-                nonce.encode_into(out);
-            }
-            ScriptedMsg::NewView { hwg, view } => {
-                out.push(T_NEW_VIEW);
-                hwg.encode_into(out);
-                view.encode_into(out);
-            }
-        }
-    }
-}
-
-impl Decode for ScriptedMsg {
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.read_u8()? {
-            T_DATA => Ok(ScriptedMsg::Data {
-                hwg: Decode::decode_from(r)?,
-                view_id: Decode::decode_from(r)?,
-                data: Decode::decode_from(r)?,
-            }),
-            T_FLUSH => Ok(ScriptedMsg::Flush {
-                hwg: Decode::decode_from(r)?,
-                nonce: Decode::decode_from(r)?,
-            }),
-            T_STOP_ACK => Ok(ScriptedMsg::StopAck {
-                hwg: Decode::decode_from(r)?,
-                nonce: Decode::decode_from(r)?,
-            }),
-            T_NEW_VIEW => Ok(ScriptedMsg::NewView {
-                hwg: Decode::decode_from(r)?,
-                view: Decode::decode_from(r)?,
-            }),
-            tag => Err(WireError::BadTag {
-                what: "ScriptedMsg",
-                tag: u64::from(tag),
-            }),
-        }
-    }
-}
+plwg_wire::wire_enum!(ScriptedMsg {
+    0 => Data { hwg, view_id, data },
+    1 => Flush { hwg, nonce },
+    2 => StopAck { hwg, nonce },
+    3 => NewView { hwg, view },
+});
 
 /// An in-progress two-phase flush at the coordinator.
 #[derive(Debug)]

@@ -86,45 +86,6 @@ impl<S: HwgSubstrate> LwgService<S> {
         crate::LwgBuilder::new(me)
     }
 
-    /// Creates the service for node `me`, talking to the given name
-    /// servers. The substrate is built from `cfg.hwg` via
-    /// [`HwgSubstrate::build`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` is invalid or `servers` is empty.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `LwgService::builder(me).servers(..).config(cfg).build()`"
-    )]
-    pub fn new(me: NodeId, servers: Vec<NodeId>, cfg: LwgConfig) -> Self {
-        Self::builder(me)
-            .servers(servers)
-            .config(cfg)
-            .build()
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Creates the service around an already-built substrate endpoint
-    /// (tests that pre-programme a [`crate::ScriptedHwg`], alternative
-    /// backends with out-of-band construction).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` is invalid or `servers` is empty.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `LwgService::builder(me).substrate(s).servers(..).config(cfg).build()`"
-    )]
-    pub fn with_substrate(substrate: S, servers: Vec<NodeId>, cfg: LwgConfig) -> Self {
-        Self::builder(substrate.node())
-            .substrate(substrate)
-            .servers(servers)
-            .config(cfg)
-            .build()
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Assembles the service from parts the builder has already checked:
     /// `cfg` validated (with `auto_stop_ok` forced off), `servers`
     /// non-empty, `substrate` belonging to this node.

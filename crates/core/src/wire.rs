@@ -1,209 +1,47 @@
 //! Wire codec for the LWG-layer protocol messages (frame family `LWG`).
 //!
 //! Every [`LwgMsg`] is one `plwg-wire` frame: the `LWG` family tag, a
-//! one-byte variant tag, then the variant's fields in declaration order.
-//! These frames usually travel *inside* an HWG data multicast (so the
-//! delivered `HwgEvent::Data` payload is itself a complete `LWG` frame);
-//! `Redirect` additionally goes node-to-node. Application payloads inside
-//! `Data` / `Batch` are length-prefixed, so a batch is serialized once by
-//! the sender and every receiver's deliveries *slice* the incoming
-//! allocation instead of copying it.
+//! one-byte variant tag, then the variant's fields in the order of the
+//! `wire_enum!` table below, whose left column is the tag space
+//! (wire-stable, append-only). These frames usually travel *inside* an HWG
+//! data multicast (so the delivered `HwgEvent::Data` payload is itself a
+//! complete `LWG` frame); `Redirect` additionally goes node-to-node.
+//! Application payloads inside `Data` / `Batch` are length-prefixed, so a
+//! batch is serialized once by the sender and every receiver's deliveries
+//! *slice* the incoming allocation instead of copying it.
 
 use crate::msg::{LFlushId, LwgMsg};
-use plwg_sim::{encode_frame, family, Decode, Encode, NodeId, Payload, Reader, WireError};
+use plwg_sim::{encode_frame, family, Payload};
 
 /// Encodes `msg` as a ready-to-send payload (family `LWG`).
 pub(crate) fn frame(msg: &LwgMsg) -> Payload {
     encode_frame(family::LWG, msg)
 }
 
-// Variant tags; wire-stable, append-only.
-const T_DATA: u8 = 0;
-const T_BATCH: u8 = 1;
-const T_JOIN_REQ: u8 = 2;
-const T_LEAVE_REQ: u8 = 3;
-const T_FLUSH: u8 = 4;
-const T_FLUSH_OK: u8 = 5;
-const T_NEW_LWG_VIEW: u8 = 6;
-const T_SWITCH_TO: u8 = 7;
-const T_SWITCH_READY: u8 = 8;
-const T_MERGE_VIEWS: u8 = 9;
-const T_ALL_VIEWS: u8 = 10;
-const T_DISSOLVED: u8 = 11;
-const T_REDIRECT: u8 = 12;
+plwg_wire::wire_struct!(LFlushId { initiator, nonce });
 
-impl Encode for LFlushId {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.initiator.encode_into(out);
-        self.nonce.encode_into(out);
-    }
-}
-
-impl Decode for LFlushId {
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(LFlushId {
-            initiator: NodeId::decode_from(r)?,
-            nonce: u64::decode_from(r)?,
-        })
-    }
-}
-
-impl Encode for LwgMsg {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            LwgMsg::Data {
-                lwg,
-                lwg_view,
-                data,
-            } => {
-                out.push(T_DATA);
-                lwg.encode_into(out);
-                lwg_view.encode_into(out);
-                data.encode_into(out);
-            }
-            LwgMsg::Batch { entries } => {
-                out.push(T_BATCH);
-                entries.encode_into(out);
-            }
-            LwgMsg::JoinReq { lwg } => {
-                out.push(T_JOIN_REQ);
-                lwg.encode_into(out);
-            }
-            LwgMsg::LeaveReq { lwg } => {
-                out.push(T_LEAVE_REQ);
-                lwg.encode_into(out);
-            }
-            LwgMsg::Flush {
-                lwg,
-                flush,
-                members,
-            } => {
-                out.push(T_FLUSH);
-                lwg.encode_into(out);
-                flush.encode_into(out);
-                members.encode_into(out);
-            }
-            LwgMsg::FlushOk { lwg, flush } => {
-                out.push(T_FLUSH_OK);
-                lwg.encode_into(out);
-                flush.encode_into(out);
-            }
-            LwgMsg::NewLwgView {
-                lwg,
-                flush,
-                view,
-                hwg,
-            } => {
-                out.push(T_NEW_LWG_VIEW);
-                lwg.encode_into(out);
-                flush.encode_into(out);
-                view.encode_into(out);
-                hwg.encode_into(out);
-            }
-            LwgMsg::SwitchTo {
-                lwg,
-                flush,
-                to,
-                members,
-            } => {
-                out.push(T_SWITCH_TO);
-                lwg.encode_into(out);
-                flush.encode_into(out);
-                to.encode_into(out);
-                members.encode_into(out);
-            }
-            LwgMsg::SwitchReady { lwg, flush } => {
-                out.push(T_SWITCH_READY);
-                lwg.encode_into(out);
-                flush.encode_into(out);
-            }
-            LwgMsg::MergeViews => out.push(T_MERGE_VIEWS),
-            LwgMsg::AllViews { views } => {
-                out.push(T_ALL_VIEWS);
-                views.encode_into(out);
-            }
-            LwgMsg::Dissolved { lwg, flush } => {
-                out.push(T_DISSOLVED);
-                lwg.encode_into(out);
-                flush.encode_into(out);
-            }
-            LwgMsg::Redirect { lwg, to } => {
-                out.push(T_REDIRECT);
-                lwg.encode_into(out);
-                to.encode_into(out);
-            }
-        }
-    }
-}
-
-impl Decode for LwgMsg {
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.read_u8()? {
-            T_DATA => Ok(LwgMsg::Data {
-                lwg: Decode::decode_from(r)?,
-                lwg_view: Decode::decode_from(r)?,
-                data: Decode::decode_from(r)?,
-            }),
-            T_BATCH => Ok(LwgMsg::Batch {
-                entries: Decode::decode_from(r)?,
-            }),
-            T_JOIN_REQ => Ok(LwgMsg::JoinReq {
-                lwg: Decode::decode_from(r)?,
-            }),
-            T_LEAVE_REQ => Ok(LwgMsg::LeaveReq {
-                lwg: Decode::decode_from(r)?,
-            }),
-            T_FLUSH => Ok(LwgMsg::Flush {
-                lwg: Decode::decode_from(r)?,
-                flush: Decode::decode_from(r)?,
-                members: Decode::decode_from(r)?,
-            }),
-            T_FLUSH_OK => Ok(LwgMsg::FlushOk {
-                lwg: Decode::decode_from(r)?,
-                flush: Decode::decode_from(r)?,
-            }),
-            T_NEW_LWG_VIEW => Ok(LwgMsg::NewLwgView {
-                lwg: Decode::decode_from(r)?,
-                flush: Decode::decode_from(r)?,
-                view: Decode::decode_from(r)?,
-                hwg: Decode::decode_from(r)?,
-            }),
-            T_SWITCH_TO => Ok(LwgMsg::SwitchTo {
-                lwg: Decode::decode_from(r)?,
-                flush: Decode::decode_from(r)?,
-                to: Decode::decode_from(r)?,
-                members: Decode::decode_from(r)?,
-            }),
-            T_SWITCH_READY => Ok(LwgMsg::SwitchReady {
-                lwg: Decode::decode_from(r)?,
-                flush: Decode::decode_from(r)?,
-            }),
-            T_MERGE_VIEWS => Ok(LwgMsg::MergeViews),
-            T_ALL_VIEWS => Ok(LwgMsg::AllViews {
-                views: Decode::decode_from(r)?,
-            }),
-            T_DISSOLVED => Ok(LwgMsg::Dissolved {
-                lwg: Decode::decode_from(r)?,
-                flush: Decode::decode_from(r)?,
-            }),
-            T_REDIRECT => Ok(LwgMsg::Redirect {
-                lwg: Decode::decode_from(r)?,
-                to: Decode::decode_from(r)?,
-            }),
-            tag => Err(WireError::BadTag {
-                what: "LwgMsg",
-                tag: u64::from(tag),
-            }),
-        }
-    }
-}
+plwg_wire::wire_enum!(LwgMsg {
+    0 => Data { lwg, lwg_view, data },
+    1 => Batch { entries },
+    2 => JoinReq { lwg },
+    3 => LeaveReq { lwg },
+    4 => Flush { lwg, flush, members },
+    5 => FlushOk { lwg, flush },
+    6 => NewLwgView { lwg, flush, view, hwg },
+    7 => SwitchTo { lwg, flush, to, members },
+    8 => SwitchReady { lwg, flush },
+    9 => MergeViews,
+    10 => AllViews { views },
+    11 => Dissolved { lwg, flush },
+    12 => Redirect { lwg, to },
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use plwg_hwg::{HwgId, View, ViewId};
     use plwg_naming::LwgId;
-    use plwg_sim::{decode_frame, peek_family, Frame};
+    use plwg_sim::{decode_frame, peek_family, Frame, NodeId, WireError};
     use std::sync::Arc;
 
     fn roundtrip(msg: &LwgMsg) -> LwgMsg {

@@ -1,65 +1,21 @@
 //! Wire codecs for the substrate vocabulary types.
 //!
 //! `plwg-wire` owns the primitive encoding (varints, length prefixes,
-//! containers); each crate encodes its own types. The identifiers and views
-//! defined here appear inside the frames of *every* layer above (vsync
-//! control messages, naming records, LWG batches), so their codecs live at
-//! this shared level.
+//! containers) and the `wire_struct!` derivation; each crate states the field
+//! order of its own types. The identifiers and views defined here appear
+//! inside the frames of *every* layer above (vsync control messages, naming
+//! records, LWG batches), so their codecs live at this shared level.
 
 use crate::id::{FlushId, HwgId, ViewId};
 use crate::view::View;
-use plwg_sim::{Decode, Encode, NodeId, Reader, WireError};
+use plwg_sim::{Decode, NodeId, Reader, WireError};
 
-impl Encode for HwgId {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.0.encode_into(out);
-    }
-}
+plwg_wire::wire_struct!(HwgId { 0 });
+plwg_wire::wire_struct!(ViewId { coordinator, seq });
+plwg_wire::wire_struct!(FlushId { initiator, nonce });
+plwg_wire::wire_struct!(encode View { id, members, predecessors });
 
-impl Decode for HwgId {
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(HwgId(u64::decode_from(r)?))
-    }
-}
-
-impl Encode for ViewId {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.coordinator.encode_into(out);
-        self.seq.encode_into(out);
-    }
-}
-
-impl Decode for ViewId {
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let coordinator = NodeId::decode_from(r)?;
-        let seq = u64::decode_from(r)?;
-        Ok(ViewId { coordinator, seq })
-    }
-}
-
-impl Encode for FlushId {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.initiator.encode_into(out);
-        self.nonce.encode_into(out);
-    }
-}
-
-impl Decode for FlushId {
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let initiator = NodeId::decode_from(r)?;
-        let nonce = u64::decode_from(r)?;
-        Ok(FlushId { initiator, nonce })
-    }
-}
-
-impl Encode for View {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.id.encode_into(out);
-        self.members.encode_into(out);
-        self.predecessors.encode_into(out);
-    }
-}
-
+// Hand-written on purpose: safety code that re-validates off the wire.
 impl Decode for View {
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let id = ViewId::decode_from(r)?;
@@ -88,7 +44,7 @@ impl Decode for View {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use plwg_sim::Frame;
+    use plwg_sim::{Encode, Frame};
 
     fn roundtrip<T: Encode + Decode + PartialEq + std::fmt::Debug>(v: &T) -> T {
         let mut out = Vec::new();

@@ -312,16 +312,12 @@ impl MappingDb {
 // the snapshot format is exactly the in-memory structure, so a decoded
 // gossip frame compares equal (`PartialEq`) to the snapshot that was sent.
 
-use plwg_sim::{Decode, Encode, Reader, WireError};
+use plwg_sim::{Decode, Reader, WireError};
 
-impl Encode for LwgEntry {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.current.encode_into(out);
-        self.preds.encode_into(out);
-        self.tombstones.encode_into(out);
-    }
-}
+plwg_wire::wire_struct!(encode LwgEntry { current, preds, tombstones });
+plwg_wire::wire_struct!(encode MappingDb { entries });
 
+// Hand-written on purpose: safety code that re-validates off the wire.
 impl Decode for LwgEntry {
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let mut entry = LwgEntry {
@@ -340,12 +336,7 @@ impl Decode for LwgEntry {
     }
 }
 
-impl Encode for MappingDb {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.entries.encode_into(out);
-    }
-}
-
+// Hand-written on purpose: safety code that rebuilds derived state.
 impl Decode for MappingDb {
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let entries: BTreeMap<LwgId, LwgEntry> = Decode::decode_from(r)?;
@@ -363,6 +354,7 @@ impl Decode for MappingDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use plwg_sim::Encode;
 
     fn n(i: u32) -> NodeId {
         NodeId(i)

@@ -1,181 +1,43 @@
 //! Wire codec for the naming-service messages (frame family `NS`).
 //!
 //! Every [`NsMsg`] travels as one `plwg-wire` frame: the `NS` family tag,
-//! a one-byte variant tag, then the variant's fields in declaration order.
-//! Gossip frames embed a full [`MappingDb`](crate::db::MappingDb) snapshot
-//! (its codec lives in `db.rs`, next to the private fields it serialises).
+//! a one-byte variant tag, then the variant's fields in the order of the
+//! `wire_enum!` table below, whose left column is the tag space
+//! (wire-stable, append-only). Gossip frames embed a full
+//! [`MappingDb`](crate::db::MappingDb) snapshot (its decoder lives in
+//! `db.rs`, next to the private fields and invariants it restores).
 
 use crate::client::RequestId;
 use crate::db::Mapping;
 use crate::id::LwgId;
 use crate::msg::NsMsg;
-use plwg_sim::{encode_frame, family, Decode, Encode, Payload, Reader, WireError};
+use plwg_sim::{encode_frame, family, Payload};
 
 /// Encodes `msg` as a ready-to-send simulator payload (family `NS`).
 pub(crate) fn frame(msg: &NsMsg) -> Payload {
     encode_frame(family::NS, msg)
 }
 
-// Variant tags; wire-stable, append-only.
-const T_SET: u8 = 0;
-const T_READ: u8 = 1;
-const T_TESTSET: u8 = 2;
-const T_UNSET: u8 = 3;
-const T_REPLY: u8 = 4;
-const T_MULTIPLE_MAPPINGS: u8 = 5;
-const T_GOSSIP: u8 = 6;
+plwg_wire::wire_struct!(LwgId { 0 });
+plwg_wire::wire_struct!(RequestId { 0 });
+plwg_wire::wire_struct! { Mapping { lwg_view, members, hwg, hwg_view } }
 
-impl Encode for LwgId {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.0.encode_into(out);
-    }
-}
-
-impl Decode for LwgId {
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(LwgId(u64::decode_from(r)?))
-    }
-}
-
-impl Encode for RequestId {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.0.encode_into(out);
-    }
-}
-
-impl Decode for RequestId {
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(RequestId(u64::decode_from(r)?))
-    }
-}
-
-impl Encode for Mapping {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.lwg_view.encode_into(out);
-        self.members.encode_into(out);
-        self.hwg.encode_into(out);
-        self.hwg_view.encode_into(out);
-    }
-}
-
-impl Decode for Mapping {
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Mapping {
-            lwg_view: Decode::decode_from(r)?,
-            members: Decode::decode_from(r)?,
-            hwg: Decode::decode_from(r)?,
-            hwg_view: Decode::decode_from(r)?,
-        })
-    }
-}
-
-impl Encode for NsMsg {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            NsMsg::Set {
-                req,
-                lwg,
-                mapping,
-                preds,
-            } => {
-                out.push(T_SET);
-                req.encode_into(out);
-                lwg.encode_into(out);
-                mapping.encode_into(out);
-                preds.encode_into(out);
-            }
-            NsMsg::Read { req, lwg } => {
-                out.push(T_READ);
-                req.encode_into(out);
-                lwg.encode_into(out);
-            }
-            NsMsg::TestSet {
-                req,
-                lwg,
-                mapping,
-                preds,
-            } => {
-                out.push(T_TESTSET);
-                req.encode_into(out);
-                lwg.encode_into(out);
-                mapping.encode_into(out);
-                preds.encode_into(out);
-            }
-            NsMsg::Unset { req, lwg, lwg_view } => {
-                out.push(T_UNSET);
-                req.encode_into(out);
-                lwg.encode_into(out);
-                lwg_view.encode_into(out);
-            }
-            NsMsg::Reply { req, lwg, mappings } => {
-                out.push(T_REPLY);
-                req.encode_into(out);
-                lwg.encode_into(out);
-                mappings.encode_into(out);
-            }
-            NsMsg::MultipleMappings { lwg, mappings } => {
-                out.push(T_MULTIPLE_MAPPINGS);
-                lwg.encode_into(out);
-                mappings.encode_into(out);
-            }
-            NsMsg::Gossip { db } => {
-                out.push(T_GOSSIP);
-                db.encode_into(out);
-            }
-        }
-    }
-}
-
-impl Decode for NsMsg {
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.read_u8()? {
-            T_SET => Ok(NsMsg::Set {
-                req: Decode::decode_from(r)?,
-                lwg: Decode::decode_from(r)?,
-                mapping: Decode::decode_from(r)?,
-                preds: Decode::decode_from(r)?,
-            }),
-            T_READ => Ok(NsMsg::Read {
-                req: Decode::decode_from(r)?,
-                lwg: Decode::decode_from(r)?,
-            }),
-            T_TESTSET => Ok(NsMsg::TestSet {
-                req: Decode::decode_from(r)?,
-                lwg: Decode::decode_from(r)?,
-                mapping: Decode::decode_from(r)?,
-                preds: Decode::decode_from(r)?,
-            }),
-            T_UNSET => Ok(NsMsg::Unset {
-                req: Decode::decode_from(r)?,
-                lwg: Decode::decode_from(r)?,
-                lwg_view: Decode::decode_from(r)?,
-            }),
-            T_REPLY => Ok(NsMsg::Reply {
-                req: Decode::decode_from(r)?,
-                lwg: Decode::decode_from(r)?,
-                mappings: Decode::decode_from(r)?,
-            }),
-            T_MULTIPLE_MAPPINGS => Ok(NsMsg::MultipleMappings {
-                lwg: Decode::decode_from(r)?,
-                mappings: Decode::decode_from(r)?,
-            }),
-            T_GOSSIP => Ok(NsMsg::Gossip {
-                db: Decode::decode_from(r)?,
-            }),
-            tag => Err(WireError::BadTag {
-                what: "NsMsg",
-                tag: u64::from(tag),
-            }),
-        }
-    }
-}
+plwg_wire::wire_enum!(NsMsg {
+    0 => Set { req, lwg, mapping, preds },
+    1 => Read { req, lwg },
+    2 => TestSet { req, lwg, mapping, preds },
+    3 => Unset { req, lwg, lwg_view },
+    4 => Reply { req, lwg, mappings },
+    5 => MultipleMappings { lwg, mappings },
+    6 => Gossip { db },
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::db::MappingDb;
     use plwg_hwg::{HwgId, ViewId};
-    use plwg_sim::{decode_frame, peek_family, Frame, NodeId};
+    use plwg_sim::{decode_frame, peek_family, Frame, NodeId, WireError};
 
     fn mapping(seq: u64) -> Mapping {
         Mapping {

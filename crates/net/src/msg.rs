@@ -57,67 +57,14 @@ pub enum NetMsg {
     },
 }
 
-// Variant tags; wire-stable, append-only.
-const T_HELLO: u8 = 0;
-const T_ALIVE: u8 = 1;
-const T_BYE: u8 = 2;
-const T_BLOCK: u8 = 3;
-const T_UNBLOCK: u8 = 4;
-
-impl Encode for NetMsg {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            NetMsg::Hello { node } => {
-                out.push(T_HELLO);
-                node.encode_into(out);
-            }
-            NetMsg::Alive { node } => {
-                out.push(T_ALIVE);
-                node.encode_into(out);
-            }
-            NetMsg::Bye { node } => {
-                out.push(T_BYE);
-                node.encode_into(out);
-            }
-            NetMsg::Block { peers } => {
-                out.push(T_BLOCK);
-                peers.encode_into(out);
-            }
-            NetMsg::Unblock { peers } => {
-                out.push(T_UNBLOCK);
-                peers.encode_into(out);
-            }
-        }
-    }
-}
-
-impl Decode for NetMsg {
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.read_u8()? {
-            T_HELLO => NetMsg::Hello {
-                node: NodeId::decode_from(r)?,
-            },
-            T_ALIVE => NetMsg::Alive {
-                node: NodeId::decode_from(r)?,
-            },
-            T_BYE => NetMsg::Bye {
-                node: NodeId::decode_from(r)?,
-            },
-            T_BLOCK => NetMsg::Block {
-                peers: Vec::decode_from(r)?,
-            },
-            T_UNBLOCK => NetMsg::Unblock {
-                peers: Vec::decode_from(r)?,
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "NetMsg variant",
-                    tag: tag as u64,
-                })
-            }
-        })
-    }
-}
+// The table is the codec; its left column is wire-stable, append-only.
+plwg_wire::wire_enum!(NetMsg {
+    0 => Hello { node },
+    1 => Alive { node },
+    2 => Bye { node },
+    3 => Block { peers },
+    4 => Unblock { peers },
+});
 
 /// Encodes a [`NetMsg`] as a ready-to-send frame (family `NET`).
 pub fn net_frame(msg: &NetMsg) -> Payload {
@@ -127,7 +74,7 @@ pub fn net_frame(msg: &NetMsg) -> Payload {
 /// Starts a datagram in `out`: the envelope header naming `from`. Frames
 /// follow, each appended with [`Encode::encode_into`] (length-prefixed).
 pub(crate) fn datagram_header(from: NodeId, out: &mut Vec<u8>) {
-    (from.0 as u64).encode_into(out);
+    from.encode_into(out);
 }
 
 /// Packs `frames` into one datagram from `from`.
@@ -146,7 +93,7 @@ pub fn pack_datagram(from: NodeId, frames: &[Frame]) -> Vec<u8> {
 pub fn unpack_datagram(dgram: &Frame, frames: &mut Vec<Frame>) -> Result<NodeId, WireError> {
     frames.clear();
     let mut r = Reader::new(dgram);
-    let from = NodeId(u32::decode_from(&mut r)?);
+    let from = NodeId::decode_from(&mut r)?;
     while r.remaining() > 0 {
         match r.read_frame() {
             Ok(f) => frames.push(f),

@@ -4,7 +4,7 @@
 //! `LwgConfig`, the net runtime's tunables) exposes a
 //! `validate() -> Result<(), ConfigError>` that names the offending field
 //! and why it is rejected. Builders surface the error instead of
-//! panicking; the deprecated panicking constructors wrap it in `expect`.
+//! panicking.
 
 use std::fmt;
 

@@ -20,7 +20,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 use crate::trace::{ProtocolEvent, Trace};
 use crate::transport::Transport;
-use plwg_wire::{Decode, Encode, Frame, Reader, WireError};
+use plwg_wire::Frame;
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -42,17 +42,7 @@ impl fmt::Display for NodeId {
     }
 }
 
-impl Encode for NodeId {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.0.encode_into(out);
-    }
-}
-
-impl Decode for NodeId {
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(NodeId(u32::decode_from(r)?))
-    }
-}
+plwg_wire::wire_struct!(NodeId { 0 });
 
 /// An opaque, process-chosen timer identifier.
 ///
@@ -258,6 +248,7 @@ impl Transport for Context<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use plwg_wire::{Decode, Encode, Reader};
 
     #[test]
     fn node_id_wire_roundtrip() {

@@ -1,69 +1,48 @@
 //! Wire codec for the HWG-layer protocol messages (frame family `VS`).
 //!
 //! Every [`VsMsg`] travels as one `plwg-wire` frame: the `VS` family tag,
-//! a one-byte variant tag, then the variant's fields in declaration order
-//! (varints for integers, length-prefixed frames for payloads — see the
-//! `plwg-wire` crate docs for the grammar). Application payloads inside
-//! `Data` / `FlushFill` are embedded by length prefix, so decoding returns
-//! a [`Slot`] whose frame *shares* the incoming allocation: a multicast is
-//! encoded once by the sender and never re-copied on the receive path.
+//! a one-byte variant tag, then the variant's fields in the order of the
+//! `wire_enum!` table below (varints for integers, length-prefixed frames
+//! for payloads — see the `plwg-wire` crate docs for the grammar); the
+//! table's left column is the tag space, wire-stable and append-only.
+//! Application payloads inside `Data` / `FlushFill` are embedded by length
+//! prefix, so decoding returns a [`Slot`] whose frame *shares* the incoming
+//! allocation: a multicast is encoded once by the sender and never
+//! re-copied on the receive path.
 
 use crate::msg::{FlushPurpose, Slot, VsMsg};
-use plwg_sim::{encode_frame, family, Decode, Encode, Frame, NodeId, Payload, Reader, WireError};
+use plwg_sim::{encode_frame, family, Decode, Encode, Frame, Payload, Reader, WireError};
 
 /// Encodes `msg` as a ready-to-send simulator payload (family `VS`).
 pub(crate) fn frame(msg: &VsMsg) -> Payload {
     encode_frame(family::VS, msg)
 }
 
-// Variant tags; wire-stable, append-only.
-const T_HEARTBEAT: u8 = 0;
-const T_JOIN_PROBE: u8 = 1;
-const T_JOIN_OFFER: u8 = 2;
-const T_JOIN_REQ: u8 = 3;
-const T_LEAVE_REQ: u8 = 4;
-const T_DATA: u8 = 5;
-const T_FLUSH_REQ: u8 = 6;
-const T_FLUSH_DIGEST: u8 = 7;
-const T_FLUSH_TARGET: u8 = 8;
-const T_FLUSH_PULL: u8 = 9;
-const T_FLUSH_FILL: u8 = 10;
-const T_FLUSH_DONE: u8 = 11;
-const T_NEW_VIEW: u8 = 12;
-const T_NACK: u8 = 13;
-const T_STABILITY: u8 = 14;
-const T_BEACON: u8 = 15;
-const T_MERGE_REQ: u8 = 16;
-const T_MERGE_READY: u8 = 17;
-const T_MERGE_NACK: u8 = 18;
+plwg_wire::wire_enum!(VsMsg {
+    0 => Heartbeat,
+    1 => JoinProbe { hwg },
+    2 => JoinOffer { hwg, view_id },
+    3 => JoinReq { hwg },
+    4 => LeaveReq { hwg },
+    5 => Data { hwg, view_id, sender, seq, payload },
+    6 => FlushReq { hwg, view_id, flush, proposed, purpose },
+    7 => FlushDigest { hwg, flush, prefix, extras, thin },
+    8 => FlushTarget { hwg, flush, target },
+    9 => FlushPull { hwg, flush, wants },
+    10 => FlushFill { hwg, view_id, sender, seq, payload },
+    11 => FlushDone { hwg, flush },
+    12 => NewView { hwg, view },
+    13 => Nack { hwg, view_id, sender, missing },
+    14 => Stability { hwg, view_id, prefix },
+    15 => Beacon { hwg, view_id },
+    16 => MergeReq { hwg, invitee_view, leader_view },
+    17 => MergeReady { hwg, view },
+    18 => MergeNack { hwg, invitee_view },
+});
 
-impl Encode for FlushPurpose {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            FlushPurpose::ViewChange => out.push(0),
-            FlushPurpose::Merge { leader } => {
-                out.push(1);
-                leader.encode_into(out);
-            }
-        }
-    }
-}
+plwg_wire::wire_enum!(FlushPurpose { 0 => ViewChange, 1 => Merge { leader } });
 
-impl Decode for FlushPurpose {
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.read_u8()? {
-            0 => Ok(FlushPurpose::ViewChange),
-            1 => Ok(FlushPurpose::Merge {
-                leader: NodeId::decode_from(r)?,
-            }),
-            tag => Err(WireError::BadTag {
-                what: "FlushPurpose",
-                tag: u64::from(tag),
-            }),
-        }
-    }
-}
-
+// `Slot::Full` is a tuple variant: no field names for a table to bind, so written out.
 impl Encode for Slot {
     fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
@@ -89,260 +68,11 @@ impl Decode for Slot {
     }
 }
 
-impl Encode for VsMsg {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            VsMsg::Heartbeat => out.push(T_HEARTBEAT),
-            VsMsg::JoinProbe { hwg } => {
-                out.push(T_JOIN_PROBE);
-                hwg.encode_into(out);
-            }
-            VsMsg::JoinOffer { hwg, view_id } => {
-                out.push(T_JOIN_OFFER);
-                hwg.encode_into(out);
-                view_id.encode_into(out);
-            }
-            VsMsg::JoinReq { hwg } => {
-                out.push(T_JOIN_REQ);
-                hwg.encode_into(out);
-            }
-            VsMsg::LeaveReq { hwg } => {
-                out.push(T_LEAVE_REQ);
-                hwg.encode_into(out);
-            }
-            VsMsg::Data {
-                hwg,
-                view_id,
-                sender,
-                seq,
-                payload,
-            } => {
-                out.push(T_DATA);
-                hwg.encode_into(out);
-                view_id.encode_into(out);
-                sender.encode_into(out);
-                seq.encode_into(out);
-                payload.encode_into(out);
-            }
-            VsMsg::FlushReq {
-                hwg,
-                view_id,
-                flush,
-                proposed,
-                purpose,
-            } => {
-                out.push(T_FLUSH_REQ);
-                hwg.encode_into(out);
-                view_id.encode_into(out);
-                flush.encode_into(out);
-                proposed.encode_into(out);
-                purpose.encode_into(out);
-            }
-            VsMsg::FlushDigest {
-                hwg,
-                flush,
-                prefix,
-                extras,
-                thin,
-            } => {
-                out.push(T_FLUSH_DIGEST);
-                hwg.encode_into(out);
-                flush.encode_into(out);
-                prefix.encode_into(out);
-                extras.encode_into(out);
-                thin.encode_into(out);
-            }
-            VsMsg::FlushTarget { hwg, flush, target } => {
-                out.push(T_FLUSH_TARGET);
-                hwg.encode_into(out);
-                flush.encode_into(out);
-                target.encode_into(out);
-            }
-            VsMsg::FlushPull { hwg, flush, wants } => {
-                out.push(T_FLUSH_PULL);
-                hwg.encode_into(out);
-                flush.encode_into(out);
-                wants.encode_into(out);
-            }
-            VsMsg::FlushFill {
-                hwg,
-                view_id,
-                sender,
-                seq,
-                payload,
-            } => {
-                out.push(T_FLUSH_FILL);
-                hwg.encode_into(out);
-                view_id.encode_into(out);
-                sender.encode_into(out);
-                seq.encode_into(out);
-                payload.encode_into(out);
-            }
-            VsMsg::FlushDone { hwg, flush } => {
-                out.push(T_FLUSH_DONE);
-                hwg.encode_into(out);
-                flush.encode_into(out);
-            }
-            VsMsg::NewView { hwg, view } => {
-                out.push(T_NEW_VIEW);
-                hwg.encode_into(out);
-                view.encode_into(out);
-            }
-            VsMsg::Nack {
-                hwg,
-                view_id,
-                sender,
-                missing,
-            } => {
-                out.push(T_NACK);
-                hwg.encode_into(out);
-                view_id.encode_into(out);
-                sender.encode_into(out);
-                missing.encode_into(out);
-            }
-            VsMsg::Stability {
-                hwg,
-                view_id,
-                prefix,
-            } => {
-                out.push(T_STABILITY);
-                hwg.encode_into(out);
-                view_id.encode_into(out);
-                prefix.encode_into(out);
-            }
-            VsMsg::Beacon { hwg, view_id } => {
-                out.push(T_BEACON);
-                hwg.encode_into(out);
-                view_id.encode_into(out);
-            }
-            VsMsg::MergeReq {
-                hwg,
-                invitee_view,
-                leader_view,
-            } => {
-                out.push(T_MERGE_REQ);
-                hwg.encode_into(out);
-                invitee_view.encode_into(out);
-                leader_view.encode_into(out);
-            }
-            VsMsg::MergeReady { hwg, view } => {
-                out.push(T_MERGE_READY);
-                hwg.encode_into(out);
-                view.encode_into(out);
-            }
-            VsMsg::MergeNack { hwg, invitee_view } => {
-                out.push(T_MERGE_NACK);
-                hwg.encode_into(out);
-                invitee_view.encode_into(out);
-            }
-        }
-    }
-}
-
-impl Decode for VsMsg {
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.read_u8()? {
-            T_HEARTBEAT => Ok(VsMsg::Heartbeat),
-            T_JOIN_PROBE => Ok(VsMsg::JoinProbe {
-                hwg: Decode::decode_from(r)?,
-            }),
-            T_JOIN_OFFER => Ok(VsMsg::JoinOffer {
-                hwg: Decode::decode_from(r)?,
-                view_id: Decode::decode_from(r)?,
-            }),
-            T_JOIN_REQ => Ok(VsMsg::JoinReq {
-                hwg: Decode::decode_from(r)?,
-            }),
-            T_LEAVE_REQ => Ok(VsMsg::LeaveReq {
-                hwg: Decode::decode_from(r)?,
-            }),
-            T_DATA => Ok(VsMsg::Data {
-                hwg: Decode::decode_from(r)?,
-                view_id: Decode::decode_from(r)?,
-                sender: Decode::decode_from(r)?,
-                seq: Decode::decode_from(r)?,
-                payload: Decode::decode_from(r)?,
-            }),
-            T_FLUSH_REQ => Ok(VsMsg::FlushReq {
-                hwg: Decode::decode_from(r)?,
-                view_id: Decode::decode_from(r)?,
-                flush: Decode::decode_from(r)?,
-                proposed: Decode::decode_from(r)?,
-                purpose: Decode::decode_from(r)?,
-            }),
-            T_FLUSH_DIGEST => Ok(VsMsg::FlushDigest {
-                hwg: Decode::decode_from(r)?,
-                flush: Decode::decode_from(r)?,
-                prefix: Decode::decode_from(r)?,
-                extras: Decode::decode_from(r)?,
-                thin: Decode::decode_from(r)?,
-            }),
-            T_FLUSH_TARGET => Ok(VsMsg::FlushTarget {
-                hwg: Decode::decode_from(r)?,
-                flush: Decode::decode_from(r)?,
-                target: Decode::decode_from(r)?,
-            }),
-            T_FLUSH_PULL => Ok(VsMsg::FlushPull {
-                hwg: Decode::decode_from(r)?,
-                flush: Decode::decode_from(r)?,
-                wants: Decode::decode_from(r)?,
-            }),
-            T_FLUSH_FILL => Ok(VsMsg::FlushFill {
-                hwg: Decode::decode_from(r)?,
-                view_id: Decode::decode_from(r)?,
-                sender: Decode::decode_from(r)?,
-                seq: Decode::decode_from(r)?,
-                payload: Decode::decode_from(r)?,
-            }),
-            T_FLUSH_DONE => Ok(VsMsg::FlushDone {
-                hwg: Decode::decode_from(r)?,
-                flush: Decode::decode_from(r)?,
-            }),
-            T_NEW_VIEW => Ok(VsMsg::NewView {
-                hwg: Decode::decode_from(r)?,
-                view: Decode::decode_from(r)?,
-            }),
-            T_NACK => Ok(VsMsg::Nack {
-                hwg: Decode::decode_from(r)?,
-                view_id: Decode::decode_from(r)?,
-                sender: Decode::decode_from(r)?,
-                missing: Decode::decode_from(r)?,
-            }),
-            T_STABILITY => Ok(VsMsg::Stability {
-                hwg: Decode::decode_from(r)?,
-                view_id: Decode::decode_from(r)?,
-                prefix: Decode::decode_from(r)?,
-            }),
-            T_BEACON => Ok(VsMsg::Beacon {
-                hwg: Decode::decode_from(r)?,
-                view_id: Decode::decode_from(r)?,
-            }),
-            T_MERGE_REQ => Ok(VsMsg::MergeReq {
-                hwg: Decode::decode_from(r)?,
-                invitee_view: Decode::decode_from(r)?,
-                leader_view: Decode::decode_from(r)?,
-            }),
-            T_MERGE_READY => Ok(VsMsg::MergeReady {
-                hwg: Decode::decode_from(r)?,
-                view: Decode::decode_from(r)?,
-            }),
-            T_MERGE_NACK => Ok(VsMsg::MergeNack {
-                hwg: Decode::decode_from(r)?,
-                invitee_view: Decode::decode_from(r)?,
-            }),
-            tag => Err(WireError::BadTag {
-                what: "VsMsg",
-                tag: u64::from(tag),
-            }),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use plwg_hwg::{FlushId, HwgId, View, ViewId};
-    use plwg_sim::{decode_frame, peek_family};
+    use plwg_sim::{decode_frame, peek_family, NodeId};
     use std::collections::BTreeMap;
     use std::sync::Arc;
 

@@ -1,5 +1,6 @@
 //! Small plain-text table formatting for the experiment binaries, so every
-//! figure/table regenerator prints comparable, aligned rows.
+//! figure/table regenerator prints comparable, aligned rows — and the one
+//! JSON row format their `BENCH_*.json` result files share.
 
 use std::fmt::Write as _;
 
@@ -59,6 +60,48 @@ impl Table {
     }
 }
 
+/// The text [`write_json_rows`] writes.
+fn json_rows<R>(bench: &str, rows: &[R], cells: impl Fn(&R) -> String) -> String {
+    let mut out = format!("{{\n  \"bench\": \"{bench}\",\n  \"rows\": [\n");
+    for (i, r) in rows.iter().enumerate() {
+        let sep = if i + 1 == rows.len() { "" } else { "," };
+        let _ = writeln!(out, "    {{{}}}{sep}", cells(r));
+    }
+    out.push_str("  ]\n}\n");
+    out
+}
+
+/// Writes a bench result file to `path` (relative to the working
+/// directory) and says so: `{"bench": .., "rows": [..]}` with one row object
+/// per line — the format of every `BENCH_*.json` and
+/// `results/*_guard_*.json` — `cells` giving one row's `"key": value` pairs.
+/// A bench that cannot write its file has still printed its table.
+pub fn write_json_rows<R>(path: &str, bench: &str, rows: &[R], cells: impl Fn(&R) -> String) {
+    match std::fs::write(path, json_rows(bench, rows, cells)) {
+        Ok(()) => println!("wrote {path}"),
+        Err(e) => eprintln!("could not write {path}: {e}"),
+    }
+}
+
+/// The row lines of a [`write_json_rows`] file (one `{..}` object each).
+pub fn json_row_lines(text: &str) -> impl Iterator<Item = &str> {
+    text.lines()
+        .map(|l| l.trim().trim_end_matches(','))
+        .filter(|l| l.starts_with("{\"") && l.ends_with('}'))
+}
+
+/// Pulls `"key": <number>` out of one row line. The files are written by
+/// [`write_json_rows`], so a full JSON parser is not needed — and the
+/// workspace takes no deps.
+pub fn json_field(row: &str, key: &str) -> Option<f64> {
+    let pat = format!("\"{key}\":");
+    let rest = row[row.find(&pat)? + pat.len()..].trim_start();
+    let end = rest
+        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
 /// Formats microseconds as a human-readable duration cell.
 pub fn fmt_us(us: f64) -> String {
     if us >= 1_000_000.0 {
@@ -84,6 +127,25 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("latency"));
         assert!(lines[2].ends_with("1.2ms") || lines[2].trim_end().ends_with("1.2ms"));
+    }
+
+    #[test]
+    fn json_rows_write_what_the_readers_read() {
+        let text = json_rows("toy", &[(1u64, 2.5f64), (3, -4.0)], |(a, b)| {
+            format!("\"a\": {a}, \"label\": \"x\", \"b\": {b:.1}")
+        });
+        assert_eq!(
+            text,
+            "{\n  \"bench\": \"toy\",\n  \"rows\": [\n    \
+             {\"a\": 1, \"label\": \"x\", \"b\": 2.5},\n    \
+             {\"a\": 3, \"label\": \"x\", \"b\": -4.0}\n  ]\n}\n"
+        );
+        let rows: Vec<&str> = json_row_lines(&text).collect();
+        assert_eq!(rows.len(), 2);
+        assert_eq!(json_field(rows[0], "a"), Some(1.0));
+        assert_eq!(json_field(rows[1], "b"), Some(-4.0));
+        assert_eq!(json_field(rows[0], "label"), None);
+        assert_eq!(json_field(rows[0], "missing"), None);
     }
 
     #[test]

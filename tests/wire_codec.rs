@@ -1,8 +1,9 @@
 //! Wire-codec properties over the real protocol messages.
 //!
-//! Seeded (reproducible) round-trips across every variant of the three
-//! wire families, rejection of truncated/trailing/misrouted frames, a
-//! no-panic sweep over corrupted bytes, and the golden frame snapshot
+//! Seeded (reproducible) round-trips across every variant of the four
+//! wire families (`VS`, `LWG`, `NS`, `NET`), rejection of
+//! truncated/trailing/misrouted frames, a no-panic sweep over corrupted
+//! bytes (frames and `plwg-net` datagrams), and the golden frame snapshot
 //! (`tests/golden/wire_frames.hex`) that pins the byte layout: any
 //! encoding change — even a compatible-looking one — must show up as a
 //! reviewed diff of that file. Regenerate with
@@ -11,7 +12,8 @@
 use plwg::core::{LFlushId, LwgMsg};
 use plwg::hwg::{HwgId, View, ViewId};
 use plwg::naming::{LwgId, Mapping, MappingDb, NsMsg, RequestId};
-use plwg::sim::{decode_frame, encode_frame, family, peek_family, Frame, NodeId, SimRng};
+use plwg::net::{net_frame, pack_datagram, unpack_datagram, NetMsg};
+use plwg::sim::{decode_frame, encode_frame, family, peek_family, Decode, Frame, NodeId, SimRng};
 use plwg::vsync::{FlushId, FlushPurpose, Slot, VsMsg};
 use std::collections::BTreeMap;
 
@@ -286,9 +288,23 @@ fn ns_msg(rng: &mut SimRng) -> NsMsg {
     }
 }
 
+fn net_msg(rng: &mut SimRng) -> NetMsg {
+    match rng.range(0, 5) {
+        0 => NetMsg::Hello { node: node(rng) },
+        1 => NetMsg::Alive { node: node(rng) },
+        2 => NetMsg::Bye { node: node(rng) },
+        3 => NetMsg::Block {
+            peers: members(rng),
+        },
+        _ => NetMsg::Unblock {
+            peers: (0..rng.range(0, 4)).map(|_| node(rng)).collect(),
+        },
+    }
+}
+
 // ---------------------------------------------------------------------
-// Round-trip properties (the enums have no PartialEq; their Debug forms
-// are total, so string equality is the identity check)
+// Round-trip properties (the protocol enums have no PartialEq; their
+// Debug forms are total, so string equality is the identity check)
 // ---------------------------------------------------------------------
 
 const SEEDS: [u64; 3] = [1, 42, 0xF00D];
@@ -336,6 +352,19 @@ fn ns_frames_round_trip() {
     }
 }
 
+#[test]
+fn net_frames_round_trip() {
+    for seed in SEEDS {
+        let mut rng = SimRng::from_seed(seed);
+        for _ in 0..ITERS {
+            let msg = net_msg(&mut rng);
+            let f = net_frame(&msg);
+            assert_eq!(peek_family(&f), Some(family::NET));
+            assert_eq!(decode_frame::<NetMsg>(family::NET, &f), Ok(msg));
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Rejection: every malformation fails typed, never panics
 // ---------------------------------------------------------------------
@@ -345,27 +374,22 @@ fn ns_frames_round_trip() {
 /// a valid frame is itself a valid frame.
 #[test]
 fn every_truncation_is_rejected() {
-    let mut rng = SimRng::from_seed(7);
-    for _ in 0..40 {
-        let f = encode_frame(family::VS, &vs_msg(&mut rng));
+    fn no_prefix_decodes<T: Decode>(fam: u64, f: &Frame) {
         for cut in 0..f.len() {
             let t = Frame::copy_from_slice(&f.bytes()[..cut]);
             assert!(
-                decode_frame::<VsMsg>(family::VS, &t).is_err(),
-                "prefix of len {cut}/{} decoded",
+                decode_frame::<T>(fam, &t).is_err(),
+                "family {fam}: prefix of len {cut}/{} decoded",
                 f.len()
             );
         }
-        let f = encode_frame(family::LWG, &lwg_msg(&mut rng));
-        for cut in 0..f.len() {
-            let t = Frame::copy_from_slice(&f.bytes()[..cut]);
-            assert!(decode_frame::<LwgMsg>(family::LWG, &t).is_err());
-        }
-        let f = encode_frame(family::NS, &ns_msg(&mut rng));
-        for cut in 0..f.len() {
-            let t = Frame::copy_from_slice(&f.bytes()[..cut]);
-            assert!(decode_frame::<NsMsg>(family::NS, &t).is_err());
-        }
+    }
+    let mut rng = SimRng::from_seed(7);
+    for _ in 0..40 {
+        no_prefix_decodes::<VsMsg>(family::VS, &encode_frame(family::VS, &vs_msg(&mut rng)));
+        no_prefix_decodes::<LwgMsg>(family::LWG, &encode_frame(family::LWG, &lwg_msg(&mut rng)));
+        no_prefix_decodes::<NsMsg>(family::NS, &encode_frame(family::NS, &ns_msg(&mut rng)));
+        no_prefix_decodes::<NetMsg>(family::NET, &net_frame(&net_msg(&mut rng)));
     }
 }
 
@@ -378,6 +402,10 @@ fn trailing_bytes_are_rejected() {
         long.push(0);
         let t = Frame::from_vec(long);
         assert!(decode_frame::<VsMsg>(family::VS, &t).is_err());
+        let mut long = net_frame(&net_msg(&mut rng)).bytes().to_vec();
+        long.push(0);
+        let t = Frame::from_vec(long);
+        assert!(decode_frame::<NetMsg>(family::NET, &t).is_err());
     }
 }
 
@@ -386,6 +414,11 @@ fn misrouted_family_is_rejected() {
     let f = encode_frame(family::VS, &VsMsg::Heartbeat);
     assert!(decode_frame::<NsMsg>(family::NS, &f).is_err());
     assert!(decode_frame::<LwgMsg>(family::LWG, &f).is_err());
+    assert!(decode_frame::<NetMsg>(family::NET, &f).is_err());
+    let f = net_frame(&NetMsg::Hello { node: NodeId(0) });
+    assert!(decode_frame::<VsMsg>(family::VS, &f).is_err());
+    // A frame routed to the right decoder under the wrong family tag.
+    assert!(decode_frame::<NetMsg>(family::VS, &f).is_err());
 }
 
 /// Arbitrary corruption may decode (flipping a payload byte yields a
@@ -406,6 +439,49 @@ fn corruption_never_panics() {
             let re = encode_frame(family::VS, &back);
             let again: VsMsg = decode_frame(family::VS, &re).expect("re-encode round trips");
             assert_eq!(format!("{back:?}"), format!("{again:?}"));
+        }
+    }
+    // The datagram envelope of `plwg-net` is the one decoder that reads
+    // bytes straight off a socket: every single-byte corruption and every
+    // truncation of a multi-frame datagram.
+    let mut frames = Vec::new();
+    for _ in 0..20 {
+        let sent: Vec<Frame> = (0..rng.range(2, 5))
+            .map(|_| match rng.range(0, 3) {
+                0 => net_frame(&net_msg(&mut rng)),
+                1 => encode_frame(family::LWG, &lwg_msg(&mut rng)),
+                _ => payload(&mut rng),
+            })
+            .collect();
+        let dgram = pack_datagram(NodeId(rng.range(0, 400) as u32), &sent);
+        for i in 0..dgram.len() {
+            for flip in 1..=255u8 {
+                let mut bytes = dgram.clone();
+                bytes[i] ^= flip;
+                let corrupt = Frame::from_vec(bytes);
+                match unpack_datagram(&corrupt, &mut frames) {
+                    // Whatever unpacks is sliced out of the datagram.
+                    Ok(_) => assert!(frames.iter().map(Frame::len).sum::<usize>() < corrupt.len()),
+                    Err(_) => assert!(frames.is_empty(), "rejected datagram leaked a frame"),
+                }
+            }
+        }
+        for cut in 0..dgram.len() {
+            let t = Frame::copy_from_slice(&dgram[..cut]);
+            match unpack_datagram(&t, &mut frames) {
+                // A cut on a frame boundary is a shorter, valid datagram.
+                Ok(_) => {
+                    assert!(
+                        frames.len() < sent.len(),
+                        "prefix of len {cut} kept every frame"
+                    );
+                    assert!(frames
+                        .iter()
+                        .zip(&sent)
+                        .all(|(a, b)| a.bytes() == b.bytes()));
+                }
+                Err(_) => assert!(frames.is_empty(), "rejected datagram leaked a frame"),
+            }
         }
     }
 }
@@ -574,6 +650,25 @@ fn golden_entries() -> Vec<(&'static str, Frame)> {
             ),
         ),
         ("ns.gossip", encode_frame(family::NS, &NsMsg::Gossip { db })),
+        ("net.hello", net_frame(&NetMsg::Hello { node: NodeId(300) })),
+        (
+            "net.block",
+            net_frame(&NetMsg::Block {
+                peers: vec![NodeId(1), NodeId(2)],
+            }),
+        ),
+        // Not a frame but the envelope frames travel in over UDP:
+        // `from:varint` then length-prefixed frames.
+        (
+            "net.datagram",
+            Frame::from_vec(pack_datagram(
+                NodeId(300),
+                &[
+                    net_frame(&NetMsg::Alive { node: NodeId(300) }),
+                    net_frame(&NetMsg::Unblock { peers: vec![] }),
+                ],
+            )),
+        ),
     ]
 }
 
@@ -609,11 +704,20 @@ fn golden_frames_match_snapshot() {
 #[test]
 fn golden_frames_still_decode() {
     for (label, frame) in golden_entries() {
+        if label == "net.datagram" {
+            let mut frames = Vec::new();
+            assert_eq!(unpack_datagram(&frame, &mut frames), Ok(NodeId(300)));
+            assert!(frames
+                .iter()
+                .all(|f| decode_frame::<NetMsg>(family::NET, f).is_ok()));
+            continue;
+        }
         let fam = peek_family(&frame).expect("family tag");
         let ok = match fam {
             family::VS => decode_frame::<VsMsg>(fam, &frame).is_ok(),
             family::NS => decode_frame::<NsMsg>(fam, &frame).is_ok(),
             family::LWG => decode_frame::<LwgMsg>(fam, &frame).is_ok(),
+            family::NET => decode_frame::<NetMsg>(fam, &frame).is_ok(),
             _ => false,
         };
         assert!(ok, "golden frame {label} no longer decodes");
