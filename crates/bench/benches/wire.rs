@@ -1,12 +1,11 @@
 //! Micro-benchmark of the `plwg-wire` codec: encode and decode cost of the
 //! frames the data plane moves in steady state (a single `Data` multicast
-//! and a 16-entry packed `Batch`), at the payload sizes `throughput_sweep`
-//! uses (64 B, 1 KB, 64 KB).
+//! and a 16-entry packed `Batch`), at 64 B, 1 KB and 64 KB payloads.
 //!
-//! Plain `harness = false` timing loop like `protocols.rs` — no external
-//! bench framework. Run with `cargo bench --bench wire`; pass `--smoke`
-//! (the CI throughput job does) to run a single fast iteration per case as
-//! a correctness smoke test instead of a measurement.
+//! Plain `harness = false` timing loop — no external bench framework. Run
+//! with `cargo bench --bench wire`; pass `--smoke` (the CI throughput job
+//! does) to run a single fast iteration per case as a correctness smoke
+//! test instead of a measurement.
 
 use plwg_core::{HwgId, LwgId, LwgMsg, ViewId};
 use plwg_sim::{decode_frame, encode_frame, family, Frame, NodeId};

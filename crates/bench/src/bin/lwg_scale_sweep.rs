@@ -83,10 +83,6 @@ fn hwg(slot: u64) -> HwgId {
 
 fn cfg(rebalance: bool) -> LwgConfig {
     LwgConfig {
-        naming: NamingConfig {
-            gossip_interval: ms(500),
-            ..NamingConfig::default()
-        },
         lwg_join_timeout: ms(200),
         tick_interval: ms(100),
         pack_max_msgs: 1,

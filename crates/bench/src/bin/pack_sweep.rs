@@ -48,7 +48,6 @@ struct Row {
     hwg_multicasts: u64,
     filtered: u64,
     occupancy_mean: f64,
-    throughput: f64,
     net_bytes: u64,
 }
 
@@ -165,7 +164,6 @@ fn run(groups: usize, cfg: &Cfg, seed: u64) -> Row {
         hwg_multicasts: m.counter(plwg_vsync::keys::DATA_SENT),
         filtered: m.counter(plwg_core::keys::FILTERED),
         occupancy_mean: occupancy,
-        throughput: m.counter(plwg_core::keys::DATA_DELIVERED) as f64 / TRAFFIC_SECS as f64,
         net_bytes: m.counter(plwg_sim::keys::NET_BYTES_SENT),
     }
 }
@@ -176,7 +174,7 @@ fn json_row(r: &Row) -> String {
          \"pack_delay_ms\": {}, \"subset_delivery\": {}, \"lwg_sent\": {}, \
          \"lwg_delivered\": {}, \"hwg_data_multicasts\": {}, \"lwg_filtered\": {}, \
          \"multicasts_per_delivered\": {:.4}, \"filtered_per_delivered\": {:.4}, \
-         \"batch_occupancy_mean\": {:.2}, \"throughput_msgs_per_s\": {:.1}",
+         \"batch_occupancy_mean\": {:.2}",
         r.label,
         r.groups,
         r.pack_max_msgs,
@@ -189,7 +187,6 @@ fn json_row(r: &Row) -> String {
         r.multicasts_per_delivered(),
         r.filtered_per_delivered(),
         r.occupancy_mean,
-        r.throughput,
     )
 }
 
@@ -216,21 +213,9 @@ fn main() {
             subset: true,
         },
         Cfg {
-            label: "pack-1ms+subset",
-            pack_max_msgs: 16,
-            pack_delay: SimDuration::from_millis(1),
-            subset: true,
-        },
-        Cfg {
             label: "pack-2ms+subset",
             pack_max_msgs: 16,
             pack_delay: SimDuration::from_millis(2),
-            subset: true,
-        },
-        Cfg {
-            label: "pack-5ms+subset",
-            pack_max_msgs: 16,
-            pack_delay: SimDuration::from_millis(5),
             subset: true,
         },
     ];
@@ -243,7 +228,6 @@ fn main() {
         "filtered/delivered",
         "wire B/delivered",
         "occupancy",
-        "msg/s",
     ]);
     let mut rows = Vec::new();
     for &groups in &[2usize, 4, 8] {
@@ -266,7 +250,6 @@ fn main() {
                 } else {
                     "-".to_string()
                 },
-                format!("{:.0}", r.throughput),
             ]);
             rows.push(r);
         }

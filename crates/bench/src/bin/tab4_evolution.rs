@@ -10,7 +10,7 @@
 //! 0's replica and prints every distinct state.
 
 use plwg_bench::render_db;
-use plwg_core::{LwgConfig, LwgId};
+use plwg_core::{HwgConfig, LwgConfig, LwgId};
 use plwg_vsync::VsyncStack;
 
 type LwgNode = plwg_core::LwgNode<VsyncStack>;
@@ -43,8 +43,13 @@ fn main() {
     let servers = vec![s0, s1];
     // Spread the heal machinery out in time so each Table-4 stage is
     // visible in the samples.
-    let mut cfg = LwgConfig::default();
-    cfg.hwg.beacon_interval = SimDuration::from_millis(2_500);
+    let cfg = LwgConfig {
+        hwg: HwgConfig {
+            beacon_interval: SimDuration::from_millis(2_500),
+            ..HwgConfig::default()
+        },
+        ..LwgConfig::default()
+    };
     let apps: Vec<NodeId> = (0..4)
         .map(|i| {
             w.add_node(Box::new(

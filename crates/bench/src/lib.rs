@@ -1,8 +1,11 @@
 //! # plwg-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (plus ablations), each printing
-//! the rows/series the paper reports. See `EXPERIMENTS.md` at the
-//! repository root for the full index and the recorded outputs.
+//! One binary per table/figure of the paper, one per ablation, and two
+//! deterministic counter sweeps whose JSON CI regenerates and diffs. See
+//! `EXPERIMENTS.md` at the repository root for the full index and the
+//! recorded outputs. Performance is measured elsewhere: by the repository's
+//! one benchmark (`BENCHMARK.json`, `benchmark/`); the only bench target
+//! here is the codec micro-bench `benches/wire.rs`.
 //!
 //! | binary | reproduces |
 //! |---|---|
@@ -16,7 +19,8 @@
 //! | `ablation_policy_params` | §3.2 policy stability vs. `k_m`/`k_c` |
 //! | `ablation_ns_callback` | §6.1 callbacks vs. polling load |
 //! | `sharing_efficiency` | §1 motivation, overlapping subscriptions |
-//! | `pack_sweep` | extension: message packing + subset delivery |
+//! | `pack_sweep` | extension: message packing + subset delivery (`BENCH_pack.json`) |
+//! | `lwg_scale_sweep` | extension: sharded directory + rebalancer from 1k to 1M LWGs (`BENCH_scale.json`) |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -143,7 +143,6 @@ impl<S: HwgSubstrate> LwgNodeBuilder<S> {
 mod tests {
     use super::*;
     use crate::ScriptedHwg;
-    use plwg_sim::SimDuration;
 
     #[test]
     fn builds_with_defaults() {
@@ -170,7 +169,10 @@ mod tests {
     fn rejects_invalid_config_with_field() {
         let err = LwgNode::<ScriptedHwg>::builder(NodeId(1))
             .servers([NodeId(0)])
-            .config(LwgConfig::default().with_packing(0, SimDuration::from_millis(2)))
+            .config(LwgConfig {
+                pack_max_msgs: 0,
+                ..LwgConfig::default()
+            })
             .build()
             .expect_err("invalid");
         match err {

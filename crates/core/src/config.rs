@@ -1,25 +1,25 @@
 //! Configuration of the light-weight group service.
 
 use plwg_hwg::HwgConfig;
-use plwg_naming::NamingConfig;
 use plwg_sim::{ConfigError, SimDuration};
 
-/// Tunables of the LWG service (paper §3.2 parameters plus protocol
-/// timeouts).
+/// Tunables of the LWG service: the paper's §3.2 parameters (`k_m`, `k_c`,
+/// the heuristics period, the shrink grace), the timings tests shorten, and
+/// the switches of the data-plane and rebalancer extensions. The admission
+/// retry count and the LWG flush watchdog are constants in `mapping.rs`.
 ///
-/// Construct with [`Default`] and the `with_*` setters, then hand the
+/// Construct with [`Default`] and struct update
+/// (`LwgConfig { pack_max_msgs: 16, ..Default::default() }`), then hand the
 /// config to [`crate::LwgNode::builder`]; the builder runs
 /// [`LwgConfig::validate`] (which also validates the nested
-/// [`HwgConfig`] and [`NamingConfig`]) and surfaces rejections as
-/// [`crate::LwgError::Config`] instead of panicking.
+/// [`HwgConfig`]) and surfaces rejections as [`crate::LwgError::Config`]
+/// instead of panicking.
 #[derive(Debug, Clone)]
 pub struct LwgConfig {
     /// HWG-substrate configuration. `auto_stop_ok` is forced to `false` by
     /// the service — it answers `Stop` itself after piggybacking its view
     /// advertisement.
     pub hwg: HwgConfig,
-    /// Naming-service client configuration.
-    pub naming: NamingConfig,
     /// Minority threshold `k_m` (paper Fig. 1): `g1` is a minority of `g2`
     /// iff `|g1| <= |g2| / k_m`. The paper's prototype used 4.
     pub k_m: u32,
@@ -35,11 +35,6 @@ pub struct LwgConfig {
     /// How long a joiner waits for LWG admission before retrying, and after
     /// the retries, founding its own LWG view.
     pub lwg_join_timeout: SimDuration,
-    /// Admission retries before founding a view.
-    pub lwg_join_retries: u32,
-    /// Watchdog for LWG-level flushes and switches; on expiry the
-    /// coordinator restarts and stuck members fall back to re-joining.
-    pub lwg_flush_timeout: SimDuration,
     /// How long a view-tagged message for an unknown concurrent view may
     /// sit before it triggers MERGE-VIEWS (local peer discovery fallback).
     pub foreign_data_timeout: SimDuration,
@@ -81,14 +76,11 @@ impl Default for LwgConfig {
     fn default() -> Self {
         LwgConfig {
             hwg: HwgConfig::default(),
-            naming: NamingConfig::default(),
             k_m: 4,
             k_c: 4,
             policy_interval: SimDuration::from_secs(10),
             shrink_grace: SimDuration::from_secs(15),
             lwg_join_timeout: SimDuration::from_millis(800),
-            lwg_join_retries: 2,
-            lwg_flush_timeout: SimDuration::from_secs(3),
             foreign_data_timeout: SimDuration::from_secs(2),
             tick_interval: SimDuration::from_millis(200),
             ns_poll_interval: None,
@@ -102,104 +94,12 @@ impl Default for LwgConfig {
 }
 
 impl LwgConfig {
-    /// Sets the HWG-substrate configuration.
-    pub fn with_hwg(mut self, hwg: HwgConfig) -> Self {
-        self.hwg = hwg;
-        self
-    }
-
-    /// Sets the naming-service client configuration.
-    pub fn with_naming(mut self, naming: NamingConfig) -> Self {
-        self.naming = naming;
-        self
-    }
-
-    /// Sets the mapping-policy thresholds `k_m` (minority) and `k_c`
-    /// (closeness) of paper Fig. 1. Both must be at least 1.
-    pub fn with_thresholds(mut self, k_m: u32, k_c: u32) -> Self {
-        self.k_m = k_m;
-        self.k_c = k_c;
-        self
-    }
-
-    /// Sets the mapping-heuristics period.
-    pub fn with_policy_interval(mut self, v: SimDuration) -> Self {
-        self.policy_interval = v;
-        self
-    }
-
-    /// Sets the shrink-rule grace period.
-    pub fn with_shrink_grace(mut self, v: SimDuration) -> Self {
-        self.shrink_grace = v;
-        self
-    }
-
-    /// Sets the LWG admission pair: per-attempt timeout and retries before
-    /// the joiner founds its own view.
-    pub fn with_join(mut self, timeout: SimDuration, retries: u32) -> Self {
-        self.lwg_join_timeout = timeout;
-        self.lwg_join_retries = retries;
-        self
-    }
-
-    /// Sets the LWG flush/switch watchdog.
-    pub fn with_flush_timeout(mut self, v: SimDuration) -> Self {
-        self.lwg_flush_timeout = v;
-        self
-    }
-
-    /// Sets how long a foreign view-tagged message may sit before it
-    /// triggers MERGE-VIEWS.
-    pub fn with_foreign_data_timeout(mut self, v: SimDuration) -> Self {
-        self.foreign_data_timeout = v;
-        self
-    }
-
-    /// Sets the internal housekeeping tick.
-    pub fn with_tick_interval(mut self, v: SimDuration) -> Self {
-        self.tick_interval = v;
-        self
-    }
-
-    /// Enables the §6.1 polling ablation: coordinators poll `ns.read`
-    /// every `interval` instead of relying on server callbacks.
-    pub fn with_ns_polling(mut self, interval: SimDuration) -> Self {
-        self.ns_poll_interval = Some(interval);
-        self
-    }
-
-    /// Sets the packing pair: messages per HWG multicast and the flush
-    /// delay of a partially-filled buffer. `max_msgs == 1` disables
-    /// packing; otherwise `delay` must be positive (checked by
-    /// [`LwgConfig::validate`]).
-    pub fn with_packing(mut self, max_msgs: usize, delay: SimDuration) -> Self {
-        self.pack_max_msgs = max_msgs;
-        self.pack_delay = delay;
-        self
-    }
-
-    /// Sets whether co-mapped data is addressed only to interested members.
-    pub fn with_subset_delivery(mut self, v: bool) -> Self {
-        self.subset_delivery = v;
-        self
-    }
-
-    /// Enables the rebalancer: one round every `interval`, at most
-    /// `max_moves` migrations per round (`max_moves` must be at least 1;
-    /// checked by [`LwgConfig::validate`]).
-    pub fn with_rebalancing(mut self, interval: SimDuration, max_moves: usize) -> Self {
-        self.rebalance_interval = Some(interval);
-        self.rebalance_max_moves = max_moves;
-        self
-    }
-
-    /// Validates the configuration, including the nested [`HwgConfig`] and
-    /// [`NamingConfig`]: thresholds and the pack budget must be at least 1,
-    /// every period positive, `pack_delay` positive when packing is
-    /// enabled, and the rebalancer knobs coherent when it is enabled.
+    /// Validates the configuration, including the nested [`HwgConfig`]:
+    /// thresholds and the pack budget must be at least 1, every period
+    /// positive, `pack_delay` positive when packing is enabled, and the
+    /// rebalancer knobs coherent when it is enabled.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.hwg.validate()?;
-        self.naming.validate()?;
         if self.k_m < 1 || self.k_c < 1 {
             return Err(ConfigError::new("k_m/k_c", "thresholds must be >= 1"));
         }
@@ -207,7 +107,6 @@ impl LwgConfig {
             ("policy_interval", self.policy_interval),
             ("tick_interval", self.tick_interval),
             ("lwg_join_timeout", self.lwg_join_timeout),
-            ("lwg_flush_timeout", self.lwg_flush_timeout),
             ("foreign_data_timeout", self.foreign_data_timeout),
         ] {
             if v <= SimDuration::ZERO {
@@ -253,6 +152,10 @@ impl LwgConfig {
 mod tests {
     use super::*;
 
+    fn rejected_field(cfg: LwgConfig) -> &'static str {
+        cfg.validate().expect_err("must reject").field
+    }
+
     #[test]
     fn default_is_valid_and_uses_paper_parameters() {
         let cfg = LwgConfig::default();
@@ -263,11 +166,11 @@ mod tests {
 
     #[test]
     fn zero_km_rejected() {
-        let err = LwgConfig::default()
-            .with_thresholds(0, 4)
-            .validate()
-            .expect_err("must reject");
-        assert_eq!(err.field, "k_m/k_c");
+        let cfg = LwgConfig {
+            k_m: 0,
+            ..LwgConfig::default()
+        };
+        assert_eq!(rejected_field(cfg), "k_m/k_c");
     }
 
     #[test]
@@ -279,11 +182,11 @@ mod tests {
 
     #[test]
     fn zero_pack_budget_rejected() {
-        let err = LwgConfig::default()
-            .with_packing(0, SimDuration::from_millis(2))
-            .validate()
-            .expect_err("must reject");
-        assert_eq!(err.field, "pack_max_msgs");
+        let cfg = LwgConfig {
+            pack_max_msgs: 0,
+            ..LwgConfig::default()
+        };
+        assert_eq!(rejected_field(cfg), "pack_max_msgs");
     }
 
     #[test]
@@ -294,62 +197,42 @@ mod tests {
 
     #[test]
     fn zero_rebalance_interval_rejected() {
-        let err = LwgConfig::default()
-            .with_rebalancing(SimDuration::ZERO, 4)
-            .validate()
-            .expect_err("must reject");
-        assert_eq!(err.field, "rebalance_interval");
+        let cfg = LwgConfig {
+            rebalance_interval: Some(SimDuration::ZERO),
+            ..LwgConfig::default()
+        };
+        assert_eq!(rejected_field(cfg), "rebalance_interval");
     }
 
     #[test]
     fn zero_rebalance_moves_rejected_when_enabled() {
-        let err = LwgConfig::default()
-            .with_rebalancing(SimDuration::from_secs(1), 0)
-            .validate()
-            .expect_err("must reject");
-        assert_eq!(err.field, "rebalance_max_moves");
+        let cfg = LwgConfig {
+            rebalance_interval: Some(SimDuration::from_secs(1)),
+            rebalance_max_moves: 0,
+            ..LwgConfig::default()
+        };
+        assert_eq!(rejected_field(cfg), "rebalance_max_moves");
     }
 
     #[test]
     fn zero_pack_delay_rejected_when_packing() {
-        let err = LwgConfig::default()
-            .with_packing(8, SimDuration::ZERO)
-            .validate()
-            .expect_err("must reject");
-        assert_eq!(err.field, "pack_delay");
+        let cfg = LwgConfig {
+            pack_max_msgs: 8,
+            pack_delay: SimDuration::ZERO,
+            ..LwgConfig::default()
+        };
+        assert_eq!(rejected_field(cfg), "pack_delay");
     }
 
     #[test]
     fn nested_hwg_error_surfaces_through_lwg_validate() {
-        let err = LwgConfig::default()
-            .with_hwg(
-                plwg_hwg::HwgConfig::default()
-                    .with_heartbeat(SimDuration::from_millis(100), SimDuration::from_millis(10)),
-            )
-            .validate()
-            .expect_err("must reject");
-        assert_eq!(err.field, "hwg.suspect_timeout");
-    }
-
-    #[test]
-    fn setters_cover_every_knob() {
-        let cfg = LwgConfig::default()
-            .with_naming(NamingConfig::default().with_push_callbacks(true))
-            .with_thresholds(3, 5)
-            .with_policy_interval(SimDuration::from_secs(5))
-            .with_shrink_grace(SimDuration::from_secs(20))
-            .with_join(SimDuration::from_millis(600), 3)
-            .with_flush_timeout(SimDuration::from_secs(2))
-            .with_foreign_data_timeout(SimDuration::from_secs(1))
-            .with_tick_interval(SimDuration::from_millis(100))
-            .with_ns_polling(SimDuration::from_secs(1))
-            .with_packing(8, SimDuration::from_millis(2))
-            .with_subset_delivery(true)
-            .with_rebalancing(SimDuration::from_secs(30), 2);
-        cfg.validate().expect("valid");
-        assert_eq!(cfg.k_m, 3);
-        assert_eq!(cfg.lwg_join_retries, 3);
-        assert_eq!(cfg.ns_poll_interval, Some(SimDuration::from_secs(1)));
-        assert!(cfg.subset_delivery);
+        let cfg = LwgConfig {
+            hwg: HwgConfig {
+                suspect_timeout: SimDuration::from_millis(10),
+                ..HwgConfig::default()
+            },
+            ..LwgConfig::default()
+        };
+        assert_eq!(rejected_field(cfg), "hwg.suspect_timeout");
     }
 }

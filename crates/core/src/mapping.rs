@@ -17,8 +17,15 @@ use crate::state::{LwgState, NsPurpose, Phase};
 use crate::wire;
 use plwg_hwg::{GroupStatus, HwgId, HwgSubstrate, ViewId};
 use plwg_naming::{LwgId, Mapping, NsEvent};
-use plwg_sim::{NodeId, Transport, TransportExt};
+use plwg_sim::{NodeId, SimDuration, Transport, TransportExt};
 use std::collections::BTreeSet;
+
+/// Admission retries (one per `lwg_join_timeout`) before a joiner founds
+/// its own LWG view.
+const LWG_JOIN_RETRIES: u32 = 2;
+/// Watchdog for LWG-level flushes, switches and prunes: on expiry the
+/// coordinator restarts and stuck members fall back to re-joining.
+const LWG_FLUSH_TIMEOUT: SimDuration = SimDuration::from_secs(3);
 
 impl<S: HwgSubstrate> LwgService<S> {
     // ------------------------------------------------------------------
@@ -299,7 +306,7 @@ impl<S: HwgSubstrate> LwgService<S> {
                 continue;
             };
             drop(state);
-            if phase == Phase::JoiningHwg || attempts <= self.cfg.lwg_join_retries {
+            if phase == Phase::JoiningHwg || attempts <= LWG_JOIN_RETRIES {
                 self.request_admission(ctx, lwg, hwg);
             } else {
                 self.claim_founding(ctx, lwg);
@@ -322,12 +329,14 @@ impl<S: HwgSubstrate> LwgService<S> {
             let Ok(mut state) = self.dir.record(lwg) else {
                 continue;
             };
-            let timed_out =
-                state.lflush.as_ref().is_some_and(|f| {
-                    now.saturating_since(f.started_at) >= self.cfg.lwg_flush_timeout
-                }) || state.switching.as_ref().is_some_and(|sw| {
-                    now.saturating_since(sw.started_at) >= self.cfg.lwg_flush_timeout
-                });
+            let timed_out = state
+                .lflush
+                .as_ref()
+                .is_some_and(|f| now.saturating_since(f.started_at) >= LWG_FLUSH_TIMEOUT)
+                || state
+                    .switching
+                    .as_ref()
+                    .is_some_and(|sw| now.saturating_since(sw.started_at) >= LWG_FLUSH_TIMEOUT);
             if !timed_out {
                 continue;
             }
@@ -355,7 +364,7 @@ impl<S: HwgSubstrate> LwgService<S> {
         for lwg in self.dir.pruning_ids() {
             let expired = self.dir.get(lwg).is_some_and(|s| {
                 s.awaiting_prune
-                    .is_some_and(|t| now.saturating_since(t) >= self.cfg.lwg_flush_timeout)
+                    .is_some_and(|t| now.saturating_since(t) >= LWG_FLUSH_TIMEOUT)
             });
             if !expired {
                 continue;

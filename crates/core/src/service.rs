@@ -94,7 +94,7 @@ impl<S: HwgSubstrate> LwgService<S> {
         LwgService {
             me,
             substrate,
-            ns: NsClient::new(me, servers, cfg.naming.clone()),
+            ns: NsClient::new(me, servers),
             cfg,
             dir: GroupDirectory::new(me),
             rounds: BTreeMap::new(),

@@ -495,12 +495,11 @@ fn polling_mode_reconciles_without_callbacks() {
         ..NamingConfig::default()
     };
     let cfg = LwgConfig {
-        naming: ns_cfg.clone(),
         ns_poll_interval: Some(secs(1)),
         ..LwgConfig::default()
     };
-    // Build the world by hand: the *servers* must also run with callbacks
-    // disabled (setup_cfg only configures the clients).
+    // Build the world by hand: the *servers* must run with callbacks
+    // disabled (setup_cfg gives them the default config).
     let mut w = World::new(WorldConfig {
         seed: 16,
         trace: true,
@@ -571,7 +570,6 @@ fn stale_mapping_join_is_redirected_by_forward_pointer() {
         ..NamingConfig::default()
     };
     let cfg = LwgConfig {
-        naming: ns_cfg.clone(),
         policy_interval: secs(6),
         ..LwgConfig::default()
     };

@@ -19,10 +19,6 @@ fn ms(n: u64) -> SimDuration {
 
 fn cfg() -> LwgConfig {
     LwgConfig {
-        naming: NamingConfig {
-            gossip_interval: ms(100),
-            ..NamingConfig::default()
-        },
         lwg_join_timeout: ms(100),
         tick_interval: ms(50),
         rebalance_interval: Some(ms(300)),

@@ -37,7 +37,6 @@ fn naming_cfg() -> NamingConfig {
 
 fn cfg() -> LwgConfig {
     LwgConfig {
-        naming: naming_cfg(),
         lwg_join_timeout: ms(100),
         tick_interval: ms(50),
         foreign_data_timeout: ms(400),
@@ -492,7 +491,7 @@ fn eviction_prunes_view_then_readmits_via_mapping() {
 
 /// A member whose LWG flush never concludes (the initiator multicast
 /// `Flush` and then vanished without a successor view) abandons it after
-/// `lwg_flush_timeout` and unfreezes — the watchdog path of the tick.
+/// `LWG_FLUSH_TIMEOUT` and unfreezes — the watchdog path of the tick.
 #[test]
 fn stuck_lwg_flush_is_abandoned_by_the_watchdog() {
     use plwg_core::LFlushId;
@@ -529,7 +528,7 @@ fn stuck_lwg_flush_is_abandoned_by_the_watchdog() {
     w.run_for(ms(100));
     assert_eq!(delivered_from(&mut w, b, b), Vec::<u64>::new());
 
-    // Past lwg_flush_timeout (3 s default) the watchdog abandons the
+    // Past LWG_FLUSH_TIMEOUT (3 s) the watchdog abandons the
     // flush; the buffered send is released in the (unchanged) view.
     w.run_for(SimDuration::from_secs(4));
     assert!(

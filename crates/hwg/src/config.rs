@@ -2,48 +2,33 @@
 
 use plwg_sim::{ConfigError, SimDuration};
 
-/// Tunables of the HWG layer.
+/// Tunables of the HWG layer: the three timings a deployment changes and
+/// the one switch the LWG layer flips.
 ///
 /// Defaults are sized for LAN-ish latency (~1 ms) — they work both on the
-/// simulator and on loopback/LAN sockets: failure detection within a
-/// second, beacons twice a second. A substrate is free to ignore the knobs
-/// that do not apply to it (the scripted test substrate in `plwg-core`
-/// only honours `auto_stop_ok`).
+/// simulator and on loopback/LAN sockets: failure detection within half a
+/// second, beacons every 400 ms. The protocol's own watchdogs (join probe,
+/// flush, merge, NACK, stability) are not tunables; they are constants next
+/// to the code that reads them in `plwg-vsync`.
 ///
-/// Construct with [`Default`] and the `with_*` setters; the invariants
-/// between knobs are checked by [`HwgConfig::validate`], which every
-/// builder in the workspace calls before using a config.
+/// Construct with [`Default`] and struct update
+/// (`HwgConfig { suspect_timeout: .., ..Default::default() }`); the
+/// invariants between fields are checked by [`HwgConfig::validate`], which
+/// every builder in the workspace calls before using a config.
 #[derive(Debug, Clone)]
 pub struct HwgConfig {
     /// Heartbeat send period of the failure detector.
     pub hb_interval: SimDuration,
-    /// Silence after which a monitored peer is suspected. Must exceed
-    /// `hb_interval`, or the detector would suspect healthy peers.
+    /// Silence after which a monitored peer is suspected — the paper's §4
+    /// virtual-partition threshold. Must exceed `hb_interval`, or the
+    /// detector would suspect healthy peers.
     pub suspect_timeout: SimDuration,
     /// Period of coordinator view beacons (peer discovery, paper §4).
     pub beacon_interval: SimDuration,
-    /// How long a joiner waits for a `JoinOffer` before retrying.
-    pub probe_timeout: SimDuration,
-    /// Probe attempts before the joiner forms a singleton view.
-    pub probe_retries: u32,
-    /// Coordinator-side timeout for a flush round; laggards are suspected
-    /// and the flush restarts without them.
-    pub flush_timeout: SimDuration,
-    /// Leader-side timeout for a merge; on expiry the merge aborts and each
-    /// participant installs a local view.
-    pub merge_timeout: SimDuration,
     /// If `true` (plain applications), the endpoint acknowledges `Stop`
     /// itself. The LWG layer sets this to `false` and calls
     /// [`crate::HwgSubstrate::stop_ok`] once its own groups are quiescent.
     pub auto_stop_ok: bool,
-    /// How long a FIFO gap may sit in the hold-back queue before the
-    /// receiver asks the sender to retransmit. Without NACKs a message
-    /// lost mid-view would block its sender's stream until the next flush.
-    pub nack_delay: SimDuration,
-    /// Period of the stability exchange: members advertise their delivered
-    /// prefixes so everyone can discard retransmission state that is
-    /// stable everywhere (bounds per-view memory).
-    pub stability_interval: SimDuration,
 }
 
 impl Default for HwgConfig {
@@ -52,71 +37,12 @@ impl Default for HwgConfig {
             hb_interval: SimDuration::from_millis(100),
             suspect_timeout: SimDuration::from_millis(500),
             beacon_interval: SimDuration::from_millis(400),
-            probe_timeout: SimDuration::from_millis(150),
-            probe_retries: 3,
-            flush_timeout: SimDuration::from_millis(1_500),
-            merge_timeout: SimDuration::from_millis(3_000),
             auto_stop_ok: true,
-            nack_delay: SimDuration::from_millis(200),
-            stability_interval: SimDuration::from_secs(2),
         }
     }
 }
 
 impl HwgConfig {
-    /// Sets the failure-detector pair: heartbeat period and the silence
-    /// after which a peer is suspected (`suspect` must exceed `hb`; checked
-    /// by [`HwgConfig::validate`]).
-    pub fn with_heartbeat(mut self, hb: SimDuration, suspect: SimDuration) -> Self {
-        self.hb_interval = hb;
-        self.suspect_timeout = suspect;
-        self
-    }
-
-    /// Sets the coordinator view-beacon period (peer discovery, §4).
-    pub fn with_beacon_interval(mut self, v: SimDuration) -> Self {
-        self.beacon_interval = v;
-        self
-    }
-
-    /// Sets the join-probe pair: per-attempt timeout and how many attempts
-    /// run before the joiner forms a singleton view.
-    pub fn with_probe(mut self, timeout: SimDuration, retries: u32) -> Self {
-        self.probe_timeout = timeout;
-        self.probe_retries = retries;
-        self
-    }
-
-    /// Sets the coordinator-side flush-round timeout.
-    pub fn with_flush_timeout(mut self, v: SimDuration) -> Self {
-        self.flush_timeout = v;
-        self
-    }
-
-    /// Sets the leader-side merge timeout.
-    pub fn with_merge_timeout(mut self, v: SimDuration) -> Self {
-        self.merge_timeout = v;
-        self
-    }
-
-    /// Sets whether the endpoint acknowledges `Stop` upcalls itself.
-    pub fn with_auto_stop_ok(mut self, v: bool) -> Self {
-        self.auto_stop_ok = v;
-        self
-    }
-
-    /// Sets the hold-back NACK delay.
-    pub fn with_nack_delay(mut self, v: SimDuration) -> Self {
-        self.nack_delay = v;
-        self
-    }
-
-    /// Sets the stability-exchange period.
-    pub fn with_stability_interval(mut self, v: SimDuration) -> Self {
-        self.stability_interval = v;
-        self
-    }
-
     /// Validates invariants between the parameters: every period must be
     /// positive, and the suspect timeout must be strictly larger than the
     /// heartbeat interval.
@@ -124,11 +50,6 @@ impl HwgConfig {
         for (field, v) in [
             ("hwg.hb_interval", self.hb_interval),
             ("hwg.beacon_interval", self.beacon_interval),
-            ("hwg.probe_timeout", self.probe_timeout),
-            ("hwg.flush_timeout", self.flush_timeout),
-            ("hwg.merge_timeout", self.merge_timeout),
-            ("hwg.nack_delay", self.nack_delay),
-            ("hwg.stability_interval", self.stability_interval),
         ] {
             if v <= SimDuration::ZERO {
                 return Err(ConfigError::new(field, "period must be positive"));
@@ -155,33 +76,23 @@ mod tests {
 
     #[test]
     fn tight_suspicion_rejected() {
-        let err = HwgConfig::default()
-            .with_heartbeat(SimDuration::from_millis(100), SimDuration::from_millis(50))
-            .validate()
-            .expect_err("must reject");
+        let err = HwgConfig {
+            suspect_timeout: SimDuration::from_millis(50),
+            ..HwgConfig::default()
+        }
+        .validate()
+        .expect_err("must reject");
         assert_eq!(err.field, "hwg.suspect_timeout");
     }
 
     #[test]
     fn zero_period_rejected_with_field_name() {
-        let err = HwgConfig::default()
-            .with_nack_delay(SimDuration::ZERO)
-            .validate()
-            .expect_err("must reject");
-        assert_eq!(err.field, "hwg.nack_delay");
-    }
-
-    #[test]
-    fn setters_chain() {
-        let cfg = HwgConfig::default()
-            .with_beacon_interval(SimDuration::from_millis(250))
-            .with_probe(SimDuration::from_millis(100), 5)
-            .with_flush_timeout(SimDuration::from_secs(2))
-            .with_merge_timeout(SimDuration::from_secs(5))
-            .with_auto_stop_ok(false)
-            .with_stability_interval(SimDuration::from_secs(1));
-        cfg.validate().expect("valid");
-        assert_eq!(cfg.probe_retries, 5);
-        assert!(!cfg.auto_stop_ok);
+        let err = HwgConfig {
+            beacon_interval: SimDuration::ZERO,
+            ..HwgConfig::default()
+        }
+        .validate()
+        .expect_err("must reject");
+        assert_eq!(err.field, "hwg.beacon_interval");
     }
 }

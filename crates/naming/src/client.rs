@@ -7,18 +7,21 @@
 //! is reachable in the caller's partition (the paper's placement
 //! assumption, §5.2).
 
-use crate::config::NamingConfig;
 use crate::db::Mapping;
 use crate::id::LwgId;
 use crate::msg::NsMsg;
 use crate::wire;
 use plwg_hwg::ViewId;
 use plwg_sim::{
-    decode_frame, family, peek_family, NodeId, Payload, SimTime, TimerToken, Transport,
+    decode_frame, family, peek_family, NodeId, Payload, SimDuration, SimTime, TimerToken, Transport,
 };
 use std::collections::BTreeMap;
 
 const TOK_NS_RETRY: TimerToken = TimerToken(0x0200_0000_0000_0002);
+
+/// Request watchdog: how long a request may go unanswered before it is
+/// retried, possibly against another server.
+const REQUEST_TIMEOUT: SimDuration = SimDuration::from_millis(400);
 
 /// Correlates a reply with its request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -56,7 +59,6 @@ struct Pending {
 pub struct NsClient {
     me: NodeId,
     servers: Vec<NodeId>,
-    cfg: NamingConfig,
     next_req: u64,
     pending: BTreeMap<RequestId, Pending>,
     events: Vec<NsEvent>,
@@ -67,14 +69,12 @@ impl NsClient {
     ///
     /// # Panics
     ///
-    /// Panics if `servers` is empty or `cfg` is invalid.
-    pub fn new(me: NodeId, servers: Vec<NodeId>, cfg: NamingConfig) -> Self {
-        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
+    /// Panics if `servers` is empty.
+    pub fn new(me: NodeId, servers: Vec<NodeId>) -> Self {
         assert!(!servers.is_empty(), "need at least one name server");
         NsClient {
             me,
             servers,
-            cfg,
             next_req: 0,
             pending: BTreeMap::new(),
             events: Vec::new(),
@@ -183,13 +183,13 @@ impl NsClient {
             let mut p = self.pending.remove(&req).expect("just listed");
             // Fail over to the next server.
             p.server_idx = (p.server_idx + 1) % self.servers.len();
-            p.deadline = now + self.cfg.request_timeout;
+            p.deadline = now + REQUEST_TIMEOUT;
             ctx.metrics().incr(crate::keys::CLIENT_RETRIES);
             ctx.send(self.servers[p.server_idx], wire::frame(&p.template));
             self.pending.insert(req, p);
         }
         if !self.pending.is_empty() {
-            ctx.set_timer(self.cfg.request_timeout, TOK_NS_RETRY);
+            ctx.set_timer(REQUEST_TIMEOUT, TOK_NS_RETRY);
         }
         true
     }
@@ -221,11 +221,11 @@ impl NsClient {
             Pending {
                 template: msg,
                 server_idx: idx,
-                deadline: ctx.now() + self.cfg.request_timeout,
+                deadline: ctx.now() + REQUEST_TIMEOUT,
             },
         );
         if !had_pending {
-            ctx.set_timer(self.cfg.request_timeout, TOK_NS_RETRY);
+            ctx.set_timer(REQUEST_TIMEOUT, TOK_NS_RETRY);
         }
     }
 }

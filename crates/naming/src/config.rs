@@ -2,17 +2,16 @@
 
 use plwg_sim::{ConfigError, SimDuration};
 
-/// Tunables of the naming service.
+/// Tunables of the name servers. The client stub has none: its request
+/// watchdog is a constant in `client.rs`.
 ///
-/// Construct with [`Default`] and the `with_*` setters; invariants are
-/// checked by [`NamingConfig::validate`].
+/// Construct with [`Default`] and struct update
+/// (`NamingConfig { gossip_interval: .., ..Default::default() }`);
+/// invariants are checked by [`NamingConfig::validate`].
 #[derive(Debug, Clone)]
 pub struct NamingConfig {
     /// Anti-entropy period between name servers.
     pub gossip_interval: SimDuration,
-    /// Client-side timeout before a request is retried (possibly against
-    /// another server).
-    pub request_timeout: SimDuration,
     /// Whether servers push MULTIPLE-MAPPINGS callbacks (paper §6.1).
     /// Disabled only by the callback-vs-polling ablation, which makes
     /// group coordinators poll `ns.read` instead.
@@ -23,42 +22,17 @@ impl Default for NamingConfig {
     fn default() -> Self {
         NamingConfig {
             gossip_interval: SimDuration::from_millis(500),
-            request_timeout: SimDuration::from_millis(400),
             push_callbacks: true,
         }
     }
 }
 
 impl NamingConfig {
-    /// Sets the anti-entropy gossip period between name servers.
-    pub fn with_gossip_interval(mut self, v: SimDuration) -> Self {
-        self.gossip_interval = v;
-        self
-    }
-
-    /// Sets the client-side request timeout.
-    pub fn with_request_timeout(mut self, v: SimDuration) -> Self {
-        self.request_timeout = v;
-        self
-    }
-
-    /// Sets whether servers push MULTIPLE-MAPPINGS callbacks (§6.1).
-    pub fn with_push_callbacks(mut self, v: bool) -> Self {
-        self.push_callbacks = v;
-        self
-    }
-
-    /// Validates the configuration: every period must be positive.
+    /// Validates the configuration: the gossip period must be positive.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.gossip_interval <= SimDuration::ZERO {
             return Err(ConfigError::new(
                 "naming.gossip_interval",
-                "period must be positive",
-            ));
-        }
-        if self.request_timeout <= SimDuration::ZERO {
-            return Err(ConfigError::new(
-                "naming.request_timeout",
                 "period must be positive",
             ));
         }
@@ -77,19 +51,12 @@ mod tests {
 
     #[test]
     fn zero_period_rejected() {
-        let err = NamingConfig::default()
-            .with_gossip_interval(SimDuration::ZERO)
-            .validate()
-            .expect_err("must reject");
+        let err = NamingConfig {
+            gossip_interval: SimDuration::ZERO,
+            ..NamingConfig::default()
+        }
+        .validate()
+        .expect_err("must reject");
         assert_eq!(err.field, "naming.gossip_interval");
-    }
-
-    #[test]
-    fn setters_chain() {
-        let cfg = NamingConfig::default()
-            .with_request_timeout(SimDuration::from_millis(250))
-            .with_push_callbacks(false);
-        cfg.validate().expect("valid");
-        assert!(!cfg.push_callbacks);
     }
 }

@@ -18,7 +18,7 @@ struct ClientApp {
 impl ClientApp {
     fn new(me: NodeId, servers: Vec<NodeId>) -> Self {
         ClientApp {
-            ns: NsClient::new(me, servers, NamingConfig::default()),
+            ns: NsClient::new(me, servers),
             replies: Vec::new(),
             callbacks: Vec::new(),
         }

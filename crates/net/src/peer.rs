@@ -25,7 +25,12 @@ use crate::msg::NetMsg;
 use plwg_sim::{ConfigError, NodeId, Payload, SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 
-/// Tunables of the net runtime's peer pool.
+/// Re-greeting period towards peers that are not `Up` (initial connection
+/// and reconnection after a partition).
+const HELLO_INTERVAL: SimDuration = SimDuration::from_millis(200);
+
+/// Tunables of the net runtime's peer pool. Construct with [`Default`] and
+/// struct update (`NetOptions { queue_capacity: 4, ..Default::default() }`).
 #[derive(Debug, Clone)]
 pub struct NetOptions {
     /// Heartbeat send period towards `Up` peers.
@@ -33,9 +38,6 @@ pub struct NetOptions {
     /// Silence after which an `Up` peer is marked `Down`. Must exceed
     /// `hb_interval`.
     pub suspect_timeout: SimDuration,
-    /// Re-greeting period towards peers that are not `Up` (initial
-    /// connection and reconnection after a partition).
-    pub hello_interval: SimDuration,
     /// Per-peer send-queue capacity (frames) while the peer is not `Up`.
     pub queue_capacity: usize,
 }
@@ -45,38 +47,18 @@ impl Default for NetOptions {
         NetOptions {
             hb_interval: SimDuration::from_millis(100),
             suspect_timeout: SimDuration::from_millis(500),
-            hello_interval: SimDuration::from_millis(200),
             queue_capacity: 1024,
         }
     }
 }
 
 impl NetOptions {
-    /// Sets the failure-detector pair (`suspect` must exceed `hb`).
-    pub fn with_heartbeat(mut self, hb: SimDuration, suspect: SimDuration) -> Self {
-        self.hb_interval = hb;
-        self.suspect_timeout = suspect;
-        self
-    }
-
-    /// Sets the re-greeting period.
-    pub fn with_hello_interval(mut self, v: SimDuration) -> Self {
-        self.hello_interval = v;
-        self
-    }
-
-    /// Sets the per-peer send-queue capacity.
-    pub fn with_queue_capacity(mut self, v: usize) -> Self {
-        self.queue_capacity = v;
-        self
-    }
-
-    /// Validates invariants between the knobs.
+    /// Validates invariants between the fields.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.hb_interval <= SimDuration::ZERO || self.hello_interval <= SimDuration::ZERO {
+        if self.hb_interval <= SimDuration::ZERO {
             return Err(ConfigError::new(
-                "net.hb_interval/hello_interval",
-                "periods must be positive",
+                "net.hb_interval",
+                "period must be positive",
             ));
         }
         if self.suspect_timeout <= self.hb_interval {
@@ -273,9 +255,7 @@ impl PeerPool {
             .values()
             .map(|p| match p.state {
                 PeerState::Up => heartbeat.min(after(p.last_heard, self.opts.suspect_timeout)),
-                PeerState::Greeting | PeerState::Down => {
-                    after(p.last_greet, self.opts.hello_interval)
-                }
+                PeerState::Greeting | PeerState::Down => after(p.last_greet, HELLO_INTERVAL),
             })
             .min()
     }
@@ -300,7 +280,7 @@ impl PeerPool {
                     }
                 }
                 PeerState::Greeting | PeerState::Down => {
-                    if now.saturating_since(p.last_greet) >= self.opts.hello_interval {
+                    if now.saturating_since(p.last_greet) >= HELLO_INTERVAL {
                         p.last_greet = now;
                         actions.push(PoolAction::Control(id, NetMsg::Hello { node: self.me }));
                     }
@@ -340,7 +320,10 @@ mod tests {
     }
 
     fn pool(cap: usize) -> (PeerPool, ManualClock) {
-        let opts = NetOptions::default().with_queue_capacity(cap);
+        let opts = NetOptions {
+            queue_capacity: cap,
+            ..NetOptions::default()
+        };
         opts.validate().expect("valid");
         let mut p = PeerPool::new(NodeId(0), opts);
         p.add_peer(NodeId(1));
@@ -397,12 +380,12 @@ mod tests {
     #[test]
     fn next_deadline_tracks_hello_heartbeat_and_suspicion() {
         let opts = NetOptions::default();
-        let (hb, hello, suspect) = (opts.hb_interval, opts.hello_interval, opts.suspect_timeout);
+        let (hb, hello, suspect) = (opts.hb_interval, HELLO_INTERVAL, opts.suspect_timeout);
         let mut pool = PeerPool::new(NodeId(0), opts);
         let clk = ManualClock::new();
         assert_eq!(pool.next_deadline(), None, "no peers, nothing to do");
         pool.add_peer(NodeId(1));
-        // A fresh peer is greeted at once, then every hello_interval.
+        // A fresh peer is greeted at once, then every HELLO_INTERVAL.
         assert!(pool.next_deadline().expect("peer") <= clk.now() + hello);
         clk.advance(SimDuration::from_secs(1));
         let t0 = clk.now();
@@ -465,20 +448,21 @@ mod tests {
     #[test]
     fn options_validate() {
         assert!(NetOptions::default().validate().is_ok());
-        let err = NetOptions::default()
-            .with_heartbeat(SimDuration::from_millis(100), SimDuration::from_millis(50))
-            .validate()
-            .expect_err("reject");
-        assert_eq!(err.field, "net.suspect_timeout");
-        let err = NetOptions::default()
-            .with_queue_capacity(0)
-            .validate()
-            .expect_err("reject");
-        assert_eq!(err.field, "net.queue_capacity");
-        let err = NetOptions::default()
-            .with_hello_interval(SimDuration::ZERO)
-            .validate()
-            .expect_err("reject");
-        assert_eq!(err.field, "net.hb_interval/hello_interval");
+        let rejected = |opts: NetOptions| opts.validate().expect_err("reject").field;
+        let tight = NetOptions {
+            suspect_timeout: SimDuration::from_millis(50),
+            ..NetOptions::default()
+        };
+        assert_eq!(rejected(tight), "net.suspect_timeout");
+        let no_queue = NetOptions {
+            queue_capacity: 0,
+            ..NetOptions::default()
+        };
+        assert_eq!(rejected(no_queue), "net.queue_capacity");
+        let no_heartbeat = NetOptions {
+            hb_interval: SimDuration::ZERO,
+            ..NetOptions::default()
+        };
+        assert_eq!(rejected(no_heartbeat), "net.hb_interval");
     }
 }

@@ -90,7 +90,10 @@ fn connect_exchange_and_observe_peer_up() {
 #[test]
 fn backpressure_overflow_drops_newest_and_counts() {
     // Tiny queue towards a peer that never answers.
-    let opts = NetOptions::default().with_queue_capacity(4);
+    let opts = NetOptions {
+        queue_capacity: 4,
+        ..NetOptions::default()
+    };
     let mut a = NetRuntime::bind(NodeId(1), "127.0.0.1:0", opts).expect("bind");
     // The peer address exists but nothing is listening there that speaks
     // our protocol, so the peer never comes up.
@@ -110,8 +113,11 @@ fn backpressure_overflow_drops_newest_and_counts() {
 fn failure_detector_reports_peer_down_after_silence() {
     // a suspects quickly; b is told to go quiet via a block filter on its
     // own side (it stops sending *and* ignores a).
-    let fast = NetOptions::default()
-        .with_heartbeat(SimDuration::from_millis(50), SimDuration::from_millis(250));
+    let fast = NetOptions {
+        hb_interval: SimDuration::from_millis(50),
+        suspect_timeout: SimDuration::from_millis(250),
+        ..NetOptions::default()
+    };
     let (mut a, mut b) = pair(fast.clone(), fast);
     let (mut pa, mut pb) = (Sink::new(), Sink::new());
     assert!(pump(&mut a, &mut pa, &mut b, &mut pb, 200, |a, b| {
@@ -148,8 +154,10 @@ fn failure_detector_reports_peer_down_after_silence() {
 #[test]
 fn bye_is_faster_than_the_suspect_timeout() {
     // Generous suspicion, so only a Bye can explain a quick Down.
-    let slow = NetOptions::default()
-        .with_heartbeat(SimDuration::from_millis(100), SimDuration::from_secs(30));
+    let slow = NetOptions {
+        suspect_timeout: SimDuration::from_secs(30),
+        ..NetOptions::default()
+    };
     let (mut a, mut b) = pair(slow.clone(), slow);
     let (mut pa, mut pb) = (Sink::new(), Sink::new());
     assert!(pump(&mut a, &mut pa, &mut b, &mut pb, 200, |a, b| {

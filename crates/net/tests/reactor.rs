@@ -28,6 +28,15 @@ fn bind(me: u32, opts: NetOptions) -> NetRuntime {
     NetRuntime::bind(NodeId(me), "127.0.0.1:0", opts).expect("bind")
 }
 
+/// Heartbeats far apart, so the only traffic is the test's.
+fn quiet() -> NetOptions {
+    NetOptions {
+        hb_interval: SimDuration::from_secs(10),
+        suspect_timeout: SimDuration::from_secs(30),
+        ..NetOptions::default()
+    }
+}
+
 /// Two runtimes that know each other, pumped until both are `Up`.
 fn connected_pair(opts: NetOptions) -> (NetRuntime, Sink, NetRuntime, Sink) {
     let mut a = bind(1, opts.clone());
@@ -77,10 +86,7 @@ fn idle_turns_honour_sub_millisecond_deadlines() {
 
 #[test]
 fn a_datagram_ends_the_wait_not_the_turn() {
-    // Heartbeats far apart, so the only traffic is the test's.
-    let quiet = NetOptions::default()
-        .with_heartbeat(SimDuration::from_secs(10), SimDuration::from_secs(30));
-    let (mut a, mut pa, mut b, mut pb) = connected_pair(quiet);
+    let (mut a, mut pa, mut b, mut pb) = connected_pair(quiet());
     let sent = Instant::now();
     a.send(NodeId(2), Payload::copy_from_slice(b"ping"));
     a.run_for(&mut pa, SimDuration::from_micros(100));
@@ -102,9 +108,7 @@ fn a_datagram_ends_the_wait_not_the_turn() {
 
 #[test]
 fn sends_between_turns_coalesce_per_peer_within_the_budget() {
-    let quiet = NetOptions::default()
-        .with_heartbeat(SimDuration::from_secs(10), SimDuration::from_secs(30));
-    let (mut a, mut pa, mut b, mut pb) = connected_pair(quiet);
+    let (mut a, mut pa, mut b, mut pb) = connected_pair(quiet());
     let sent = |rt: &NetRuntime| {
         (
             rt.registry().counter(NETIO_DGRAM_TX),
@@ -181,7 +185,11 @@ fn dropping_a_runtime_ends_its_receive_thread() {
 #[test]
 fn the_pool_is_serviced_on_its_deadlines_without_any_traffic() {
     let (hb, suspect) = (SimDuration::from_millis(50), SimDuration::from_millis(250));
-    let fast = NetOptions::default().with_heartbeat(hb, suspect);
+    let fast = NetOptions {
+        hb_interval: hb,
+        suspect_timeout: suspect,
+        ..NetOptions::default()
+    };
     let (mut a, mut pa, b, _pb) = connected_pair(fast);
     a.enable_trace();
     // From here on b is never run: it neither answers nor heartbeats, and

@@ -39,14 +39,39 @@ use crate::msg::{FlushId, FlushPurpose, Slot, VsMsg};
 use crate::wire;
 use crate::{GroupStatus, VsEvent, VsyncConfig};
 use plwg_hwg::{keys, HwgId, HwgTraceEvent, View, ViewId};
-use plwg_sim::{NodeId, Payload, SimTime, Transport, TransportExt};
+use plwg_sim::{NodeId, Payload, SimDuration, SimTime, Transport, TransportExt};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound::{Excluded, Unbounded};
 
-/// Messages stored since the last stability advertisement that trigger the
-/// next one: with the time trigger alone the retransmission store holds
-/// `stability_interval` worth of traffic, whatever the rate. Large enough
-/// that view-change control traffic never reaches it.
+// The protocol's watchdogs. They bound how long a lost message or a dead
+// peer can stall a join, a view change or a FIFO stream; none of them is a
+// performance parameter, so none of them is a `VsyncConfig` field.
+
+/// Join-probe watchdog: how long a joiner waits for a `JoinOffer` before
+/// probing again.
+const PROBE_TIMEOUT: SimDuration = SimDuration::from_millis(150);
+/// Probe attempts before the joiner forms a singleton view.
+const PROBE_RETRIES: u32 = 3;
+/// Flush watchdog: an initiator restarts a flush round that has run this
+/// long (the second time without the stragglers); a member abandons a flush
+/// whose initiator has been silent for twice as long.
+const FLUSH_TIMEOUT: SimDuration = SimDuration::from_millis(1_500);
+/// Merge-leader watchdog: on expiry the merge concludes without the
+/// participants that never reported.
+const MERGE_TIMEOUT: SimDuration = SimDuration::from_millis(3_000);
+/// NACK watchdog: how long a FIFO gap may sit in the hold-back queue before
+/// the receiver asks the sender to retransmit. Without NACKs a message lost
+/// mid-view would block its sender's stream until the next flush.
+const NACK_DELAY: SimDuration = SimDuration::from_millis(200);
+/// Time trigger of the stability exchange: members advertise their
+/// delivered prefixes so everyone can discard retransmission state that is
+/// stable everywhere (bounds per-view memory).
+const STABILITY_INTERVAL: SimDuration = SimDuration::from_secs(2);
+/// Volume trigger of the stability exchange: messages stored since the last
+/// advertisement that trigger the next one. With the time trigger alone the
+/// retransmission store holds [`STABILITY_INTERVAL`] worth of traffic,
+/// whatever the rate. Large enough that view-change control traffic never
+/// reaches it.
 const STABILITY_VOLUME: usize = 1024;
 
 /// Member-side state of an in-progress flush.
@@ -153,15 +178,10 @@ pub(crate) struct GroupEndpoint {
 
 impl GroupEndpoint {
     /// Creates an endpoint that will *probe* for an existing view.
-    pub(crate) fn new_joining(
-        hwg: HwgId,
-        me: NodeId,
-        ctx: &mut dyn Transport,
-        cfg: &VsyncConfig,
-    ) -> Self {
+    pub(crate) fn new_joining(hwg: HwgId, me: NodeId, ctx: &mut dyn Transport) -> Self {
         let mut ep = GroupEndpoint::blank(hwg, me);
         ep.status = GroupStatus::Joining;
-        ep.send_probe(ctx, cfg);
+        ep.send_probe(ctx);
         ep
     }
 
@@ -430,17 +450,16 @@ impl GroupEndpoint {
         ctx: &mut dyn Transport,
         now: SimTime,
         fd: &FailureDetector,
-        cfg: &VsyncConfig,
         events: &mut Vec<VsEvent>,
     ) {
         // Joiner: probe retries / give up into a singleton view.
         if self.status == GroupStatus::Joining {
             if let Some(deadline) = self.probe_deadline {
                 if now >= deadline {
-                    if self.probe_attempts > cfg.probe_retries {
+                    if self.probe_attempts > PROBE_RETRIES {
                         self.form_singleton(ctx, events);
                     } else {
-                        self.send_probe(ctx, cfg);
+                        self.send_probe(ctx);
                     }
                 }
             }
@@ -456,7 +475,7 @@ impl GroupEndpoint {
         // membership (a lost protocol message is the common cause under
         // loss); if it stalls again, the non-reporters are excluded.
         if let Some(running) = &self.running {
-            if now.saturating_since(running.started_at) >= cfg.flush_timeout {
+            if now.saturating_since(running.started_at) >= FLUSH_TIMEOUT {
                 let attempts = running.attempts;
                 let responders: BTreeSet<NodeId> = running
                     .digests
@@ -488,7 +507,7 @@ impl GroupEndpoint {
         // reported.
         let mut conclude_merge = false;
         if let Some(merge) = &self.merge {
-            if now.saturating_since(merge.started_at) >= cfg.merge_timeout {
+            if now.saturating_since(merge.started_at) >= MERGE_TIMEOUT {
                 conclude_merge = true;
             }
         }
@@ -503,7 +522,7 @@ impl GroupEndpoint {
         // frozen; abandon and let the acting-coordinator rule recover.
         let mut abandon = false;
         if let Some(f) = &self.flush {
-            if now.saturating_since(f.started_at) >= cfg.flush_timeout.saturating_mul(2) {
+            if now.saturating_since(f.started_at) >= FLUSH_TIMEOUT.saturating_mul(2) {
                 abandon = true;
             }
         }
@@ -516,8 +535,8 @@ impl GroupEndpoint {
         }
 
         // Loss recovery and stability bookkeeping.
-        self.check_nacks(ctx, now, cfg);
-        self.stability_tick(ctx, now, cfg);
+        self.check_nacks(ctx, now);
+        self.stability_tick(ctx, now);
 
         // Acting coordinator reacts to accumulated membership changes.
         self.maybe_start_flush(ctx, fd, events);
@@ -539,14 +558,14 @@ impl GroupEndpoint {
         }));
     }
 
-    fn send_probe(&mut self, ctx: &mut dyn Transport, cfg: &VsyncConfig) {
+    fn send_probe(&mut self, ctx: &mut dyn Transport) {
         self.probe_attempts += 1;
         self.join_target = None;
         ctx.metrics().incr(keys::JOIN_PROBES);
         ctx.broadcast(wire::frame(&VsMsg::JoinProbe { hwg: self.hwg }));
         // The stack's tick has hb_interval granularity; the deadline is
         // checked there.
-        self.probe_deadline = Some(ctx.now() + cfg.probe_timeout);
+        self.probe_deadline = Some(ctx.now() + PROBE_TIMEOUT);
     }
 
     fn form_singleton(&mut self, ctx: &mut dyn Transport, events: &mut Vec<VsEvent>) {
@@ -576,7 +595,7 @@ impl GroupEndpoint {
     ) {
         match msg {
             VsMsg::JoinProbe { .. } => self.on_join_probe(ctx, from, fd),
-            VsMsg::JoinOffer { view_id, .. } => self.on_join_offer(ctx, from, *view_id, cfg),
+            VsMsg::JoinOffer { view_id, .. } => self.on_join_offer(ctx, from, *view_id),
             VsMsg::JoinReq { .. } => {
                 if self.status == GroupStatus::Member || self.status == GroupStatus::Leaving {
                     self.pending_joins.insert(from);
@@ -637,7 +656,7 @@ impl GroupEndpoint {
                 invitee_view,
                 leader_view,
                 ..
-            } => self.on_merge_req(ctx, from, *invitee_view, *leader_view, fd, cfg, events),
+            } => self.on_merge_req(ctx, from, *invitee_view, *leader_view, fd, events),
             VsMsg::MergeReady { view, .. } => self.on_merge_ready(ctx, view.clone(), events),
             VsMsg::MergeNack { invitee_view, .. } => {
                 if let Some(merge) = &mut self.merge {
@@ -666,13 +685,7 @@ impl GroupEndpoint {
         );
     }
 
-    fn on_join_offer(
-        &mut self,
-        ctx: &mut dyn Transport,
-        from: NodeId,
-        _view_id: ViewId,
-        cfg: &VsyncConfig,
-    ) {
+    fn on_join_offer(&mut self, ctx: &mut dyn Transport, from: NodeId, _view_id: ViewId) {
         if self.status != GroupStatus::Joining || self.join_target.is_some() {
             return;
         }
@@ -680,7 +693,7 @@ impl GroupEndpoint {
         ctx.send(from, wire::frame(&VsMsg::JoinReq { hwg: self.hwg }));
         // Extend the deadline so admission has time to complete; if the
         // offering coordinator dies we fall back to probing again.
-        self.probe_deadline = Some(ctx.now() + cfg.flush_timeout);
+        self.probe_deadline = Some(ctx.now() + FLUSH_TIMEOUT);
     }
 
     // ---------------- data plane ----------------
@@ -1341,8 +1354,8 @@ impl GroupEndpoint {
     // ---------------- loss recovery / stability ----------------
 
     /// Receiver side: detect FIFO gaps that have persisted past
-    /// `nack_delay` and ask the original sender to retransmit.
-    fn check_nacks(&mut self, ctx: &mut dyn Transport, now: SimTime, cfg: &VsyncConfig) {
+    /// [`NACK_DELAY`] and ask the original sender to retransmit.
+    fn check_nacks(&mut self, ctx: &mut dyn Transport, now: SimTime) {
         if self.view.is_none() || self.delivery_frozen() {
             return;
         }
@@ -1360,7 +1373,7 @@ impl GroupEndpoint {
             .retain(|sender, _| gapped.contains_key(sender));
         for (sender, max_held) in gapped {
             let since = *self.gap_since.entry(sender).or_insert(now);
-            if now.saturating_since(since) < cfg.nack_delay {
+            if now.saturating_since(since) < NACK_DELAY {
                 continue;
             }
             // Re-arm pacing and ask for everything missing (bounded).
@@ -1425,9 +1438,9 @@ impl GroupEndpoint {
     }
 
     /// Time trigger of the stability exchange: advertise once
-    /// `stability_interval` has passed since the last advertisement.
-    fn stability_tick(&mut self, ctx: &mut dyn Transport, now: SimTime, cfg: &VsyncConfig) {
-        if now.saturating_since(self.last_stability_sent) >= cfg.stability_interval {
+    /// [`STABILITY_INTERVAL`] has passed since the last advertisement.
+    fn stability_tick(&mut self, ctx: &mut dyn Transport, now: SimTime) {
+        if now.saturating_since(self.last_stability_sent) >= STABILITY_INTERVAL {
             self.advertise_stability(ctx);
         }
     }
@@ -1634,7 +1647,6 @@ impl GroupEndpoint {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn on_merge_req(
         &mut self,
         ctx: &mut dyn Transport,
@@ -1642,7 +1654,6 @@ impl GroupEndpoint {
         invitee_view: ViewId,
         _leader_view: ViewId,
         fd: &FailureDetector,
-        _cfg: &VsyncConfig,
         events: &mut Vec<VsEvent>,
     ) {
         let stale = self.view.as_ref().map(|v| v.id) != Some(invitee_view)

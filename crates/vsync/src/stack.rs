@@ -82,7 +82,7 @@ impl VsyncStack {
         match self.groups.get(&hwg).map(GroupEndpoint::status) {
             Some(GroupStatus::Member | GroupStatus::Joining | GroupStatus::Leaving) => {}
             Some(GroupStatus::Left) | None => {
-                let ep = GroupEndpoint::new_joining(hwg, self.me, ctx, &self.cfg);
+                let ep = GroupEndpoint::new_joining(hwg, self.me, ctx);
                 self.groups.insert(hwg, ep);
             }
         }
@@ -318,7 +318,7 @@ impl VsyncStack {
         }
         let now = ctx.now();
         for ep in self.groups.values_mut() {
-            ep.on_tick(ctx, now, &self.fd, &self.cfg, &mut self.events);
+            ep.on_tick(ctx, now, &self.fd, &mut self.events);
         }
         self.sync_watches(ctx);
     }

@@ -220,6 +220,66 @@ fn crash_is_excluded_from_next_view() {
     }
 }
 
+/// How long after a crash the survivors' exclusion view installs, under
+/// the given failure-detector settings.
+fn exclusion_delay(cfg: &VsyncConfig) -> SimDuration {
+    let mut w = World::new(WorldConfig {
+        seed: 12,
+        ..WorldConfig::default()
+    });
+    let nodes: Vec<NodeId> = (0..3)
+        .map(|i| w.add_node(Box::new(App::new(NodeId(i), cfg.clone()))))
+        .collect();
+    bring_up(&mut w, &nodes);
+    assert_common_view(&mut w, &nodes, 3);
+    let crashed_at = w.now();
+    w.crash(nodes[2]);
+    while w.inspect(nodes[0], |a: &App| a.current_view(G).map(View::len)) != Some(2) {
+        assert!(
+            w.now().saturating_since(crashed_at) < secs(30),
+            "crashed member never excluded"
+        );
+        w.run_for(SimDuration::from_millis(10));
+    }
+    assert_common_view(&mut w, &nodes[..2], 2);
+    w.now().saturating_since(crashed_at)
+}
+
+/// `suspect_timeout` is the paper's §4 virtual-partition threshold: a
+/// silent member stays in the view until it expires and is excluded right
+/// after, so raising it (LAN → WAN) delays the exclusion view by as much.
+/// `hb_interval` is the detector's granularity: the same threshold is
+/// noticed sooner with a faster heartbeat.
+#[test]
+fn exclusion_view_waits_for_the_suspect_timeout() {
+    let hb = VsyncConfig::default().hb_interval;
+    let slack = SimDuration::from_millis(500);
+    let (short, long) = (SimDuration::from_millis(500), secs(2));
+    let with_timeout = |suspect_timeout| VsyncConfig {
+        suspect_timeout,
+        ..VsyncConfig::default()
+    };
+    for timeout in [short, long] {
+        let delay = exclusion_delay(&with_timeout(timeout));
+        // The last heartbeat left at most one period before the crash.
+        assert!(
+            delay + hb >= timeout,
+            "excluded {delay} after the crash, before the {timeout} threshold"
+        );
+        assert!(
+            delay <= timeout + slack,
+            "excluded {delay} after the crash, long after the {timeout} threshold"
+        );
+    }
+    assert!(short + slack < long, "the two windows must not overlap");
+
+    let fast_hb = VsyncConfig {
+        hb_interval: SimDuration::from_millis(20),
+        ..with_timeout(short)
+    };
+    assert!(exclusion_delay(&fast_hb) < exclusion_delay(&with_timeout(short)));
+}
+
 #[test]
 fn coordinator_crash_promotes_next_senior() {
     let (mut w, nodes) = world_with(3, 13);
@@ -599,7 +659,7 @@ fn member_abandons_flush_whose_initiator_went_silent() {
             a.drain();
         }
     });
-    // Past 2 x flush_timeout (2 x 1.5 s).
+    // Past 2 x FLUSH_TIMEOUT (2 x 1.5 s).
     w.run_for(secs(4));
     assert!(
         w.trace().count("hwg.flush.abandon") >= 1,
@@ -621,7 +681,7 @@ fn member_abandons_flush_whose_initiator_went_silent() {
 }
 
 /// The stability exchange is triggered by volume as well as by time: a
-/// burst far faster than `stability_interval` must not make the
+/// burst far faster than the 2 s stability interval must not make the
 /// retransmission store hold the whole burst. Returns the highest store
 /// length seen at any member and the NACK resends served.
 fn burst_of_20k_in_one_second(loss: f64) -> (usize, u64) {
@@ -689,8 +749,8 @@ fn volume_triggered_stability_bounds_the_store_under_a_burst() {
     );
     // With loss nothing is collected before every member has it: a gap
     // pins the prefix until its NACK is served (about 0.3 s at the default
-    // tick and `nack_delay`, so some 6 k messages at this rate) — still far
-    // from the 20 k the time trigger alone lets pile up.
+    // tick and the 200 ms NACK delay, so some 6 k messages at this rate) —
+    // still far from the 20 k the time trigger alone lets pile up.
     let (high_water, resends) = burst_of_20k_in_one_second(0.001);
     assert!(resends > 0, "loss must have exercised the NACK path");
     assert!(

@@ -23,5 +23,5 @@ mod twosets;
 
 pub use heal::{run_heal, run_heal_sweep, HealParams, HealResult};
 pub use mode::{BenchNode, Delivery, ServiceMode, Stamped, ViewRecord};
-pub use report::{fmt_us, json_field, json_row_lines, write_json_rows, Table};
+pub use report::{fmt_us, write_json_rows, Table};
 pub use twosets::{run_two_sets, Traffic, TwoSetsParams, TwoSetsResult};

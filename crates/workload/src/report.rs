@@ -73,33 +73,14 @@ fn json_rows<R>(bench: &str, rows: &[R], cells: impl Fn(&R) -> String) -> String
 
 /// Writes a bench result file to `path` (relative to the working
 /// directory) and says so: `{"bench": .., "rows": [..]}` with one row object
-/// per line — the format of every `BENCH_*.json` and
-/// `results/*_guard_*.json` — `cells` giving one row's `"key": value` pairs.
+/// per line — the format of every `BENCH_*.json` — `cells` giving one
+/// row's `"key": value` pairs.
 /// A bench that cannot write its file has still printed its table.
 pub fn write_json_rows<R>(path: &str, bench: &str, rows: &[R], cells: impl Fn(&R) -> String) {
     match std::fs::write(path, json_rows(bench, rows, cells)) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
     }
-}
-
-/// The row lines of a [`write_json_rows`] file (one `{..}` object each).
-pub fn json_row_lines(text: &str) -> impl Iterator<Item = &str> {
-    text.lines()
-        .map(|l| l.trim().trim_end_matches(','))
-        .filter(|l| l.starts_with("{\"") && l.ends_with('}'))
-}
-
-/// Pulls `"key": <number>` out of one row line. The files are written by
-/// [`write_json_rows`], so a full JSON parser is not needed — and the
-/// workspace takes no deps.
-pub fn json_field(row: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let rest = row[row.find(&pat)? + pat.len()..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// Formats microseconds as a human-readable duration cell.
@@ -130,7 +111,7 @@ mod tests {
     }
 
     #[test]
-    fn json_rows_write_what_the_readers_read() {
+    fn json_rows_are_one_object_per_line() {
         let text = json_rows("toy", &[(1u64, 2.5f64), (3, -4.0)], |(a, b)| {
             format!("\"a\": {a}, \"label\": \"x\", \"b\": {b:.1}")
         });
@@ -140,12 +121,6 @@ mod tests {
              {\"a\": 1, \"label\": \"x\", \"b\": 2.5},\n    \
              {\"a\": 3, \"label\": \"x\", \"b\": -4.0}\n  ]\n}\n"
         );
-        let rows: Vec<&str> = json_row_lines(&text).collect();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(json_field(rows[0], "a"), Some(1.0));
-        assert_eq!(json_field(rows[1], "b"), Some(-4.0));
-        assert_eq!(json_field(rows[0], "label"), None);
-        assert_eq!(json_field(rows[0], "missing"), None);
     }
 
     #[test]
