@@ -32,16 +32,17 @@ pub enum LwgEvent {
     },
 }
 
-/// The recorded upcall stream of an [`crate::LwgNode`]: a full in-order
-/// history plus a drain cursor, so applications consume events by
-/// subscription (`node.events().drain()`) instead of polling accessors.
+/// The recorded upcall stream of an [`crate::LwgNode`], in delivery order.
+/// Applications consume events by subscription (`node.events().drain()`)
+/// instead of polling accessors.
 ///
-/// Draining advances the cursor without discarding history —
-/// [`LwgEvents::history`] keeps serving assertions over the whole run.
+/// Draining hands the recorded events over and forgets them, so a node that
+/// drains holds only what arrived since; a node that never drains (every
+/// test and example) keeps the whole run, and [`LwgEvents::history`] and
+/// the filtering accessors serve assertions over it.
 #[derive(Debug, Default)]
 pub struct LwgEvents {
     log: Vec<LwgEvent>,
-    cursor: usize,
 }
 
 impl LwgEvents {
@@ -51,13 +52,11 @@ impl LwgEvents {
 
     /// Events recorded since the previous `drain` call, oldest first.
     pub fn drain(&mut self) -> Vec<LwgEvent> {
-        let new = self.log[self.cursor..].to_vec();
-        self.cursor = self.log.len();
-        new
+        std::mem::take(&mut self.log)
     }
 
-    /// Every event recorded over the node's lifetime, in delivery order
-    /// (including already-drained ones).
+    /// Every event recorded since the last `drain` (the node's lifetime if
+    /// it never drains), in delivery order.
     pub fn history(&self) -> &[LwgEvent] {
         &self.log
     }
@@ -121,7 +120,7 @@ mod tests {
     use plwg_sim::Frame;
 
     #[test]
-    fn drain_advances_cursor_but_keeps_history() {
+    fn drain_hands_events_over_and_forgets_them() {
         let mut evs = LwgEvents::default();
         evs.record(LwgEvent::Left { lwg: LwgId(1) });
         evs.record(LwgEvent::Data {
@@ -129,12 +128,31 @@ mod tests {
             src: NodeId(3),
             data: Frame::from_u64(7),
         });
+        assert_eq!(evs.data_from(LwgId(2), NodeId(3)), vec![7]);
         assert_eq!(evs.drain().len(), 2);
         assert!(evs.drain().is_empty());
+        // Drained events are gone from every accessor …
+        assert!(evs.history().is_empty());
+        assert!(evs.frames_from(LwgId(2), NodeId(3)).is_empty());
+        // … and later ones are kept until the next drain.
         evs.record(LwgEvent::Left { lwg: LwgId(2) });
+        assert_eq!(evs.lefts(), vec![LwgId(2)]);
+        assert_eq!(evs.history().len(), 1);
         assert_eq!(evs.drain().len(), 1);
-        assert_eq!(evs.history().len(), 3);
-        assert_eq!(evs.data_from(LwgId(2), NodeId(3)), vec![7]);
-        assert_eq!(evs.frames_from(LwgId(2), NodeId(3)).len(), 1);
+    }
+
+    #[test]
+    fn a_draining_node_holds_only_the_undrained_tail() {
+        let mut evs = LwgEvents::default();
+        for round in 0..10_000u64 {
+            evs.record(LwgEvent::Data {
+                lwg: LwgId(1),
+                src: NodeId(2),
+                data: Frame::from_u64(round),
+            });
+            assert!(evs.log.capacity() <= 8, "log grew across drains");
+            assert_eq!(evs.drain().len(), 1);
+        }
+        assert_eq!(evs.log.capacity(), 0);
     }
 }

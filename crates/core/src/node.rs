@@ -63,8 +63,9 @@ impl<S: HwgSubstrate> LwgNode<S> {
         &self.service
     }
 
-    /// The recorded upcall stream: `events().drain()` consumes the events
-    /// since the previous drain, `events().history()` keeps the full run.
+    /// The recorded upcall stream: `events().drain()` takes the events
+    /// since the previous drain, `events().history()` reads what has not
+    /// been drained (the full run, for a node that never drains).
     pub fn events(&mut self) -> &mut LwgEvents {
         &mut self.events
     }

@@ -549,27 +549,3 @@ impl<S: HwgSubstrate> std::fmt::Debug for LwgService<S> {
             .finish_non_exhaustive()
     }
 }
-
-/// The service is also a [`plwg_sim::Endpoint`], so
-/// `plwg_sim::Driver<LwgService<S>>` puts it on a simulated node without a
-/// hand-written [`plwg_sim::Process`] demux ([`crate::LwgNode`] remains the
-/// richer wrapper that additionally indexes the recorded upcalls).
-impl<S: HwgSubstrate> plwg_sim::Endpoint for LwgService<S> {
-    type Event = LwgEvent;
-
-    fn start(&mut self, ctx: &mut dyn Transport) {
-        LwgService::start(self, ctx);
-    }
-
-    fn handle_message(&mut self, ctx: &mut dyn Transport, from: NodeId, msg: &Payload) -> bool {
-        LwgService::on_message(self, ctx, from, msg)
-    }
-
-    fn handle_timer(&mut self, ctx: &mut dyn Transport, token: TimerToken) -> bool {
-        LwgService::on_timer(self, ctx, token)
-    }
-
-    fn drain(&mut self) -> Vec<LwgEvent> {
-        LwgService::drain_events(self)
-    }
-}

@@ -24,8 +24,9 @@
 //!   `NameServer`, or both. Its turn drains what has arrived, coalesces
 //!   what it sends per peer and flushes before it waits; a receive thread
 //!   does the one blocking socket read.
-//! * [`NetSubstrate`] — `VsyncStack` branded for real-network use, the
-//!   workspace's third [`HwgSubstrate`](plwg_hwg::HwgSubstrate).
+//! * [`NetSubstrate`] — the name deployments over this runtime use for
+//!   their [`HwgSubstrate`](plwg_hwg::HwgSubstrate): `VsyncStack` itself,
+//!   which never learns which `Transport` it is given.
 //! * [`harness`] — spawn child processes, exchange address books over
 //!   stdio, inject partitions with socket-level drop filters, and merge
 //!   the children's trace events for cross-process assertions.
@@ -56,11 +57,14 @@ mod msg;
 mod peer;
 mod runtime;
 mod rx;
-mod substrate;
 
 pub use clock::WallClock;
 pub use events::NetEvent;
 pub use msg::{net_frame, pack_datagram, unpack_datagram, NetMsg, DGRAM_BUDGET};
 pub use peer::{NetOptions, Offer, PeerPool, PeerState, PoolAction};
 pub use runtime::NetRuntime;
-pub use substrate::NetSubstrate;
+
+/// The HWG substrate of a real-socket deployment: the same
+/// [`plwg_vsync::VsyncStack`] the simulator runs, byte-identical wire
+/// frames, a [`NetRuntime`] as its [`plwg_sim::Transport`].
+pub type NetSubstrate = plwg_vsync::VsyncStack;

@@ -46,7 +46,6 @@
 #![warn(missing_docs)]
 
 mod config_error;
-mod driver;
 mod event;
 pub mod keys;
 mod metrics;
@@ -60,11 +59,9 @@ mod transport;
 mod world;
 
 pub use config_error::ConfigError;
-pub use driver::{Driver, Endpoint};
 pub use event::{EventQueue, QueuedEvent};
 pub use metrics::{
-    CounterKey, GaugeKey, Histogram, HistogramKey, HistogramSummary, MetricLabels, Metrics,
-    MetricsRegistry,
+    CounterKey, GaugeKey, Histogram, HistogramKey, HistogramSummary, MetricsRegistry,
 };
 pub use net::{DeliveryDecision, NetConfig};
 pub use node::{Context, NodeId, Payload, Process, TimerToken};

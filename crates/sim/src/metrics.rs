@@ -3,12 +3,10 @@
 //!
 //! Metrics are addressed by **typed keys** ([`CounterKey`], [`GaugeKey`],
 //! [`HistogramKey`]) — thin `'static`-string newtypes each protocol crate
-//! declares as constants in a `keys` module — optionally qualified by
-//! [`MetricLabels`] (per-node and per-LWG). The experiment harness reads
-//! the registry to regenerate the paper's figures: latency histograms,
-//! message counts, throughput, recovery times.
+//! declares as constants in a `keys` module. One series per key, world-wide:
+//! the experiment harness reads the registry to regenerate the paper's
+//! figures — latency histograms, message counts, throughput, recovery times.
 
-use crate::node::NodeId;
 use std::collections::BTreeMap;
 
 /// Typed name of a counter metric.
@@ -58,51 +56,6 @@ macro_rules! key_impls {
 key_impls!(CounterKey);
 key_impls!(GaugeKey);
 key_impls!(HistogramKey);
-
-/// Label set qualifying a metric sample.
-///
-/// The default (no labels) is the **global** series. Protocol code that
-/// wants per-node or per-group breakdowns records under a labelled series;
-/// unlabelled reads aggregate across every series of the key.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct MetricLabels {
-    /// The node the sample belongs to, if attributed.
-    pub node: Option<u32>,
-    /// The light-weight group the sample belongs to (raw `LwgId`), if any.
-    pub lwg: Option<u64>,
-}
-
-impl MetricLabels {
-    /// The unlabelled, world-global series.
-    pub const GLOBAL: MetricLabels = MetricLabels {
-        node: None,
-        lwg: None,
-    };
-
-    /// A per-node series.
-    pub fn node(node: NodeId) -> Self {
-        MetricLabels {
-            node: Some(node.0),
-            lwg: None,
-        }
-    }
-
-    /// A per-LWG series (pass the raw `LwgId` value).
-    pub fn lwg(lwg: u64) -> Self {
-        MetricLabels {
-            node: None,
-            lwg: Some(lwg),
-        }
-    }
-
-    /// A per-node, per-LWG series.
-    pub fn node_lwg(node: NodeId, lwg: u64) -> Self {
-        MetricLabels {
-            node: Some(node.0),
-            lwg: Some(lwg),
-        }
-    }
-}
 
 /// A set of values summarised by quantiles.
 #[derive(Debug, Clone, Default)]
@@ -184,35 +137,29 @@ impl Histogram {
     }
 }
 
-/// Backwards-compatible alias: the registry replaced the old `Metrics`
-/// sink, keeping its unlabelled API surface intact.
-pub type Metrics = MetricsRegistry;
-
 /// The world's metric sink: counters, gauges and histograms addressed by
-/// typed keys and optional [`MetricLabels`].
+/// typed keys.
 ///
 /// Key names are dotted strings (`"net.sent"`, `"lwg.switches"`); each
 /// crate exports its canonical keys in a `keys` module. `BTreeMap` keeps
 /// report output deterministically ordered.
 ///
 /// ```
-/// use plwg_sim::{CounterKey, MetricLabels, MetricsRegistry, NodeId};
+/// use plwg_sim::{CounterKey, MetricsRegistry};
 /// const NET_SENT: CounterKey = CounterKey::new("net.sent");
 ///
 /// let mut m = MetricsRegistry::new();
 /// m.incr(NET_SENT);
 /// m.add(NET_SENT, 2);
-/// m.incr_for(NET_SENT, MetricLabels::node(NodeId(3)));
 /// m.observe("latency_us", 1_500);
-/// assert_eq!(m.counter(NET_SENT), 4); // aggregated across labels
-/// assert_eq!(m.counter_for(NET_SENT, MetricLabels::node(NodeId(3))), 1);
+/// assert_eq!(m.counter(NET_SENT), 3);
 /// assert_eq!(m.histogram("latency_us").map(|h| h.summary().max), Some(1_500));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<(CounterKey, MetricLabels), u64>,
-    gauges: BTreeMap<(GaugeKey, MetricLabels), i64>,
-    histograms: BTreeMap<(HistogramKey, MetricLabels), Histogram>,
+    counters: BTreeMap<CounterKey, u64>,
+    gauges: BTreeMap<GaugeKey, i64>,
+    histograms: BTreeMap<HistogramKey, Histogram>,
 }
 
 impl MetricsRegistry {
@@ -223,137 +170,48 @@ impl MetricsRegistry {
 
     // -- counters ------------------------------------------------------
 
-    /// Adds 1 to the global series of counter `key`.
+    /// Adds 1 to counter `key`.
     pub fn incr(&mut self, key: impl Into<CounterKey>) {
         self.add(key, 1);
     }
 
-    /// Adds `delta` to the global series of counter `key`.
+    /// Adds `delta` to counter `key`.
     pub fn add(&mut self, key: impl Into<CounterKey>, delta: u64) {
-        self.add_for(key, MetricLabels::GLOBAL, delta);
+        *self.counters.entry(key.into()).or_insert(0) += delta;
     }
 
-    /// Adds 1 to the `labels` series of counter `key`.
-    pub fn incr_for(&mut self, key: impl Into<CounterKey>, labels: MetricLabels) {
-        self.add_for(key, labels, 1);
-    }
-
-    /// Adds `delta` to the `labels` series of counter `key`.
-    pub fn add_for(&mut self, key: impl Into<CounterKey>, labels: MetricLabels, delta: u64) {
-        *self.counters.entry((key.into(), labels)).or_insert(0) += delta;
-    }
-
-    /// Value of counter `key` summed across all label series (0 if never
-    /// touched).
+    /// Value of counter `key` (0 if never touched).
     pub fn counter(&self, key: impl Into<CounterKey>) -> u64 {
-        let key = key.into();
-        self.counters
-            .range((key, MetricLabels::default())..)
-            .take_while(|((k, _), _)| *k == key)
-            .map(|(_, &v)| v)
-            .sum()
+        self.counters.get(&key.into()).copied().unwrap_or(0)
     }
 
-    /// Value of one labelled series of counter `key` (0 if never touched).
-    pub fn counter_for(&self, key: impl Into<CounterKey>, labels: MetricLabels) -> u64 {
-        self.counters
-            .get(&(key.into(), labels))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// All counters aggregated by key name, sorted.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
-        let mut agg: BTreeMap<&'static str, u64> = BTreeMap::new();
-        for ((k, _), &v) in &self.counters {
-            *agg.entry(k.name()).or_insert(0) += v;
-        }
-        agg.into_iter()
-    }
-
-    /// Every labelled counter series, sorted by (key, labels).
-    pub fn counters_labeled(&self) -> impl Iterator<Item = (CounterKey, MetricLabels, u64)> + '_ {
-        self.counters.iter().map(|(&(k, l), &v)| (k, l, v))
+    /// All counters by key name, sorted.
+    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        self.counters.iter().map(|(k, &v)| (k.name(), v))
     }
 
     // -- gauges --------------------------------------------------------
 
-    /// Sets the global series of gauge `key`.
+    /// Sets gauge `key`.
     pub fn set_gauge(&mut self, key: impl Into<GaugeKey>, value: i64) {
-        self.set_gauge_for(key, MetricLabels::GLOBAL, value);
+        self.gauges.insert(key.into(), value);
     }
 
-    /// Sets the `labels` series of gauge `key`.
-    pub fn set_gauge_for(&mut self, key: impl Into<GaugeKey>, labels: MetricLabels, value: i64) {
-        self.gauges.insert((key.into(), labels), value);
-    }
-
-    /// The global series of gauge `key`, if ever set.
+    /// Gauge `key`, if ever set.
     pub fn gauge(&self, key: impl Into<GaugeKey>) -> Option<i64> {
-        self.gauge_for(key, MetricLabels::GLOBAL)
-    }
-
-    /// One labelled series of gauge `key`, if ever set.
-    pub fn gauge_for(&self, key: impl Into<GaugeKey>, labels: MetricLabels) -> Option<i64> {
-        self.gauges.get(&(key.into(), labels)).copied()
-    }
-
-    /// Every labelled gauge series, sorted by (key, labels).
-    pub fn gauges_labeled(&self) -> impl Iterator<Item = (GaugeKey, MetricLabels, i64)> + '_ {
-        self.gauges.iter().map(|(&(k, l), &v)| (k, l, v))
+        self.gauges.get(&key.into()).copied()
     }
 
     // -- histograms ----------------------------------------------------
 
-    /// Records `value` into the global series of histogram `key`.
+    /// Records `value` into histogram `key`.
     pub fn observe(&mut self, key: impl Into<HistogramKey>, value: u64) {
-        self.observe_for(key, MetricLabels::GLOBAL, value);
+        self.histograms.entry(key.into()).or_default().record(value);
     }
 
-    /// Records `value` into the `labels` series of histogram `key`.
-    pub fn observe_for(&mut self, key: impl Into<HistogramKey>, labels: MetricLabels, value: u64) {
-        self.histograms
-            .entry((key.into(), labels))
-            .or_default()
-            .record(value);
-    }
-
-    /// The histogram `key` merged across all label series, if any sample
-    /// was recorded.
-    pub fn histogram(&self, key: impl Into<HistogramKey>) -> Option<Histogram> {
-        let key = key.into();
-        let mut merged: Option<Histogram> = None;
-        for ((k, _), h) in self
-            .histograms
-            .range((key, MetricLabels::default())..)
-            .take_while(|((k, _), _)| *k == key)
-        {
-            debug_assert_eq!(*k, key);
-            let m = merged.get_or_insert_with(Histogram::default);
-            for v in h.iter() {
-                m.record(v);
-            }
-        }
-        merged
-    }
-
-    /// One labelled series of histogram `key`, if any sample was recorded.
-    pub fn histogram_for(
-        &self,
-        key: impl Into<HistogramKey>,
-        labels: MetricLabels,
-    ) -> Option<&Histogram> {
-        self.histograms.get(&(key.into(), labels))
-    }
-
-    /// All histogram key names, sorted and de-duplicated.
-    pub fn histogram_names(&self) -> impl Iterator<Item = &'static str> {
-        let names: BTreeMap<&'static str, ()> = self
-            .histograms
-            .keys()
-            .map(|(k, _)| (k.name(), ()))
-            .collect();
-        names.into_keys()
+    /// Histogram `key`, if any sample was recorded.
+    pub fn histogram(&self, key: impl Into<HistogramKey>) -> Option<&Histogram> {
+        self.histograms.get(&key.into())
     }
 
     // -- lifecycle -----------------------------------------------------
@@ -365,23 +223,6 @@ impl MetricsRegistry {
         self.counters.clear();
         self.gauges.clear();
         self.histograms.clear();
-    }
-
-    /// Merges `other` into `self` (counters add, gauges overwrite,
-    /// histograms concatenate), series by series. Used when aggregating
-    /// repeated trials of one experiment.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (&(k, l), &v) in &other.counters {
-            self.add_for(k, l, v);
-        }
-        for (&(k, l), &v) in &other.gauges {
-            self.set_gauge_for(k, l, v);
-        }
-        for (&(k, l), h) in &other.histograms {
-            for v in h.iter() {
-                self.observe_for(k, l, v);
-            }
-        }
     }
 }
 
@@ -399,31 +240,12 @@ mod tests {
     }
 
     #[test]
-    fn labelled_counters_aggregate_on_global_read() {
-        let mut m = MetricsRegistry::new();
-        m.incr("a");
-        m.incr_for("a", MetricLabels::node(NodeId(1)));
-        m.add_for("a", MetricLabels::node_lwg(NodeId(1), 7), 3);
-        assert_eq!(m.counter("a"), 5);
-        assert_eq!(m.counter_for("a", MetricLabels::node(NodeId(1))), 1);
-        assert_eq!(m.counter_for("a", MetricLabels::GLOBAL), 1);
-        assert_eq!(m.counter_for("a", MetricLabels::lwg(7)), 0);
-        let series: Vec<_> = m.counters_labeled().collect();
-        assert_eq!(series.len(), 3);
-        let agg: Vec<_> = m.counters().collect();
-        assert_eq!(agg, vec![("a", 5)]);
-    }
-
-    #[test]
     fn gauges_overwrite() {
         let mut m = MetricsRegistry::new();
         assert_eq!(m.gauge("g"), None);
         m.set_gauge("g", 5);
         m.set_gauge("g", -2);
         assert_eq!(m.gauge("g"), Some(-2));
-        m.set_gauge_for("g", MetricLabels::lwg(1), 9);
-        assert_eq!(m.gauge_for("g", MetricLabels::lwg(1)), Some(9));
-        assert_eq!(m.gauges_labeled().count(), 2);
     }
 
     #[test]
@@ -476,43 +298,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_combines_all_kinds() {
-        let mut a = MetricsRegistry::new();
-        a.add("c", 2);
-        a.observe("h", 10);
-        a.set_gauge("g", 1);
-        let mut b = MetricsRegistry::new();
-        b.add("c", 3);
-        b.observe("h", 20);
-        b.observe_for("h", MetricLabels::node(NodeId(2)), 30);
-        b.set_gauge("g", 7);
-        a.merge(&b);
-        assert_eq!(a.counter("c"), 5);
-        assert_eq!(a.histogram("h").map(|h| h.count()), Some(3));
-        assert_eq!(
-            a.histogram_for("h", MetricLabels::GLOBAL)
-                .map(Histogram::count),
-            Some(2)
-        );
-        assert_eq!(a.gauge("g"), Some(7));
-    }
-
-    #[test]
     fn counters_iteration_is_sorted() {
         let mut m = MetricsRegistry::new();
         m.incr("z");
         m.incr("a");
         let names: Vec<&str> = m.counters().map(|(k, _)| k).collect();
         assert_eq!(names, vec!["a", "z"]);
-    }
-
-    #[test]
-    fn histogram_names_deduplicate_across_labels() {
-        let mut m = MetricsRegistry::new();
-        m.observe("h", 1);
-        m.observe_for("h", MetricLabels::lwg(4), 2);
-        m.observe("b", 3);
-        let names: Vec<&str> = m.histogram_names().collect();
-        assert_eq!(names, vec!["b", "h"]);
     }
 }

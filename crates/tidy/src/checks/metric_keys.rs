@@ -26,21 +26,14 @@ const KEY_TYPES: [&str; 3] = ["CounterKey", "GaugeKey", "HistogramKey"];
 
 /// Metrics-registry methods that accept `impl Into<…Key>` (so a bare
 /// `&'static str` literal would silently mint an undeclared key).
-const KEYED_CALLS: [&str; 14] = [
+const KEYED_CALLS: [&str; 7] = [
     ".incr(",
-    ".incr_for(",
     ".add(",
-    ".add_for(",
     ".counter(",
-    ".counter_for(",
     ".set_gauge(",
-    ".set_gauge_for(",
     ".gauge(",
-    ".gauge_for(",
     ".observe(",
-    ".observe_for(",
     ".histogram(",
-    ".histogram_for(",
 ];
 
 pub fn run(ws: &Workspace, out: &mut Vec<Diagnostic>) {

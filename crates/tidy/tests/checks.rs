@@ -3,10 +3,11 @@
 //! The fixture mini-workspace under `tests/fixtures/ws/` seeds at least
 //! one violation of every check category *and* one `tidy-allow`-silenced
 //! variant of each, so these tests prove both directions: every check
-//! fires at the exact file:line it should, and every annotation form
-//! (line-scope, file-scope, manifest `#`-comment) is honoured. The final
-//! test runs the real workspace through the same pass and requires it
-//! clean — the invariant CI enforces.
+//! fires at the exact file:line it should, and the line-scope and
+//! manifest `#`-comment annotation forms are honoured. The final test runs
+//! the real workspace through the same pass and requires it clean — the
+//! invariant CI enforces, and the one place a file-scope annotation
+//! (`net/src/clock.rs`) is honoured; the module-size budget takes none.
 
 use std::path::{Path, PathBuf};
 
@@ -113,11 +114,6 @@ fn allow_annotations_are_honoured() {
             "tidy-allow at {rel}:{line} was not honoured"
         );
     }
-    // The file-scope allow silences the whole over-budget module.
-    assert!(
-        !diags.iter().any(|d| d.rel.ends_with("big_allowed.rs")),
-        "tidy-allow-file(module-size) was not honoured"
-    );
 }
 
 /// The gate CI relies on: the real workspace passes its own tidy.

@@ -117,7 +117,7 @@ impl VsyncStack {
     /// and sent in the next view. Silently ignored if not a member.
     pub fn send(&mut self, ctx: &mut dyn Transport, hwg: HwgId, data: Payload) {
         if let Some(ep) = self.groups.get_mut(&hwg) {
-            ep.send_payload(ctx, data, &mut self.events);
+            ep.send_payload(ctx, None, data, &mut self.events);
         }
     }
 
@@ -137,7 +137,7 @@ impl VsyncStack {
         data: Payload,
     ) {
         if let Some(ep) = self.groups.get_mut(&hwg) {
-            ep.send_payload_to(ctx, targets, data, &mut self.events);
+            ep.send_payload(ctx, Some(targets), data, &mut self.events);
         }
     }
 
@@ -235,12 +235,8 @@ impl VsyncStack {
         }
         match vs {
             VsMsg::Heartbeat => {}
-            VsMsg::JoinProbe { hwg } => {
-                if let Some(ep) = self.groups.get_mut(hwg) {
-                    ep.on_msg(ctx, from, vs, &self.fd, &self.cfg, &mut self.events);
-                }
-            }
-            VsMsg::JoinOffer { hwg, .. }
+            VsMsg::JoinProbe { hwg }
+            | VsMsg::JoinOffer { hwg, .. }
             | VsMsg::JoinReq { hwg }
             | VsMsg::LeaveReq { hwg }
             | VsMsg::Data { hwg, .. }

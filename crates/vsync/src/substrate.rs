@@ -92,26 +92,3 @@ impl HwgSubstrate for VsyncStack {
         VsyncStack::drain_events_into(self, out);
     }
 }
-
-/// The stack is also a [`plwg_sim::Endpoint`]: `plwg_sim::Driver<VsyncStack>`
-/// puts plain partitionable virtual synchrony on a simulated node with no
-/// hand-written [`plwg_sim::Process`] demux.
-impl plwg_sim::Endpoint for VsyncStack {
-    type Event = VsEvent;
-
-    fn start(&mut self, ctx: &mut dyn Transport) {
-        VsyncStack::start(self, ctx);
-    }
-
-    fn handle_message(&mut self, ctx: &mut dyn Transport, from: NodeId, msg: &Payload) -> bool {
-        VsyncStack::on_message(self, ctx, from, msg)
-    }
-
-    fn handle_timer(&mut self, ctx: &mut dyn Transport, token: TimerToken) -> bool {
-        VsyncStack::on_timer(self, ctx, token)
-    }
-
-    fn drain(&mut self) -> Vec<VsEvent> {
-        VsyncStack::drain_events(self)
-    }
-}

@@ -9,6 +9,7 @@ use plwg_vsync::{
     FlushId, FlushPurpose, GroupStatus, HwgId, View, VsEvent, VsMsg, VsyncConfig, VsyncStack,
 };
 use std::any::Any;
+use std::collections::BTreeSet;
 
 /// Test payload: a bare 8-byte little-endian integer frame.
 fn payload(v: u64) -> Payload {
@@ -757,4 +758,94 @@ fn volume_triggered_stability_bounds_the_store_under_a_burst() {
         high_water < 10 * 1024,
         "store reached {high_water} messages"
     );
+}
+
+/// What one [`ten_sends`] run left behind, per node in node order.
+#[derive(Debug, PartialEq)]
+struct SendRun {
+    /// `VsEvent::Data` upcalls.
+    delivered: Vec<Vec<(HwgId, NodeId, u64)>>,
+    /// `retransmit_buffer_len` once the sends have arrived.
+    stored: Vec<usize>,
+    /// The view a `force_flush` after the sends installs.
+    flushed_view: View,
+    /// `hwg.data_sent`, `hwg.bytes_multicast`, `hwg.subset_trimmed`.
+    counters: [u64; 3],
+}
+
+/// The same seeded 4-member world every time: node 1 multicasts ten
+/// messages — with `send`, or with `send_to(targets)` when given — and the
+/// coordinator then forces a flush.
+fn ten_sends(targets: Option<&[u32]>) -> SendRun {
+    let (mut w, nodes) = world_with(4, 31);
+    bring_up(&mut w, &nodes);
+    let before = assert_common_view(&mut w, &nodes, 4);
+    let targets: Option<BTreeSet<NodeId>> = targets.map(|t| t.iter().map(|&i| NodeId(i)).collect());
+    w.metrics_mut().reset();
+    w.invoke(nodes[1], move |a: &mut App, ctx| {
+        for i in 0..10u64 {
+            match &targets {
+                None => a.stack.send(ctx, G, payload(i)),
+                Some(t) => a.stack.send_to(ctx, G, t, payload(i)),
+            }
+        }
+    });
+    w.run_for(SimDuration::from_millis(100));
+    let stored = nodes
+        .iter()
+        .map(|&n| w.inspect(n, |a: &App| a.stack.retransmit_buffer_len(G)))
+        .collect();
+    let counters = [
+        plwg_vsync::keys::DATA_SENT,
+        plwg_vsync::keys::BYTES_MULTICAST,
+        plwg_vsync::keys::SUBSET_TRIMMED,
+    ]
+    .map(|k| w.metrics().counter(k));
+    w.invoke(nodes[0], |a: &mut App, ctx| a.stack.force_flush(ctx, G));
+    w.run_for(secs(2));
+    let flushed_view = assert_common_view(&mut w, &nodes, 4);
+    assert_eq!(flushed_view.predecessors, vec![before.id], "flush ran");
+    SendRun {
+        delivered: nodes
+            .iter()
+            .map(|&n| w.inspect(n, |a: &App| a.delivered.clone()))
+            .collect(),
+        stored,
+        flushed_view,
+        counters,
+    }
+}
+
+/// `send` and `send_to` are one path: addressing every member is a full
+/// multicast — same deliveries, same counters, nothing trimmed.
+#[test]
+fn send_to_every_member_is_a_full_send() {
+    let full = ten_sends(None);
+    assert_eq!(full.counters, [10, 80, 0]);
+    let ten: Vec<_> = (0..10).map(|i| (G, NodeId(1), i)).collect();
+    assert_eq!(full.delivered, vec![ten; 4]);
+    assert_eq!(ten_sends(Some(&[0, 1, 2, 3])), full);
+}
+
+/// A subset send delivers to the targets and the sender only, yet every
+/// other member's FIFO slot is held by a skip marker: its retransmission
+/// store and the view the next flush agrees on are those of a full send.
+#[test]
+fn send_to_a_subset_holds_every_fifo_slot() {
+    let full = ten_sends(None);
+    let subset = ten_sends(Some(&[2]));
+    let ten: Vec<_> = (0..10).map(|i| (G, NodeId(1), i)).collect();
+    assert_eq!(
+        subset.delivered,
+        vec![vec![], ten.clone(), ten, vec![]],
+        "payloads reach the sender and the target only"
+    );
+    assert_eq!(
+        subset.counters,
+        [10, 80, 20],
+        "two members trimmed per send"
+    );
+    assert_eq!(full.stored, vec![10; 4], "nothing stable yet");
+    assert_eq!(subset.stored, full.stored);
+    assert_eq!(subset.flushed_view, full.flushed_view);
 }

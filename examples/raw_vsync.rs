@@ -2,22 +2,47 @@
 //! want plain partitionable virtual synchrony without the light-weight
 //! multiplexing on top.
 //!
-//! The stack is a [`plwg::sim::Endpoint`], so [`plwg::sim::Driver`]
-//! provides the node plumbing; no hand-written `Process` impl needed.
+//! The stack is a passive component: the node that owns it is a
+//! [`Process`] that forwards messages and timers and drains the upcalls.
 //!
 //! Run with: `cargo run --example raw_vsync`
 
 use plwg::prelude::*;
-use plwg::sim::Driver;
+use plwg::sim::{TimerToken, Transport};
 use plwg::vsync::HwgId;
 
 const GROUP: HwgId = HwgId(42);
 
-/// A chat node is just the driven stack.
-type ChatNode = Driver<VsyncStack>;
+/// A chat node: the stack plus the upcalls it has made so far.
+struct ChatNode {
+    stack: VsyncStack,
+    events: Vec<VsEvent>,
+}
 
 fn chat_node(me: NodeId) -> Box<ChatNode> {
-    Box::new(Driver::new(VsyncStack::new(me, VsyncConfig::default())))
+    Box::new(ChatNode {
+        stack: VsyncStack::new(me, VsyncConfig::default()),
+        events: Vec::new(),
+    })
+}
+
+impl Process for ChatNode {
+    fn on_start(&mut self, ctx: &mut dyn Transport) {
+        self.stack.start(ctx);
+    }
+    fn on_message(&mut self, ctx: &mut dyn Transport, from: NodeId, msg: Payload) {
+        if self.stack.on_message(ctx, from, &msg) {
+            self.events.extend(self.stack.drain_events());
+        }
+    }
+    fn on_timer(&mut self, ctx: &mut dyn Transport, token: TimerToken) {
+        if self.stack.on_timer(ctx, token) {
+            self.events.extend(self.stack.drain_events());
+        }
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
 }
 
 /// Renders the recorded upcalls as chat-log lines.
@@ -51,17 +76,15 @@ fn main() {
         .collect();
 
     // First node creates the group; the rest rendezvous via probes.
-    world.invoke(nodes[0], |c: &mut ChatNode, ctx| {
-        c.endpoint_mut().create(ctx, GROUP)
-    });
+    world.invoke(nodes[0], |c: &mut ChatNode, ctx| c.stack.create(ctx, GROUP));
     for (i, &n) in nodes[1..].iter().enumerate() {
         world.invoke_at(at(1 + i as u64), n, |c: &mut ChatNode, ctx| {
-            c.endpoint_mut().join(ctx, GROUP)
+            c.stack.join(ctx, GROUP)
         });
     }
     world.run_until(at(8));
     world.invoke(nodes[1], |c: &mut ChatNode, ctx| {
-        c.endpoint_mut()
+        c.stack
             .send(ctx, GROUP, text("hello, virtually synchronous world"));
     });
     world.run_until(at(9));
@@ -73,22 +96,22 @@ fn main() {
     );
     world.run_until(at(16));
     world.invoke(nodes[0], |c: &mut ChatNode, ctx| {
-        c.endpoint_mut().send(ctx, GROUP, text("anyone there?"));
+        c.stack.send(ctx, GROUP, text("anyone there?"));
     });
     world.invoke(nodes[3], |c: &mut ChatNode, ctx| {
-        c.endpoint_mut().send(ctx, GROUP, text("our side is fine"));
+        c.stack.send(ctx, GROUP, text("our side is fine"));
     });
     world.heal_at(at(18));
     world.run_until(at(30));
 
     for &n in &nodes {
         println!("--- {n} ---");
-        let log = world.inspect(n, |c: &ChatNode| render(c.events()));
+        let log = world.inspect(n, |c: &ChatNode| render(&c.events));
         for line in log {
             println!("  {line}");
         }
         let final_view = world.inspect(n, |c: &ChatNode| {
-            c.endpoint().view_of(GROUP).cloned().expect("view")
+            c.stack.view_of(GROUP).cloned().expect("view")
         });
         assert_eq!(final_view.len(), 4, "merged back to 4: {final_view}");
     }
