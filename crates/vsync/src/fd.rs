@@ -24,7 +24,7 @@ pub enum FdEvent {
 /// Heartbeat-based failure detector over an explicitly watched peer set.
 #[derive(Debug, Default)]
 pub struct FailureDetector {
-    /// watched peer → (last time heard, currently suspected, watch count).
+    /// watched peer → (last time heard, currently suspected).
     peers: BTreeMap<NodeId, PeerState>,
 }
 
@@ -32,8 +32,6 @@ pub struct FailureDetector {
 struct PeerState {
     last_heard: SimTime,
     suspected: bool,
-    /// Number of watch registrations (groups sharing the detector).
-    refs: u32,
 }
 
 impl FailureDetector {
@@ -42,28 +40,20 @@ impl FailureDetector {
         Self::default()
     }
 
-    /// Starts (or ref-counts) watching `peer`. A freshly watched peer is
-    /// treated as heard-from `now`, so it has a full timeout to speak.
+    /// Starts watching `peer`; a no-op if it is already watched (the stack
+    /// keeps one watch per peer however many groups share it). A freshly
+    /// watched peer is treated as heard-from `now`, so it has a full
+    /// timeout to speak.
     pub fn watch(&mut self, peer: NodeId, now: SimTime) {
-        self.peers
-            .entry(peer)
-            .and_modify(|s| s.refs += 1)
-            .or_insert(PeerState {
-                last_heard: now,
-                suspected: false,
-                refs: 1,
-            });
+        self.peers.entry(peer).or_insert(PeerState {
+            last_heard: now,
+            suspected: false,
+        });
     }
 
-    /// Drops one watch registration of `peer`; stops monitoring when the
-    /// count reaches zero.
-    pub fn unwatch(&mut self, peer: NodeId) {
-        if let Some(s) = self.peers.get_mut(&peer) {
-            s.refs -= 1;
-            if s.refs == 0 {
-                self.peers.remove(&peer);
-            }
-        }
+    /// Stops monitoring every peer `keep` rejects.
+    pub fn retain(&mut self, mut keep: impl FnMut(NodeId) -> bool) {
+        self.peers.retain(|&peer, _| keep(peer));
     }
 
     /// Records evidence of life from `peer` (a heartbeat or any protocol
@@ -147,13 +137,14 @@ mod tests {
     }
 
     #[test]
-    fn refcounted_watch() {
+    fn watch_is_idempotent_and_keeps_the_first_deadline() {
         let mut fd = FailureDetector::new();
         fd.watch(NodeId(1), t(0));
-        fd.watch(NodeId(1), t(0));
-        fd.unwatch(NodeId(1));
+        // Watching again neither counts twice nor grants a fresh timeout.
+        fd.watch(NodeId(1), t(400));
         assert_eq!(fd.watched().count(), 1);
-        fd.unwatch(NodeId(1));
+        assert_eq!(fd.check(t(600), TO), vec![FdEvent::Suspect(NodeId(1))]);
+        fd.retain(|p| p != NodeId(1));
         assert_eq!(fd.watched().count(), 0);
         // Unwatched peers never generate events.
         assert!(fd.check(t(10_000), TO).is_empty());

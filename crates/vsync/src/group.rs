@@ -23,6 +23,7 @@ mod data;
 mod flush;
 mod merge;
 
+use self::data::SenderStream;
 use crate::fd::FailureDetector;
 use crate::msg::{FlushId, FlushPurpose, Slot, VsMsg};
 use crate::wire;
@@ -95,18 +96,13 @@ pub(crate) struct GroupEndpoint {
 
     // --- data plane (valid while `view` is Some) ---
     send_seq: u64,
-    /// Next expected FIFO seq per sender.
-    expected: BTreeMap<NodeId, u64>,
+    /// Per sender: the next expected FIFO seq and the delivered messages of
+    /// the current view kept to serve retransmissions.
+    streams: BTreeMap<NodeId, SenderStream>,
     /// Received but not yet deliverable (gap or freeze).
     holdback: BTreeMap<(NodeId, u64), Slot>,
-    /// Delivered messages of the current view, kept to serve retransmissions.
-    store: BTreeMap<(NodeId, u64), Slot>,
     /// Application sends buffered while a flush is in progress.
     pending_send: Vec<Payload>,
-    /// `(sender, seq)` slots this endpoint holds only as subset-delivery
-    /// skip markers (the real payload was addressed elsewhere). Advertised
-    /// as `thin` in flush digests so pulls prefer real holders.
-    thin_held: BTreeSet<(NodeId, u64)>,
 
     // --- member-side flush ---
     flush: Option<MemberFlush>,
@@ -176,11 +172,9 @@ impl GroupEndpoint {
             view: None,
             history: BTreeSet::new(),
             send_seq: 0,
-            expected: BTreeMap::new(),
+            streams: BTreeMap::new(),
             holdback: BTreeMap::new(),
-            store: BTreeMap::new(),
             pending_send: Vec::new(),
-            thin_held: BTreeSet::new(),
             flush: None,
             pending_joins: BTreeSet::new(),
             pending_leaves: BTreeSet::new(),
@@ -231,7 +225,7 @@ impl GroupEndpoint {
     /// The next FIFO seq this endpoint will deliver from `sender` (seqs
     /// start at 1 in every view).
     fn next_expected(&self, sender: NodeId) -> u64 {
-        self.expected.get(&sender).copied().unwrap_or(1)
+        self.streams.get(&sender).map_or(1, |s| s.next)
     }
 
     /// Whether new message delivery is currently frozen (digest reported,
@@ -520,10 +514,9 @@ impl GroupEndpoint {
         self.gap_since.clear();
         self.stable_info.clear();
         self.send_seq = 0;
-        self.expected = view.members.iter().map(|&m| (m, 1)).collect();
+        let fresh = |&m| (m, SenderStream::default());
+        self.streams = view.members.iter().map(fresh).collect();
         self.holdback.clear();
-        self.store.clear();
-        self.thin_held.clear();
         self.flush = None;
         self.running = None;
         self.merge = None;

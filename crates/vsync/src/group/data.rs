@@ -8,7 +8,7 @@ use crate::wire;
 use crate::{GroupStatus, VsEvent};
 use plwg_hwg::{keys, HwgTraceEvent, ViewId};
 use plwg_sim::{NodeId, Payload, SimDuration, SimTime, Transport, TransportExt};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::Bound::{Excluded, Unbounded};
 
 /// NACK watchdog: how long a FIFO gap may sit in the hold-back queue before
@@ -25,6 +25,52 @@ const STABILITY_INTERVAL: SimDuration = SimDuration::from_secs(2);
 /// whatever the rate. Large enough that view-change control traffic never
 /// reaches it.
 const STABILITY_VOLUME: usize = 1024;
+
+/// One sender's FIFO stream in the current view: where delivery stands and
+/// the delivered tail still kept for retransmission. Delivery appends to
+/// the ring and the stability exchange pops its stable prefix, so both cost
+/// what they move, whatever the store holds.
+#[derive(Debug)]
+pub(super) struct SenderStream {
+    /// Next FIFO seq to deliver (seqs start at 1 in every view).
+    pub(super) next: u64,
+    /// Delivered slots `next - stored.len() .. next`, oldest first. A slot
+    /// delivered as a subset-delivery marker stays [`Slot::Skip`] here (the
+    /// real payload was addressed elsewhere); flush digests advertise those
+    /// as `thin` so pulls prefer real holders.
+    stored: VecDeque<Slot>,
+}
+
+impl Default for SenderStream {
+    fn default() -> Self {
+        SenderStream {
+            next: 1,
+            stored: VecDeque::new(),
+        }
+    }
+}
+
+impl SenderStream {
+    /// Seq of the oldest stored slot (`next` when nothing is stored).
+    fn oldest(&self) -> u64 {
+        self.next - self.stored.len() as u64
+    }
+
+    /// Position of `seq` in `stored`; past its end for a seq not delivered
+    /// yet, `None` for one already collected.
+    fn index_of(&self, seq: u64) -> Option<usize> {
+        usize::try_from(seq.checked_sub(self.oldest())?).ok()
+    }
+
+    /// Drops the stored slots up to and including seq `stable`; returns how
+    /// many went.
+    fn drop_through(&mut self, stable: u64) -> usize {
+        let upto = self.index_of(stable.saturating_add(1)).unwrap_or(0);
+        let n = upto.min(self.stored.len());
+        self.stored.drain(..n);
+        n
+    }
+}
 
 impl GroupEndpoint {
     /// Sends a virtually-synchronous multicast, to the whole view or — with
@@ -95,8 +141,7 @@ impl GroupEndpoint {
             ctx.metrics().add(keys::SUBSET_TRIMMED, trimmed);
         }
         // Synchronous self-delivery.
-        self.holdback.insert((self.me, seq), Slot::Full(data));
-        self.try_drain(ctx, events);
+        self.accept(ctx, self.me, seq, Slot::Full(data), events);
     }
 
     pub(super) fn on_data(
@@ -115,60 +160,60 @@ impl GroupEndpoint {
             ctx.metrics().incr(keys::DATA_FOREIGN_VIEW);
             return;
         }
-        if seq < self.next_expected(sender) || self.store.contains_key(&(sender, seq)) {
+        if seq < self.next_expected(sender) {
             ctx.metrics().incr(keys::DATA_DUP);
             return;
         }
-        self.holdback.insert((sender, seq), data);
-        self.try_drain(ctx, events);
-        self.check_flush_target_reached(ctx);
+        self.accept(ctx, sender, seq, data, events);
+    }
+
+    /// Takes in a slot of the current view that is not a duplicate. The
+    /// steady state — no flush running, nothing held back, `seq` the next
+    /// of its sender — is delivered on the spot; anything else waits in the
+    /// hold-back queue for [`Self::try_drain`], which delivers through the
+    /// same [`Self::deliver`] step.
+    pub(super) fn accept(
+        &mut self,
+        ctx: &mut dyn Transport,
+        sender: NodeId,
+        seq: u64,
+        slot: Slot,
+        events: &mut Vec<VsEvent>,
+    ) {
+        if self.flush.is_none() && self.holdback.is_empty() && seq == self.next_expected(sender) {
+            self.deliver(ctx, sender, seq, slot, events);
+            self.advertise_on_volume(ctx);
+        } else {
+            self.holdback.insert((sender, seq), slot);
+            self.try_drain(ctx, events);
+            self.check_flush_target_reached(ctx);
+        }
     }
 
     /// Delivers from the hold-back queue every message that is in FIFO
     /// order and allowed by the current flush phase.
     pub(super) fn try_drain(&mut self, ctx: &mut dyn Transport, events: &mut Vec<VsEvent>) {
-        if self.delivery_frozen() {
+        if self.delivery_frozen() || self.view.is_none() {
             return;
         }
-        let Some(view) = &self.view else { return };
-        let view_id = view.id;
-        let target = self.flush.as_ref().and_then(|f| f.target.clone());
         // Senders in ascending order; for each, the run of consecutive
         // messages starting at its next expected seq.
         let mut cursor = self.holdback.keys().next().map(|&(sender, _)| sender);
         while let Some(sender) = cursor {
+            // During the fill phase deliver only up to the agreed target.
+            let limit = match self.flush.as_ref().and_then(|f| f.target.as_ref()) {
+                Some(target) => target.get(&sender).copied().unwrap_or(0),
+                None => u64::MAX,
+            };
             loop {
                 let next = self.next_expected(sender);
-                // During the fill phase deliver only up to the agreed target.
-                if let Some(t) = &target {
-                    if next > t.get(&sender).copied().unwrap_or(0) {
-                        break;
-                    }
+                if next > limit {
+                    break;
                 }
                 let Some(slot) = self.holdback.remove(&(sender, next)) else {
                     break;
                 };
-                self.expected.insert(sender, next + 1);
-                self.store.insert((sender, next), slot.clone());
-                self.stored_since_advert += 1;
-                match slot {
-                    Slot::Skip => {
-                        // Subset-delivery marker: the slot is consumed
-                        // (so FIFO, stability and flush digests advance)
-                        // but nothing is delivered to the layer above.
-                        self.thin_held.insert((sender, next));
-                        ctx.metrics().incr(keys::SUBSET_SKIPPED);
-                    }
-                    Slot::Full(data) => {
-                        ctx.metrics().incr(keys::DATA_DELIVERED);
-                        events.push(VsEvent::Data {
-                            hwg: self.hwg,
-                            view_id,
-                            src: sender,
-                            data,
-                        });
-                    }
-                }
+                self.deliver(ctx, sender, next, slot, events);
             }
             cursor = self
                 .holdback
@@ -176,8 +221,50 @@ impl GroupEndpoint {
                 .next()
                 .map(|(&(next_sender, _), _)| next_sender);
         }
-        // Every delivery — own sends included — stores its message just
-        // above, so this one check bounds the store on all of them.
+        self.advertise_on_volume(ctx);
+    }
+
+    /// The one delivery step: `seq` is the next slot of `sender`'s stream.
+    /// Advances the stream, keeps the slot for retransmission and hands a
+    /// real payload to the layer above.
+    fn deliver(
+        &mut self,
+        ctx: &mut dyn Transport,
+        sender: NodeId,
+        seq: u64,
+        slot: Slot,
+        events: &mut Vec<VsEvent>,
+    ) {
+        let view = self.view.as_ref().expect("delivery needs a view");
+        let stream = self.streams.entry(sender).or_default();
+        stream.next = seq + 1;
+        // Alone in the view there is nobody to retransmit to: the message
+        // is stable on delivery.
+        if view.len() > 1 {
+            stream.stored.push_back(slot.clone());
+            self.stored_since_advert += 1;
+        }
+        match slot {
+            // Subset-delivery marker: the slot is consumed (so FIFO,
+            // stability and flush digests advance) but nothing is delivered
+            // to the layer above.
+            Slot::Skip => ctx.metrics().incr(keys::SUBSET_SKIPPED),
+            Slot::Full(data) => {
+                ctx.metrics().incr(keys::DATA_DELIVERED);
+                events.push(VsEvent::Data {
+                    hwg: self.hwg,
+                    view_id: view.id,
+                    src: sender,
+                    data,
+                });
+            }
+        }
+    }
+
+    /// Volume trigger of the stability exchange. Every delivery — own sends
+    /// included — goes through [`Self::deliver`], so this one check bounds
+    /// the store on all of them.
+    fn advertise_on_volume(&mut self, ctx: &mut dyn Transport) {
         if self.stored_since_advert >= STABILITY_VOLUME {
             self.advertise_stability(ctx);
         }
@@ -251,7 +338,7 @@ impl GroupEndpoint {
         for &seq in missing {
             // A sender's own store always holds the real payload (never a
             // skip marker), so resends serve the full message.
-            if let Some(slot) = self.store.get(&(sender, seq)) {
+            if let Some(slot) = self.stored(sender, seq) {
                 ctx.metrics().incr(keys::NACK_RESENDS);
                 ctx.send(
                     from,
@@ -336,11 +423,16 @@ impl GroupEndpoint {
         if view.id != view_id || !view.contains(from) {
             return;
         }
+        // A repeated report moves no stable point: nothing to collect.
+        if self.stable_info.get(&from) == Some(prefix) {
+            return;
+        }
         self.stable_info.insert(from, prefix.clone());
         self.gc_store(ctx);
     }
 
-    /// Drops stored messages that every member has contiguously delivered.
+    /// Drops stored messages that every member has contiguously delivered:
+    /// per sender, the prefix up to the lowest seq any member reported.
     /// Only safe once all members have reported: an unreported member's
     /// prefix is conservatively 0.
     fn gc_store(&mut self, ctx: &mut dyn Transport) {
@@ -348,35 +440,77 @@ impl GroupEndpoint {
         if view.members.len() != self.stable_info.len() {
             return;
         }
-        let mut stable: BTreeMap<NodeId, u64> = BTreeMap::new();
-        for &sender in &view.members {
-            let min = view
-                .members
-                .iter()
-                .map(|m| {
-                    self.stable_info
-                        .get(m)
-                        .and_then(|p| p.get(&sender))
-                        .copied()
-                        .unwrap_or(0)
-                })
-                .min()
-                .unwrap_or(0);
-            stable.insert(sender, min);
+        let mut dropped = 0;
+        for (sender, stream) in &mut self.streams {
+            let reported = |p: &BTreeMap<NodeId, u64>| p.get(sender).copied().unwrap_or(0);
+            let stable = self.stable_info.values().map(reported).min().unwrap_or(0);
+            dropped += stream.drop_through(stable);
         }
-        let before = self.store.len();
-        self.store
-            .retain(|(sender, seq), _| *seq > stable.get(sender).copied().unwrap_or(0));
-        self.thin_held
-            .retain(|(sender, seq)| *seq > stable.get(sender).copied().unwrap_or(0));
-        let dropped = before - self.store.len();
         if dropped > 0 {
             ctx.metrics().add(keys::STORE_GC, dropped as u64);
         }
     }
 
+    // ---------------- the retransmission store ----------------
+
+    /// The stored slot `(sender, seq)`, if delivered and not yet collected.
+    pub(super) fn stored(&self, sender: NodeId, seq: u64) -> Option<&Slot> {
+        let stream = self.streams.get(&sender)?;
+        stream.stored.get(stream.index_of(seq)?)
+    }
+
+    /// A real payload for a slot held only as a skip marker upgrades the
+    /// store, so this member can serve future pulls for it.
+    pub(super) fn upgrade_stored(&mut self, sender: NodeId, seq: u64, data: Slot) {
+        let stream = self.streams.get_mut(&sender);
+        let held = stream.and_then(|s| s.stored.get_mut(s.index_of(seq)?));
+        if let Some(slot @ Slot::Skip) = held {
+            *slot = data;
+        }
+    }
+
+    /// The stored `(sender, seq)` slots held only as skip markers, in key
+    /// order.
+    pub(super) fn thin_stored(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
+        self.streams.iter().flat_map(|(&sender, stream)| {
+            (stream.oldest()..stream.next)
+                .zip(&stream.stored)
+                .filter(|(_, slot)| slot.is_skip())
+                .map(move |(seq, _)| (sender, seq))
+        })
+    }
+
     /// Number of messages currently retained for retransmission (tests).
     pub(crate) fn store_len(&self) -> usize {
-        self.store.len()
+        self.streams.values().map(|s| s.stored.len()).sum()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stream_drops_its_stable_prefix_and_nothing_else() {
+        let mut s = SenderStream::default();
+        for seq in 1..=5 {
+            s.stored.push_back(Slot::Skip);
+            s.next = seq + 1;
+        }
+        assert_eq!(s.drop_through(0), 0, "nothing is stable yet");
+        assert_eq!(s.drop_through(2), 2);
+        assert_eq!(s.drop_through(2), 0, "a repeated report drops nothing");
+        assert_eq!((s.oldest(), s.next), (3, 6));
+        assert_eq!(s.index_of(2), None, "collected");
+        assert_eq!(s.index_of(3), Some(0));
+        assert_eq!(s.index_of(5), Some(2));
+        assert!(
+            s.stored.get(s.index_of(6).unwrap()).is_none(),
+            "not delivered"
+        );
+        // A report beyond what was delivered cannot drop what is not there.
+        assert_eq!(s.drop_through(u64::MAX), 3);
+        assert_eq!((s.oldest(), s.next), (6, 6));
+        assert_eq!(s.drop_through(9), 0);
     }
 }

@@ -97,7 +97,7 @@ impl GroupEndpoint {
         let extras: Vec<(NodeId, u64)> = self.holdback.keys().copied().collect();
         // Marker-held slots: consumed markers plus markers still in the
         // hold-back queue. The initiator steers pulls away from these.
-        let mut thin: Vec<(NodeId, u64)> = self.thin_held.iter().copied().collect();
+        let mut thin: Vec<(NodeId, u64)> = self.thin_stored().collect();
         thin.extend(
             self.holdback
                 .iter()
@@ -140,8 +140,7 @@ impl GroupEndpoint {
         let view_id = view.id;
         for &(sender, seq) in wants {
             let slot = self
-                .store
-                .get(&(sender, seq))
+                .stored(sender, seq)
                 .or_else(|| self.holdback.get(&(sender, seq)))
                 .cloned();
             if let Some(slot) = slot {
@@ -171,13 +170,8 @@ impl GroupEndpoint {
         if view.id != view_id {
             return;
         }
-        if seq < self.next_expected(sender) || self.store.contains_key(&(sender, seq)) {
-            // A real fill for a slot held only as a skip marker upgrades
-            // the store, so this member can serve future pulls for it.
-            if self.thin_held.contains(&(sender, seq)) && !data.is_skip() {
-                self.store.insert((sender, seq), data);
-                self.thin_held.remove(&(sender, seq));
-            }
+        if seq < self.next_expected(sender) {
+            self.upgrade_stored(sender, seq, data);
             return;
         }
         // Respect the target if known; otherwise hold.
@@ -188,9 +182,7 @@ impl GroupEndpoint {
                 }
             }
         }
-        self.holdback.insert((sender, seq), data);
-        self.try_drain(ctx, events);
-        self.check_flush_target_reached(ctx);
+        self.accept(ctx, sender, seq, data, events);
     }
 
     /// Sends `FlushDone` once the delivered prefix matches the target.

@@ -97,19 +97,21 @@ impl VsyncStack {
         match self.groups.get(&hwg).map(GroupEndpoint::status) {
             Some(GroupStatus::Member | GroupStatus::Joining | GroupStatus::Leaving) => {}
             Some(GroupStatus::Left) | None => {
+                let mark = self.events.len();
                 let ep = GroupEndpoint::new_created(hwg, self.me, ctx, &mut self.events);
                 self.groups.insert(hwg, ep);
-                self.sync_watches(ctx);
+                self.settle(ctx, mark);
             }
         }
     }
 
     /// Leaves `hwg` (the `Left` upcall confirms completion).
     pub fn leave(&mut self, ctx: &mut dyn Transport, hwg: HwgId) {
+        let mark = self.events.len();
         if let Some(ep) = self.groups.get_mut(&hwg) {
             ep.leave(ctx, &self.fd, &mut self.events);
         }
-        self.sync_watches(ctx);
+        self.settle(ctx, mark);
     }
 
     /// Sends a virtually-synchronous multicast on `hwg`. Messages sent
@@ -145,17 +147,21 @@ impl VsyncStack {
     /// layer above — the LWG merge-views protocol). Honoured only by the
     /// acting coordinator; a no-op while a flush or merge is in progress.
     pub fn force_flush(&mut self, ctx: &mut dyn Transport, hwg: HwgId) {
+        let mark = self.events.len();
         if let Some(ep) = self.groups.get_mut(&hwg) {
             ep.force_flush(ctx, &self.fd, &mut self.events);
         }
+        self.settle(ctx, mark);
     }
 
     /// Confirms a `Stop` upcall (only needed when
     /// [`VsyncConfig::auto_stop_ok`] is `false`).
     pub fn stop_ok(&mut self, ctx: &mut dyn Transport, hwg: HwgId) {
+        let mark = self.events.len();
         if let Some(ep) = self.groups.get_mut(&hwg) {
             ep.stop_ok(ctx);
         }
+        self.settle(ctx, mark);
     }
 
     // ------------------------------------------------------------------
@@ -229,6 +235,7 @@ impl VsyncStack {
             }
         };
         let vs = &vs;
+        let mark = self.events.len();
         // Any traffic is evidence of life.
         if let Some(FdEvent::Alive(_)) = self.fd.heard_from(from, ctx.now()) {
             ctx.emit(|| HwgTraceEvent::FdAlive { peer: from });
@@ -258,7 +265,7 @@ impl VsyncStack {
                 }
             }
         }
-        self.sync_watches(ctx);
+        self.settle(ctx, mark);
         true
     }
 
@@ -276,6 +283,7 @@ impl VsyncStack {
                     ep.send_beacon(ctx, &self.fd);
                 }
                 ctx.set_timer(self.cfg.beacon_interval, TOK_BEACON);
+                debug_assert!(self.watches_follow_views());
                 true
             }
             _ => false,
@@ -295,13 +303,12 @@ impl VsyncStack {
     }
 
     fn fd_tick(&mut self, ctx: &mut dyn Transport) {
+        let mark = self.events.len();
         // Heartbeats to everything we monitor — one encoding, n refcounts.
-        let peers: Vec<NodeId> = self.fd.watched().collect();
-        if !peers.is_empty() {
-            let hb = wire::frame(&VsMsg::Heartbeat);
-            for p in peers {
-                ctx.send(p, hb.clone());
-            }
+        let mut hb: Option<Payload> = None;
+        for p in self.fd.watched() {
+            let hb = hb.get_or_insert_with(|| wire::frame(&VsMsg::Heartbeat));
+            ctx.send(p, hb.clone());
         }
         // Fresh suspicions drive view changes in all affected groups.
         let fd_events = self.fd.check(ctx.now(), self.cfg.suspect_timeout);
@@ -316,30 +323,52 @@ impl VsyncStack {
         for ep in self.groups.values_mut() {
             ep.on_tick(ctx, now, &self.fd, &mut self.events);
         }
-        self.sync_watches(ctx);
+        self.settle(ctx, mark);
+    }
+
+    /// Ends every handler that may change membership. The watch set and the
+    /// endpoint table follow the installed views, and an endpoint changes
+    /// its view only where it pushes a `View` or `Left` upcall
+    /// (`install_view`, `become_left`) — so a handler that pushed neither
+    /// since `mark` (every steady-state `Data`, `Stability`, `Nack` or
+    /// `Heartbeat` frame) leaves the failure detector alone.
+    fn settle(&mut self, ctx: &mut dyn Transport, mark: usize) {
+        let membership_moved = self.events[mark..]
+            .iter()
+            .any(|ev| matches!(ev, VsEvent::View { .. } | VsEvent::Left { .. }));
+        if membership_moved {
+            self.sync_watches(ctx);
+        }
+        debug_assert!(self.watches_follow_views());
     }
 
     /// Re-derives the failure-detector watch set from current group
     /// membership (and drops endpoints that have terminally left).
     fn sync_watches(&mut self, ctx: &mut dyn Transport) {
-        let mut wanted: BTreeSet<NodeId> = BTreeSet::new();
-        for ep in self.groups.values() {
-            if let Some(view) = ep.view() {
-                for &m in &view.members {
-                    if m != self.me {
-                        wanted.insert(m);
-                    }
-                }
+        self.groups.retain(|_, ep| ep.status() != GroupStatus::Left);
+        let now = ctx.now();
+        for view in self.groups.values().filter_map(GroupEndpoint::view) {
+            for &m in view.members.iter().filter(|&&m| m != self.me) {
+                self.fd.watch(m, now);
             }
         }
-        let current: BTreeSet<NodeId> = self.fd.watched().collect();
-        for &p in wanted.difference(&current) {
-            self.fd.watch(p, ctx.now());
-        }
-        for &p in current.difference(&wanted) {
-            self.fd.unwatch(p);
-        }
-        self.groups.retain(|_, ep| ep.status() != GroupStatus::Left);
+        let views = || self.groups.values().filter_map(GroupEndpoint::view);
+        self.fd.retain(|p| views().any(|view| view.contains(p)));
+    }
+
+    /// The invariant [`Self::settle`] maintains, checked after every
+    /// handler in debug builds: the detector watches exactly the members of
+    /// the installed views other than this node, and no `Left` endpoint
+    /// lingers. Nested iteration, no allocation.
+    fn watches_follow_views(&self) -> bool {
+        let views = || self.groups.values().filter_map(GroupEndpoint::view);
+        let in_a_view = |p| views().any(|view| view.contains(p));
+        let watched = |m| self.fd.watched().any(|p| p == m);
+        let left = |ep: &GroupEndpoint| ep.status() == GroupStatus::Left;
+        let mut members = views().flat_map(|view| &view.members);
+        !self.groups.values().any(left)
+            && self.fd.watched().all(|p| p != self.me && in_a_view(p))
+            && members.all(|&m| m == self.me || watched(m))
     }
 }
 

@@ -760,6 +760,62 @@ fn volume_triggered_stability_bounds_the_store_under_a_burst() {
     );
 }
 
+/// A member alone in its view has nobody to retransmit to and nobody whose
+/// stability report would ever collect its store: its messages are stable
+/// on delivery and must not be stored at all, however many it sends. A
+/// member that joins afterwards finds an ordinary two-member group.
+#[test]
+fn singleton_stores_nothing_and_still_admits_a_joiner() {
+    const SOLO: u64 = 10 * 1024;
+    let (mut w, nodes) = world_with(2, 80);
+    w.invoke(nodes[0], |a: &mut App, ctx| a.stack.create(ctx, G));
+    for ms in 0..SOLO / 1024 {
+        w.invoke(nodes[0], move |a: &mut App, ctx| {
+            for k in ms * 1024..(ms + 1) * 1024 {
+                a.stack.send(ctx, G, payload(k));
+                assert_eq!(a.stack.retransmit_buffer_len(G), 0, "after send {k}");
+            }
+            a.drain();
+        });
+        w.run_for(SimDuration::from_millis(1));
+    }
+    w.run_for(secs(3));
+    assert_eq!(
+        w.inspect(nodes[0], |a: &App| a.stack.retransmit_buffer_len(G)),
+        0
+    );
+
+    w.invoke(nodes[1], |a: &mut App, ctx| a.stack.join(ctx, G));
+    w.run_for(secs(5));
+    assert_common_view(&mut w, &nodes, 2);
+    for (i, &n) in nodes.iter().enumerate() {
+        w.invoke(n, move |a: &mut App, ctx| {
+            for k in 0..50 {
+                a.stack.send(ctx, G, payload(SOLO * (i as u64 + 1) + k));
+            }
+            a.drain();
+        });
+    }
+    w.run_for(secs(3));
+    // The creator delivered its solo stream; both delivered each other's
+    // and their own later sends, exactly once and in FIFO order.
+    let from = |w: &mut World, at: NodeId, src: NodeId| -> Vec<u64> {
+        w.inspect(at, |a: &App| {
+            a.delivered
+                .iter()
+                .filter(|(h, s, _)| *h == G && *s == src)
+                .map(|(_, _, v)| *v)
+                .collect()
+        })
+    };
+    let joint = |i: u64| (SOLO * (i + 1)..SOLO * (i + 1) + 50).collect::<Vec<u64>>();
+    let solo_then_joint: Vec<u64> = (0..SOLO).chain(joint(0)).collect();
+    assert_eq!(from(&mut w, nodes[0], nodes[0]), solo_then_joint);
+    assert_eq!(from(&mut w, nodes[1], nodes[0]), joint(0));
+    assert_eq!(from(&mut w, nodes[0], nodes[1]), joint(1));
+    assert_eq!(from(&mut w, nodes[1], nodes[1]), joint(1));
+}
+
 /// What one [`ten_sends`] run left behind, per node in node order.
 #[derive(Debug, PartialEq)]
 struct SendRun {

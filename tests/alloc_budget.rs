@@ -1,0 +1,251 @@
+//! Steady-state heap allocations per delivery, under a fixed budget.
+//!
+//! The per-message cost of one HWG endpoint is what every light-weight
+//! group mapped onto it pays, so the data plane must not allocate in
+//! proportion to membership, store size or frame count. The two cases are
+//! the benchmark's data workloads at test size (`sim_solo_1k`,
+//! `sim_fanin_64b`): two name servers and eight nodes on the simulator, an
+//! `LwgService<VsyncStack>` per node drained in every callback, two members
+//! each sending one message per group per virtual millisecond. The
+//! simulation is deterministic, so the ratio is an exact count, not a
+//! timing, and the budget is the measured value plus 10 %.
+
+use plwg::prelude::*;
+use plwg::sim::{TimerToken, Transport};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::any::Any;
+use std::cell::Cell;
+use std::collections::BTreeMap;
+
+/// Counts `alloc`/`realloc` calls of the calling thread (the test harness
+/// runs the cases on threads of their own).
+struct CountingAlloc;
+
+thread_local! {
+    // Const-initialised and without a destructor, so touching it from
+    // inside the allocator never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counting touches only a
+// const-initialised thread-local `Cell`.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: `layout` is the caller's, passed through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller guarantees `ptr` came from this allocator,
+        // which always allocates with `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: arguments are the caller's, passed through unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// The traffic timer. The service claims tokens `0x01..`–`0x03..` only.
+const TOK_TRAFFIC: TimerToken = TimerToken(0x0B00_0000_0000_0001);
+/// The group every node joins first; it founds the one HWG.
+const BIG: LwgId = LwgId(100);
+const APPS: u32 = 8;
+
+/// Measured 1.2900.
+const SOLO_BUDGET: f64 = 1.42;
+/// Measured 0.6429.
+const FANIN_BUDGET: f64 = 0.71;
+
+/// One node: the service, a traffic timer, and a FIFO exactly-once check
+/// on what it delivers.
+struct Host {
+    service: LwgService,
+    /// Groups this node multicasts on at every traffic tick.
+    send_on: Vec<LwgId>,
+    /// Payload template: an 8-byte sequence number, then padding.
+    scratch: Vec<u8>,
+    sent: u64,
+    /// Next sequence number expected per `(group, sender)`.
+    expect: BTreeMap<(LwgId, NodeId), u64>,
+    delivered: u64,
+    out_of_order: u64,
+}
+
+impl Host {
+    fn pump(&mut self) {
+        for ev in self.service.drain_events() {
+            if let LwgEvent::Data { lwg, src, data } = ev {
+                let seq = u64::from_le_bytes(data.bytes()[..8].try_into().expect("8 bytes"));
+                let expected = self.expect.entry((lwg, src)).or_insert(0);
+                self.out_of_order += u64::from(seq != *expected);
+                *expected = seq + 1;
+                self.delivered += 1;
+            }
+        }
+    }
+}
+
+impl Process for Host {
+    fn on_start(&mut self, ctx: &mut dyn Transport) {
+        self.service.start(ctx);
+    }
+    fn on_message(&mut self, ctx: &mut dyn Transport, from: NodeId, msg: Payload) {
+        if self.service.on_message(ctx, from, &msg) {
+            self.pump();
+        }
+    }
+    fn on_timer(&mut self, ctx: &mut dyn Transport, token: TimerToken) {
+        if token == TOK_TRAFFIC {
+            self.scratch[..8].copy_from_slice(&self.sent.to_le_bytes());
+            self.sent += 1;
+            for i in 0..self.send_on.len() {
+                let payload = Frame::copy_from_slice(&self.scratch);
+                self.service.send(ctx, self.send_on[i], payload);
+            }
+            self.pump();
+            ctx.set_timer(SimDuration::from_millis(1), TOK_TRAFFIC);
+        } else if self.service.on_timer(ctx, token) {
+            self.pump();
+        }
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// Brings up `groups` with the first `members` nodes in each (plus [`BIG`]
+/// over all of them), starts two senders, warms up, and returns allocations
+/// ÷ deliveries over four virtual seconds of steady traffic.
+fn allocs_per_delivery(cfg: LwgConfig, groups: &[LwgId], members: usize, payload: usize) -> f64 {
+    let mut world = World::new(WorldConfig {
+        seed: 1,
+        ..WorldConfig::default()
+    });
+    let servers = [NodeId(0), NodeId(1)];
+    for (me, peer) in [(servers[0], servers[1]), (servers[1], servers[0])] {
+        world.add_node(Box::new(NameServer::new(
+            me,
+            vec![peer],
+            NamingConfig::default(),
+        )));
+    }
+    let apps: Vec<NodeId> = (0..APPS)
+        .map(|i| {
+            let service = LwgService::builder(NodeId(2 + i))
+                .servers(servers)
+                .config(cfg.clone())
+                .build()
+                .expect("valid LWG config");
+            world.add_node(Box::new(Host {
+                service,
+                send_on: Vec::new(),
+                scratch: vec![0; payload],
+                sent: 0,
+                expect: BTreeMap::new(),
+                delivered: 0,
+                out_of_order: 0,
+            }))
+        })
+        .collect();
+
+    let join_all = |world: &mut World, lwg: LwgId, nodes: &[NodeId]| {
+        for (i, &n) in nodes.iter().enumerate() {
+            let at = world.now() + SimDuration::from_millis(300 * i as u64);
+            world.invoke_at(at, n, move |h: &mut Host, ctx| h.service.join(ctx, lwg));
+        }
+        let whole = |h: &Host| {
+            h.service
+                .view_of(lwg)
+                .is_some_and(|v| v.len() == nodes.len())
+        };
+        let deadline = world.now() + SimDuration::from_secs(120);
+        while !nodes.iter().all(|&n| world.inspect(n, whole)) {
+            assert!(world.now() < deadline, "{lwg} never became whole");
+            world.run_for(SimDuration::from_millis(250));
+        }
+    };
+    join_all(&mut world, BIG, &apps);
+    for &lwg in groups.iter().filter(|&&g| g != BIG) {
+        join_all(&mut world, lwg, &apps[..members]);
+    }
+    // Let join-time naming traffic and flushes die down.
+    world.run_for(SimDuration::from_secs(4));
+
+    // Never the first joiner, who coordinates the HWG.
+    for &n in &apps[1..3] {
+        let send_on = groups.to_vec();
+        world.invoke(n, |h: &mut Host, ctx| {
+            h.send_on = send_on;
+            ctx.set_timer(SimDuration::from_millis(1), TOK_TRAFFIC);
+        });
+    }
+    world.run_for(SimDuration::from_secs(2));
+
+    let delivered = |world: &mut World| -> u64 {
+        let at = |n: &NodeId| world.inspect(*n, |h: &Host| h.delivered);
+        apps.iter().map(at).sum()
+    };
+    let (allocs_before, delivered_before) = (ALLOCS.get(), delivered(&mut world));
+    world.run_for(SimDuration::from_secs(4));
+    let (allocs, ops) = (
+        ALLOCS.get() - allocs_before,
+        delivered(&mut world) - delivered_before,
+    );
+
+    // 2 senders × 1000 ticks/s × 4 s, one message per group per tick, one
+    // delivery per group member; what is in flight at either edge cancels.
+    let offered = 2 * 4_000 * (groups.len() * members) as u64;
+    assert!(
+        ops.abs_diff(offered) <= offered / 100,
+        "{ops} deliveries, {offered} offered"
+    );
+    for &n in &apps {
+        assert_eq!(
+            world.inspect(n, |h: &Host| h.out_of_order),
+            0,
+            "FIFO at {n}"
+        );
+    }
+    allocs as f64 / ops as f64
+}
+
+/// `sim_solo_1k`: default configuration, one LWG over all eight nodes,
+/// 1 KiB payloads — every send is its own HWG multicast.
+#[test]
+fn solo_1k_stays_within_its_allocation_budget() {
+    let ratio = allocs_per_delivery(LwgConfig::default(), &[BIG], APPS as usize, 1024);
+    assert!(
+        ratio <= SOLO_BUDGET,
+        "{ratio:.6} allocations per delivery, budget {SOLO_BUDGET}"
+    );
+}
+
+/// `sim_fanin_64b`: eight co-mapped four-member LWGs, 64 B payloads,
+/// packing and subset delivery on.
+#[test]
+fn fanin_64b_stays_within_its_allocation_budget() {
+    let cfg = LwgConfig {
+        pack_max_msgs: 16,
+        pack_delay: SimDuration::from_millis(2),
+        subset_delivery: true,
+        // No policy run may re-map a group inside the window.
+        policy_interval: SimDuration::from_secs(3600),
+        ..LwgConfig::default()
+    };
+    let groups: Vec<LwgId> = (1..=8).map(LwgId).collect();
+    let ratio = allocs_per_delivery(cfg, &groups, 4, 64);
+    assert!(
+        ratio <= FANIN_BUDGET,
+        "{ratio:.6} allocations per delivery, budget {FANIN_BUDGET}"
+    );
+}
