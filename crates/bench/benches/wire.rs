@@ -6,6 +6,7 @@
 //! with `cargo bench --bench wire`; pass `--smoke` (the CI throughput job
 //! does) to run a single fast iteration per case as a correctness smoke
 //! test instead of a measurement.
+#![expect(clippy::disallowed_types, reason = "a wall-clock micro-benchmark")]
 
 use plwg_core::{HwgId, LwgId, LwgMsg, ViewId};
 use plwg_sim::{decode_frame, encode_frame, family, Frame, NodeId};

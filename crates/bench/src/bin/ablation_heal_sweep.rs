@@ -7,7 +7,7 @@
 //! count grows, while the number of LWG view merges grows linearly — each
 //! merge is a single extra multicast, not a flush.
 
-use plwg_workload::{run_heal_sweep, Table};
+use plwg_bench::{run_heal_sweep, Table};
 
 fn main() {
     println!("Heal cost vs. number of LWGs co-mapped on the healed HWG");

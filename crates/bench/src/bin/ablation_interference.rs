@@ -6,8 +6,8 @@
 //! recovery stalls X: the HWG flush stops *all* traffic on the HWG. When X
 //! and Y ride disjoint HWGs (dynamic service), X barely notices.
 
+use plwg_bench::{fmt_us, ServiceMode, Table, Traffic, TwoSetsParams};
 use plwg_sim::SimDuration;
-use plwg_workload::{fmt_us, ServiceMode, Table, Traffic, TwoSetsParams};
 
 fn main() {
     println!("Interference: latency of group set A while a member of set B crashes");
@@ -29,7 +29,7 @@ fn main() {
         };
         // The crash must land *during* set A's traffic, so this uses the
         // dedicated interference runner rather than `run_two_sets`.
-        let r = plwg_workload::interference::run_interference(&params);
+        let r = plwg_bench::interference::run_interference(&params);
         table.row(&[
             mode.label().to_owned(),
             fmt_us(r.latency_us.mean),

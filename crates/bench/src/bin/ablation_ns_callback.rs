@@ -11,9 +11,9 @@ use plwg_core::{LwgConfig, LwgId};
 use plwg_vsync::VsyncStack;
 
 type LwgNode = plwg_core::LwgNode<VsyncStack>;
+use plwg_bench::Table;
 use plwg_naming::{NameServer, NamingConfig};
 use plwg_sim::{NodeId, SimDuration, SimTime, World, WorldConfig};
-use plwg_workload::Table;
 
 fn at(s: u64) -> SimTime {
     SimTime::from_micros(s * 1_000_000)

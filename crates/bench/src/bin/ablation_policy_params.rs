@@ -12,9 +12,9 @@ use plwg_core::{LwgConfig, LwgId};
 use plwg_vsync::VsyncStack;
 
 type LwgNode = plwg_core::LwgNode<VsyncStack>;
+use plwg_bench::Table;
 use plwg_naming::{NameServer, NamingConfig};
 use plwg_sim::{NodeId, SimDuration, World, WorldConfig};
-use plwg_workload::Table;
 
 const BIG: LwgId = LwgId(1);
 const SMALL: LwgId = LwgId(2);

@@ -6,7 +6,7 @@
 //! *no-LWG* closely since each set's groups share a snug HWG.
 
 use plwg_bench::{fig2_base, GROUP_COUNTS, MODES};
-use plwg_workload::{fmt_us, run_two_sets, Table};
+use plwg_bench::{fmt_us, run_two_sets, Table};
 
 fn main() {
     println!("Figure 2 — latency vs. number of groups per set");

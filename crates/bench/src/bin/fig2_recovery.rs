@@ -9,8 +9,8 @@
 //! so recovery stays nearly flat.
 
 use plwg_bench::{fig2_base, GROUP_COUNTS, MODES};
+use plwg_bench::{run_two_sets, Table, Traffic};
 use plwg_sim::SimDuration;
-use plwg_workload::{run_two_sets, Table, Traffic};
 
 fn main() {
     println!("Figure 2 — crash-recovery time vs. number of groups per set");

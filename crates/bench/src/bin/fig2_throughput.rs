@@ -6,8 +6,8 @@
 //! load like *no-LWG* does.
 
 use plwg_bench::{fig2_base, GROUP_COUNTS, MODES};
+use plwg_bench::{run_two_sets, Table, Traffic};
 use plwg_sim::SimDuration;
-use plwg_workload::{run_two_sets, Table, Traffic};
 
 fn main() {
     println!("Figure 2 — throughput vs. number of groups per set");

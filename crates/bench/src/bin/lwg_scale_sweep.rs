@@ -24,11 +24,12 @@
 //!
 //! Cells: 1k/10k/100k by default, `--full` adds the 1M cell, `--smoke`
 //! runs 1k+10k and asserts the flatness gates (CI's job).
+#![expect(clippy::disallowed_types, reason = "wall time is printed, not saved")]
 
+use plwg_bench::{write_json_rows, Table};
 use plwg_core::{DirCounters, HwgId, LwgConfig, LwgId, LwgMsg, ScriptedHwg, View, ViewId};
 use plwg_naming::{NameServer, NamingConfig};
 use plwg_sim::{Frame, NetConfig, NodeId, SimDuration, World, WorldConfig};
-use plwg_workload::{write_json_rows, Table};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;

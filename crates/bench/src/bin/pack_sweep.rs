@@ -24,9 +24,9 @@ use plwg_core::{LwgConfig, LwgId};
 use plwg_vsync::VsyncStack;
 
 type LwgNode = plwg_core::LwgNode<VsyncStack>;
+use plwg_bench::{write_json_rows, Table};
 use plwg_naming::{NameServer, NamingConfig};
 use plwg_sim::{Frame, NodeId, SimDuration, World, WorldConfig};
-use plwg_workload::{write_json_rows, Table};
 
 /// One swept configuration.
 struct Cfg {

@@ -7,9 +7,9 @@
 //! (resource sharing) while keeping the backing HWG close to each subject's
 //! own membership (bounded interference).
 
+use plwg_bench::overlap::{run_overlap, OverlapParams};
+use plwg_bench::Table;
 use plwg_sim::SimDuration;
-use plwg_workload::overlap::{run_overlap, OverlapParams};
-use plwg_workload::Table;
 
 fn main() {
     println!("Mapping quality: N overlapping subject groups over 8 processes");

@@ -21,12 +21,31 @@
 //! | `sharing_efficiency` | §1 motivation, overlapping subscriptions |
 //! | `pack_sweep` | extension: message packing + subset delivery (`BENCH_pack.json`) |
 //! | `lwg_scale_sweep` | extension: sharded directory + rebalancer from 1k to 1M LWGs (`BENCH_scale.json`) |
+//!
+//! The binaries are thin wrappers over the runners in this library: the
+//! three service configurations compared in Figure 2 (*no LWG service*,
+//! *static LWG service*, *dynamic LWG service*), the two-disjoint-sets
+//! workload of §3.3, partition/heal schedules, and measurement probes
+//! (latency, throughput, recovery time, reconvergence time, message counts).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod heal;
+/// Interference experiment (ablation B).
+pub mod interference;
+mod mode;
+/// Overlapping-subscription mapping-quality experiment.
+pub mod overlap;
+mod report;
+mod twosets;
+
+pub use heal::{run_heal, run_heal_sweep, HealParams, HealResult};
+pub use mode::{BenchNode, Delivery, ServiceMode, Stamped, ViewRecord};
+pub use report::{fmt_us, write_json_rows, Table};
+pub use twosets::{run_two_sets, Traffic, TwoSetsParams, TwoSetsResult};
+
 use plwg_sim::SimDuration;
-use plwg_workload::{ServiceMode, Traffic, TwoSetsParams};
 
 /// The group counts swept on Figure 2's x-axis.
 pub const GROUP_COUNTS: &[usize] = &[1, 2, 4, 8, 16];

@@ -12,6 +12,15 @@
 //! * a virtual-synchrony barrier is reached (LWG flush start, HWG view
 //!   change, leave, switch, merge) — so a batch never straddles a view
 //!   cut on either layer.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use crate::keys;
 use plwg_hwg::ViewId;

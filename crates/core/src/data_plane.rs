@@ -7,6 +7,15 @@
 //! when the tag matches their installed view — the decoupling that lets
 //! concurrent LWG views share one HWG (paper §6.3) and the source of the
 //! interference cost the Figure-1 policies minimise.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use crate::batch::FlushReason;
 use crate::events::LwgEvent;

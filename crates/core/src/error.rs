@@ -1,7 +1,7 @@
 //! Typed failures of protocol steps and node construction.
 //!
-//! The hot-path modules are panic-free (enforced by `plwg-tidy`'s `panic`
-//! check): a step that finds its precondition broken — a group the local
+//! The hot-path modules are panic-free (each denies clippy's
+//! `unwrap_used`/`indexing_slicing` family): a step that finds its precondition broken — a group the local
 //! table no longer knows, a member without an installed view — returns an
 //! [`LwgError`] instead of unwrapping. Callers treat these as benign
 //! races: membership messages legitimately arrive after a group was

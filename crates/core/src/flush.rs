@@ -9,6 +9,15 @@
 //! HWG) skip the LWG flush entirely — the HWG flush that produced the new
 //! HWG view already equalised the delivered sets (see
 //! `LwgService::handle_hwg_view`).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use crate::batch::FlushReason;
 use crate::events::LwgEvent;

@@ -6,6 +6,15 @@
 //! Every question this module used to answer by scanning the whole LWG
 //! table ("which joins are due?", "who is leaving?", "is this HWG still
 //! in use?") is now an indexed [`crate::directory`] query.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use crate::directory::HwgLoad;
 use crate::keys;

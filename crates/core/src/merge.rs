@@ -7,6 +7,15 @@
 //! HWG view is delivered every member holds the same set of advertised
 //! views and can deterministically compute the merged views — no extra
 //! agreement round.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use crate::batch::FlushReason;
 use crate::keys;

@@ -6,6 +6,15 @@
 //! there, and the coordinator installs the switched view on the target. A
 //! forward pointer stays behind so stale joiners get redirected
 //! ([`crate::flush`] handles the member-side flush half).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use crate::batch::FlushReason;
 use crate::keys;

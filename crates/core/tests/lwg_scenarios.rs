@@ -477,7 +477,7 @@ fn share_rule_collapses_duplicate_hwgs_after_heal() {
         let hwgs = w.inspect(m, |a: &LwgNode| a.service_ref().hwgs());
         assert_eq!(hwgs.len(), 1, "{m} should ride a single HWG, has {hwgs:?}");
     }
-    assert!(w.metrics().counter("lwg.switches") >= 1);
+    assert!(w.metrics().counter(plwg_core::keys::SWITCHES) >= 1);
     // The collapse is a policy-driven switch onto an existing HWG.
     assert!(
         w.trace().count("lwg.policy.switch") >= 1,
@@ -548,12 +548,12 @@ fn polling_mode_reconciles_without_callbacks() {
     let v = assert_converged(&mut w, &apps, A, 4);
     assert!(v.predecessors.len() >= 2, "merged from concurrent views");
     assert_eq!(
-        w.metrics().counter("ns.callbacks"),
+        w.metrics().counter(plwg_naming::keys::CALLBACKS),
         0,
         "no push callbacks in polling mode"
     );
     assert!(
-        w.metrics().counter("lwg.reconciliations") >= 1,
+        w.metrics().counter(plwg_core::keys::RECONCILIATIONS) >= 1,
         "polling must have driven the reconciliation"
     );
 }
@@ -652,7 +652,7 @@ fn stale_mapping_join_is_redirected_by_forward_pointer() {
     }
     // The stale read really happened and was repaired by a forward pointer.
     assert!(
-        w.metrics().counter("lwg.redirects_followed") >= 1,
+        w.metrics().counter(plwg_core::keys::REDIRECTS_FOLLOWED) >= 1,
         "the stale mapping must have been repaired by a Redirect"
     );
 }
@@ -701,19 +701,19 @@ fn packed_bursts_cut_hwg_multicasts_and_preserve_fifo() {
         assert_eq!(got_a, (0..40).collect::<Vec<u64>>(), "A FIFO at {n}");
         assert_eq!(got_b, (1000..1040).collect::<Vec<u64>>(), "B FIFO at {n}");
     }
-    let batches = w.metrics().counter("lwg.batch.sent");
+    let batches = w.metrics().counter(plwg_core::keys::BATCH_SENT);
     assert!(batches >= 1, "the burst must have been packed");
     // 80 sends from the burst fit in 80/8 = 10 full batches; everything
     // else in the run is control traffic, so far fewer HWG multicasts
     // than LWG messages were needed.
     let occupancy = w
         .metrics()
-        .histogram("lwg.batch.occupancy")
+        .histogram(plwg_core::keys::BATCH_OCCUPANCY)
         .expect("occupancy recorded")
         .summary();
     assert_eq!(occupancy.max, 8, "full batches reach the count budget");
     assert!(
-        w.metrics().counter("lwg.batch.flush_full") >= 10,
+        w.metrics().counter(plwg_core::keys::BATCH_FLUSH_FULL) >= 10,
         "the burst fills whole batches"
     );
 }
@@ -750,7 +750,7 @@ fn packed_sends_across_lwg_flush_are_not_lost() {
         assert_eq!(got, (0..30).collect::<Vec<u64>>(), "FIFO at {n}");
     }
     assert!(
-        w.metrics().counter("lwg.batch.flush_barrier") >= 1,
+        w.metrics().counter(plwg_core::keys::BATCH_FLUSH_BARRIER) >= 1,
         "the flush must have forced the pack buffer out before the cut"
     );
 }
@@ -815,7 +815,7 @@ fn packed_bursts_survive_partition_and_heal() {
         };
         assert_eq!(got, expect, "deliveries from {left} at {n}");
     }
-    assert!(w.metrics().counter("lwg.batch.sent") >= 6);
+    assert!(w.metrics().counter(plwg_core::keys::BATCH_SENT) >= 6);
 }
 
 /// Subset delivery: co-mapped traffic is addressed only to the interested
@@ -857,8 +857,8 @@ fn subset_delivery_cuts_interference_filtering() {
         });
         assert_eq!(outsider, 0, "non-member must not deliver B's data");
         (
-            w.metrics().counter("lwg.filtered"),
-            w.metrics().counter("hwg.subset_sends"),
+            w.metrics().counter(plwg_core::keys::FILTERED),
+            w.metrics().counter(plwg_vsync::keys::SUBSET_SENDS),
             got,
         )
     };

@@ -424,7 +424,7 @@ fn packed_sends_share_one_hwg_multicast() {
     seed_lwg_view(&mut w, b, H1, v1);
     w.run_for(ms(200));
 
-    let batches_before = w.metrics().counter("lwg.batch.sent");
+    let batches_before = w.metrics().counter(plwg_core::keys::BATCH_SENT);
     w.invoke(a, |n: &mut Node, ctx| {
         for v in 1..=3u64 {
             n.service().send(ctx, L, Frame::from_u64(v));
@@ -435,7 +435,7 @@ fn packed_sends_share_one_hwg_multicast() {
     assert_eq!(delivered_from(&mut w, a, a), vec![1, 2, 3]);
     assert_eq!(delivered_from(&mut w, b, a), vec![1, 2, 3]);
     assert_eq!(
-        w.metrics().counter("lwg.batch.sent"),
+        w.metrics().counter(plwg_core::keys::BATCH_SENT),
         batches_before + 1,
         "three sends shared one HWG multicast"
     );
@@ -467,7 +467,7 @@ fn eviction_prunes_view_then_readmits_via_mapping() {
         vec![a],
         "coordinator prunes the unreachable member without an LWG flush"
     );
-    assert!(w.metrics().counter("lwg.prunes") >= 1);
+    assert!(w.metrics().counter(plwg_core::keys::PRUNES) >= 1);
     // b restarted its join and followed the mapping back to the HWG; the
     // typed trace records the restart.
     assert!(wants_to_join(&mut w, b, H1));

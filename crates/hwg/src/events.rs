@@ -263,7 +263,6 @@ mod tests {
             view,
         };
         assert_eq!(e.kind(), "hwg.merge.complete");
-        assert_eq!(e.as_str(), e.kind());
         let refs = e.refs();
         assert_eq!(refs.hwg, Some(7));
         assert_eq!(refs.view, Some((1, 3)));

@@ -138,7 +138,7 @@ fn client_fails_over_when_home_server_is_down() {
         assert_eq!(c.replies.len(), 1, "retry must reach the other server");
         assert_eq!(c.ns.pending_requests(), 0);
     });
-    assert!(w.metrics().counter("ns.client_retries") >= 1);
+    assert!(w.metrics().counter(plwg_naming::keys::CLIENT_RETRIES) >= 1);
 }
 
 /// The full §5.2/§6.1 flow: divergent writes in two partitions, heal,
@@ -193,7 +193,7 @@ fn partition_divergence_reconciles_with_callbacks() {
             assert_eq!(mappings.len(), 2);
         });
     }
-    assert!(w.metrics().counter("ns.reconciliations") >= 1);
+    assert!(w.metrics().counter(plwg_naming::keys::RECONCILIATIONS) >= 1);
 }
 
 /// After the conflict is resolved by registering a merged successor view,

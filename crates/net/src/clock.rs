@@ -1,12 +1,10 @@
-// tidy-allow-file(determinism): this module is the single place the
-// workspace reads the wall clock — it anchors `Instant` once and converts
-// to SimTime micros; everything above it stays on protocol time.
 //! Wall-clock time behind the [`Clock`] seam.
 //!
 //! [`WallClock`] anchors an [`Instant`] at construction and reports
 //! elapsed wall time as [`SimTime`] micros-since-start — the same
 //! monotone timeline the simulator's virtual clock produces, so protocol
 //! deadline arithmetic (`ctx.now() + timeout`) is substrate-agnostic.
+#![expect(clippy::disallowed_types, reason = "the one wall-clock anchor")]
 
 use plwg_sim::{Clock, SimTime};
 use std::time::Instant;

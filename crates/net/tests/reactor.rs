@@ -1,6 +1,7 @@
 //! The reactor turn over real loopback sockets: deadlines honoured below a
 //! millisecond, per-peer coalescing of what a turn sends, the receive
 //! thread's lifetime, and pool maintenance that needs no traffic to run.
+#![expect(clippy::disallowed_types, reason = "measures real reactor latency")]
 
 use plwg_net::keys::{NETIO_BYTES_TX, NETIO_DGRAM_TX};
 use plwg_net::{NetOptions, NetRuntime, PeerState, DGRAM_BUDGET};

@@ -12,8 +12,9 @@ use std::collections::BTreeMap;
 /// Typed name of a counter metric.
 ///
 /// Crates declare these as constants (`pub const NET_SENT: CounterKey =
-/// CounterKey::new("net.sent");`); plain `&'static str` literals also
-/// convert for ad-hoc use.
+/// CounterKey::new("net.sent");`). There is deliberately no conversion from
+/// `&str`: the registry takes only keys, so a misspelt name is a compile
+/// error, not a silent zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CounterKey(pub &'static str);
 
@@ -36,12 +37,6 @@ macro_rules! key_impls {
             /// The canonical dotted name.
             pub const fn name(self) -> &'static str {
                 self.0
-            }
-        }
-
-        impl From<&'static str> for $key {
-            fn from(name: &'static str) -> Self {
-                $key(name)
             }
         }
 
@@ -145,15 +140,23 @@ impl Histogram {
 /// report output deterministically ordered.
 ///
 /// ```
-/// use plwg_sim::{CounterKey, MetricsRegistry};
+/// use plwg_sim::{CounterKey, HistogramKey, MetricsRegistry};
 /// const NET_SENT: CounterKey = CounterKey::new("net.sent");
+/// const LATENCY_US: HistogramKey = HistogramKey::new("latency_us");
 ///
 /// let mut m = MetricsRegistry::new();
 /// m.incr(NET_SENT);
 /// m.add(NET_SENT, 2);
-/// m.observe("latency_us", 1_500);
+/// m.observe(LATENCY_US, 1_500);
 /// assert_eq!(m.counter(NET_SENT), 3);
-/// assert_eq!(m.histogram("latency_us").map(|h| h.summary().max), Some(1_500));
+/// assert_eq!(m.histogram(LATENCY_US).map(|h| h.summary().max), Some(1_500));
+/// ```
+///
+/// A bare string is not a key:
+///
+/// ```compile_fail
+/// let m = plwg_sim::MetricsRegistry::new();
+/// let _ = m.counter("net.sent");
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
@@ -171,18 +174,18 @@ impl MetricsRegistry {
     // -- counters ------------------------------------------------------
 
     /// Adds 1 to counter `key`.
-    pub fn incr(&mut self, key: impl Into<CounterKey>) {
+    pub fn incr(&mut self, key: CounterKey) {
         self.add(key, 1);
     }
 
     /// Adds `delta` to counter `key`.
-    pub fn add(&mut self, key: impl Into<CounterKey>, delta: u64) {
-        *self.counters.entry(key.into()).or_insert(0) += delta;
+    pub fn add(&mut self, key: CounterKey, delta: u64) {
+        *self.counters.entry(key).or_insert(0) += delta;
     }
 
     /// Value of counter `key` (0 if never touched).
-    pub fn counter(&self, key: impl Into<CounterKey>) -> u64 {
-        self.counters.get(&key.into()).copied().unwrap_or(0)
+    pub fn counter(&self, key: CounterKey) -> u64 {
+        self.counters.get(&key).copied().unwrap_or(0)
     }
 
     /// All counters by key name, sorted.
@@ -193,25 +196,25 @@ impl MetricsRegistry {
     // -- gauges --------------------------------------------------------
 
     /// Sets gauge `key`.
-    pub fn set_gauge(&mut self, key: impl Into<GaugeKey>, value: i64) {
-        self.gauges.insert(key.into(), value);
+    pub fn set_gauge(&mut self, key: GaugeKey, value: i64) {
+        self.gauges.insert(key, value);
     }
 
     /// Gauge `key`, if ever set.
-    pub fn gauge(&self, key: impl Into<GaugeKey>) -> Option<i64> {
-        self.gauges.get(&key.into()).copied()
+    pub fn gauge(&self, key: GaugeKey) -> Option<i64> {
+        self.gauges.get(&key).copied()
     }
 
     // -- histograms ----------------------------------------------------
 
     /// Records `value` into histogram `key`.
-    pub fn observe(&mut self, key: impl Into<HistogramKey>, value: u64) {
-        self.histograms.entry(key.into()).or_default().record(value);
+    pub fn observe(&mut self, key: HistogramKey, value: u64) {
+        self.histograms.entry(key).or_default().record(value);
     }
 
     /// Histogram `key`, if any sample was recorded.
-    pub fn histogram(&self, key: impl Into<HistogramKey>) -> Option<&Histogram> {
-        self.histograms.get(&key.into())
+    pub fn histogram(&self, key: HistogramKey) -> Option<&Histogram> {
+        self.histograms.get(&key)
     }
 
     // -- lifecycle -----------------------------------------------------
@@ -230,22 +233,26 @@ impl MetricsRegistry {
 mod tests {
     use super::*;
 
+    const A: CounterKey = CounterKey::new("a");
+    const Z: CounterKey = CounterKey::new("z");
+    const G: GaugeKey = GaugeKey::new("g");
+
     #[test]
     fn counters_accumulate() {
         let mut m = MetricsRegistry::new();
-        m.incr("a");
-        m.add("a", 4);
-        assert_eq!(m.counter("a"), 5);
-        assert_eq!(m.counter("missing"), 0);
+        m.incr(A);
+        m.add(A, 4);
+        assert_eq!(m.counter(A), 5);
+        assert_eq!(m.counter(Z), 0);
     }
 
     #[test]
     fn gauges_overwrite() {
         let mut m = MetricsRegistry::new();
-        assert_eq!(m.gauge("g"), None);
-        m.set_gauge("g", 5);
-        m.set_gauge("g", -2);
-        assert_eq!(m.gauge("g"), Some(-2));
+        assert_eq!(m.gauge(G), None);
+        m.set_gauge(G, 5);
+        m.set_gauge(G, -2);
+        assert_eq!(m.gauge(G), Some(-2));
     }
 
     #[test]
@@ -300,8 +307,8 @@ mod tests {
     #[test]
     fn counters_iteration_is_sorted() {
         let mut m = MetricsRegistry::new();
-        m.incr("z");
-        m.incr("a");
+        m.incr(Z);
+        m.incr(A);
         let names: Vec<&str> = m.counters().map(|(k, _)| k).collect();
         assert_eq!(names, vec!["a", "z"]);
     }

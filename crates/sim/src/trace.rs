@@ -117,12 +117,6 @@ pub trait ProtocolEvent {
 
     /// Free-form human-readable detail.
     fn detail(&self) -> String;
-
-    /// The canonical display name — an alias for [`ProtocolEvent::kind`],
-    /// so call sites that format an event have one obvious spelling.
-    fn as_str(&self) -> &'static str {
-        self.kind()
-    }
 }
 
 /// One flattened trace record.
@@ -337,7 +331,6 @@ mod tests {
     fn sim_event_kinds_and_details() {
         let crash = SimEvent::Crash(NodeId(3));
         assert_eq!(crash.kind(), "world.crash");
-        assert_eq!(crash.as_str(), "world.crash");
         assert_eq!(crash.detail(), "n3");
         assert!(crash.refs().is_empty());
         let split = SimEvent::Split(vec![vec![NodeId(0)], vec![NodeId(1)]]);

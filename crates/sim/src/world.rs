@@ -252,7 +252,6 @@ impl World {
         self.with_node(node, |p, ctx| {
             let p = p
                 .as_any_mut()
-                // tidy-allow(wire-hygiene): harness inspection of the concrete process type, not a payload
                 .downcast_mut::<P>()
                 .expect("invoke: process has a different concrete type");
             f(p, ctx)
@@ -283,7 +282,6 @@ impl World {
             .as_mut()
             .expect("inspect: node slot empty (re-entrant world access)")
             .as_any_mut()
-            // tidy-allow(wire-hygiene): harness inspection of the concrete process type, not a payload
             .downcast_mut::<P>()
             .expect("inspect: process has a different concrete type");
         f(p)

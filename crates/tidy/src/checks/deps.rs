@@ -1,32 +1,27 @@
-//! `deps` — dependencies point down the layering, and only the facade
-//! (and the harness crates above it) pin the concrete substrate.
+//! `deps` — dependencies point down the layering.
 //!
 //! PR 4's substrate extraction established the layering (PR 8 slotted the
 //! codec crate underneath the simulator)
 //!
 //! ```text
-//! wire  →  sim  →  hwg  →  { vsync, naming }  →  core  →  facade / obs / workload / bench
+//! wire  →  sim  →  hwg  →  { vsync, naming }  →  core  →  facade / obs / bench
 //! ```
 //!
 //! and made `plwg-core` generic over `HwgSubstrate` precisely so the
-//! protocol layer never names `VsyncStack`. Two rules keep it that way:
-//!
-//! 1. A protocol crate's `[dependencies]` may only contain the `plwg-*`
-//!    crates below it (dev-dependencies are free: tests may close the
-//!    loop, e.g. core's integration tests run over the real stack).
-//! 2. `VsyncStack` must not appear as a code token in the `src/` of
-//!    `core`, `hwg`, `naming` or `sim` (doc comments are fine — the
-//!    scrubbed text ignores them).
+//! protocol layer never names `VsyncStack`. A protocol crate's
+//! `[dependencies]` may therefore only contain the `plwg-*` crates below
+//! it (dev-dependencies are free: tests may close the loop, e.g. core's
+//! integration tests run over the real stack). The compiler does the rest:
+//! a crate that cannot depend on `plwg-vsync` cannot name `VsyncStack`.
 
 use crate::diag::Diagnostic;
-use crate::source::word_matches;
 use crate::walk::{DepSection, Workspace};
 
 pub const NAME: &str = "deps";
 
 /// `crates/<dir>` → the `plwg-*` crates its `[dependencies]` may name.
-/// Crates absent from this table (obs, workload, bench, tidy) sit above
-/// the facade line and are unconstrained.
+/// Crates absent from this table (obs, bench, tidy) sit above the facade
+/// line and are unconstrained.
 const ALLOWED: [(&str, &[&str]); 7] = [
     ("wire", &[]),
     ("sim", &["plwg-wire"]),
@@ -43,9 +38,6 @@ const ALLOWED: [(&str, &[&str]); 7] = [
     ("net", &["plwg-wire", "plwg-sim", "plwg-hwg", "plwg-vsync"]),
 ];
 
-/// Crates whose sources must stay substrate-generic.
-const NO_VSYNC_PIN: [&str; 5] = ["core", "hwg", "naming", "sim", "wire"];
-
 pub fn run(ws: &Workspace, out: &mut Vec<Diagnostic>) {
     for m in &ws.manifests {
         let Some((_, allowed)) = ALLOWED.iter().find(|(d, _)| *d == m.crate_dir) else {
@@ -55,7 +47,7 @@ pub fn run(ws: &Workspace, out: &mut Vec<Diagnostic>) {
             if *sec != DepSection::Normal || !name.starts_with("plwg-") {
                 continue;
             }
-            if !allowed.contains(&name.as_str()) && !m.allowed(*line, NAME) {
+            if !allowed.contains(&name.as_str()) {
                 out.push(Diagnostic {
                     rel: m.rel.clone(),
                     line: *line,
@@ -67,24 +59,6 @@ pub fn run(ws: &Workspace, out: &mut Vec<Diagnostic>) {
                         m.crate_dir
                     ),
                 });
-            }
-        }
-    }
-
-    for dir in NO_VSYNC_PIN {
-        for file in ws.crate_files(dir) {
-            for (line_no, line) in file.scrubbed_lines() {
-                if word_matches(line, "VsyncStack").next().is_some() && !file.allowed(line_no, NAME)
-                {
-                    out.push(Diagnostic {
-                        rel: file.rel.clone(),
-                        line: line_no,
-                        check: NAME,
-                        msg: "protocol crates are substrate-generic: `VsyncStack` \
-                              may only be pinned by the facade and harness crates"
-                            .to_string(),
-                    });
-                }
             }
         }
     }

@@ -9,8 +9,9 @@
 //!   references — delete it (or wire up the reader that was meant to
 //!   exist).
 //! - **undeclared emission**: constructing a key inline (`CounterKey::
-//!   new(…)` outside `keys.rs`) or passing a bare string literal to a
-//!   metrics call — both bypass the shared spelling.
+//!   new(…)` outside `keys.rs`) bypasses the shared spelling. (A bare
+//!   string literal cannot reach a metrics call at all: the registry takes
+//!   the key types themselves, and they have no `From<&str>`.)
 //!
 //! Known limitation (documented, accepted): references are matched by
 //! constant *name*, so two crates declaring the same constant name can
@@ -23,18 +24,6 @@ use crate::walk::Workspace;
 pub const NAME: &str = "metric-keys";
 
 const KEY_TYPES: [&str; 3] = ["CounterKey", "GaugeKey", "HistogramKey"];
-
-/// Metrics-registry methods that accept `impl Into<…Key>` (so a bare
-/// `&'static str` literal would silently mint an undeclared key).
-const KEYED_CALLS: [&str; 7] = [
-    ".incr(",
-    ".add(",
-    ".counter(",
-    ".set_gauge(",
-    ".gauge(",
-    ".observe(",
-    ".histogram(",
-];
 
 pub fn run(ws: &Workspace, out: &mut Vec<Diagnostic>) {
     let mut declared: Vec<(&SourceFile, usize, String)> = Vec::new();
@@ -70,9 +59,9 @@ pub fn run(ws: &Workspace, out: &mut Vec<Diagnostic>) {
         }
     }
 
-    // Undeclared emissions: inline key construction or bare-string calls
-    // outside the keys modules (the metrics registry itself defines the
-    // types and is exempt).
+    // Undeclared emissions: inline key construction outside the keys
+    // modules (the metrics registry itself defines the types and is
+    // exempt).
     for file in &ws.files {
         if is_keys_module(&file.rel) || file.rel.ends_with("sim/src/metrics.rs") {
             continue;
@@ -88,22 +77,6 @@ pub fn run(ws: &Workspace, out: &mut Vec<Diagnostic>) {
                         msg: format!(
                             "inline `{ty}::new(…)` bypasses the crate's keys.rs; \
                              declare the key there"
-                        ),
-                    });
-                }
-            }
-            for call in KEYED_CALLS {
-                // After scrubbing, a string-literal argument is `("…")` with
-                // a blanked body — the opening quote survives.
-                if squeezed.contains(&format!("{call}\"")) && !file.allowed(line_no, NAME) {
-                    out.push(Diagnostic {
-                        rel: file.rel.clone(),
-                        line: line_no,
-                        check: NAME,
-                        msg: format!(
-                            "bare string key passed to `{}…)`; use a typed constant \
-                             from the crate's keys.rs",
-                            call.trim_start_matches('.')
                         ),
                     });
                 }

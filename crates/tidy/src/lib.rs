@@ -1,23 +1,22 @@
 //! `plwg-tidy` — the workspace's in-tree static-analysis pass.
 //!
 //! A rustc-`tidy`-style token scanner (pure `std`, no external
-//! dependencies) that enforces the project invariants the type system
-//! cannot: protocol determinism, hot-path panic-freedom, metric-key and
-//! protocol-event hygiene, dependency direction, and the module-size
-//! budget. Run it with `cargo run -p plwg-tidy`; CI fails on any
-//! diagnostic.
+//! dependencies) that enforces the project invariants neither the type
+//! system nor clippy can: metric-key liveness, protocol-event coverage,
+//! dependency direction, directory hygiene and the module-size budget.
+//! (Determinism and hot-path panic-freedom are clippy lints; see
+//! DESIGN.md, "Static guarantees".) Run it with `cargo run -p plwg-tidy`;
+//! CI fails on any diagnostic.
 //!
 //! Violations that are intentional carry an annotation in the source:
 //!
 //! ```text
 //! // tidy-allow(<check>): <reason>          covers this line and the next
-//! // tidy-allow-file(<check>): <reason>     covers the whole file
 //! ```
 //!
 //! Annotations must name a real check and give a non-empty reason; stale
 //! (unused) annotations are themselves diagnostics, so the allowlist can
-//! only shrink over time. The check catalog lives in [`checks`]; see
-//! DESIGN.md ("Static guarantees") for how to add one.
+//! only shrink over time. The check catalog lives in [`checks`].
 
 pub mod checks;
 pub mod diag;

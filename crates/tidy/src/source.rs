@@ -8,7 +8,6 @@
 //! string (including this tool's own pattern tables) never false-positives.
 
 use std::cell::Cell;
-use std::path::PathBuf;
 
 /// One `tidy-allow` annotation.
 #[derive(Debug)]
@@ -17,8 +16,6 @@ pub struct Allow {
     pub line: usize,
     /// The check it silences.
     pub check: String,
-    /// Whole-file scope (`tidy-allow-file`) instead of line scope.
-    pub file_scope: bool,
     /// Justification text after the colon.
     pub reason: String,
     /// Set once a check consults and honours this annotation.
@@ -28,8 +25,6 @@ pub struct Allow {
 /// A workspace source file ready for scanning.
 #[derive(Debug)]
 pub struct SourceFile {
-    /// Absolute path.
-    pub path: PathBuf,
     /// Workspace-relative path, forward slashes.
     pub rel: String,
     /// `crates/<name>/…` → `<name>`; `None` for the facade's `src/`.
@@ -43,11 +38,10 @@ pub struct SourceFile {
 }
 
 impl SourceFile {
-    pub fn new(path: PathBuf, rel: String, crate_dir: Option<String>, raw: String) -> Self {
+    pub fn new(rel: String, crate_dir: Option<String>, raw: String) -> Self {
         let scrubbed = scrub(&raw);
         let allows = parse_allows(&raw);
         SourceFile {
-            path,
             rel,
             crate_dir,
             raw,
@@ -57,16 +51,15 @@ impl SourceFile {
     }
 
     /// Whether a violation of `check` at `line` is covered by an
-    /// annotation (same line, the line above, or a file-scoped allow).
-    /// Consulting an annotation marks it used.
+    /// annotation (same line or the line above). Consulting an annotation
+    /// marks it used.
     pub fn allowed(&self, line: usize, check: &str) -> bool {
         let mut hit = false;
         for a in &self.allows {
             if a.check != check {
                 continue;
             }
-            let covers = a.file_scope || a.line == line || a.line + 1 == line;
-            if covers {
+            if a.line == line || a.line + 1 == line {
                 a.used.set(true);
                 hit = true;
             }
@@ -226,8 +219,7 @@ fn scrub_inner(src: &str, blank_comments: bool) -> String {
     out.into_iter().collect()
 }
 
-/// Extracts `tidy-allow(check): reason` / `tidy-allow-file(check): reason`
-/// annotations from comments (`//`-style in Rust, `#`-style in TOML).
+/// Extracts `// tidy-allow(check): reason` annotations.
 ///
 /// Only a **plain** comment whose content *starts* with `tidy-allow` is an
 /// annotation. Doc comments (`///`, `//!`) and prose that merely mentions
@@ -237,29 +229,13 @@ pub fn parse_allows(raw: &str) -> Vec<Allow> {
     let scrubbed = scrub_strings(raw);
     let mut out = Vec::new();
     for (idx, line) in scrubbed.lines().enumerate() {
-        let comment = if let Some(s) = line.find("//") {
-            let c = &line[s + 2..];
-            // `///` and `//!` are documentation, not annotations.
-            if c.starts_with('/') || c.starts_with('!') {
-                continue;
-            }
-            c
-        } else if let Some(s) = line.find('#') {
-            // TOML comment (attributes like `#[cfg]` never start a line
-            // with `# `).
-            &line[s + 1..]
-        } else {
+        let Some(s) = line.find("//") else { continue };
+        let comment = &line[s + 2..];
+        // `///` and `//!` are documentation, not annotations.
+        if comment.starts_with('/') || comment.starts_with('!') {
             continue;
-        };
-        let rest = comment.trim_start();
-        let Some(rest) = rest.strip_prefix("tidy-allow") else {
-            continue;
-        };
-        let (file_scope, rest) = match rest.strip_prefix("-file") {
-            Some(r) => (true, r),
-            None => (false, rest),
-        };
-        let Some(rest) = rest.strip_prefix('(') else {
+        }
+        let Some(rest) = comment.trim_start().strip_prefix("tidy-allow(") else {
             continue;
         };
         let Some(close) = rest.find(')') else {
@@ -274,7 +250,6 @@ pub fn parse_allows(raw: &str) -> Vec<Allow> {
         out.push(Allow {
             line: idx + 1,
             check,
-            file_scope,
             reason,
             used: Cell::new(false),
         });
@@ -282,23 +257,15 @@ pub fn parse_allows(raw: &str) -> Vec<Allow> {
     out
 }
 
-/// Whether the occurrence of `needle` at `pos` in `hay` is a whole-word
-/// match: identifier-boundary checks apply only at the needle ends that
-/// are themselves identifier characters (so `.unwrap()` matches after an
-/// identifier, but `HashMap` does not match inside `MyHashMap`).
-pub fn word_at(hay: &str, pos: usize, needle: &str) -> bool {
-    let ident = |c: char| c.is_alphanumeric() || c == '_';
-    let ok_before =
-        !needle.starts_with(ident) || !hay[..pos].chars().next_back().is_some_and(ident);
-    let ok_after =
-        !needle.ends_with(ident) || !hay[pos + needle.len()..].chars().next().is_some_and(ident);
-    ok_before && ok_after
-}
-
-/// All whole-word occurrences of `needle` in `hay` (byte offsets).
+/// All whole-word occurrences of the identifier `needle` in `hay` (byte
+/// offsets): `KEY` does not match inside `MY_KEY` or `KEYS`.
 pub fn word_matches<'a>(hay: &'a str, needle: &'a str) -> impl Iterator<Item = usize> + 'a {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
     hay.match_indices(needle)
-        .filter(move |(pos, _)| word_at(hay, *pos, needle))
+        .filter(move |(pos, _)| {
+            !hay[..*pos].chars().next_back().is_some_and(ident)
+                && !hay[pos + needle.len()..].chars().next().is_some_and(ident)
+        })
         .map(|(pos, _)| pos)
 }
 
@@ -332,19 +299,16 @@ mod tests {
 
     #[test]
     fn allow_parsing() {
-        let src = "x\n// tidy-allow(determinism): bench-only scratch map\ny\n# tidy-allow-file(deps): harness crate\n";
+        let src = "x\n// tidy-allow(deps): harness crate\n/// tidy-allow(deps): docs\n";
         let allows = parse_allows(src);
-        assert_eq!(allows.len(), 2);
+        assert_eq!(allows.len(), 1);
         assert_eq!(allows[0].line, 2);
-        assert_eq!(allows[0].check, "determinism");
-        assert!(!allows[0].file_scope);
-        assert_eq!(allows[0].reason, "bench-only scratch map");
-        assert!(allows[1].file_scope);
+        assert_eq!(allows[0].check, "deps");
+        assert_eq!(allows[0].reason, "harness crate");
     }
 
     #[test]
     fn word_matching() {
-        assert_eq!(word_matches("HashMap, MyHashMap", "HashMap").count(), 1);
-        assert_eq!(word_matches("a.unwrap().unwrap()", ".unwrap()").count(), 2);
+        assert_eq!(word_matches("KEY, MY_KEY, KEYS, f(KEY)", "KEY").count(), 2);
     }
 }

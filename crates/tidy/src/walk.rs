@@ -19,8 +19,6 @@ pub struct Manifest {
     pub rel: String,
     /// `(section, dependency name, 1-based line)` for every dep entry.
     pub deps: Vec<(DepSection, String, usize)>,
-    /// `tidy-allow` annotations (`#`-comments).
-    pub allows: Vec<crate::source::Allow>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,23 +28,9 @@ pub enum DepSection {
     Build,
 }
 
-impl Manifest {
-    pub fn allowed(&self, line: usize, check: &str) -> bool {
-        let mut hit = false;
-        for a in &self.allows {
-            if a.check == check && (a.file_scope || a.line == line || a.line + 1 == line) {
-                a.used.set(true);
-                hit = true;
-            }
-        }
-        hit
-    }
-}
-
 /// Everything the checks need, loaded once.
 #[derive(Debug)]
 pub struct Workspace {
-    pub root: PathBuf,
     /// Library/binary sources: `crates/*/src/**/*.rs` and the facade's
     /// `src/**/*.rs`.
     pub files: Vec<SourceFile>,
@@ -109,7 +93,6 @@ impl Workspace {
         }
 
         Ok(Workspace {
-            root,
             files,
             corpus,
             golden,
@@ -178,7 +161,6 @@ fn collect_rs(
         } else if p.extension().is_some_and(|e| e == "rs") {
             let raw = fs::read_to_string(&p).map_err(|e| format!("{}: {e}", p.display()))?;
             out.push(SourceFile::new(
-                p.clone(),
                 rel_of(root, &p),
                 crate_dir.map(str::to_string),
                 raw,
@@ -222,6 +204,5 @@ fn load_manifest(root: &Path, path: &Path, crate_dir: &str) -> Result<Manifest, 
         crate_dir: crate_dir.to_string(),
         rel: rel_of(root, path),
         deps,
-        allows: crate::source::parse_allows(&raw),
     })
 }

@@ -2,12 +2,12 @@
 //!
 //! The fixture mini-workspace under `tests/fixtures/ws/` seeds at least
 //! one violation of every check category *and* one `tidy-allow`-silenced
-//! variant of each, so these tests prove both directions: every check
-//! fires at the exact file:line it should, and the line-scope and
-//! manifest `#`-comment annotation forms are honoured. The final test runs
-//! the real workspace through the same pass and requires it clean — the
-//! invariant CI enforces, and the one place a file-scope annotation
-//! (`net/src/clock.rs`) is honoured; the module-size budget takes none.
+//! variant of each that takes a waiver, so these tests prove both
+//! directions: every check fires at the exact file:line it should, and the
+//! annotation is honoured. (The module-size budget is tested in-memory in
+//! `checks/module_size.rs`; neither it nor the manifest rule of `deps` takes
+//! a waiver.) The final test runs the real workspace through the same pass
+//! and requires it clean — the invariant CI enforces.
 
 use std::path::{Path, PathBuf};
 
@@ -32,29 +32,14 @@ fn every_check_fires_at_the_seeded_site() {
         .collect();
     let want: Vec<(&str, usize, &str)> = vec![
         ("crates/core/Cargo.toml", 6, "deps"),
-        ("crates/core/src/big.rs", 1, "module-size"),
-        ("crates/core/src/determinism_mix.rs", 4, "determinism"),
-        ("crates/core/src/determinism_mix.rs", 5, "determinism"),
-        ("crates/core/src/determinism_mix.rs", 6, "determinism"),
-        ("crates/core/src/determinism_mix.rs", 9, "determinism"),
-        ("crates/core/src/determinism_mix.rs", 12, "determinism"),
-        ("crates/core/src/determinism_mix.rs", 13, "determinism"),
         ("crates/core/src/dir_scan.rs", 4, "directory-hygiene"),
         ("crates/core/src/dir_scan.rs", 7, "directory-hygiene"),
-        ("crates/core/src/flush.rs", 4, "panic"),
-        ("crates/core/src/flush.rs", 5, "panic"),
-        ("crates/core/src/flush.rs", 7, "panic"),
         ("crates/core/src/hygiene.rs", 3, "tidy-allow"),
         ("crates/core/src/hygiene.rs", 4, "tidy-allow"),
         ("crates/core/src/hygiene.rs", 5, "tidy-allow"),
         ("crates/core/src/keys.rs", 4, "metric-keys"),
         ("crates/core/src/metrics_use.rs", 6, "metric-keys"),
-        ("crates/core/src/metrics_use.rs", 7, "metric-keys"),
         ("crates/core/src/protocol_events.rs", 15, "event-coverage"),
-        ("crates/core/src/vsync_pin.rs", 5, "deps"),
-        ("crates/core/src/wire_use.rs", 6, "wire-hygiene"),
-        ("crates/core/src/wire_use.rs", 9, "wire-hygiene"),
-        ("crates/core/src/wire_use.rs", 13, "wire-hygiene"),
         ("crates/hwg/Cargo.toml", 5, "deps"),
     ];
     let rendered: Vec<String> = diags.iter().map(ToString::to_string).collect();
@@ -71,25 +56,17 @@ fn messages_name_the_remedy() {
             .unwrap_or_else(|| panic!("no diagnostic at {rel}:{line}"))
             .msg
     };
-    assert!(msg_at("crates/core/src/determinism_mix.rs", 4).contains("use BTreeMap"));
-    assert!(msg_at("crates/core/src/determinism_mix.rs", 13).contains("float-keyed"));
     assert!(msg_at("crates/core/src/dir_scan.rs", 4).contains("indexed query"));
     assert!(msg_at("crates/core/src/dir_scan.rs", 7).contains("GroupDirectory"));
-    assert!(msg_at("crates/core/src/flush.rs", 4).contains("LwgError"));
     assert!(msg_at("crates/core/src/keys.rs", 4).contains("dead metric key `DEAD_KEY`"));
-    assert!(msg_at("crates/core/src/metrics_use.rs", 6).contains("bare string key"));
-    assert!(msg_at("crates/core/src/metrics_use.rs", 7).contains("inline `CounterKey::new"));
+    assert!(msg_at("crates/core/src/metrics_use.rs", 6).contains("inline `CounterKey::new"));
     assert!(
         msg_at("crates/core/src/protocol_events.rs", 15).contains("`fx.ghost` (FxEvent::Ghost)")
     );
-    assert!(msg_at("crates/core/src/big.rs", 1).contains("707 lines"));
     assert!(msg_at("crates/core/src/hygiene.rs", 3).contains("unknown check `no-such-check`"));
     assert!(msg_at("crates/core/src/hygiene.rs", 4).contains("needs a justification"));
     assert!(msg_at("crates/core/src/hygiene.rs", 5).contains("stale annotation"));
     assert!(msg_at("crates/hwg/Cargo.toml", 5).contains("must not depend on `plwg-naming`"));
-    assert!(msg_at("crates/core/src/wire_use.rs", 6).contains("encode_frame"));
-    assert!(msg_at("crates/core/src/wire_use.rs", 9).contains("decode_frame"));
-    assert!(msg_at("crates/core/src/wire_use.rs", 13).contains("Frame::from_u64"));
 }
 
 /// Every allow annotation the fixtures use to *silence* a violation must
@@ -97,16 +74,11 @@ fn messages_name_the_remedy() {
 #[test]
 fn allow_annotations_are_honoured() {
     let diags = plwg_tidy::run(&fixture_root()).expect("fixture workspace loads");
-    let silenced: [(&str, usize); 9] = [
-        ("crates/core/src/wire_use.rs", 18),        // allowed downcast
-        ("crates/core/src/determinism_mix.rs", 11), // line-scope, next line
-        ("crates/core/src/dir_scan.rs", 10),        // allowed directory walk
-        ("crates/core/src/flush.rs", 10),           // indexing under allow
-        ("crates/core/src/keys.rs", 6),             // allowed-dead key
-        ("crates/core/src/metrics_use.rs", 9),      // allowed bare string
+    let silenced: [(&str, usize); 4] = [
+        ("crates/core/src/dir_scan.rs", 10),   // allowed directory walk
+        ("crates/core/src/keys.rs", 6),        // allowed-dead key
+        ("crates/core/src/metrics_use.rs", 8), // allowed inline key
         ("crates/core/src/protocol_events.rs", 17), // allowed uncovered kind
-        ("crates/core/src/vsync_pin.rs", 9),        // allowed substrate pin
-        ("crates/core/Cargo.toml", 8),              // allowed manifest dep
     ];
     for (rel, line) in silenced {
         assert!(

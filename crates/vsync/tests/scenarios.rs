@@ -569,6 +569,7 @@ fn nack_recovers_lost_messages_without_view_change() {
             loss: 0.10,
             ..plwg_sim::NetConfig::default()
         },
+        trace: true,
         ..WorldConfig::default()
     });
     let nodes: Vec<NodeId> = (0..3)
@@ -583,8 +584,12 @@ fn nack_recovers_lost_messages_without_view_change() {
     }
     w.run_for(secs(15));
     assert!(
-        w.metrics().counter("hwg.nack_resends") > 0,
+        w.metrics().counter(plwg_vsync::keys::NACK_RESENDS) > 0,
         "loss at 10% must have exercised the NACK path"
+    );
+    assert!(
+        w.trace().count("hwg.nack") > 0,
+        "each repair starts with a NACK"
     );
     for &n in &nodes {
         let got: Vec<u64> = w.inspect(n, |a: &App| {
@@ -612,7 +617,10 @@ fn stability_exchange_bounds_retransmit_buffers() {
         });
     }
     w.run_for(secs(20));
-    assert!(w.metrics().counter("hwg.store_gc") > 0, "GC must have run");
+    assert!(
+        w.metrics().counter(plwg_vsync::keys::STORE_GC) > 0,
+        "GC must have run"
+    );
     for &n in &nodes {
         let buffered = w.inspect(n, |a: &App| a.stack.retransmit_buffer_len(G));
         assert!(
@@ -736,7 +744,10 @@ fn burst_of_20k_in_one_second(loss: f64) -> (usize, u64) {
             "complete FIFO at {n}"
         );
     }
-    (high_water, w.metrics().counter("hwg.nack_resends"))
+    (
+        high_water,
+        w.metrics().counter(plwg_vsync::keys::NACK_RESENDS),
+    )
 }
 
 #[test]

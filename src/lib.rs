@@ -21,10 +21,11 @@
 //! * [`net`] — the real-socket substrate: a poll-based UDP reactor and
 //!   multi-process harness running the same stack over actual datagrams
 //!   (`cargo run --example partition_heal_net`);
-//! * [`workload`] — experiment workloads and runners regenerating the
-//!   paper's evaluation;
 //! * [`obs`] — observability: causal protocol timelines built from the
 //!   typed trace (`cargo run --bin timeline -- heal`).
+//!
+//! The experiment workloads and runners regenerating the paper's
+//! evaluation live with their binaries in the `plwg-bench` crate.
 //!
 //! ## Quickstart
 //!
@@ -72,7 +73,6 @@ pub use plwg_net as net;
 pub use plwg_obs as obs;
 pub use plwg_sim as sim;
 pub use plwg_vsync as vsync;
-pub use plwg_workload as workload;
 
 /// The most commonly used items, for `use plwg::prelude::*`.
 ///

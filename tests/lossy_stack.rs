@@ -110,7 +110,7 @@ fn lwg_streams_survive_message_loss_and_a_crash() {
     }
     // The NACK path genuinely fired (5% of ~1200 transmissions lost).
     assert!(
-        world.metrics().counter("hwg.nack_resends") > 0,
+        world.metrics().counter(plwg::vsync::keys::NACK_RESENDS) > 0,
         "loss must have exercised mid-view recovery"
     );
 

@@ -127,7 +127,7 @@ fn four_step_heal_with_cross_hwg_reconciliation() {
     });
     // And the reconciliation switch actually ran.
     assert!(
-        f.world.metrics().counter("lwg.reconciliations") >= 1,
+        f.world.metrics().counter(plwg::core::keys::RECONCILIATIONS) >= 1,
         "MULTIPLE-MAPPINGS must have driven a reconciliation"
     );
 }

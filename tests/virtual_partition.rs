@@ -60,10 +60,10 @@ fn congestion_episode_splits_and_heals_lwgs() {
     // Mid-episode: the group has (virtually) fallen apart at least
     // somewhere — suspicions must have fired.
     assert!(
-        world.metrics().counter("fd.suspicions") > 0,
+        world.metrics().counter(plwg::vsync::keys::FD_SUSPICIONS) > 0,
         "the virtual partition must trip the failure detector"
     );
-    let views_mid = world.metrics().counter("hwg.views_installed");
+    let views_mid = world.metrics().counter(plwg::vsync::keys::VIEWS_INSTALLED);
 
     // After the episode clears, everything re-merges.
     world.run_until(at(70));
@@ -80,7 +80,7 @@ fn congestion_episode_splits_and_heals_lwgs() {
     // if the membership healed before a prune landed, keeping the same
     // LWG view is the *better* outcome.
     assert!(
-        world.metrics().counter("hwg.views_installed") >= views_mid,
+        world.metrics().counter(plwg::vsync::keys::VIEWS_INSTALLED) >= views_mid,
         "re-merge work happens after the episode"
     );
     assert!(
