@@ -4,78 +4,80 @@
 //! key, so readers (benches, workloads, tests) reference the same constant
 //! the protocol increments instead of re-typing the string name.
 
-use plwg_sim::{CounterKey, GaugeKey, HistogramKey};
+plwg_sim::metric_keys! {
+    family = CORE;
 
-// --- membership / view lifecycle -----------------------------------------
+    // --- membership / view lifecycle -------------------------------------
 
-/// LWG views installed (join, leave, prune, switch and merge paths).
-pub const VIEWS_INSTALLED: CounterKey = CounterKey::new("lwg.views_installed");
-/// LWG-level flush rounds started by a coordinator.
-pub const FLUSHES: CounterKey = CounterKey::new("lwg.flushes");
-/// Pruned views announced (members fell out of the backing HWG).
-pub const PRUNES: CounterKey = CounterKey::new("lwg.prunes");
-/// Switches started (policy, reconciliation or operator initiated).
-pub const SWITCHES: CounterKey = CounterKey::new("lwg.switches");
-/// Idle HWGs left under the shrink rule.
-pub const SHRINKS: CounterKey = CounterKey::new("lwg.shrinks");
+    /// LWG views installed (join, leave, prune, switch and merge paths).
+    pub const VIEWS_INSTALLED: CounterKey = "lwg.views_installed";
+    /// LWG-level flush rounds started by a coordinator.
+    pub const FLUSHES: CounterKey = "lwg.flushes";
+    /// Pruned views announced (members fell out of the backing HWG).
+    pub const PRUNES: CounterKey = "lwg.prunes";
+    /// Switches started (policy, reconciliation or operator initiated).
+    pub const SWITCHES: CounterKey = "lwg.switches";
+    /// Idle HWGs left under the shrink rule.
+    pub const SHRINKS: CounterKey = "lwg.shrinks";
 
-// --- partition healing ----------------------------------------------------
+    // --- partition healing ------------------------------------------------
 
-/// MULTIPLE-MAPPINGS notifications processed (paper §6.2 step 2).
-pub const RECONCILIATIONS: CounterKey = CounterKey::new("lwg.reconciliations");
-/// `MergeViews` requests multicast (paper Fig. 5).
-pub const MERGE_VIEWS_SENT: CounterKey = CounterKey::new("lwg.merge_views_sent");
-/// Merge rounds observed (first `MergeViews` per round).
-pub const MERGE_VIEWS_OBSERVED: CounterKey = CounterKey::new("lwg.merge_views_observed");
-/// Merged views computed and announced after a MERGE-VIEWS flush.
-pub const VIEWS_MERGED: CounterKey = CounterKey::new("lwg.views_merged");
-/// Forward-pointer redirects sent to joiners with outdated mappings.
-pub const REDIRECTS_SENT: CounterKey = CounterKey::new("lwg.redirects_sent");
-/// Redirects followed (join retargeted).
-pub const REDIRECTS_FOLLOWED: CounterKey = CounterKey::new("lwg.redirects_followed");
+    /// MULTIPLE-MAPPINGS notifications processed (paper §6.2 step 2).
+    pub const RECONCILIATIONS: CounterKey = "lwg.reconciliations";
+    /// `MergeViews` requests multicast (paper Fig. 5).
+    pub const MERGE_VIEWS_SENT: CounterKey = "lwg.merge_views_sent";
+    /// Merge rounds observed (first `MergeViews` per round).
+    pub const MERGE_VIEWS_OBSERVED: CounterKey = "lwg.merge_views_observed";
+    /// Merged views computed and announced after a MERGE-VIEWS flush.
+    pub const VIEWS_MERGED: CounterKey = "lwg.views_merged";
+    /// Forward-pointer redirects sent to joiners with outdated mappings.
+    pub const REDIRECTS_SENT: CounterKey = "lwg.redirects_sent";
+    /// Redirects followed (join retargeted).
+    pub const REDIRECTS_FOLLOWED: CounterKey = "lwg.redirects_followed";
 
-// --- data plane -----------------------------------------------------------
+    // --- data plane -------------------------------------------------------
 
-/// User multicasts submitted via `LwgService::send`.
-pub const DATA_SENT: CounterKey = CounterKey::new("lwg.data_sent");
-/// Multicasts delivered upward to the application.
-pub const DATA_DELIVERED: CounterKey = CounterKey::new("lwg.data_delivered");
-/// Multicasts dropped: tagged with a predecessor of the current view.
-pub const DATA_STALE: CounterKey = CounterKey::new("lwg.data_stale");
-/// Multicasts tagged with a concurrent (never installed) view — the
-/// local peer discovery evidence of paper §6.3.
-pub const DATA_FOREIGN: CounterKey = CounterKey::new("lwg.data_foreign");
-/// Multicasts filtered because this node is not in the group — the
-/// interference cost the Figure-1 policies minimise.
-pub const FILTERED: CounterKey = CounterKey::new("lwg.filtered");
-/// Incoming frames of the LWG wire family that failed to decode (dropped;
-/// never panicked on).
-pub const DECODE_ERRORS: CounterKey = CounterKey::new("lwg.decode_errors");
-/// Data-plane multicasts addressed to a strict subset of the HWG view.
-pub const SUBSET_SENDS: CounterKey = CounterKey::new("lwg.subset_sends");
+    /// User multicasts submitted via `LwgService::send`.
+    pub const DATA_SENT: CounterKey = "lwg.data_sent";
+    /// Multicasts delivered upward to the application.
+    pub const DATA_DELIVERED: CounterKey = "lwg.data_delivered";
+    /// Multicasts dropped: tagged with a predecessor of the current view.
+    pub const DATA_STALE: CounterKey = "lwg.data_stale";
+    /// Multicasts tagged with a concurrent (never installed) view — the
+    /// local peer discovery evidence of paper §6.3.
+    pub const DATA_FOREIGN: CounterKey = "lwg.data_foreign";
+    /// Multicasts filtered because this node is not in the group — the
+    /// interference cost the Figure-1 policies minimise.
+    pub const FILTERED: CounterKey = "lwg.filtered";
+    /// Incoming frames of the LWG wire family that failed to decode (dropped;
+    /// never panicked on).
+    pub const DECODE_ERRORS: CounterKey = "lwg.decode_errors";
+    /// Data-plane multicasts addressed to a strict subset of the HWG view.
+    pub const SUBSET_SENDS: CounterKey = "lwg.subset_sends";
 
-// --- message packing ------------------------------------------------------
+    // --- message packing --------------------------------------------------
 
-/// `Batch` multicasts sent (each packs ≥1 user sends).
-pub const BATCH_SENT: CounterKey = CounterKey::new("lwg.batch.sent");
-/// Pack buffers flushed because they reached `pack_max_msgs`.
-pub const BATCH_FLUSH_FULL: CounterKey = CounterKey::new("lwg.batch.flush_full");
-/// Pack buffers flushed by the pack-delay timer.
-pub const BATCH_FLUSH_TIMER: CounterKey = CounterKey::new("lwg.batch.flush_timer");
-/// Pack buffers flushed at a virtual-synchrony barrier.
-pub const BATCH_FLUSH_BARRIER: CounterKey = CounterKey::new("lwg.batch.flush_barrier");
-/// Batch occupancy (sends per batch) distribution.
-pub const BATCH_OCCUPANCY: HistogramKey = HistogramKey::new("lwg.batch.occupancy");
+    /// `Batch` multicasts sent (each packs ≥1 user sends).
+    pub const BATCH_SENT: CounterKey = "lwg.batch.sent";
+    /// Pack buffers flushed because they reached `pack_max_msgs`.
+    pub const BATCH_FLUSH_FULL: CounterKey = "lwg.batch.flush_full";
+    /// Pack buffers flushed by the pack-delay timer.
+    pub const BATCH_FLUSH_TIMER: CounterKey = "lwg.batch.flush_timer";
+    /// Pack buffers flushed at a virtual-synchrony barrier.
+    pub const BATCH_FLUSH_BARRIER: CounterKey = "lwg.batch.flush_barrier";
+    /// Batch occupancy (sends per batch) distribution.
+    pub const BATCH_OCCUPANCY: HistogramKey = "lwg.batch.occupancy";
 
-// --- group directory / rebalancing ---------------------------------------
+    // --- group directory / rebalancing -----------------------------------
 
-/// Light-weight groups currently in the directory (any phase).
-pub const DIR_GROUPS: GaugeKey = GaugeKey::new("lwg.dir.groups");
-/// HWGs carrying at least one mapped LWG.
-pub const DIR_HWGS_LOADED: GaugeKey = GaugeKey::new("lwg.dir.hwgs_loaded");
-/// Membership load of the most crowded HWG (LWGs mapped onto it).
-pub const DIR_MAX_HWG_LWGS: GaugeKey = GaugeKey::new("lwg.dir.max_hwg_lwgs");
-/// LWG migrations started by the rebalancer (each is one switch).
-pub const REBALANCE_MOVES: CounterKey = CounterKey::new("lwg.rebalance.moves");
-/// Rebalance rounds run (timer fired and the load accounts were scanned).
-pub const REBALANCE_ROUNDS: CounterKey = CounterKey::new("lwg.rebalance.rounds");
+    /// Light-weight groups currently in the directory (any phase).
+    pub const DIR_GROUPS: GaugeKey = "lwg.dir.groups";
+    /// HWGs carrying at least one mapped LWG.
+    pub const DIR_HWGS_LOADED: GaugeKey = "lwg.dir.hwgs_loaded";
+    /// Membership load of the most crowded HWG (LWGs mapped onto it).
+    pub const DIR_MAX_HWG_LWGS: GaugeKey = "lwg.dir.max_hwg_lwgs";
+    /// LWG migrations started by the rebalancer (each is one switch).
+    pub const REBALANCE_MOVES: CounterKey = "lwg.rebalance.moves";
+    /// Rebalance rounds run (timer fired and the load accounts were scanned).
+    pub const REBALANCE_ROUNDS: CounterKey = "lwg.rebalance.rounds";
+}

@@ -1,27 +1,29 @@
 //! Canonical metric keys of the naming service.
 
-use plwg_sim::CounterKey;
+plwg_sim::metric_keys! {
+    family = NAMING;
 
-/// `ns.set` requests served.
-pub const SETS: CounterKey = CounterKey::new("ns.sets");
-/// `ns.read` requests served.
-pub const READS: CounterKey = CounterKey::new("ns.reads");
-/// `ns.testset` requests served.
-pub const TESTSETS: CounterKey = CounterKey::new("ns.testsets");
-/// `ns.unset` requests served.
-pub const UNSETS: CounterKey = CounterKey::new("ns.unsets");
-/// `MULTIPLE-MAPPINGS` callbacks emitted.
-pub const CALLBACKS: CounterKey = CounterKey::new("ns.callbacks");
-/// Gossip rounds that changed the local replica.
-pub const RECONCILIATIONS: CounterKey = CounterKey::new("ns.reconciliations");
-/// Gossip messages sent.
-pub const GOSSIP_SENT: CounterKey = CounterKey::new("ns.gossip_sent");
-/// Lineage edges removed by periodic compaction.
-pub const COMPACTED_EDGES: CounterKey = CounterKey::new("ns.compacted_edges");
-/// Client-stub requests dispatched.
-pub const CLIENT_REQUESTS: CounterKey = CounterKey::new("ns.client_requests");
-/// Client-stub retries after a server timeout.
-pub const CLIENT_RETRIES: CounterKey = CounterKey::new("ns.client_retries");
-/// Incoming frames of this service's wire family that failed to decode
-/// (dropped; never panicked on).
-pub const DECODE_ERRORS: CounterKey = CounterKey::new("ns.decode_errors");
+    /// `ns.set` requests served.
+    pub const SETS: CounterKey = "ns.sets";
+    /// `ns.read` requests served.
+    pub const READS: CounterKey = "ns.reads";
+    /// `ns.testset` requests served.
+    pub const TESTSETS: CounterKey = "ns.testsets";
+    /// `ns.unset` requests served.
+    pub const UNSETS: CounterKey = "ns.unsets";
+    /// `MULTIPLE-MAPPINGS` callbacks emitted.
+    pub const CALLBACKS: CounterKey = "ns.callbacks";
+    /// Gossip rounds that changed the local replica.
+    pub const RECONCILIATIONS: CounterKey = "ns.reconciliations";
+    /// Gossip messages sent.
+    pub const GOSSIP_SENT: CounterKey = "ns.gossip_sent";
+    /// Lineage edges removed by periodic compaction.
+    pub const COMPACTED_EDGES: CounterKey = "ns.compacted_edges";
+    /// Client-stub requests dispatched.
+    pub const CLIENT_REQUESTS: CounterKey = "ns.client_requests";
+    /// Client-stub retries after a server timeout.
+    pub const CLIENT_RETRIES: CounterKey = "ns.client_retries";
+    /// Incoming frames of this service's wire family that failed to decode
+    /// (dropped; never panicked on).
+    pub const DECODE_ERRORS: CounterKey = "ns.decode_errors";
+}

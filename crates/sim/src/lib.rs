@@ -61,7 +61,7 @@ mod world;
 pub use config_error::ConfigError;
 pub use event::{EventQueue, QueuedEvent};
 pub use metrics::{
-    CounterKey, GaugeKey, Histogram, HistogramKey, HistogramSummary, MetricsRegistry,
+    metric_family, CounterKey, GaugeKey, Histogram, HistogramKey, HistogramSummary, MetricsRegistry,
 };
 pub use net::{DeliveryDecision, NetConfig};
 pub use node::{Context, NodeId, Payload, Process, TimerToken};

@@ -2,60 +2,225 @@
 //! a run.
 //!
 //! Metrics are addressed by **typed keys** ([`CounterKey`], [`GaugeKey`],
-//! [`HistogramKey`]) — thin `'static`-string newtypes each protocol crate
-//! declares as constants in a `keys` module. One series per key, world-wide:
-//! the experiment harness reads the registry to regenerate the paper's
-//! figures — latency histograms, message counts, throughput, recovery times.
+//! [`HistogramKey`]) that each protocol crate declares once, with
+//! [`metric_keys!`](crate::metric_keys), in a `keys` module. Every key
+//! carries a dense slot, so recording is an array write: no map walk, no
+//! string compare, no allocation. One series per key, world-wide: the
+//! experiment harness reads the registry to regenerate the paper's figures
+//! — latency histograms, message counts, throughput, recovery times.
 
-use std::collections::BTreeMap;
+/// Metric key families: each layer that declares keys owns one block of
+/// 64 registry slots, numbered by [`metric_keys!`](crate::metric_keys). The
+/// metrics counterpart of the wire [`family`](crate::family) table.
+pub mod metric_family {
+    /// The simulator's network (`net.*`, `plwg_sim::keys`).
+    pub const SIM: u16 = 0;
+    /// The HWG substrate (`hwg.*`, `plwg_hwg::keys`).
+    pub const HWG: u16 = 1;
+    /// The vsync stack's own keys (`fd.*`, `vs.*`, `plwg_vsync::keys`).
+    pub const VSYNC: u16 = 2;
+    /// The naming service (`ns.*`, `plwg_naming::keys`).
+    pub const NAMING: u16 = 3;
+    /// The light-weight group service (`lwg.*`, `plwg_core::keys`).
+    pub const CORE: u16 = 4;
+    /// The real-socket runtime (`netio.*`, `plwg_net::keys`).
+    pub const NET: u16 = 5;
+    /// Number of families.
+    pub(crate) const COUNT: u16 = 6;
+}
 
-/// Typed name of a counter metric.
+/// Slots per family: the most keys one `metric_keys!` invocation may declare.
+const FAMILY_SLOTS: u16 = 64;
+/// Slots in the registry, across all families.
+const SLOTS: usize = (metric_family::COUNT * FAMILY_SLOTS) as usize;
+
+/// Declares a crate's metric keys and numbers them into one family's slots.
 ///
-/// Crates declare these as constants (`pub const NET_SENT: CounterKey =
-/// CounterKey::new("net.sent");`). There is deliberately no conversion from
-/// `&str`: the registry takes only keys, so a misspelt name is a compile
-/// error, not a silent zero.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct CounterKey(pub &'static str);
+/// Each line keeps the `pub const NAME: Kind = "dotted.name";` shape, where
+/// `Kind` is `CounterKey`, `GaugeKey` or `HistogramKey`. Keys are numbered
+/// in declaration order, so two keys of one family cannot share a slot.
+///
+/// ```
+/// plwg_sim::metric_keys! {
+///     family = SIM;
+///     /// Messages handed to the network.
+///     pub const SENT: CounterKey = "net.sent";
+///     /// Encoded frame sizes.
+///     pub const FRAME_BYTES: HistogramKey = "net.frame_bytes";
+/// }
+/// assert_eq!(SENT.name(), "net.sent");
+/// ```
+///
+/// A family holds at most 64 keys; a 65th does not build:
+///
+/// ```compile_fail
+/// plwg_sim::metric_keys! {
+///     family = SIM;
+///     pub const K00: CounterKey = "k00"; pub const K01: CounterKey = "k01";
+///     pub const K02: CounterKey = "k02"; pub const K03: CounterKey = "k03";
+///     pub const K04: CounterKey = "k04"; pub const K05: CounterKey = "k05";
+///     pub const K06: CounterKey = "k06"; pub const K07: CounterKey = "k07";
+///     pub const K08: CounterKey = "k08"; pub const K09: CounterKey = "k09";
+///     pub const K10: CounterKey = "k10"; pub const K11: CounterKey = "k11";
+///     pub const K12: CounterKey = "k12"; pub const K13: CounterKey = "k13";
+///     pub const K14: CounterKey = "k14"; pub const K15: CounterKey = "k15";
+///     pub const K16: CounterKey = "k16"; pub const K17: CounterKey = "k17";
+///     pub const K18: CounterKey = "k18"; pub const K19: CounterKey = "k19";
+///     pub const K20: CounterKey = "k20"; pub const K21: CounterKey = "k21";
+///     pub const K22: CounterKey = "k22"; pub const K23: CounterKey = "k23";
+///     pub const K24: CounterKey = "k24"; pub const K25: CounterKey = "k25";
+///     pub const K26: CounterKey = "k26"; pub const K27: CounterKey = "k27";
+///     pub const K28: CounterKey = "k28"; pub const K29: CounterKey = "k29";
+///     pub const K30: CounterKey = "k30"; pub const K31: CounterKey = "k31";
+///     pub const K32: CounterKey = "k32"; pub const K33: CounterKey = "k33";
+///     pub const K34: CounterKey = "k34"; pub const K35: CounterKey = "k35";
+///     pub const K36: CounterKey = "k36"; pub const K37: CounterKey = "k37";
+///     pub const K38: CounterKey = "k38"; pub const K39: CounterKey = "k39";
+///     pub const K40: CounterKey = "k40"; pub const K41: CounterKey = "k41";
+///     pub const K42: CounterKey = "k42"; pub const K43: CounterKey = "k43";
+///     pub const K44: CounterKey = "k44"; pub const K45: CounterKey = "k45";
+///     pub const K46: CounterKey = "k46"; pub const K47: CounterKey = "k47";
+///     pub const K48: CounterKey = "k48"; pub const K49: CounterKey = "k49";
+///     pub const K50: CounterKey = "k50"; pub const K51: CounterKey = "k51";
+///     pub const K52: CounterKey = "k52"; pub const K53: CounterKey = "k53";
+///     pub const K54: CounterKey = "k54"; pub const K55: CounterKey = "k55";
+///     pub const K56: CounterKey = "k56"; pub const K57: CounterKey = "k57";
+///     pub const K58: CounterKey = "k58"; pub const K59: CounterKey = "k59";
+///     pub const K60: CounterKey = "k60"; pub const K61: CounterKey = "k61";
+///     pub const K62: CounterKey = "k62"; pub const K63: CounterKey = "k63";
+///     pub const K64: CounterKey = "k64";
+/// }
+/// ```
+#[macro_export]
+macro_rules! metric_keys {
+    (
+        family = $family:ident;
+        $( $(#[$meta:meta])* pub const $name:ident : $kind:ident = $key:literal; )*
+    ) => {
+        /// Declaration order: each key's index within its family.
+        #[allow(non_camel_case_types, clippy::upper_case_acronyms)]
+        #[repr(u16)]
+        enum __MetricSlot {
+            $( $name, )*
+        }
 
-/// Typed name of a gauge metric (a value that goes up and down).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct GaugeKey(pub &'static str);
+        $(
+            $(#[$meta])*
+            pub const $name: $crate::$kind = $crate::$kind::new(
+                $crate::metric_family::$family,
+                __MetricSlot::$name as u16,
+                $key,
+            );
+        )*
+    };
+}
 
-/// Typed name of a histogram metric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct HistogramKey(pub &'static str);
+macro_rules! key_type {
+    ($(#[$meta:meta])* $key:ident) => {
+        $(#[$meta])*
+        ///
+        /// Declared only through [`metric_keys!`](crate::metric_keys). There
+        /// is deliberately no conversion from `&str`: the registry takes
+        /// only keys, so a misspelt name is a compile error, not a silent
+        /// zero.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        pub struct $key {
+            slot: u16,
+            name: &'static str,
+        }
 
-macro_rules! key_impls {
-    ($key:ident) => {
         impl $key {
-            /// Creates a key from its canonical dotted name.
-            pub const fn new(name: &'static str) -> Self {
-                $key(name)
+            /// The key in slot `index` of metric family `family`. Called by
+            /// [`metric_keys!`](crate::metric_keys), which numbers the keys;
+            /// an `index` of 64 or more (a 65th key) fails the `const`
+            /// evaluation.
+            #[doc(hidden)]
+            pub const fn new(family: u16, index: u16, name: &'static str) -> Self {
+                assert!(family < metric_family::COUNT, "unknown metric family");
+                assert!(index < FAMILY_SLOTS, "a metric family holds at most 64 keys");
+                $key {
+                    slot: family * FAMILY_SLOTS + index,
+                    name,
+                }
             }
 
             /// The canonical dotted name.
             pub const fn name(self) -> &'static str {
-                self.0
+                self.name
+            }
+
+            fn slot(self) -> usize {
+                usize::from(self.slot)
             }
         }
 
         impl std::fmt::Display for $key {
             fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                f.write_str(self.0)
+                f.write_str(self.name)
             }
         }
     };
 }
 
-key_impls!(CounterKey);
-key_impls!(GaugeKey);
-key_impls!(HistogramKey);
+key_type!(
+    /// Typed name of a counter metric.
+    CounterKey
+);
+key_type!(
+    /// Typed name of a gauge metric (a value that goes up and down).
+    GaugeKey
+);
+key_type!(
+    /// Typed name of a histogram metric.
+    HistogramKey
+);
 
-/// A set of values summarised by quantiles.
+/// Values below this are recorded exactly, one bucket each.
+const LINEAR: u64 = 1 << 14;
+/// Above [`LINEAR`] every power of two is split into `2^SUB_BITS` buckets.
+const SUB_BITS: u32 = 9;
+/// Buckets needed to cover every `u64`.
+const BUCKETS: usize =
+    LINEAR as usize + (((u64::BITS - LINEAR.trailing_zeros()) as usize) << SUB_BITS);
+
+/// Bucket of `v`: `v` itself below [`LINEAR`], else its octave and the
+/// next [`SUB_BITS`] bits below the leading one.
+fn bucket_of(v: u64) -> usize {
+    if v < LINEAR {
+        return v as usize;
+    }
+    let top = v.ilog2();
+    let octave = (top - LINEAR.trailing_zeros()) as usize;
+    let sub = ((v >> (top - SUB_BITS)) & ((1 << SUB_BITS) - 1)) as usize;
+    LINEAR as usize + (octave << SUB_BITS) + sub
+}
+
+/// Lowest value that lands in bucket `i`.
+fn floor_of(i: usize) -> u64 {
+    if i < LINEAR as usize {
+        return i as u64;
+    }
+    let i = i - LINEAR as usize;
+    let top = (i >> SUB_BITS) as u32 + LINEAR.trailing_zeros();
+    let sub = (i & ((1 << SUB_BITS) - 1)) as u64;
+    (1 << top) | (sub << (top - SUB_BITS))
+}
+
+/// A set of `u64` samples summarised by quantiles, in bounded memory.
+///
+/// Log-linear buckets: exact below 16 384, and above that 512 buckets per
+/// power of two, so a bucket's floor is at most the value and within
+/// 0.2 % of it. The bucket vector grows only to the highest bucket hit
+/// (at most 41 984 `u32`s for the whole `u64` range); count, sum, min and
+/// max are kept exactly.
 #[derive(Debug, Clone, Default)]
 pub struct Histogram {
-    values: Vec<u64>,
+    /// Samples per bucket, saturating.
+    buckets: Vec<u32>,
+    count: u64,
+    sum: u128,
+    min: u64,
+    max: u64,
 }
 
 /// Summary statistics of a [`Histogram`].
@@ -78,29 +243,58 @@ pub struct HistogramSummary {
 }
 
 impl Histogram {
-    /// Records one sample.
+    /// Records one sample. Allocates only when `value` lands above every
+    /// bucket held so far.
     pub fn record(&mut self, value: u64) {
-        self.values.push(value);
+        let i = bucket_of(value);
+        if i >= self.buckets.len() {
+            // At least double, so a creeping maximum reallocates rarely.
+            let len = (i + 1).max(2 * self.buckets.len()).min(BUCKETS);
+            self.buckets.reserve_exact(len - self.buckets.len());
+            self.buckets.resize(len, 0);
+        }
+        if let Some(b) = self.buckets.get_mut(i) {
+            *b = b.saturating_add(1);
+        }
+        self.min = if self.count == 0 {
+            value
+        } else {
+            self.min.min(value)
+        };
+        self.max = self.max.max(value);
+        self.count += 1;
+        self.sum += u128::from(value);
     }
 
     /// Number of samples.
     pub fn count(&self) -> usize {
-        self.values.len()
+        self.count as usize
     }
 
-    /// Iterates over samples in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        self.values.iter().copied()
+    /// Nearest-rank percentile: the floor of the bucket holding the
+    /// `ceil(p·n)`-th smallest sample, clamped to `[min, max]`.
+    fn percentile(&self, p: f64) -> u64 {
+        let rank = ((p * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let mut seen = 0u64;
+        for (i, &n) in self.buckets.iter().enumerate() {
+            seen += u64::from(n);
+            if seen >= rank {
+                return floor_of(i).clamp(self.min, self.max);
+            }
+        }
+        self.max
     }
 
     /// Computes summary statistics.
     ///
-    /// Percentiles use the nearest-rank method: `p`-th percentile = the
-    /// `ceil(p·n)`-th smallest sample. With few samples this errs towards
-    /// the larger sample — for `n = 2`, p95 and p99 report the max, not
-    /// the min — which is the conservative choice for latency reporting.
+    /// `count`, `min`, `max` and `mean` are exact. Percentiles use the
+    /// nearest-rank method: `p`-th percentile = the `ceil(p·n)`-th smallest
+    /// sample, exact below 16 384 and its bucket floor (≤ 0.2 % low) above.
+    /// With few samples this errs towards the larger sample — for `n = 2`,
+    /// p95 and p99 report the max, not the min — which is the conservative
+    /// choice for latency reporting.
     pub fn summary(&self) -> HistogramSummary {
-        if self.values.is_empty() {
+        if self.count == 0 {
             return HistogramSummary {
                 count: 0,
                 min: 0,
@@ -111,23 +305,14 @@ impl Histogram {
                 p99: 0,
             };
         }
-        let mut sorted = self.values.clone();
-        sorted.sort_unstable();
-        let n = sorted.len();
-        let pct = |p: f64| -> u64 {
-            // Nearest-rank: smallest sample with at least p·n samples ≤ it.
-            let rank = ((p * n as f64).ceil() as usize).clamp(1, n);
-            sorted[rank - 1]
-        };
-        let sum: u128 = sorted.iter().map(|&v| v as u128).sum();
         HistogramSummary {
-            count: n,
-            min: sorted.first().copied().unwrap_or(0),
-            max: sorted.last().copied().unwrap_or(0),
-            mean: sum as f64 / n as f64,
-            p50: pct(0.50),
-            p95: pct(0.95),
-            p99: pct(0.99),
+            count: self.count(),
+            min: self.min,
+            max: self.max,
+            mean: self.sum as f64 / self.count as f64,
+            p50: self.percentile(0.50),
+            p95: self.percentile(0.95),
+            p99: self.percentile(0.99),
         }
     }
 }
@@ -135,14 +320,18 @@ impl Histogram {
 /// The world's metric sink: counters, gauges and histograms addressed by
 /// typed keys.
 ///
-/// Key names are dotted strings (`"net.sent"`, `"lwg.switches"`); each
-/// crate exports its canonical keys in a `keys` module. `BTreeMap` keeps
-/// report output deterministically ordered.
+/// Each kind is a fixed array indexed by the key's slot. A counter records
+/// its key's name on first touch, and [`counters`](Self::counters) reports
+/// the touched ones sorted by name, so report output is deterministically
+/// ordered.
 ///
 /// ```
-/// use plwg_sim::{CounterKey, HistogramKey, MetricsRegistry};
-/// const NET_SENT: CounterKey = CounterKey::new("net.sent");
-/// const LATENCY_US: HistogramKey = HistogramKey::new("latency_us");
+/// use plwg_sim::MetricsRegistry;
+/// plwg_sim::metric_keys! {
+///     family = SIM;
+///     pub const NET_SENT: CounterKey = "net.sent";
+///     pub const LATENCY_US: HistogramKey = "latency_us";
+/// }
 ///
 /// let mut m = MetricsRegistry::new();
 /// m.incr(NET_SENT);
@@ -158,11 +347,22 @@ impl Histogram {
 /// let m = plwg_sim::MetricsRegistry::new();
 /// let _ = m.counter("net.sent");
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<CounterKey, u64>,
-    gauges: BTreeMap<GaugeKey, i64>,
-    histograms: BTreeMap<HistogramKey, Histogram>,
+    /// Name and value of each touched counter.
+    counters: Box<[Option<(&'static str, u64)>; SLOTS]>,
+    gauges: Box<[Option<i64>; SLOTS]>,
+    histograms: Box<[Option<Box<Histogram>>; SLOTS]>,
+}
+
+impl Default for MetricsRegistry {
+    fn default() -> Self {
+        MetricsRegistry {
+            counters: Box::new([None; SLOTS]),
+            gauges: Box::new([None; SLOTS]),
+            histograms: Box::new(std::array::from_fn(|_| None)),
+        }
+    }
 }
 
 impl MetricsRegistry {
@@ -180,41 +380,54 @@ impl MetricsRegistry {
 
     /// Adds `delta` to counter `key`.
     pub fn add(&mut self, key: CounterKey, delta: u64) {
-        *self.counters.entry(key).or_insert(0) += delta;
+        if let Some(c) = self.counters.get_mut(key.slot()) {
+            c.get_or_insert((key.name, 0)).1 += delta;
+        }
     }
 
     /// Value of counter `key` (0 if never touched).
     pub fn counter(&self, key: CounterKey) -> u64 {
-        self.counters.get(&key).copied().unwrap_or(0)
+        self.counters
+            .get(key.slot())
+            .copied()
+            .flatten()
+            .map_or(0, |(_, v)| v)
     }
 
-    /// All counters by key name, sorted.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(k, &v)| (k.name(), v))
+    /// All touched counters by key name, sorted.
+    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+        let mut touched: Vec<(&'static str, u64)> =
+            self.counters.iter().flatten().copied().collect();
+        touched.sort_unstable_by_key(|&(name, _)| name);
+        touched.into_iter()
     }
 
     // -- gauges --------------------------------------------------------
 
     /// Sets gauge `key`.
     pub fn set_gauge(&mut self, key: GaugeKey, value: i64) {
-        self.gauges.insert(key, value);
+        if let Some(g) = self.gauges.get_mut(key.slot()) {
+            *g = Some(value);
+        }
     }
 
     /// Gauge `key`, if ever set.
     pub fn gauge(&self, key: GaugeKey) -> Option<i64> {
-        self.gauges.get(&key).copied()
+        self.gauges.get(key.slot()).copied().flatten()
     }
 
     // -- histograms ----------------------------------------------------
 
     /// Records `value` into histogram `key`.
     pub fn observe(&mut self, key: HistogramKey, value: u64) {
-        self.histograms.entry(key).or_default().record(value);
+        if let Some(h) = self.histograms.get_mut(key.slot()) {
+            h.get_or_insert_with(Box::default).record(value);
+        }
     }
 
     /// Histogram `key`, if any sample was recorded.
     pub fn histogram(&self, key: HistogramKey) -> Option<&Histogram> {
-        self.histograms.get(&key)
+        self.histograms.get(key.slot())?.as_deref()
     }
 
     // -- lifecycle -----------------------------------------------------
@@ -223,9 +436,9 @@ impl MetricsRegistry {
     /// scope measurement to a phase (e.g. drop setup traffic, measure
     /// steady state only).
     pub fn reset(&mut self) {
-        self.counters.clear();
-        self.gauges.clear();
-        self.histograms.clear();
+        self.counters.fill(None);
+        self.gauges.fill(None);
+        self.histograms.fill(None);
     }
 }
 
@@ -233,9 +446,15 @@ impl MetricsRegistry {
 mod tests {
     use super::*;
 
-    const A: CounterKey = CounterKey::new("a");
-    const Z: CounterKey = CounterKey::new("z");
-    const G: GaugeKey = GaugeKey::new("g");
+    // Z before A, so slot order and name order disagree.
+    crate::metric_keys! {
+        family = SIM;
+        pub const Z: CounterKey = "z";
+        pub const A: CounterKey = "a";
+        pub const UNTOUCHED: CounterKey = "m";
+        pub const G: GaugeKey = "g";
+        pub const H: HistogramKey = "h";
+    }
 
     #[test]
     fn counters_accumulate() {
@@ -305,11 +524,84 @@ mod tests {
     }
 
     #[test]
-    fn counters_iteration_is_sorted() {
+    fn histogram_is_exact_below_the_linear_range() {
+        for v in [0, 1, 2, 1_000, LINEAR - 1] {
+            assert_eq!(floor_of(bucket_of(v)), v);
+        }
+        assert_eq!(bucket_of(LINEAR - 1) + 1, bucket_of(LINEAR));
+        let mut h = Histogram::default();
+        for v in [LINEAR - 1, 7, 7, 300] {
+            h.record(v);
+        }
+        let s = h.summary();
+        assert_eq!((s.p50, s.p95, s.p99), (7, LINEAR - 1, LINEAR - 1));
+    }
+
+    #[test]
+    fn histogram_bucket_floor_is_within_a_fifth_of_a_percent_below() {
+        for v in [LINEAR, LINEAR + 1, 123_456, 987_654_321, u64::MAX] {
+            let floor = floor_of(bucket_of(v));
+            assert!(floor <= v, "{floor} > {v}");
+            assert!(v - floor <= v / 512, "{v} -> {floor}");
+        }
+        assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
+    }
+
+    #[test]
+    fn histogram_min_max_mean_are_exact_across_both_regions() {
+        let mut h = Histogram::default();
+        let samples = [123_456, 5, 987_654_321, LINEAR + 1, 16_000];
+        for v in samples {
+            h.record(v);
+        }
+        let s = h.summary();
+        assert_eq!((s.count, s.min, s.max), (5, 5, 987_654_321));
+        let sum: u64 = samples.iter().sum();
+        assert_eq!(s.mean, sum as f64 / 5.0);
+        // Percentiles above the linear range are floors clamped to the
+        // observed range, never outside it.
+        assert_eq!(s.p99, floor_of(bucket_of(987_654_321)));
+        let mut one = Histogram::default();
+        one.record(123_456);
+        let s = one.summary();
+        assert_eq!(
+            (s.min, s.p50, s.p99, s.max),
+            (123_456, 123_456, 123_456, 123_456)
+        );
+    }
+
+    #[test]
+    fn histogram_buckets_stay_within_the_bucket_count() {
+        let mut h = Histogram::default();
+        for v in [3, LINEAR, 1 << 40, u64::MAX, u64::MAX, 9] {
+            h.record(v);
+            assert!(h.buckets.len() <= BUCKETS);
+            assert!(h.buckets.capacity() <= BUCKETS);
+        }
+        assert_eq!(h.buckets.len(), BUCKETS);
+        assert_eq!(h.summary().max, u64::MAX);
+    }
+
+    #[test]
+    fn counters_iteration_is_sorted_and_touched_only() {
         let mut m = MetricsRegistry::new();
         m.incr(Z);
+        m.add(A, 0);
+        let got: Vec<(&str, u64)> = m.counters().collect();
+        assert_eq!(got, vec![("a", 0), ("z", 1)]);
+        assert_eq!(m.counter(UNTOUCHED), 0);
+    }
+
+    #[test]
+    fn reset_clears_every_kind() {
+        let mut m = MetricsRegistry::new();
         m.incr(A);
-        let names: Vec<&str> = m.counters().map(|(k, _)| k).collect();
-        assert_eq!(names, vec!["a", "z"]);
+        m.set_gauge(G, 1);
+        m.observe(H, 1);
+        m.reset();
+        assert_eq!(m.counters().count(), 0);
+        assert_eq!(m.counter(A), 0);
+        assert_eq!(m.gauge(G), None);
+        assert!(m.histogram(H).is_none());
     }
 }

@@ -1,9 +1,11 @@
 //! `metric-keys` — one typed spelling per metric, and no dead metrics.
 //!
-//! PR 5 moved every counter/gauge/histogram name into per-crate `keys.rs`
-//! modules as typed `CounterKey`/`GaugeKey`/`HistogramKey` constants, so
-//! that emitters and readers (benches, workloads, tests) cannot drift
-//! apart on a string. This check keeps that closed world closed:
+//! Every counter/gauge/histogram name lives in a per-crate `keys.rs`
+//! module as a typed `CounterKey`/`GaugeKey`/`HistogramKey` constant,
+//! declared one per line (`pub const NAME: CounterKey = "dotted.name";`)
+//! inside a `plwg_sim::metric_keys!` invocation, so that emitters and
+//! readers (benches, workloads, tests) cannot drift apart on a string.
+//! This check keeps that closed world closed:
 //!
 //! - **dead key**: a constant declared in a `keys.rs` that nothing else
 //!   references — delete it (or wire up the reader that was meant to
@@ -109,7 +111,7 @@ mod tests {
     #[test]
     fn decl_parsing() {
         assert_eq!(
-            key_decl("pub const NET_SENT: CounterKey = CounterKey::new(\"net.sent\");"),
+            key_decl("    pub const NET_SENT: CounterKey = \"net.sent\";"),
             Some("NET_SENT".to_string())
         );
         assert_eq!(key_decl("pub const N: usize = 3;"), None);

@@ -1,6 +1,10 @@
 //! Fixture: metric keys — one live, one dead, one allowed-dead.
 
-pub const LIVE_KEY: CounterKey = CounterKey::new("fx.live");
-pub const DEAD_KEY: CounterKey = CounterKey::new("fx.dead");
-// tidy-allow(metric-keys): reserved for the next fixture generation
-pub const PARKED_KEY: GaugeKey = GaugeKey::new("fx.parked");
+plwg_sim::metric_keys! {
+    family = CORE;
+
+    pub const LIVE_KEY: CounterKey = "fx.live";
+    pub const DEAD_KEY: CounterKey = "fx.dead";
+    // tidy-allow(metric-keys): reserved for the next fixture generation
+    pub const PARKED_KEY: GaugeKey = "fx.parked";
+}

@@ -5,10 +5,13 @@
 //! stack's failure detector.
 
 pub use plwg_hwg::keys::*;
-use plwg_sim::CounterKey;
 
-/// Fresh suspicions raised by the failure detector.
-pub const FD_SUSPICIONS: CounterKey = CounterKey::new("fd.suspicions");
-/// Incoming frames of this stack's wire family that failed to decode
-/// (dropped; never panicked on).
-pub const DECODE_ERRORS: CounterKey = CounterKey::new("vs.decode_errors");
+plwg_sim::metric_keys! {
+    family = VSYNC;
+
+    /// Fresh suspicions raised by the failure detector.
+    pub const FD_SUSPICIONS: CounterKey = "fd.suspicions";
+    /// Incoming frames of this stack's wire family that failed to decode
+    /// (dropped; never panicked on).
+    pub const DECODE_ERRORS: CounterKey = "vs.decode_errors";
+}

@@ -9,6 +9,12 @@
 //! each sending one message per group per virtual millisecond. The
 //! simulation is deterministic, so the ratio is an exact count, not a
 //! timing, and the budget is the measured value plus 10 %.
+//!
+//! The same runs guard that steady traffic leaves the heap flat: the peak
+//! of live bytes over eight more virtual seconds may exceed the peak over
+//! the four measured ones by at most [`HEAP_GROWTH_BUDGET`]. A structure
+//! that keeps something per message (a sample log, an undrained queue)
+//! doubles its buffer inside that window and fails here.
 
 use plwg::prelude::*;
 use plwg::sim::{TimerToken, Transport};
@@ -17,36 +23,50 @@ use std::any::Any;
 use std::cell::Cell;
 use std::collections::BTreeMap;
 
-/// Counts `alloc`/`realloc` calls of the calling thread (the test harness
-/// runs the cases on threads of their own).
+/// Counts `alloc`/`realloc` calls and live bytes of the calling thread
+/// (the test harness runs the cases on threads of their own).
 struct CountingAlloc;
 
 thread_local! {
-    // Const-initialised and without a destructor, so touching it from
+    // Const-initialised and without a destructor, so touching them from
     // inside the allocator never allocates.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated and has not freed.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// Highest `LIVE` since the last [`reset_peak`].
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count_one() {
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+fn note(allocs: u64, bytes: i64) {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + allocs));
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + bytes);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
+/// Starts a new high-water window at the current live bytes.
+fn reset_peak() {
+    PEAK.set(LIVE.get());
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counting touches only a
-// const-initialised thread-local `Cell`.
+// upholds the `GlobalAlloc` contract; the counting touches only
+// const-initialised thread-local `Cell`s.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        note(1, layout.size() as i64);
         // SAFETY: `layout` is the caller's, passed through unchanged.
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(0, -(layout.size() as i64));
         // SAFETY: the caller guarantees `ptr` came from this allocator,
         // which always allocates with `System`.
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        note(1, new_size as i64 - layout.size() as i64);
         // SAFETY: arguments are the caller's, passed through unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -65,6 +85,9 @@ const APPS: u32 = 8;
 const SOLO_BUDGET: f64 = 1.42;
 /// Measured 0.6429.
 const FANIN_BUDGET: f64 = 0.71;
+/// Allowed rise of the live-heap peak from the measured window to the
+/// twice-as-long one after it. Measured: −448 B (solo), 0 B (fanin).
+const HEAP_GROWTH_BUDGET: i64 = 16 * 1024;
 
 /// One node: the service, a traffic timer, and a FIFO exactly-once check
 /// on what it delivers.
@@ -123,10 +146,19 @@ impl Process for Host {
     }
 }
 
+/// What a steady-traffic run measured.
+struct Steady {
+    /// Allocations ÷ deliveries over four virtual seconds.
+    allocs_per_delivery: f64,
+    /// Live-heap peak over the next eight virtual seconds minus the peak
+    /// over those four, in bytes.
+    peak_growth: i64,
+}
+
 /// Brings up `groups` with the first `members` nodes in each (plus [`BIG`]
-/// over all of them), starts two senders, warms up, and returns allocations
-/// ÷ deliveries over four virtual seconds of steady traffic.
-fn allocs_per_delivery(cfg: LwgConfig, groups: &[LwgId], members: usize, payload: usize) -> f64 {
+/// over all of them), starts two senders, warms up, and measures four
+/// virtual seconds of steady traffic, then eight more.
+fn steady_state(cfg: LwgConfig, groups: &[LwgId], members: usize, payload: usize) -> Steady {
     let mut world = World::new(WorldConfig {
         seed: 1,
         ..WorldConfig::default()
@@ -196,11 +228,16 @@ fn allocs_per_delivery(cfg: LwgConfig, groups: &[LwgId], members: usize, payload
         apps.iter().map(at).sum()
     };
     let (allocs_before, delivered_before) = (ALLOCS.get(), delivered(&mut world));
+    reset_peak();
     world.run_for(SimDuration::from_secs(4));
     let (allocs, ops) = (
         ALLOCS.get() - allocs_before,
         delivered(&mut world) - delivered_before,
     );
+    let peak = PEAK.get();
+    reset_peak();
+    world.run_for(SimDuration::from_secs(8));
+    let peak_growth = PEAK.get() - peak;
 
     // 2 senders × 1000 ticks/s × 4 s, one message per group per tick, one
     // delivery per group member; what is in flight at either edge cancels.
@@ -216,18 +253,31 @@ fn allocs_per_delivery(cfg: LwgConfig, groups: &[LwgId], members: usize, payload
             "FIFO at {n}"
         );
     }
-    allocs as f64 / ops as f64
+    Steady {
+        allocs_per_delivery: allocs as f64 / ops as f64,
+        peak_growth,
+    }
+}
+
+fn assert_within_budget(run: &Steady, alloc_budget: f64) {
+    let ratio = run.allocs_per_delivery;
+    assert!(
+        ratio <= alloc_budget,
+        "{ratio:.6} allocations per delivery, budget {alloc_budget}"
+    );
+    assert!(
+        run.peak_growth <= HEAP_GROWTH_BUDGET,
+        "live-heap peak grew {} B in steady state, budget {HEAP_GROWTH_BUDGET} B",
+        run.peak_growth
+    );
 }
 
 /// `sim_solo_1k`: default configuration, one LWG over all eight nodes,
 /// 1 KiB payloads — every send is its own HWG multicast.
 #[test]
 fn solo_1k_stays_within_its_allocation_budget() {
-    let ratio = allocs_per_delivery(LwgConfig::default(), &[BIG], APPS as usize, 1024);
-    assert!(
-        ratio <= SOLO_BUDGET,
-        "{ratio:.6} allocations per delivery, budget {SOLO_BUDGET}"
-    );
+    let run = steady_state(LwgConfig::default(), &[BIG], APPS as usize, 1024);
+    assert_within_budget(&run, SOLO_BUDGET);
 }
 
 /// `sim_fanin_64b`: eight co-mapped four-member LWGs, 64 B payloads,
@@ -243,9 +293,6 @@ fn fanin_64b_stays_within_its_allocation_budget() {
         ..LwgConfig::default()
     };
     let groups: Vec<LwgId> = (1..=8).map(LwgId).collect();
-    let ratio = allocs_per_delivery(cfg, &groups, 4, 64);
-    assert!(
-        ratio <= FANIN_BUDGET,
-        "{ratio:.6} allocations per delivery, budget {FANIN_BUDGET}"
-    );
+    let run = steady_state(cfg, &groups, 4, 64);
+    assert_within_budget(&run, FANIN_BUDGET);
 }
