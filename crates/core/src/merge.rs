@@ -25,7 +25,7 @@ use crate::service::LwgService;
 use crate::wire;
 use plwg_hwg::{HwgId, HwgSubstrate, View, ViewId};
 use plwg_naming::LwgId;
-use plwg_sim::{NodeId, Transport, TransportExt};
+use plwg_sim::{NodeId, Payload, Transport, TransportExt};
 use std::collections::{BTreeMap, BTreeSet};
 
 impl<S: HwgSubstrate> LwgService<S> {
@@ -68,15 +68,21 @@ impl<S: HwgSubstrate> LwgService<S> {
 
     /// An `AllViews` advertisement arrived on `hwg`: record the advertised
     /// views for the round that concludes with the next HWG view.
+    ///
+    /// Every member of a view advertises it, so one copy per view id is
+    /// kept: the first. That relies on a view id naming one view
+    /// everywhere, which the debug assertion checks.
     pub(crate) fn handle_all_views(&mut self, hwg: Option<HwgId>, views: &[(LwgId, View)]) {
         if let Some(hwg) = hwg {
             let round = self.rounds.entry(hwg).or_default();
             for (lwg, view) in views {
-                round
+                let kept = round
                     .collected
                     .entry(*lwg)
                     .or_default()
-                    .insert(view.id, view.clone());
+                    .entry(view.id)
+                    .or_insert_with(|| view.clone());
+                debug_assert_eq!(kept, view, "two advertisements of one view id differ");
             }
         }
     }
@@ -171,14 +177,17 @@ impl<S: HwgSubstrate> LwgService<S> {
         }
     }
 
-    /// The LWG views of groups this node maps onto `hwg` (the AllViews
-    /// advertisement piggybacked on every HWG flush) — an indexed query,
-    /// in ascending group-id order like the full scan it replaced.
-    pub(crate) fn my_views_on(&self, hwg: HwgId) -> Vec<(LwgId, View)> {
-        self.dir
+    /// The `AllViews` frame advertising the LWG views of groups this node
+    /// maps onto `hwg` (piggybacked on every HWG flush), or `None` when it
+    /// maps none. The views are found by an indexed query, in ascending
+    /// group-id order, and encoded where they live, without a copy.
+    pub(crate) fn all_views_advert(&self, hwg: HwgId) -> Option<Payload> {
+        let views: Vec<(LwgId, &View)> = self
+            .dir
             .mapped_on(hwg)
             .into_iter()
-            .filter_map(|l| self.dir.get(l).and_then(|s| s.view.clone().map(|v| (l, v))))
-            .collect()
+            .filter_map(|l| Some((l, self.dir.get(l)?.view.as_ref()?)))
+            .collect();
+        (!views.is_empty()).then(|| wire::all_views_frame(&views))
     }
 }

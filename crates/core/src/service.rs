@@ -342,10 +342,8 @@ impl<S: HwgSubstrate> LwgService<S> {
                 // sent before stop_ok, it is part of the closing view's
                 // message set, so after the flush every member knows every
                 // LWG view present (the ALL-VIEWS exchange of Fig. 5).
-                let views = self.my_views_on(hwg);
-                if !views.is_empty() {
-                    self.substrate
-                        .send(ctx, hwg, wire::frame(&LwgMsg::AllViews { views }));
+                if let Some(advert) = self.all_views_advert(hwg) {
+                    self.substrate.send(ctx, hwg, advert);
                 }
                 self.substrate.stop_ok(ctx, hwg);
             }

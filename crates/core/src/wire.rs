@@ -11,11 +11,30 @@
 //! *slice* the incoming allocation instead of copying it.
 
 use crate::msg::{LFlushId, LwgMsg};
-use plwg_sim::{encode_frame, family, Payload};
+use plwg_hwg::View;
+use plwg_naming::LwgId;
+use plwg_sim::{encode_frame, family, Encode, Payload};
 
 /// Encodes `msg` as a ready-to-send payload (family `LWG`).
 pub(crate) fn frame(msg: &LwgMsg) -> Payload {
     encode_frame(family::LWG, msg)
+}
+
+/// The `AllViews` frame of `views`, encoded from borrowed views: the same
+/// bytes as `frame(&LwgMsg::AllViews { views })` on owned copies.
+pub(crate) fn all_views_frame(views: &[(LwgId, &View)]) -> Payload {
+    struct AllViews<'a>(&'a [(LwgId, &'a View)]);
+    impl Encode for AllViews<'_> {
+        fn encode_into(&self, out: &mut Vec<u8>) {
+            out.push(10); // the `AllViews` tag of the table below
+            plwg_wire::put_varint(out, self.0.len() as u64);
+            for (lwg, view) in self.0 {
+                lwg.encode_into(out);
+                view.encode_into(out);
+            }
+        }
+    }
+    encode_frame(family::LWG, &AllViews(views))
 }
 
 plwg_wire::wire_struct!(LFlushId { initiator, nonce });
@@ -142,6 +161,34 @@ mod tests {
         // Zero-copy: both unpacked payloads view the single batch frame.
         for (_, _, data) in &entries {
             assert!(Arc::ptr_eq(data.backing(), f.backing()));
+        }
+    }
+
+    /// The borrowed `AllViews` encoder writes exactly the bytes of the
+    /// owned message, over seeded view lists (the empty list included).
+    #[test]
+    fn borrowed_all_views_frame_matches_the_owned_one() {
+        for seed in 0..32 {
+            let mut rng = plwg_sim::SimRng::from_seed(seed);
+            let views: Vec<(LwgId, View)> = (0..seed)
+                .map(|_| {
+                    let id = ViewId::new(NodeId(rng.next_u32() % 8), rng.range(1, 300));
+                    let members = (0..=rng.next_u32() % 6).map(NodeId).collect();
+                    let preds = (0..rng.next_u32() % 3)
+                        .map(|p| ViewId::new(NodeId(p), rng.range(0, 200)))
+                        .collect();
+                    (
+                        LwgId(rng.range(0, 1 << 20)),
+                        View::with_predecessors(id, members, preds),
+                    )
+                })
+                .collect();
+            let borrowed: Vec<(LwgId, &View)> = views.iter().map(|(l, v)| (*l, v)).collect();
+            assert_eq!(
+                all_views_frame(&borrowed),
+                frame(&LwgMsg::AllViews { views }),
+                "seed {seed}"
+            );
         }
     }
 

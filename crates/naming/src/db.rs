@@ -120,10 +120,9 @@ impl LwgEntry {
 pub struct MappingDb {
     entries: BTreeMap<LwgId, LwgEntry>,
     /// LWGs whose entry currently holds more than one concurrent mapping,
-    /// maintained incrementally by every mutation. `inconsistent()` used
-    /// to scan all entries — O(L) per naming *write*, because the server
-    /// re-notifies callbacks after each one — which made registering L
-    /// groups O(L²). Not serialised: the codec rebuilds it on decode.
+    /// maintained incrementally by every mutation, so `inconsistent()` and
+    /// `is_inconsistent()` never scan the entries. Not serialised: the
+    /// codec rebuilds it on decode.
     multi: BTreeSet<LwgId>,
 }
 
@@ -249,6 +248,11 @@ impl MappingDb {
     /// the historical full scan produced.
     pub fn inconsistent(&self) -> Vec<LwgId> {
         self.multi.iter().copied().collect()
+    }
+
+    /// Whether `lwg` currently has more than one concurrent mapping.
+    pub fn is_inconsistent(&self, lwg: LwgId) -> bool {
+        self.multi.contains(&lwg)
     }
 
     /// All LWGs with at least one current mapping.

@@ -3,8 +3,9 @@
 //! Each server owns a [`MappingDb`] replica, answers client requests from
 //! its own replica (weak consistency — paper §3.1 explicitly allows clients
 //! to read outdated mappings), gossips with its peers, and emits
-//! `MULTIPLE-MAPPINGS` callbacks to affected group members whenever its
-//! replica holds concurrent mappings for a group.
+//! `MULTIPLE-MAPPINGS` callbacks to affected group members when a write or
+//! a reconciliation leaves a group with concurrent mappings — and again
+//! once per gossip period while they persist.
 
 use crate::config::NamingConfig;
 use crate::db::MappingDb;
@@ -55,17 +56,24 @@ impl NameServer {
         &self.db
     }
 
-    /// Sends `MULTIPLE-MAPPINGS` callbacks for every LWG whose entry holds
-    /// concurrent mappings, to every member of every such mapping.
+    /// Sends a `MULTIPLE-MAPPINGS` callback for each of `lwgs` whose entry
+    /// holds concurrent mappings, to every member of every such mapping;
+    /// consistent ones are skipped.
     ///
-    /// Callbacks are re-sent on every gossip tick while the inconsistency
-    /// persists: they are idempotent triggers, and repetition makes the
-    /// mechanism robust to callback loss during the heal itself.
-    fn notify_inconsistencies(&mut self, ctx: &mut dyn Transport) {
+    /// Callers pass what changed: a `Set`/`TestSet` its own LWG, a gossip
+    /// merge the LWGs it changed — so a heal of L groups costs O(L)
+    /// callbacks, not one sweep of every inconsistent group per write. The
+    /// gossip tick passes every inconsistent LWG: callbacks are idempotent
+    /// triggers, and that once-per-period re-send is what makes the
+    /// mechanism robust to a callback lost during the heal itself.
+    fn notify_inconsistencies(&mut self, ctx: &mut dyn Transport, lwgs: &[LwgId]) {
         if !self.cfg.push_callbacks {
             return;
         }
-        for lwg in self.db.inconsistent() {
+        for &lwg in lwgs {
+            if !self.db.is_inconsistent(lwg) {
+                continue;
+            }
             let mappings = self.db.read(lwg);
             let targets: BTreeSet<NodeId> = mappings
                 .iter()
@@ -118,7 +126,7 @@ impl Process for NameServer {
                 ctx.metrics().incr(keys::SETS);
                 self.db.set(*lwg, mapping.clone(), preds);
                 self.reply(ctx, from, *req, *lwg);
-                self.notify_inconsistencies(ctx);
+                self.notify_inconsistencies(ctx, &[*lwg]);
             }
             NsMsg::Read { req, lwg } => {
                 ctx.metrics().incr(keys::READS);
@@ -140,7 +148,7 @@ impl Process for NameServer {
                         mappings: winners,
                     }),
                 );
-                self.notify_inconsistencies(ctx);
+                self.notify_inconsistencies(ctx, &[*lwg]);
             }
             NsMsg::Unset { req, lwg, lwg_view } => {
                 ctx.metrics().incr(keys::UNSETS);
@@ -154,7 +162,7 @@ impl Process for NameServer {
                     ctx.emit(|| NamingEvent::Reconcile {
                         changed: changed.clone(),
                     });
-                    self.notify_inconsistencies(ctx);
+                    self.notify_inconsistencies(ctx, &changed);
                 }
             }
             NsMsg::Reply { .. } | NsMsg::MultipleMappings { .. } => {
@@ -168,11 +176,9 @@ impl Process for NameServer {
             return;
         }
         if !self.peers.is_empty() {
-            // Encode the snapshot once; every peer receives a refcount
-            // clone of the same frame.
-            let gossip = wire::frame(&NsMsg::Gossip {
-                db: self.db.clone(),
-            });
+            // Encode the snapshot once, straight from the replica; every
+            // peer receives a refcount clone of the same frame.
+            let gossip = wire::gossip_frame(&self.db);
             for &p in &self.peers {
                 ctx.metrics().incr(keys::GOSSIP_SENT);
                 ctx.send(p, gossip.clone());
@@ -180,7 +186,8 @@ impl Process for NameServer {
         }
         // Re-notify while inconsistencies persist (robust to lost
         // callbacks around the heal).
-        self.notify_inconsistencies(ctx);
+        let inconsistent = self.db.inconsistent();
+        self.notify_inconsistencies(ctx, &inconsistent);
         // Periodic housekeeping: drop lineage bookkeeping nothing can
         // reach any more.
         self.gossip_rounds += 1;

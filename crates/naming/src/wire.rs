@@ -8,14 +8,27 @@
 //! `db.rs`, next to the private fields and invariants it restores).
 
 use crate::client::RequestId;
-use crate::db::Mapping;
+use crate::db::{Mapping, MappingDb};
 use crate::id::LwgId;
 use crate::msg::NsMsg;
-use plwg_sim::{encode_frame, family, Payload};
+use plwg_sim::{encode_frame, family, Encode, Payload};
 
 /// Encodes `msg` as a ready-to-send simulator payload (family `NS`).
 pub(crate) fn frame(msg: &NsMsg) -> Payload {
     encode_frame(family::NS, msg)
+}
+
+/// The `Gossip` frame of `db`, encoded from the borrowed replica: the same
+/// bytes as `frame(&NsMsg::Gossip { db: db.clone() })`, without the clone.
+pub(crate) fn gossip_frame(db: &MappingDb) -> Payload {
+    struct Gossip<'a>(&'a MappingDb);
+    impl Encode for Gossip<'_> {
+        fn encode_into(&self, out: &mut Vec<u8>) {
+            out.push(6); // the `Gossip` tag of the table below
+            self.0.encode_into(out);
+        }
+    }
+    encode_frame(family::NS, &Gossip(db))
 }
 
 plwg_wire::wire_struct!(LwgId { 0 });
@@ -109,6 +122,39 @@ mod tests {
             panic!("wrong variant");
         };
         assert_eq!(got, db, "snapshot must survive the wire bit-for-bit");
+    }
+
+    /// The borrowed gossip encoder writes exactly the bytes of the owned
+    /// message, over seeded databases mixing sets, successors and unsets
+    /// (the empty database included).
+    #[test]
+    fn borrowed_gossip_frame_matches_the_owned_one() {
+        for seed in 0..32 {
+            let mut rng = plwg_sim::SimRng::from_seed(seed);
+            let mut db = MappingDb::new();
+            for _ in 0..seed {
+                let lwg = LwgId(rng.range(0, 6));
+                let view = ViewId::new(NodeId(rng.next_u32() % 4), rng.range(1, 8));
+                match rng.range(0, 3) {
+                    0 => db.unset(lwg, view),
+                    _ => db.set(
+                        lwg,
+                        Mapping {
+                            lwg_view: view,
+                            members: vec![NodeId(0), NodeId(rng.next_u32() % 8)],
+                            hwg: HwgId(rng.range(0, 4)),
+                            hwg_view: ViewId::new(NodeId(1), rng.range(1, 8)),
+                        },
+                        &[ViewId::new(NodeId(0), rng.range(1, 8))],
+                    ),
+                }
+            }
+            assert_eq!(
+                gossip_frame(&db),
+                frame(&NsMsg::Gossip { db: db.clone() }),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

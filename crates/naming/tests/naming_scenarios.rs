@@ -2,46 +2,70 @@
 //! cross-partition divergence, reconciliation, and callbacks.
 
 use plwg_hwg::{HwgId, ViewId};
-use plwg_naming::{LwgId, Mapping, NameServer, NamingConfig, NsClient, NsEvent, RequestId};
+use plwg_naming::{
+    LwgId, Mapping, MappingDb, NameServer, NamingConfig, NsClient, NsEvent, NsMsg, RequestId,
+};
 use plwg_sim::{
-    NodeId, Payload, Process, SimDuration, SimTime, TimerToken, Transport, World, WorldConfig,
+    encode_frame, family, NodeId, Payload, Process, SimDuration, SimTime, TimerToken, Transport,
+    World, WorldConfig,
 };
 use std::any::Any;
 
 /// A bare client node: records replies and callbacks.
 struct ClientApp {
+    me: NodeId,
     ns: NsClient,
     replies: Vec<(RequestId, LwgId, Vec<Mapping>)>,
     callbacks: Vec<(LwgId, Vec<Mapping>)>,
+    /// Answer every MULTIPLE-MAPPINGS callback the way an LWG coordinator
+    /// does: register one merged view succeeding all the mapped ones.
+    reconcile: bool,
 }
 
 impl ClientApp {
     fn new(me: NodeId, servers: Vec<NodeId>) -> Self {
         ClientApp {
+            me,
             ns: NsClient::new(me, servers),
             replies: Vec::new(),
             callbacks: Vec::new(),
+            reconcile: false,
         }
     }
-    fn drain(&mut self) {
+    fn drain(&mut self, ctx: &mut dyn Transport) {
         for ev in self.ns.drain_events() {
             match ev {
                 NsEvent::Reply { req, lwg, mappings } => self.replies.push((req, lwg, mappings)),
-                NsEvent::MultipleMappings { lwg, mappings } => self.callbacks.push((lwg, mappings)),
+                NsEvent::MultipleMappings { lwg, mappings } => {
+                    if self.reconcile {
+                        let mut members: Vec<NodeId> =
+                            mappings.iter().flat_map(|m| m.members.clone()).collect();
+                        members.sort_unstable();
+                        members.dedup();
+                        let hwg = mappings.iter().map(|m| m.hwg.0).max().unwrap_or(0);
+                        let preds = mappings.iter().map(|m| m.lwg_view).collect();
+                        let merged = mapping(ViewId::new(self.me, 100), hwg, &members);
+                        self.ns.set(ctx, lwg, merged, preds);
+                    }
+                    self.callbacks.push((lwg, mappings));
+                }
             }
         }
+    }
+    fn callbacks_for(&self, lwg: LwgId) -> usize {
+        self.callbacks.iter().filter(|(l, _)| *l == lwg).count()
     }
 }
 
 impl Process for ClientApp {
     fn on_message(&mut self, ctx: &mut dyn Transport, from: NodeId, msg: Payload) {
         if self.ns.on_message(ctx, from, &msg) {
-            self.drain();
+            self.drain(ctx);
         }
     }
     fn on_timer(&mut self, ctx: &mut dyn Transport, token: TimerToken) {
         if self.ns.on_timer(ctx, token) {
-            self.drain();
+            self.drain(ctx);
         }
     }
     fn as_any_mut(&mut self) -> &mut dyn Any {
@@ -330,5 +354,147 @@ fn restarted_server_catches_up_via_gossip() {
         assert_eq!(got.len(), 1, "catch-up must deliver the successor");
         assert_eq!(got[0].lwg_view, vid(2, 2));
         assert_eq!(got[0].hwg, HwgId(9));
+    });
+}
+
+// --- when MULTIPLE-MAPPINGS callbacks are sent ----------------------------
+
+const B: LwgId = LwgId(2);
+const C: LwgId = LwgId(3);
+
+/// A gossip period long enough that no tick fires during a test, so every
+/// callback observed there was caused by a write or a merge.
+const NO_TICK: SimDuration = SimDuration::from_secs(3600);
+
+/// One name server (no peers) gossiping every `gossip_interval`, a client
+/// that reconciles like an LWG coordinator (n1), and a plain client (n2).
+fn one_server(gossip_interval: SimDuration) -> (World, NodeId, NodeId, NodeId) {
+    let mut w = World::new(WorldConfig::default());
+    let s = w.add_node(Box::new(NameServer::new(
+        NodeId(0),
+        vec![],
+        NamingConfig {
+            gossip_interval,
+            ..NamingConfig::default()
+        },
+    )));
+    let mut coordinator = ClientApp::new(NodeId(1), vec![s]);
+    coordinator.reconcile = true;
+    let coordinator = w.add_node(Box::new(coordinator));
+    let member = w.add_node(Box::new(ClientApp::new(NodeId(2), vec![s])));
+    (w, s, coordinator, member)
+}
+
+/// `client` registers `lwg`'s view `(c, 1)` with `members`, no
+/// predecessors; the world then runs 100 ms.
+fn set(w: &mut World, client: NodeId, lwg: LwgId, c: u32, members: &[NodeId]) {
+    let m = mapping(vid(c, 1), 7, members);
+    w.invoke(client, move |a: &mut ClientApp, ctx| {
+        a.ns.set(ctx, lwg, m, vec![]);
+    });
+    w.run_for(SimDuration::from_millis(100));
+}
+
+fn callbacks(w: &mut World, client: NodeId, lwg: LwgId) -> usize {
+    w.inspect(client, |a: &ClientApp| a.callbacks_for(lwg))
+}
+
+/// A write sends the callback for the LWG it wrote, only when that LWG is
+/// inconsistent — never a re-send for another LWG that already was.
+#[test]
+fn a_write_notifies_only_its_own_lwg_and_only_when_inconsistent() {
+    let (mut w, _s, _, m) = one_server(NO_TICK);
+    set(&mut w, m, B, 2, &[m]);
+    set(&mut w, m, B, 3, &[m]);
+    assert_eq!(callbacks(&mut w, m, B), 1, "B became inconsistent");
+
+    set(&mut w, m, A, 2, &[m]);
+    assert_eq!(callbacks(&mut w, m, A), 0, "A is consistent");
+    assert_eq!(callbacks(&mut w, m, B), 1, "B was not written");
+
+    set(&mut w, m, A, 3, &[m]);
+    assert_eq!(callbacks(&mut w, m, A), 1, "A became inconsistent");
+    assert_eq!(callbacks(&mut w, m, B), 1, "B was not written");
+
+    // A test-and-set on a fresh LWG installs one mapping: nothing to say.
+    w.invoke(m, move |a: &mut ClientApp, ctx| {
+        a.ns.testset(ctx, C, mapping(vid(2, 1), 7, &[m]), vec![]);
+    });
+    w.run_for(SimDuration::from_millis(100));
+    assert_eq!(callbacks(&mut w, m, C), 0);
+    assert_eq!(w.metrics().counter(plwg_naming::keys::CALLBACKS), 2);
+}
+
+/// A gossip merge notifies exactly the LWGs it changed that are
+/// inconsistent afterwards.
+#[test]
+fn a_gossip_merge_notifies_exactly_the_changed_inconsistent_lwgs() {
+    let (mut w, s, _, m) = one_server(NO_TICK);
+    // The server already holds C's two concurrent mappings.
+    set(&mut w, m, C, 2, &[m]);
+    set(&mut w, m, C, 3, &[m]);
+    assert_eq!(callbacks(&mut w, m, C), 1);
+
+    // A peer's snapshot: A new and inconsistent, B new and consistent, C
+    // exactly as the server has it.
+    let mut peer = MappingDb::new();
+    for (lwg, c) in [(A, 2), (A, 3), (B, 2), (C, 2), (C, 3)] {
+        peer.set(lwg, mapping(vid(c, 1), 7, &[m]), &[]);
+    }
+    w.invoke(m, move |_: &mut ClientApp, ctx| {
+        ctx.send(s, encode_frame(family::NS, &NsMsg::Gossip { db: peer }));
+    });
+    w.run_for(SimDuration::from_millis(100));
+    assert_eq!(w.metrics().counter(plwg_naming::keys::RECONCILIATIONS), 1);
+    assert_eq!(callbacks(&mut w, m, A), 1, "changed and inconsistent");
+    assert_eq!(callbacks(&mut w, m, B), 0, "changed but consistent");
+    assert_eq!(callbacks(&mut w, m, C), 1, "inconsistent but unchanged");
+}
+
+/// Every gossip tick re-sends the callback of every LWG that is still
+/// inconsistent, and of no other.
+#[test]
+fn the_gossip_tick_renotifies_every_inconsistent_lwg() {
+    let period = NamingConfig::default().gossip_interval;
+    let (mut w, _s, _, m) = one_server(period);
+    for (lwg, c) in [(A, 2), (A, 3), (B, 2), (B, 3), (C, 2)] {
+        set(&mut w, m, lwg, c, &[m]);
+    }
+    let before = [A, B, C].map(|l| callbacks(&mut w, m, l));
+    let ticks = 4;
+    let now = w.now();
+    w.run_until(now + period.saturating_mul(ticks));
+    let after = [A, B, C].map(|l| callbacks(&mut w, m, l));
+    assert_eq!(after[0] - before[0], ticks as usize, "A: one per tick");
+    assert_eq!(after[1] - before[1], ticks as usize, "B: one per tick");
+    assert_eq!(after[2], 0, "C is consistent");
+}
+
+/// The write-triggered callback to the coordinator is lost; the next tick
+/// re-sends it, and the coordinator reconciles within one gossip period.
+#[test]
+fn a_lost_callback_is_resent_and_the_lwg_reconciles_within_one_gossip_interval() {
+    let period = NamingConfig::default().gossip_interval;
+    let (mut w, s, coordinator, m) = one_server(period);
+    set(&mut w, coordinator, A, 1, &[coordinator]);
+
+    let wrote_at = w.now();
+    w.topology_mut().cut_link(s, coordinator);
+    set(&mut w, m, A, 2, &[m]);
+    w.topology_mut().restore_link(s, coordinator);
+    assert_eq!(callbacks(&mut w, m, A), 1, "the callback was sent");
+    assert_eq!(
+        callbacks(&mut w, coordinator, A),
+        0,
+        "and lost to the coordinator"
+    );
+    w.inspect(s, |s: &NameServer| assert!(s.db().is_inconsistent(A)));
+
+    w.run_until(wrote_at + period);
+    assert_eq!(callbacks(&mut w, coordinator, A), 1, "re-sent by the tick");
+    w.inspect(s, |s: &NameServer| {
+        let got = s.db().read(A);
+        assert_eq!(got.len(), 1, "the merged view superseded both");
+        assert_eq!(got[0].lwg_view, vid(1, 100));
     });
 }
