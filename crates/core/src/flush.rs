@@ -498,10 +498,7 @@ impl<S: HwgSubstrate> LwgService<S> {
         let pending = std::mem::take(&mut state.pending_send);
         drop(state);
         self.idle_hwgs.remove(&on_hwg);
-        self.events.push(LwgEvent::View {
-            lwg,
-            view: view.clone(),
-        });
+        self.events.push(LwgEvent::View { lwg, view });
         // If the mapping moved, leave a forward pointer and consider
         // shrinking the old HWG.
         if let Some(old) = old_hwg {

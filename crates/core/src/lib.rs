@@ -70,7 +70,7 @@ pub use config::LwgConfig;
 pub use directory::{DirCounters, HwgLoad};
 pub use error::LwgError;
 pub use events::{LwgEvent, LwgEvents};
-pub use msg::{LFlushId, LwgMsg};
+pub use msg::{AdvertisedViews, LFlushId, LwgMsg};
 pub use node::LwgNode;
 pub use policy::{
     closeness, interference_rule, is_minority, placement_rule, rebalance_improves, share_rule,

@@ -19,14 +19,13 @@
 
 use crate::batch::FlushReason;
 use crate::keys;
-use crate::msg::LwgMsg;
+use crate::msg::{AdvertisedViews, LwgMsg};
 use crate::protocol_events::LwgProtocolEvent;
 use crate::service::LwgService;
 use crate::wire;
 use plwg_hwg::{HwgId, HwgSubstrate, View, ViewId};
-use plwg_naming::LwgId;
-use plwg_sim::{NodeId, Payload, Transport, TransportExt};
-use std::collections::{BTreeMap, BTreeSet};
+use plwg_sim::{Decode, NodeId, Payload, Reader, Transport, TransportExt};
+use std::collections::btree_map::Entry;
 
 impl<S: HwgSubstrate> LwgService<S> {
     /// Requests a merge round on `hwg` (rate-limited): multicast
@@ -70,19 +69,23 @@ impl<S: HwgSubstrate> LwgService<S> {
     /// views for the round that concludes with the next HWG view.
     ///
     /// Every member of a view advertises it, so one copy per view id is
-    /// kept: the first. That relies on a view id naming one view
-    /// everywhere, which the debug assertion checks.
-    pub(crate) fn handle_all_views(&mut self, hwg: Option<HwgId>, views: &[(LwgId, View)]) {
+    /// kept: the first, as a sub-frame of its advertisement. That relies on
+    /// a view id naming one view everywhere, which the debug assertion
+    /// checks byte for byte.
+    pub(crate) fn handle_all_views(&mut self, hwg: Option<HwgId>, views: &AdvertisedViews) {
         if let Some(hwg) = hwg {
             let round = self.rounds.entry(hwg).or_default();
-            for (lwg, view) in views {
-                let kept = round
-                    .collected
-                    .entry(*lwg)
-                    .or_default()
-                    .entry(view.id)
-                    .or_insert_with(|| view.clone());
-                debug_assert_eq!(kept, view, "two advertisements of one view id differ");
+            for (lwg, id, view) in views.iter() {
+                match round.collected.entry((lwg, id)) {
+                    Entry::Vacant(slot) => {
+                        slot.insert(view);
+                    }
+                    Entry::Occupied(kept) => debug_assert_eq!(
+                        *kept.get(),
+                        view,
+                        "two advertisements of one view id differ"
+                    ),
+                }
             }
         }
     }
@@ -98,50 +101,33 @@ impl<S: HwgSubstrate> LwgService<S> {
         let Some(round) = self.rounds.remove(&hwg) else {
             return;
         };
-        for (lwg, mut views) in round.collected {
-            // Add our own current view.
-            if let Some(state) = self.dir.get(lwg) {
-                if state.hwg == Some(hwg) {
-                    if let Some(v) = &state.view {
-                        views.insert(v.id, v.clone());
-                    }
-                }
+        let mut previous = None;
+        for &(lwg, _) in round.collected.keys() {
+            if previous.replace(lwg) == Some(lwg) {
+                continue;
             }
-            // Drop views that are ancestors of other collected views.
-            let ids: Vec<ViewId> = views.keys().copied().collect();
-            let is_anc = |a: ViewId, b: ViewId, views: &BTreeMap<ViewId, View>| -> bool {
-                // Transitive check over the collected predecessor edges.
-                let mut stack = vec![b];
-                let mut seen = BTreeSet::new();
-                while let Some(v) = stack.pop() {
-                    if let Some(view) = views.get(&v) {
-                        for &p in &view.predecessors {
-                            if p == a {
-                                return true;
-                            }
-                            if seen.insert(p) {
-                                stack.push(p);
-                            }
-                        }
-                    }
-                }
-                false
+            let collected = round
+                .collected
+                .range((lwg, ViewId::new(NodeId(0), 0))..)
+                .take_while(move |((l, _), _)| *l == lwg)
+                .map(|((_, id), view)| (*id, view));
+            // Our own current view takes part too.
+            let own = self
+                .dir
+                .get(lwg)
+                .filter(|state| state.hwg == Some(hwg))
+                .and_then(|state| state.view.as_ref());
+            let Some(views) = merge_candidates(collected, own) else {
+                continue;
             };
-            let concurrent: Vec<ViewId> = ids
-                .iter()
-                .copied()
-                .filter(|&v| !ids.iter().any(|&o| is_anc(v, o, &views)))
-                .collect();
+            let concurrent: Vec<&View> = concurrent_views(&views).collect();
             if concurrent.len() < 2 {
                 continue;
             }
             // Deterministic merged membership: views in id order, members
             // concatenated, only members present in the current HWG view.
             let mut members: Vec<NodeId> = Vec::new();
-            for vid in &concurrent {
-                let Some(view) = views.get(vid) else {
-                    continue;
-                };
+            for view in &concurrent {
                 for &m in &view.members {
                     if hview.contains(m) && !members.contains(&m) {
                         members.push(m);
@@ -156,11 +142,14 @@ impl<S: HwgSubstrate> LwgService<S> {
             let Some(seq) = self.dir.get_mut(lwg).map(|mut s| s.take_view_seq()) else {
                 continue;
             };
-            let merged =
-                View::with_predecessors(ViewId::new(self.me, seq), members, concurrent.clone());
+            let merged = View::with_predecessors(
+                ViewId::new(self.me, seq),
+                members,
+                concurrent.iter().map(|v| v.id).collect(),
+            );
             ctx.emit(|| LwgProtocolEvent::Merge {
                 lwg,
-                concurrent: concurrent.clone(),
+                concurrent: merged.predecessors.clone(),
                 merged: merged.clone(),
             });
             ctx.metrics().incr(keys::VIEWS_MERGED);
@@ -182,12 +171,252 @@ impl<S: HwgSubstrate> LwgService<S> {
     /// maps none. The views are found by an indexed query, in ascending
     /// group-id order, and encoded where they live, without a copy.
     pub(crate) fn all_views_advert(&self, hwg: HwgId) -> Option<Payload> {
-        let views: Vec<(LwgId, &View)> = self
-            .dir
-            .mapped_on(hwg)
-            .into_iter()
-            .filter_map(|l| Some((l, self.dir.get(l)?.view.as_ref()?)))
+        let views = AdvertisedViews::new(
+            self.dir
+                .mapped_on(hwg)
+                .into_iter()
+                .filter_map(|l| Some((l, self.dir.get(l)?.view.as_ref()?))),
+        );
+        (!views.is_empty()).then(|| wire::frame(&LwgMsg::AllViews { views }))
+    }
+}
+
+/// The views one LWG's merge round weighs, ascending by id: the `collected`
+/// advertisements (ascending by id) plus `own`, this node's current view.
+/// `None` — decided before anything is decoded or allocated — when they
+/// come to fewer than two distinct views, as they do for every group whose
+/// members all hold one view.
+fn merge_candidates<'a>(
+    collected: impl Iterator<Item = (ViewId, &'a Payload)> + Clone,
+    own: Option<&View>,
+) -> Option<Vec<View>> {
+    let own = own.filter(|own| !collected.clone().any(|(id, _)| id == own.id));
+    if collected.clone().count() + usize::from(own.is_some()) < 2 {
+        return None;
+    }
+    // Advertisements were validated on receipt, so every one decodes.
+    let mut views: Vec<View> = collected
+        .filter_map(|(_, view)| View::decode_from(&mut Reader::new(view)).ok())
+        .collect();
+    if let Some(own) = own {
+        let at = views.partition_point(|v| v.id < own.id);
+        views.insert(at, own.clone());
+    }
+    Some(views)
+}
+
+/// The views of `views` that no view of `views` names as a predecessor, in
+/// the order given: the concurrent views a merge combines.
+///
+/// Ancestry is known only through the views collected here, so any chain
+/// of predecessors from one of them to another ends in a collected view
+/// naming the ancestor directly. Being named is therefore the whole test:
+/// no walk, no visited set, and no bound on the number of views.
+fn concurrent_views(views: &[View]) -> impl Iterator<Item = &View> {
+    views
+        .iter()
+        .filter(|v| !views.iter().any(|u| u.predecessors.contains(&v.id)))
+}
+
+#[cfg(test)]
+#[allow(clippy::expect_used, clippy::indexing_slicing)]
+mod tests {
+    use super::*;
+    use crate::{LwgNode, ScriptedHwg};
+    use plwg_naming::{NameServer, NamingConfig};
+    use plwg_sim::{Encode, SimRng, World, WorldConfig};
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// The reference filter: for every pair of views, a walk of the
+    /// predecessor edges through the collected views (our own inserted)
+    /// with an explicit stack and visited set. Empty when fewer than two
+    /// views are concurrent (no merge).
+    fn reference(collected: &[View], own: Option<&View>) -> Vec<ViewId> {
+        let mut views: BTreeMap<ViewId, View> =
+            collected.iter().map(|v| (v.id, v.clone())).collect();
+        if let Some(own) = own {
+            views.insert(own.id, own.clone());
+        }
+        let ids: Vec<ViewId> = views.keys().copied().collect();
+        let is_anc = |a: ViewId, b: ViewId| -> bool {
+            let mut stack = vec![b];
+            let mut seen = BTreeSet::new();
+            while let Some(v) = stack.pop() {
+                if let Some(view) = views.get(&v) {
+                    for &p in &view.predecessors {
+                        if p == a {
+                            return true;
+                        }
+                        if seen.insert(p) {
+                            stack.push(p);
+                        }
+                    }
+                }
+            }
+            false
+        };
+        let concurrent: Vec<ViewId> = ids
+            .iter()
+            .copied()
+            .filter(|&v| !ids.iter().any(|&o| is_anc(v, o)))
             .collect();
-        (!views.is_empty()).then(|| wire::all_views_frame(&views))
+        if concurrent.len() < 2 {
+            Vec::new()
+        } else {
+            concurrent
+        }
+    }
+
+    /// The shipped path: advertisements as encoded sub-frames, candidates,
+    /// then the filter. Empty when the round does not merge.
+    fn shipped(collected: &[View], own: Option<&View>) -> Vec<ViewId> {
+        let encoded: BTreeMap<ViewId, Payload> = collected
+            .iter()
+            .map(|v| {
+                let mut out = Vec::new();
+                v.encode_into(&mut out);
+                (v.id, Payload::from_vec(out))
+            })
+            .collect();
+        let Some(views) = merge_candidates(encoded.iter().map(|(id, v)| (*id, v)), own) else {
+            return Vec::new();
+        };
+        let concurrent: Vec<ViewId> = concurrent_views(&views).map(|v| v.id).collect();
+        if concurrent.len() < 2 {
+            Vec::new()
+        } else {
+            concurrent
+        }
+    }
+
+    fn id(i: u64) -> ViewId {
+        ViewId::new(NodeId((i % 4) as u32), i + 1)
+    }
+
+    fn view(i: u64, preds: Vec<ViewId>) -> View {
+        View::with_predecessors(id(i), vec![NodeId((i % 8) as u32)], preds)
+    }
+
+    /// `n` views, each naming a random subset of the earlier ones and,
+    /// now and then, a view outside the set.
+    fn random_dag(rng: &mut SimRng, n: u64) -> Vec<View> {
+        (0..n)
+            .map(|i| {
+                let mut preds: Vec<ViewId> = (0..i).filter(|_| rng.chance(0.2)).map(id).collect();
+                if rng.chance(0.3) {
+                    preds.push(id(1_000 + rng.range(0, 50)));
+                }
+                view(i, preds)
+            })
+            .collect()
+    }
+
+    /// Our own view: absent, one of the collected ones, a successor of
+    /// some of them, or unrelated to all.
+    fn own_view(rng: &mut SimRng, collected: &[View]) -> Option<View> {
+        let n = collected.len() as u64;
+        match rng.range(0, 4) {
+            0 => None,
+            1 if n > 0 => collected.get(rng.range(0, n) as usize).cloned(),
+            2 => Some(view(
+                500,
+                collected
+                    .iter()
+                    .map(|v| v.id)
+                    .filter(|_| rng.chance(0.5))
+                    .collect(),
+            )),
+            _ => Some(view(600, vec![id(1_000)])),
+        }
+    }
+
+    #[test]
+    fn concurrent_filter_matches_the_ancestor_walk() {
+        let chain: Vec<View> = (0..6)
+            .map(|i| view(i, if i == 0 { vec![] } else { vec![id(i - 1)] }))
+            .collect();
+        let diamond = vec![
+            view(0, vec![]),
+            view(1, vec![id(0)]),
+            view(2, vec![id(0)]),
+            view(3, vec![id(1), id(2)]),
+        ];
+        // A chain broken by a predecessor outside the set: both ends stay.
+        let gap = vec![view(0, vec![]), view(2, vec![id(1)])];
+        for (collected, own) in [
+            (chain.clone(), None),
+            (chain[..2].to_vec(), Some(view(9, vec![]))),
+            (diamond.clone(), None),
+            (diamond[..3].to_vec(), None),
+            (diamond[1..3].to_vec(), Some(diamond[0].clone())),
+            (gap, None),
+            (vec![view(0, vec![])], Some(view(0, vec![]))),
+            (vec![], Some(view(0, vec![]))),
+        ] {
+            assert_eq!(
+                shipped(&collected, own.as_ref()),
+                reference(&collected, own.as_ref()),
+                "{collected:?} + {own:?}"
+            );
+        }
+        assert_eq!(shipped(&diamond[1..3], None), vec![id(1), id(2)]);
+        assert_eq!(shipped(&diamond, None), Vec::<ViewId>::new());
+
+        let mut rng = SimRng::from_seed(5);
+        let mut merged = 0;
+        for round in 0..400 {
+            // Every twentieth round is larger than a 64-bit set could index.
+            let n = if round % 20 == 0 {
+                rng.range(65, 72)
+            } else {
+                rng.range(0, 10)
+            };
+            let collected = random_dag(&mut rng, n);
+            let own = own_view(&mut rng, &collected);
+            let want = reference(&collected, own.as_ref());
+            assert_eq!(shipped(&collected, own.as_ref()), want, "round {round}");
+            merged += usize::from(!want.is_empty());
+        }
+        assert!(merged > 100, "{merged} of 400 rounds merge");
+    }
+
+    /// A group whose collected ids and own view come to one view is skipped
+    /// before its advertisement is decoded.
+    #[test]
+    fn a_single_view_is_skipped_undecoded() {
+        let garbage = Payload::from_vec(vec![0xff]);
+        let own = view(0, vec![]);
+        assert!(merge_candidates([(own.id, &garbage)].into_iter(), Some(&own)).is_none());
+        assert!(merge_candidates([(own.id, &garbage)].into_iter(), None).is_none());
+    }
+
+    /// The MERGE-VIEWS cooldown keeps no entry for an HWG this node left.
+    #[test]
+    fn a_left_hwg_leaves_no_merge_views_cooldown() {
+        let mut w = World::new(WorldConfig::default());
+        let server = w.add_node(Box::new(NameServer::new(
+            NodeId(0),
+            vec![],
+            NamingConfig::default(),
+        )));
+        let me = w.add_node(Box::new(
+            LwgNode::<ScriptedHwg>::builder(NodeId(1))
+                .servers([server])
+                .build()
+                .expect("valid config"),
+        ));
+        let hwg = HwgId(5);
+        let entries = w.invoke(me, move |n: &mut LwgNode<ScriptedHwg>, ctx| {
+            let svc = n.service();
+            svc.hwg_stack_mut()
+                .inject_view(hwg, View::initial(ViewId::new(me, 1), vec![me]));
+            svc.pump(ctx);
+            svc.trigger_merge_views(ctx, hwg);
+            let before = svc.last_merge_views.len();
+            svc.hwg_stack_mut().inject_left(hwg);
+            svc.pump(ctx);
+            (before, svc.last_merge_views.len())
+        });
+        assert_eq!(entries, (1, 0));
     }
 }

@@ -6,7 +6,7 @@
 
 use plwg_hwg::{HwgId, View, ViewId};
 use plwg_naming::LwgId;
-use plwg_sim::{NodeId, Payload};
+use plwg_sim::{Decode, Encode, NodeId, Payload, Reader};
 use std::fmt;
 
 /// Identifies one LWG-level flush round.
@@ -127,7 +127,7 @@ pub enum LwgMsg {
     /// deterministically.
     AllViews {
         /// `(lwg, current view)` pairs of the sender.
-        views: Vec<(LwgId, View)>,
+        views: AdvertisedViews,
     },
     /// The group dissolved: every member of the flushed view asked to
     /// leave, so there is no successor view.
@@ -146,6 +146,63 @@ pub enum LwgMsg {
         /// Where it lives now.
         to: HwgId,
     },
+}
+
+/// The `(lwg, view)` entries of an [`LwgMsg::AllViews`] advertisement, kept
+/// as their validated wire bytes.
+///
+/// Every member advertises every view it holds on every HWG flush, so a
+/// receiver mostly sees views it already knows. Decoding validates each
+/// entry exactly as decoding a `View` would, but builds nothing and, for
+/// memberships of up to 16, allocates nothing; [`AdvertisedViews::iter`]
+/// then hands out each view as a zero-copy sub-frame, decoded only by a
+/// merge round that needs it.
+#[derive(Clone, Debug)]
+pub struct AdvertisedViews {
+    /// The entries' encodings back to back, without the count prefix.
+    pub(crate) entries: Payload,
+    pub(crate) count: usize,
+}
+
+impl AdvertisedViews {
+    /// Encodes borrowed `(lwg, view)` pairs.
+    pub fn new<'a>(views: impl IntoIterator<Item = (LwgId, &'a View)>) -> Self {
+        let mut entries = Vec::new();
+        let mut count = 0;
+        for (lwg, view) in views {
+            lwg.encode_into(&mut entries);
+            view.encode_into(&mut entries);
+            count += 1;
+        }
+        AdvertisedViews {
+            entries: Payload::from_vec(entries),
+            count,
+        }
+    }
+
+    /// Number of advertised views.
+    pub fn len(&self) -> usize {
+        self.count
+    }
+
+    /// Whether no view is advertised.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// The advertised `(lwg, view id, encoded view)` triples, in order.
+    /// Each encoded view is a sub-frame of the advertisement that decodes
+    /// with `View::decode_from`.
+    pub fn iter(&self) -> impl Iterator<Item = (LwgId, ViewId, Payload)> + '_ {
+        let mut r = Reader::new(&self.entries);
+        // Decoded entries were validated, and encoded `View`s hold the
+        // same invariants, so no step fails: the walk yields all `count`.
+        (0..self.count).map_while(move |_| {
+            let lwg = LwgId::decode_from(&mut r).ok()?;
+            let (id, view) = r.read_span(View::skip_encoded).ok()?;
+            Some((lwg, id, view))
+        })
+    }
 }
 
 impl LwgMsg {

@@ -367,6 +367,7 @@ impl<S: HwgSubstrate> LwgService<S> {
             HwgEvent::Left { hwg } => {
                 self.idle_hwgs.remove(&hwg);
                 self.rounds.remove(&hwg);
+                self.last_merge_views.remove(&hwg);
                 // The transport is gone; buffered packs can no longer be
                 // multicast (the stranded LWGs re-join from scratch).
                 self.packs.remove(&hwg);

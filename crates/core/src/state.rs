@@ -139,8 +139,10 @@ impl LwgState {
 pub(crate) struct MergeRound {
     /// Whether MERGE-VIEWS was multicast/observed in this HWG view.
     pub(crate) triggered: bool,
-    /// lwg → (view id → view) collected from `AllViews`.
-    pub(crate) collected: BTreeMap<LwgId, BTreeMap<ViewId, View>>,
+    /// `(lwg, view id)` → the encoded view, as first advertised: a
+    /// sub-frame of that `AllViews` frame, decoded only if the round
+    /// merges the group.
+    pub(crate) collected: BTreeMap<(LwgId, ViewId), Payload>,
 }
 
 /// Recently seen data tagged with an LWG view we do not know — potential

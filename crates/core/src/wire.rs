@@ -10,31 +10,42 @@
 //! batch is serialized once by the sender and every receiver's deliveries
 //! *slice* the incoming allocation instead of copying it.
 
-use crate::msg::{LFlushId, LwgMsg};
+use crate::msg::{AdvertisedViews, LFlushId, LwgMsg};
 use plwg_hwg::View;
 use plwg_naming::LwgId;
-use plwg_sim::{encode_frame, family, Encode, Payload};
+use plwg_sim::{encode_frame, family, Decode, Encode, Payload, Reader, WireError};
 
 /// Encodes `msg` as a ready-to-send payload (family `LWG`).
 pub(crate) fn frame(msg: &LwgMsg) -> Payload {
     encode_frame(family::LWG, msg)
 }
 
-/// The `AllViews` frame of `views`, encoded from borrowed views: the same
-/// bytes as `frame(&LwgMsg::AllViews { views })` on owned copies.
-pub(crate) fn all_views_frame(views: &[(LwgId, &View)]) -> Payload {
-    struct AllViews<'a>(&'a [(LwgId, &'a View)]);
-    impl Encode for AllViews<'_> {
-        fn encode_into(&self, out: &mut Vec<u8>) {
-            out.push(10); // the `AllViews` tag of the table below
-            plwg_wire::put_varint(out, self.0.len() as u64);
-            for (lwg, view) in self.0 {
-                lwg.encode_into(out);
-                view.encode_into(out);
-            }
-        }
+/// `count:varint (lwg view)*` — the layout of a `Vec<(LwgId, View)>`.
+impl Encode for AdvertisedViews {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        plwg_wire::put_varint(out, self.count as u64);
+        out.extend_from_slice(&self.entries);
     }
-    encode_frame(family::LWG, &AllViews(views))
+}
+
+/// Accepts exactly what decoding a `Vec<(LwgId, View)>` accepts — the
+/// count's length guard, every entry's `View` invariants — and keeps the
+/// entries as a sub-frame of the incoming one, allocating nothing.
+impl Decode for AdvertisedViews {
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let count = usize::try_from(r.read_varint()?).map_err(|_| WireError::BadLength)?;
+        if count > r.remaining() {
+            return Err(WireError::BadLength);
+        }
+        let ((), entries) = r.read_span(|r| {
+            for _ in 0..count {
+                LwgId::decode_from(r)?;
+                View::skip_encoded(r)?;
+            }
+            Ok(())
+        })?;
+        Ok(AdvertisedViews { entries, count })
+    }
 }
 
 plwg_wire::wire_struct!(LFlushId { initiator, nonce });
@@ -118,7 +129,7 @@ mod tests {
             },
             LwgMsg::MergeViews,
             LwgMsg::AllViews {
-                views: vec![(LwgId(1), view)],
+                views: AdvertisedViews::new([(LwgId(1), &view)]),
             },
             LwgMsg::Dissolved {
                 lwg: LwgId(1),
@@ -164,8 +175,9 @@ mod tests {
         }
     }
 
-    /// The borrowed `AllViews` encoder writes exactly the bytes of the
-    /// owned message, over seeded view lists (the empty list included).
+    /// Advertised views encode exactly as a `Vec<(LwgId, View)>` of the
+    /// same views, and iterate back as the views they were built from,
+    /// over seeded view lists (the empty list included).
     #[test]
     fn borrowed_all_views_frame_matches_the_owned_one() {
         for seed in 0..32 {
@@ -183,12 +195,26 @@ mod tests {
                     )
                 })
                 .collect();
-            let borrowed: Vec<(LwgId, &View)> = views.iter().map(|(l, v)| (*l, v)).collect();
+            let adverts = AdvertisedViews::new(views.iter().map(|(l, v)| (*l, v)));
+            let mut owned = vec![10]; // the `AllViews` tag
+            views.encode_into(&mut owned);
             assert_eq!(
-                all_views_frame(&borrowed),
-                frame(&LwgMsg::AllViews { views }),
+                frame(&LwgMsg::AllViews {
+                    views: adverts.clone()
+                })
+                .bytes()[1..],
+                owned[..],
                 "seed {seed}"
             );
+            let back: Vec<(LwgId, View)> = adverts
+                .iter()
+                .map(|(lwg, id, bytes)| {
+                    let view = View::decode_from(&mut Reader::new(&bytes)).expect("valid");
+                    assert_eq!(view.id, id);
+                    (lwg, view)
+                })
+                .collect();
+            assert_eq!(back, views, "seed {seed}");
         }
     }
 

@@ -15,22 +15,30 @@ plwg_wire::wire_struct!(ViewId { coordinator, seq });
 plwg_wire::wire_struct!(FlushId { initiator, nonce });
 plwg_wire::wire_struct!(encode View { id, members, predecessors });
 
+/// Memberships up to this size are checked for duplicates pairwise, in
+/// place; larger ones in a sorted copy.
+const SMALL_MEMBERSHIP: usize = 16;
+
+/// The `View` invariants, re-validated instead of trusted off the wire: a
+/// corrupt or adversarial frame must not manufacture an empty or
+/// duplicated membership (the constructors would panic on it).
+fn valid_membership(members: &[NodeId]) -> bool {
+    if members.len() <= SMALL_MEMBERSHIP {
+        !members.is_empty() && (1..members.len()).all(|i| !members[..i].contains(&members[i]))
+    } else {
+        let mut sorted = members.to_vec();
+        sorted.sort_unstable();
+        sorted.windows(2).all(|w| w[0] != w[1])
+    }
+}
+
 // Hand-written on purpose: safety code that re-validates off the wire.
 impl Decode for View {
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let id = ViewId::decode_from(r)?;
         let members: Vec<NodeId> = Vec::decode_from(r)?;
         let predecessors = Vec::decode_from(r)?;
-        // Re-validate the `View` invariants instead of trusting the wire:
-        // a corrupt or adversarial frame must not manufacture an empty or
-        // duplicated membership (the constructors would panic on it).
-        if members.is_empty() {
-            return Err(WireError::BadLength);
-        }
-        let mut sorted = members.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        if sorted.len() != members.len() {
+        if !valid_membership(&members) {
             return Err(WireError::BadLength);
         }
         Ok(View {
@@ -38,6 +46,44 @@ impl Decode for View {
             members,
             predecessors,
         })
+    }
+}
+
+impl View {
+    /// Reads past one encoded view, accepting exactly what
+    /// [`View::decode_from`] accepts, without building it; returns the
+    /// view's id. Allocates only to check a membership of more than 16.
+    pub fn skip_encoded(r: &mut Reader<'_>) -> Result<ViewId, WireError> {
+        let id = ViewId::decode_from(r)?;
+        // The length guard of `Vec::decode_from`.
+        let len = usize::try_from(r.read_varint()?).map_err(|_| WireError::BadLength)?;
+        if len > r.remaining() {
+            return Err(WireError::BadLength);
+        }
+        let mut small = [NodeId(0); SMALL_MEMBERSHIP];
+        let mut large = Vec::new();
+        let members = match small.get_mut(..len) {
+            Some(members) => members,
+            None => {
+                large.resize(len, NodeId(0));
+                &mut large[..]
+            }
+        };
+        for m in members.iter_mut() {
+            *m = NodeId::decode_from(r)?;
+        }
+        let valid = valid_membership(members);
+        let len = usize::try_from(r.read_varint()?).map_err(|_| WireError::BadLength)?;
+        if len > r.remaining() {
+            return Err(WireError::BadLength);
+        }
+        for _ in 0..len {
+            ViewId::decode_from(r)?;
+        }
+        if !valid {
+            return Err(WireError::BadLength);
+        }
+        Ok(id)
     }
 }
 
@@ -80,24 +126,45 @@ mod tests {
         assert_eq!(roundtrip(&v), v);
     }
 
+    /// Both readers of an encoded view reject an empty membership and a
+    /// duplicated one, on either side of the in-place check's size limit.
     #[test]
     fn corrupt_view_membership_is_rejected_not_panicked() {
-        // Hand-encode a view with duplicate members; decode must error.
-        let mut out = Vec::new();
-        ViewId::new(NodeId(0), 1).encode_into(&mut out);
-        vec![NodeId(5), NodeId(5)].encode_into(&mut out);
-        Vec::<ViewId>::new().encode_into(&mut out);
-        let f = Frame::from_vec(out);
-        let mut r = Reader::new(&f);
-        assert_eq!(View::decode_from(&mut r), Err(WireError::BadLength));
+        let large_dup: Vec<NodeId> = (0..20).chain([7]).map(NodeId).collect();
+        for members in [vec![NodeId(5), NodeId(5)], vec![], large_dup] {
+            let mut out = Vec::new();
+            ViewId::new(NodeId(0), 1).encode_into(&mut out);
+            members.encode_into(&mut out);
+            vec![ViewId::new(NodeId(1), 1)].encode_into(&mut out);
+            let f = Frame::from_vec(out);
+            assert_eq!(
+                View::decode_from(&mut Reader::new(&f)),
+                Err(WireError::BadLength),
+                "{members:?}"
+            );
+            assert_eq!(
+                View::skip_encoded(&mut Reader::new(&f)),
+                Err(WireError::BadLength),
+                "{members:?}"
+            );
+        }
+    }
 
-        // And an empty membership likewise.
-        let mut out = Vec::new();
-        ViewId::new(NodeId(0), 1).encode_into(&mut out);
-        Vec::<NodeId>::new().encode_into(&mut out);
-        Vec::<ViewId>::new().encode_into(&mut out);
-        let f = Frame::from_vec(out);
-        let mut r = Reader::new(&f);
-        assert_eq!(View::decode_from(&mut r), Err(WireError::BadLength));
+    #[test]
+    fn skip_reads_exactly_one_valid_view() {
+        for len in [1, 16, 17, 40] {
+            let v = View::with_predecessors(
+                ViewId::new(NodeId(1), 9),
+                (0..len).rev().map(NodeId).collect(),
+                vec![ViewId::new(NodeId(4), 3)],
+            );
+            let mut out = Vec::new();
+            v.encode_into(&mut out);
+            out.push(0xee);
+            let f = Frame::from_vec(out);
+            let mut r = Reader::new(&f);
+            assert_eq!(View::skip_encoded(&mut r), Ok(v.id), "{len} members");
+            assert_eq!(r.remaining(), 1);
+        }
     }
 }

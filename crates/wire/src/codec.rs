@@ -135,6 +135,23 @@ impl<'a> Reader<'a> {
         Ok(sub)
     }
 
+    /// Runs `read` and returns its result together with the bytes it
+    /// consumed, as a sub-frame **sharing** the underlying allocation: how
+    /// a decoder keeps a validated structure as bytes instead of building
+    /// it.
+    pub fn read_span<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, WireError>,
+    ) -> Result<(T, Frame), WireError> {
+        let start = self.pos;
+        let value = read(self)?;
+        let span = self
+            .frame
+            .subrange(start, self.pos)
+            .ok_or(WireError::BadLength)?;
+        Ok((value, span))
+    }
+
     /// Asserts the frame was fully consumed.
     pub fn finish(self) -> Result<(), WireError> {
         match self.remaining() {
@@ -483,6 +500,21 @@ mod tests {
         let outer_ptr = outer.bytes().as_ptr() as usize;
         let got_ptr = got.bytes().as_ptr() as usize;
         assert!(got_ptr > outer_ptr && got_ptr < outer_ptr + outer.len());
+    }
+
+    #[test]
+    fn read_span_returns_the_consumed_bytes_zero_copy() {
+        let f = Frame::from_vec(vec![7, 0xac, 0x02, 9]);
+        let mut r = Reader::new(&f);
+        r.read_u8().expect("one byte");
+        let (v, span) = r.read_span(Reader::read_varint).expect("varint");
+        assert_eq!((v, &span[..]), (300, &[0xac, 0x02][..]));
+        assert!(std::sync::Arc::ptr_eq(span.backing(), f.backing()));
+        assert_eq!(r.remaining(), 1);
+        assert_eq!(
+            r.read_span(|r| r.read_bytes(2)).map(|(_, s)| s),
+            Err(WireError::Truncated)
+        );
     }
 
     #[test]

@@ -29,7 +29,10 @@
 //! every member that delivers it. The few decoders that must re-validate
 //! invariants off the wire (`View`, `LwgEntry`, `MappingDb`) stay
 //! hand-written next to the type; their encoders still come from
-//! `wire_struct!(encode …)`.
+//! `wire_struct!(encode …)`. A decoder may also validate a structure
+//! without building it and keep it as bytes: [`Reader::read_span`] returns
+//! what it consumed as a zero-copy sub-frame (`AdvertisedViews`, the
+//! entries of an LWG `AllViews` message).
 //!
 //! Everything here is pure `std`, allocation-conscious and deterministic;
 //! the simulator's `Payload` type *is* [`Frame`].

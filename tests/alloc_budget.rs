@@ -16,64 +16,13 @@
 //! that keeps something per message (a sample log, an undrained queue)
 //! doubles its buffer inside that window and fails here.
 
+mod counting_alloc;
+
+use counting_alloc::{allocs, peak, reset_peak};
 use plwg::prelude::*;
 use plwg::sim::{TimerToken, Transport};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::any::Any;
-use std::cell::Cell;
 use std::collections::BTreeMap;
-
-/// Counts `alloc`/`realloc` calls and live bytes of the calling thread
-/// (the test harness runs the cases on threads of their own).
-struct CountingAlloc;
-
-thread_local! {
-    // Const-initialised and without a destructor, so touching them from
-    // inside the allocator never allocates.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    /// Bytes this thread allocated and has not freed.
-    static LIVE: Cell<i64> = const { Cell::new(0) };
-    /// Highest `LIVE` since the last [`reset_peak`].
-    static PEAK: Cell<i64> = const { Cell::new(0) };
-}
-
-fn note(allocs: u64, bytes: i64) {
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + allocs));
-    let _ = LIVE.try_with(|live| {
-        live.set(live.get() + bytes);
-        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
-    });
-}
-
-/// Starts a new high-water window at the current live bytes.
-fn reset_peak() {
-    PEAK.set(LIVE.get());
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counting touches only
-// const-initialised thread-local `Cell`s.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(1, layout.size() as i64);
-        // SAFETY: `layout` is the caller's, passed through unchanged.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        note(0, -(layout.size() as i64));
-        // SAFETY: the caller guarantees `ptr` came from this allocator,
-        // which always allocates with `System`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(1, new_size as i64 - layout.size() as i64);
-        // SAFETY: arguments are the caller's, passed through unchanged.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// The traffic timer. The service claims tokens `0x01..`–`0x03..` only.
 const TOK_TRAFFIC: TimerToken = TimerToken(0x0B00_0000_0000_0001);
@@ -227,17 +176,17 @@ fn steady_state(cfg: LwgConfig, groups: &[LwgId], members: usize, payload: usize
         let at = |n: &NodeId| world.inspect(*n, |h: &Host| h.delivered);
         apps.iter().map(at).sum()
     };
-    let (allocs_before, delivered_before) = (ALLOCS.get(), delivered(&mut world));
+    let (allocs_before, delivered_before) = (allocs(), delivered(&mut world));
     reset_peak();
     world.run_for(SimDuration::from_secs(4));
     let (allocs, ops) = (
-        ALLOCS.get() - allocs_before,
+        allocs() - allocs_before,
         delivered(&mut world) - delivered_before,
     );
-    let peak = PEAK.get();
+    let measured_peak = peak();
     reset_peak();
     world.run_for(SimDuration::from_secs(8));
-    let peak_growth = PEAK.get() - peak;
+    let peak_growth = peak() - measured_peak;
 
     // 2 senders × 1000 ticks/s × 4 s, one message per group per tick, one
     // delivery per group member; what is in flight at either edge cancels.

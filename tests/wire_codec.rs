@@ -8,12 +8,21 @@
 //! encoding change — even a compatible-looking one — must show up as a
 //! reviewed diff of that file. Regenerate with
 //! `WIRE_GOLDEN_BLESS=1 cargo test --test wire_codec`.
+//!
+//! `AllViews` keeps its entries as validated bytes; it is checked against
+//! the eager decoder it replaced, kept here as the reference, and decoding
+//! it must not allocate.
 
-use plwg::core::{LFlushId, LwgMsg};
+mod counting_alloc;
+
+use counting_alloc::allocs;
+use plwg::core::{AdvertisedViews, LFlushId, LwgMsg};
 use plwg::hwg::{HwgId, View, ViewId};
 use plwg::naming::{LwgId, Mapping, MappingDb, NsMsg, RequestId};
 use plwg::net::{net_frame, pack_datagram, unpack_datagram, NetMsg};
-use plwg::sim::{decode_frame, encode_frame, family, peek_family, Decode, Frame, NodeId, SimRng};
+use plwg::sim::{
+    decode_frame, encode_frame, family, peek_family, Decode, Encode, Frame, NodeId, Reader, SimRng,
+};
 use plwg::vsync::{FlushId, FlushPurpose, Slot, VsMsg};
 use std::collections::BTreeMap;
 
@@ -230,11 +239,14 @@ fn lwg_msg(rng: &mut SimRng) -> LwgMsg {
             flush: lflush_id(rng),
         },
         9 => LwgMsg::MergeViews,
-        10 => LwgMsg::AllViews {
-            views: (0..rng.range(0, 3))
+        10 => {
+            let views: Vec<(LwgId, View)> = (0..rng.range(0, 3))
                 .map(|_| (LwgId(rng.range(0, 32)), view(rng)))
-                .collect(),
-        },
+                .collect();
+            LwgMsg::AllViews {
+                views: AdvertisedViews::new(views.iter().map(|(lwg, v)| (*lwg, v))),
+            }
+        }
         11 => LwgMsg::Dissolved {
             lwg,
             flush: lflush_id(rng),
@@ -484,6 +496,149 @@ fn corruption_never_panics() {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// AllViews: entries kept as bytes, checked against the eager decoder
+// ---------------------------------------------------------------------
+
+/// The `AllViews` variant tag of the `LwgMsg` table.
+const ALL_VIEWS_TAG: u8 = 10;
+
+/// An `AllViews` frame as the eager encoder wrote it: the views are
+/// encoded as given, invalid ones included.
+fn all_views_frame(views: &[(LwgId, View)]) -> Frame {
+    struct Owned<'a>(&'a [(LwgId, View)]);
+    impl Encode for Owned<'_> {
+        fn encode_into(&self, out: &mut Vec<u8>) {
+            out.push(ALL_VIEWS_TAG);
+            self.0.to_vec().encode_into(out);
+        }
+    }
+    encode_frame(family::LWG, &Owned(views))
+}
+
+/// The reference: the eager `Vec<(LwgId, View)>` decoder the variant had
+/// before it kept its entries as bytes.
+fn reference_all_views(f: &Frame) -> Option<Vec<(LwgId, View)>> {
+    let mut r = Reader::new(f);
+    if r.read_varint().ok()? != family::LWG || r.read_u8().ok()? != ALL_VIEWS_TAG {
+        return None;
+    }
+    let views = Vec::<(LwgId, View)>::decode_from(&mut r).ok()?;
+    r.finish().ok()?;
+    Some(views)
+}
+
+/// The shipped decoder, its entries then decoded one by one.
+fn lazy_all_views(f: &Frame) -> Option<Vec<(LwgId, View)>> {
+    let Ok(LwgMsg::AllViews { views }) = decode_frame::<LwgMsg>(family::LWG, f) else {
+        return None;
+    };
+    let entries: Vec<(LwgId, View)> = views
+        .iter()
+        .map(|(lwg, id, bytes)| {
+            let mut r = Reader::new(&bytes);
+            let view = View::decode_from(&mut r).expect("a validated entry decodes");
+            r.finish().expect("an entry is exactly one view");
+            assert_eq!(view.id, id, "entry id");
+            (lwg, view)
+        })
+        .collect();
+    assert_eq!(entries.len(), views.len(), "entry count");
+    Some(entries)
+}
+
+/// A view as a corrupt or adversarial sender might encode it: sometimes
+/// empty, or with a duplicate member on either side of the decoder's
+/// 16-member in-place check.
+fn raw_view(rng: &mut SimRng) -> View {
+    let mut v = view(rng);
+    let large = rng.range(17, 24) as u32;
+    match rng.range(0, 8) {
+        0 => v.members.clear(),
+        1 => v.members.push(v.members[0]),
+        2 => v.members = (0..large).map(NodeId).collect(),
+        3 => v.members = (0..large).chain([large / 2]).map(NodeId).collect(),
+        _ => {}
+    }
+    v
+}
+
+/// Over seeded frames, every truncation of them and every single-bit flip,
+/// the shipped decoder accepts exactly the frames the reference accepts and
+/// yields the same entries; the valid lists also encode byte for byte as
+/// the reference wrote them.
+#[test]
+fn all_views_decoder_accepts_exactly_what_the_reference_accepts() {
+    let mut rng = SimRng::from_seed(28);
+    let (mut accepted, mut rejected) = (0, 0);
+    let mut check = |f: &Frame| {
+        let want = reference_all_views(f);
+        assert_eq!(lazy_all_views(f), want, "frame {}", hex(f.bytes()));
+        if want.is_some() {
+            accepted += 1;
+        } else {
+            rejected += 1;
+        }
+    };
+    for _ in 0..200 {
+        let views: Vec<(LwgId, View)> = (0..rng.range(0, 5))
+            .map(|_| (LwgId(rng.range(0, 1 << 20)), raw_view(&mut rng)))
+            .collect();
+        let f = all_views_frame(&views);
+        if reference_all_views(&f).is_some() {
+            let adverts = AdvertisedViews::new(views.iter().map(|(lwg, v)| (*lwg, v)));
+            assert_eq!(
+                encode_frame(family::LWG, &LwgMsg::AllViews { views: adverts }),
+                f
+            );
+        }
+        check(&f);
+        for cut in 0..f.len() {
+            check(&Frame::copy_from_slice(&f.bytes()[..cut]));
+        }
+        for i in 0..f.len() {
+            for bit in 0..8 {
+                let mut bytes = f.bytes().to_vec();
+                bytes[i] ^= 1 << bit;
+                check(&Frame::from_vec(bytes));
+            }
+        }
+    }
+    // Both outcomes are well represented.
+    assert!(
+        accepted > 1_000 && rejected > 1_000,
+        "{accepted} / {rejected}"
+    );
+}
+
+/// Decoding a 128-view advertisement and walking its entries allocates
+/// nothing: the entries are a sub-frame of the incoming frame.
+#[test]
+fn all_views_decode_allocates_nothing() {
+    let mut rng = SimRng::from_seed(1);
+    let views: Vec<(LwgId, View)> = (0..128)
+        .map(|g| {
+            let v = View {
+                id: view_id(&mut rng),
+                members: (0..8).map(NodeId).collect(),
+                predecessors: vec![view_id(&mut rng)],
+            };
+            (LwgId(g), v)
+        })
+        .collect();
+    let f = all_views_frame(&views);
+    let before = allocs();
+    let msg = decode_frame::<LwgMsg>(family::LWG, &f);
+    let walked = match &msg {
+        Ok(LwgMsg::AllViews { views }) => views.iter().count(),
+        _ => 0,
+    };
+    let allocs = allocs() - before;
+    assert_eq!(walked, 128, "every entry walked");
+    assert_eq!(allocs, 0, "allocations decoding and walking 128 views");
+    drop(msg);
 }
 
 // ---------------------------------------------------------------------
