@@ -1,205 +1,121 @@
-//! The interference experiment: an unrelated group's failure recovery
-//! disturbing an active group — when, and only when, they share an HWG.
+//! Ablation B: **interference** between unrelated groups sharing an HWG
+//! (the effect the paper's policies exist to minimise, §2/§3.3).
+//!
+//! Set A streams data while a member of the unrelated set B crashes. When
+//! the sets are co-mapped on one HWG (static service), B's failure recovery
+//! stalls A: the HWG flush stops *all* traffic on the HWG. When they ride
+//! disjoint HWGs (dynamic service), A barely notices.
 
-use crate::mode::{default_naming, BenchNode, ServiceMode};
-use crate::twosets::{TwoSetsParams, TwoSetsResult};
-use plwg_core::LwgConfig;
-use plwg_naming::NameServer;
-use plwg_sim::{Histogram, NodeId, SimDuration, SimTime, World, WorldConfig};
+use crate::mode::ServiceMode;
+use crate::report::{fmt_us, page, Table};
+use crate::twosets::{bring_up, latency, recovery, Traffic, TwoSetsParams};
+use crate::Output;
+use plwg_sim::{HistogramSummary, SimDuration};
 
-/// Runs the two-sets topology with traffic on set A only and a crash of a
-/// set-B member midway through the stream. Reports set A's latency and
-/// set B's recovery time.
+/// Runs the two-sets world with traffic on set A only and a crash of a
+/// set-B member midway through the stream. Returns set A's latency (µs)
+/// and set B's recovery time.
 ///
 /// # Panics
 ///
 /// Panics if bring-up does not converge (a protocol bug).
-pub fn run_interference(params: &TwoSetsParams) -> TwoSetsResult {
-    let mut world = World::new(WorldConfig {
-        seed: params.seed,
-        proc_time: params.proc_time,
-        ..WorldConfig::default()
-    });
-    let s0 = world.add_node(Box::new(NameServer::new(
-        NodeId(0),
-        vec![NodeId(1)],
-        default_naming(),
-    )));
-    let s1 = world.add_node(Box::new(NameServer::new(
-        NodeId(1),
-        vec![NodeId(0)],
-        default_naming(),
-    )));
-    let servers = vec![s0, s1];
-    let cfg = match params.mode {
-        ServiceMode::StaticLwg => BenchNode::static_config(LwgConfig::default()),
-        _ => LwgConfig::default(),
-    };
-    let total = params.members_per_group * 2;
-    let apps: Vec<NodeId> = (0..total)
-        .map(|i| {
-            world.add_node(Box::new(BenchNode::new(
-                NodeId(2 + i as u32),
-                params.mode,
-                servers.clone(),
-                cfg.clone(),
-            )))
-        })
-        .collect();
-    let set_a = apps[..params.members_per_group].to_vec();
-    let set_b = apps[params.members_per_group..].to_vec();
-
-    // Bootstrap for static mode (one HWG spanning everyone).
-    if params.mode == ServiceMode::StaticLwg {
-        for (i, &m) in apps.iter().enumerate() {
-            let t = world.now() + SimDuration::from_millis(300 * i as u64);
-            world.invoke_at(t, m, move |n: &mut BenchNode, ctx| {
-                n.join_group(ctx, 0, i == 0)
-            });
-        }
-        world.run_for(SimDuration::from_secs(10));
-    }
-    let groups_a: Vec<u64> = (1..=params.groups_per_set as u64).collect();
-    let groups_b: Vec<u64> = (1..=params.groups_per_set as u64)
-        .map(|g| 1000 + g)
-        .collect();
-    for (idx, &g) in groups_a.iter().chain(groups_b.iter()).enumerate() {
-        let members = if g < 1000 { &set_a } else { &set_b };
-        for (i, &m) in members.iter().enumerate() {
-            let t = world.now() + SimDuration::from_millis(150 * idx as u64 + 400 * i as u64);
-            world.invoke_at(t, m, move |n: &mut BenchNode, ctx| {
-                n.join_group(ctx, g, i == 0)
-            });
-        }
-    }
+pub(crate) fn run_interference(params: &TwoSetsParams) -> (HistogramSummary, Option<SimDuration>) {
+    let (mut world, sets) = bring_up(params);
     // Generous settle (covers shrink + a policy round).
     world.run_for(SimDuration::from_secs(45));
-    for &g in groups_a.iter().chain(groups_b.iter()) {
-        let members = if g < 1000 { &set_a } else { &set_b };
-        let mut expect = members.clone();
-        expect.sort_unstable();
-        for &m in members {
-            let got = world.inspect(m, |n: &BenchNode| n.members_of(g));
-            assert_eq!(
-                got.as_deref(),
-                Some(&expect[..]),
-                "interference setup: {g} not converged at {m}"
-            );
-        }
-    }
+    assert!(
+        sets.is_whole(&mut world, &sets.groups()),
+        "interference setup did not converge"
+    );
 
-    // Traffic on set A; crash a set-B member midway.
     let t0 = world.now() + SimDuration::from_secs(1);
-    for (idx, &g) in groups_a.iter().enumerate() {
-        let sender = set_a[0];
-        let offset = SimDuration::from_micros(
-            params.traffic.interval.as_micros() * idx as u64 / groups_a.len().max(1) as u64,
-        );
-        for k in 0..params.traffic.msgs_per_group {
-            let t = t0 + offset + params.traffic.interval.saturating_mul(k);
-            world.invoke_at(t, sender, move |n: &mut BenchNode, ctx| {
-                n.send_stamped(ctx, g, k)
-            });
-        }
-    }
-    let span = params
-        .traffic
-        .interval
-        .saturating_mul(params.traffic.msgs_per_group);
-    let victim = *set_b.last().expect("set B nonempty");
-    let t_crash = t0 + span.mul_f64(0.5);
+    sets.send(&mut world, &sets.groups_a, t0, params.traffic);
+    let victim = *sets.set_b.last().expect("set B nonempty");
+    let t_crash = t0 + params.traffic.span().mul_f64(0.5);
     world.crash_at(t_crash, victim);
-    let t_end = t0 + span + SimDuration::from_secs(5);
-    world.run_until(t_end);
+    world.run_until(t0 + params.traffic.span() + SimDuration::from_secs(5));
 
-    // Set A latency only.
-    let mut hist = Histogram::default();
-    let mut delivered = 0u64;
-    let mut last_recv = t0;
-    for &m in &set_a {
-        let ds: Vec<(SimTime, SimTime)> = world.inspect(m, |n: &BenchNode| {
-            n.deliveries
-                .iter()
-                .filter(|d| d.group < 1000 && d.sent_at >= t0 && d.src != m)
-                .map(|d| (d.sent_at, d.recv_at))
-                .collect()
+    let (latency_us, _) = latency(&mut world, &sets.set_a, t0);
+    let recovered = recovery(&mut world, &sets.groups_b, &sets.set_b, victim, t_crash);
+    (latency_us, recovered)
+}
+
+/// `ablation_interference`: set A's latency while a set-B member crashes,
+/// static against dynamic. Asserts that co-mapping shows: the static
+/// maximum is at least twice the dynamic one.
+pub(crate) fn ablation() -> Output {
+    let mut table = Table::new(&["mode", "mean", "p95", "max", "recovery"]);
+    let mut max = Vec::new();
+    for mode in [ServiceMode::Static, ServiceMode::Dynamic] {
+        let (lat, recovered) = run_interference(&TwoSetsParams {
+            mode,
+            groups_per_set: 2,
+            members_per_group: 4,
+            seed: 11,
+            proc_time: SimDuration::from_micros(150),
+            traffic: Traffic {
+                // Long stream so the crash lands mid-traffic.
+                msgs_per_group: 1500,
+                interval: SimDuration::from_millis(10),
+            },
+            crash_member: true,
         });
-        for (sent, recv) in ds {
-            hist.record(recv.saturating_since(sent).as_micros());
-            delivered += 1;
-            last_recv = last_recv.max(recv);
-        }
+        table.row(&[
+            mode.label().to_owned(),
+            fmt_us(lat.mean),
+            fmt_us(lat.p95 as f64),
+            fmt_us(lat.max as f64),
+            recovered.map_or_else(|| "-".into(), |d| format!("{d}")),
+        ]);
+        max.push(lat.max);
     }
-
-    // Set B recovery.
-    let survivors: Vec<NodeId> = set_b.iter().copied().filter(|&m| m != victim).collect();
-    let mut worst: Option<SimTime> = None;
-    let mut complete = true;
-    for &g in &groups_b {
-        for &m in &survivors {
-            let t = world.inspect(m, |n: &BenchNode| {
-                n.views
-                    .iter()
-                    .find(|v| v.at >= t_crash && v.group == g && !v.members.contains(&victim))
-                    .map(|v| v.at)
-            });
-            match t {
-                Some(t) => worst = Some(worst.map_or(t, |w: SimTime| w.max(t))),
-                None => complete = false,
-            }
-        }
-    }
-    let window = last_recv.saturating_since(t0).as_secs_f64().max(1e-9);
-    TwoSetsResult {
-        mode: params.mode,
-        groups_per_set: params.groups_per_set,
-        latency_us: hist.summary(),
-        throughput_msgs_per_sec: delivered as f64 / window,
-        wire_msgs: 0,
-        avg_hwgs_per_node: 0.0,
-        converged_at: t0,
-        recovery: if complete {
-            worst.map(|w| w.saturating_since(t_crash))
-        } else {
-            None
-        },
-    }
+    assert!(
+        max[0] >= 2 * max[1],
+        "interference: static max latency {} us is not >= 2x dynamic {} us",
+        max[0],
+        max[1]
+    );
+    page(
+        "Interference: latency of group set A while a member of set B crashes\n\
+         (sets are disjoint; static co-maps them on one HWG, dynamic separates)",
+        &table,
+        "Static co-mapping: the victim's HWG flush freezes set A's groups\n\
+         (max latency includes the whole failure-detection + flush stall).\n\
+         Dynamic separation: set A is unaffected by set B's recovery.\n",
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::twosets::Traffic;
 
     #[test]
     fn interference_shows_up_only_when_co_mapped() {
-        let base = TwoSetsParams {
-            groups_per_set: 1,
-            seed: 5,
-            traffic: Traffic {
-                // Dense probes so several land inside the co-mapped HWG's
-                // flush-freeze window.
-                msgs_per_group: 2000,
-                interval: SimDuration::from_millis(2),
-            },
-            crash_member: true,
-            ..TwoSetsParams::default()
+        let run = |mode| {
+            run_interference(&TwoSetsParams {
+                mode,
+                groups_per_set: 1,
+                members_per_group: 4,
+                seed: 5,
+                proc_time: SimDuration::from_micros(150),
+                traffic: Traffic {
+                    // Dense probes so several land inside the co-mapped HWG's
+                    // flush-freeze window.
+                    msgs_per_group: 2000,
+                    interval: SimDuration::from_millis(2),
+                },
+                crash_member: true,
+            })
         };
-        let stat = run_interference(&TwoSetsParams {
-            mode: ServiceMode::StaticLwg,
-            ..base.clone()
-        });
-        let dynm = run_interference(&TwoSetsParams {
-            mode: ServiceMode::DynamicLwg,
-            ..base
-        });
+        let (stat, stat_recovery) = run(ServiceMode::Static);
+        let (dynm, dynm_recovery) = run(ServiceMode::Dynamic);
         // Co-mapped: the flush stall shows in set A's tail latency.
         assert!(
-            stat.latency_us.max > 2 * dynm.latency_us.max,
+            stat.max > 2 * dynm.max,
             "static max {} should dwarf dynamic max {}",
-            stat.latency_us.max,
-            dynm.latency_us.max
+            stat.max,
+            dynm.max
         );
-        assert!(stat.recovery.is_some() && dynm.recovery.is_some());
+        assert!(stat_recovery.is_some() && dynm_recovery.is_some());
     }
 }

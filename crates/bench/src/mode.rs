@@ -3,16 +3,15 @@
 //!
 //! * [`ServiceMode::NoLwg`] — every user group is its own heavy-weight
 //!   group (a full virtually-synchronous stack per group).
-//! * [`ServiceMode::StaticLwg`] — user groups are LWGs, all mapped onto a
+//! * [`ServiceMode::Static`] — user groups are LWGs, all mapped onto a
 //!   single HWG containing every process; the mapping never changes
 //!   (policies disabled).
-//! * [`ServiceMode::DynamicLwg`] — the full service of `plwg-core`, with
+//! * [`ServiceMode::Dynamic`] — the full service of `plwg-core`, with
 //!   the Figure-1 policies re-mapping groups at run time.
 
-use plwg_core::{LwgConfig, LwgId, LwgService};
-use plwg_naming::NamingConfig;
+use plwg_core::{LwgConfig, LwgEvent, LwgId, LwgService};
 use plwg_sim::{Frame, NodeId, Payload, Process, SimDuration, SimTime, TimerToken, Transport};
-use plwg_vsync::{GroupStatus, HwgId, VsEvent, VsyncStack};
+use plwg_vsync::{HwgId, VsEvent, VsyncStack};
 use std::any::Any;
 
 /// Which of the paper's three configurations a [`BenchNode`] runs.
@@ -21,9 +20,9 @@ pub enum ServiceMode {
     /// One HWG per user group (the "no LWG service" baseline).
     NoLwg,
     /// All user groups mapped statically onto one big HWG.
-    StaticLwg,
+    Static,
     /// The dynamic light-weight group service (the paper's system).
-    DynamicLwg,
+    Dynamic,
 }
 
 impl ServiceMode {
@@ -31,8 +30,8 @@ impl ServiceMode {
     pub fn label(self) -> &'static str {
         match self {
             ServiceMode::NoLwg => "no-lwg",
-            ServiceMode::StaticLwg => "static",
-            ServiceMode::DynamicLwg => "dynamic",
+            ServiceMode::Static => "static",
+            ServiceMode::Dynamic => "dynamic",
         }
     }
 }
@@ -70,12 +69,8 @@ impl Stamped {
 /// One recorded delivery.
 #[derive(Debug, Clone, Copy)]
 pub struct Delivery {
-    /// User group.
-    pub group: u64,
     /// Sender.
     pub src: NodeId,
-    /// Sequence number.
-    pub seq: u64,
     /// Virtual send time (from the payload).
     pub sent_at: SimTime,
     /// Virtual delivery time.
@@ -101,7 +96,6 @@ enum Inner {
 /// An experiment node able to run in any [`ServiceMode`], recording every
 /// delivery and view installation with timestamps.
 pub struct BenchNode {
-    mode: ServiceMode,
     inner: Inner,
     /// Recorded deliveries, in order.
     pub deliveries: Vec<Delivery>,
@@ -111,11 +105,11 @@ pub struct BenchNode {
 
 impl BenchNode {
     /// Creates a node for `me` in `mode`. `servers` and `cfg` are used by
-    /// the LWG modes; `vsync_cfg` (inside `cfg`) by all.
+    /// the LWG modes; `cfg.hwg` by all.
     pub fn new(me: NodeId, mode: ServiceMode, servers: Vec<NodeId>, cfg: LwgConfig) -> Self {
         let inner = match mode {
             ServiceMode::NoLwg => Inner::Raw(Box::new(VsyncStack::new(me, cfg.hwg.clone()))),
-            ServiceMode::StaticLwg | ServiceMode::DynamicLwg => Inner::Lwg(Box::new(
+            ServiceMode::Static | ServiceMode::Dynamic => Inner::Lwg(Box::new(
                 LwgService::builder(me)
                     .servers(servers)
                     .config(cfg)
@@ -124,7 +118,6 @@ impl BenchNode {
             )),
         };
         BenchNode {
-            mode,
             inner,
             deliveries: Vec::new(),
             views: Vec::new(),
@@ -157,15 +150,6 @@ impl BenchNode {
         self.drain(ctx.now());
     }
 
-    /// Leaves user group `group`.
-    pub fn leave_group(&mut self, ctx: &mut dyn Transport, group: u64) {
-        match &mut self.inner {
-            Inner::Raw(stack) => stack.leave(ctx, HwgId(group)),
-            Inner::Lwg(svc) => svc.leave(ctx, LwgId(group)),
-        }
-        self.drain(ctx.now());
-    }
-
     /// Sends a stamped message on `group`.
     pub fn send_stamped(&mut self, ctx: &mut dyn Transport, group: u64, seq: u64) {
         let msg = Stamped {
@@ -185,22 +169,6 @@ impl BenchNode {
         match &self.inner {
             Inner::Raw(stack) => stack.view_of(HwgId(group)).map(|v| v.sorted_members()),
             Inner::Lwg(svc) => svc.view_of(LwgId(group)).map(|v| v.sorted_members()),
-        }
-    }
-
-    /// Whether this node is (still) a participant of `group`.
-    pub fn in_group(&self, group: u64) -> bool {
-        match &self.inner {
-            Inner::Raw(stack) => stack.status_of(HwgId(group)) != GroupStatus::Left,
-            Inner::Lwg(svc) => svc.view_of(LwgId(group)).is_some(),
-        }
-    }
-
-    /// Number of distinct HWGs this node belongs to (resource footprint).
-    pub fn hwg_count(&self) -> usize {
-        match &self.inner {
-            Inner::Raw(stack) => stack.groups().count(),
-            Inner::Lwg(svc) => svc.hwgs().len(),
         }
     }
 
@@ -224,37 +192,34 @@ impl BenchNode {
         }
     }
 
-    /// The mode this node runs in.
-    pub fn mode(&self) -> ServiceMode {
-        self.mode
-    }
-
-    /// Deliveries for `group` only.
-    pub fn deliveries_for(&self, group: u64) -> impl Iterator<Item = &Delivery> {
-        self.deliveries.iter().filter(move |d| d.group == group)
-    }
-
     fn drain(&mut self, now: SimTime) {
-        match &mut self.inner {
+        let BenchNode {
+            inner,
+            deliveries,
+            views,
+        } = self;
+        let mut on_data = |src, data: &Payload| {
+            if let Some(st) = Stamped::from_frame(data) {
+                deliveries.push(Delivery {
+                    src,
+                    sent_at: st.sent_at,
+                    recv_at: now,
+                });
+            }
+        };
+        let mut on_view = |group, members| {
+            views.push(ViewRecord {
+                group,
+                at: now,
+                members,
+            })
+        };
+        match inner {
             Inner::Raw(stack) => {
                 for ev in stack.drain_events() {
                     match ev {
-                        VsEvent::Data { hwg, src, data, .. } => {
-                            if let Some(st) = Stamped::from_frame(&data) {
-                                self.deliveries.push(Delivery {
-                                    group: hwg.0,
-                                    src,
-                                    seq: st.seq,
-                                    sent_at: st.sent_at,
-                                    recv_at: now,
-                                });
-                            }
-                        }
-                        VsEvent::View { hwg, view } => self.views.push(ViewRecord {
-                            group: hwg.0,
-                            at: now,
-                            members: view.sorted_members(),
-                        }),
+                        VsEvent::Data { src, data, .. } => on_data(src, &data),
+                        VsEvent::View { hwg, view } => on_view(hwg.0, view.sorted_members()),
                         VsEvent::Stop { .. } | VsEvent::Left { .. } => {}
                     }
                 }
@@ -262,23 +227,9 @@ impl BenchNode {
             Inner::Lwg(svc) => {
                 for ev in svc.drain_events() {
                     match ev {
-                        plwg_core::LwgEvent::Data { lwg, src, data } => {
-                            if let Some(st) = Stamped::from_frame(&data) {
-                                self.deliveries.push(Delivery {
-                                    group: lwg.0,
-                                    src,
-                                    seq: st.seq,
-                                    sent_at: st.sent_at,
-                                    recv_at: now,
-                                });
-                            }
-                        }
-                        plwg_core::LwgEvent::View { lwg, view } => self.views.push(ViewRecord {
-                            group: lwg.0,
-                            at: now,
-                            members: view.sorted_members(),
-                        }),
-                        plwg_core::LwgEvent::Left { .. } => {}
+                        LwgEvent::Data { src, data, .. } => on_data(src, &data),
+                        LwgEvent::View { lwg, view } => on_view(lwg.0, view.sorted_members()),
+                        LwgEvent::Left { .. } => {}
                     }
                 }
             }
@@ -317,9 +268,4 @@ impl Process for BenchNode {
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
-}
-
-/// A default naming configuration for experiment worlds.
-pub(crate) fn default_naming() -> NamingConfig {
-    NamingConfig::default()
 }

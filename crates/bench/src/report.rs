@@ -1,7 +1,7 @@
-//! Small plain-text table formatting for the experiment binaries, so every
-//! figure/table regenerator prints comparable, aligned rows — and the one
-//! JSON row format their `BENCH_*.json` result files share.
+//! Plain-text tables in the one page layout every experiment's result file
+//! uses, and the one JSON row format the `BENCH_*.json` files share.
 
+use crate::Output;
 use std::fmt::Write as _;
 
 /// A simple fixed-width text table.
@@ -60,27 +60,32 @@ impl Table {
     }
 }
 
+/// A result page: `title`, a blank line, the table, a blank line, `footer`.
+pub(crate) fn page(title: &str, table: &Table, footer: &str) -> Output {
+    format!("{title}\n\n{}\n{footer}", table.render()).into()
+}
+
 /// The text [`write_json_rows`] writes.
-fn json_rows<R>(bench: &str, rows: &[R], cells: impl Fn(&R) -> String) -> String {
+fn json_rows(bench: &str, rows: &[String]) -> String {
     let mut out = format!("{{\n  \"bench\": \"{bench}\",\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
+    for (i, cells) in rows.iter().enumerate() {
         let sep = if i + 1 == rows.len() { "" } else { "," };
-        let _ = writeln!(out, "    {{{}}}{sep}", cells(r));
+        let _ = writeln!(out, "    {{{cells}}}{sep}");
     }
     out.push_str("  ]\n}\n");
     out
 }
 
 /// Writes a bench result file to `path` (relative to the working
-/// directory) and says so: `{"bench": .., "rows": [..]}` with one row object
-/// per line — the format of every `BENCH_*.json` — `cells` giving one
-/// row's `"key": value` pairs.
-/// A bench that cannot write its file has still printed its table.
-pub fn write_json_rows<R>(path: &str, bench: &str, rows: &[R], cells: impl Fn(&R) -> String) {
-    match std::fs::write(path, json_rows(bench, rows, cells)) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+/// directory): `{"bench": .., "rows": [..]}` with one row object per line —
+/// the format of every `BENCH_*.json` — each of `rows` giving one row's
+/// `"key": value` pairs.
+///
+/// # Errors
+///
+/// Whatever writing the file fails with.
+pub fn write_json_rows(path: &str, bench: &str, rows: &[String]) -> std::io::Result<()> {
+    std::fs::write(path, json_rows(bench, rows))
 }
 
 /// Formats microseconds as a human-readable duration cell.
@@ -112,15 +117,21 @@ mod tests {
 
     #[test]
     fn json_rows_are_one_object_per_line() {
-        let text = json_rows("toy", &[(1u64, 2.5f64), (3, -4.0)], |(a, b)| {
-            format!("\"a\": {a}, \"label\": \"x\", \"b\": {b:.1}")
-        });
+        let rows = [(1u64, 2.5f64), (3, -4.0)]
+            .map(|(a, b)| format!("\"a\": {a}, \"label\": \"x\", \"b\": {b:.1}"));
+        let text = json_rows("toy", &rows);
         assert_eq!(
             text,
             "{\n  \"bench\": \"toy\",\n  \"rows\": [\n    \
              {\"a\": 1, \"label\": \"x\", \"b\": 2.5},\n    \
              {\"a\": 3, \"label\": \"x\", \"b\": -4.0}\n  ]\n}\n"
         );
+    }
+
+    #[test]
+    fn a_failed_write_is_an_error() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/no-such-dir/BENCH_x.json");
+        assert!(write_json_rows(path, "x", &[]).is_err());
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //!   typed trace (`cargo run --bin timeline -- heal`).
 //!
 //! The experiment workloads and runners regenerating the paper's
-//! evaluation live with their binaries in the `plwg-bench` crate.
+//! evaluation live in the `plwg-bench` crate, behind its one `reproduce`
+//! binary.
 //!
 //! ## Quickstart
 //!
