@@ -10,25 +10,25 @@
 //! every mutation:
 //!
 //! - **records**, hash-sharded over [`SHARDS`] ordered maps (deterministic
-//!   multiplicative hash on the group id — no `HashMap`, per the
-//!   determinism rules);
-//! - a **reverse index** from HWG id to the LWGs that reference it, split
-//!   by *how* they reference it (current mapping, switch target, switch
-//!   being followed) — `hwg_in_use` and the view-install scans become
-//!   index reads;
-//! - **phase and watchdog indexes** (per-phase id sets, busy
-//!   flush/switch set, awaiting-prune set) — the housekeeping tick visits
-//!   only candidates;
-//! - **per-HWG load accounts** (mapped-LWG count plus a data-plane
-//!   traffic window) — the substrate the placement policy and the
-//!   rebalancer decide on.
+//!   multiplicative hash on the group id — no `HashMap`). Sharding saves
+//!   memory: one `BTreeMap` took `sim_heal_128` `peak_heap_mib` 4.378 → 4.596
+//!   (seed 1, 5 s) and `BENCH_scale.json` `bytes_per_lwg` 2680 / 2820 / 2648
+//!   → 2721 / 2839 / 2649. Node bytes alone give the same deltas: in-order
+//!   ids leave each split B-tree leaf half full, and at 128 groups no
+//!   shard's 11-slot leaf has split yet;
+//! - a **reverse index** from HWG id to the LWGs that reference it (current
+//!   mapping, switch target, switch being followed) — `hwg_in_use` and the
+//!   view-install scans become index reads;
+//! - **phase and watchdog indexes** (per-phase, busy flush/switch and
+//!   awaiting-prune id sets) — the housekeeping tick visits only candidates;
+//! - **per-HWG load accounts** (mapped-LWG count plus a data-plane traffic
+//!   window) — what the placement policy and the rebalancer decide on.
 //!
 //! Mutable access goes through [`RecordMut`], a guard that snapshots the
 //! record's indexed facets and re-syncs every index on drop: protocol code
 //! mutates `LwgState` fields exactly as before and cannot forget to update
 //! an index. All index sets are ordered, so every query yields ids in the
-//! ascending order the old full-table scans produced — the refactor is
-//! behaviour-preserving down to event and bench byte identity.
+//! ascending order the old full-table scans produced.
 
 use crate::error::LwgError;
 use crate::state::{LwgState, Phase};
@@ -361,8 +361,8 @@ impl GroupDirectory {
     }
 
     /// Every record in ascending id order — the one sanctioned full walk,
-    /// used only by the operator status iterator (`plwg-tidy`'s
-    /// directory-hygiene check bans it elsewhere).
+    /// used only by the operator status iterator (`tests/workspace_rules.rs`
+    /// fails on any other caller in `plwg-core`).
     pub(crate) fn iter_all(&self) -> impl Iterator<Item = (LwgId, &LwgState)> + '_ {
         let mut heads: Vec<btree_map::Iter<'_, LwgId, LwgState>> =
             self.shards.iter().map(|s| s.iter()).collect();

@@ -193,7 +193,7 @@ impl<S: HwgSubstrate> LwgService<S> {
     /// Status of every local group, ascending by id. Lazily materialised:
     /// callers that stop early never pay for the rest of the table.
     pub fn iter_status(&self) -> impl Iterator<Item = LwgStatus> + '_ {
-        // tidy-allow(directory-hygiene): iter_status is the one sanctioned full walk
+        // The one full walk: operator status, never a protocol decision.
         self.dir.iter_all().map(|(lwg, s)| self.status_of(lwg, s))
     }
 

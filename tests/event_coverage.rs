@@ -1,6 +1,6 @@
 //! Scenario tests pinning down the rarer protocol events: every
 //! `ProtocolEvent` kind must show up in at least one test or golden
-//! snapshot (enforced by `plwg-tidy`'s `event-coverage` check), so each
+//! snapshot (enforced by `workspace_rules.rs`'s event-coverage rule), so each
 //! scenario here drives one of the less-travelled paths — dissolution,
 //! abandoned flushes, policy-driven switches, restart recovery — and
 //! asserts the typed trace recorded it.
