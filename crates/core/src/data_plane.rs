@@ -40,7 +40,8 @@ impl<S: HwgSubstrate> LwgService<S> {
             || state.lflush.is_some()
             || state.follow_switch.is_some()
             || state.switching.is_some()
-            || state.awaiting_prune.is_some();
+            || state.awaiting_prune.is_some()
+            || state.merged_away();
         if blocked {
             state.pending_send.push(data);
             return;

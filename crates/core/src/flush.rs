@@ -157,11 +157,12 @@ impl<S: HwgSubstrate> LwgService<S> {
     // ------------------------------------------------------------------
 
     /// Member side of an LWG flush (also the old-HWG half of a switch when
-    /// `switch_to` is set): stop sending, acknowledge, and for a switch,
-    /// start joining the target HWG.
+    /// `switch_to` is set): stop sending, acknowledge on the HWG the flush
+    /// `arrived_on`, and for a switch, start joining the target HWG.
     pub(crate) fn handle_lwg_flush(
         &mut self,
         ctx: &mut dyn Transport,
+        arrived_on: Option<HwgId>,
         lwg: LwgId,
         flush: LFlushId,
         members: Vec<NodeId>,
@@ -173,39 +174,47 @@ impl<S: HwgSubstrate> LwgService<S> {
             return;
         };
         let Some(view) = &state.view else { return };
-        if !view.contains(me) || !members.contains(&me) {
+        if !view.contains(me) || !members.contains(&me) || state.merged_away() {
             return;
         }
-        // Supersede rule mirrors the HWG layer: more senior initiator (in
-        // LWG view order) or newer nonce from the same initiator wins.
-        if let Some(cur) = &state.lflush {
-            let rank = |m: NodeId| view.rank(m).unwrap_or(usize::MAX);
-            let supersedes = rank(flush.initiator) < rank(cur.flush.initiator)
-                || (flush.initiator == cur.flush.initiator && flush.nonce > cur.flush.nonce);
-            if !supersedes {
-                return;
+        // A flush of a view that lists us but that we do not hold (two
+        // coordinators admitted us) is acknowledged, so that it does not
+        // wait for us, but not followed: we stay in our own view.
+        let foreign = !view.contains(flush.initiator);
+        if !foreign {
+            // Supersede rule mirrors the HWG layer: more senior initiator
+            // (in LWG view order) or newer nonce from the same initiator.
+            if let Some(cur) = &state.lflush {
+                let rank = |m: NodeId| view.rank(m).unwrap_or(usize::MAX);
+                let supersedes = rank(flush.initiator) < rank(cur.flush.initiator)
+                    || (flush.initiator == cur.flush.initiator && flush.nonce > cur.flush.nonce);
+                if !supersedes {
+                    return;
+                }
+            }
+            let mut oks = BTreeSet::new();
+            state.early_oks.retain(|(f, n)| {
+                if *f == flush {
+                    oks.insert(*n);
+                    false
+                } else {
+                    true
+                }
+            });
+            state.lflush = Some(LwgFlush {
+                flush,
+                members: members.clone(),
+                oks,
+                new_view: None,
+                started_at: now,
+            });
+            if let Some(to) = switch_to {
+                state.follow_switch = Some((flush, to));
             }
         }
-        let mut oks = BTreeSet::new();
-        state.early_oks.retain(|(f, n)| {
-            if *f == flush {
-                oks.insert(*n);
-                false
-            } else {
-                true
-            }
-        });
-        state.lflush = Some(LwgFlush {
-            flush,
-            members: members.clone(),
-            oks,
-            new_view: None,
-            started_at: now,
-        });
-        let hwg = state.hwg;
-        if let Some(to) = switch_to {
-            state.follow_switch = Some((flush, to));
-        }
+        // A node listed in a view it does not hold maps the group onto
+        // another HWG; the coordinator hears its ack only where it asked.
+        let hwg = arrived_on.or(state.hwg);
         drop(state);
         if let Some(hwg) = hwg {
             // Barrier: data we buffered in the closing LWG view must
@@ -216,10 +225,7 @@ impl<S: HwgSubstrate> LwgService<S> {
                 .send(ctx, hwg, wire::frame(&LwgMsg::FlushOk { lwg, flush }));
         }
         if let Some(to) = switch_to {
-            // Join the target HWG (the coordinator pre-created it).
-            if self.substrate.status_of(to) == GroupStatus::Left {
-                self.substrate.join(ctx, to);
-            } else if self
+            if self
                 .substrate
                 .view_of(to)
                 .is_some_and(|v| v.contains(self.me))
@@ -227,6 +233,9 @@ impl<S: HwgSubstrate> LwgService<S> {
                 // Already a member: report ready immediately.
                 self.substrate
                     .send(ctx, to, wire::frame(&LwgMsg::SwitchReady { lwg, flush }));
+            } else if !foreign && self.substrate.status_of(to) == GroupStatus::Left {
+                // Join the target HWG (the coordinator pre-created it).
+                self.substrate.join(ctx, to);
             }
         }
     }
@@ -261,6 +270,13 @@ impl<S: HwgSubstrate> LwgService<S> {
         view: View,
         on_hwg: HwgId,
     ) {
+        if self
+            .dir
+            .get(lwg)
+            .is_some_and(|s| s.is_stale(&view, flush.is_some()))
+        {
+            return; // a merge round superseded it
+        }
         if !view.contains(self.me) {
             // Excludes us: our leave completed (or we were pruned).
             let Some(state) = self.dir.get(lwg) else {
@@ -287,6 +303,10 @@ impl<S: HwgSubstrate> LwgService<S> {
             Some(f) => {
                 // Ordinary join/leave/switch view: wait for the flush to
                 // complete (all FlushOks) before installing.
+                let succeeds = state
+                    .view
+                    .as_ref()
+                    .is_none_or(|cur| view.predecessors.contains(&cur.id));
                 match state.lflush.as_mut() {
                     None => {
                         // We were admitted as a *joiner*: no old view to drain.
@@ -296,10 +316,17 @@ impl<S: HwgSubstrate> LwgService<S> {
                             self.install_lwg_view(ctx, lwg, view, on_hwg);
                         }
                     }
-                    Some(lf) if lf.flush == f => {
+                    Some(lf) if lf.flush == f && succeeds => {
                         lf.new_view = Some((view, on_hwg));
                         drop(state);
                         self.try_conclude_lwg_flush(ctx, lwg);
+                    }
+                    Some(lf) if lf.flush == f => {
+                        // We took part in a flush whose successor does not
+                        // follow our view: installing it would leave our
+                        // view without a successor in any lineage.
+                        drop(state);
+                        self.drop_flush(ctx, lwg);
                     }
                     Some(_) => {}
                 }
@@ -348,6 +375,9 @@ impl<S: HwgSubstrate> LwgService<S> {
         let Some(state) = self.dir.get(lwg) else {
             return;
         };
+        if self.stopped_on(state.hwg) {
+            return; // until the HWG view (see `stopped_on`)
+        }
         let Some(view) = state.view.clone() else {
             return;
         };
@@ -414,8 +444,12 @@ impl<S: HwgSubstrate> LwgService<S> {
         let Some(state) = self.dir.get(lwg) else {
             return;
         };
-        if state.lflush.is_some() || state.switching.is_some() {
-            return; // an explicit flush is already reshaping the view
+        if state.lflush.is_some()
+            || state.switching.is_some()
+            || state.merged_away()
+            || self.stopped_on(state.hwg)
+        {
+            return; // a flush, a merge or the HWG view will reshape the view
         }
         let Some(view) = state.view.clone() else {
             return;
@@ -491,6 +525,7 @@ impl<S: HwgSubstrate> LwgService<S> {
         state.follow_switch = None;
         state.early_oks.clear();
         state.awaiting_prune = None;
+        state.superseded.clear();
         for m in &view.members {
             state.pending_joins.remove(m);
         }
@@ -548,7 +583,7 @@ impl<S: HwgSubstrate> LwgService<S> {
         let Some(state) = self.dir.get(lwg) else {
             return;
         };
-        if state.lflush.is_some() || state.switching.is_some() {
+        if state.lflush.is_some() || state.switching.is_some() || state.merged_away() {
             return;
         }
         let Some(view) = &state.view else { return };
@@ -602,6 +637,24 @@ impl<S: HwgSubstrate> LwgService<S> {
         );
     }
 
+    /// Drops the flush or switch in flight on `lwg`. It froze the data
+    /// plane, so the sends it buffered are released into the view that is
+    /// still installed; otherwise they would wait for a view install the
+    /// dropped flush no longer produces.
+    pub(crate) fn drop_flush(&mut self, ctx: &mut dyn Transport, lwg: LwgId) {
+        let Some(mut state) = self.dir.get_mut(lwg) else {
+            return;
+        };
+        state.lflush = None;
+        state.switching = None;
+        state.follow_switch = None;
+        let pending = std::mem::take(&mut state.pending_send);
+        drop(state);
+        for data in pending {
+            self.send(ctx, lwg, data);
+        }
+    }
+
     pub(crate) fn handle_dissolved(
         &mut self,
         ctx: &mut dyn Transport,
@@ -609,7 +662,9 @@ impl<S: HwgSubstrate> LwgService<S> {
         flush: LFlushId,
     ) {
         let leaving = self.dir.get(lwg).is_some_and(|s| {
-            s.phase == Phase::Leaving || s.lflush.as_ref().is_some_and(|f| f.flush == flush)
+            !s.merged_away()
+                && (s.phase == Phase::Leaving
+                    || s.lflush.as_ref().is_some_and(|f| f.flush == flush))
         });
         if leaving {
             let hwg = self.dir.get(lwg).and_then(|s| s.hwg);

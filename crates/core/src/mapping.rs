@@ -236,6 +236,15 @@ impl<S: HwgSubstrate> LwgService<S> {
         let Some(state) = self.dir.get(lwg) else {
             return;
         };
+        if !state
+            .view
+            .as_ref()
+            .is_some_and(|v| mappings.iter().any(|m| m.lwg_view == v.id))
+        {
+            // The callback predates our view: its registration brings a
+            // fresh one if the group is still inconsistent.
+            return;
+        }
         let current = state.hwg;
         if current == Some(target) {
             // We are already on the winning HWG. A MERGE-VIEWS barrier only
@@ -335,33 +344,21 @@ impl<S: HwgSubstrate> LwgService<S> {
         // LWG flush / switch watchdogs (busy index = flush or switch in
         // progress).
         for lwg in self.dir.busy_ids() {
-            let Ok(mut state) = self.dir.record(lwg) else {
-                continue;
-            };
-            let timed_out = state
-                .lflush
-                .as_ref()
-                .is_some_and(|f| now.saturating_since(f.started_at) >= LWG_FLUSH_TIMEOUT)
-                || state
-                    .switching
+            let timed_out = self.dir.get(lwg).is_some_and(|state| {
+                state
+                    .lflush
                     .as_ref()
-                    .is_some_and(|sw| now.saturating_since(sw.started_at) >= LWG_FLUSH_TIMEOUT);
+                    .is_some_and(|f| now.saturating_since(f.started_at) >= LWG_FLUSH_TIMEOUT)
+                    || state
+                        .switching
+                        .as_ref()
+                        .is_some_and(|sw| now.saturating_since(sw.started_at) >= LWG_FLUSH_TIMEOUT)
+            });
             if !timed_out {
                 continue;
             }
             ctx.emit(|| LwgProtocolEvent::FlushAbandon { lwg });
-            state.lflush = None;
-            state.switching = None;
-            state.follow_switch = None;
-            // The abandoned flush froze the data plane; release the sends it
-            // buffered back into the still-installed view, or they would stay
-            // queued until the next view install (which the vanished
-            // initiator may never produce).
-            let pending = std::mem::take(&mut state.pending_send);
-            drop(state);
-            for data in pending {
-                self.send(ctx, lwg, data);
-            }
+            self.drop_flush(ctx, lwg);
             // Re-evaluate: the coordinator will re-flush with the members
             // still reachable.
             self.maybe_start_lwg_flush(ctx, lwg);

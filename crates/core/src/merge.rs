@@ -7,6 +7,16 @@
 //! HWG view is delivered every member holds the same set of advertised
 //! views and can deterministically compute the merged views — no extra
 //! agreement round.
+//!
+//! A merge round supersedes the LWG flushes in flight of the groups it
+//! merges. Only the merged view may succeed a view the round merged away:
+//! each member drops the flush or switch it was running from one, keeps
+//! the queued joins and leaves for the follow-up flush after the merged
+//! view's install, and treats a late announcement of the superseded flush
+//! as stale. Otherwise the view lineage forks: some members install the
+//! flush's view and others the merged one, and the branch that no
+//! coordinator registers stays in the naming database as a concurrent
+//! mapping nobody holds.
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -24,6 +34,7 @@ use crate::protocol_events::LwgProtocolEvent;
 use crate::service::LwgService;
 use crate::wire;
 use plwg_hwg::{HwgId, HwgSubstrate, View, ViewId};
+use plwg_naming::LwgId;
 use plwg_sim::{Decode, NodeId, Payload, Reader, Transport, TransportExt};
 use std::collections::btree_map::Entry;
 
@@ -31,6 +42,12 @@ impl<S: HwgSubstrate> LwgService<S> {
     /// Requests a merge round on `hwg` (rate-limited): multicast
     /// `MergeViews` so the HWG coordinator forces the Fig. 5 flush barrier.
     pub(crate) fn trigger_merge_views(&mut self, ctx: &mut dyn Transport, hwg: HwgId) {
+        // While this node is stopped on `hwg`, the flush under way is the
+        // barrier already; a request sent now would only arrive after its
+        // round and force another, empty one.
+        if self.stopped_on(Some(hwg)) {
+            return;
+        }
         // Cooldown: repeated MERGE-VIEWS within a second only repeat the
         // same barrier flush — and a constant stream of forced flushes
         // starves the HWG layer's own beacon-driven merge (the flush
@@ -90,6 +107,15 @@ impl<S: HwgSubstrate> LwgService<S> {
         }
     }
 
+    /// Whether this node has answered a flush `Stop` on `hwg` whose view
+    /// has not arrived yet. Its advertisement is out, and the merge round
+    /// weighs that: a successor of an advertised view announced now could
+    /// be merged away or forked by the round, so it waits for the view.
+    pub(crate) fn stopped_on(&self, hwg: Option<HwgId>) -> bool {
+        hwg.and_then(|h| self.rounds.get(&h))
+            .is_some_and(|round| round.stopped)
+    }
+
     /// After an HWG flush: merge every set of concurrent LWG views the
     /// AllViews exchange revealed.
     pub(crate) fn complete_merge_round(
@@ -111,17 +137,19 @@ impl<S: HwgSubstrate> LwgService<S> {
                 .range((lwg, ViewId::new(NodeId(0), 0))..)
                 .take_while(move |((l, _), _)| *l == lwg)
                 .map(|((_, id), view)| (*id, view));
-            // Our own current view takes part too.
-            let own = self
-                .dir
-                .get(lwg)
-                .filter(|state| state.hwg == Some(hwg))
-                .and_then(|state| state.view.as_ref());
-            let Some(views) = merge_candidates(collected, own) else {
-                continue;
-            };
+            let views = merge_candidates(collected).unwrap_or_default();
             let concurrent: Vec<&View> = concurrent_views(&views).collect();
-            if concurrent.len() < 2 {
+            // Every member holds the same advertisements, so every member
+            // knows which views this round merges away, and drops the LWG
+            // flushes in flight from them before the merged view arrives.
+            let merges = concurrent.len() >= 2;
+            let merged_away = if merges {
+                concurrent.iter().map(|v| v.id).collect()
+            } else {
+                Vec::new()
+            };
+            self.supersede_flushes(ctx, lwg, hwg, merged_away);
+            if !merges {
                 continue;
             }
             // Deterministic merged membership: views in id order, members
@@ -166,43 +194,85 @@ impl<S: HwgSubstrate> LwgService<S> {
         }
     }
 
+    /// A merge round on `hwg` concluded, merging `merged_away` (empty when
+    /// it merges nothing of `lwg`). If this node holds one of those views,
+    /// or is still joining over `hwg`, the merge supersedes what it was
+    /// doing: the flush or switch in flight is dropped, the queued joins
+    /// and leaves stay for the follow-up flush, and the views are kept to
+    /// recognise stale announcements until the merged view is installed.
+    /// A round that merges nothing releases a view whose merged view was
+    /// lost, and the sends it held back.
+    pub(crate) fn supersede_flushes(
+        &mut self,
+        ctx: &mut dyn Transport,
+        lwg: LwgId,
+        hwg: HwgId,
+        merged_away: Vec<ViewId>,
+    ) {
+        let Some(state) = self.dir.get(lwg) else {
+            return;
+        };
+        let affected = !merged_away.is_empty()
+            && state.hwg == Some(hwg)
+            && state
+                .view
+                .as_ref()
+                .is_none_or(|v| merged_away.contains(&v.id));
+        if !affected && state.superseded.is_empty() {
+            return;
+        }
+        let Some(mut state) = self.dir.get_mut(lwg) else {
+            return;
+        };
+        if affected {
+            state.lflush = None;
+            state.switching = None;
+            state.follow_switch = None;
+            state.superseded = merged_away;
+        } else {
+            state.superseded.clear();
+            drop(state);
+            self.drop_flush(ctx, lwg);
+        }
+    }
+
     /// The `AllViews` frame advertising the LWG views of groups this node
     /// maps onto `hwg` (piggybacked on every HWG flush), or `None` when it
     /// maps none. The views are found by an indexed query, in ascending
     /// group-id order, and encoded where they live, without a copy.
+    ///
+    /// A view that is switching to another HWG is left out: its successor
+    /// is installed there, possibly before this flush's view arrives, so a
+    /// merge here would give it a second successor. The target HWG's merge
+    /// round reconciles the switched view instead.
     pub(crate) fn all_views_advert(&self, hwg: HwgId) -> Option<Payload> {
-        let views = AdvertisedViews::new(
-            self.dir
-                .mapped_on(hwg)
-                .into_iter()
-                .filter_map(|l| Some((l, self.dir.get(l)?.view.as_ref()?))),
-        );
+        let views = AdvertisedViews::new(self.dir.mapped_on(hwg).into_iter().filter_map(|l| {
+            let state = self.dir.get(l)?;
+            if state.switching.is_some() || state.follow_switch.is_some() {
+                return None;
+            }
+            Some((l, state.view.as_ref()?))
+        }));
         (!views.is_empty()).then(|| wire::frame(&LwgMsg::AllViews { views }))
     }
 }
 
-/// The views one LWG's merge round weighs, ascending by id: the `collected`
-/// advertisements (ascending by id) plus `own`, this node's current view.
-/// `None` — decided before anything is decoded or allocated — when they
-/// come to fewer than two distinct views, as they do for every group whose
-/// members all hold one view.
+/// The views one LWG's merge round weighs: the `collected`
+/// advertisements, ascending by id. Only what every member was sent counts
+/// — not this node's own view, which may have changed since it advertised
+/// it — so every member weighs the same views and reaches the same merge.
+/// `None` — decided before anything is decoded or allocated — when there
+/// are fewer than two, as for every group whose members all hold one view.
 fn merge_candidates<'a>(
     collected: impl Iterator<Item = (ViewId, &'a Payload)> + Clone,
-    own: Option<&View>,
 ) -> Option<Vec<View>> {
-    let own = own.filter(|own| !collected.clone().any(|(id, _)| id == own.id));
-    if collected.clone().count() + usize::from(own.is_some()) < 2 {
-        return None;
-    }
+    collected.clone().nth(1)?;
     // Advertisements were validated on receipt, so every one decodes.
-    let mut views: Vec<View> = collected
-        .filter_map(|(_, view)| View::decode_from(&mut Reader::new(view)).ok())
-        .collect();
-    if let Some(own) = own {
-        let at = views.partition_point(|v| v.id < own.id);
-        views.insert(at, own.clone());
-    }
-    Some(views)
+    Some(
+        collected
+            .filter_map(|(_, view)| View::decode_from(&mut Reader::new(view)).ok())
+            .collect(),
+    )
 }
 
 /// The views of `views` that no view of `views` names as a predecessor, in
@@ -228,15 +298,11 @@ mod tests {
     use std::collections::{BTreeMap, BTreeSet};
 
     /// The reference filter: for every pair of views, a walk of the
-    /// predecessor edges through the collected views (our own inserted)
-    /// with an explicit stack and visited set. Empty when fewer than two
-    /// views are concurrent (no merge).
-    fn reference(collected: &[View], own: Option<&View>) -> Vec<ViewId> {
-        let mut views: BTreeMap<ViewId, View> =
-            collected.iter().map(|v| (v.id, v.clone())).collect();
-        if let Some(own) = own {
-            views.insert(own.id, own.clone());
-        }
+    /// predecessor edges through the collected views with an explicit
+    /// stack and visited set. Empty when fewer than two views are
+    /// concurrent (no merge).
+    fn reference(collected: &[View]) -> Vec<ViewId> {
+        let views: BTreeMap<ViewId, View> = collected.iter().map(|v| (v.id, v.clone())).collect();
         let ids: Vec<ViewId> = views.keys().copied().collect();
         let is_anc = |a: ViewId, b: ViewId| -> bool {
             let mut stack = vec![b];
@@ -269,7 +335,7 @@ mod tests {
 
     /// The shipped path: advertisements as encoded sub-frames, candidates,
     /// then the filter. Empty when the round does not merge.
-    fn shipped(collected: &[View], own: Option<&View>) -> Vec<ViewId> {
+    fn shipped(collected: &[View]) -> Vec<ViewId> {
         let encoded: BTreeMap<ViewId, Payload> = collected
             .iter()
             .map(|v| {
@@ -278,7 +344,7 @@ mod tests {
                 (v.id, Payload::from_vec(out))
             })
             .collect();
-        let Some(views) = merge_candidates(encoded.iter().map(|(id, v)| (*id, v)), own) else {
+        let Some(views) = merge_candidates(encoded.iter().map(|(id, v)| (*id, v))) else {
             return Vec::new();
         };
         let concurrent: Vec<ViewId> = concurrent_views(&views).map(|v| v.id).collect();
@@ -311,25 +377,6 @@ mod tests {
             .collect()
     }
 
-    /// Our own view: absent, one of the collected ones, a successor of
-    /// some of them, or unrelated to all.
-    fn own_view(rng: &mut SimRng, collected: &[View]) -> Option<View> {
-        let n = collected.len() as u64;
-        match rng.range(0, 4) {
-            0 => None,
-            1 if n > 0 => collected.get(rng.range(0, n) as usize).cloned(),
-            2 => Some(view(
-                500,
-                collected
-                    .iter()
-                    .map(|v| v.id)
-                    .filter(|_| rng.chance(0.5))
-                    .collect(),
-            )),
-            _ => Some(view(600, vec![id(1_000)])),
-        }
-    }
-
     #[test]
     fn concurrent_filter_matches_the_ancestor_walk() {
         let chain: Vec<View> = (0..6)
@@ -343,24 +390,19 @@ mod tests {
         ];
         // A chain broken by a predecessor outside the set: both ends stay.
         let gap = vec![view(0, vec![]), view(2, vec![id(1)])];
-        for (collected, own) in [
-            (chain.clone(), None),
-            (chain[..2].to_vec(), Some(view(9, vec![]))),
-            (diamond.clone(), None),
-            (diamond[..3].to_vec(), None),
-            (diamond[1..3].to_vec(), Some(diamond[0].clone())),
-            (gap, None),
-            (vec![view(0, vec![])], Some(view(0, vec![]))),
-            (vec![], Some(view(0, vec![]))),
+        for collected in [
+            chain.clone(),
+            [&chain[..2], &[view(9, vec![])]].concat(),
+            diamond.clone(),
+            diamond[..3].to_vec(),
+            gap,
+            vec![view(0, vec![])],
+            vec![],
         ] {
-            assert_eq!(
-                shipped(&collected, own.as_ref()),
-                reference(&collected, own.as_ref()),
-                "{collected:?} + {own:?}"
-            );
+            assert_eq!(shipped(&collected), reference(&collected), "{collected:?}");
         }
-        assert_eq!(shipped(&diamond[1..3], None), vec![id(1), id(2)]);
-        assert_eq!(shipped(&diamond, None), Vec::<ViewId>::new());
+        assert_eq!(shipped(&diamond[1..3]), vec![id(1), id(2)]);
+        assert_eq!(shipped(&diamond), Vec::<ViewId>::new());
 
         let mut rng = SimRng::from_seed(5);
         let mut merged = 0;
@@ -372,22 +414,20 @@ mod tests {
                 rng.range(0, 10)
             };
             let collected = random_dag(&mut rng, n);
-            let own = own_view(&mut rng, &collected);
-            let want = reference(&collected, own.as_ref());
-            assert_eq!(shipped(&collected, own.as_ref()), want, "round {round}");
+            let want = reference(&collected);
+            assert_eq!(shipped(&collected), want, "round {round}");
             merged += usize::from(!want.is_empty());
         }
         assert!(merged > 100, "{merged} of 400 rounds merge");
     }
 
-    /// A group whose collected ids and own view come to one view is skipped
-    /// before its advertisement is decoded.
+    /// A group advertised with one view is skipped before its
+    /// advertisement is decoded.
     #[test]
     fn a_single_view_is_skipped_undecoded() {
         let garbage = Payload::from_vec(vec![0xff]);
-        let own = view(0, vec![]);
-        assert!(merge_candidates([(own.id, &garbage)].into_iter(), Some(&own)).is_none());
-        assert!(merge_candidates([(own.id, &garbage)].into_iter(), None).is_none());
+        assert!(merge_candidates([(id(0), &garbage)].into_iter()).is_none());
+        assert!(merge_candidates(std::iter::empty()).is_none());
     }
 
     /// The MERGE-VIEWS cooldown keeps no entry for an HWG this node left.

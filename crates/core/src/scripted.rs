@@ -18,6 +18,9 @@
 //!   wants inside the closing view), and once all acks are in the
 //!   coordinator multicasts the successor view with the old view as its
 //!   predecessor — exactly the barrier MERGE-VIEWS (paper Fig. 5) needs.
+//!   As in the virtually-synchronous stack, what a member sends after its
+//!   `stop_ok` belongs to the successor view: it is held back and
+//!   multicast once that view is installed.
 //! - `join` only records intent: admission is granted by the test
 //!   injecting a view that contains the joiner (the scripted stand-in for
 //!   the HWG membership protocol).
@@ -77,6 +80,9 @@ struct Group {
     next_nonce: u64,
     /// How many times the service answered `stop_ok` on this group.
     stop_oks: u64,
+    /// Sends made after `stop_ok` of a coordinator-driven flush, multicast
+    /// in the successor view that flush installs.
+    held: Option<Vec<Payload>>,
 }
 
 impl Group {
@@ -89,6 +95,7 @@ impl Group {
             next_seq: 0,
             next_nonce: 0,
             stop_oks: 0,
+            held: None,
         }
     }
 }
@@ -245,7 +252,11 @@ impl ScriptedHwg {
                 }
             }
             ScriptedMsg::NewView { hwg, view } => {
+                let held = self.groups.get_mut(hwg).and_then(|g| g.held.take());
                 self.inject_view(*hwg, view.clone());
+                for data in held.into_iter().flatten() {
+                    self.send(ctx, *hwg, data);
+                }
             }
         }
     }
@@ -305,6 +316,10 @@ impl HwgSubstrate for ScriptedHwg {
     }
 
     fn send(&mut self, ctx: &mut dyn Transport, hwg: HwgId, data: Payload) {
+        if let Some(held) = self.groups.get_mut(&hwg).and_then(|g| g.held.as_mut()) {
+            held.push(data);
+            return;
+        }
         let Some(view_id) = self
             .groups
             .get(&hwg)
@@ -322,6 +337,11 @@ impl HwgSubstrate for ScriptedHwg {
         targets: &BTreeSet<NodeId>,
         data: Payload,
     ) {
+        if self.groups.get(&hwg).is_some_and(|g| g.held.is_some()) {
+            // Held for the successor view, then sent to everyone.
+            self.send(ctx, hwg, data);
+            return;
+        }
         let Some(view) = self.groups.get(&hwg).and_then(|g| g.view.clone()) else {
             return;
         };
@@ -376,7 +396,10 @@ impl HwgSubstrate for ScriptedHwg {
             g.stop_oks += 1;
             let coord = g.view.as_ref().map(View::coordinator);
             match (stopping, coord) {
-                (Some(nonce), Some(c)) => (c, Some(nonce)),
+                (Some(nonce), Some(c)) => {
+                    g.held = Some(Vec::new());
+                    (c, Some(nonce))
+                }
                 _ => return, // test-injected Stop: just count the answer
             }
         };

@@ -345,6 +345,7 @@ impl<S: HwgSubstrate> LwgService<S> {
                 if let Some(advert) = self.all_views_advert(hwg) {
                     self.substrate.send(ctx, hwg, advert);
                 }
+                self.rounds.entry(hwg).or_default().stopped = true;
                 self.substrate.stop_ok(ctx, hwg);
             }
             HwgEvent::Data {
@@ -462,9 +463,16 @@ impl<S: HwgSubstrate> LwgService<S> {
                     }
                 }
             }
-            if self.lwg_coordinator(lwg) != Some(self.me) {
+            // A view merged away by step 3 waits for the merged view, which
+            // its coordinator registers and prunes.
+            if self.lwg_coordinator(lwg) != Some(self.me)
+                || self.dir.get(lwg).is_some_and(|s| s.merged_away())
+            {
                 continue;
             }
+            // Announcements held back while this node was stopped.
+            self.try_conclude_lwg_flush(ctx, lwg);
+            self.try_complete_switch(ctx, lwg);
             if stale {
                 self.announce_pruned_view(ctx, lwg, &hview);
             } else {
@@ -509,7 +517,7 @@ impl<S: HwgSubstrate> LwgService<S> {
                 lwg,
                 flush,
                 members,
-            } => self.handle_lwg_flush(ctx, *lwg, *flush, members.clone(), None),
+            } => self.handle_lwg_flush(ctx, hwg, *lwg, *flush, members.clone(), None),
             LwgMsg::FlushOk { lwg, flush } => {
                 self.handle_flush_ok(ctx, *lwg, *flush, from);
             }
@@ -526,7 +534,7 @@ impl<S: HwgSubstrate> LwgService<S> {
                 members,
             } => {
                 // A switch doubles as a flush of the old mapping…
-                self.handle_lwg_flush(ctx, *lwg, *flush, members.clone(), Some(*to));
+                self.handle_lwg_flush(ctx, hwg, *lwg, *flush, members.clone(), Some(*to));
             }
             LwgMsg::SwitchReady { lwg, flush } => {
                 self.handle_switch_ready(ctx, *lwg, *flush, from);

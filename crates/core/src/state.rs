@@ -91,6 +91,11 @@ pub(crate) struct LwgState {
     /// a pruned view announcement is imminent (sends are buffered until it
     /// arrives so no member delivers messages others will not see).
     pub(crate) awaiting_prune: Option<SimTime>,
+    /// The views of this group that the last merge round on its HWG
+    /// merged away, until the next view install: only the merged view may
+    /// succeed them, so a flush, switch or prune from one of them is
+    /// superseded and its announcement is stale.
+    pub(crate) superseded: Vec<ViewId>,
     pub(crate) next_view_seq: u64,
     pub(crate) next_flush_nonce: u64,
 }
@@ -113,9 +118,30 @@ impl LwgState {
             follow_switch: None,
             early_oks: Vec::new(),
             awaiting_prune: None,
+            superseded: Vec::new(),
             next_view_seq: 0,
             next_flush_nonce: 0,
         }
+    }
+
+    /// Whether the installed view was merged away by the last merge round:
+    /// it may change only into the merged view.
+    pub(crate) fn merged_away(&self) -> bool {
+        self.view
+            .as_ref()
+            .is_some_and(|v| self.superseded.contains(&v.id))
+    }
+
+    /// Whether the announced `view` succeeds a view that was merged away
+    /// without being the merge itself (a merge names several predecessors
+    /// and comes without a flush): a stale flush or prune.
+    pub(crate) fn is_stale(&self, view: &View, by_flush: bool) -> bool {
+        let merge = !by_flush && view.predecessors.len() > 1;
+        !merge
+            && view
+                .predecessors
+                .iter()
+                .any(|p| self.superseded.contains(p))
     }
 
     pub(crate) fn take_view_seq(&mut self) -> u64 {
@@ -139,6 +165,10 @@ impl LwgState {
 pub(crate) struct MergeRound {
     /// Whether MERGE-VIEWS was multicast/observed in this HWG view.
     pub(crate) triggered: bool,
+    /// Whether this node answered the flush's `Stop`: its advertisement is
+    /// out, so until the next HWG view it announces no successor of a view
+    /// it advertised.
+    pub(crate) stopped: bool,
     /// `(lwg, view id)` → the encoded view, as first advertised: a
     /// sub-frame of that `AllViews` frame, decoded only if the round
     /// merges the group.

@@ -52,7 +52,11 @@ impl<S: HwgSubstrate> LwgService<S> {
         let Some(state) = self.dir.get(lwg) else {
             return;
         };
-        if state.lflush.is_some() || state.switching.is_some() || state.hwg == Some(to) {
+        if state.lflush.is_some()
+            || state.switching.is_some()
+            || state.merged_away()
+            || state.hwg == Some(to)
+        {
             return;
         }
         let Some(view) = state.view.clone() else {
@@ -106,24 +110,31 @@ impl<S: HwgSubstrate> LwgService<S> {
         flush: LFlushId,
         from: NodeId,
     ) {
-        let mut complete = false;
         if let Some(mut state) = self.dir.get_mut(lwg) {
             if let Some(sw) = state.switching.as_mut() {
                 if sw.flush == flush {
                     sw.ready.insert(from);
-                    complete = sw.ready.len() == sw.members.len();
                 }
             }
         }
-        if complete {
-            self.complete_switch(ctx, lwg);
-        }
+        self.try_complete_switch(ctx, lwg);
     }
 
-    /// Coordinator: every member reported ready on the target HWG —
-    /// install the switched view there.
-    fn complete_switch(&mut self, ctx: &mut dyn Transport, lwg: LwgId) {
+    /// Coordinator: once every member reported ready on the target HWG,
+    /// install the switched view there. Not while the old HWG flushes
+    /// (see [`LwgService::stopped_on`]): its view completes it.
+    pub(crate) fn try_complete_switch(&mut self, ctx: &mut dyn Transport, lwg: LwgId) {
         let me = self.me;
+        let Some(state) = self.dir.get(lwg) else {
+            return;
+        };
+        let ready = state
+            .switching
+            .as_ref()
+            .is_some_and(|sw| sw.ready.len() == sw.members.len());
+        if !ready || self.stopped_on(state.hwg) {
+            return;
+        }
         let Some(mut state) = self.dir.get_mut(lwg) else {
             return;
         };

@@ -248,7 +248,15 @@ fn hwg_stop_is_answered_while_lwg_flush_in_flight() {
     assert_eq!(oks_after, oks_before + 1, "Stop answered immediately");
     assert!(!stopping, "stop_ok cleared the outstanding Stop");
 
-    // The flush is not deadlocked: it concludes and admits c.
+    // The coordinator advertised its view with the Stop, so it announces
+    // no successor until the HWG flush ends with a view.
+    w.run_for(ms(400));
+    assert_eq!(view_at(&mut w, a).expect("member").len(), 2, "held");
+
+    // The flush is not deadlocked: the HWG view releases it, and it admits c.
+    for &n in &[a, b, c] {
+        grant(&mut w, n, H1, a, 3, &[a, b, c]);
+    }
     w.run_for(ms(400));
     for &n in &[a, b, c] {
         let v = view_at(&mut w, n).expect("member");
@@ -334,6 +342,95 @@ fn three_way_heal_merges_with_a_single_hwg_flush() {
     for &n in &[a, b, c] {
         assert_eq!(delivered_from(&mut w, n, c), vec![2], "at {n}");
     }
+}
+
+/// The ids of `L`'s current mappings at the name server (`NodeId(0)`).
+fn mapped_views(w: &mut World) -> Vec<ViewId> {
+    w.inspect(NodeId(0), |s: &NameServer| {
+        s.db().read(L).iter().map(|m| m.lwg_view).collect()
+    })
+}
+
+/// What every interleaving of a merge round with an LWG flush must end in:
+/// `holders` share one view, which is the group's only mapping; the view
+/// lineage never forked; and exactly one MERGE-VIEWS conclusion merged it.
+fn assert_one_lineage(w: &mut World, holders: &[NodeId]) {
+    let view = view_at(w, holders[0]).expect("a view");
+    for &n in holders {
+        assert_eq!(view_at(w, n).as_ref(), Some(&view), "at {n}");
+    }
+    assert_eq!(mapped_views(w), vec![view.id], "one mapping, the held view");
+    assert_eq!(plwg_obs::forks_of(w.trace()), vec![], "a forked lineage");
+    assert_eq!(Timeline::build(w.trace()).merges_of(L.0).len(), 1);
+}
+
+/// Two concurrent views of `L` on one HWG, `{a, x}` and `{b}`, and a
+/// merge round that starts while `a` is admitting the joiner `j`. `x`'s
+/// `FlushOk` reaches `a` after `a` answered the HWG flush's `Stop`, so the
+/// join view `a` would announce could only be delivered after the HWG view
+/// that concludes the merge round. The round supersedes the join flush:
+/// no member installs the join view, everybody installs the merged view,
+/// and the join runs again in the follow-up flush. Without that, `a` and
+/// `x` installed the join view and dropped the merged one, `b` installed
+/// the merged view alone, and the mapping of `b`'s old view was never
+/// superseded (first seen with world seed 1, LWG 12 of `heal_budget.rs`).
+#[test]
+fn a_merge_round_supersedes_the_announcers_join_flush() {
+    let (mut w, apps) = setup(4);
+    let (a, x, b, j) = (apps[0], apps[1], apps[2], apps[3]);
+    for &n in &apps {
+        grant(&mut w, n, H1, a, 1, &apps);
+    }
+    let va = View::initial(ViewId::new(a, 1), vec![a, x]);
+    seed_lwg_view(&mut w, a, H1, va.clone());
+    seed_lwg_view(&mut w, x, H1, va);
+    seed_lwg_view(&mut w, b, H1, View::initial(ViewId::new(b, 1), vec![b]));
+    // `j` asks to join, then the HWG coordinator forces the flush barrier.
+    w.invoke(a, move |n: &mut Node, ctx| {
+        let hwg = n.service().hwg_stack_mut();
+        hwg.inject_data(H1, j, LwgMsg::JoinReq { lwg: L }.to_frame());
+        hwg.inject_data(H1, b, LwgMsg::MergeViews.to_frame());
+        n.service().pump(ctx);
+    });
+    w.run_for(ms(300));
+
+    assert_one_lineage(&mut w, &[a, x, b]);
+    let view = view_at(&mut w, a).expect("merged");
+    assert_eq!(view.members, vec![a, x, b, j], "the join ran again");
+}
+
+/// The mirror image: `b`, coordinator of `{b, y}`, is admitting `j` when
+/// the merge round with `{a}` starts. `b` collects its last `FlushOk` after
+/// answering `Stop`, and would install its join view after the HWG view, as
+/// a sibling of the merged view `a` announces. The round supersedes the
+/// flush instead, and `b` and `y` both install the merged view (first seen
+/// with world seed 5, LWG 17 of `heal_budget.rs`).
+#[test]
+fn a_merge_round_supersedes_a_merged_away_coordinators_join_flush() {
+    let (mut w, apps) = setup(4);
+    let (a, b, y, j) = (apps[0], apps[1], apps[2], apps[3]);
+    for &n in &apps {
+        grant(&mut w, n, H1, a, 1, &apps);
+    }
+    seed_lwg_view(&mut w, a, H1, View::initial(ViewId::new(a, 1), vec![a]));
+    let vb = View::initial(ViewId::new(b, 1), vec![b, y]);
+    seed_lwg_view(&mut w, b, H1, vb.clone());
+    seed_lwg_view(&mut w, y, H1, vb);
+    // `b` starts the join flush first, so `y` acknowledges it before the
+    // HWG flush stops it.
+    w.invoke(b, move |n: &mut Node, ctx| {
+        let hwg = n.service().hwg_stack_mut();
+        hwg.inject_data(H1, j, LwgMsg::JoinReq { lwg: L }.to_frame());
+        n.service().pump(ctx);
+    });
+    w.invoke(a, move |n: &mut Node, ctx| {
+        let hwg = n.service().hwg_stack_mut();
+        hwg.inject_data(H1, b, LwgMsg::MergeViews.to_frame());
+        n.service().pump(ctx);
+    });
+    w.run_for(ms(300));
+
+    assert_one_lineage(&mut w, &[a, b, y]);
 }
 
 /// Merge arriving *during* a switch: `{a, b}` reconcile onto the higher

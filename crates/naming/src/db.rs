@@ -9,7 +9,7 @@
 use crate::id::LwgId;
 use plwg_hwg::{HwgId, ViewId};
 use plwg_sim::NodeId;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{btree_map, BTreeMap, BTreeSet, VecDeque};
 
 /// One view-to-view mapping: an LWG view mapped onto an HWG view.
 ///
@@ -67,12 +67,12 @@ impl LwgEntry {
     }
 
     /// Removes every current mapping whose view is an ancestor of another
-    /// current view — it has been superseded. Tombstoned (dissolved) views
-    /// supersede their ancestors too: a view that flowed into a later view
-    /// is obsolete even if that later view has since dissolved. (Without
-    /// this, replicas that saw the dissolution in different orders would
-    /// not converge.)
-    fn gc(&mut self) {
+    /// current view — it has been superseded — and returns their views.
+    /// Tombstoned (dissolved) views supersede their ancestors too: a view
+    /// that flowed into a later view is obsolete even if that later view
+    /// has since dissolved. (Without this, replicas that saw the
+    /// dissolution in different orders would not converge.)
+    fn gc(&mut self) -> Vec<ViewId> {
         let views: Vec<ViewId> = self.current.keys().copied().collect();
         let successors: Vec<ViewId> = views
             .iter()
@@ -84,9 +84,10 @@ impl LwgEntry {
             .copied()
             .filter(|&v| successors.iter().any(|&other| self.is_ancestor(v, other)))
             .collect();
-        for v in obsolete {
-            self.current.remove(&v);
+        for v in &obsolete {
+            self.current.remove(v);
         }
+        obsolete
     }
 }
 
@@ -202,21 +203,41 @@ impl MappingDb {
     /// order, then GC) — the reconciliation procedure run when name servers
     /// meet after a partition heals. Returns the ids of LWGs whose entry
     /// changed.
+    ///
+    /// A change is noticed where it is made, without a copy of the entry to
+    /// compare against: a new lineage edge or tombstone, a mapping removed,
+    /// replaced or added. Only an added mapping can be undone within the
+    /// merge, by the garbage collection, and then it is no change.
     pub fn merge(&mut self, other: &MappingDb) -> Vec<LwgId> {
         let mut changed = Vec::new();
         for (&lwg, oe) in &other.entries {
             let entry = self.entries.entry(lwg).or_default();
-            let before = entry.clone();
+            let mut touched = false;
             for (&v, preds) in &oe.preds {
-                let e = entry.preds.entry(v).or_default();
-                e.extend(preds.iter().copied());
-                e.sort_unstable();
-                e.dedup();
+                match entry.preds.entry(v) {
+                    btree_map::Entry::Vacant(slot) => {
+                        let mut e = preds.clone();
+                        e.sort_unstable();
+                        e.dedup();
+                        slot.insert(e);
+                        touched = true;
+                    }
+                    btree_map::Entry::Occupied(mut slot) => {
+                        let e = slot.get_mut();
+                        let known = e.len();
+                        e.extend(preds.iter().copied());
+                        e.sort_unstable();
+                        e.dedup();
+                        touched |= e.len() != known;
+                    }
+                }
             }
             for v in &oe.tombstones {
-                entry.tombstones.insert(*v);
-                entry.current.remove(v);
+                touched |= entry.tombstones.insert(*v);
+                touched |= entry.current.remove(v).is_some();
             }
+            // Views this merge added to `current`.
+            let mut added: Vec<ViewId> = Vec::new();
             for (&v, m) in &oe.current {
                 if entry.tombstones.contains(&v) {
                     continue;
@@ -226,15 +247,24 @@ impl MappingDb {
                 // side): keep the greater one — any total order makes the
                 // replicas converge, and a live coordinator re-refreshes
                 // the mapping anyway.
-                match entry.current.get(&v) {
-                    Some(existing) if existing >= m => {}
-                    _ => {
-                        entry.current.insert(v, m.clone());
+                match entry.current.entry(v) {
+                    btree_map::Entry::Occupied(slot) if slot.get() >= m => {}
+                    btree_map::Entry::Occupied(mut slot) => {
+                        slot.insert(m.clone());
+                        touched = true;
+                    }
+                    btree_map::Entry::Vacant(slot) => {
+                        slot.insert(m.clone());
+                        added.push(v);
                     }
                 }
             }
-            entry.gc();
-            if *entry != before {
+            // Every entry is left garbage-collected, so retiring a mapping
+            // that was there before takes a lineage edge, tombstone or
+            // mapping this merge brought in, and that is already counted.
+            let collected = entry.gc();
+            added.retain(|v| !collected.contains(v));
+            if touched || !added.is_empty() {
                 changed.push(lwg);
             }
             self.resync(lwg);
@@ -518,6 +548,91 @@ mod tests {
         assert_eq!(got[0].lwg_view, vid(0, 2));
     }
 
+    /// The reference merge: clone each entry, merge into it, and compare.
+    fn merge_by_comparison(db: &mut MappingDb, other: &MappingDb) -> Vec<LwgId> {
+        let mut changed = Vec::new();
+        for (&lwg, oe) in &other.entries {
+            let entry = db.entries.entry(lwg).or_default();
+            let before = entry.clone();
+            for (&v, preds) in &oe.preds {
+                let e = entry.preds.entry(v).or_default();
+                e.extend(preds.iter().copied());
+                e.sort_unstable();
+                e.dedup();
+            }
+            for v in &oe.tombstones {
+                entry.tombstones.insert(*v);
+                entry.current.remove(v);
+            }
+            for (&v, m) in &oe.current {
+                if entry.tombstones.contains(&v) {
+                    continue;
+                }
+                match entry.current.get(&v) {
+                    Some(existing) if existing >= m => {}
+                    _ => {
+                        entry.current.insert(v, m.clone());
+                    }
+                }
+            }
+            entry.gc();
+            if *entry != before {
+                changed.push(lwg);
+            }
+            db.resync(lwg);
+        }
+        changed
+    }
+
+    /// On replicas grown by random sets, unsets and merges, `merge` reports
+    /// the same changed LWGs as cloning each entry and comparing, and
+    /// leaves the same database.
+    #[test]
+    fn merge_reports_exactly_the_entries_it_changed() {
+        // A replica that already knows a successor is unchanged by a
+        // mapping of its ancestor: the mapping is added, then collected.
+        let mut a = MappingDb::new();
+        a.set(A, map(vid(0, 1), 1, vid(0, 1), &[0]), &[]);
+        a.set(A, map(vid(0, 2), 1, vid(0, 2), &[0, 1]), &[vid(0, 1)]);
+        let mut b = MappingDb::new();
+        b.set(A, map(vid(0, 1), 1, vid(0, 1), &[0]), &[]);
+        assert_eq!(a.merge(&b), Vec::<LwgId>::new());
+
+        let mut rng = plwg_sim::SimRng::from_seed(3);
+        let mut replicas = vec![MappingDb::new(); 4];
+        let (mut merges, mut changed) = (0, 0);
+        for step in 0..3_000 {
+            let i = rng.range(0, 4) as usize;
+            let lwg = LwgId(rng.range(1, 4));
+            let v = vid(rng.range(0, 3) as u32, rng.range(1, 8));
+            match rng.range(0, 10) {
+                0 => replicas[i].unset(lwg, v),
+                1..=5 => {
+                    let preds: Vec<ViewId> = (0..rng.range(0, 3))
+                        .map(|_| vid(rng.range(0, 3) as u32, rng.range(1, 8)))
+                        .collect();
+                    let hv = vid(0, rng.range(1, 4));
+                    replicas[i].set(lwg, map(v, rng.range(1, 3), hv, &[0]), &preds);
+                }
+                _ => {
+                    let j = rng.range(0, 4) as usize;
+                    let other = replicas[j].clone();
+                    let mut reference = replicas[i].clone();
+                    let want = merge_by_comparison(&mut reference, &other);
+                    let got = replicas[i].merge(&other);
+                    assert_eq!(got, want, "step {step}");
+                    assert_eq!(replicas[i], reference, "step {step}");
+                    merges += 1;
+                    changed += usize::from(!got.is_empty());
+                }
+            }
+        }
+        assert!(
+            changed > 100 && merges - changed > 100,
+            "{changed} of {merges}"
+        );
+    }
+
     #[test]
     fn unset_removes_dissolved_view() {
         let mut db = MappingDb::new();
@@ -564,68 +679,5 @@ mod tests {
         let frame = plwg_sim::Frame::from_vec(out);
         let back = MappingDb::decode_from(&mut Reader::new(&frame)).expect("roundtrip");
         assert_eq!(back.inconsistent(), db.inconsistent());
-    }
-}
-
-#[cfg(test)]
-mod compact_tests {
-    use super::*;
-
-    fn n(i: u32) -> NodeId {
-        NodeId(i)
-    }
-    fn vid(c: u32, s: u64) -> ViewId {
-        ViewId::new(n(c), s)
-    }
-    fn map(lv: ViewId, hwg: u64) -> Mapping {
-        Mapping {
-            lwg_view: lv,
-            members: vec![n(0)],
-            hwg: HwgId(hwg),
-            hwg_view: lv,
-        }
-    }
-
-    #[test]
-    fn compact_preserves_reachable_lineage() {
-        let mut db = MappingDb::new();
-        let l = LwgId(1);
-        db.set(l, map(vid(0, 1), 1), &[]);
-        db.set(l, map(vid(0, 2), 1), &[vid(0, 1)]);
-        db.set(l, map(vid(0, 3), 1), &[vid(0, 2)]);
-        db.compact();
-        // GC still works after compaction: a late re-arrival of an old
-        // mapping must be recognised as an ancestor.
-        let mut other = MappingDb::new();
-        other.set(l, map(vid(0, 1), 1), &[]);
-        db.merge(&other);
-        let got = db.read(l);
-        assert_eq!(got.len(), 1, "compaction must not forget lineage");
-        assert_eq!(got[0].lwg_view, vid(0, 3));
-    }
-
-    #[test]
-    fn compact_drops_unreachable_edges_and_dead_entries() {
-        let mut db = MappingDb::new();
-        let l = LwgId(1);
-        // A mapping whose view is later superseded and dissolved entirely.
-        db.set(l, map(vid(0, 1), 1), &[]);
-        db.set(l, map(vid(0, 2), 1), &[vid(0, 1)]);
-        db.unset(l, vid(0, 2));
-        // A disconnected edge for a view that never got a mapping and is
-        // not an ancestor of anything current or tombstoned.
-        let dead = LwgId(2);
-        db.set(dead, map(vid(1, 1), 2), &[]);
-        db.unset(dead, vid(1, 1));
-        assert!(db.read(l).is_empty());
-        let removed = db.compact();
-        // vid(0,1) stays (ancestor of the tombstoned vid(0,2)); both
-        // entries survive because tombstones must persist.
-        let _ = removed;
-        // Re-merging the superseded mapping is still refused.
-        let mut other = MappingDb::new();
-        other.set(l, map(vid(0, 1), 1), &[]);
-        db.merge(&other);
-        assert!(db.read(l).is_empty(), "ancestor of a tombstone stays GC'd");
     }
 }

@@ -20,4 +20,4 @@
 pub mod scenarios;
 mod timeline;
 
-pub use timeline::{Timeline, TimelineEntry};
+pub use timeline::{forks_of, Fork, Timeline, TimelineEntry, ViewKey};

@@ -174,6 +174,86 @@ impl Timeline {
     }
 }
 
+/// A view id as [`EventRefs`] carry it: `(coordinator, seq)`.
+pub type ViewKey = (u32, u64);
+
+/// A forked view lineage: `view` of LWG `lwg` has two installed
+/// successors, and neither is an ancestor of the other.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Fork {
+    /// The light-weight group.
+    pub lwg: u64,
+    /// The view with two unordered successors.
+    pub view: ViewKey,
+    /// The two successors, in ascending order.
+    pub successors: [ViewKey; 2],
+}
+
+/// Every forked LWG view lineage in `trace`, ascending by group and view.
+///
+/// Only `lwg.view.install` events count: a view some node installed, with
+/// the predecessors it names. A partition forks a lineage on purpose: each
+/// side prunes the view, and the merge that heals it names both branches.
+/// A run that never splits should have no fork; when one has, some members
+/// left a view for a branch that does not name it, and the naming
+/// database (paper §5.2) is left with a mapping nothing supersedes.
+pub fn forks_of(trace: &Trace) -> Vec<Fork> {
+    // lwg → installed view → its predecessors.
+    let mut lineage: BTreeMap<u64, BTreeMap<ViewKey, &[ViewKey]>> = BTreeMap::new();
+    for ev in trace
+        .events()
+        .iter()
+        .filter(|e| e.kind == "lwg.view.install")
+    {
+        if let (Some(lwg), Some(view)) = (ev.refs.lwg, ev.refs.view) {
+            lineage
+                .entry(lwg)
+                .or_default()
+                .insert(view, &ev.refs.parents);
+        }
+    }
+    let mut forks = Vec::new();
+    for (&lwg, preds) in &lineage {
+        let is_ancestor = |a: ViewKey, b: ViewKey| {
+            let mut stack = vec![b];
+            let mut seen = BTreeSet::new();
+            while let Some(v) = stack.pop() {
+                for &p in preds.get(&v).copied().unwrap_or_default() {
+                    if p == a {
+                        return true;
+                    }
+                    if seen.insert(p) {
+                        stack.push(p);
+                    }
+                }
+            }
+            false
+        };
+        let mut successors: BTreeMap<ViewKey, Vec<ViewKey>> = BTreeMap::new();
+        for (&view, parents) in preds {
+            for &p in *parents {
+                successors.entry(p).or_default().push(view);
+            }
+        }
+        for (view, next) in successors {
+            let unordered = next.iter().enumerate().find_map(|(i, &s)| {
+                next.get(i + 1..)?
+                    .iter()
+                    .find(|&&t| !is_ancestor(s, t) && !is_ancestor(t, s))
+                    .map(|&t| [s, t])
+            });
+            if let Some(successors) = unordered {
+                forks.push(Fork {
+                    lwg,
+                    view,
+                    successors,
+                });
+            }
+        }
+    }
+    forks
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,6 +325,60 @@ mod tests {
             steps,
             vec!["ns.reconcile", "ns.multiple_mappings", "lwg.merge"]
         );
+    }
+
+    /// `lwg.view.install` of view `(c, s)` naming `preds`, at node `c`.
+    fn install(t: &mut Trace, (c, s): (u32, u64), preds: &[(u32, u64)]) {
+        let view = View::with_predecessors(
+            ViewId::new(NodeId(c), s),
+            vec![NodeId(c)],
+            preds
+                .iter()
+                .map(|&(c, s)| ViewId::new(NodeId(c), s))
+                .collect(),
+        );
+        t.record(SimTime::ZERO, Some(NodeId(c)), || {
+            LwgProtocolEvent::ViewInstall {
+                lwg: LwgId(1),
+                view,
+                hwg: plwg_hwg::HwgId(7),
+            }
+        });
+    }
+
+    #[test]
+    fn forks_are_two_unordered_successors() {
+        // A chain, with a later view also naming an ancestor, and a merge
+        // of two roots: no fork.
+        let mut t = Trace::new(true);
+        install(&mut t, (1, 1), &[]);
+        install(&mut t, (1, 2), &[(1, 1)]);
+        install(&mut t, (1, 3), &[(1, 2), (1, 1)]);
+        install(&mut t, (2, 1), &[]);
+        install(&mut t, (1, 4), &[(1, 3), (2, 1)]);
+        // Installed at two nodes, a view still counts once.
+        install(&mut t, (1, 4), &[(1, 3), (2, 1)]);
+        assert_eq!(forks_of(&t), vec![]);
+        // A flush and a merge that both succeed (1, 4).
+        install(&mut t, (1, 5), &[(1, 4)]);
+        install(&mut t, (3, 1), &[]);
+        install(&mut t, (1, 6), &[(1, 4), (3, 1)]);
+        assert_eq!(
+            forks_of(&t),
+            vec![Fork {
+                lwg: 1,
+                view: (1, 4),
+                successors: [(1, 5), (1, 6)],
+            }]
+        );
+    }
+
+    /// Runs that never split never fork a view lineage.
+    #[test]
+    fn quickstart_and_churn_do_not_fork() {
+        for world in [crate::scenarios::quickstart(), crate::scenarios::churn()] {
+            assert_eq!(forks_of(world.trace()), vec![]);
+        }
     }
 
     #[test]

@@ -51,9 +51,12 @@ impl FailureDetector {
         });
     }
 
-    /// Stops monitoring every peer `keep` rejects.
+    /// Stops monitoring every peer `keep` rejects, except a suspected one:
+    /// it stays watched, and heartbeated, until it is heard from again. So
+    /// a partition that heals is noticed within one heartbeat interval
+    /// ([`FdEvent::Alive`]), not only at the next view beacon.
     pub fn retain(&mut self, mut keep: impl FnMut(NodeId) -> bool) {
-        self.peers.retain(|&peer, _| keep(peer));
+        self.peers.retain(|&peer, s| s.suspected || keep(peer));
     }
 
     /// Records evidence of life from `peer` (a heartbeat or any protocol
@@ -144,6 +147,13 @@ mod tests {
         fd.watch(NodeId(1), t(400));
         assert_eq!(fd.watched().count(), 1);
         assert_eq!(fd.check(t(600), TO), vec![FdEvent::Suspect(NodeId(1))]);
+        // A suspected peer stays watched until it is heard from again.
+        fd.retain(|p| p != NodeId(1));
+        assert_eq!(fd.watched().count(), 1);
+        assert_eq!(
+            fd.heard_from(NodeId(1), t(700)),
+            Some(FdEvent::Alive(NodeId(1)))
+        );
         fd.retain(|p| p != NodeId(1));
         assert_eq!(fd.watched().count(), 0);
         // Unwatched peers never generate events.

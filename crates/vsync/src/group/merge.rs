@@ -24,8 +24,14 @@ impl GroupEndpoint {
         self.merge.is_some() || self.invited_merge_leader.is_some()
     }
 
-    /// Sends the coordinator's periodic view beacon (peer discovery).
-    pub(crate) fn send_beacon(&self, ctx: &mut dyn Transport, fd: &FailureDetector) {
+    /// Sends the coordinator's view beacon (peer discovery): to everyone on
+    /// the periodic tick, or `to` one peer just heard from again.
+    pub(crate) fn send_beacon(
+        &self,
+        ctx: &mut dyn Transport,
+        fd: &FailureDetector,
+        to: Option<NodeId>,
+    ) {
         if self.status != GroupStatus::Member && self.status != GroupStatus::Leaving {
             return;
         }
@@ -34,10 +40,14 @@ impl GroupEndpoint {
         }
         let view = self.view.as_ref().expect("member has a view");
         ctx.metrics().incr(keys::BEACONS);
-        ctx.broadcast(wire::frame(&VsMsg::Beacon {
+        let beacon = wire::frame(&VsMsg::Beacon {
             hwg: self.hwg,
             view_id: view.id,
-        }));
+        });
+        match to {
+            Some(peer) => ctx.send(peer, beacon),
+            None => ctx.broadcast(beacon),
+        }
     }
 
     pub(super) fn on_beacon(

@@ -239,6 +239,7 @@ impl VsyncStack {
         // Any traffic is evidence of life.
         if let Some(FdEvent::Alive(_)) = self.fd.heard_from(from, ctx.now()) {
             ctx.emit(|| HwgTraceEvent::FdAlive { peer: from });
+            self.greet(ctx, from);
         }
         match vs {
             VsMsg::Heartbeat => {}
@@ -280,7 +281,7 @@ impl VsyncStack {
             }
             TOK_BEACON => {
                 for ep in self.groups.values() {
-                    ep.send_beacon(ctx, &self.fd);
+                    ep.send_beacon(ctx, &self.fd, None);
                 }
                 ctx.set_timer(self.cfg.beacon_interval, TOK_BEACON);
                 debug_assert!(self.watches_follow_views());
@@ -326,6 +327,22 @@ impl VsyncStack {
         self.settle(ctx, mark);
     }
 
+    /// `peer`, suspected and outside every view, was heard from again: a
+    /// partition healed. Each group this node coordinates beacons it at
+    /// once rather than at the next beacon tick, so the merge protocol
+    /// starts one heartbeat after the heal (the lower-id coordinator leads
+    /// it). Not suspected any more, the peer is no longer watched.
+    fn greet(&mut self, ctx: &mut dyn Transport, peer: NodeId) {
+        let views = || self.groups.values().filter_map(GroupEndpoint::view);
+        if views().any(|view| view.contains(peer)) {
+            return;
+        }
+        for ep in self.groups.values() {
+            ep.send_beacon(ctx, &self.fd, Some(peer));
+        }
+        self.sync_watches(ctx);
+    }
+
     /// Ends every handler that may change membership. The watch set and the
     /// endpoint table follow the installed views, and an endpoint changes
     /// its view only where it pushes a `View` or `Left` upcall
@@ -357,9 +374,10 @@ impl VsyncStack {
     }
 
     /// The invariant [`Self::settle`] maintains, checked after every
-    /// handler in debug builds: the detector watches exactly the members of
-    /// the installed views other than this node, and no `Left` endpoint
-    /// lingers. Nested iteration, no allocation.
+    /// handler in debug builds: the detector watches the members of the
+    /// installed views other than this node, and besides them only
+    /// suspected peers; no `Left` endpoint lingers. Nested iteration, no
+    /// allocation.
     fn watches_follow_views(&self) -> bool {
         let views = || self.groups.values().filter_map(GroupEndpoint::view);
         let in_a_view = |p| views().any(|view| view.contains(p));
@@ -367,7 +385,10 @@ impl VsyncStack {
         let left = |ep: &GroupEndpoint| ep.status() == GroupStatus::Left;
         let mut members = views().flat_map(|view| &view.members);
         !self.groups.values().any(left)
-            && self.fd.watched().all(|p| p != self.me && in_a_view(p))
+            && self
+                .fd
+                .watched()
+                .all(|p| p != self.me && (in_a_view(p) || self.fd.is_suspected(p)))
             && members.all(|&m| m == self.me || watched(m))
     }
 }

@@ -14,6 +14,9 @@
 //! (ALL-VIEWS), so a receiver mostly sees views it already has. Keeping
 //! the advertisements as bytes and decoding a view only where two differ
 //! holds the heal window to a few hundred allocations per LWG.
+//!
+//! A world whose every LWG is whole does no heal work at all, at 32 and at
+//! 128 LWGs.
 
 mod counting_alloc;
 
@@ -27,12 +30,13 @@ const CALLBACKS_PER_LWG: u64 = 16;
 /// Heal-window allocations allowed per LWG in the first cycle.
 const ALLOCS_PER_LWG: u64 = 400;
 
-/// Two name servers and 8 apps that have joined all 32 LWGs — groups
+/// Two name servers and 8 apps that have joined `lwgs` LWGs — groups
 /// 200 ms apart, members 400 ms apart, one shared HWG — and run until
 /// every LWG is whole at every app.
-fn brought_up(seed: u64) -> (World, Vec<NodeId>, Vec<NodeId>) {
+fn brought_up(seed: u64, lwgs: u64, trace: bool) -> (World, Vec<NodeId>, Vec<NodeId>) {
     let mut w = World::new(WorldConfig {
         seed,
+        trace,
         ..WorldConfig::default()
     });
     let servers: Vec<NodeId> = [(0, 1), (1, 0)]
@@ -55,7 +59,7 @@ fn brought_up(seed: u64) -> (World, Vec<NodeId>, Vec<NodeId>) {
             ))
         })
         .collect();
-    for g in 1..=LWGS {
+    for g in 1..=lwgs {
         for (i, &m) in apps.iter().enumerate() {
             let at = SimTime::ZERO
                 + SimDuration::from_millis(200 * g)
@@ -68,16 +72,21 @@ fn brought_up(seed: u64) -> (World, Vec<NodeId>, Vec<NodeId>) {
     run_until_whole(
         &mut w,
         &apps,
+        lwgs,
         SimDuration::from_secs(1),
         SimDuration::from_secs(300),
     );
-    assert_eq!(groups_of_size(&mut w, &apps, apps.len()), LWGS, "bring-up");
+    assert_eq!(
+        groups_of_size(&mut w, &apps, lwgs, apps.len()),
+        lwgs,
+        "seed {seed}: bring-up"
+    );
     (w, servers, apps)
 }
 
-/// How many of the LWGs have a view of `len` members at every app.
-fn groups_of_size(world: &mut World, apps: &[NodeId], len: usize) -> u64 {
-    (1..=LWGS)
+/// How many of LWGs `1..=lwgs` have a view of `len` members at every app.
+fn groups_of_size(world: &mut World, apps: &[NodeId], lwgs: u64, len: usize) -> u64 {
+    (1..=lwgs)
         .filter(|&g| {
             apps.iter().all(|&m| {
                 world.inspect(m, |a: &LwgNode| {
@@ -89,9 +98,15 @@ fn groups_of_size(world: &mut World, apps: &[NodeId], len: usize) -> u64 {
 }
 
 /// Runs in `step`s until every LWG is whole at every app, or `limit` passes.
-fn run_until_whole(world: &mut World, apps: &[NodeId], step: SimDuration, limit: SimDuration) {
+fn run_until_whole(
+    world: &mut World,
+    apps: &[NodeId],
+    lwgs: u64,
+    step: SimDuration,
+    limit: SimDuration,
+) {
     let deadline = world.now() + limit;
-    while groups_of_size(world, apps, apps.len()) < LWGS && world.now() < deadline {
+    while groups_of_size(world, apps, lwgs, apps.len()) < lwgs && world.now() < deadline {
         world.run_for(step);
     }
 }
@@ -118,7 +133,7 @@ fn split_and_heal(w: &mut World, servers: &[NodeId], apps: &[NodeId], cycle: u32
     w.run_for(SimDuration::from_secs(15));
     for side in [side_a, side_b] {
         assert_eq!(
-            groups_of_size(w, side, side.len()),
+            groups_of_size(w, side, LWGS, side.len()),
             LWGS,
             "cycle {cycle}: each side settled into its own views"
         );
@@ -132,12 +147,13 @@ fn split_and_heal(w: &mut World, servers: &[NodeId], apps: &[NodeId], cycle: u32
     run_until_whole(
         w,
         apps,
+        LWGS,
         SimDuration::from_millis(10),
         SimDuration::from_secs(120),
     );
     let allocs = allocs() - allocs0;
     assert_eq!(
-        groups_of_size(w, apps, apps.len()),
+        groups_of_size(w, apps, LWGS, apps.len()),
         LWGS,
         "cycle {cycle}: every LWG whole again"
     );
@@ -150,7 +166,7 @@ fn split_and_heal(w: &mut World, servers: &[NodeId], apps: &[NodeId], cycle: u32
 
 #[test]
 fn two_heals_merge_every_lwg_once_within_a_linear_callback_budget() {
-    let (mut w, servers, apps) = brought_up(1);
+    let (mut w, servers, apps) = brought_up(1, LWGS, false);
     let mut heal_callbacks = 0;
     for cycle in 1..=2 {
         let heal = split_and_heal(&mut w, &servers, &apps, cycle);
@@ -169,13 +185,14 @@ fn two_heals_merge_every_lwg_once_within_a_linear_callback_budget() {
 }
 
 /// The first heal's window allocates at most [`ALLOCS_PER_LWG`] per LWG,
-/// on seeds 1–4. Measured: 9 095 / 8 279 / 7 248 / 10 386 allocations
-/// (227–325 per LWG); decoding every advertised view took 22 361–29 696.
-/// The second heal on seed 1's world, not asserted: 11 007 (344 per LWG).
+/// on seeds 1–4. Measured: 7 227 / 7 249 / 6 567 / 7 247 allocations
+/// (205–226 per LWG); 9 095 / 8 279 / 7 248 / 10 386 while dead mappings
+/// still churned, and 22 361–29 696 when every advertised view was decoded.
+/// The second heal on seed 1's world, not asserted: 8 377 (261 per LWG).
 #[test]
 fn a_heal_allocates_within_a_per_lwg_budget() {
     for seed in 1..=4 {
-        let (mut w, servers, apps) = brought_up(seed);
+        let (mut w, servers, apps) = brought_up(seed, LWGS, false);
         let heal = split_and_heal(&mut w, &servers, &apps, 1);
         assert!(
             heal.allocs <= ALLOCS_PER_LWG * LWGS,
@@ -186,23 +203,50 @@ fn a_heal_allocates_within_a_per_lwg_budget() {
     }
 }
 
-/// A world whose every LWG is whole should do no heal work. At this seed
-/// it does: the bring-up leaves LWG 12's view (n3, 2) mapped although its
-/// two members re-joined the live view (n2, 10) instead of merging into
-/// it, so nothing supersedes or unsets that mapping. It stays concurrent
-/// for good; the gossip tick re-sends its callback every period, and the
-/// coordinator answers each with a MERGE-VIEWS and an HWG flush, once per
-/// 1 s cooldown — 16 MERGE-VIEWS, 35 HWG flushes and 512 `ns.set`s in
-/// 20 quiet seconds.
+/// A whole world is quiet: over 20 virtual seconds after the bring-up of
+/// seeds 1–8 it sends no MERGE-VIEWS and writes nothing to naming, and
+/// neither name server holds an inconsistent mapping. Nor did the bring-up
+/// fork a view lineage (it never splits).
+///
+/// Before merge rounds superseded the LWG flushes in flight, the bring-ups
+/// of seeds 1, 4, 5, 7 and 8 forked: a merge round and a join flush both
+/// gave one view a successor, the branch no coordinator registered kept a
+/// concurrent mapping nobody held, and the world re-merged it once per
+/// second for good — 16 / 31 / 29 / 17 / 16 MERGE-VIEWS in 20 s at 32
+/// LWGs, and 28–71 on seven of the eight seeds at 128.
+fn assert_quiet(lwgs: u64) {
+    for seed in 1..=8 {
+        let (mut w, servers, _) = brought_up(seed, lwgs, true);
+        assert_eq!(plwg::obs::forks_of(w.trace()), vec![], "seed {seed}");
+        let sent = w.metrics().counter(plwg::core::keys::MERGE_VIEWS_SENT);
+        let sets = w.metrics().counter(plwg::naming::keys::SETS);
+        w.run_for(SimDuration::from_secs(20));
+        let m = w.metrics();
+        assert_eq!(
+            m.counter(plwg::core::keys::MERGE_VIEWS_SENT) - sent,
+            0,
+            "seed {seed}: MERGE-VIEWS sent over 20 quiet seconds"
+        );
+        assert_eq!(
+            m.counter(plwg::naming::keys::SETS) - sets,
+            0,
+            "seed {seed}: ns.set over 20 quiet seconds"
+        );
+        for &s in &servers {
+            let inconsistent = w.inspect(s, |n: &NameServer| n.db().inconsistent());
+            assert_eq!(inconsistent, vec![], "seed {seed}, server {s}");
+        }
+    }
+}
+
 #[test]
-#[ignore = "ROADMAP item 1: dead mappings"]
 fn a_whole_world_sends_no_merge_views() {
-    let (mut w, _, _) = brought_up(1);
-    let before = w.metrics().counter(plwg::core::keys::MERGE_VIEWS_SENT);
-    w.run_for(SimDuration::from_secs(20));
-    assert_eq!(
-        w.metrics().counter(plwg::core::keys::MERGE_VIEWS_SENT) - before,
-        0,
-        "MERGE-VIEWS sent over 20 quiet seconds"
-    );
+    assert_quiet(LWGS);
+}
+
+/// The same at 128 LWGs: the scale of the benchmark's heal workload.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release only: run with --release")]
+fn a_whole_world_of_128_lwgs_sends_no_merge_views() {
+    assert_quiet(128);
 }
