@@ -22,7 +22,7 @@ use crate::events::LwgEvent;
 use crate::keys;
 use crate::msg::LwgMsg;
 use crate::service::{LwgService, TOK_PACK};
-use crate::state::{ForeignTag, Phase};
+use crate::state::ForeignTag;
 use crate::wire;
 use plwg_hwg::{HwgId, HwgSubstrate, ViewId};
 use plwg_naming::LwgId;
@@ -36,25 +36,9 @@ impl<S: HwgSubstrate> LwgService<S> {
         let Some(mut state) = self.dir.get_mut(lwg) else {
             return;
         };
-        let blocked = state.phase != Phase::Member
-            || state.lflush.is_some()
-            || state.follow_switch.is_some()
-            || state.switching.is_some()
-            || state.awaiting_prune.is_some()
-            || state.merged_away();
-        if blocked {
+        let Some((lwg_view, hwg)) = state.send_target() else {
             state.pending_send.push(data);
             return;
-        }
-        let (lwg_view, hwg) = match (&state.view, state.hwg) {
-            (Some(v), Some(h)) => (v.id, h),
-            // `Phase::Member` always carries a view and a mapping; if the
-            // invariant ever breaks, buffer like any other blocked send
-            // instead of aborting the node.
-            _ => {
-                state.pending_send.push(data);
-                return;
-            }
         };
         drop(state);
         ctx.metrics().incr(keys::DATA_SENT);

@@ -19,8 +19,9 @@
 //! - a **reverse index** from HWG id to the LWGs that reference it (current
 //!   mapping, switch target, switch being followed) — `hwg_in_use` and the
 //!   view-install scans become index reads;
-//! - **phase and watchdog indexes** (per-phase, busy flush/switch and
-//!   awaiting-prune id sets) — the housekeeping tick visits only candidates;
+//! - **phase and watchdog indexes** (per-phase id sets, and the ids with a
+//!   flush, switch or prune in flight) — the housekeeping tick visits only
+//!   candidates;
 //! - **per-HWG load accounts** (mapped-LWG count plus a data-plane traffic
 //!   window) — what the placement policy and the rebalancer decide on.
 //!
@@ -51,13 +52,16 @@ fn shard_of(lwg: LwgId) -> usize {
     (lwg.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60) as usize & (SHARDS - 1)
 }
 
+/// The per-phase index slot both joining phases share: the tick visits
+/// them together, and a join deadline that moves re-syncs no index.
+const JOINING: usize = 1;
+
 fn phase_slot(phase: Phase) -> usize {
     match phase {
         Phase::ReadingNs => 0,
-        Phase::JoiningHwg => 1,
-        Phase::AwaitingAdmission => 2,
-        Phase::Member => 3,
-        Phase::Leaving => 4,
+        Phase::JoiningHwg { .. } | Phase::AwaitingAdmission { .. } => JOINING,
+        Phase::Member => 2,
+        Phase::Leaving => 3,
     }
 }
 
@@ -65,23 +69,19 @@ fn phase_slot(phase: Phase) -> usize {
 /// indexes key on; [`RecordMut`] diffs a before/after pair to re-sync.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Facets {
-    phase: Phase,
+    phase: usize,
     hwg: Option<HwgId>,
-    follow_to: Option<HwgId>,
-    switch_to: Option<HwgId>,
-    busy: bool,
-    pruning: bool,
+    target: Option<HwgId>,
+    watched: bool,
 }
 
 impl Facets {
     fn of(state: &LwgState) -> Facets {
         Facets {
-            phase: state.phase,
+            phase: phase_slot(state.phase),
             hwg: state.hwg,
-            follow_to: state.follow_switch.as_ref().map(|(_, to)| *to),
-            switch_to: state.switching.as_ref().map(|sw| sw.to),
-            busy: state.lflush.is_some() || state.switching.is_some(),
-            pruning: state.awaiting_prune.is_some(),
+            target: (state.switch().map(|sw| sw.to)).or(state.followed().map(|f| f.1)),
+            watched: state.busy() || state.prune_since.is_some(),
         }
     }
 }
@@ -119,16 +119,12 @@ struct DirIndex {
     me: NodeId,
     /// hwg → LWGs whose *current mapping* (`state.hwg`) is this HWG.
     by_hwg: BTreeMap<HwgId, BTreeSet<LwgId>>,
-    /// hwg → LWGs following a switch to this HWG (member side).
-    by_follow: BTreeMap<HwgId, BTreeSet<LwgId>>,
-    /// hwg → LWGs switching to this HWG (coordinator side).
-    by_switch: BTreeMap<HwgId, BTreeSet<LwgId>>,
+    /// hwg → LWGs switching to this HWG, or following a switch to it.
+    by_target: BTreeMap<HwgId, BTreeSet<LwgId>>,
     /// Per-phase id sets ([`phase_slot`] order).
-    by_phase: [BTreeSet<LwgId>; 5],
-    /// Records with an LWG flush or switch in progress (watchdog).
-    busy: BTreeSet<LwgId>,
-    /// Records awaiting a pruned-view announcement (watchdog).
-    pruning: BTreeSet<LwgId>,
+    by_phase: [BTreeSet<LwgId>; 4],
+    /// Records with an LWG flush, a switch or a pruned view in flight.
+    watched: BTreeSet<LwgId>,
     /// Data-plane multicasts per HWG in the current traffic window.
     traffic: BTreeMap<HwgId, u64>,
     /// Highest counter observed in an HWG id carrying this node's
@@ -157,20 +153,13 @@ impl DirIndex {
             self.by_hwg.entry(h).or_default().insert(lwg);
             self.note_hwg(h);
         }
-        if let Some(h) = f.follow_to {
-            self.by_follow.entry(h).or_default().insert(lwg);
+        if let Some(h) = f.target {
+            self.by_target.entry(h).or_default().insert(lwg);
             self.note_hwg(h);
         }
-        if let Some(h) = f.switch_to {
-            self.by_switch.entry(h).or_default().insert(lwg);
-            self.note_hwg(h);
-        }
-        self.by_phase[phase_slot(f.phase)].insert(lwg);
-        if f.busy {
-            self.busy.insert(lwg);
-        }
-        if f.pruning {
-            self.pruning.insert(lwg);
+        self.by_phase[f.phase].insert(lwg);
+        if f.watched {
+            self.watched.insert(lwg);
         }
     }
 
@@ -189,15 +178,11 @@ impl DirIndex {
                 self.traffic.remove(&h);
             }
         }
-        if let Some(h) = f.follow_to {
-            detach(&mut self.by_follow, h, lwg);
+        if let Some(h) = f.target {
+            detach(&mut self.by_target, h, lwg);
         }
-        if let Some(h) = f.switch_to {
-            detach(&mut self.by_switch, h, lwg);
-        }
-        self.by_phase[phase_slot(f.phase)].remove(&lwg);
-        self.busy.remove(&lwg);
-        self.pruning.remove(&lwg);
+        self.by_phase[f.phase].remove(&lwg);
+        self.watched.remove(&lwg);
     }
 
     fn resync(&mut self, lwg: LwgId, before: &Facets, after: &Facets) {
@@ -231,11 +216,9 @@ impl GroupDirectory {
             index: DirIndex {
                 me,
                 by_hwg: BTreeMap::new(),
-                by_follow: BTreeMap::new(),
-                by_switch: BTreeMap::new(),
+                by_target: BTreeMap::new(),
                 by_phase: Default::default(),
-                busy: BTreeSet::new(),
-                pruning: BTreeSet::new(),
+                watched: BTreeSet::new(),
                 traffic: BTreeMap::new(),
                 hwg_floor: 0,
                 len: 0,
@@ -313,9 +296,9 @@ impl GroupDirectory {
         self.index.collect(self.index.by_hwg.get(&hwg))
     }
 
-    /// LWGs following a switch onto `hwg` (member side), ascending.
-    pub(crate) fn following_to(&self, hwg: HwgId) -> Vec<LwgId> {
-        self.index.collect(self.index.by_follow.get(&hwg))
+    /// LWGs switching onto `hwg` or following a switch onto it, ascending.
+    pub(crate) fn switching_to(&self, hwg: HwgId) -> Vec<LwgId> {
+        self.index.collect(self.index.by_target.get(&hwg))
     }
 
     /// Whether any record references `hwg` — as its mapping, as a switch
@@ -325,39 +308,23 @@ impl GroupDirectory {
         self.index
             .index_queries
             .set(self.index.index_queries.get() + 1);
-        self.index.by_hwg.contains_key(&hwg)
-            || self.index.by_follow.contains_key(&hwg)
-            || self.index.by_switch.contains_key(&hwg)
+        self.index.by_hwg.contains_key(&hwg) || self.index.by_target.contains_key(&hwg)
     }
 
-    /// Ids in any of `phases`, ascending (the tick's due-join and leaving
-    /// candidate sets).
-    pub(crate) fn in_phases(&self, phases: &[Phase]) -> Vec<LwgId> {
+    /// Ids in `phase`, ascending (the tick's leaving and member sets).
+    pub(crate) fn in_phase(&self, phase: Phase) -> Vec<LwgId> {
         self.index
-            .index_queries
-            .set(self.index.index_queries.get() + 1);
-        let mut out: Vec<LwgId> = Vec::new();
-        for &p in phases {
-            let set = &self.index.by_phase[phase_slot(p)];
-            self.index
-                .visited
-                .set(self.index.visited.get() + set.len() as u64);
-            out.extend(set.iter().copied());
-        }
-        if phases.len() > 1 {
-            out.sort_unstable();
-        }
-        out
+            .collect(self.index.by_phase.get(phase_slot(phase)))
     }
 
-    /// Ids with a flush or switch in progress (watchdog candidates).
-    pub(crate) fn busy_ids(&self) -> Vec<LwgId> {
-        self.index.collect(Some(&self.index.busy))
+    /// Ids in either joining phase, ascending (the tick's due joins).
+    pub(crate) fn joining(&self) -> Vec<LwgId> {
+        self.index.collect(self.index.by_phase.get(JOINING))
     }
 
-    /// Ids awaiting a pruned-view announcement (watchdog candidates).
-    pub(crate) fn pruning_ids(&self) -> Vec<LwgId> {
-        self.index.collect(Some(&self.index.pruning))
+    /// Ids with a flush, switch or prune in flight (watchdog candidates).
+    pub(crate) fn watched_ids(&self) -> Vec<LwgId> {
+        self.index.collect(Some(&self.index.watched))
     }
 
     /// Every record in ascending id order — the one sanctioned full walk,
@@ -503,6 +470,10 @@ impl DerefMut for RecordMut<'_> {
 
 impl Drop for RecordMut<'_> {
     fn drop(&mut self) {
+        // A failed check while a panic unwinds would abort the process.
+        if !std::thread::panicking() {
+            self.state.check();
+        }
         let after = Facets::of(self.state);
         self.index.resync(self.lwg, &self.before, &after);
     }
@@ -513,91 +484,106 @@ mod tests {
     use super::*;
     use crate::msg::LFlushId;
     use crate::state::SwitchState;
+    use plwg_hwg::{View, ViewId};
     use plwg_sim::SimTime;
 
     fn dir() -> GroupDirectory {
         GroupDirectory::new(NodeId(3))
     }
 
+    /// Targets `hwg`, as the join flow starts.
+    fn join(r: &mut LwgState, hwg: HwgId) {
+        let (deadline, attempts) = (SimTime::ZERO, 0);
+        r.phase = Phase::JoiningHwg { deadline, attempts };
+        r.hwg = Some(hwg);
+    }
+
+    /// Installs a view of `{3, 4}` on `hwg`, as the join flow ends.
+    fn install(r: &mut LwgState, hwg: HwgId) {
+        let view = View::initial(ViewId::new(NodeId(3), 1), vec![NodeId(3), NodeId(4)]);
+        r.install(view, hwg, NodeId(3));
+    }
+
     #[test]
     fn insert_indexes_phase_and_len() {
         let mut d = dir();
-        d.insert(LwgId(1), LwgState::new());
-        d.insert(LwgId(2), LwgState::new());
+        d.insert(LwgId(1), LwgState::default());
+        d.insert(LwgId(2), LwgState::default());
         assert_eq!(d.len(), 2);
         assert_eq!(
-            d.in_phases(&[Phase::ReadingNs]),
+            d.in_phase(Phase::ReadingNs),
             vec![LwgId(1), LwgId(2)],
             "fresh records sit in the reading-ns phase index"
         );
-        assert!(d.in_phases(&[Phase::Member]).is_empty());
+        assert!(d.in_phase(Phase::Member).is_empty());
     }
 
     #[test]
     fn guard_resyncs_mapping_and_phase_indexes() {
         let mut d = dir();
-        d.insert(LwgId(7), LwgState::new());
-        {
-            let mut r = d.get_mut(LwgId(7)).unwrap();
-            r.phase = Phase::JoiningHwg;
-            r.hwg = Some(HwgId(40));
-        }
+        d.insert(LwgId(7), LwgState::default());
+        join(&mut d.get_mut(LwgId(7)).unwrap(), HwgId(40));
         assert_eq!(d.mapped_on(HwgId(40)), vec![LwgId(7)]);
         assert!(d.hwg_in_use(HwgId(40)));
-        assert_eq!(d.in_phases(&[Phase::JoiningHwg]), vec![LwgId(7)]);
-        {
-            let mut r = d.get_mut(LwgId(7)).unwrap();
-            r.hwg = Some(HwgId(41));
-            r.phase = Phase::Member;
-        }
+        assert_eq!(d.joining(), vec![LwgId(7)]);
+        // A moved deadline keeps the record in its phase slot.
+        *d.get_mut(LwgId(7)).unwrap().phase.join_mut().unwrap().1 += 1;
+        assert_eq!(d.joining(), vec![LwgId(7)]);
+        install(&mut d.get_mut(LwgId(7)).unwrap(), HwgId(41));
         assert!(d.mapped_on(HwgId(40)).is_empty());
         assert!(!d.hwg_in_use(HwgId(40)));
+        assert_eq!(d.in_phase(Phase::Member), vec![LwgId(7)]);
         assert_eq!(d.mapped_on(HwgId(41)), vec![LwgId(7)]);
     }
 
     #[test]
     fn switch_and_follow_targets_keep_hwg_in_use() {
         let mut d = dir();
-        d.insert(LwgId(1), LwgState::new());
-        {
-            let mut r = d.get_mut(LwgId(1)).unwrap();
-            r.hwg = Some(HwgId(10));
-            r.switching = Some(SwitchState {
-                flush: LFlushId {
-                    initiator: NodeId(3),
-                    nonce: 1,
-                },
-                to: HwgId(99),
-                members: vec![NodeId(3)],
-                ready: BTreeSet::new(),
-                started_at: SimTime::ZERO,
-            });
-        }
+        d.insert(LwgId(1), LwgState::default());
+        let flush = LFlushId {
+            initiator: NodeId(3),
+            nonce: 1,
+        };
+        let members = vec![NodeId(3), NodeId(4)];
+        let mut r = d.get_mut(LwgId(1)).unwrap();
+        install(&mut r, HwgId(10));
+        r.begin_switch(SwitchState {
+            flush,
+            to: HwgId(99),
+            members: members.clone(),
+            ready: BTreeSet::new(),
+            started_at: SimTime::ZERO,
+        });
+        drop(r);
         assert!(d.hwg_in_use(HwgId(99)), "switch target counts as in use");
-        assert_eq!(d.busy_ids(), vec![LwgId(1)]);
-        {
-            let mut r = d.get_mut(LwgId(1)).unwrap();
-            r.switching = None;
-        }
+        assert_eq!(d.watched_ids(), vec![LwgId(1)]);
+        // Its own `SwitchTo` makes the coordinator follow, past the switch.
+        let mut r = d.get_mut(LwgId(1)).unwrap();
+        assert!(r.begin_flush(flush, members, Some(HwgId(99)), SimTime::ZERO));
+        drop(r);
+        assert_eq!(d.switching_to(HwgId(99)), vec![LwgId(1)]);
+        assert!(d.get_mut(LwgId(1)).unwrap().complete_switch().is_some());
+        assert!(d.hwg_in_use(HwgId(99)), "still followed");
+        assert_eq!(d.watched_ids(), vec![LwgId(1)]);
+        d.get_mut(LwgId(1)).unwrap().abandon();
         assert!(!d.hwg_in_use(HwgId(99)));
-        assert!(d.busy_ids().is_empty());
+        assert!(d.watched_ids().is_empty());
     }
 
     #[test]
     fn remove_clears_every_index() {
         let mut d = dir();
-        d.insert(LwgId(5), LwgState::new());
+        d.insert(LwgId(5), LwgState::default());
         {
             let mut r = d.get_mut(LwgId(5)).unwrap();
-            r.phase = Phase::Member;
-            r.hwg = Some(HwgId(2));
-            r.awaiting_prune = Some(SimTime::ZERO);
+            install(&mut r, HwgId(2));
+            r.prune_since = Some(SimTime::ZERO);
         }
-        assert_eq!(d.pruning_ids(), vec![LwgId(5)]);
+        assert_eq!(d.watched_ids(), vec![LwgId(5)]);
         assert!(d.remove(LwgId(5)).is_some());
         assert_eq!(d.len(), 0);
         assert!(d.mapped_on(HwgId(2)).is_empty());
-        assert!(d.pruning_ids().is_empty());
+        assert!(d.watched_ids().is_empty());
         assert!(!d.hwg_in_use(HwgId(2)));
     }
 
@@ -606,7 +592,7 @@ mod tests {
         let mut d = dir();
         // Ids chosen to land in several different shards.
         for i in (0..64).rev() {
-            d.insert(LwgId(i), LwgState::new());
+            d.insert(LwgId(i), LwgState::default());
         }
         let ids: Vec<u64> = d.iter_all().map(|(l, _)| l.0).collect();
         assert_eq!(ids, (0..64).collect::<Vec<_>>());
@@ -632,11 +618,9 @@ mod tests {
         let mut d = dir();
         // A pre-restart allocation of ours (counter 7) comes back from the
         // naming service as a record's mapping target…
-        d.insert(LwgId(1), LwgState::new());
-        {
-            let mut r = d.get_mut(LwgId(1)).unwrap();
-            r.hwg = Some(HwgId(0x8000_0000_0000_0000 | (3 << 32) | 7));
-        }
+        d.insert(LwgId(1), LwgState::default());
+        let hwg = HwgId(0x8000_0000_0000_0000 | (3 << 32) | 7);
+        join(&mut d.get_mut(LwgId(1)).unwrap(), hwg);
         // …so the next allocation lands above it, not at counter 1.
         assert_eq!(
             d.alloc_hwg_id(),
@@ -654,9 +638,9 @@ mod tests {
     fn load_accounts_track_mappings_and_traffic() {
         let mut d = dir();
         for i in 0..3 {
-            d.insert(LwgId(i), LwgState::new());
-            let mut r = d.get_mut(LwgId(i)).unwrap();
-            r.hwg = Some(HwgId(if i < 2 { 10 } else { 11 }));
+            d.insert(LwgId(i), LwgState::default());
+            let hwg = HwgId(if i < 2 { 10 } else { 11 });
+            install(&mut d.get_mut(LwgId(i)).unwrap(), hwg);
         }
         d.note_traffic(HwgId(10));
         d.note_traffic(HwgId(10));
@@ -686,7 +670,7 @@ mod tests {
     fn counters_count_lookups_not_scans() {
         let mut d = dir();
         for i in 0..100 {
-            d.insert(LwgId(i), LwgState::new());
+            d.insert(LwgId(i), LwgState::default());
         }
         let before = d.counters();
         let _ = d.get(LwgId(42));

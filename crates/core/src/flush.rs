@@ -30,7 +30,6 @@ use crate::wire;
 use plwg_hwg::{GroupStatus, HwgId, HwgSubstrate, View, ViewId};
 use plwg_naming::{LwgId, Mapping};
 use plwg_sim::{NodeId, Transport, TransportExt};
-use std::collections::BTreeSet;
 
 impl<S: HwgSubstrate> LwgService<S> {
     // ------------------------------------------------------------------
@@ -43,7 +42,7 @@ impl<S: HwgSubstrate> LwgService<S> {
         if self.dir.contains(lwg) {
             return;
         }
-        self.dir.insert(lwg, LwgState::new());
+        self.dir.insert(lwg, LwgState::default());
         ctx.emit(|| LwgProtocolEvent::JoinStart { lwg });
         let req = self.ns.read(ctx, lwg);
         self.ns_lookups.insert(req, (lwg, NsPurpose::JoinLookup));
@@ -55,7 +54,7 @@ impl<S: HwgSubstrate> LwgService<S> {
             return;
         };
         match phase {
-            Phase::ReadingNs | Phase::JoiningHwg | Phase::AwaitingAdmission => {
+            Phase::ReadingNs | Phase::JoiningHwg { .. } | Phase::AwaitingAdmission { .. } => {
                 // Not admitted anywhere yet: just abandon the join.
                 self.dir.remove(lwg);
                 self.events.push(LwgEvent::Left { lwg });
@@ -69,21 +68,15 @@ impl<S: HwgSubstrate> LwgService<S> {
                 };
                 if view.len() == 1 {
                     // Sole member: dissolve the group.
-                    let hwg = self.dir.get(lwg).and_then(|s| s.hwg);
-                    self.dir.remove(lwg);
                     self.ns.unset(ctx, lwg, view.id);
-                    self.events.push(LwgEvent::Left { lwg });
-                    if let Some(h) = hwg {
-                        self.note_idle_if_unused(ctx, h);
-                    }
+                    self.depart(ctx, lwg);
                     return;
                 }
-                let me = self.me;
                 let Some(mut state) = self.dir.get_mut(lwg) else {
                     return;
                 };
                 state.phase = Phase::Leaving;
-                state.pending_leaves.insert(me);
+                state.pending_leaves.insert(self.me);
                 let hwg = state.hwg;
                 drop(state);
                 if let Some(hwg) = hwg {
@@ -168,49 +161,19 @@ impl<S: HwgSubstrate> LwgService<S> {
         members: Vec<NodeId>,
         switch_to: Option<HwgId>,
     ) {
-        let me = self.me;
-        let now = ctx.now();
         let Some(mut state) = self.dir.get_mut(lwg) else {
             return;
         };
         let Some(view) = &state.view else { return };
-        if !view.contains(me) || !members.contains(&me) || state.merged_away() {
+        if !view.contains(self.me) || !members.contains(&self.me) || state.merged_away() {
             return;
         }
         // A flush of a view that lists us but that we do not hold (two
         // coordinators admitted us) is acknowledged, so that it does not
         // wait for us, but not followed: we stay in our own view.
         let foreign = !view.contains(flush.initiator);
-        if !foreign {
-            // Supersede rule mirrors the HWG layer: more senior initiator
-            // (in LWG view order) or newer nonce from the same initiator.
-            if let Some(cur) = &state.lflush {
-                let rank = |m: NodeId| view.rank(m).unwrap_or(usize::MAX);
-                let supersedes = rank(flush.initiator) < rank(cur.flush.initiator)
-                    || (flush.initiator == cur.flush.initiator && flush.nonce > cur.flush.nonce);
-                if !supersedes {
-                    return;
-                }
-            }
-            let mut oks = BTreeSet::new();
-            state.early_oks.retain(|(f, n)| {
-                if *f == flush {
-                    oks.insert(*n);
-                    false
-                } else {
-                    true
-                }
-            });
-            state.lflush = Some(LwgFlush {
-                flush,
-                members: members.clone(),
-                oks,
-                new_view: None,
-                started_at: now,
-            });
-            if let Some(to) = switch_to {
-                state.follow_switch = Some((flush, to));
-            }
+        if !foreign && !state.begin_flush(flush, members, switch_to, ctx.now()) {
+            return;
         }
         // A node listed in a view it does not hold maps the group onto
         // another HWG; the coordinator hears its ack only where it asked.
@@ -240,28 +203,6 @@ impl<S: HwgSubstrate> LwgService<S> {
         }
     }
 
-    pub(crate) fn handle_flush_ok(
-        &mut self,
-        ctx: &mut dyn Transport,
-        lwg: LwgId,
-        flush: LFlushId,
-        from: NodeId,
-    ) {
-        let Some(mut state) = self.dir.get_mut(lwg) else {
-            return;
-        };
-        let matches = state.lflush.as_ref().is_some_and(|lf| lf.flush == flush);
-        if !matches {
-            state.early_oks.push((flush, from));
-            return;
-        }
-        if let Some(lf) = state.lflush.as_mut() {
-            lf.oks.insert(from);
-        }
-        drop(state);
-        self.try_conclude_lwg_flush(ctx, lwg);
-    }
-
     pub(crate) fn handle_new_lwg_view(
         &mut self,
         ctx: &mut dyn Transport,
@@ -279,20 +220,13 @@ impl<S: HwgSubstrate> LwgService<S> {
         }
         if !view.contains(self.me) {
             // Excludes us: our leave completed (or we were pruned).
-            let Some(state) = self.dir.get(lwg) else {
-                return;
-            };
-            let ours = state
-                .view
-                .as_ref()
+            let ours = self
+                .dir
+                .get(lwg)
+                .and_then(|s| s.view.as_ref())
                 .is_some_and(|v| view.predecessors.contains(&v.id));
             if ours {
-                let hwg = state.hwg;
-                self.dir.remove(lwg);
-                self.events.push(LwgEvent::Left { lwg });
-                if let Some(h) = hwg {
-                    self.note_idle_if_unused(ctx, h);
-                }
+                self.depart(ctx, lwg);
             }
             return;
         }
@@ -307,7 +241,7 @@ impl<S: HwgSubstrate> LwgService<S> {
                     .view
                     .as_ref()
                     .is_none_or(|cur| view.predecessors.contains(&cur.id));
-                match state.lflush.as_mut() {
+                match state.flush().map(|lf| lf.flush == f) {
                     None => {
                         // We were admitted as a *joiner*: no old view to drain.
                         let fresh = state.view.is_none();
@@ -316,19 +250,19 @@ impl<S: HwgSubstrate> LwgService<S> {
                             self.install_lwg_view(ctx, lwg, view, on_hwg);
                         }
                     }
-                    Some(lf) if lf.flush == f && succeeds => {
-                        lf.new_view = Some((view, on_hwg));
+                    Some(true) if succeeds => {
+                        state.announce(view, on_hwg);
                         drop(state);
                         self.try_conclude_lwg_flush(ctx, lwg);
                     }
-                    Some(lf) if lf.flush == f => {
+                    Some(true) => {
                         // We took part in a flush whose successor does not
                         // follow our view: installing it would leave our
                         // view without a successor in any lineage.
                         drop(state);
                         self.drop_flush(ctx, lwg);
                     }
-                    Some(_) => {}
+                    Some(false) => {}
                 }
             }
             None => {
@@ -351,21 +285,18 @@ impl<S: HwgSubstrate> LwgService<S> {
         let Some(state) = self.dir.get(lwg) else {
             return;
         };
-        let Some(lf) = &state.lflush else { return };
-        let all_ok = lf.members.iter().all(|m| lf.oks.contains(m));
+        let all_ok = |lf: &&LwgFlush| lf.members.iter().all(|m| lf.oks.contains(m));
+        let Some(lf) = state.flush().filter(all_ok) else {
+            return;
+        };
         match lf.new_view.clone() {
-            None => {
-                // Coordinator side: once every member acknowledged, announce
-                // the successor view.
-                if all_ok && lf.flush.initiator == self.me && state.switching.is_none() {
-                    self.announce_successor_view(ctx, lwg);
-                }
+            // Coordinator side: every member acknowledged, so announce the
+            // successor view.
+            None if lf.flush.initiator == self.me && state.switch().is_none() => {
+                self.announce_successor_view(ctx, lwg);
             }
-            Some((view, on_hwg)) => {
-                if all_ok {
-                    self.install_lwg_view(ctx, lwg, view, on_hwg);
-                }
-            }
+            None => {}
+            Some((view, on_hwg)) => self.install_lwg_view(ctx, lwg, view, on_hwg),
         }
     }
 
@@ -382,8 +313,9 @@ impl<S: HwgSubstrate> LwgService<S> {
             return;
         };
         let Some(hwg) = state.hwg else { return };
-        let Some(lf) = &state.lflush else { return };
-        let flush = lf.flush;
+        let Some(flush) = state.flush().map(|lf| lf.flush) else {
+            return;
+        };
         let hview_members: Vec<NodeId> = self
             .substrate
             .view_of(hwg)
@@ -420,16 +352,7 @@ impl<S: HwgSubstrate> LwgService<S> {
             lwg,
             view: new_view.clone(),
         });
-        self.substrate.send(
-            ctx,
-            hwg,
-            wire::frame(&LwgMsg::NewLwgView {
-                lwg,
-                flush: Some(flush),
-                view: new_view,
-                hwg,
-            }),
-        );
+        self.send_view(ctx, lwg, Some(flush), new_view, hwg);
     }
 
     /// Coordinator: announce the view with the members that fell out of
@@ -444,11 +367,7 @@ impl<S: HwgSubstrate> LwgService<S> {
         let Some(state) = self.dir.get(lwg) else {
             return;
         };
-        if state.lflush.is_some()
-            || state.switching.is_some()
-            || state.merged_away()
-            || self.stopped_on(state.hwg)
-        {
+        if state.busy() || state.merged_away() || self.stopped_on(state.hwg) {
             return; // a flush, a merge or the HWG view will reshape the view
         }
         let Some(view) = state.view.clone() else {
@@ -473,16 +392,26 @@ impl<S: HwgSubstrate> LwgService<S> {
             view: pruned.clone(),
         });
         ctx.metrics().incr(keys::PRUNES);
-        self.substrate.send(
-            ctx,
+        self.send_view(ctx, lwg, None, pruned, hwg);
+    }
+
+    /// Multicasts `view` of `lwg` (the successor that `flush` announces,
+    /// if any) on `hwg`, the HWG it is installed on.
+    pub(crate) fn send_view(
+        &mut self,
+        ctx: &mut dyn Transport,
+        lwg: LwgId,
+        flush: Option<LFlushId>,
+        view: View,
+        hwg: HwgId,
+    ) {
+        let msg = LwgMsg::NewLwgView {
+            lwg,
+            flush,
+            view,
             hwg,
-            wire::frame(&LwgMsg::NewLwgView {
-                lwg,
-                flush: None,
-                view: pruned,
-                hwg,
-            }),
-        );
+        };
+        self.substrate.send(ctx, hwg, wire::frame(&msg));
     }
 
     pub(crate) fn install_lwg_view(
@@ -492,45 +421,17 @@ impl<S: HwgSubstrate> LwgService<S> {
         view: View,
         on_hwg: HwgId,
     ) {
-        let me = self.me;
         let Some(mut state) = self.dir.get_mut(lwg) else {
             return;
         };
-        let old_hwg = state.hwg;
-        if let Some(old) = &state.view {
-            let old_id = old.id;
-            state.history.insert(old_id);
-        }
-        for p in &view.predecessors {
-            state.history.insert(*p);
-        }
-        state.bump_view_seq(if view.id.coordinator == me {
-            view.id.seq
-        } else {
-            0
-        });
         ctx.emit(|| LwgProtocolEvent::ViewInstall {
             lwg,
             view: view.clone(),
             hwg: on_hwg,
         });
         ctx.metrics().incr(keys::VIEWS_INSTALLED);
-        state.view = Some(view.clone());
-        state.hwg = Some(on_hwg);
-        state.phase = Phase::Member;
-        state.join_deadline = None;
-        state.join_attempts = 0;
-        state.lflush = None;
-        state.switching = None;
-        state.follow_switch = None;
-        state.early_oks.clear();
-        state.awaiting_prune = None;
-        state.superseded.clear();
-        for m in &view.members {
-            state.pending_joins.remove(m);
-        }
-        state.pending_leaves.retain(|l| view.contains(*l));
-        let pending = std::mem::take(&mut state.pending_send);
+        let old_hwg = state.hwg;
+        let pending = state.install(view.clone(), on_hwg, self.me);
         drop(state);
         self.idle_hwgs.remove(&on_hwg);
         self.events.push(LwgEvent::View { lwg, view });
@@ -583,7 +484,7 @@ impl<S: HwgSubstrate> LwgService<S> {
         let Some(state) = self.dir.get(lwg) else {
             return;
         };
-        if state.lflush.is_some() || state.switching.is_some() || state.merged_away() {
+        if state.busy() || state.merged_away() {
             return;
         }
         let Some(view) = &state.view else { return };
@@ -642,15 +543,8 @@ impl<S: HwgSubstrate> LwgService<S> {
     /// still installed; otherwise they would wait for a view install the
     /// dropped flush no longer produces.
     pub(crate) fn drop_flush(&mut self, ctx: &mut dyn Transport, lwg: LwgId) {
-        let Some(mut state) = self.dir.get_mut(lwg) else {
-            return;
-        };
-        state.lflush = None;
-        state.switching = None;
-        state.follow_switch = None;
-        let pending = std::mem::take(&mut state.pending_send);
-        drop(state);
-        for data in pending {
+        let pending = self.dir.get_mut(lwg).map(|mut s| s.abandon());
+        for data in pending.into_iter().flatten() {
             self.send(ctx, lwg, data);
         }
     }
@@ -663,16 +557,20 @@ impl<S: HwgSubstrate> LwgService<S> {
     ) {
         let leaving = self.dir.get(lwg).is_some_and(|s| {
             !s.merged_away()
-                && (s.phase == Phase::Leaving
-                    || s.lflush.as_ref().is_some_and(|f| f.flush == flush))
+                && (s.phase == Phase::Leaving || s.flush().is_some_and(|f| f.flush == flush))
         });
         if leaving {
-            let hwg = self.dir.get(lwg).and_then(|s| s.hwg);
-            self.dir.remove(lwg);
-            self.events.push(LwgEvent::Left { lwg });
-            if let Some(h) = hwg {
-                self.note_idle_if_unused(ctx, h);
-            }
+            self.depart(ctx, lwg);
+        }
+    }
+
+    /// Forgets `lwg`, which this node left: reports `Left` and lets the
+    /// HWG it was mapped onto go idle if no other group uses it.
+    fn depart(&mut self, ctx: &mut dyn Transport, lwg: LwgId) {
+        let hwg = self.dir.remove(lwg).and_then(|s| s.hwg);
+        self.events.push(LwgEvent::Left { lwg });
+        if let Some(h) = hwg {
+            self.note_idle_if_unused(ctx, h);
         }
     }
 }

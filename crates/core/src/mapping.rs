@@ -108,11 +108,11 @@ impl<S: HwgSubstrate> LwgService<S> {
         let Some(mut state) = self.dir.get_mut(lwg) else {
             return;
         };
-        state.phase = Phase::JoiningHwg;
+        state.phase = Phase::JoiningHwg {
+            deadline,
+            attempts: 0,
+        };
         state.hwg = Some(hwg);
-        state.create_hwg = create;
-        state.join_attempts = 0;
-        state.join_deadline = Some(deadline);
         drop(state);
         match self.substrate.status_of(hwg) {
             GroupStatus::Left => {
@@ -142,8 +142,8 @@ impl<S: HwgSubstrate> LwgService<S> {
         let Some(mut state) = self.dir.get_mut(lwg) else {
             return;
         };
-        state.phase = Phase::AwaitingAdmission;
-        state.join_deadline = Some(deadline);
+        let attempts = state.phase.join_mut().map_or(0, |(_, a)| *a);
+        state.phase = Phase::AwaitingAdmission { deadline, attempts };
         drop(state);
         self.substrate
             .send(ctx, hwg, wire::frame(&LwgMsg::JoinReq { lwg }));
@@ -171,11 +171,6 @@ impl<S: HwgSubstrate> LwgService<S> {
         ctx.emit(|| LwgProtocolEvent::Claim { lwg, planned, hwg });
         let req = self.ns.testset(ctx, lwg, mapping, vec![]);
         self.ns_lookups.insert(req, (lwg, NsPurpose::FoundClaim));
-        // Push the deadline out while the claim is in flight.
-        let deadline = ctx.now() + self.cfg.lwg_join_timeout;
-        if let Some(mut state) = self.dir.get_mut(lwg) {
-            state.join_deadline = Some(deadline);
-        }
     }
 
     /// Join fallback, part 2: the test-and-set answered.
@@ -183,7 +178,7 @@ impl<S: HwgSubstrate> LwgService<S> {
         let Some(state) = self.dir.get(lwg) else {
             return;
         };
-        if state.phase != Phase::AwaitingAdmission {
+        if !matches!(state.phase, Phase::AwaitingAdmission { .. }) {
             return;
         }
         let won = mappings
@@ -193,13 +188,7 @@ impl<S: HwgSubstrate> LwgService<S> {
             self.found_lwg_view(ctx, lwg);
         } else if let Some(best) = mappings.iter().max_by_key(|m| m.hwg) {
             // Someone else holds the mapping: follow it.
-            let hwg = best.hwg;
-            let Ok(mut state) = self.dir.record(lwg) else {
-                return;
-            };
-            state.join_attempts = 0;
-            drop(state);
-            self.begin_hwg_join(ctx, lwg, hwg, false);
+            self.begin_hwg_join(ctx, lwg, best.hwg, false);
         }
     }
 
@@ -276,7 +265,10 @@ impl<S: HwgSubstrate> LwgService<S> {
     /// outdated — retarget the join.
     pub(crate) fn handle_redirect(&mut self, ctx: &mut dyn Transport, lwg: LwgId, to: HwgId) {
         let retarget = self.dir.get(lwg).is_some_and(|s| {
-            matches!(s.phase, Phase::JoiningHwg | Phase::AwaitingAdmission) && s.hwg != Some(to)
+            matches!(
+                s.phase,
+                Phase::JoiningHwg { .. } | Phase::AwaitingAdmission { .. }
+            ) && s.hwg != Some(to)
         });
         if retarget {
             ctx.metrics().incr(keys::REDIRECTS_FOLLOWED);
@@ -299,32 +291,33 @@ impl<S: HwgSubstrate> LwgService<S> {
         // Join deadlines: retry admission, then found our own view. The
         // phase index narrows the candidates; the deadline filter runs on
         // the (few) joiners only.
-        for lwg in self
-            .dir
-            .in_phases(&[Phase::JoiningHwg, Phase::AwaitingAdmission])
-        {
+        for lwg in self.dir.joining() {
             let Ok(mut state) = self.dir.record(lwg) else {
                 continue;
             };
-            if state.join_deadline.is_none_or(|d| now < d) {
+            let joining = matches!(state.phase, Phase::JoiningHwg { .. });
+            let hwg = state.hwg;
+            let Some((deadline, attempts)) = state.phase.join_mut() else {
+                continue;
+            };
+            if now < *deadline {
                 continue;
             }
-            state.join_attempts += 1;
-            let attempts = state.join_attempts;
-            let phase = state.phase;
-            let hwg = state.hwg;
+            // Each step below (waiting for HWG membership, asking for
+            // admission, claiming the mapping) gets one more timeout.
+            *deadline = now + self.cfg.lwg_join_timeout;
+            *attempts += 1;
+            let attempts = *attempts;
             let in_hwg = hwg.filter(|&h| {
                 self.substrate
                     .view_of(h)
                     .is_some_and(|v| v.contains(self.me))
             });
             let Some(hwg) = in_hwg else {
-                // Still waiting for HWG membership; extend.
-                state.join_deadline = Some(now + self.cfg.lwg_join_timeout);
                 continue;
             };
             drop(state);
-            if phase == Phase::JoiningHwg || attempts <= LWG_JOIN_RETRIES {
+            if joining || attempts <= LWG_JOIN_RETRIES {
                 self.request_admission(ctx, lwg, hwg);
             } else {
                 self.claim_founding(ctx, lwg);
@@ -332,7 +325,7 @@ impl<S: HwgSubstrate> LwgService<S> {
         }
 
         // Leaving members keep nudging the coordinator.
-        for lwg in self.dir.in_phases(&[Phase::Leaving]) {
+        for lwg in self.dir.in_phase(Phase::Leaving) {
             let Some(hwg) = self.dir.get(lwg).and_then(|s| s.hwg) else {
                 continue;
             };
@@ -341,19 +334,13 @@ impl<S: HwgSubstrate> LwgService<S> {
             self.maybe_start_lwg_flush(ctx, lwg);
         }
 
-        // LWG flush / switch watchdogs (busy index = flush or switch in
-        // progress).
-        for lwg in self.dir.busy_ids() {
-            let timed_out = self.dir.get(lwg).is_some_and(|state| {
-                state
-                    .lflush
-                    .as_ref()
-                    .is_some_and(|f| now.saturating_since(f.started_at) >= LWG_FLUSH_TIMEOUT)
-                    || state
-                        .switching
-                        .as_ref()
-                        .is_some_and(|sw| now.saturating_since(sw.started_at) >= LWG_FLUSH_TIMEOUT)
-            });
+        // LWG flush / switch watchdogs.
+        for lwg in self.dir.watched_ids() {
+            let timed_out = self
+                .dir
+                .get(lwg)
+                .and_then(LwgState::started_at)
+                .is_some_and(|t| now.saturating_since(t) >= LWG_FLUSH_TIMEOUT);
             if !timed_out {
                 continue;
             }
@@ -367,9 +354,9 @@ impl<S: HwgSubstrate> LwgService<S> {
         // A pruned-view announcement that never arrived (lost, coordinator
         // died): release the send buffer; the acting-coordinator rule will
         // re-announce on the next HWG view change.
-        for lwg in self.dir.pruning_ids() {
+        for lwg in self.dir.watched_ids() {
             let expired = self.dir.get(lwg).is_some_and(|s| {
-                s.awaiting_prune
+                s.prune_since
                     .is_some_and(|t| now.saturating_since(t) >= LWG_FLUSH_TIMEOUT)
             });
             if !expired {
@@ -382,7 +369,7 @@ impl<S: HwgSubstrate> LwgService<S> {
                 .and_then(|h| self.substrate.view_of(h))
                 .cloned();
             if let Some(mut state) = self.dir.get_mut(lwg) {
-                state.awaiting_prune = None;
+                state.prune_since = None;
             }
             if let Some(hview) = hview {
                 if self.lwg_coordinator(lwg) == Some(self.me) {
@@ -419,7 +406,7 @@ impl<S: HwgSubstrate> LwgService<S> {
         if let Some(interval) = self.cfg.ns_poll_interval {
             if now.saturating_since(self.last_ns_poll) >= interval {
                 self.last_ns_poll = now;
-                for lwg in self.dir.in_phases(&[Phase::Member]) {
+                for lwg in self.dir.in_phase(Phase::Member) {
                     if self.lwg_coordinator(lwg) == Some(self.me) {
                         let req = self.ns.read(ctx, lwg);
                         self.ns_lookups.insert(req, (lwg, NsPurpose::Poll));
@@ -473,14 +460,14 @@ impl<S: HwgSubstrate> LwgService<S> {
                     .map(|v| (h, v.members.iter().copied().collect()))
             })
             .collect();
-        for lwg in self.dir.in_phases(&[Phase::Member]) {
+        for lwg in self.dir.in_phase(Phase::Member) {
             if self.lwg_coordinator(lwg) != Some(self.me) {
                 continue;
             }
             let Some(state) = self.dir.get(lwg) else {
                 continue;
             };
-            if state.lflush.is_some() || state.switching.is_some() {
+            if state.busy() {
                 continue;
             }
             let Some(view) = &state.view else { continue };
@@ -564,7 +551,7 @@ impl<S: HwgSubstrate> LwgService<S> {
             return;
         };
         let had_view = state.view.clone();
-        *state = LwgState::new();
+        *state = LwgState::default();
         if let Some(v) = had_view {
             state.history.insert(v.id);
             state.bump_view_seq(if v.id.coordinator == self.me {

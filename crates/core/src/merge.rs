@@ -181,16 +181,7 @@ impl<S: HwgSubstrate> LwgService<S> {
                 merged: merged.clone(),
             });
             ctx.metrics().incr(keys::VIEWS_MERGED);
-            self.substrate.send(
-                ctx,
-                hwg,
-                wire::frame(&LwgMsg::NewLwgView {
-                    lwg,
-                    flush: None,
-                    view: merged,
-                    hwg,
-                }),
-            );
+            self.send_view(ctx, lwg, None, merged, hwg);
         }
     }
 
@@ -218,20 +209,11 @@ impl<S: HwgSubstrate> LwgService<S> {
                 .view
                 .as_ref()
                 .is_none_or(|v| merged_away.contains(&v.id));
-        if !affected && state.superseded.is_empty() {
-            return;
-        }
-        let Some(mut state) = self.dir.get_mut(lwg) else {
-            return;
-        };
         if affected {
-            state.lflush = None;
-            state.switching = None;
-            state.follow_switch = None;
-            state.superseded = merged_away;
-        } else {
-            state.superseded.clear();
-            drop(state);
+            if let Some(mut state) = self.dir.get_mut(lwg) {
+                state.supersede(merged_away);
+            }
+        } else if state.merged_away() {
             self.drop_flush(ctx, lwg);
         }
     }
@@ -248,7 +230,7 @@ impl<S: HwgSubstrate> LwgService<S> {
     pub(crate) fn all_views_advert(&self, hwg: HwgId) -> Option<Payload> {
         let views = AdvertisedViews::new(self.dir.mapped_on(hwg).into_iter().filter_map(|l| {
             let state = self.dir.get(l)?;
-            if state.switching.is_some() || state.follow_switch.is_some() {
+            if state.switch().is_some() || state.followed().is_some() {
                 return None;
             }
             Some((l, state.view.as_ref()?))

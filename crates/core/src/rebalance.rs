@@ -115,12 +115,7 @@ impl<S: HwgSubstrate> LwgService<S> {
             return false;
         }
         self.dir.get(lwg).is_some_and(|s| {
-            s.phase == crate::state::Phase::Member
-                && s.view.is_some()
-                && s.lflush.is_none()
-                && s.switching.is_none()
-                && s.follow_switch.is_none()
-                && s.awaiting_prune.is_none()
+            s.phase == crate::state::Phase::Member && !s.busy() && s.prune_since.is_none()
         })
     }
 }

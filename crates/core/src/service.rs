@@ -209,8 +209,8 @@ impl<S: HwgSubstrate> LwgService<S> {
             lwg,
             phase: match s.phase {
                 Phase::ReadingNs => "reading-ns",
-                Phase::JoiningHwg => "joining-hwg",
-                Phase::AwaitingAdmission => "awaiting-admission",
+                Phase::JoiningHwg { .. } => "joining-hwg",
+                Phase::AwaitingAdmission { .. } => "awaiting-admission",
                 Phase::Member => "member",
                 Phase::Leaving => "leaving",
             },
@@ -218,10 +218,7 @@ impl<S: HwgSubstrate> LwgService<S> {
             members: s.view.as_ref().map_or(0, View::len),
             hwg: s.hwg,
             coordinator: self.lwg_coordinator(lwg) == Some(self.me),
-            busy: s.lflush.is_some()
-                || s.switching.is_some()
-                || s.follow_switch.is_some()
-                || s.awaiting_prune.is_some(),
+            busy: s.busy() || s.prune_since.is_some(),
         }
     }
 
@@ -405,7 +402,7 @@ impl<S: HwgSubstrate> LwgService<S> {
             if self
                 .dir
                 .get(lwg)
-                .is_some_and(|s| s.phase == Phase::JoiningHwg)
+                .is_some_and(|s| matches!(s.phase, Phase::JoiningHwg { .. }))
                 && hview.contains(self.me)
             {
                 self.request_admission(ctx, lwg, hwg);
@@ -413,16 +410,11 @@ impl<S: HwgSubstrate> LwgService<S> {
         }
 
         // 2. Members following a switch to this HWG report readiness.
-        for lwg in self.dir.following_to(hwg) {
-            let flush = self
-                .dir
-                .get(lwg)
-                .and_then(|s| s.follow_switch.as_ref().map(|(f, _)| *f));
-            if let Some(flush) = flush {
-                if hview.contains(self.me) {
-                    self.substrate
-                        .send(ctx, hwg, wire::frame(&LwgMsg::SwitchReady { lwg, flush }));
-                }
+        for lwg in self.dir.switching_to(hwg) {
+            let flush = self.dir.get(lwg).and_then(|s| s.followed()).map(|f| f.0);
+            if let Some(flush) = flush.filter(|_| hview.contains(self.me)) {
+                self.substrate
+                    .send(ctx, hwg, wire::frame(&LwgMsg::SwitchReady { lwg, flush }));
             }
         }
 
@@ -444,7 +436,7 @@ impl<S: HwgSubstrate> LwgService<S> {
         //    Pruning needs no LWG-level flush: the HWG flush that produced
         //    this view already guaranteed all members the same delivered
         //    set. One announcement installs the pruned view; until it
-        //    arrives, members buffer their sends (`awaiting_prune`). This
+        //    arrives, members buffer their sends (`prune_since`). This
         //    is the resource sharing the paper measures in Figure 2's
         //    recovery panel: one HWG flush serves every co-mapped group.
         for lwg in self.dir.mapped_on(hwg) {
@@ -458,9 +450,7 @@ impl<S: HwgSubstrate> LwgService<S> {
             };
             if stale {
                 if let Some(mut state) = self.dir.get_mut(lwg) {
-                    if state.awaiting_prune.is_none() {
-                        state.awaiting_prune = Some(ctx.now());
-                    }
+                    state.prune_since.get_or_insert(ctx.now());
                 }
             }
             // A view merged away by step 3 waits for the merged view, which
@@ -519,7 +509,13 @@ impl<S: HwgSubstrate> LwgService<S> {
                 members,
             } => self.handle_lwg_flush(ctx, hwg, *lwg, *flush, members.clone(), None),
             LwgMsg::FlushOk { lwg, flush } => {
-                self.handle_flush_ok(ctx, *lwg, *flush, from);
+                if self
+                    .dir
+                    .get_mut(*lwg)
+                    .is_some_and(|mut s| s.ack(*flush, from))
+                {
+                    self.try_conclude_lwg_flush(ctx, *lwg);
+                }
             }
             LwgMsg::NewLwgView {
                 lwg,
@@ -537,7 +533,10 @@ impl<S: HwgSubstrate> LwgService<S> {
                 self.handle_lwg_flush(ctx, hwg, *lwg, *flush, members.clone(), Some(*to));
             }
             LwgMsg::SwitchReady { lwg, flush } => {
-                self.handle_switch_ready(ctx, *lwg, *flush, from);
+                if let Some(mut state) = self.dir.get_mut(*lwg) {
+                    state.ready(*flush, from);
+                }
+                self.try_complete_switch(ctx, *lwg);
             }
             LwgMsg::MergeViews => self.handle_merge_views_msg(ctx, hwg),
             LwgMsg::AllViews { views } => self.handle_all_views(hwg, views),

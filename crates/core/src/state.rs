@@ -21,18 +21,32 @@ pub(crate) enum NsPurpose {
 }
 
 /// Where a group member currently stands in its lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Phase {
     /// Waiting for the naming service to answer the join lookup.
+    #[default]
     ReadingNs,
-    /// Waiting to become a member of the target HWG.
-    JoiningHwg,
-    /// HWG member; asked the LWG coordinator for admission.
-    AwaitingAdmission,
+    /// Waiting to become a member of the target HWG. The tick acts at
+    /// `deadline`; `attempts` counts how often it did.
+    JoiningHwg { deadline: SimTime, attempts: u32 },
+    /// HWG member; asked the LWG coordinator for admission (deadline and
+    /// attempts as in `JoiningHwg`, carried over from it).
+    AwaitingAdmission { deadline: SimTime, attempts: u32 },
     /// Full member of an installed LWG view.
     Member,
     /// Asked to leave; waiting for the view that excludes us.
     Leaving,
+}
+
+impl Phase {
+    /// The deadline and attempt count of a joining phase.
+    pub(crate) fn join_mut(&mut self) -> Option<(&mut SimTime, &mut u32)> {
+        match self {
+            Phase::JoiningHwg { deadline, attempts }
+            | Phase::AwaitingAdmission { deadline, attempts } => Some((deadline, attempts)),
+            _ => None,
+        }
+    }
 }
 
 /// Member-side state of an in-progress LWG flush (join/leave/switch).
@@ -58,90 +72,289 @@ pub(crate) struct SwitchState {
     pub(crate) started_at: SimTime,
 }
 
-/// Per-LWG state at one node.
-#[derive(Debug)]
-pub(crate) struct LwgState {
-    pub(crate) phase: Phase,
-    /// Current LWG view (when `Member`/`Leaving`).
-    pub(crate) view: Option<View>,
-    /// Ids of LWG views this node has installed.
-    pub(crate) history: BTreeSet<ViewId>,
-    /// The HWG the group is currently mapped onto (target HWG during the
-    /// join flow).
-    pub(crate) hwg: Option<HwgId>,
-    /// Create the target HWG instead of probing for it (fresh allocation).
-    pub(crate) create_hwg: bool,
-    /// Sends buffered while no view is installed or a flush is running.
-    pub(crate) pending_send: Vec<Payload>,
-    /// Admission bookkeeping (joiner side).
-    pub(crate) join_deadline: Option<SimTime>,
-    pub(crate) join_attempts: u32,
-    /// Coordinator bookkeeping.
-    pub(crate) pending_joins: BTreeSet<NodeId>,
-    pub(crate) pending_leaves: BTreeSet<NodeId>,
-    pub(crate) lflush: Option<LwgFlush>,
-    pub(crate) switching: Option<SwitchState>,
-    /// Member-side: the switch we are following (stop data, join target,
-    /// report ready).
-    pub(crate) follow_switch: Option<(LFlushId, HwgId)>,
-    /// `FlushOk`s that arrived before their `Flush` (FIFO is per sender;
-    /// a peer's ack can overtake the coordinator's flush announcement).
-    pub(crate) early_oks: Vec<(LFlushId, NodeId)>,
-    /// Set when the backing HWG view dropped some of this LWG's members:
-    /// a pruned view announcement is imminent (sends are buffered until it
-    /// arrives so no member delivers messages others will not see).
-    pub(crate) awaiting_prune: Option<SimTime>,
+/// Which of the group's protocols runs at this node: an LWG flush, a
+/// switch (§3), or the wait for the merged view of a MERGE-VIEWS round
+/// (§6, Fig. 5). Written only by the transitions of [`LwgState`].
+#[derive(Debug, Default)]
+enum Activity {
+    #[default]
+    Idle,
+    /// Member side of a join or leave flush.
+    Flushing(LwgFlush),
+    /// Member side of a switch, `of` = its flush and target HWG: stop
+    /// data, join the target and report ready there. Until the switched
+    /// view installs, a later flush from the same view can take `flush`'s
+    /// place; the member still follows the switch.
+    Following {
+        flush: LwgFlush,
+        of: (LFlushId, HwgId),
+    },
+    /// Coordinator of a switch; `own` is its member side of the same
+    /// flush, once its own `SwitchTo` arrived.
+    Switching {
+        switch: SwitchState,
+        own: Option<LwgFlush>,
+    },
     /// The views of this group that the last merge round on its HWG
     /// merged away, until the next view install: only the merged view may
     /// succeed them, so a flush, switch or prune from one of them is
     /// superseded and its announcement is stale.
-    pub(crate) superseded: Vec<ViewId>,
+    MergedAway(Vec<ViewId>),
+}
+
+/// Per-LWG state at one node; a new one is reading the naming service.
+#[derive(Debug, Default)]
+pub(crate) struct LwgState {
+    pub(crate) phase: Phase,
+    /// Current LWG view (when `Member`/`Leaving`).
+    pub(crate) view: Option<View>,
+    /// Ids of the LWG views this node has installed, and of their
+    /// predecessors.
+    pub(crate) history: BTreeSet<ViewId>,
+    /// The HWG the group is currently mapped onto (target HWG during the
+    /// join flow).
+    pub(crate) hwg: Option<HwgId>,
+    /// Sends buffered while no view is installed or a flush is running.
+    pub(crate) pending_send: Vec<Payload>,
+    /// Coordinator bookkeeping.
+    pub(crate) pending_joins: BTreeSet<NodeId>,
+    pub(crate) pending_leaves: BTreeSet<NodeId>,
+    activity: Activity,
+    /// `FlushOk`s that arrived before their `Flush` (FIFO is per sender;
+    /// a peer's ack can overtake the coordinator's flush announcement).
+    pub(crate) early_oks: Vec<(LFlushId, NodeId)>,
+    /// When the backing HWG view dropped some of this LWG's members: a
+    /// pruned view announcement is imminent (sends are buffered until it
+    /// arrives so no member delivers messages others will not see). A
+    /// field, not an [`Activity`]: it is a fact about the HWG view, set
+    /// whatever runs, and it outlives a flush the watchdog drops, holding
+    /// sends until this time plus the prune timeout.
+    pub(crate) prune_since: Option<SimTime>,
     pub(crate) next_view_seq: u64,
     pub(crate) next_flush_nonce: u64,
 }
 
 impl LwgState {
-    pub(crate) fn new() -> Self {
-        LwgState {
-            phase: Phase::ReadingNs,
-            view: None,
-            history: BTreeSet::new(),
-            hwg: None,
-            create_hwg: false,
-            pending_send: Vec::new(),
-            join_deadline: None,
-            join_attempts: 0,
-            pending_joins: BTreeSet::new(),
-            pending_leaves: BTreeSet::new(),
-            lflush: None,
-            switching: None,
-            follow_switch: None,
-            early_oks: Vec::new(),
-            awaiting_prune: None,
-            superseded: Vec::new(),
-            next_view_seq: 0,
-            next_flush_nonce: 0,
+    /// The flush this node takes part in.
+    pub(crate) fn flush(&self) -> Option<&LwgFlush> {
+        match &self.activity {
+            Activity::Flushing(f)
+            | Activity::Following { flush: f, .. }
+            | Activity::Switching { own: Some(f), .. } => Some(f),
+            _ => None,
         }
     }
 
-    /// Whether the installed view was merged away by the last merge round:
-    /// it may change only into the merged view.
+    fn flush_mut(&mut self) -> Option<&mut LwgFlush> {
+        match &mut self.activity {
+            Activity::Flushing(f)
+            | Activity::Following { flush: f, .. }
+            | Activity::Switching { own: Some(f), .. } => Some(f),
+            _ => None,
+        }
+    }
+
+    /// The switch this node coordinates.
+    pub(crate) fn switch(&self) -> Option<&SwitchState> {
+        match &self.activity {
+            Activity::Switching { switch, .. } => Some(switch),
+            _ => None,
+        }
+    }
+
+    /// The switch this node follows: its flush and target HWG.
+    pub(crate) fn followed(&self) -> Option<(LFlushId, HwgId)> {
+        match &self.activity {
+            Activity::Following { of, .. } => Some(*of),
+            Activity::Switching { switch, own } => own.as_ref().map(|_| (switch.flush, switch.to)),
+            _ => None,
+        }
+    }
+
+    /// Whether an LWG flush or a switch is in flight.
+    pub(crate) fn busy(&self) -> bool {
+        !matches!(self.activity, Activity::Idle | Activity::MergedAway(_))
+    }
+
+    /// The view and HWG a send goes out in now, or `None` when sends are
+    /// buffered: not a member, a pruned view pending or a protocol running.
+    pub(crate) fn send_target(&self) -> Option<(ViewId, HwgId)> {
+        if self.phase != Phase::Member
+            || self.prune_since.is_some()
+            || !matches!(self.activity, Activity::Idle)
+        {
+            return None;
+        }
+        Some((self.view.as_ref()?.id, self.hwg?))
+    }
+
+    /// When the flush or switch in flight started (the watchdog's clock). A
+    /// coordinator's own part of its switch starts after the switch.
+    pub(crate) fn started_at(&self) -> Option<SimTime> {
+        let switch = self.switch().map(|sw| sw.started_at);
+        switch.or(self.flush().map(|f| f.started_at))
+    }
+
+    /// Whether the last merge round merged away the view this node holds
+    /// (or the views it was joining): it may change only into the merged
+    /// view.
     pub(crate) fn merged_away(&self) -> bool {
-        self.view
-            .as_ref()
-            .is_some_and(|v| self.superseded.contains(&v.id))
+        matches!(self.activity, Activity::MergedAway(_))
     }
 
     /// Whether the announced `view` succeeds a view that was merged away
     /// without being the merge itself (a merge names several predecessors
     /// and comes without a flush): a stale flush or prune.
     pub(crate) fn is_stale(&self, view: &View, by_flush: bool) -> bool {
+        let Activity::MergedAway(away) = &self.activity else {
+            return false;
+        };
         let merge = !by_flush && view.predecessors.len() > 1;
-        !merge
-            && view
-                .predecessors
-                .iter()
-                .any(|p| self.superseded.contains(p))
+        !merge && view.predecessors.iter().any(|p| away.contains(p))
+    }
+
+    /// Member side: takes part in `flush` (of a switch to `to`, when set)
+    /// unless the flush it takes part in supersedes it. As at the HWG
+    /// layer, a more senior initiator (in view order) or a newer nonce from
+    /// the same initiator supersedes. A coordinator's own `SwitchTo` makes
+    /// it take part in its switch. Returns whether it took part.
+    pub(crate) fn begin_flush(
+        &mut self,
+        flush: LFlushId,
+        members: Vec<NodeId>,
+        to: Option<HwgId>,
+        now: SimTime,
+    ) -> bool {
+        if self.merged_away() {
+            return false;
+        }
+        if let Some(cur) = self.flush().map(|f| f.flush) {
+            let view = self.view.as_ref();
+            let rank = |m| view.and_then(|v| v.rank(m)).unwrap_or(usize::MAX);
+            let supersedes = rank(flush.initiator) < rank(cur.initiator)
+                || (flush.initiator == cur.initiator && flush.nonce > cur.nonce);
+            if !supersedes {
+                return false;
+            }
+        }
+        let early = self.early_oks.iter().filter(|(f, _)| *f == flush);
+        let oks = early.map(|(_, n)| *n).collect();
+        self.early_oks.retain(|(f, _)| *f != flush);
+        let own = LwgFlush {
+            flush,
+            members,
+            oks,
+            new_view: None,
+            started_at: now,
+        };
+        let of = match (&self.activity, to) {
+            (_, Some(to)) => Some((flush, to)),
+            (Activity::Following { of, .. }, None) => Some(*of),
+            _ => None,
+        };
+        self.activity = match (std::mem::take(&mut self.activity), of) {
+            (Activity::Switching { switch, .. }, _) if switch.flush == flush => {
+                let own = Some(own);
+                Activity::Switching { switch, own }
+            }
+            (_, Some(of)) => Activity::Following { flush: own, of },
+            (_, None) => Activity::Flushing(own),
+        };
+        true
+    }
+
+    /// A `FlushOk` from `from`: counted if it is for the flush in flight,
+    /// kept for that flush otherwise. Returns whether it counted.
+    pub(crate) fn ack(&mut self, flush: LFlushId, from: NodeId) -> bool {
+        let Some(lf) = self.flush_mut().filter(|lf| lf.flush == flush) else {
+            self.early_oks.push((flush, from));
+            return false;
+        };
+        lf.oks.insert(from);
+        true
+    }
+
+    /// The successor view of the flush in flight was announced.
+    pub(crate) fn announce(&mut self, view: View, on_hwg: HwgId) {
+        if let Some(lf) = self.flush_mut() {
+            lf.new_view = Some((view, on_hwg));
+        }
+    }
+
+    /// Coordinator: starts `switch`.
+    pub(crate) fn begin_switch(&mut self, switch: SwitchState) {
+        self.activity = Activity::Switching { switch, own: None };
+    }
+
+    /// A `SwitchReady` from `from` for the switch this node coordinates.
+    pub(crate) fn ready(&mut self, flush: LFlushId, from: NodeId) {
+        if let Activity::Switching { switch, .. } = &mut self.activity {
+            if switch.flush == flush {
+                switch.ready.insert(from);
+            }
+        }
+    }
+
+    /// Coordinator: the switched view is announced. The switch ends and
+    /// this node follows it like every other member.
+    pub(crate) fn complete_switch(&mut self) -> Option<SwitchState> {
+        self.switch()?;
+        let Activity::Switching { switch, own } = std::mem::take(&mut self.activity) else {
+            return None;
+        };
+        if let Some(flush) = own {
+            let of = (switch.flush, switch.to);
+            self.activity = Activity::Following { flush, of };
+        }
+        Some(switch)
+    }
+
+    /// A merge round merged `views` away: whatever ran is superseded.
+    pub(crate) fn supersede(&mut self, views: Vec<ViewId>) {
+        self.activity = Activity::MergedAway(views);
+    }
+
+    /// Drops what runs. It froze the data plane, so the sends it buffered
+    /// are returned, to be released into the view that is still installed.
+    pub(crate) fn abandon(&mut self) -> Vec<Payload> {
+        self.activity = Activity::Idle;
+        std::mem::take(&mut self.pending_send)
+    }
+
+    /// Installs `view` on `on_hwg` and returns the sends buffered for it.
+    /// Queued joins and leaves the view did not settle stay queued.
+    pub(crate) fn install(&mut self, view: View, on_hwg: HwgId, me: NodeId) -> Vec<Payload> {
+        if let Some(old) = &self.view {
+            self.history.insert(old.id);
+        }
+        self.history.extend(view.predecessors.iter().copied());
+        self.bump_view_seq(if view.id.coordinator == me {
+            view.id.seq
+        } else {
+            0
+        });
+        for m in &view.members {
+            self.pending_joins.remove(m);
+        }
+        self.pending_leaves.retain(|l| view.contains(*l));
+        self.view = Some(view);
+        self.hwg = Some(on_hwg);
+        self.phase = Phase::Member;
+        self.activity = Activity::Idle;
+        self.early_oks.clear();
+        self.prune_since = None;
+        std::mem::take(&mut self.pending_send)
+    }
+
+    /// Debug builds: asserts what the types do not express. Run by the
+    /// directory whenever a record guard drops.
+    pub(crate) fn check(&self) {
+        let member = matches!(self.phase, Phase::Member | Phase::Leaving);
+        debug_assert_eq!(member, self.view.is_some(), "{:?}", self.phase);
+        if let (Some(switch), Some(own)) = (self.switch(), self.flush()) {
+            debug_assert_eq!(switch.flush, own.flush);
+        }
+        debug_assert!(!matches!(&self.activity, Activity::MergedAway(v) if v.is_empty()));
     }
 
     pub(crate) fn take_view_seq(&mut self) -> u64 {
@@ -222,4 +435,184 @@ pub struct ServiceStats {
     pub forward_pointers: usize,
     /// Naming requests awaiting a reply.
     pub pending_ns_requests: usize,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use plwg_sim::{Frame, SimDuration};
+
+    const H: HwgId = HwgId(10);
+    const TO: HwgId = HwgId(20);
+
+    fn n(i: u32) -> NodeId {
+        NodeId(i)
+    }
+
+    fn fid(initiator: u32, nonce: u64) -> LFlushId {
+        LFlushId {
+            initiator: n(initiator),
+            nonce,
+        }
+    }
+
+    fn at(ms: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_millis(ms)
+    }
+
+    /// A member of the view `{1, 2, 3}` (id `1.1`) on `H`, at node 1.
+    fn member() -> LwgState {
+        let mut s = LwgState::default();
+        let view = View::initial(ViewId::new(n(1), 1), vec![n(1), n(2), n(3)]);
+        assert!(s.install(view, H, n(1)).is_empty());
+        s.check();
+        s
+    }
+
+    fn all() -> Vec<NodeId> {
+        vec![n(1), n(2), n(3)]
+    }
+
+    /// Node 1 switches `{1, 2, 3}` to `TO` with flush `1.1`.
+    fn switch(s: &mut LwgState) {
+        s.begin_switch(SwitchState {
+            flush: fid(1, 1),
+            to: TO,
+            members: all(),
+            ready: BTreeSet::new(),
+            started_at: at(0),
+        });
+    }
+
+    /// Whether sends are buffered.
+    fn frozen(s: &LwgState) -> bool {
+        s.send_target().is_none()
+    }
+
+    /// Node 1 in each variant that runs a protocol: a join flush, a
+    /// followed switch, and a switch it coordinates with its own part.
+    fn busy_states() -> Vec<LwgState> {
+        let mut flushing = member();
+        assert!(flushing.begin_flush(fid(1, 1), all(), None, at(0)));
+        let mut following = member();
+        assert!(following.begin_flush(fid(1, 1), all(), Some(TO), at(0)));
+        let mut switching = member();
+        switch(&mut switching);
+        assert!(switching.begin_flush(fid(1, 1), all(), Some(TO), at(5)));
+        vec![flushing, following, switching]
+    }
+
+    #[test]
+    fn a_more_senior_initiators_flush_replaces_the_current_one() {
+        let mut s = member();
+        assert!(s.begin_flush(fid(2, 1), all(), None, at(0)));
+        assert!(!s.begin_flush(fid(3, 9), all(), None, at(1)), "junior");
+        assert!(!s.begin_flush(fid(2, 1), all(), None, at(1)), "the same");
+        assert!(s.begin_flush(fid(2, 2), all(), None, at(2)), "newer nonce");
+        assert!(s.begin_flush(fid(1, 1), all(), Some(TO), at(3)), "senior");
+        s.check();
+        assert_eq!(s.flush().map(|f| f.flush), Some(fid(1, 1)));
+        assert_eq!(s.followed(), Some((fid(1, 1), TO)));
+        assert_eq!(s.started_at(), Some(at(3)));
+    }
+
+    #[test]
+    fn a_later_flush_from_the_view_keeps_a_followed_switch_followed() {
+        let mut s = member();
+        assert!(s.begin_flush(fid(1, 1), all(), Some(TO), at(0)));
+        assert!(s.begin_flush(fid(1, 2), all(), None, at(1)));
+        s.check();
+        assert_eq!(s.flush().map(|f| f.flush), Some(fid(1, 2)));
+        assert_eq!(s.followed(), Some((fid(1, 1), TO)), "still following");
+        assert!(s.begin_flush(fid(1, 3), all(), Some(H), at(2)));
+        assert_eq!(s.followed(), Some((fid(1, 3), H)), "a new switch");
+    }
+
+    #[test]
+    fn acks_count_for_the_flush_in_flight_and_wait_for_theirs() {
+        let mut s = member();
+        assert!(!s.ack(fid(1, 1), n(3)), "overtook its Flush");
+        assert!(s.begin_flush(fid(1, 1), all(), None, at(0)));
+        assert!(s.ack(fid(1, 1), n(2)));
+        let oks: Vec<NodeId> = s
+            .flush()
+            .map_or(vec![], |f| f.oks.iter().copied().collect());
+        assert_eq!(oks, vec![n(2), n(3)]);
+        assert!(s.early_oks.is_empty());
+    }
+
+    #[test]
+    fn supersede_ends_every_protocol_in_flight() {
+        for mut s in busy_states() {
+            assert!(s.busy() && frozen(&s));
+            s.supersede(vec![ViewId::new(n(1), 1), ViewId::new(n(4), 1)]);
+            s.check();
+            assert!(!s.busy() && frozen(&s) && s.merged_away());
+            assert_eq!((s.flush().is_none(), s.switch().is_none()), (true, true));
+            assert_eq!((s.followed(), s.started_at()), (None, None));
+            let late =
+                View::with_predecessors(ViewId::new(n(1), 2), all(), vec![ViewId::new(n(1), 1)]);
+            assert!(s.is_stale(&late, true), "the superseded flush's view");
+            assert!(!s.begin_flush(fid(1, 2), all(), None, at(9)));
+        }
+    }
+
+    #[test]
+    fn abandon_returns_the_buffered_sends() {
+        for mut s in busy_states() {
+            s.pending_send.push(Frame::from_u64(7));
+            let released = s.abandon();
+            assert_eq!(released.len(), 1);
+            assert!(s.pending_send.is_empty());
+            assert_eq!(s.send_target(), Some((ViewId::new(n(1), 1), H)));
+            assert!(!s.busy());
+        }
+    }
+
+    #[test]
+    fn complete_switch_leaves_the_coordinator_following() {
+        let mut s = member();
+        switch(&mut s);
+        assert!(s.flush().is_none(), "its own SwitchTo is still on the way");
+        assert!(s.begin_flush(fid(1, 1), all(), Some(TO), at(5)));
+        assert_eq!(s.started_at(), Some(at(0)), "the earlier start counts");
+        s.ready(fid(1, 1), n(2));
+        assert_eq!(s.switch().map(|sw| sw.ready.len()), Some(1));
+        let sw = s.complete_switch().map(|sw| (sw.flush, sw.to));
+        assert_eq!(sw, Some((fid(1, 1), TO)));
+        s.check();
+        assert_eq!(s.flush().map(|f| f.flush), Some(fid(1, 1)));
+        assert_eq!(s.followed(), Some((fid(1, 1), TO)));
+        assert_eq!(s.started_at(), Some(at(5)));
+        assert!(s.complete_switch().is_none(), "nothing left to complete");
+    }
+
+    #[test]
+    fn install_clears_every_variant_but_keeps_the_queued_joins_and_leaves() {
+        let mut states = busy_states();
+        let mut merged = member();
+        merged.supersede(vec![ViewId::new(n(1), 1)]);
+        states.push(merged);
+        for mut s in states {
+            s.pending_joins.extend([n(4), n(5)]);
+            s.pending_leaves.extend([n(2), n(3)]);
+            s.prune_since = Some(at(1));
+            s.early_oks.push((fid(2, 1), n(2)));
+            s.pending_send.push(Frame::from_u64(7));
+            let next = View::with_predecessors(
+                ViewId::new(n(1), 2),
+                vec![n(1), n(3), n(4)],
+                vec![ViewId::new(n(1), 1)],
+            );
+            assert_eq!(s.install(next, TO, n(1)).len(), 1);
+            s.check();
+            assert!(!s.busy() && !frozen(&s) && !s.merged_away());
+            assert_eq!((s.prune_since, s.early_oks.len()), (None, 0));
+            assert_eq!(s.pending_joins.iter().collect::<Vec<_>>(), vec![&n(5)]);
+            assert_eq!(s.pending_leaves.iter().collect::<Vec<_>>(), vec![&n(3)]);
+            assert_eq!(s.hwg, Some(TO));
+            assert!(s.history.contains(&ViewId::new(n(1), 1)));
+            assert_eq!(s.take_view_seq(), 3);
+        }
+    }
 }

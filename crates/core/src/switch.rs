@@ -25,7 +25,7 @@ use crate::state::SwitchState;
 use crate::wire;
 use plwg_hwg::{GroupStatus, HwgId, HwgSubstrate, View, ViewId};
 use plwg_naming::LwgId;
-use plwg_sim::{NodeId, Transport, TransportExt};
+use plwg_sim::{Transport, TransportExt};
 use std::collections::BTreeSet;
 
 impl<S: HwgSubstrate> LwgService<S> {
@@ -52,27 +52,21 @@ impl<S: HwgSubstrate> LwgService<S> {
         let Some(state) = self.dir.get(lwg) else {
             return;
         };
-        if state.lflush.is_some()
-            || state.switching.is_some()
-            || state.merged_away()
-            || state.hwg == Some(to)
-        {
+        if state.busy() || state.merged_away() || state.hwg == Some(to) {
             return;
         }
-        let Some(view) = state.view.clone() else {
+        let (Some(view), Some(hwg)) = (&state.view, state.hwg) else {
             return;
         };
-        let Some(hwg) = state.hwg else { return };
         let members = view.members.clone();
-        let me = self.me;
         let Ok(mut state) = self.dir.record(lwg) else {
             return;
         };
         let flush = LFlushId {
-            initiator: me,
+            initiator: self.me,
             nonce: state.take_flush_nonce(),
         };
-        state.switching = Some(SwitchState {
+        state.begin_switch(SwitchState {
             flush,
             to,
             members: members.clone(),
@@ -101,36 +95,15 @@ impl<S: HwgSubstrate> LwgService<S> {
         );
     }
 
-    /// A member reported ready on the target HWG; once everyone has, the
-    /// coordinator installs the switched view.
-    pub(crate) fn handle_switch_ready(
-        &mut self,
-        ctx: &mut dyn Transport,
-        lwg: LwgId,
-        flush: LFlushId,
-        from: NodeId,
-    ) {
-        if let Some(mut state) = self.dir.get_mut(lwg) {
-            if let Some(sw) = state.switching.as_mut() {
-                if sw.flush == flush {
-                    sw.ready.insert(from);
-                }
-            }
-        }
-        self.try_complete_switch(ctx, lwg);
-    }
-
     /// Coordinator: once every member reported ready on the target HWG,
     /// install the switched view there. Not while the old HWG flushes
     /// (see [`LwgService::stopped_on`]): its view completes it.
     pub(crate) fn try_complete_switch(&mut self, ctx: &mut dyn Transport, lwg: LwgId) {
-        let me = self.me;
         let Some(state) = self.dir.get(lwg) else {
             return;
         };
         let ready = state
-            .switching
-            .as_ref()
+            .switch()
             .is_some_and(|sw| sw.ready.len() == sw.members.len());
         if !ready || self.stopped_on(state.hwg) {
             return;
@@ -138,14 +111,14 @@ impl<S: HwgSubstrate> LwgService<S> {
         let Some(mut state) = self.dir.get_mut(lwg) else {
             return;
         };
-        let Some(sw) = state.switching.take() else {
+        let Some(sw) = state.complete_switch() else {
             return;
         };
         let Some(view) = state.view.clone() else {
             return;
         };
         let new_view = View::with_predecessors(
-            ViewId::new(me, state.take_view_seq()),
+            ViewId::new(self.me, state.take_view_seq()),
             sw.members.clone(),
             vec![view.id],
         );
@@ -155,16 +128,7 @@ impl<S: HwgSubstrate> LwgService<S> {
             to: sw.to,
             view: new_view.clone(),
         });
-        self.substrate.send(
-            ctx,
-            sw.to,
-            wire::frame(&LwgMsg::NewLwgView {
-                lwg,
-                flush: Some(sw.flush),
-                view: new_view,
-                hwg: sw.to,
-            }),
-        );
+        self.send_view(ctx, lwg, Some(sw.flush), new_view, sw.to);
         // Pull any concurrent views present on the target HWG into a merge.
         self.trigger_merge_views(ctx, sw.to);
     }

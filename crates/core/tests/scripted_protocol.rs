@@ -638,3 +638,134 @@ fn stuck_lwg_flush_is_abandoned_by_the_watchdog() {
         "abandoning the stuck flush unfreezes buffered sends"
     );
 }
+
+/// An HWG view that drops a member while an LWG flush waits for that
+/// member's `FlushOk`: the join flush of `{a, b, c}` loses `c` (crashed)
+/// one second in. The coordinator does not prune while its flush is in
+/// flight, so the flush never concludes and the watchdog drops it after
+/// `LWG_FLUSH_TIMEOUT` at `a` and `b`. The sends frozen behind it stay
+/// buffered after that: the HWG view marked the group as awaiting a pruned
+/// view, and the prune deadline (`LWG_FLUSH_TIMEOUT` after that HWG view)
+/// is what makes the coordinator announce `{a, b}`. Both members install
+/// it and release their sends into it; the join of `j`, who left the HWG
+/// with `c`, is not re-run.
+#[test]
+fn an_hwg_view_dropping_a_flush_member_prunes_at_the_prune_deadline() {
+    let (mut w, apps) = setup(4);
+    let (a, b, c, j) = (apps[0], apps[1], apps[2], apps[3]);
+    for &n in &apps {
+        grant(&mut w, n, H1, a, 1, &apps);
+    }
+    let v1 = View::initial(ViewId::new(a, 1), vec![a, b, c]);
+    for &n in &[a, b, c] {
+        seed_lwg_view(&mut w, n, H1, v1.clone());
+    }
+    w.run_for(ms(200));
+    w.crash(c);
+    // `j` asks to join: `a` flushes `{a, b, c}`, and `b` acknowledges.
+    w.invoke(a, move |n: &mut Node, ctx| {
+        let hwg = n.service().hwg_stack_mut();
+        hwg.inject_data(H1, j, LwgMsg::JoinReq { lwg: L }.to_frame());
+        n.service().pump(ctx);
+    });
+    w.run_for(ms(20));
+    send_u64(&mut w, a, 1);
+    send_u64(&mut w, b, 2);
+    w.run_for(ms(1000));
+    // The HWG view drops `c` (and `j`) while the flush waits for `c`.
+    for &n in &[a, b] {
+        grant(&mut w, n, H1, a, 2, &[a, b]);
+    }
+    let busy = |w: &mut World, n: NodeId| {
+        w.inspect(n, |n: &Node| n.service_ref().lwg_status(L))
+            .is_some_and(|s| s.busy)
+    };
+    let frozen = |w: &mut World| {
+        for &n in &[a, b] {
+            assert_eq!(view_at(w, n).as_ref(), Some(&v1), "at {n}");
+            assert!(busy(w, n), "at {n}");
+            for &src in &[a, b] {
+                assert_eq!(delivered_from(w, n, src), Vec::<u64>::new(), "at {n}");
+            }
+        }
+    };
+
+    // 2.9 s into the flush: still waiting for `c`, nothing pruned.
+    w.run_for(ms(1880));
+    frozen(&mut w);
+    assert_eq!(w.trace().count("lwg.flush.abandon"), 0);
+
+    // 3.5 s: both members dropped the flush, but the sends stay frozen
+    // behind the pending prune.
+    w.run_for(ms(600));
+    assert_eq!(w.trace().count("lwg.flush.abandon"), 2, "at a and b");
+    assert_eq!(w.trace().count("lwg.prune"), 0);
+    frozen(&mut w);
+
+    // 4.5 s (3.5 s after the HWG view): the pruned view is installed and
+    // the buffered sends are delivered in it.
+    w.run_for(ms(1000));
+    assert_eq!(w.trace().count("lwg.prune"), 1);
+    for &n in &[a, b] {
+        let v = view_at(&mut w, n).expect("pruned view");
+        assert_eq!(v.members, vec![a, b], "at {n}");
+        assert_eq!(v.predecessors, vec![v1.id], "at {n}");
+        assert!(!busy(&mut w, n), "at {n}");
+        assert_eq!(delivered_from(&mut w, n, a), vec![1], "at {n}");
+        assert_eq!(delivered_from(&mut w, n, b), vec![2], "at {n}");
+    }
+}
+
+/// A member following a switch can take part in a later flush from the
+/// same view before the switched view installs: `b` follows `a`'s switch
+/// to `H2`, then a newer flush of `a`'s replaces the switch flush at `b`.
+/// `b` still follows the switch, so when it becomes an `H2` member it
+/// reports ready for the switch flush, and `a` completes the switch (first
+/// seen in the 128-LWG quiet-world bring-up of `heal_budget.rs`).
+#[test]
+fn a_newer_flush_keeps_a_followed_switch_followed() {
+    use plwg_core::LFlushId;
+    let (mut w, apps) = setup(2);
+    let (a, b) = (apps[0], apps[1]);
+    grant(&mut w, a, H1, a, 1, &[a, b]);
+    grant(&mut w, b, H1, a, 1, &[a, b]);
+    let v1 = View::initial(ViewId::new(a, 1), vec![a, b]);
+    seed_lwg_view(&mut w, a, H1, v1.clone());
+    seed_lwg_view(&mut w, b, H1, v1);
+    w.run_for(ms(200));
+
+    w.invoke(a, |n: &mut Node, ctx| n.service().switch(ctx, L, H2));
+    w.run_for(ms(20));
+    assert!(wants_to_join(&mut w, b, H2), "b follows the switch");
+    let flush = LFlushId {
+        initiator: a,
+        nonce: 99,
+    };
+    w.invoke(b, move |n: &mut Node, ctx| {
+        let msg = LwgMsg::Flush {
+            lwg: L,
+            flush,
+            members: vec![a, b],
+        };
+        n.service()
+            .hwg_stack_mut()
+            .inject_data(H1, a, msg.to_frame());
+        n.service().pump(ctx);
+    });
+    assert_eq!(w.trace().count("lwg.switch.complete"), 0);
+
+    grant(&mut w, a, H2, a, 1, &[a, b]);
+    grant(&mut w, b, H2, a, 1, &[a, b]);
+    w.run_for(ms(100));
+    assert_eq!(
+        w.trace().count("lwg.switch.complete"),
+        1,
+        "b reported ready for the switch it still follows"
+    );
+    let at_a = view_at(&mut w, a).expect("switched view");
+    assert_eq!((at_a.members.len(), at_a.predecessors.len()), (2, 1));
+    assert_eq!(
+        w.inspect(a, |n: &Node| n.service_ref().mapping_of(L)),
+        Some(H2)
+    );
+}

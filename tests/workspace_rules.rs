@@ -183,7 +183,7 @@ fn every_protocol_event_kind_is_observed_by_a_test() {
     assert_none("event kinds nothing observes", &unseen);
 }
 
-/// LWG lookups use the directory's indexes (`mapped_on`, `in_phases`, …):
+/// LWG lookups use the directory's indexes (`mapped_on`, `in_phase`, …):
 /// outside `directory.rs`, `plwg-core` holds no raw record table, and its
 /// one full walk is the operator status iterator in `service.rs`.
 #[test]
