@@ -2,11 +2,12 @@
 //! callbacks against polling.
 
 use crate::report::{page, Table};
-use crate::world::{at, build_world, lwg_node, run_until_whole, LwgNode};
 use crate::Output;
 use plwg_core::{LwgConfig, LwgId};
 use plwg_naming::NamingConfig;
-use plwg_sim::{SimDuration, World, WorldConfig};
+use plwg_obs::scenarios::{agree, join_staggered, run_until, Node, Scenario};
+use plwg_sim::{SimDuration, SimTime, World};
+use plwg_vsync::VsyncStack;
 
 /// One policy-threshold run: a 2-member LWG joins after an 8-member one.
 /// Returns the switch count and whether the two ended on different HWGs.
@@ -19,32 +20,23 @@ fn policy_run(k_m: u32, k_c: u32) -> (u64, bool) {
         policy_interval: SimDuration::from_secs(5),
         ..LwgConfig::default()
     };
-    let config = WorldConfig {
-        seed: 17,
-        ..WorldConfig::default()
+    let scenario = Scenario {
+        lwg: cfg,
+        ..Scenario::new(17, 8)
     };
-    let (mut w, _, apps) = build_world(config, &NamingConfig::default(), 8, lwg_node(&cfg));
+    let (mut w, _, apps) = scenario.build::<VsyncStack>();
+    let gap = SimDuration::from_millis(300);
     // Big group over all 8 → one 8-member HWG.
-    for (i, &m) in apps.iter().enumerate() {
-        w.invoke_at(
-            w.now() + SimDuration::from_millis(300 * i as u64),
-            m,
-            |a: &mut LwgNode, ctx| a.service().join(ctx, BIG),
-        );
-    }
+    let now = w.now();
+    join_staggered::<VsyncStack>(&mut w, BIG, &apps, now, gap);
     w.run_for(SimDuration::from_secs(12));
     // Small group of 2 → optimistically mapped onto the big HWG.
-    for (i, &m) in apps[..2].iter().enumerate() {
-        w.invoke_at(
-            w.now() + SimDuration::from_millis(300 * i as u64),
-            m,
-            |a: &mut LwgNode, ctx| a.service().join(ctx, SMALL),
-        );
-    }
+    let now = w.now();
+    join_staggered::<VsyncStack>(&mut w, SMALL, &apps[..2], now, gap);
     // Several policy rounds.
     w.run_for(SimDuration::from_secs(40));
     let switches = w.metrics().counter(plwg_core::keys::SWITCHES);
-    let separated = w.inspect(apps[0], |a: &LwgNode| {
+    let separated = w.inspect(apps[0], |a: &Node| {
         a.service_ref().mapping_of(BIG) != a.service_ref().mapping_of(SMALL)
     });
     (switches, separated)
@@ -101,48 +93,40 @@ fn callback_run(poll: Option<SimDuration>, lwgs: u64) -> Load {
         ns_poll_interval: poll,
         ..LwgConfig::default()
     };
-    let config = WorldConfig {
-        seed: 23,
-        ..WorldConfig::default()
+    let scenario = Scenario {
+        naming,
+        lwg: cfg,
+        ..Scenario::new(23, 4)
     };
-    let (mut w, servers, apps) = build_world(config, &naming, 4, lwg_node(&cfg));
+    let (mut w, servers, apps) = scenario.build::<VsyncStack>();
     // Found the groups in two partitions → inconsistent mappings on heal.
     w.split_at(
-        at(1),
+        SimTime::from_secs(1),
         vec![
             vec![servers[0], apps[0], apps[1]],
             vec![servers[1], apps[2], apps[3]],
         ],
     );
+    let gap = SimDuration::from_millis(400);
     for g in 1..=lwgs {
-        for (i, &m) in apps.iter().enumerate() {
-            w.invoke_at(
-                at(2) + SimDuration::from_millis(100 * g + 400 * (i as u64 % 2)),
-                m,
-                move |a: &mut LwgNode, ctx| a.service().join(ctx, LwgId(g)),
-            );
+        let start = SimTime::from_secs(2) + SimDuration::from_millis(100 * g);
+        for side in apps.chunks(2) {
+            join_staggered::<VsyncStack>(&mut w, LwgId(g), side, start, gap);
         }
     }
-    w.run_until(at(25));
+    let t_heal = SimTime::from_secs(25);
+    w.run_until(t_heal);
     let reads_before = w.metrics().counter(plwg_naming::keys::READS);
     let callbacks_before = w.metrics().counter(plwg_naming::keys::CALLBACKS);
-    w.heal_at(at(25));
+    w.heal_at(t_heal);
 
     // Wait for every group to span all four members again.
-    let whole = |w: &mut World| {
-        (1..=lwgs).all(|g| {
-            apps.iter().all(|&m| {
-                w.inspect(m, |a: &LwgNode| {
-                    a.current_view(LwgId(g)).is_some_and(|v| v.len() == 4)
-                })
-            })
-        })
-    };
+    let whole = |w: &mut World| (1..=lwgs).all(|g| agree::<VsyncStack>(w, LwgId(g), &apps));
     let step = SimDuration::from_millis(250);
-    let reconverged = run_until_whole(&mut w, step, SimDuration::from_secs(95), whole)
-        .map(|t| t.saturating_since(at(25)));
+    let reconverged = run_until(&mut w, step, SimDuration::from_secs(95), whole)
+        .map(|t| t.saturating_since(t_heal));
     // Run on a while to account for steady-state polling load.
-    w.run_until(at(120));
+    w.run_until(SimTime::from_secs(120));
     Load {
         reads: w.metrics().counter(plwg_naming::keys::READS) - reads_before,
         callbacks: w.metrics().counter(plwg_naming::keys::CALLBACKS) - callbacks_before,

@@ -10,11 +10,10 @@
 
 use crate::mode::{BenchNode, ServiceMode};
 use crate::report::{page, Table};
-use crate::world::{build_world, is_whole, run_until_whole};
 use crate::Output;
 use plwg_core::LwgConfig;
-use plwg_naming::NamingConfig;
-use plwg_sim::{SimDuration, World, WorldConfig};
+use plwg_obs::scenarios::{run_until, Scenario};
+use plwg_sim::{SimDuration, World};
 
 /// Parameters of one heal run.
 #[derive(Debug, Clone)]
@@ -50,16 +49,10 @@ pub(crate) struct HealResult {
 /// virtual-time limits (a protocol bug).
 pub(crate) fn run_heal(params: &HealParams) -> HealResult {
     assert!(params.members >= 2, "need at least two members to split");
-    let config = WorldConfig {
-        seed: params.seed,
-        ..WorldConfig::default()
-    };
-    let (mut world, servers, apps) = build_world(
-        config,
-        &NamingConfig::default(),
-        params.members,
-        |me, servers| BenchNode::new(me, ServiceMode::Dynamic, servers, LwgConfig::default()),
-    );
+    let scenario = Scenario::new(params.seed, params.members);
+    let (mut world, servers, apps) = scenario.build_with(|me, servers| {
+        BenchNode::new(me, ServiceMode::Dynamic, servers, LwgConfig::default())
+    });
 
     // Bring up all LWGs (same full membership → one shared HWG).
     for g in 1..=params.lwgs as u64 {
@@ -72,9 +65,9 @@ pub(crate) fn run_heal(params: &HealParams) -> HealResult {
             });
         }
     }
-    let whole = |w: &mut World| (1..=params.lwgs as u64).all(|g| is_whole(w, g, &apps));
+    let whole = |w: &mut World| (1..=params.lwgs as u64).all(|g| BenchNode::is_whole(w, g, &apps));
     let step = SimDuration::from_millis(250);
-    run_until_whole(&mut world, step, SimDuration::from_secs(300), whole)
+    run_until(&mut world, step, SimDuration::from_secs(300), whole)
         .expect("heal experiment did not come up within 300 s");
 
     // Partition half/half (name servers split too, one per side).
@@ -92,7 +85,7 @@ pub(crate) fn run_heal(params: &HealParams) -> HealResult {
     let merges_before = world.metrics().counter(plwg_core::keys::VIEWS_MERGED);
     let t_heal = world.now();
     world.heal_at(t_heal);
-    let reconverged_at = run_until_whole(&mut world, step, SimDuration::from_secs(120), whole)
+    let reconverged_at = run_until(&mut world, step, SimDuration::from_secs(120), whole)
         .expect("heal experiment did not reconverge within 120 s");
 
     HealResult {

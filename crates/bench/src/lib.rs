@@ -47,7 +47,6 @@ mod report;
 mod scale;
 mod tables;
 mod twosets;
-mod world;
 
 pub use report::write_json_rows;
 

@@ -10,7 +10,9 @@
 //!   the Figure-1 policies re-mapping groups at run time.
 
 use plwg_core::{LwgConfig, LwgEvent, LwgId, LwgService};
-use plwg_sim::{Frame, NodeId, Payload, Process, SimDuration, SimTime, TimerToken, Transport};
+use plwg_sim::{
+    Frame, NodeId, Payload, Process, SimDuration, SimTime, TimerToken, Transport, World,
+};
 use plwg_vsync::{HwgId, VsEvent, VsyncStack};
 use std::any::Any;
 
@@ -165,11 +167,24 @@ impl BenchNode {
 
     /// Current members of `group` at this node (sorted), if a view is
     /// installed.
-    pub fn members_of(&self, group: u64) -> Option<Vec<NodeId>> {
+    fn members_of(&self, group: u64) -> Option<Vec<NodeId>> {
         match &self.inner {
             Inner::Raw(stack) => stack.view_of(HwgId(group)).map(|v| v.sorted_members()),
             Inner::Lwg(svc) => svc.view_of(LwgId(group)).map(|v| v.sorted_members()),
         }
+    }
+
+    /// Whether every one of `members` (all [`BenchNode`]s) shows exactly
+    /// `members` as its view of `group`.
+    pub(crate) fn is_whole(world: &mut World, group: u64, members: &[NodeId]) -> bool {
+        let mut expect = members.to_vec();
+        expect.sort_unstable();
+        members.iter().all(|&m| {
+            world
+                .inspect(m, |n: &BenchNode| n.members_of(group))
+                .as_deref()
+                == Some(&expect[..])
+        })
     }
 
     /// Raw ids of the HWGs this node belongs to.

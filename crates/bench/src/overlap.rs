@@ -6,11 +6,10 @@
 
 use crate::mode::{BenchNode, ServiceMode};
 use crate::report::{page, Table};
-use crate::world::{build_world, is_whole};
 use crate::Output;
 use plwg_core::LwgConfig;
-use plwg_naming::NamingConfig;
-use plwg_sim::{NodeId, SimDuration, SimRng, SimTime, WorldConfig};
+use plwg_obs::scenarios::Scenario;
+use plwg_sim::{NodeId, SimDuration, SimRng, SimTime};
 use std::collections::BTreeSet;
 
 /// Parameters of one overlap run.
@@ -61,16 +60,10 @@ pub(crate) struct OverlapResult {
 pub(crate) fn run_overlap(params: &OverlapParams) -> OverlapResult {
     assert!(params.subscribers.0 >= 1 && params.subscribers.1 <= params.processes);
     let mut draw_rng = SimRng::from_seed(params.seed ^ 0xdead_beef);
-    let config = WorldConfig {
-        seed: params.seed,
-        ..WorldConfig::default()
-    };
-    let (mut world, _, apps) = build_world(
-        config,
-        &NamingConfig::default(),
-        params.processes,
-        |me, servers| BenchNode::new(me, ServiceMode::Dynamic, servers, LwgConfig::default()),
-    );
+    let scenario = Scenario::new(params.seed, params.processes);
+    let (mut world, _, apps) = scenario.build_with(|me, servers| {
+        BenchNode::new(me, ServiceMode::Dynamic, servers, LwgConfig::default())
+    });
 
     // Draw subscriber sets.
     let mut subscriptions: Vec<Vec<NodeId>> = Vec::new();
@@ -104,7 +97,7 @@ pub(crate) fn run_overlap(params: &OverlapParams) -> OverlapResult {
     let mut hwg_count_total = 0usize;
     for (gi, subs) in subscriptions.iter().enumerate() {
         let g = 1 + gi as u64;
-        converged &= is_whole(&mut world, g, subs);
+        converged &= BenchNode::is_whole(&mut world, g, subs);
         // Fit of the backing HWG at the first subscriber.
         let first = subs[0];
         let fit = world.inspect(first, |n: &BenchNode| n.backing_hwg_size(g));

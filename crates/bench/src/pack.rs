@@ -21,11 +21,11 @@
 //! to the unpacked protocol. The rows land in `BENCH_pack.json`.
 
 use crate::report::{page, Table};
-use crate::world::{build_world, lwg_node, LwgNode};
 use crate::Output;
 use plwg_core::{LwgConfig, LwgId};
-use plwg_naming::NamingConfig;
-use plwg_sim::{Frame, SimDuration, WorldConfig};
+use plwg_obs::scenarios::{join_staggered, Node, Scenario};
+use plwg_sim::{Frame, SimDuration};
+use plwg_vsync::VsyncStack;
 use std::fmt::Write as _;
 
 /// One swept configuration.
@@ -113,24 +113,19 @@ fn run(groups: usize, cfg: &'static Cfg, seed: u64) -> Row {
         policy_interval: SimDuration::from_secs(600),
         ..LwgConfig::default()
     };
-    let config = WorldConfig {
-        seed,
-        ..WorldConfig::default()
+    let scenario = Scenario {
+        lwg: lwg_cfg,
+        ..Scenario::new(seed, 8)
     };
-    let (mut w, _, apps) = build_world(config, &NamingConfig::default(), 8, lwg_node(&lwg_cfg));
+    let (mut w, _, apps) = scenario.build::<VsyncStack>();
     // The big group pins the HWG at all 8 processes.
-    for (i, &n) in apps.iter().enumerate() {
-        let t = w.now() + SimDuration::from_millis(300 * i as u64);
-        w.invoke_at(t, n, move |a: &mut LwgNode, ctx| a.service().join(ctx, BIG));
-    }
+    let now = w.now();
+    join_staggered::<VsyncStack>(&mut w, BIG, &apps, now, SimDuration::from_millis(300));
     w.run_for(SimDuration::from_secs(10));
     // G co-mapped groups over the first 4 processes.
     for g in 0..groups {
-        let lwg = LwgId(1 + g as u64);
-        for (i, &n) in apps[..4].iter().enumerate() {
-            let t = w.now() + SimDuration::from_millis(200 * i as u64);
-            w.invoke_at(t, n, move |a: &mut LwgNode, ctx| a.service().join(ctx, lwg));
-        }
+        let (lwg, now) = (LwgId(1 + g as u64), w.now());
+        join_staggered::<VsyncStack>(&mut w, lwg, &apps[..4], now, SimDuration::from_millis(200));
         w.run_for(SimDuration::from_secs(3));
     }
     w.run_for(SimDuration::from_secs(4));
@@ -143,7 +138,7 @@ fn run(groups: usize, cfg: &'static Cfg, seed: u64) -> Row {
     for &sender in apps.iter().take(SENDERS) {
         for b in 0..BURSTS {
             let t = w.now() + SimDuration::from_millis(b * 10);
-            w.invoke_at(t, sender, move |a: &mut LwgNode, ctx| {
+            w.invoke_at(t, sender, move |a: &mut Node, ctx| {
                 for g in 0..groups {
                     a.service()
                         .send(ctx, LwgId(1 + g as u64), Frame::from_u64(b));

@@ -27,8 +27,8 @@
 use crate::report::{page, Table};
 use crate::{LiveBytes, Output};
 use plwg_core::{DirCounters, HwgId, LwgConfig, LwgId, LwgMsg, ScriptedHwg, View, ViewId};
-use plwg_naming::{NameServer, NamingConfig};
-use plwg_sim::{Frame, NetConfig, NodeId, SimDuration, World, WorldConfig};
+use plwg_obs::scenarios::Scenario;
+use plwg_sim::{Frame, NodeId, SimDuration, World};
 
 type Node = plwg_core::LwgNode<ScriptedHwg>;
 
@@ -101,26 +101,14 @@ impl Row {
 }
 
 fn setup(rebalance: bool) -> (World, NodeId) {
-    let mut w = World::new(WorldConfig {
-        seed: 7,
-        net: NetConfig {
-            jitter: SimDuration::ZERO,
-            ..NetConfig::default()
-        },
-        ..WorldConfig::default()
-    });
-    let server = w.add_node(Box::new(NameServer::new(
-        NodeId(0),
-        vec![],
-        NamingConfig::default(),
-    )));
-    let app = w.add_node(Box::new(
-        Node::builder(NodeId(1))
-            .servers([server])
-            .config(cfg(rebalance))
-            .build()
-            .expect("valid sweep config"),
-    ));
+    let mut scenario = Scenario {
+        servers: 1,
+        lwg: cfg(rebalance),
+        ..Scenario::new(7, 1)
+    };
+    scenario.world.net.jitter = SimDuration::ZERO;
+    let (mut w, _, apps) = scenario.build::<ScriptedHwg>();
+    let app = apps[0];
     for slot in 0..HWGS {
         let view = View::initial(ViewId::new(app, 1), vec![app]);
         let h = hwg(slot);

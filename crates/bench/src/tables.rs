@@ -1,10 +1,11 @@
 //! Tables 3 and 4: the naming database through a partition heal.
 
-use crate::world::{at, build_world, lwg_node, LwgNode};
 use crate::Output;
 use plwg_core::{HwgConfig, LwgConfig, LwgId};
 use plwg_naming::{MappingDb, NameServer, NamingConfig};
-use plwg_sim::{NodeId, SimDuration, World, WorldConfig};
+use plwg_obs::scenarios::{join_staggered, Node, Scenario};
+use plwg_sim::{NodeId, SimDuration, SimTime, World};
+use plwg_vsync::VsyncStack;
 use std::fmt::Write as _;
 
 const LWG_A: LwgId = LwgId(1);
@@ -44,12 +45,7 @@ fn replica(w: &mut World, s: NodeId) -> String {
 /// all of them — conflicts are surfaced, never silently dropped. Asserts
 /// that the merge holds a conflict and that it is later reconciled.
 pub(crate) fn tab3() -> Output {
-    let (mut w, servers, apps) = build_world(
-        WorldConfig::default(),
-        &NamingConfig::default(),
-        8,
-        lwg_node(&LwgConfig::default()),
-    );
+    let (mut w, servers, apps) = Scenario::new(0, 8).build::<VsyncStack>();
     let (s0, s1) = (servers[0], servers[1]);
 
     // LWG_a = {p0,p1,p4,p5}, LWG_b = {p2,p3,p6,p7}: each spans the future
@@ -57,21 +53,10 @@ pub(crate) fn tab3() -> Output {
     // different HWGs (hwg_1, hwg_2 of the paper's figure).
     let members_a = [apps[0], apps[1], apps[4], apps[5]];
     let members_b = [apps[2], apps[3], apps[6], apps[7]];
-    for (i, &m) in members_a.iter().enumerate() {
-        w.invoke_at(
-            at(0) + SimDuration::from_millis(400 * i as u64),
-            m,
-            |a: &mut LwgNode, ctx| a.service().join(ctx, LWG_A),
-        );
-    }
-    for (i, &m) in members_b.iter().enumerate() {
-        w.invoke_at(
-            at(1) + SimDuration::from_millis(400 * i as u64),
-            m,
-            |a: &mut LwgNode, ctx| a.service().join(ctx, LWG_B),
-        );
-    }
-    w.run_until(at(15));
+    let gap = SimDuration::from_millis(400);
+    join_staggered::<VsyncStack>(&mut w, LWG_A, &members_a, SimTime::ZERO, gap);
+    join_staggered::<VsyncStack>(&mut w, LWG_B, &members_b, SimTime::from_secs(1), gap);
+    w.run_until(SimTime::from_secs(15));
     let mut out = String::from("== before the partition (one mapping per LWG) ==\n");
     out += &replica(&mut w, s0);
 
@@ -80,8 +65,8 @@ pub(crate) fn tab3() -> Output {
     side_p.extend(&apps[..4]);
     let mut side_q = vec![s1];
     side_q.extend(&apps[4..]);
-    w.split_at(at(16), vec![side_p, side_q]);
-    w.run_until(at(35));
+    w.split_at(SimTime::from_secs(16), vec![side_p, side_q]);
+    w.run_until(SimTime::from_secs(35));
 
     out += "\n== partition p (server 0's replica) ==\n";
     out += &replica(&mut w, s0);
@@ -102,10 +87,10 @@ pub(crate) fn tab3() -> Output {
     let _ = writeln!(out, "  inconsistent groups detected: {conflicts:?}");
     assert!(!conflicts.is_empty(), "Table 3 requires a conflict");
 
-    w.heal_at(at(35));
+    w.heal_at(SimTime::from_secs(35));
 
     // And the eventual collapse (Table 4's final stage).
-    w.run_until(at(80));
+    w.run_until(SimTime::from_secs(80));
     out += "\n== after reconciliation completes (paper Table 4, stage 4) ==\n";
     out += &replica(&mut w, s0);
     w.inspect(s0, |s: &NameServer| {
@@ -139,36 +124,38 @@ pub(crate) fn tab4() -> Output {
         },
         ..LwgConfig::default()
     };
-    let (mut w, servers, apps) = build_world(WorldConfig::default(), &naming, 4, lwg_node(&cfg));
+    let scenario = Scenario {
+        naming,
+        lwg: cfg,
+        ..Scenario::new(0, 4)
+    };
+    let (mut w, servers, apps) = scenario.build::<VsyncStack>();
     let (s0, s1) = (servers[0], servers[1]);
 
     // Partition FIRST: {s0, p0, p1} | {s1, p2, p3}.
     w.split_at(
-        at(1),
+        SimTime::from_secs(1),
         vec![vec![s0, apps[0], apps[1]], vec![s1, apps[2], apps[3]]],
     );
     // Each side founds both LWGs independently → concurrent views mapped
     // onto *different* HWGs (paper Figure 3's inconsistent mappings).
     for lwg in [LWG_A, LWG_B] {
-        for (i, &m) in apps.iter().enumerate() {
-            w.invoke_at(
-                at(2) + SimDuration::from_millis(400 * (i as u64 % 2) + 50 * lwg.0),
-                m,
-                move |a: &mut LwgNode, ctx| a.service().join(ctx, lwg),
-            );
+        let start = SimTime::from_secs(2) + SimDuration::from_millis(50 * lwg.0);
+        for side in apps.chunks(2) {
+            join_staggered::<VsyncStack>(&mut w, lwg, side, start, SimDuration::from_millis(400));
         }
     }
-    w.run_until(at(25));
+    w.run_until(SimTime::from_secs(25));
     let mut out = String::from("== while partitioned ==\nserver 0 (partition p):\n");
     out += &replica(&mut w, s0);
     out += "server 1 (partition p'):\n";
     out += &replica(&mut w, s1);
 
-    w.heal_at(at(25));
+    w.heal_at(SimTime::from_secs(25));
     out += "\nsampling server 0 after the heal at t=25s:\n";
     let mut last = replica(&mut w, s0);
     let mut stage = 0;
-    while w.now() < at(70) {
+    while w.now() < SimTime::from_secs(70) {
         w.run_for(SimDuration::from_millis(10));
         let snapshot = replica(&mut w, s0);
         if snapshot != last {
@@ -191,9 +178,9 @@ pub(crate) fn tab4() -> Output {
     );
     // Every member agrees on a single 4-member view per group.
     for lwg in [LWG_A, LWG_B] {
-        let v0 = w.inspect(apps[0], |a: &LwgNode| a.current_view(lwg).cloned());
+        let v0 = w.inspect(apps[0], |a: &Node| a.current_view(lwg).cloned());
         for &m in &apps {
-            let v = w.inspect(m, |a: &LwgNode| a.current_view(lwg).cloned());
+            let v = w.inspect(m, |a: &Node| a.current_view(lwg).cloned());
             assert_eq!(v, v0, "all members agree on {lwg}");
         }
         assert_eq!(v0.expect("view").len(), 4, "{lwg} spans all members");

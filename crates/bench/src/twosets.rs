@@ -5,10 +5,9 @@
 //! interference ablation reuses the bring-up and the probes.
 
 use crate::mode::{BenchNode, ServiceMode};
-use crate::world::{build_world, is_whole, run_until_whole};
 use plwg_core::LwgConfig;
-use plwg_naming::NamingConfig;
-use plwg_sim::{Histogram, HistogramSummary, NodeId, SimDuration, SimTime, World, WorldConfig};
+use plwg_obs::scenarios::{run_until, Scenario};
+use plwg_sim::{Histogram, HistogramSummary, NodeId, SimDuration, SimTime, World};
 
 /// Traffic offered to every user group.
 #[derive(Debug, Clone, Copy)]
@@ -105,7 +104,9 @@ impl Layout {
 
     /// Whether each of `groups` shows its full membership at every member.
     pub(crate) fn is_whole(&self, world: &mut World, groups: &[u64]) -> bool {
-        groups.iter().all(|&g| is_whole(world, g, self.members(g)))
+        groups
+            .iter()
+            .all(|&g| BenchNode::is_whole(world, g, self.members(g)))
     }
 
     /// Schedules `traffic` on each of `groups` from its first member,
@@ -136,17 +137,10 @@ pub(crate) fn bring_up(params: &TwoSetsParams) -> (World, Layout) {
         ServiceMode::Static => BenchNode::static_config(LwgConfig::default()),
         _ => LwgConfig::default(),
     };
-    let config = WorldConfig {
-        seed: params.seed,
-        proc_time: params.proc_time,
-        ..WorldConfig::default()
-    };
-    let (mut world, _, apps) = build_world(
-        config,
-        &NamingConfig::default(),
-        params.members_per_group * 2,
-        |me, servers| BenchNode::new(me, params.mode, servers, cfg.clone()),
-    );
+    let mut scenario = Scenario::new(params.seed, params.members_per_group * 2);
+    scenario.world.proc_time = params.proc_time;
+    let (mut world, _, apps) =
+        scenario.build_with(|me, servers| BenchNode::new(me, params.mode, servers, cfg.clone()));
     let (set_a, set_b) = apps.split_at(params.members_per_group);
     let n = params.groups_per_set as u64;
     let sets = Layout {
@@ -237,7 +231,7 @@ pub(crate) fn run_two_sets(params: &TwoSetsParams) -> TwoSetsResult {
     let (mut world, sets) = bring_up(params);
     let groups = sets.groups();
     world.run_for(SimDuration::from_secs(8));
-    run_until_whole(
+    run_until(
         &mut world,
         SimDuration::from_secs(1),
         SimDuration::from_secs(300),

@@ -2,47 +2,13 @@
 //! over several groups — the system must keep converging and never violate
 //! its structural invariants.
 
-use plwg_core::{LwgConfig, LwgId, ServiceStats};
+use plwg_core::{LwgId, ServiceStats};
 use plwg_vsync::VsyncStack;
 
 /// The production instantiation exercised by these scenarios.
 type LwgNode = plwg_core::LwgNode<VsyncStack>;
-use plwg_naming::{NameServer, NamingConfig};
-use plwg_sim::{NodeId, SimDuration, SimTime, World, WorldConfig};
-
-fn at(s: u64) -> SimTime {
-    SimTime::from_micros(s * 1_000_000)
-}
-
-fn build(seed: u64, apps: u32) -> (World, Vec<NodeId>, Vec<NodeId>) {
-    let mut world = World::new(WorldConfig {
-        seed,
-        ..WorldConfig::default()
-    });
-    let s0 = world.add_node(Box::new(NameServer::new(
-        NodeId(0),
-        vec![NodeId(1)],
-        NamingConfig::default(),
-    )));
-    let s1 = world.add_node(Box::new(NameServer::new(
-        NodeId(1),
-        vec![NodeId(0)],
-        NamingConfig::default(),
-    )));
-    let servers = vec![s0, s1];
-    let apps: Vec<NodeId> = (0..apps)
-        .map(|i| {
-            world.add_node(Box::new(
-                LwgNode::builder(NodeId(2 + i))
-                    .servers(servers.clone())
-                    .config(LwgConfig::default())
-                    .build()
-                    .expect("valid LWG config"),
-            ))
-        })
-        .collect();
-    (world, servers, apps)
-}
+use plwg_obs::scenarios::{join_staggered, Scenario};
+use plwg_sim::{NodeId, SimDuration, SimTime, World};
 
 /// Asserts the cross-node invariants once the system has settled:
 /// members of a view agree on it exactly, and every live group has a
@@ -100,7 +66,7 @@ fn assert_settled(world: &mut World, apps: &[NodeId], groups: &[LwgId]) {
 
 #[test]
 fn sustained_churn_converges() {
-    let (mut world, servers, apps) = build(51, 6);
+    let (mut world, servers, apps) = Scenario::new(51, 6).build::<VsyncStack>();
     let groups = [LwgId(1), LwgId(2), LwgId(3)];
 
     // Initial memberships: g1 = all, g2 = first 4, g3 = last 3.
@@ -128,7 +94,7 @@ fn sustained_churn_converges() {
     ];
     for (t, g, idx, join) in schedule {
         let node = apps[idx];
-        world.invoke_at(at(t), node, move |n: &mut LwgNode, ctx| {
+        world.invoke_at(SimTime::from_secs(t), node, move |n: &mut LwgNode, ctx| {
             if join {
                 n.service().join(ctx, g);
             } else {
@@ -137,19 +103,19 @@ fn sustained_churn_converges() {
         });
     }
     // A crash + restart and a partition in the middle of it all.
-    world.crash_at(at(26), apps[5]);
-    world.restart_at(at(34), apps[5]);
+    world.crash_at(SimTime::from_secs(26), apps[5]);
+    world.restart_at(SimTime::from_secs(34), apps[5]);
     world.split_at(
-        at(40),
+        SimTime::from_secs(40),
         vec![
             vec![servers[0], apps[0], apps[1], apps[2]],
             vec![servers[1], apps[3], apps[4], apps[5]],
         ],
     );
-    world.heal_at(at(52));
+    world.heal_at(SimTime::from_secs(52));
 
     // Long settle, then check all invariants.
-    world.run_until(at(110));
+    world.run_until(SimTime::from_secs(110));
     assert_settled(&mut world, &apps, &groups);
 
     // Spot-check final memberships against the schedule.
@@ -178,16 +144,11 @@ fn sustained_churn_converges() {
 
 #[test]
 fn repeated_partition_cycles_converge() {
-    let (mut world, servers, apps) = build(52, 4);
+    let (mut world, servers, apps) = Scenario::new(52, 4).build::<VsyncStack>();
     let g = LwgId(1);
-    for (i, &m) in apps.iter().enumerate() {
-        world.invoke_at(
-            at(0) + SimDuration::from_millis(400 * i as u64),
-            m,
-            move |n: &mut LwgNode, ctx| n.service().join(ctx, g),
-        );
-    }
-    world.run_until(at(10));
+    let gap = SimDuration::from_millis(400);
+    join_staggered::<VsyncStack>(&mut world, g, &apps, SimTime::ZERO, gap);
+    world.run_until(SimTime::from_secs(10));
     // Three split/heal cycles with different cuts.
     let cuts: Vec<(Vec<usize>, Vec<usize>)> = vec![
         (vec![0, 1], vec![2, 3]),
@@ -200,11 +161,11 @@ fn repeated_partition_cycles_converge() {
         a.extend(left.iter().map(|&i| apps[i]));
         let mut b = vec![servers[1]];
         b.extend(right.iter().map(|&i| apps[i]));
-        world.split_at(at(t), vec![a, b]);
-        world.heal_at(at(t + 12));
+        world.split_at(SimTime::from_secs(t), vec![a, b]);
+        world.heal_at(SimTime::from_secs(t + 12));
         t += 30;
     }
-    world.run_until(at(t + 20));
+    world.run_until(SimTime::from_secs(t + 20));
     assert_settled(&mut world, &apps, &[g]);
     let v = world
         .inspect(apps[0], |n: &LwgNode| n.current_view(g).cloned())

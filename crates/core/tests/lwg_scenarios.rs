@@ -8,7 +8,8 @@ use plwg_vsync::VsyncStack;
 /// The production instantiation exercised by these scenarios.
 type LwgNode = plwg_core::LwgNode<VsyncStack>;
 use plwg_naming::{NameServer, NamingConfig};
-use plwg_sim::{Frame, NodeId, Payload, SimDuration, SimTime, World, WorldConfig};
+use plwg_obs::scenarios::{agree, join_staggered, Scenario};
+use plwg_sim::{Frame, NodeId, Payload, SimDuration, SimTime, World};
 
 /// The 8-byte little-endian test payload convention (see `Frame::from_u64`).
 fn payload(v: u64) -> Payload {
@@ -22,53 +23,23 @@ fn secs(s: u64) -> SimDuration {
     SimDuration::from_secs(s)
 }
 
-fn at(s: u64) -> SimTime {
-    SimTime::from_micros(s * 1_000_000)
+/// A traced world: 2 name servers (n0, n1) + `n` application nodes.
+fn setup(n: usize, seed: u64) -> (World, Vec<NodeId>, Vec<NodeId>) {
+    Scenario::traced(seed, n).build::<VsyncStack>()
 }
 
-/// Builds a world: 2 name servers (n0, n1) + `n` application nodes.
-fn setup(n: u32, seed: u64) -> (World, Vec<NodeId>, Vec<NodeId>) {
-    setup_cfg(n, seed, LwgConfig::default())
-}
-
-fn setup_cfg(n: u32, seed: u64, cfg: LwgConfig) -> (World, Vec<NodeId>, Vec<NodeId>) {
-    let mut w = World::new(WorldConfig {
-        seed,
-        trace: true,
-        ..WorldConfig::default()
-    });
-    let s0 = w.add_node(Box::new(NameServer::new(
-        NodeId(0),
-        vec![NodeId(1)],
-        NamingConfig::default(),
-    )));
-    let s1 = w.add_node(Box::new(NameServer::new(
-        NodeId(1),
-        vec![NodeId(0)],
-        NamingConfig::default(),
-    )));
-    let servers = vec![s0, s1];
-    let apps: Vec<NodeId> = (0..n)
-        .map(|i| {
-            w.add_node(Box::new(
-                LwgNode::builder(NodeId(2 + i))
-                    .servers(servers.clone())
-                    .config(cfg.clone())
-                    .build()
-                    .expect("valid LWG config"),
-            ))
-        })
-        .collect();
-    (w, servers, apps)
-}
-
-fn join_all(w: &mut World, nodes: &[NodeId], lwg: LwgId, stagger_ms: u64) {
-    for (i, &n) in nodes.iter().enumerate() {
-        let t = w.now() + SimDuration::from_millis(stagger_ms * i as u64);
-        w.invoke_at(t.max(w.now()), n, move |a: &mut LwgNode, ctx| {
-            a.service().join(ctx, lwg)
-        });
+fn setup_cfg(n: usize, seed: u64, lwg: LwgConfig) -> (World, Vec<NodeId>, Vec<NodeId>) {
+    Scenario {
+        lwg,
+        ..Scenario::traced(seed, n)
     }
+    .build::<VsyncStack>()
+}
+
+/// Schedules `nodes`' joins of `lwg` from now on, `stagger_ms` apart.
+fn join_all(w: &mut World, nodes: &[NodeId], lwg: LwgId, stagger_ms: u64) {
+    let (now, gap) = (w.now(), SimDuration::from_millis(stagger_ms));
+    join_staggered::<VsyncStack>(w, lwg, nodes, now, gap);
 }
 
 fn common_view(w: &mut World, nodes: &[NodeId], lwg: LwgId) -> Option<View> {
@@ -150,7 +121,7 @@ fn lwg_multicast_is_fifo_and_filtered_by_group() {
     let (mut w, _s, apps) = setup(3, 5);
     // Node 2 joins only B — it must not see A's traffic.
     let loner = apps[2];
-    w.invoke_at(at(3), loner, move |a: &mut LwgNode, ctx| {
+    w.invoke_at(SimTime::from_secs(3), loner, move |a: &mut LwgNode, ctx| {
         a.service().join(ctx, B)
     });
     join_all(&mut w, &apps[..2], A, 300);
@@ -232,20 +203,20 @@ fn partition_creates_concurrent_views_and_heal_merges_them() {
 
     // Split app nodes 2/2; each side keeps one name server.
     w.split_at(
-        at(12),
+        SimTime::from_secs(12),
         vec![
             vec![servers[0], apps[0], apps[1]],
             vec![servers[1], apps[2], apps[3]],
         ],
     );
-    w.run_until(at(24));
+    w.run_until(SimTime::from_secs(24));
     let va = assert_converged(&mut w, &apps[..2], A, 2);
     let vb = assert_converged(&mut w, &apps[2..], A, 2);
     assert_ne!(va.id, vb.id, "the sides hold concurrent views");
     assert_ne!(va.sorted_members(), vb.sorted_members());
 
-    w.heal_at(at(24));
-    w.run_until(at(45));
+    w.heal_at(SimTime::from_secs(24));
+    w.run_until(SimTime::from_secs(45));
     let merged = assert_converged(&mut w, &apps, A, 4);
     assert_ne!(merged.id, pre.id);
     // The merged view descends from both concurrent views.
@@ -279,20 +250,20 @@ fn fig3_inconsistent_mappings_reconcile_after_heal() {
 
     // Partition; each side keeps serving both groups (concurrent views).
     w.split_at(
-        at(25),
+        SimTime::from_secs(25),
         vec![
             vec![servers[0], apps[0], apps[1]],
             vec![servers[1], apps[2], apps[3]],
         ],
     );
-    w.run_until(at(45));
+    w.run_until(SimTime::from_secs(45));
     for lwg in [A, B] {
         assert_converged(&mut w, &apps[..2], lwg, 2);
         assert_converged(&mut w, &apps[2..], lwg, 2);
     }
 
-    w.heal_at(at(45));
-    w.run_until(at(80));
+    w.heal_at(SimTime::from_secs(45));
+    w.run_until(SimTime::from_secs(80));
     let va = assert_converged(&mut w, &apps, A, 4);
     let vb = assert_converged(&mut w, &apps, B, 4);
     assert!(va.predecessors.len() >= 2, "A merged from concurrents");
@@ -423,48 +394,25 @@ fn share_rule_collapses_duplicate_hwgs_after_heal() {
     // Found A and B in two different partitions: each side creates its own
     // fresh HWG for its group.
     w.split_at(
-        at(1),
+        SimTime::from_secs(1),
         vec![
             vec![servers[0], nodes[0], nodes[1]],
             vec![servers[1], nodes[2], nodes[3]],
         ],
     );
     // A lives on side 1, B on side 2 (2 members each).
-    for (i, &m) in nodes[..2].iter().enumerate() {
-        w.invoke_at(
-            at(2) + SimDuration::from_millis(400 * i as u64),
-            m,
-            |a: &mut LwgNode, ctx| a.service().join(ctx, A),
-        );
-    }
-    for (i, &m) in nodes[2..].iter().enumerate() {
-        w.invoke_at(
-            at(2) + SimDuration::from_millis(400 * i as u64),
-            m,
-            |a: &mut LwgNode, ctx| a.service().join(ctx, B),
-        );
-    }
-    w.run_until(at(15));
-    w.heal_at(at(15));
+    let gap = SimDuration::from_millis(400);
+    join_staggered::<VsyncStack>(&mut w, A, &nodes[..2], SimTime::from_secs(2), gap);
+    join_staggered::<VsyncStack>(&mut w, B, &nodes[2..], SimTime::from_secs(2), gap);
+    w.run_until(SimTime::from_secs(15));
+    w.heal_at(SimTime::from_secs(15));
     // After the heal, the remaining members of A join from the other side
     // and vice versa, so both groups span all four — on two identical
     // 4-member HWGs, which the share rule must then collapse.
-    for (i, &m) in nodes[2..].iter().enumerate() {
-        w.invoke_at(
-            at(18) + SimDuration::from_millis(400 * i as u64),
-            m,
-            |a: &mut LwgNode, ctx| a.service().join(ctx, A),
-        );
-    }
-    for (i, &m) in nodes[..2].iter().enumerate() {
-        w.invoke_at(
-            at(18) + SimDuration::from_millis(400 * i as u64),
-            m,
-            |a: &mut LwgNode, ctx| a.service().join(ctx, B),
-        );
-    }
+    join_staggered::<VsyncStack>(&mut w, A, &nodes[2..], SimTime::from_secs(18), gap);
+    join_staggered::<VsyncStack>(&mut w, B, &nodes[..2], SimTime::from_secs(18), gap);
     // Allow joins + several policy rounds + shrink grace.
-    w.run_until(at(75));
+    w.run_until(SimTime::from_secs(75));
     assert_converged(&mut w, &apps, A, 4);
     assert_converged(&mut w, &apps, B, 4);
     let ha = w.inspect(apps[0], |a: &LwgNode| a.service_ref().mapping_of(A));
@@ -498,53 +446,33 @@ fn polling_mode_reconciles_without_callbacks() {
         ns_poll_interval: Some(secs(1)),
         ..LwgConfig::default()
     };
-    // Build the world by hand: the *servers* must run with callbacks
-    // disabled (setup_cfg gives them the default config).
-    let mut w = World::new(WorldConfig {
-        seed: 16,
-        trace: true,
-        ..WorldConfig::default()
-    });
-    let s0 = w.add_node(Box::new(NameServer::new(
-        NodeId(0),
-        vec![NodeId(1)],
-        ns_cfg.clone(),
-    )));
-    let s1 = w.add_node(Box::new(NameServer::new(
-        NodeId(1),
-        vec![NodeId(0)],
-        ns_cfg,
-    )));
-    let servers = vec![s0, s1];
-    let apps: Vec<NodeId> = (0..4)
-        .map(|i| {
-            w.add_node(Box::new(
-                LwgNode::builder(NodeId(2 + i))
-                    .servers(servers.clone())
-                    .config(cfg.clone())
-                    .build()
-                    .expect("valid LWG config"),
-            ))
-        })
-        .collect();
+    // The *servers* run with callbacks disabled too.
+    let (mut w, servers, apps) = Scenario {
+        naming: ns_cfg,
+        lwg: cfg,
+        ..Scenario::traced(16, 4)
+    }
+    .build::<VsyncStack>();
     // Found the group in two partitions (different HWGs per side).
     w.split_at(
-        at(1),
+        SimTime::from_secs(1),
         vec![
             vec![servers[0], apps[0], apps[1]],
             vec![servers[1], apps[2], apps[3]],
         ],
     );
-    for (i, &m) in apps.iter().enumerate() {
-        w.invoke_at(
-            at(2) + SimDuration::from_millis(400 * (i as u64 % 2)),
-            m,
-            |a: &mut LwgNode, ctx| a.service().join(ctx, A),
+    for side in apps.chunks(2) {
+        join_staggered::<VsyncStack>(
+            &mut w,
+            A,
+            side,
+            SimTime::from_secs(2),
+            SimDuration::from_millis(400),
         );
     }
-    w.run_until(at(20));
-    w.heal_at(at(20));
-    w.run_until(at(60));
+    w.run_until(SimTime::from_secs(20));
+    w.heal_at(SimTime::from_secs(20));
+    w.run_until(SimTime::from_secs(60));
     let v = assert_converged(&mut w, &apps, A, 4);
     assert!(v.predecessors.len() >= 2, "merged from concurrent views");
     assert_eq!(
@@ -573,83 +501,43 @@ fn stale_mapping_join_is_redirected_by_forward_pointer() {
         policy_interval: secs(6),
         ..LwgConfig::default()
     };
-    let mut w = World::new(WorldConfig {
-        seed: 17,
-        trace: true,
-        ..WorldConfig::default()
-    });
-    let s0 = w.add_node(Box::new(NameServer::new(
-        NodeId(0),
-        vec![NodeId(1)],
-        ns_cfg.clone(),
-    )));
-    let s1 = w.add_node(Box::new(NameServer::new(
-        NodeId(1),
-        vec![NodeId(0)],
-        ns_cfg,
-    )));
-    let servers = vec![s0, s1];
-    let apps: Vec<NodeId> = (0..9)
-        .map(|i| {
-            w.add_node(Box::new(
-                LwgNode::builder(NodeId(2 + i))
-                    .servers(servers.clone())
-                    .config(cfg.clone())
-                    .build()
-                    .expect("valid LWG config"),
-            ))
-        })
-        .collect();
+    let (mut w, servers, apps) = Scenario {
+        naming: ns_cfg,
+        lwg: cfg,
+        ..Scenario::traced(17, 9)
+    }
+    .build::<VsyncStack>();
+    let (s0, s1) = (servers[0], servers[1]);
     // Big group over the first eight; small group B of two that the
     // interference rule will switch off the big HWG.
-    for (i, &m) in apps[..8].iter().enumerate() {
-        w.invoke_at(
-            at(0) + SimDuration::from_millis(300 * i as u64),
-            m,
-            |a: &mut LwgNode, ctx| a.service().join(ctx, A),
-        );
-    }
-    w.run_until(at(10));
-    for (i, &m) in apps[..2].iter().enumerate() {
-        w.invoke_at(
-            at(10) + SimDuration::from_millis(300 * i as u64),
-            m,
-            |a: &mut LwgNode, ctx| a.service().join(ctx, B),
-        );
-    }
+    let gap = SimDuration::from_millis(300);
+    join_staggered::<VsyncStack>(&mut w, A, &apps[..8], SimTime::ZERO, gap);
+    w.run_until(SimTime::from_secs(10));
+    join_staggered::<VsyncStack>(&mut w, B, &apps[..2], SimTime::from_secs(10), gap);
     // Let B form and its mapping reach BOTH servers via gossip.
-    w.run_until(at(17));
+    w.run_until(SimTime::from_secs(17));
     let before = w.inspect(apps[0], |a: &LwgNode| a.service_ref().mapping_of(B));
     // Cut s1 off; the interference switch happens while it cannot learn of
     // the new mapping.
     let mut others: Vec<NodeId> = vec![s0];
     others.extend(&apps);
-    w.split_at(at(17), vec![others, vec![s1]]);
-    w.run_until(at(26));
+    w.split_at(SimTime::from_secs(17), vec![others, vec![s1]]);
+    w.run_until(SimTime::from_secs(26));
     let after = w.inspect(apps[0], |a: &LwgNode| a.service_ref().mapping_of(B));
     assert_ne!(before, after, "B must have switched while s1 was away");
     // Heal, and join through the stale server before its next gossip.
-    w.heal_at(at(26));
+    w.heal_at(SimTime::from_secs(26));
     let late = apps[7]; // NodeId(9): home server = s1 (9 % 2 = 1)
     w.invoke_at(
-        at(26) + SimDuration::from_millis(200),
+        SimTime::from_secs(26) + SimDuration::from_millis(200),
         late,
         |a: &mut LwgNode, ctx| a.service().join(ctx, B),
     );
-    w.run_until(at(45));
-    let members: Vec<NodeId> = vec![apps[0], apps[1], late];
-    let mut expect = members.clone();
-    expect.sort_unstable();
-    for &m in &members {
-        let v = w.inspect(m, |a: &LwgNode| {
-            a.current_view(B).map(|v| v.sorted_members())
-        });
-        assert_eq!(
-            v.as_deref(),
-            Some(&expect[..]),
-            "B converges with the late joiner at {m}"
-        );
-    }
+    w.run_until(SimTime::from_secs(45));
+    assert!(
+        agree::<VsyncStack>(&mut w, B, &[apps[0], apps[1], late]),
+        "B converges with the late joiner"
+    );
     // The stale read really happened and was repaired by a forward pointer.
     assert!(
         w.metrics().counter(plwg_core::keys::REDIRECTS_FOLLOWED) >= 1,
@@ -766,13 +654,13 @@ fn packed_bursts_survive_partition_and_heal() {
     assert_converged(&mut w, &apps, A, 4);
 
     w.split_at(
-        at(12),
+        SimTime::from_secs(12),
         vec![
             vec![servers[0], apps[0], apps[1]],
             vec![servers[1], apps[2], apps[3]],
         ],
     );
-    w.run_until(at(24));
+    w.run_until(SimTime::from_secs(24));
     assert_converged(&mut w, &apps[..2], A, 2);
     assert_converged(&mut w, &apps[2..], A, 2);
 
@@ -794,8 +682,8 @@ fn packed_bursts_survive_partition_and_heal() {
     let got: Vec<u64> = w.inspect(apps[3], |a: &LwgNode| a.events_ref().data_from(A, right));
     assert_eq!(got, (100..120).collect::<Vec<u64>>(), "right side FIFO");
 
-    w.heal_at(at(30));
-    w.run_until(at(50));
+    w.heal_at(SimTime::from_secs(30));
+    w.run_until(SimTime::from_secs(50));
     assert_converged(&mut w, &apps, A, 4);
     // Post-heal burst reaches everyone, in order.
     w.invoke(left, move |a: &mut LwgNode, ctx| {

@@ -4,9 +4,8 @@
 //! balanced system never moves anything again (no oscillation).
 
 use plwg_core::{HwgId, LwgConfig, LwgId, LwgMsg, ScriptedHwg, View, ViewId};
-use plwg_naming::{NameServer, NamingConfig};
-use plwg_obs::Timeline;
-use plwg_sim::{NetConfig, NodeId, SimDuration, World, WorldConfig};
+use plwg_obs::{scenarios::Scenario, Timeline};
+use plwg_sim::{NodeId, SimDuration, World};
 
 type Node = plwg_core::LwgNode<ScriptedHwg>;
 
@@ -29,28 +28,14 @@ fn cfg() -> LwgConfig {
 /// One name server and one app node — the node coordinates every group,
 /// so the rebalancer's decisions are entirely its own.
 fn setup() -> (World, NodeId) {
-    let mut w = World::new(WorldConfig {
-        seed: 11,
-        trace: true,
-        net: NetConfig {
-            jitter: SimDuration::ZERO,
-            ..NetConfig::default()
-        },
-        ..WorldConfig::default()
-    });
-    let server = w.add_node(Box::new(NameServer::new(
-        NodeId(0),
-        vec![],
-        NamingConfig::default(),
-    )));
-    let app = w.add_node(Box::new(
-        Node::builder(NodeId(1))
-            .servers([server])
-            .config(cfg())
-            .build()
-            .expect("valid rebalance config"),
-    ));
-    (w, app)
+    let mut scenario = Scenario {
+        servers: 1,
+        lwg: cfg(),
+        ..Scenario::traced(11, 1)
+    };
+    scenario.world.net.jitter = SimDuration::ZERO;
+    let (w, _, apps) = scenario.build::<ScriptedHwg>();
+    (w, apps[0])
 }
 
 /// Installs singleton HWG views for `a` on both HWGs and seeds `on_h1`

@@ -12,8 +12,8 @@
 use plwg_core::{HwgId, LwgConfig, LwgId, LwgMsg, ScriptedHwg, View, ViewId};
 use plwg_hwg::view_key;
 use plwg_naming::{NameServer, NamingConfig};
-use plwg_obs::Timeline;
-use plwg_sim::{Frame, NetConfig, NodeId, SimDuration, World, WorldConfig};
+use plwg_obs::{scenarios::Scenario, Timeline};
+use plwg_sim::{Frame, NodeId, SimDuration, World};
 
 /// The production-shaped node, instantiated over the scripted substrate.
 type Node = plwg_core::LwgNode<ScriptedHwg>;
@@ -45,32 +45,19 @@ fn cfg() -> LwgConfig {
 }
 
 /// A world with one name server (`NodeId(0)`) and `n` scripted app nodes.
-fn setup_cfg(n: u32, cfg: LwgConfig) -> (World, Vec<NodeId>) {
-    let mut w = World::new(WorldConfig {
-        seed: 7,
-        trace: true,
-        net: NetConfig {
-            jitter: SimDuration::ZERO,
-            ..NetConfig::default()
-        },
-        ..WorldConfig::default()
-    });
-    let server = w.add_node(Box::new(NameServer::new(NodeId(0), vec![], naming_cfg())));
-    let apps: Vec<NodeId> = (0..n)
-        .map(|i| {
-            w.add_node(Box::new(
-                Node::builder(NodeId(1 + i))
-                    .servers([server])
-                    .config(cfg.clone())
-                    .build()
-                    .expect("valid protocol config"),
-            ))
-        })
-        .collect();
+fn setup_cfg(apps: usize, lwg: LwgConfig) -> (World, Vec<NodeId>) {
+    let mut scenario = Scenario {
+        servers: 1,
+        naming: naming_cfg(),
+        lwg,
+        ..Scenario::traced(7, apps)
+    };
+    scenario.world.net.jitter = SimDuration::ZERO;
+    let (w, _, apps) = scenario.build::<ScriptedHwg>();
     (w, apps)
 }
 
-fn setup(n: u32) -> (World, Vec<NodeId>) {
+fn setup(n: usize) -> (World, Vec<NodeId>) {
     setup_cfg(n, cfg())
 }
 

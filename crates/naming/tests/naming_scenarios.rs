@@ -88,10 +88,6 @@ fn mapping(lv: ViewId, hwg: u64, members: &[NodeId]) -> Mapping {
     }
 }
 
-fn at(s: u64) -> SimTime {
-    SimTime::from_micros(s * 1_000_000)
-}
-
 /// Two servers (n0, n1) and two clients (n2, n3).
 fn setup(seed: u64) -> (World, Vec<NodeId>, Vec<NodeId>) {
     let mut w = World::new(WorldConfig {
@@ -173,17 +169,25 @@ fn partition_divergence_reconciles_with_callbacks() {
     let (mut w, servers, clients) = setup(4);
     // Partition: {s0, c2} | {s1, c3}.
     w.split_at(
-        at(1),
+        SimTime::from_secs(1),
         vec![vec![servers[0], clients[0]], vec![servers[1], clients[1]]],
     );
     // Each side maps LWG A onto a *different* HWG (concurrent views).
-    w.invoke_at(at(2), clients[0], |c: &mut ClientApp, ctx| {
-        c.ns.set(ctx, A, mapping(vid(2, 1), 7, &[NodeId(2)]), vec![]);
-    });
-    w.invoke_at(at(2), clients[1], |c: &mut ClientApp, ctx| {
-        c.ns.set(ctx, A, mapping(vid(3, 1), 9, &[NodeId(3)]), vec![]);
-    });
-    w.run_until(at(6));
+    w.invoke_at(
+        SimTime::from_secs(2),
+        clients[0],
+        |c: &mut ClientApp, ctx| {
+            c.ns.set(ctx, A, mapping(vid(2, 1), 7, &[NodeId(2)]), vec![]);
+        },
+    );
+    w.invoke_at(
+        SimTime::from_secs(2),
+        clients[1],
+        |c: &mut ClientApp, ctx| {
+            c.ns.set(ctx, A, mapping(vid(3, 1), 9, &[NodeId(3)]), vec![]);
+        },
+    );
+    w.run_until(SimTime::from_secs(6));
     // While partitioned: each server has exactly its side's mapping.
     w.inspect(servers[0], |s: &NameServer| {
         let got = s.db().read(A);
@@ -196,8 +200,8 @@ fn partition_divergence_reconciles_with_callbacks() {
         assert_eq!(got[0].hwg, HwgId(9));
     });
 
-    w.heal_at(at(6));
-    w.run_until(at(12));
+    w.heal_at(SimTime::from_secs(6));
+    w.run_until(SimTime::from_secs(12));
     // Reconciliation: both servers hold both mappings (paper Table 3).
     for &s in &servers {
         w.inspect(s, |s: &NameServer| {
@@ -226,17 +230,25 @@ fn partition_divergence_reconciles_with_callbacks() {
 fn merged_view_registration_clears_inconsistency() {
     let (mut w, servers, clients) = setup(5);
     w.split_at(
-        at(1),
+        SimTime::from_secs(1),
         vec![vec![servers[0], clients[0]], vec![servers[1], clients[1]]],
     );
-    w.invoke_at(at(2), clients[0], |c: &mut ClientApp, ctx| {
-        c.ns.set(ctx, A, mapping(vid(2, 1), 7, &[NodeId(2)]), vec![]);
-    });
-    w.invoke_at(at(2), clients[1], |c: &mut ClientApp, ctx| {
-        c.ns.set(ctx, A, mapping(vid(3, 1), 9, &[NodeId(3)]), vec![]);
-    });
-    w.heal_at(at(4));
-    w.run_until(at(8));
+    w.invoke_at(
+        SimTime::from_secs(2),
+        clients[0],
+        |c: &mut ClientApp, ctx| {
+            c.ns.set(ctx, A, mapping(vid(2, 1), 7, &[NodeId(2)]), vec![]);
+        },
+    );
+    w.invoke_at(
+        SimTime::from_secs(2),
+        clients[1],
+        |c: &mut ClientApp, ctx| {
+            c.ns.set(ctx, A, mapping(vid(3, 1), 9, &[NodeId(3)]), vec![]);
+        },
+    );
+    w.heal_at(SimTime::from_secs(4));
+    w.run_until(SimTime::from_secs(8));
     // Register the merged view succeeding both concurrent views.
     w.invoke(clients[0], |c: &mut ClientApp, ctx| {
         c.ns.set(
@@ -261,18 +273,26 @@ fn merged_view_registration_clears_inconsistency() {
 fn testset_race_across_partition_is_kept_not_lost() {
     let (mut w, servers, clients) = setup(6);
     w.split_at(
-        at(1),
+        SimTime::from_secs(1),
         vec![vec![servers[0], clients[0]], vec![servers[1], clients[1]]],
     );
     // Both sides testset concurrently; within each partition the claim
     // succeeds (no competing mapping visible).
-    w.invoke_at(at(2), clients[0], |c: &mut ClientApp, ctx| {
-        c.ns.testset(ctx, A, mapping(vid(2, 1), 7, &[NodeId(2)]), vec![]);
-    });
-    w.invoke_at(at(2), clients[1], |c: &mut ClientApp, ctx| {
-        c.ns.testset(ctx, A, mapping(vid(3, 1), 9, &[NodeId(3)]), vec![]);
-    });
-    w.run_until(at(5));
+    w.invoke_at(
+        SimTime::from_secs(2),
+        clients[0],
+        |c: &mut ClientApp, ctx| {
+            c.ns.testset(ctx, A, mapping(vid(2, 1), 7, &[NodeId(2)]), vec![]);
+        },
+    );
+    w.invoke_at(
+        SimTime::from_secs(2),
+        clients[1],
+        |c: &mut ClientApp, ctx| {
+            c.ns.testset(ctx, A, mapping(vid(3, 1), 9, &[NodeId(3)]), vec![]);
+        },
+    );
+    w.run_until(SimTime::from_secs(5));
     for (i, &c) in clients.iter().enumerate() {
         w.inspect(c, |c: &ClientApp| {
             let (_, _, mappings) = c.replies.last().expect("testset reply");
@@ -280,8 +300,8 @@ fn testset_race_across_partition_is_kept_not_lost() {
         });
     }
     // Healing surfaces the conflict rather than silently dropping a side.
-    w.heal_at(at(5));
-    w.run_until(at(10));
+    w.heal_at(SimTime::from_secs(5));
+    w.run_until(SimTime::from_secs(10));
     w.inspect(servers[0], |s: &NameServer| {
         assert_eq!(s.db().read(A).len(), 2);
     });

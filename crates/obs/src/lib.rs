@@ -11,8 +11,10 @@
 //! [`Timeline::heal_procedure`] extracts naming reconciliation →
 //! MULTIPLE-MAPPINGS callback → mapping switch → MERGE-VIEWS single-flush
 //! merge from a full run, each step annotated with the events that caused
-//! it. The [`scenarios`] module packages deterministic worlds to build
-//! timelines from (`cargo run --bin timeline -- heal`).
+//! it. The [`scenarios`] module holds the one world builder,
+//! [`scenarios::Scenario`], that every test and experiment builds its world
+//! with, and packages deterministic worlds to build timelines from
+//! (`cargo run --bin timeline -- heal`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,61 +1,171 @@
-//! Deterministic scenario worlds to build timelines from.
+//! The one world builder, and the deterministic scenario worlds to build
+//! timelines from.
 //!
-//! Each scenario constructs a [`World`] with tracing enabled, drives the
-//! full PLWG stack (name servers + `LwgService` over the
-//! virtually-synchronous substrate) through a scripted run, and returns
-//! the world so callers can inspect `world.trace()` — the `timeline` bin
-//! renders [`crate::Timeline::build`] over it.
+//! Every run the paper describes happens in the same kind of world:
+//! replicated name servers, one per future partition side (§5.2), then the
+//! member processes that join LWGs. [`Scenario`] builds it — for the
+//! tests, the experiments and the packaged scenarios alike — and
+//! [`join_staggered`], [`run_until`] and [`agree`] are the join wave, the
+//! wait and the agreement check they share. The schedule is the [`World`]'s
+//! own (`split_at`, `heal_at`, `crash_at`, `invoke_at`, …).
+//!
+//! The packaged scenarios in [`SCENARIOS`] drive the full PLWG stack (name
+//! servers + `LwgService` over the virtually-synchronous substrate) through
+//! a scripted run with tracing on, and return the world so callers can
+//! inspect `world.trace()` — the `timeline` bin renders
+//! [`crate::Timeline::build`] over it.
 
-use plwg_core::{LwgConfig, LwgNode};
-use plwg_naming::{LwgId, NameServer, NamingConfig};
-use plwg_sim::{Frame, NodeId, SimDuration, SimTime, World, WorldConfig};
+use plwg_core::{HwgSubstrate, LwgConfig, LwgId, LwgNode, View};
+use plwg_naming::{NameServer, NamingConfig};
+use plwg_sim::{Frame, NodeId, Process, SimDuration, SimTime, World, WorldConfig};
 use plwg_vsync::VsyncStack;
 
 /// The production node type the scenarios simulate.
 pub type Node = LwgNode<VsyncStack>;
 
-fn at(s: u64) -> SimTime {
-    SimTime::from_micros(s * 1_000_000)
+/// A world as plain data: the simulator's configuration, the name servers
+/// and the member processes. [`Scenario::build`] adds the servers first
+/// (ids `0..servers`, each peered with all the others), then the `apps`
+/// members (the ids after them); the add order fixes the ids and so the
+/// random stream.
+#[derive(Debug, Clone)]
+pub struct Scenario {
+    /// The simulator's configuration: seed, network model, tracing.
+    pub world: WorldConfig,
+    /// How many name servers: 1 (unpeered) or 2 (peered with each other).
+    pub servers: usize,
+    /// Every name server's configuration.
+    pub naming: NamingConfig,
+    /// How many member processes.
+    pub apps: usize,
+    /// Every member's configuration (for [`Scenario::build`]).
+    pub lwg: LwgConfig,
 }
 
-fn traced_world() -> World {
-    World::new(WorldConfig {
-        trace: true,
-        ..WorldConfig::default()
-    })
+impl Scenario {
+    /// Two peered name servers and `apps` members in a world seeded with
+    /// `seed`, every config at its default.
+    pub fn new(seed: u64, apps: usize) -> Self {
+        Scenario {
+            world: WorldConfig {
+                seed,
+                ..WorldConfig::default()
+            },
+            servers: 2,
+            naming: NamingConfig::default(),
+            apps,
+            lwg: LwgConfig::default(),
+        }
+    }
+
+    /// [`Scenario::new`], with the trace on.
+    pub fn traced(seed: u64, apps: usize) -> Self {
+        let mut scenario = Scenario::new(seed, apps);
+        scenario.world.trace = true;
+        scenario
+    }
+
+    /// Builds the world with an `LwgNode<S>` per member. Returns the world,
+    /// the server ids and the member ids.
+    pub fn build<S: HwgSubstrate + 'static>(&self) -> (World, Vec<NodeId>, Vec<NodeId>) {
+        self.build_with(|me, servers| {
+            LwgNode::<S>::builder(me)
+                .servers(servers)
+                .config(self.lwg.clone())
+                .build()
+                .expect("valid LWG config")
+        })
+    }
+
+    /// Builds the world with `node(id, servers)` as each member, for
+    /// members that are not an `LwgNode`. Returns the world, the server ids
+    /// and the member ids.
+    pub fn build_with<P: Process + 'static>(
+        &self,
+        mut node: impl FnMut(NodeId, Vec<NodeId>) -> P,
+    ) -> (World, Vec<NodeId>, Vec<NodeId>) {
+        let mut world = World::new(self.world.clone());
+        let ids = |from: usize, n: usize| (from..from + n).map(|i| NodeId(i as u32));
+        let servers: Vec<NodeId> = ids(0, self.servers)
+            .map(|me| {
+                let peers = ids(0, self.servers).filter(|&p| p != me).collect();
+                let server = NameServer::new(me, peers, self.naming.clone());
+                world.add_node(Box::new(server))
+            })
+            .collect();
+        let apps = ids(self.servers, self.apps)
+            .map(|me| world.add_node(Box::new(node(me, servers.clone()))))
+            .collect();
+        (world, servers, apps)
+    }
+}
+
+/// Schedules one join wave: `members[i]` joins `lwg` at `start + gap × i`.
+pub fn join_staggered<S: HwgSubstrate + 'static>(
+    world: &mut World,
+    lwg: LwgId,
+    members: &[NodeId],
+    start: SimTime,
+    gap: SimDuration,
+) {
+    for (i, &m) in members.iter().enumerate() {
+        let at = start + gap.saturating_mul(i as u64);
+        world.invoke_at(at, m, move |n: &mut LwgNode<S>, ctx| {
+            n.service().join(ctx, lwg)
+        });
+    }
+}
+
+/// Runs `world` in `step`s until `done` holds and returns the time it
+/// first did, or `None` if it still does not once `limit` has passed.
+pub fn run_until(
+    world: &mut World,
+    step: SimDuration,
+    limit: SimDuration,
+    mut done: impl FnMut(&mut World) -> bool,
+) -> Option<SimTime> {
+    let deadline = world.now() + limit;
+    loop {
+        if done(world) {
+            return Some(world.now());
+        }
+        if world.now() >= deadline {
+            return None;
+        }
+        world.run_for(step);
+    }
+}
+
+/// Whether every one of `members` (each an `LwgNode<S>`) holds a current
+/// view of `lwg` whose members are exactly `members` (which are distinct).
+/// It allocates nothing, so a heal window's allocation count can include
+/// the waits on it.
+pub fn agree<S: HwgSubstrate + 'static>(world: &mut World, lwg: LwgId, members: &[NodeId]) -> bool {
+    let exact = |v: &View| v.len() == members.len() && members.iter().all(|&m| v.contains(m));
+    members
+        .iter()
+        .all(|&m| world.inspect(m, |n: &LwgNode<S>| n.current_view(lwg).is_some_and(exact)))
 }
 
 /// Two members join one group and exchange a multicast — the smallest
 /// end-to-end run (mirrors `examples/quickstart.rs`).
 pub fn quickstart() -> World {
-    let mut world = traced_world();
-    let ns = world.add_node(Box::new(NameServer::new(
-        NodeId(0),
-        vec![],
-        NamingConfig::default(),
-    )));
-    let a = world.add_node(Box::new(
-        Node::builder(NodeId(1))
-            .servers(vec![ns])
-            .config(LwgConfig::default())
-            .build()
-            .expect("valid LWG config"),
-    ));
-    let b = world.add_node(Box::new(
-        Node::builder(NodeId(2))
-            .servers(vec![ns])
-            .config(LwgConfig::default())
-            .build()
-            .expect("valid LWG config"),
-    ));
+    let one_server = Scenario {
+        servers: 1,
+        ..Scenario::traced(0, 2)
+    };
+    let (mut world, _, apps) = one_server.build::<VsyncStack>();
+    let (a, b) = (apps[0], apps[1]);
     let g = LwgId(7);
     world.invoke(a, move |n: &mut Node, ctx| n.service().join(ctx, g));
-    world.invoke_at(at(2), b, move |n: &mut Node, ctx| n.service().join(ctx, g));
-    world.run_until(at(8));
+    world.invoke_at(SimTime::from_secs(2), b, move |n: &mut Node, ctx| {
+        n.service().join(ctx, g)
+    });
+    world.run_until(SimTime::from_secs(8));
     world.invoke(a, move |n: &mut Node, ctx| {
         n.service().send(ctx, g, Frame::from_u64(42));
     });
-    world.run_until(at(10));
+    world.run_until(SimTime::from_secs(10));
     world
 }
 
@@ -66,103 +176,56 @@ pub fn quickstart() -> World {
 /// MULTIPLE-MAPPINGS → the highest-gid mapping **switch** → the
 /// MERGE-VIEWS single flush, back to one merged view.
 pub fn heal() -> World {
-    let mut world = World::new(WorldConfig {
-        seed: 31,
-        trace: true,
-        ..WorldConfig::default()
-    });
-    let s0 = world.add_node(Box::new(NameServer::new(
-        NodeId(0),
-        vec![NodeId(1)],
-        NamingConfig::default(),
-    )));
-    let s1 = world.add_node(Box::new(NameServer::new(
-        NodeId(1),
-        vec![NodeId(0)],
-        NamingConfig::default(),
-    )));
-    let nodes: Vec<NodeId> = (2..6)
-        .map(|i| {
-            world.add_node(Box::new(
-                Node::builder(NodeId(i))
-                    .servers(vec![s0, s1])
-                    .config(LwgConfig::default())
-                    .build()
-                    .expect("valid LWG config"),
-            ))
-        })
-        .collect();
+    let (mut world, servers, nodes) = Scenario::traced(31, 4).build::<VsyncStack>();
     let group = LwgId(9);
+    let (side_a, side_b) = nodes.split_at(2);
     world.split_at(
-        at(1),
-        vec![vec![s0, nodes[0], nodes[1]], vec![s1, nodes[2], nodes[3]]],
+        SimTime::from_secs(1),
+        vec![
+            [&servers[..1], side_a].concat(),
+            [&servers[1..], side_b].concat(),
+        ],
     );
-    for (i, &n) in nodes.iter().enumerate() {
-        world.invoke_at(
-            at(2) + SimDuration::from_millis(400 * (i as u64 % 2)),
-            n,
-            move |app: &mut Node, ctx| app.service().join(ctx, group),
-        );
+    for side in [side_a, side_b] {
+        let gap = SimDuration::from_millis(400);
+        join_staggered::<VsyncStack>(&mut world, group, side, SimTime::from_secs(2), gap);
     }
-    world.run_until(at(18));
+    world.run_until(SimTime::from_secs(18));
     // Both sides stay live in their concurrent views.
     for &(n, v) in &[(nodes[0], 100u64), (nodes[2], 200u64)] {
         world.invoke(n, move |app: &mut Node, ctx| {
             app.service().send(ctx, group, Frame::from_u64(v));
         });
     }
-    world.heal_at(at(20));
-    world.run_until(at(60));
+    world.heal_at(SimTime::from_secs(20));
+    world.run_until(SimTime::from_secs(60));
     world
 }
 
 /// Membership churn without partitions: staggered joins, one voluntary
 /// leave and one crash, exercising LWG flushes and the prune path.
 pub fn churn() -> World {
-    let mut world = traced_world();
-    let ns = world.add_node(Box::new(NameServer::new(
-        NodeId(0),
-        vec![],
-        NamingConfig::default(),
-    )));
-    let nodes: Vec<NodeId> = (1..5)
-        .map(|i| {
-            world.add_node(Box::new(
-                Node::builder(NodeId(i))
-                    .servers(vec![ns])
-                    .config(LwgConfig::default())
-                    .build()
-                    .expect("valid LWG config"),
-            ))
-        })
-        .collect();
+    let one_server = Scenario {
+        servers: 1,
+        ..Scenario::traced(0, 4)
+    };
+    let (mut world, _, nodes) = one_server.build::<VsyncStack>();
     let g = LwgId(3);
-    for (i, &n) in nodes.iter().enumerate() {
-        world.invoke_at(at(i as u64), n, move |app: &mut Node, ctx| {
-            app.service().join(ctx, g);
-        });
-    }
-    world.run_until(at(10));
+    let gap = SimDuration::from_secs(1);
+    join_staggered::<VsyncStack>(&mut world, g, &nodes, SimTime::ZERO, gap);
+    world.run_until(SimTime::from_secs(10));
     let leaver = nodes[3];
     world.invoke(leaver, move |app: &mut Node, ctx| {
         app.service().leave(ctx, g)
     });
-    world.run_until(at(15));
+    world.run_until(SimTime::from_secs(15));
     world.crash(nodes[2]);
-    world.run_until(at(25));
+    world.run_until(SimTime::from_secs(25));
     world
 }
 
-/// Runs the scenario named `name` (`quickstart`, `heal` or `churn`).
-/// Returns `None` for an unknown name.
-pub fn by_name(name: &str) -> Option<World> {
-    match name {
-        "quickstart" => Some(quickstart()),
-        "heal" => Some(heal()),
-        "churn" => Some(churn()),
-        _ => None,
-    }
-}
+/// A packaged scenario: its name and the run that returns its world.
+pub type Packaged = (&'static str, fn() -> World);
 
-/// The scenario names [`by_name`] accepts.
-pub const NAMES: &[&str] = &["quickstart", "heal", "churn"];
+/// Every packaged scenario, by name: what the `timeline` bin can render.
+pub const SCENARIOS: &[Packaged] = &[("quickstart", quickstart), ("heal", heal), ("churn", churn)];

@@ -30,6 +30,11 @@ impl SimTime {
         SimTime(us)
     }
 
+    /// The instant `s` seconds into the run.
+    pub const fn from_secs(s: u64) -> Self {
+        SimTime(s * 1_000_000)
+    }
+
     /// Raw microseconds since the start of the run.
     pub const fn as_micros(self) -> u64 {
         self.0
@@ -238,6 +243,7 @@ mod tests {
     fn unit_constructors_agree() {
         assert_eq!(SimDuration::from_secs(2), SimDuration::from_millis(2_000));
         assert_eq!(SimDuration::from_millis(3), SimDuration::from_micros(3_000));
+        assert_eq!(SimTime::from_secs(2), SimTime::from_micros(2_000_000));
     }
 
     #[test]

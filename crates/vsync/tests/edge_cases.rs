@@ -67,10 +67,6 @@ impl Process for App {
 
 const G: HwgId = HwgId(1);
 
-fn at(s: u64) -> SimTime {
-    SimTime::from_micros(s * 1_000_000)
-}
-
 fn bring_up(n: u32, seed: u64) -> (World, Vec<NodeId>) {
     let mut w = World::new(WorldConfig {
         seed,
@@ -82,9 +78,11 @@ fn bring_up(n: u32, seed: u64) -> (World, Vec<NodeId>) {
         .collect();
     w.invoke(nodes[0], |a: &mut App, ctx| a.stack.create(ctx, G));
     for (i, &m) in nodes[1..].iter().enumerate() {
-        w.invoke_at(at(1 + i as u64), m, |a: &mut App, ctx| a.stack.join(ctx, G));
+        w.invoke_at(SimTime::from_secs(1 + i as u64), m, |a: &mut App, ctx| {
+            a.stack.join(ctx, G)
+        });
     }
-    w.run_until(at(8));
+    w.run_until(SimTime::from_secs(8));
     (w, nodes)
 }
 
@@ -93,9 +91,9 @@ fn bring_up(n: u32, seed: u64) -> (World, Vec<NodeId>) {
 #[test]
 fn coordinator_and_member_crash_together() {
     let (mut w, nodes) = bring_up(5, 81);
-    w.crash_at(at(9), nodes[0]);
-    w.crash_at(at(9), nodes[2]);
-    w.run_until(at(20));
+    w.crash_at(SimTime::from_secs(9), nodes[0]);
+    w.crash_at(SimTime::from_secs(9), nodes[2]);
+    w.run_until(SimTime::from_secs(20));
     let survivors = [nodes[1], nodes[3], nodes[4]];
     let view = w
         .inspect(nodes[1], |a: &App| a.view().cloned())
@@ -115,10 +113,10 @@ fn coordinator_and_member_crash_together() {
 fn asymmetric_link_cut_resolves_and_heals() {
     let (mut w, nodes) = bring_up(3, 82);
     let (a, b) = (nodes[1], nodes[2]);
-    w.schedule_at(at(9), move |w| {
+    w.schedule_at(SimTime::from_secs(9), move |w| {
         w.topology_mut().cut_link(a, b);
     });
-    w.run_until(at(25));
+    w.run_until(SimTime::from_secs(25));
     // b no longer hears a: b suspects a (or the flush machinery resolves
     // it some other way); whatever happened, every live node's view must
     // be internally consistent — all nodes sharing a view agree on it.
@@ -144,10 +142,10 @@ fn asymmetric_link_cut_resolves_and_heals() {
         }
     }
     // Heal the link: everyone reunites.
-    w.schedule_at(at(25), move |w| {
+    w.schedule_at(SimTime::from_secs(25), move |w| {
         w.topology_mut().restore_link(a, b);
     });
-    w.run_until(at(45));
+    w.run_until(SimTime::from_secs(45));
     let view = w
         .inspect(nodes[0], |x: &App| x.view().cloned())
         .expect("view");
@@ -167,13 +165,13 @@ fn join_racing_a_crash_flush_is_admitted() {
     let joiner = w2.add_node(Box::new(App::new(NodeId(3))));
     // Crash a member; while the flush runs (suspect timeout + rounds),
     // the newcomer asks to join.
-    w2.crash_at(at(9), nodes[2]);
+    w2.crash_at(SimTime::from_secs(9), nodes[2]);
     w2.invoke_at(
-        at(9) + SimDuration::from_millis(400),
+        SimTime::from_secs(9) + SimDuration::from_millis(400),
         joiner,
         |a: &mut App, ctx| a.stack.join(ctx, G),
     );
-    w2.run_until(at(25));
+    w2.run_until(SimTime::from_secs(25));
     let view = w2
         .inspect(nodes[0], |a: &App| a.view().cloned())
         .expect("view");
@@ -191,19 +189,19 @@ fn join_racing_a_crash_flush_is_admitted() {
 fn leave_during_partition_sticks_after_heal() {
     let (mut w, nodes) = bring_up(4, 84);
     w.split_at(
-        at(9),
+        SimTime::from_secs(9),
         vec![vec![nodes[0], nodes[1]], vec![nodes[2], nodes[3]]],
     );
-    w.run_until(at(16));
+    w.run_until(SimTime::from_secs(16));
     // nodes[3] leaves inside its 2-member component.
     w.invoke(nodes[3], |a: &mut App, ctx| a.stack.leave(ctx, G));
-    w.run_until(at(22));
+    w.run_until(SimTime::from_secs(22));
     w.inspect(nodes[3], |a: &App| {
         assert_eq!(a.lefts, 1, "leave must complete inside the partition");
         assert_eq!(a.stack.status_of(G), GroupStatus::Left);
     });
-    w.heal_at(at(22));
-    w.run_until(at(40));
+    w.heal_at(SimTime::from_secs(22));
+    w.run_until(SimTime::from_secs(40));
     let view = w
         .inspect(nodes[0], |a: &App| a.view().cloned())
         .expect("view");
@@ -230,8 +228,10 @@ fn sends_before_first_view_are_buffered() {
         // so this goes out in view #1.
         x.stack.send(ctx, G, payload(7u64));
     });
-    w.invoke_at(at(1), b, |x: &mut App, ctx| x.stack.join(ctx, G));
-    w.run_until(at(6));
+    w.invoke_at(SimTime::from_secs(1), b, |x: &mut App, ctx| {
+        x.stack.join(ctx, G)
+    });
+    w.run_until(SimTime::from_secs(6));
     // a delivered its own message; b was not a member of the view it was
     // sent in, so b must NOT have it (view-tagged delivery).
     let a_got = w.inspect(a, |x: &App| x.delivered.clone());
@@ -240,7 +240,7 @@ fn sends_before_first_view_are_buffered() {
     assert_eq!(b_got, 0, "pre-join messages stay in their view");
     // But messages in the shared view reach both.
     w.invoke(a, |x: &mut App, ctx| x.stack.send(ctx, G, payload(8u64)));
-    w.run_until(at(7));
+    w.run_until(SimTime::from_secs(7));
     let b_got: Vec<u64> = w.inspect(b, |x: &App| x.delivered.iter().map(|(_, v)| *v).collect());
     assert_eq!(b_got, vec![8]);
 }
@@ -253,18 +253,20 @@ fn rapid_join_leave_interleaving_converges() {
     let mut w2 = w;
     let c = w2.add_node(Box::new(App::new(NodeId(2))));
     let d = w2.add_node(Box::new(App::new(NodeId(3))));
-    w2.invoke_at(at(9), c, |a: &mut App, ctx| a.stack.join(ctx, G));
+    w2.invoke_at(SimTime::from_secs(9), c, |a: &mut App, ctx| {
+        a.stack.join(ctx, G)
+    });
     w2.invoke_at(
-        at(9) + SimDuration::from_millis(100),
+        SimTime::from_secs(9) + SimDuration::from_millis(100),
         d,
         |a: &mut App, ctx| a.stack.join(ctx, G),
     );
     w2.invoke_at(
-        at(9) + SimDuration::from_millis(200),
+        SimTime::from_secs(9) + SimDuration::from_millis(200),
         nodes[1],
         |a: &mut App, ctx| a.stack.leave(ctx, G),
     );
-    w2.run_until(at(25));
+    w2.run_until(SimTime::from_secs(25));
     let view = w2
         .inspect(nodes[0], |a: &App| a.view().cloned())
         .expect("view");

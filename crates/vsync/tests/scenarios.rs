@@ -96,10 +96,6 @@ fn secs(s: u64) -> SimDuration {
     SimDuration::from_secs(s)
 }
 
-fn at(s: u64) -> SimTime {
-    SimTime::from_micros(s * 1_000_000)
-}
-
 /// Everyone creates-or-joins `G`; after settling, all share one view.
 fn bring_up(w: &mut World, nodes: &[NodeId]) {
     let first = nodes[0];
@@ -315,14 +311,17 @@ fn virtual_synchrony_across_crash_view_change() {
     bring_up(&mut w, &nodes);
     // Node 2 streams data; node 3 crashes mid-stream.
     for burst in 0..10u64 {
-        let t = at(6) + SimDuration::from_millis(burst * 50);
+        let t = SimTime::from_secs(6) + SimDuration::from_millis(burst * 50);
         w.invoke_at(t, nodes[2], move |a: &mut App, ctx| {
             for i in 0..5u64 {
                 a.stack.send(ctx, G, payload(burst * 5 + i));
             }
         });
     }
-    w.crash_at(at(6) + SimDuration::from_millis(230), nodes[3]);
+    w.crash_at(
+        SimTime::from_secs(6) + SimDuration::from_millis(230),
+        nodes[3],
+    );
     w.run_for(secs(12));
     // All three survivors installed the same post-crash view; the set of
     // messages delivered before it must be identical.
@@ -349,10 +348,10 @@ fn partition_forms_concurrent_views_and_heals_into_merge() {
     bring_up(&mut w, &nodes);
     let pre = assert_common_view(&mut w, &nodes, 4);
     w.split_at(
-        at(6),
+        SimTime::from_secs(6),
         vec![vec![nodes[0], nodes[1]], vec![nodes[2], nodes[3]]],
     );
-    w.run_until(at(14));
+    w.run_until(SimTime::from_secs(14));
     // Each side has its own 2-member view; the two are concurrent.
     let va = w
         .inspect(nodes[0], |a: &App| a.current_view(G).cloned())
@@ -366,8 +365,8 @@ fn partition_forms_concurrent_views_and_heals_into_merge() {
     assert!(va.predecessors.contains(&pre.id));
     assert!(vb.predecessors.contains(&pre.id));
 
-    w.heal_at(at(14));
-    w.run_until(at(25));
+    w.heal_at(SimTime::from_secs(14));
+    w.run_until(SimTime::from_secs(25));
     let merged = assert_common_view(&mut w, &nodes, 4);
     // The merged view succeeds both concurrent views.
     assert!(
@@ -410,8 +409,12 @@ fn coordinator_leave_hands_over() {
     let (mut w, nodes) = world_with(3, 18);
     // Stagger the joins so seniority is deterministic: n0 > n1 > n2.
     w.invoke(nodes[0], |a: &mut App, ctx| a.stack.create(ctx, G));
-    w.invoke_at(at(1), nodes[1], |a: &mut App, ctx| a.stack.join(ctx, G));
-    w.invoke_at(at(2), nodes[2], |a: &mut App, ctx| a.stack.join(ctx, G));
+    w.invoke_at(SimTime::from_secs(1), nodes[1], |a: &mut App, ctx| {
+        a.stack.join(ctx, G)
+    });
+    w.invoke_at(SimTime::from_secs(2), nodes[2], |a: &mut App, ctx| {
+        a.stack.join(ctx, G)
+    });
     w.run_for(secs(4));
     w.invoke(nodes[0], |a: &mut App, ctx| a.stack.leave(ctx, G));
     w.run_for(secs(5));
@@ -450,14 +453,14 @@ fn virtual_synchrony_under_message_loss() {
         .collect();
     bring_up(&mut w, &nodes);
     for burst in 0..20u64 {
-        let t = at(6) + SimDuration::from_millis(burst * 40);
+        let t = SimTime::from_secs(6) + SimDuration::from_millis(burst * 40);
         w.invoke_at(t, nodes[1], move |a: &mut App, ctx| {
             a.stack.send(ctx, G, payload(burst));
         });
     }
     // Crash node 2 to force a view change; the flush must reconcile any
     // loss-induced gaps among survivors.
-    w.crash_at(at(8), nodes[2]);
+    w.crash_at(SimTime::from_secs(8), nodes[2]);
     w.run_for(secs(15));
     let d0: Vec<u64> = w.inspect(nodes[0], |a: &App| {
         a.delivered.iter().map(|(_, _, v)| *v).collect()
@@ -475,13 +478,16 @@ fn data_sent_in_old_view_is_not_delivered_in_new_view() {
     bring_up(&mut w, &nodes);
     let before = w.inspect(nodes[0], |a: &App| a.delivered.len());
     // Partition node 2 away; its sends go to a view the others abandon.
-    w.split_at(at(6), vec![vec![nodes[0], nodes[1]], vec![nodes[2]]]);
-    w.run_until(at(12));
+    w.split_at(
+        SimTime::from_secs(6),
+        vec![vec![nodes[0], nodes[1]], vec![nodes[2]]],
+    );
+    w.run_until(SimTime::from_secs(12));
     w.invoke(nodes[2], |a: &mut App, ctx| {
         a.stack.send(ctx, G, payload(777u64))
     });
-    w.heal_at(at(13));
-    w.run_until(at(20));
+    w.heal_at(SimTime::from_secs(13));
+    w.run_until(SimTime::from_secs(20));
     // 777 was sent in node 2's solo view; nodes 0/1 never install that view
     // and must not deliver it. (Node 2 delivers it to itself.)
     for &n in &nodes[..2] {
@@ -516,14 +522,14 @@ fn three_way_partition_and_heal() {
     bring_up(&mut w, &nodes);
     assert_common_view(&mut w, &nodes, 6);
     w.split_at(
-        at(6),
+        SimTime::from_secs(6),
         vec![
             vec![nodes[0], nodes[1]],
             vec![nodes[2], nodes[3]],
             vec![nodes[4], nodes[5]],
         ],
     );
-    w.run_until(at(16));
+    w.run_until(SimTime::from_secs(16));
     for pair in [[0usize, 1], [2, 3], [4, 5]] {
         let v = w
             .inspect(nodes[pair[0]], |a: &App| a.current_view(G).cloned())
@@ -532,9 +538,9 @@ fn three_way_partition_and_heal() {
         let v2 = w.inspect(nodes[pair[1]], |a: &App| a.current_view(G).cloned());
         assert_eq!(v2.as_ref(), Some(&v));
     }
-    w.heal_at(at(16));
+    w.heal_at(SimTime::from_secs(16));
     // Three concurrent views merge (possibly pairwise, needing two rounds).
-    w.run_until(at(40));
+    w.run_until(SimTime::from_secs(40));
     assert_common_view(&mut w, &nodes, 6);
 }
 
@@ -545,9 +551,13 @@ fn virtual_partition_congestion_splits_and_recovers() {
     // Congestion makes every message ~100x slower than the suspect timeout
     // allows: a *virtual* partition (paper §4) — nodes are alive but appear
     // crashed.
-    w.schedule_at(at(6), |w| w.topology_mut().set_congestion(400.0));
-    w.schedule_at(at(20), |w| w.topology_mut().set_congestion(1.0));
-    w.run_until(at(45));
+    w.schedule_at(SimTime::from_secs(6), |w| {
+        w.topology_mut().set_congestion(400.0)
+    });
+    w.schedule_at(SimTime::from_secs(20), |w| {
+        w.topology_mut().set_congestion(1.0)
+    });
+    w.run_until(SimTime::from_secs(45));
     // After the episode clears, everyone re-merges into one view.
     let view = w
         .inspect(nodes[0], |a: &App| a.current_view(G).cloned())
@@ -577,7 +587,7 @@ fn nack_recovers_lost_messages_without_view_change() {
         .collect();
     bring_up(&mut w, &nodes);
     for k in 0..60u64 {
-        let t = at(6) + SimDuration::from_millis(k * 30);
+        let t = SimTime::from_secs(6) + SimDuration::from_millis(k * 30);
         w.invoke_at(t, nodes[1], move |a: &mut App, ctx| {
             a.stack.send(ctx, G, payload(k));
         });
@@ -611,7 +621,7 @@ fn stability_exchange_bounds_retransmit_buffers() {
     // would hold all 600 messages; with it, the buffer stays near the
     // stability window.
     for k in 0..600u64 {
-        let t = at(6) + SimDuration::from_millis(k * 20);
+        let t = SimTime::from_secs(6) + SimDuration::from_millis(k * 20);
         w.invoke_at(t, nodes[0], move |a: &mut App, ctx| {
             a.stack.send(ctx, G, payload(k));
         });

@@ -12,10 +12,6 @@ use plwg::prelude::*;
 const ROSTER: LwgId = LwgId(1);
 const BREAKOUT: LwgId = LwgId(2);
 
-fn at(s: u64) -> SimTime {
-    SimTime::from_micros(s * 1_000_000)
-}
-
 fn main() {
     let mut world = World::new(WorldConfig::default());
     let ns = world.add_node(Box::new(NameServer::new(
@@ -45,12 +41,12 @@ fn main() {
     // Everyone enters the session roster.
     for (i, &u) in users.iter().enumerate() {
         world.invoke_at(
-            at(0) + SimDuration::from_millis(400 * i as u64),
+            SimTime::from_secs(0) + SimDuration::from_millis(400 * i as u64),
             u,
             |app: &mut LwgNode, ctx| app.service().join(ctx, ROSTER),
         );
     }
-    world.run_until(at(10));
+    world.run_until(SimTime::from_secs(10));
     let roster_view = world.inspect(users[0], |a: &LwgNode| {
         a.current_view(ROSTER).cloned().expect("roster view")
     });
@@ -60,12 +56,12 @@ fn main() {
     // roster's big HWG first.
     for (i, &u) in users[..2].iter().enumerate() {
         world.invoke_at(
-            at(11) + SimDuration::from_millis(400 * i as u64),
+            SimTime::from_secs(11) + SimDuration::from_millis(400 * i as u64),
             u,
             |app: &mut LwgNode, ctx| app.service().join(ctx, BREAKOUT),
         );
     }
-    world.run_until(at(16));
+    world.run_until(SimTime::from_secs(16));
     let h_roster = world.inspect(users[0], |a: &LwgNode| {
         a.service_ref().mapping_of(ROSTER).expect("mapped")
     });
@@ -81,7 +77,7 @@ fn main() {
     // The interference rule notices a 2-member group riding an 8-member
     // HWG and switches it to its own HWG (paper Fig. 1) at the next policy
     // round (t=30s).
-    world.run_until(at(40));
+    world.run_until(SimTime::from_secs(40));
     let h_breakout_after = world.inspect(users[0], |a: &LwgNode| {
         a.service_ref().mapping_of(BREAKOUT).expect("mapped")
     });
@@ -99,7 +95,7 @@ fn main() {
             app.service().send(ctx, BREAKOUT, Frame::from_u64(i));
         }
     });
-    world.run_until(at(41));
+    world.run_until(SimTime::from_secs(41));
     let got: Vec<u64> = world.inspect(users[1], |a: &LwgNode| {
         a.events_ref().data_from(BREAKOUT, users[0])
     });
@@ -107,14 +103,18 @@ fn main() {
     println!("t=41s breakout chat delivered to its members only");
 
     // Churn: a third user joins the breakout, one leaves, one crashes.
-    world.invoke_at(at(41), users[2], |app: &mut LwgNode, ctx| {
-        app.service().join(ctx, BREAKOUT)
-    });
-    world.invoke_at(at(45), users[1], |app: &mut LwgNode, ctx| {
-        app.service().leave(ctx, BREAKOUT)
-    });
-    world.crash_at(at(48), users[7]);
-    world.run_until(at(60));
+    world.invoke_at(
+        SimTime::from_secs(41),
+        users[2],
+        |app: &mut LwgNode, ctx| app.service().join(ctx, BREAKOUT),
+    );
+    world.invoke_at(
+        SimTime::from_secs(45),
+        users[1],
+        |app: &mut LwgNode, ctx| app.service().leave(ctx, BREAKOUT),
+    );
+    world.crash_at(SimTime::from_secs(48), users[7]);
+    world.run_until(SimTime::from_secs(60));
 
     let breakout_view = world.inspect(users[0], |a: &LwgNode| {
         a.current_view(BREAKOUT).cloned().expect("breakout view")

@@ -7,10 +7,6 @@
 
 use plwg::prelude::*;
 
-fn at(s: u64) -> SimTime {
-    SimTime::from_micros(s * 1_000_000)
-}
-
 fn main() {
     let mut world = World::new(WorldConfig {
         trace: true,
@@ -44,12 +40,12 @@ fn main() {
     let group = LwgId(1);
     for (i, &n) in nodes.iter().enumerate() {
         world.invoke_at(
-            at(0) + SimDuration::from_millis(500 * i as u64),
+            SimTime::from_secs(0) + SimDuration::from_millis(500 * i as u64),
             n,
             move |app: &mut LwgNode, ctx| app.service().join(ctx, group),
         );
     }
-    world.run_until(at(10));
+    world.run_until(SimTime::from_secs(10));
     let pre = world.inspect(nodes[0], |a: &LwgNode| {
         a.current_view(group).cloned().expect("view")
     });
@@ -58,10 +54,10 @@ fn main() {
     // Partition: {s0, n2, n3} | {s1, n4, n5}.
     println!("t=12s  PARTITION");
     world.split_at(
-        at(12),
+        SimTime::from_secs(12),
         vec![vec![s0, nodes[0], nodes[1]], vec![s1, nodes[2], nodes[3]]],
     );
-    world.run_until(at(25));
+    world.run_until(SimTime::from_secs(25));
     let va = world.inspect(nodes[0], |a: &LwgNode| {
         a.current_view(group).cloned().expect("side A view")
     });
@@ -79,7 +75,7 @@ fn main() {
             app.service().send(ctx, group, Frame::from_u64(v))
         });
     }
-    world.run_until(at(27));
+    world.run_until(SimTime::from_secs(27));
     let side_a_got: Vec<u64> = world.inspect(nodes[1], |a: &LwgNode| {
         a.events_ref().data_from(group, nodes[0])
     });
@@ -89,8 +85,8 @@ fn main() {
     println!("t=27s  side A delivered {side_a_got:?}, side B delivered {side_b_got:?}");
 
     println!("t=30s  HEAL");
-    world.heal_at(at(30));
-    world.run_until(at(45));
+    world.heal_at(SimTime::from_secs(30));
+    world.run_until(SimTime::from_secs(45));
     let merged = world.inspect(nodes[0], |a: &LwgNode| {
         a.current_view(group).cloned().expect("merged view")
     });
@@ -112,7 +108,7 @@ fn main() {
     }
 
     // The reconciliation left a single mapping in the naming service.
-    world.run_until(at(50));
+    world.run_until(SimTime::from_secs(50));
     world.inspect(s0, |s: &NameServer| {
         assert_eq!(s.db().read(group).len(), 1);
         assert!(s.db().inconsistent().is_empty());

@@ -65,10 +65,6 @@ fn text(s: &str) -> Frame {
     Frame::from_vec(s.as_bytes().to_vec())
 }
 
-fn at(s: u64) -> SimTime {
-    SimTime::from_micros(s * 1_000_000)
-}
-
 fn main() {
     let mut world = World::new(WorldConfig::default());
     let nodes: Vec<NodeId> = (0..4)
@@ -78,31 +74,33 @@ fn main() {
     // First node creates the group; the rest rendezvous via probes.
     world.invoke(nodes[0], |c: &mut ChatNode, ctx| c.stack.create(ctx, GROUP));
     for (i, &n) in nodes[1..].iter().enumerate() {
-        world.invoke_at(at(1 + i as u64), n, |c: &mut ChatNode, ctx| {
-            c.stack.join(ctx, GROUP)
-        });
+        world.invoke_at(
+            SimTime::from_secs(1 + i as u64),
+            n,
+            |c: &mut ChatNode, ctx| c.stack.join(ctx, GROUP),
+        );
     }
-    world.run_until(at(8));
+    world.run_until(SimTime::from_secs(8));
     world.invoke(nodes[1], |c: &mut ChatNode, ctx| {
         c.stack
             .send(ctx, GROUP, text("hello, virtually synchronous world"));
     });
-    world.run_until(at(9));
+    world.run_until(SimTime::from_secs(9));
 
     // Partition 2/2, chat within each side, heal, and watch the merge.
     world.split_at(
-        at(10),
+        SimTime::from_secs(10),
         vec![vec![nodes[0], nodes[1]], vec![nodes[2], nodes[3]]],
     );
-    world.run_until(at(16));
+    world.run_until(SimTime::from_secs(16));
     world.invoke(nodes[0], |c: &mut ChatNode, ctx| {
         c.stack.send(ctx, GROUP, text("anyone there?"));
     });
     world.invoke(nodes[3], |c: &mut ChatNode, ctx| {
         c.stack.send(ctx, GROUP, text("our side is fine"));
     });
-    world.heal_at(at(18));
-    world.run_until(at(30));
+    world.heal_at(SimTime::from_secs(18));
+    world.run_until(SimTime::from_secs(30));
 
     for &n in &nodes {
         println!("--- {n} ---");

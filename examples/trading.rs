@@ -39,10 +39,6 @@ impl Tick {
     }
 }
 
-fn at(s: u64) -> SimTime {
-    SimTime::from_micros(s * 1_000_000)
-}
-
 fn main() {
     let mut world = World::new(WorldConfig::default());
     let s0 = world.add_node(Box::new(NameServer::new(
@@ -79,7 +75,7 @@ fn main() {
         };
         for (i, &g) in subs.iter().enumerate() {
             world.invoke_at(
-                at(0)
+                SimTime::from_secs(0)
                     + SimDuration::from_millis(120 * idx as u64)
                     + SimDuration::from_millis(400 * i as u64),
                 g,
@@ -87,7 +83,7 @@ fn main() {
             );
         }
     }
-    world.run_until(at(30));
+    world.run_until(SimTime::from_secs(30));
 
     // How many heavy-weight groups back those 24 subject groups?
     let footprints: Vec<usize> = gateways
@@ -109,7 +105,7 @@ fn main() {
         };
         for k in 0..10u64 {
             world.invoke_at(
-                at(31) + SimDuration::from_millis(20 * k + subject),
+                SimTime::from_secs(31) + SimDuration::from_millis(20 * k + subject),
                 publisher,
                 move |app: &mut LwgNode, ctx| {
                     app.service().send(
@@ -125,7 +121,7 @@ fn main() {
             );
         }
     }
-    world.run_until(at(35));
+    world.run_until(SimTime::from_secs(35));
 
     // Every subscriber saw every tick of its subjects, in order — and none
     // of the other segment's.
@@ -156,7 +152,7 @@ fn main() {
     // A backbone failure splits the equities floor mid-session…
     println!("\nt=36s PARTITION inside the equities segment");
     world.split_at(
-        at(36),
+        SimTime::from_secs(36),
         vec![
             vec![s0, gateways[0], gateways[1]],
             vec![
@@ -170,7 +166,7 @@ fn main() {
             ],
         ],
     );
-    world.run_until(at(50));
+    world.run_until(SimTime::from_secs(50));
     let side_view = world.inspect(gateways[0], |a: &LwgNode| {
         a.current_view(LwgId(1)).cloned().expect("view")
     });
@@ -178,8 +174,8 @@ fn main() {
     assert_eq!(side_view.len(), 2, "the cut-off pair keeps trading");
 
     println!("t=52s HEAL");
-    world.heal_at(at(52));
-    world.run_until(at(75));
+    world.heal_at(SimTime::from_secs(52));
+    world.run_until(SimTime::from_secs(75));
     for &subject in &subjects_eq {
         let v = world.inspect(gateways[0], |a: &LwgNode| {
             a.current_view(LwgId(subject)).cloned().expect("view")

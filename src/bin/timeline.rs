@@ -6,7 +6,7 @@
 //! cargo run --bin timeline -- quickstart
 //! ```
 
-use plwg::obs::{scenarios, Timeline};
+use plwg::obs::{scenarios::SCENARIOS, Timeline};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -16,14 +16,12 @@ fn main() {
         .find(|a| !a.starts_with("--"))
         .map(String::as_str)
         .unwrap_or("heal");
-    let Some(world) = scenarios::by_name(name) else {
-        eprintln!(
-            "unknown scenario '{name}'; available: {}",
-            scenarios::NAMES.join(", ")
-        );
+    let Some(&(_, run)) = SCENARIOS.iter().find(|(n, _)| *n == name) else {
+        let names: Vec<&str> = SCENARIOS.iter().map(|(n, _)| *n).collect();
+        eprintln!("unknown scenario '{name}'; available: {}", names.join(", "));
         std::process::exit(2);
     };
-    let timeline = Timeline::build(world.trace());
+    let timeline = Timeline::build(run().trace());
     println!(
         "scenario '{name}': {} traced events\n",
         timeline.entries().len()

@@ -19,6 +19,7 @@
 mod counting_alloc;
 
 use counting_alloc::{allocs, peak, reset_peak};
+use plwg::obs::scenarios::{run_until, Scenario};
 use plwg::prelude::*;
 use plwg::sim::{TimerToken, Transport};
 use std::any::Any;
@@ -28,7 +29,7 @@ use std::collections::BTreeMap;
 const TOK_TRAFFIC: TimerToken = TimerToken(0x0B00_0000_0000_0001);
 /// The group every node joins first; it founds the one HWG.
 const BIG: LwgId = LwgId(100);
-const APPS: u32 = 8;
+const APPS: usize = 8;
 
 /// Measured 1.2900.
 const SOLO_BUDGET: f64 = 1.42;
@@ -108,36 +109,23 @@ struct Steady {
 /// over all of them), starts two senders, warms up, and measures four
 /// virtual seconds of steady traffic, then eight more.
 fn steady_state(cfg: LwgConfig, groups: &[LwgId], members: usize, payload: usize) -> Steady {
-    let mut world = World::new(WorldConfig {
-        seed: 1,
-        ..WorldConfig::default()
+    let scenario = Scenario {
+        lwg: cfg,
+        ..Scenario::new(1, APPS)
+    };
+    let (mut world, _, apps) = scenario.build_with(|me, servers| Host {
+        service: LwgService::builder(me)
+            .servers(servers)
+            .config(scenario.lwg.clone())
+            .build()
+            .expect("valid LWG config"),
+        send_on: Vec::new(),
+        scratch: vec![0; payload],
+        sent: 0,
+        expect: BTreeMap::new(),
+        delivered: 0,
+        out_of_order: 0,
     });
-    let servers = [NodeId(0), NodeId(1)];
-    for (me, peer) in [(servers[0], servers[1]), (servers[1], servers[0])] {
-        world.add_node(Box::new(NameServer::new(
-            me,
-            vec![peer],
-            NamingConfig::default(),
-        )));
-    }
-    let apps: Vec<NodeId> = (0..APPS)
-        .map(|i| {
-            let service = LwgService::builder(NodeId(2 + i))
-                .servers(servers)
-                .config(cfg.clone())
-                .build()
-                .expect("valid LWG config");
-            world.add_node(Box::new(Host {
-                service,
-                send_on: Vec::new(),
-                scratch: vec![0; payload],
-                sent: 0,
-                expect: BTreeMap::new(),
-                delivered: 0,
-                out_of_order: 0,
-            }))
-        })
-        .collect();
 
     let join_all = |world: &mut World, lwg: LwgId, nodes: &[NodeId]| {
         for (i, &n) in nodes.iter().enumerate() {
@@ -149,11 +137,11 @@ fn steady_state(cfg: LwgConfig, groups: &[LwgId], members: usize, payload: usize
                 .view_of(lwg)
                 .is_some_and(|v| v.len() == nodes.len())
         };
-        let deadline = world.now() + SimDuration::from_secs(120);
-        while !nodes.iter().all(|&n| world.inspect(n, whole)) {
-            assert!(world.now() < deadline, "{lwg} never became whole");
-            world.run_for(SimDuration::from_millis(250));
-        }
+        let limit = SimDuration::from_secs(120);
+        let up = run_until(world, SimDuration::from_millis(250), limit, |w| {
+            nodes.iter().all(|&n| w.inspect(n, whole))
+        });
+        assert!(up.is_some(), "{lwg} never became whole");
     };
     join_all(&mut world, BIG, &apps);
     for &lwg in groups.iter().filter(|&&g| g != BIG) {
@@ -225,7 +213,7 @@ fn assert_within_budget(run: &Steady, alloc_budget: f64) {
 /// 1 KiB payloads — every send is its own HWG multicast.
 #[test]
 fn solo_1k_stays_within_its_allocation_budget() {
-    let run = steady_state(LwgConfig::default(), &[BIG], APPS as usize, 1024);
+    let run = steady_state(LwgConfig::default(), &[BIG], APPS, 1024);
     assert_within_budget(&run, SOLO_BUDGET);
 }
 

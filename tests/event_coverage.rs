@@ -5,71 +5,26 @@
 //! abandoned flushes, policy-driven switches, restart recovery — and
 //! asserts the typed trace recorded it.
 
+use plwg::obs::scenarios::{join_staggered, Scenario};
 use plwg::prelude::*;
-
-fn at(s: u64) -> SimTime {
-    SimTime::from_micros(s * 1_000_000)
-}
-
-struct Fixture {
-    world: World,
-    apps: Vec<NodeId>,
-}
-
-fn fixture(seed: u64, apps: u32) -> Fixture {
-    fixture_cfg(seed, apps, LwgConfig::default())
-}
-
-fn fixture_cfg(seed: u64, apps: u32, cfg: LwgConfig) -> Fixture {
-    let mut world = World::new(WorldConfig {
-        seed,
-        trace: true,
-        ..WorldConfig::default()
-    });
-    let s0 = world.add_node(Box::new(NameServer::new(
-        NodeId(0),
-        vec![NodeId(1)],
-        NamingConfig::default(),
-    )));
-    let s1 = world.add_node(Box::new(NameServer::new(
-        NodeId(1),
-        vec![NodeId(0)],
-        NamingConfig::default(),
-    )));
-    let servers = vec![s0, s1];
-    let apps = (0..apps)
-        .map(|i| {
-            world.add_node(Box::new(
-                LwgNode::builder(NodeId(2 + i))
-                    .servers(servers.clone())
-                    .config(cfg.clone())
-                    .build()
-                    .expect("valid LWG config"),
-            ))
-        })
-        .collect();
-    Fixture { world, apps }
-}
 
 /// Both members of a two-member group leave at the same instant: the
 /// successor membership is empty, so the group dissolves rather than
 /// installing an empty view.
 #[test]
 fn simultaneous_leave_of_all_members_dissolves_the_group() {
-    let mut f = fixture(41, 2);
+    let (mut w, _, apps) = Scenario::traced(41, 2).build::<VsyncStack>();
     let g = LwgId(1);
-    for &m in &f.apps {
-        f.world
-            .invoke(m, move |a: &mut LwgNode, ctx| a.service().join(ctx, g));
+    for &m in &apps {
+        w.invoke(m, move |a: &mut LwgNode, ctx| a.service().join(ctx, g));
     }
-    f.world.run_until(at(10));
-    for &m in &f.apps {
-        f.world
-            .invoke(m, move |a: &mut LwgNode, ctx| a.service().leave(ctx, g));
+    w.run_until(SimTime::from_secs(10));
+    for &m in &apps {
+        w.invoke(m, move |a: &mut LwgNode, ctx| a.service().leave(ctx, g));
     }
-    f.world.run_until(at(20));
+    w.run_until(SimTime::from_secs(20));
     assert!(
-        f.world.trace().count("lwg.dissolve") >= 1,
+        w.trace().count("lwg.dissolve") >= 1,
         "emptying the membership must dissolve the LWG"
     );
 }
@@ -79,23 +34,18 @@ fn simultaneous_leave_of_all_members_dissolves_the_group() {
 /// rejoining as a fresh lineage.
 #[test]
 fn restarted_member_detects_its_own_exclusion() {
-    let mut f = fixture(36, 3);
+    let (mut w, _, apps) = Scenario::traced(36, 3).build::<VsyncStack>();
     let g = LwgId(4);
-    for (i, &m) in f.apps.clone().iter().enumerate() {
-        f.world.invoke_at(
-            at(0) + SimDuration::from_millis(400 * i as u64),
-            m,
-            move |a: &mut LwgNode, ctx| a.service().join(ctx, g),
-        );
-    }
-    f.world.run_until(at(10));
-    let victim = f.apps[2];
-    f.world.crash_at(at(10), victim);
-    f.world.run_until(at(20));
-    f.world.restart_at(at(20), victim);
-    f.world.run_until(at(60));
+    let gap = SimDuration::from_millis(400);
+    join_staggered::<VsyncStack>(&mut w, g, &apps, SimTime::ZERO, gap);
+    w.run_until(SimTime::from_secs(10));
+    let victim = apps[2];
+    w.crash_at(SimTime::from_secs(10), victim);
+    w.run_until(SimTime::from_secs(20));
+    w.restart_at(SimTime::from_secs(20), victim);
+    w.run_until(SimTime::from_secs(60));
     assert!(
-        f.world.trace().count("hwg.excluded") >= 1,
+        w.trace().count("hwg.excluded") >= 1,
         "the restarted member must detect its own exclusion from peer beacons"
     );
 }
@@ -106,22 +56,19 @@ fn restarted_member_detects_its_own_exclusion() {
 /// a switch.
 #[test]
 fn congestion_storm_recants_suspects_and_reconciles_after() {
-    let mut f = fixture(61, 4);
+    let (mut w, _, apps) = Scenario::traced(61, 4).build::<VsyncStack>();
     let g = LwgId(1);
-    for (i, &m) in f.apps.clone().iter().enumerate() {
-        f.world.invoke_at(
-            at(0) + SimDuration::from_millis(400 * i as u64),
-            m,
-            move |a: &mut LwgNode, ctx| a.service().join(ctx, g),
-        );
-    }
-    f.world.run_until(at(12));
-    f.world
-        .schedule_at(at(12), |w| w.topology_mut().set_congestion(400.0));
-    f.world
-        .schedule_at(at(27), |w| w.topology_mut().set_congestion(1.0));
-    f.world.run_until(at(70));
-    let trace = f.world.trace();
+    let gap = SimDuration::from_millis(400);
+    join_staggered::<VsyncStack>(&mut w, g, &apps, SimTime::ZERO, gap);
+    w.run_until(SimTime::from_secs(12));
+    w.schedule_at(SimTime::from_secs(12), |w| {
+        w.topology_mut().set_congestion(400.0)
+    });
+    w.schedule_at(SimTime::from_secs(27), |w| {
+        w.topology_mut().set_congestion(1.0)
+    });
+    w.run_until(SimTime::from_secs(70));
+    let trace = w.trace();
     assert!(
         trace.count("fd.alive") >= 1,
         "congested-but-alive peers must be recanted by the failure detector"

@@ -21,10 +21,11 @@
 mod counting_alloc;
 
 use counting_alloc::allocs;
+use plwg::obs::scenarios::{agree, join_staggered, run_until, Scenario};
 use plwg::prelude::*;
 
 const LWGS: u64 = 32;
-const APPS: u32 = 8;
+const APPS: usize = 8;
 /// Heal-window callbacks allowed per LWG, over both cycles.
 const CALLBACKS_PER_LWG: u64 = 16;
 /// Heal-window allocations allowed per LWG in the first cycle.
@@ -34,81 +35,28 @@ const ALLOCS_PER_LWG: u64 = 400;
 /// 200 ms apart, members 400 ms apart, one shared HWG — and run until
 /// every LWG is whole at every app.
 fn brought_up(seed: u64, lwgs: u64, trace: bool) -> (World, Vec<NodeId>, Vec<NodeId>) {
-    let mut w = World::new(WorldConfig {
-        seed,
-        trace,
-        ..WorldConfig::default()
-    });
-    let servers: Vec<NodeId> = [(0, 1), (1, 0)]
-        .into_iter()
-        .map(|(me, peer)| {
-            w.add_node(Box::new(NameServer::new(
-                NodeId(me),
-                vec![NodeId(peer)],
-                NamingConfig::default(),
-            )))
-        })
-        .collect();
-    let apps: Vec<NodeId> = (0..APPS)
-        .map(|i| {
-            w.add_node(Box::new(
-                LwgNode::builder(NodeId(2 + i))
-                    .servers(servers.clone())
-                    .build()
-                    .expect("valid LWG config"),
-            ))
-        })
-        .collect();
+    let mut scenario = Scenario::new(seed, APPS);
+    scenario.world.trace = trace;
+    let (mut w, servers, apps) = scenario.build::<VsyncStack>();
+    let gap = SimDuration::from_millis(400);
     for g in 1..=lwgs {
-        for (i, &m) in apps.iter().enumerate() {
-            let at = SimTime::ZERO
-                + SimDuration::from_millis(200 * g)
-                + SimDuration::from_millis(400 * i as u64);
-            w.invoke_at(at, m, move |a: &mut LwgNode, ctx| {
-                a.service().join(ctx, LwgId(g))
-            });
-        }
+        let start = SimTime::ZERO + SimDuration::from_millis(200 * g);
+        join_staggered::<VsyncStack>(&mut w, LwgId(g), &apps, start, gap);
     }
-    run_until_whole(
+    let up = run_until(
         &mut w,
-        &apps,
-        lwgs,
         SimDuration::from_secs(1),
         SimDuration::from_secs(300),
+        |w| whole(w, &apps, lwgs),
     );
-    assert_eq!(
-        groups_of_size(&mut w, &apps, lwgs, apps.len()),
-        lwgs,
-        "seed {seed}: bring-up"
-    );
+    assert!(up.is_some(), "seed {seed}: bring-up");
     (w, servers, apps)
 }
 
-/// How many of LWGs `1..=lwgs` have a view of `len` members at every app.
-fn groups_of_size(world: &mut World, apps: &[NodeId], lwgs: u64, len: usize) -> u64 {
-    (1..=lwgs)
-        .filter(|&g| {
-            apps.iter().all(|&m| {
-                world.inspect(m, |a: &LwgNode| {
-                    a.current_view(LwgId(g)).is_some_and(|v| v.len() == len)
-                })
-            })
-        })
-        .count() as u64
-}
-
-/// Runs in `step`s until every LWG is whole at every app, or `limit` passes.
-fn run_until_whole(
-    world: &mut World,
-    apps: &[NodeId],
-    lwgs: u64,
-    step: SimDuration,
-    limit: SimDuration,
-) {
-    let deadline = world.now() + limit;
-    while groups_of_size(world, apps, lwgs, apps.len()) < lwgs && world.now() < deadline {
-        world.run_for(step);
-    }
+/// Whether each of LWGs `1..=lwgs` has exactly `members` as its view at
+/// every one of them.
+fn whole(world: &mut World, members: &[NodeId], lwgs: u64) -> bool {
+    (1..=lwgs).all(|g| agree::<VsyncStack>(world, LwgId(g), members))
 }
 
 /// What one heal window (heal → every LWG whole) cost.
@@ -132,9 +80,8 @@ fn split_and_heal(w: &mut World, servers: &[NodeId], apps: &[NodeId], cycle: u32
     );
     w.run_for(SimDuration::from_secs(15));
     for side in [side_a, side_b] {
-        assert_eq!(
-            groups_of_size(w, side, LWGS, side.len()),
-            LWGS,
+        assert!(
+            whole(w, side, LWGS),
             "cycle {cycle}: each side settled into its own views"
         );
     }
@@ -144,19 +91,14 @@ fn split_and_heal(w: &mut World, servers: &[NodeId], apps: &[NodeId], cycle: u32
     let allocs0 = allocs();
     let now = w.now();
     w.heal_at(now);
-    run_until_whole(
+    let healed = run_until(
         w,
-        apps,
-        LWGS,
         SimDuration::from_millis(10),
         SimDuration::from_secs(120),
+        |w| whole(w, apps, LWGS),
     );
     let allocs = allocs() - allocs0;
-    assert_eq!(
-        groups_of_size(w, apps, LWGS, apps.len()),
-        LWGS,
-        "cycle {cycle}: every LWG whole again"
-    );
+    assert!(healed.is_some(), "cycle {cycle}: every LWG whole again");
     HealCost {
         merged: w.metrics().counter(plwg::core::keys::VIEWS_MERGED) - merged0,
         callbacks: w.metrics().counter(plwg::naming::keys::CALLBACKS) - callbacks0,

@@ -2,66 +2,25 @@
 //! must hide the loss from the LWG layer entirely — FIFO per sender, no
 //! gaps, across a membership change.
 
+use plwg::obs::scenarios::{agree, join_staggered, run_until, Scenario};
 use plwg::prelude::*;
-use plwg::sim::NetConfig;
-
-fn at(s: u64) -> SimTime {
-    SimTime::from_micros(s * 1_000_000)
-}
 
 #[test]
 fn lwg_streams_survive_message_loss_and_a_crash() {
-    let mut world = World::new(WorldConfig {
-        seed: 71,
-        net: NetConfig {
-            loss: 0.05,
-            ..NetConfig::default()
-        },
-        ..WorldConfig::default()
-    });
-    let s0 = world.add_node(Box::new(NameServer::new(
-        NodeId(0),
-        vec![NodeId(1)],
-        NamingConfig::default(),
-    )));
-    let s1 = world.add_node(Box::new(NameServer::new(
-        NodeId(1),
-        vec![NodeId(0)],
-        NamingConfig::default(),
-    )));
-    let apps: Vec<NodeId> = (0..4)
-        .map(|i| {
-            world.add_node(Box::new(
-                LwgNode::builder(NodeId(2 + i))
-                    .servers(vec![s0, s1])
-                    .config(LwgConfig::default())
-                    .build()
-                    .expect("valid LWG config"),
-            ))
-        })
-        .collect();
+    let mut scenario = Scenario::new(71, 4);
+    scenario.world.net.loss = 0.05;
+    let (mut world, _, apps) = scenario.build::<VsyncStack>();
     let g = LwgId(1);
-    for (i, &m) in apps.iter().enumerate() {
-        world.invoke_at(
-            at(0) + SimDuration::from_millis(500 * i as u64),
-            m,
-            move |n: &mut LwgNode, ctx| n.service().join(ctx, g),
-        );
-    }
+    let gap = SimDuration::from_millis(500);
+    join_staggered::<VsyncStack>(&mut world, g, &apps, SimTime::ZERO, gap);
     // Bring-up under loss can need retries; poll for convergence.
-    let mut up = false;
-    while world.now() < at(60) {
-        world.run_for(SimDuration::from_secs(1));
-        up = apps.iter().all(|&m| {
-            world.inspect(m, |n: &LwgNode| {
-                n.current_view(g).is_some_and(|v| v.len() == 4)
-            })
-        });
-        if up {
-            break;
-        }
-    }
-    assert!(up, "bring-up must converge under 5% loss");
+    let up = run_until(
+        &mut world,
+        SimDuration::from_secs(1),
+        SimDuration::from_secs(60),
+        |w| agree::<VsyncStack>(w, g, &apps),
+    );
+    assert!(up.is_some(), "bring-up must converge under 5% loss");
 
     // Stream 100 messages; crash a member mid-stream.
     let sender = apps[0];

@@ -4,49 +4,16 @@
 //! congestion clears, the same reconciliation pipeline heals the damage,
 //! even though no packet was ever actually cut off.
 
+use plwg::obs::scenarios::{join_staggered, Scenario};
 use plwg::prelude::*;
-
-fn at(s: u64) -> SimTime {
-    SimTime::from_micros(s * 1_000_000)
-}
 
 #[test]
 fn congestion_episode_splits_and_heals_lwgs() {
-    let mut world = World::new(WorldConfig {
-        seed: 61,
-        trace: true,
-        ..WorldConfig::default()
-    });
-    let s0 = world.add_node(Box::new(NameServer::new(
-        NodeId(0),
-        vec![NodeId(1)],
-        NamingConfig::default(),
-    )));
-    let s1 = world.add_node(Box::new(NameServer::new(
-        NodeId(1),
-        vec![NodeId(0)],
-        NamingConfig::default(),
-    )));
-    let apps: Vec<NodeId> = (0..4)
-        .map(|i| {
-            world.add_node(Box::new(
-                LwgNode::builder(NodeId(2 + i))
-                    .servers(vec![s0, s1])
-                    .config(LwgConfig::default())
-                    .build()
-                    .expect("valid LWG config"),
-            ))
-        })
-        .collect();
+    let (mut world, _, apps) = Scenario::traced(61, 4).build::<VsyncStack>();
     let g = LwgId(1);
-    for (i, &m) in apps.iter().enumerate() {
-        world.invoke_at(
-            at(0) + SimDuration::from_millis(400 * i as u64),
-            m,
-            move |n: &mut LwgNode, ctx| n.service().join(ctx, g),
-        );
-    }
-    world.run_until(at(10));
+    let gap = SimDuration::from_millis(400);
+    join_staggered::<VsyncStack>(&mut world, g, &apps, SimTime::ZERO, gap);
+    world.run_until(SimTime::from_secs(10));
     let pre = world
         .inspect(apps[0], |n: &LwgNode| n.current_view(g).cloned())
         .expect("view");
@@ -54,9 +21,13 @@ fn congestion_episode_splits_and_heals_lwgs() {
 
     // Congestion: every latency sample ×400 for 15 s. Heartbeats still
     // arrive — eventually — but far past the 500 ms suspicion timeout.
-    world.schedule_at(at(12), |w| w.topology_mut().set_congestion(400.0));
-    world.schedule_at(at(27), |w| w.topology_mut().set_congestion(1.0));
-    world.run_until(at(24));
+    world.schedule_at(SimTime::from_secs(12), |w| {
+        w.topology_mut().set_congestion(400.0)
+    });
+    world.schedule_at(SimTime::from_secs(27), |w| {
+        w.topology_mut().set_congestion(1.0)
+    });
+    world.run_until(SimTime::from_secs(24));
     // Mid-episode: the group has (virtually) fallen apart at least
     // somewhere — suspicions must have fired.
     assert!(
@@ -66,7 +37,7 @@ fn congestion_episode_splits_and_heals_lwgs() {
     let views_mid = world.metrics().counter(plwg::vsync::keys::VIEWS_INSTALLED);
 
     // After the episode clears, everything re-merges.
-    world.run_until(at(70));
+    world.run_until(SimTime::from_secs(70));
     let healed = world
         .inspect(apps[0], |n: &LwgNode| n.current_view(g).cloned())
         .expect("view");
@@ -94,7 +65,7 @@ fn congestion_episode_splits_and_heals_lwgs() {
             n.service().send(ctx, g, plwg::sim::Frame::from_u64(k));
         }
     });
-    world.run_until(at(72));
+    world.run_until(SimTime::from_secs(72));
     for &m in &apps[1..] {
         let got: Vec<u64> = world.inspect(m, |n: &LwgNode| n.events_ref().data_from(g, sender));
         assert_eq!(got, vec![0, 1, 2, 3, 4]);

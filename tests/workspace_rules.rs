@@ -97,6 +97,45 @@ fn dependencies_point_down_the_layering() {
     assert_none("layering; move these to [dev-dependencies]", &bad);
 }
 
+/// Every dependency of the workspace and of the benchmark is a `plwg-*`
+/// crate, and no lock file pins a registry or git source: nothing can bring
+/// in `rand` or any other ambient randomness.
+#[test]
+fn the_build_is_hermetic() {
+    let crates = fs::read_dir(Path::new(ROOT).join("crates")).expect("crates/");
+    let mut manifests = vec!["Cargo.toml".to_owned(), "benchmark/Cargo.toml".to_owned()];
+    manifests.extend(
+        crates
+            .flatten()
+            .map(|e| format!("crates/{}/Cargo.toml", e.file_name().to_string_lossy())),
+    );
+    let mut bad = Vec::new();
+    for rel in &manifests {
+        let toml = fs::read_to_string(Path::new(ROOT).join(rel)).expect("manifest");
+        for section in format!("\n{toml}").split("\n[").skip(1) {
+            let (header, body) = section.split_once(']').unwrap_or_default();
+            let deps = match header.rsplit_once("dependencies.") {
+                // `[dependencies.rand]` names the dependency in its header.
+                Some((_, dep)) => vec![dep],
+                None if header.ends_with("dependencies") => body
+                    .lines()
+                    .map(|l| l.split(['=', '.']).next().unwrap_or_default().trim())
+                    .filter(|dep| !dep.is_empty() && !dep.starts_with('#'))
+                    .collect(),
+                None => vec![],
+            };
+            let foreign = deps.into_iter().filter(|dep| !dep.starts_with("plwg-"));
+            bad.extend(foreign.map(|dep| format!("{rel}: [{header}] lists `{dep}`")));
+        }
+    }
+    for rel in ["Cargo.lock", "benchmark/Cargo.lock"] {
+        let lock = fs::read_to_string(Path::new(ROOT).join(rel)).expect("lock file");
+        let sources = lock.lines().filter(|l| l.starts_with("source = "));
+        bad.extend(sources.map(|l| format!("{rel}: `{l}`")));
+    }
+    assert_none("the build must stay std-only and offline", &bad);
+}
+
 /// `pub const IDENT: CounterKey = "dotted.name";` → `(IDENT, dotted.name)`.
 fn key_decl(line: &str) -> Option<(&str, &str)> {
     let decl = line.trim_start().strip_prefix("pub const ")?;
