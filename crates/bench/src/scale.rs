@@ -19,16 +19,24 @@
 //!   amplify with the group count;
 //! * **rebalance convergence** — a second world seeds the same `L` plus
 //!   [`SKEW`] extra groups on one HWG, turns the rebalancer on, and counts
-//!   moves and 300 ms rounds until two quiet rounds in a row.
+//!   moves and 300 ms rounds until two quiet rounds in a row;
+//! * **quiet gossip bytes per period** — a third world of two peered name
+//!   servers, fed the same `L` mappings by one client, counts the gossip
+//!   bytes of four gossip periods after their replicas converged.
 //!
 //! Every run asserts the gates: memory per LWG flat, lookup cost O(1), no
-//! amplification, and bounded moves.
+//! amplification, bounded moves, and quiet gossip independent of `L`.
 
 use crate::report::{page, Table};
 use crate::{LiveBytes, Output};
 use plwg_core::{DirCounters, HwgId, LwgConfig, LwgId, LwgMsg, ScriptedHwg, View, ViewId};
+use plwg_naming::{Mapping, NameServer, NamingConfig, NsMsg, RequestId};
 use plwg_obs::scenarios::Scenario;
-use plwg_sim::{Frame, NodeId, SimDuration, World};
+use plwg_sim::{
+    encode_frame, family, Frame, NodeId, Payload, Process, SimDuration, TimerToken, Transport,
+    World, WorldConfig,
+};
+use std::any::Any;
 
 type Node = plwg_core::LwgNode<ScriptedHwg>;
 
@@ -69,6 +77,7 @@ struct Row {
     delivered: u64,
     rebalance_moves: u64,
     converge_rounds: u64,
+    quiet_gossip_bytes: u64,
 }
 
 impl Row {
@@ -85,7 +94,8 @@ impl Row {
             "\"lwgs\": {}, \"hwgs\": {HWGS}, \"bytes_per_lwg\": {}, \
              \"probe_lookups\": {}, \"probe_index_queries\": {}, \"probe_visited\": {}, \
              \"multicasts\": {}, \"delivered\": {}, \"multicasts_per_delivered\": {:.2}, \
-             \"rebalance_moves\": {}, \"rebalance_converge_ms\": {}",
+             \"rebalance_moves\": {}, \"rebalance_converge_ms\": {}, \
+             \"quiet_gossip_bytes_per_period\": {}",
             self.lwgs,
             self.bytes_per_lwg,
             self.probe_lookups,
@@ -96,6 +106,7 @@ impl Row {
             self.multicasts_per_delivered(),
             self.rebalance_moves,
             self.converge_ms(),
+            self.quiet_gossip_bytes,
         )
     }
 }
@@ -170,6 +181,72 @@ fn sample_ids(l: u64) -> Vec<u64> {
         .collect()
 }
 
+/// The client of the gossip world: it sends the writes and drops the
+/// replies.
+struct Writer;
+
+impl Process for Writer {
+    fn on_message(&mut self, _: &mut dyn Transport, _: NodeId, _: Payload) {}
+    fn on_timer(&mut self, _: &mut dyn Transport, _: TimerToken) {}
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// Gossip bytes per gossip period between two peered name servers that
+/// both hold the same `l` singleton mappings, once their replicas agree.
+fn quiet_gossip_bytes(l: u64) -> u64 {
+    let period = NamingConfig::default().gossip_interval;
+    let mut w = World::new(WorldConfig {
+        seed: 7,
+        ..WorldConfig::default()
+    });
+    let servers = [NodeId(0), NodeId(1)];
+    for (me, peer) in [(servers[0], servers[1]), (servers[1], servers[0])] {
+        w.add_node(Box::new(NameServer::new(
+            me,
+            vec![peer],
+            NamingConfig::default(),
+        )));
+    }
+    let writer = w.add_node(Box::new(Writer));
+    for i in 0..l {
+        let view = ViewId::new(writer, 1);
+        let set = encode_frame(
+            family::NS,
+            &NsMsg::Set {
+                req: RequestId(i),
+                lwg: LwgId(1 + i),
+                mapping: Mapping {
+                    lwg_view: view,
+                    members: vec![writer],
+                    hwg: hwg(i % HWGS),
+                    hwg_view: view,
+                },
+                preds: vec![],
+            },
+        );
+        w.invoke(writer, move |_: &mut Writer, ctx| {
+            for s in servers {
+                ctx.send(s, set.clone());
+            }
+        });
+        if i % 8192 == 8191 {
+            w.run_for(ms(1));
+        }
+    }
+    let root = |w: &mut World, s| w.inspect(s, |n: &NameServer| n.db().root());
+    for _ in 0..64 {
+        w.run_for(period);
+        if root(&mut w, servers[0]) == root(&mut w, servers[1]) {
+            let before = w.metrics().counter(plwg_naming::keys::GOSSIP_BYTES);
+            w.run_for(period.saturating_mul(4));
+            return (w.metrics().counter(plwg_naming::keys::GOSSIP_BYTES) - before) / 4;
+        }
+    }
+    panic!("two name servers fed the same {l} mappings did not converge");
+}
+
 fn run_cell(l: u64, live_bytes: LiveBytes) -> Row {
     // --- world A: memory, lookup cost, data plane (rebalancer off) ----
     let (mut w, a) = setup(false);
@@ -227,6 +304,7 @@ fn run_cell(l: u64, live_bytes: LiveBytes) -> Row {
         assert!(rounds < 64, "rebalancer did not converge in 64 rounds");
     }
     let rebalance_moves = w.metrics().counter(plwg_core::keys::REBALANCE_MOVES);
+    drop(w);
 
     Row {
         lwgs: l,
@@ -238,6 +316,7 @@ fn run_cell(l: u64, live_bytes: LiveBytes) -> Row {
         delivered,
         rebalance_moves,
         converge_rounds: last_change,
+        quiet_gossip_bytes: quiet_gossip_bytes(l),
     }
 }
 
@@ -282,6 +361,11 @@ fn gate(rows: &[Row]) {
             r.rebalance_moves,
             r.lwgs
         );
+        assert_eq!(
+            r.quiet_gossip_bytes, small.quiet_gossip_bytes,
+            "quiet gossip grows with L: {} B/period at {} vs {} B at {}",
+            r.quiet_gossip_bytes, r.lwgs, small.quiet_gossip_bytes, small.lwgs
+        );
     }
 }
 
@@ -296,6 +380,7 @@ pub(crate) fn sweep(live_bytes: LiveBytes) -> Output {
         "mcast/delivered",
         "moves",
         "converge ms",
+        "quiet gossip B/period",
     ]);
     let rows: Vec<Row> = [1_000, 10_000, 100_000]
         .into_iter()
@@ -310,6 +395,7 @@ pub(crate) fn sweep(live_bytes: LiveBytes) -> Output {
             format!("{:.2}", r.multicasts_per_delivered()),
             r.rebalance_moves.to_string(),
             r.converge_ms().to_string(),
+            r.quiet_gossip_bytes.to_string(),
         ]);
     }
     gate(&rows);
@@ -318,7 +404,8 @@ pub(crate) fn sweep(live_bytes: LiveBytes) -> Output {
         ..page(
             &format!(
                 "Directory scale sweep: L singleton LWGs round-robin on {HWGS} HWGs\n\
-                 (1 app node + 1 name server, scripted substrate; probe = {PROBE} lookups + {PROBE} sends)"
+                 (1 app node + 1 name server, scripted substrate; probe = {PROBE} lookups + {PROBE} sends;\n\
+                 quiet gossip: 2 peered name servers holding the same L mappings)"
             ),
             &table,
             "",

@@ -11,6 +11,11 @@ use plwg_hwg::{HwgId, ViewId};
 use plwg_sim::NodeId;
 use std::collections::{btree_map, BTreeMap, BTreeSet, VecDeque};
 
+mod codec;
+mod digest;
+
+pub use digest::Digest;
+
 /// One view-to-view mapping: an LWG view mapped onto an HWG view.
 ///
 /// The derived ordering gives reconciliation a deterministic tie-break
@@ -40,6 +45,9 @@ struct LwgEntry {
     /// presence during gossip merges, otherwise a peer that has not yet
     /// heard of the deletion would resurrect the mapping.
     tombstones: BTreeSet<ViewId>,
+    /// This entry's digest (see `digest`), kept current with the fields
+    /// above. Derived state: never on the wire.
+    hash: u64,
 }
 
 impl LwgEntry {
@@ -125,6 +133,8 @@ pub struct MappingDb {
     /// `is_inconsistent()` never scan the entries. Not serialised: the
     /// codec rebuilds it on decode.
     multi: BTreeSet<LwgId>,
+    /// The XOR of every entry's hash, maintained and rebuilt with them.
+    root: u64,
 }
 
 impl MappingDb {
@@ -154,15 +164,18 @@ impl MappingDb {
         self.resync(lwg);
     }
 
-    /// Re-derives `lwg`'s membership in the inconsistency index after its
-    /// entry was mutated.
+    /// Re-derives `lwg`'s membership in the inconsistency index, its hash
+    /// and the root after its (existing) entry was mutated.
     fn resync(&mut self, lwg: LwgId) {
-        let multi = self.entries.get(&lwg).is_some_and(|e| e.current.len() > 1);
-        if multi {
+        let Some(entry) = self.entries.get_mut(&lwg) else {
+            return;
+        };
+        if entry.current.len() > 1 {
             self.multi.insert(lwg);
         } else {
             self.multi.remove(&lwg);
         }
+        self.root ^= entry.rehash(lwg);
     }
 
     /// The current (non-obsolete) mappings for `lwg`, in view-id order.
@@ -313,7 +326,8 @@ impl MappingDb {
     /// Returns the number of edges entries removed.
     pub fn compact(&mut self) -> usize {
         let mut removed = 0;
-        self.entries.retain(|_, entry| {
+        let root = &mut self.root;
+        self.entries.retain(|&lwg, entry| {
             // Reachable = current ∪ tombstones, closed under predecessors.
             let mut reachable: BTreeSet<ViewId> = entry
                 .current
@@ -334,61 +348,22 @@ impl MappingDb {
             let before = entry.preds.len();
             entry.preds.retain(|v, _| reachable.contains(v));
             removed += before - entry.preds.len();
-            !entry.current.is_empty() || !entry.tombstones.is_empty()
+            let keep = !entry.current.is_empty() || !entry.tombstones.is_empty();
+            if !keep {
+                *root ^= entry.hash;
+            } else if entry.preds.len() != before {
+                *root ^= entry.rehash(lwg);
+            }
+            keep
         });
         removed
-    }
-}
-
-// --- wire codec -----------------------------------------------------------
-//
-// Lives here rather than in `wire.rs` because the entry fields are private:
-// the snapshot format is exactly the in-memory structure, so a decoded
-// gossip frame compares equal (`PartialEq`) to the snapshot that was sent.
-
-use plwg_sim::{Decode, Reader, WireError};
-
-plwg_wire::wire_struct!(encode LwgEntry { current, preds, tombstones });
-plwg_wire::wire_struct!(encode MappingDb { entries });
-
-// Hand-written on purpose: safety code that re-validates off the wire.
-impl Decode for LwgEntry {
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut entry = LwgEntry {
-            current: Decode::decode_from(r)?,
-            preds: Decode::decode_from(r)?,
-            tombstones: Decode::decode_from(r)?,
-        };
-        // Re-establish the invariants `set`/`unset`/`merge` maintain, so a
-        // corrupt (or merely stale) snapshot cannot resurrect a dissolved
-        // view or keep a superseded mapping alive.
-        for v in &entry.tombstones {
-            entry.current.remove(v);
-        }
-        entry.gc();
-        Ok(entry)
-    }
-}
-
-// Hand-written on purpose: safety code that rebuilds derived state.
-impl Decode for MappingDb {
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let entries: BTreeMap<LwgId, LwgEntry> = Decode::decode_from(r)?;
-        // The inconsistency index is derived state and never travels on
-        // the wire; rebuild it from the decoded entries.
-        let multi = entries
-            .iter()
-            .filter(|(_, e)| e.current.len() > 1)
-            .map(|(&l, _)| l)
-            .collect();
-        Ok(MappingDb { entries, multi })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use plwg_sim::Encode;
+    use plwg_sim::{Decode, Encode, Reader};
 
     fn n(i: u32) -> NodeId {
         NodeId(i)

@@ -15,8 +15,10 @@ plwg_sim::metric_keys! {
     pub const CALLBACKS: CounterKey = "ns.callbacks";
     /// Gossip rounds that changed the local replica.
     pub const RECONCILIATIONS: CounterKey = "ns.reconciliations";
-    /// Gossip messages sent.
+    /// `Sync` messages sent, on the gossip tick and as replies.
     pub const GOSSIP_SENT: CounterKey = "ns.gossip_sent";
+    /// Frame bytes of the `Sync` messages sent.
+    pub const GOSSIP_BYTES: CounterKey = "ns.gossip_bytes";
     /// Lineage edges removed by periodic compaction.
     pub const COMPACTED_EDGES: CounterKey = "ns.compacted_edges";
     /// Client-stub requests dispatched.

@@ -37,7 +37,7 @@ mod wire;
 
 pub use client::{NsClient, NsEvent, RequestId};
 pub use config::NamingConfig;
-pub use db::{Mapping, MappingDb};
+pub use db::{Digest, Mapping, MappingDb};
 pub use events::NamingEvent;
 pub use id::LwgId;
 pub use msg::NsMsg;

@@ -1,7 +1,7 @@
 //! Wire messages of the naming service.
 
 use crate::client::RequestId;
-use crate::db::{Mapping, MappingDb};
+use crate::db::{Digest, Mapping, MappingDb};
 use crate::id::LwgId;
 use plwg_hwg::ViewId;
 use std::fmt;
@@ -10,7 +10,7 @@ use std::fmt;
 ///
 /// The request primitives mirror paper Table 2 (`ns.set`, `ns.read`,
 /// `ns.testset`), augmented for partitionable operation with view-aware
-/// payloads, an explicit `Unset`, server-to-server `Gossip`, and the
+/// payloads, an explicit `Unset`, server-to-server `Sync`, and the
 /// `MultipleMappings` callback of §6.1.
 #[derive(Clone)]
 pub enum NsMsg {
@@ -72,9 +72,12 @@ pub enum NsMsg {
         /// All current mappings.
         mappings: Vec<Mapping>,
     },
-    /// Anti-entropy exchange between server peers.
-    Gossip {
-        /// The sender's full database snapshot.
+    /// Anti-entropy exchange between server peers: the sender's digest,
+    /// and its replica only where the receiver's last digest differed.
+    Sync {
+        /// The digest of the sender's replica ([`MappingDb::root`]).
+        root: Digest,
+        /// The sender's full replica, or an empty one.
         db: MappingDb,
     },
 }
@@ -108,7 +111,7 @@ impl fmt::Debug for NsMsg {
             NsMsg::MultipleMappings { lwg, mappings } => {
                 write!(f, "MultipleMappings({lwg},{} mappings)", mappings.len())
             }
-            NsMsg::Gossip { db } => write!(f, "Gossip({} mappings)", db.len()),
+            NsMsg::Sync { root, db } => write!(f, "Sync({:016x},{} mappings)", root.0, db.len()),
         }
     }
 }

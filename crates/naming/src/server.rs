@@ -6,16 +6,28 @@
 //! `MULTIPLE-MAPPINGS` callbacks to affected group members when a write or
 //! a reconciliation leaves a group with concurrent mappings — and again
 //! once per gossip period while they persist.
+//!
+//! Gossip is digest-driven anti-entropy. On every tick a server sends each
+//! peer one `Sync` carrying its replica's root digest, and adds the whole
+//! replica only if that peer's latest digest arrived since this server's
+//! last `Sync` to it and differs from the root — unless the root is the
+//! one this server shipped the peer since its previous tick: the peer's
+//! digest crossed that snapshot in flight and says nothing about it. A
+//! `Sync` that ends a silence of more than 1.5 gossip periods with a
+//! differing root is answered at once with the replica, so a heal
+//! reconciles one round trip after first contact. Replies aside, the
+//! sends and their times are those of full-snapshot gossip: the simulator
+//! draws one jitter per send, so this keeps every run's random stream.
 
 use crate::config::NamingConfig;
-use crate::db::MappingDb;
+use crate::db::{Digest, MappingDb};
 use crate::events::NamingEvent;
 use crate::id::LwgId;
 use crate::keys;
 use crate::msg::NsMsg;
 use crate::wire;
 use plwg_sim::{
-    decode_frame, family, peek_family, NodeId, Payload, Process, TimerToken, Transport,
+    decode_frame, family, peek_family, NodeId, Payload, Process, SimTime, TimerToken, Transport,
     TransportExt,
 };
 use std::any::Any;
@@ -23,10 +35,24 @@ use std::collections::BTreeSet;
 
 const TOK_GOSSIP: TimerToken = TimerToken(0x0200_0000_0000_0001);
 
+/// What a server knows of one peer's replica.
+#[derive(Debug)]
+struct Peer {
+    id: NodeId,
+    /// When the peer's last `Sync` arrived, or this server started.
+    heard: SimTime,
+    /// The peer's latest root, while it is news: it arrived after this
+    /// server's last `Sync` to the peer.
+    fresh: Option<Digest>,
+    /// The root of the snapshot this server sent the peer since its
+    /// previous tick, if it sent one.
+    shipped: Option<Digest>,
+}
+
 /// A replicated name server (one per designated node).
 pub struct NameServer {
     me: NodeId,
-    peers: Vec<NodeId>,
+    peers: Vec<Peer>,
     cfg: NamingConfig,
     db: MappingDb,
     gossip_rounds: u64,
@@ -42,6 +68,14 @@ impl NameServer {
     pub fn new(me: NodeId, peers: Vec<NodeId>, cfg: NamingConfig) -> Self {
         cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         assert!(!peers.contains(&me), "peer list must not include self");
+        let peers = (peers.into_iter())
+            .map(|id| Peer {
+                id,
+                heard: SimTime::ZERO,
+                fresh: None,
+                shipped: None,
+            })
+            .collect();
         NameServer {
             me,
             peers,
@@ -94,6 +128,13 @@ impl NameServer {
         }
     }
 
+    /// Sends `frame`, a `Sync`, to `to`.
+    fn send_sync(ctx: &mut dyn Transport, to: NodeId, frame: Payload) {
+        ctx.metrics().incr(keys::GOSSIP_SENT);
+        ctx.metrics().add(keys::GOSSIP_BYTES, frame.len() as u64);
+        ctx.send(to, frame);
+    }
+
     fn reply(&mut self, ctx: &mut dyn Transport, to: NodeId, req: crate::RequestId, lwg: LwgId) {
         let mappings = self.db.read(lwg);
         ctx.send(to, wire::frame(&NsMsg::Reply { req, lwg, mappings }));
@@ -102,6 +143,10 @@ impl NameServer {
 
 impl Process for NameServer {
     fn on_start(&mut self, ctx: &mut dyn Transport) {
+        for p in &mut self.peers {
+            p.heard = ctx.now();
+            p.fresh = None;
+        }
         ctx.set_timer(self.cfg.gossip_interval, TOK_GOSSIP);
     }
 
@@ -155,7 +200,7 @@ impl Process for NameServer {
                 self.db.unset(*lwg, *lwg_view);
                 self.reply(ctx, from, *req, *lwg);
             }
-            NsMsg::Gossip { db } => {
+            NsMsg::Sync { root, db } => {
                 let changed = self.db.merge(db);
                 if !changed.is_empty() {
                     ctx.metrics().incr(keys::RECONCILIATIONS);
@@ -163,6 +208,21 @@ impl Process for NameServer {
                         changed: changed.clone(),
                     });
                     self.notify_inconsistencies(ctx, &changed);
+                }
+                let Some(peer) = self.peers.iter_mut().find(|p| p.id == from) else {
+                    return;
+                };
+                let now = ctx.now();
+                let silence = now.saturating_since(peer.heard);
+                peer.heard = now;
+                peer.fresh = Some(*root);
+                // First contact after a silence: push-pull in one round
+                // trip instead of waiting for the next tick.
+                let silent = silence.saturating_mul(2) > self.cfg.gossip_interval.saturating_mul(3);
+                if silent && *root != self.db.root() {
+                    peer.fresh = None;
+                    peer.shipped = Some(self.db.root());
+                    Self::send_sync(ctx, from, wire::sync_frame(&self.db, true));
                 }
             }
             NsMsg::Reply { .. } | NsMsg::MultipleMappings { .. } => {
@@ -175,14 +235,20 @@ impl Process for NameServer {
         if token != TOK_GOSSIP {
             return;
         }
-        if !self.peers.is_empty() {
-            // Encode the snapshot once, straight from the replica; every
-            // peer receives a refcount clone of the same frame.
-            let gossip = wire::gossip_frame(&self.db);
-            for &p in &self.peers {
-                ctx.metrics().incr(keys::GOSSIP_SENT);
-                ctx.send(p, gossip.clone());
-            }
+        // Each frame is encoded at most once, straight from the replica;
+        // every peer receives a refcount clone.
+        let root = self.db.root();
+        let (mut digest, mut snapshot) = (None, None);
+        for p in &mut self.peers {
+            let differs = p.fresh.take().is_some_and(|theirs| theirs != root);
+            let ship = differs && p.shipped != Some(root);
+            p.shipped = ship.then_some(root);
+            let frame = if ship {
+                snapshot.get_or_insert_with(|| wire::sync_frame(&self.db, true))
+            } else {
+                digest.get_or_insert_with(|| wire::sync_frame(&self.db, false))
+            };
+            Self::send_sync(ctx, p.id, frame.clone());
         }
         // Re-notify while inconsistencies persist (robust to lost
         // callbacks around the heal).

@@ -3,32 +3,56 @@
 //! Every [`NsMsg`] travels as one `plwg-wire` frame: the `NS` family tag,
 //! a one-byte variant tag, then the variant's fields in the order of the
 //! `wire_enum!` table below, whose left column is the tag space
-//! (wire-stable, append-only). Gossip frames embed a full
-//! [`MappingDb`](crate::db::MappingDb) snapshot (its decoder lives in
-//! `db.rs`, next to the private fields and invariants it restores).
+//! (wire-stable, append-only). A `Sync` frame carries the sender's root
+//! digest and either its full [`MappingDb`](crate::db::MappingDb) snapshot
+//! or an empty one (the decoder lives in `db/codec.rs`, next to the
+//! private fields and invariants it restores).
 
 use crate::client::RequestId;
-use crate::db::{Mapping, MappingDb};
+use crate::db::{Digest, Mapping, MappingDb};
 use crate::id::LwgId;
 use crate::msg::NsMsg;
-use plwg_sim::{encode_frame, family, Encode, Payload};
+use plwg_sim::{encode_frame, family, Decode, Encode, Payload, Reader, WireError};
 
 /// Encodes `msg` as a ready-to-send simulator payload (family `NS`).
 pub(crate) fn frame(msg: &NsMsg) -> Payload {
     encode_frame(family::NS, msg)
 }
 
-/// The `Gossip` frame of `db`, encoded from the borrowed replica: the same
-/// bytes as `frame(&NsMsg::Gossip { db: db.clone() })`, without the clone.
-pub(crate) fn gossip_frame(db: &MappingDb) -> Payload {
-    struct Gossip<'a>(&'a MappingDb);
-    impl Encode for Gossip<'_> {
+/// The `Sync` frame of `db`, with the snapshot or without, encoded from
+/// the borrowed replica: the same bytes as `frame(&NsMsg::Sync { root:
+/// db.root(), db: db.clone() })` (or `MappingDb::new()`), without the clone.
+pub(crate) fn sync_frame(db: &MappingDb, snapshot: bool) -> Payload {
+    struct Sync<'a>(&'a MappingDb, bool);
+    impl Encode for Sync<'_> {
         fn encode_into(&self, out: &mut Vec<u8>) {
-            out.push(6); // the `Gossip` tag of the table below
-            self.0.encode_into(out);
+            out.push(7); // the `Sync` tag of the table below
+            self.0.root().encode_into(out);
+            if self.1 {
+                self.0.encode_into(out);
+            } else {
+                MappingDb::new().encode_into(out);
+            }
         }
     }
-    encode_frame(family::NS, &Gossip(db))
+    encode_frame(family::NS, &Sync(db, snapshot))
+}
+
+// A digest spends all 64 bits, so it travels as 8 little-endian bytes: a
+// varint would take 9 or 10, varying with the value.
+impl Encode for Digest {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.0.to_le_bytes());
+    }
+}
+
+impl Decode for Digest {
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let bytes = r.read_bytes(8)?.try_into();
+        Ok(Digest(u64::from_le_bytes(
+            bytes.map_err(|_| WireError::Truncated)?,
+        )))
+    }
 }
 
 plwg_wire::wire_struct!(LwgId { 0 });
@@ -42,7 +66,9 @@ plwg_wire::wire_enum!(NsMsg {
     3 => Unset { req, lwg, lwg_view },
     4 => Reply { req, lwg, mappings },
     5 => MultipleMappings { lwg, mappings },
-    6 => Gossip { db },
+    // 6 was `Gossip { db }`, a full snapshot on every tick; retired, and
+    // never reused.
+    7 => Sync { root, db },
 });
 
 #[cfg(test)]
@@ -104,7 +130,10 @@ mod tests {
                 lwg: LwgId(4),
                 mappings: vec![mapping(1), mapping(2)],
             },
-            NsMsg::Gossip { db },
+            NsMsg::Sync {
+                root: db.root(),
+                db,
+            },
         ];
         for msg in &msgs {
             assert_eq!(format!("{:?}", roundtrip(msg)), format!("{msg:?}"));
@@ -112,23 +141,28 @@ mod tests {
     }
 
     #[test]
-    fn gossip_snapshot_roundtrips_exactly() {
+    fn sync_snapshot_roundtrips_exactly() {
         let mut db = MappingDb::new();
         db.set(LwgId(1), mapping(1), &[]);
         db.set(LwgId(1), mapping(2), &[ViewId::new(NodeId(0), 1)]);
         db.set(LwgId(2), mapping(5), &[]);
         db.unset(LwgId(2), ViewId::new(NodeId(0), 5));
-        let NsMsg::Gossip { db: got } = roundtrip(&NsMsg::Gossip { db: db.clone() }) else {
+        let sent = NsMsg::Sync {
+            root: db.root(),
+            db: db.clone(),
+        };
+        let NsMsg::Sync { root, db: got } = roundtrip(&sent) else {
             panic!("wrong variant");
         };
         assert_eq!(got, db, "snapshot must survive the wire bit-for-bit");
+        assert_eq!((root, got.root()), (db.root(), db.root()));
     }
 
-    /// The borrowed gossip encoder writes exactly the bytes of the owned
-    /// message, over seeded databases mixing sets, successors and unsets
-    /// (the empty database included).
+    /// The borrowed `Sync` encoder writes exactly the bytes of the owned
+    /// message, with and without the snapshot, over seeded databases
+    /// mixing sets, successors and unsets (the empty database included).
     #[test]
-    fn borrowed_gossip_frame_matches_the_owned_one() {
+    fn borrowed_sync_frame_matches_the_owned_one() {
         for seed in 0..32 {
             let mut rng = plwg_sim::SimRng::from_seed(seed);
             let mut db = MappingDb::new();
@@ -149,9 +183,12 @@ mod tests {
                     ),
                 }
             }
+            let root = db.root();
+            let owned = |db| frame(&NsMsg::Sync { root, db });
+            assert_eq!(sync_frame(&db, true), owned(db.clone()), "seed {seed}");
             assert_eq!(
-                gossip_frame(&db),
-                frame(&NsMsg::Gossip { db: db.clone() }),
+                sync_frame(&db, false),
+                owned(MappingDb::new()),
                 "seed {seed}"
             );
         }

@@ -3,11 +3,12 @@
 
 use plwg_hwg::{HwgId, ViewId};
 use plwg_naming::{
-    LwgId, Mapping, MappingDb, NameServer, NamingConfig, NsClient, NsEvent, NsMsg, RequestId,
+    Digest, LwgId, Mapping, MappingDb, NameServer, NamingConfig, NsClient, NsEvent, NsMsg,
+    RequestId,
 };
 use plwg_sim::{
-    encode_frame, family, NodeId, Payload, Process, SimDuration, SimTime, TimerToken, Transport,
-    World, WorldConfig,
+    encode_frame, family, NetConfig, NodeId, Payload, Process, SimDuration, SimTime, TimerToken,
+    Transport, World, WorldConfig,
 };
 use std::any::Any;
 
@@ -111,6 +112,43 @@ fn setup(seed: u64) -> (World, Vec<NodeId>, Vec<NodeId>) {
     (w, servers, vec![c2, c3])
 }
 
+/// The longest one-way delay of the default network.
+fn max_latency() -> SimDuration {
+    let net = NetConfig::default();
+    net.base_latency + net.jitter
+}
+
+/// `Sync` frames and their bytes sent so far.
+fn gossip(w: &World) -> (u64, u64) {
+    let m = w.metrics();
+    (
+        m.counter(plwg_naming::keys::GOSSIP_SENT),
+        m.counter(plwg_naming::keys::GOSSIP_BYTES),
+    )
+}
+
+/// Asserts that the `Sync`s sent since `before` (from [`gossip`]) carried
+/// no snapshot, and that there were at least `min` of them.
+fn assert_digests_only(w: &World, before: (u64, u64), min: u64, what: &str) {
+    let digest_only = NsMsg::Sync {
+        root: Digest(0),
+        db: MappingDb::new(),
+    };
+    let budget = encode_frame(family::NS, &digest_only).len() as u64;
+    let (frames, bytes) = gossip(w);
+    let (frames, bytes) = (frames - before.0, bytes - before.1);
+    assert!(frames >= min, "{what}: {frames} syncs");
+    assert!(
+        bytes <= frames * budget,
+        "{what}: {bytes} B in {frames} syncs (at most {budget} B each without a snapshot)"
+    );
+}
+
+/// Both servers' replicas.
+fn replicas(w: &mut World, servers: &[NodeId]) -> [MappingDb; 2] {
+    [0, 1].map(|i| w.inspect(servers[i], |s: &NameServer| s.db().clone()))
+}
+
 #[test]
 fn set_then_read_roundtrip() {
     let (mut w, _servers, clients) = setup(1);
@@ -144,6 +182,14 @@ fn gossip_replicates_between_servers() {
     w.inspect(servers[1], |s: &NameServer| {
         assert_eq!(s.db().read(A).len(), 1, "gossip must replicate the set");
     });
+    // Converged replicas have equal roots, and from then on each tick
+    // sends only the digest: two servers, ten ticks each.
+    let [a, b] = replicas(&mut w, &servers);
+    assert_eq!(a, b);
+    assert_eq!(a.root(), b.root());
+    let before = gossip(&w);
+    w.run_for(SimDuration::from_secs(5));
+    assert_digests_only(&w, before, 20, "a converged pair");
 }
 
 #[test]
@@ -348,7 +394,9 @@ fn unset_removes_mapping_everywhere() {
 }
 
 /// A server that was down while the system moved on catches up entirely
-/// from its peer's gossip after restarting (its replica is stable state).
+/// from its peer's gossip after restarting (its replica is stable state):
+/// its first digest ends the peer's silence, and the peer answers it at
+/// once with the snapshot, within a gossip period and a round trip.
 #[test]
 fn restarted_server_catches_up_via_gossip() {
     let (mut w, servers, clients) = setup(9);
@@ -368,13 +416,53 @@ fn restarted_server_catches_up_via_gossip() {
     });
     w.run_for(SimDuration::from_secs(2));
     w.restart(servers[1]);
-    w.run_for(SimDuration::from_secs(3));
+    let period = NamingConfig::default().gossip_interval;
+    w.run_for(period + max_latency().saturating_mul(2));
+    let [up, restarted] = replicas(&mut w, &servers);
+    assert_eq!(restarted, up, "caught up by the first round trip");
     w.inspect(servers[1], |s: &NameServer| {
         let got = s.db().read(A);
         assert_eq!(got.len(), 1, "catch-up must deliver the successor");
         assert_eq!(got[0].lwg_view, vid(2, 2));
         assert_eq!(got[0].hwg, HwgId(9));
     });
+}
+
+/// Two servers written on their own sides of a 10 s split gossip only
+/// digests into the partition, and reconcile one round trip after the
+/// heal's first tick: each answers the other's first digest at once with
+/// its snapshot.
+#[test]
+fn split_servers_send_digests_and_reconcile_one_round_trip_after_the_heal() {
+    let (mut w, servers, clients) = setup(10);
+    // The servers start at 0 and tick every 500 ms; split and heal between
+    // ticks.
+    let split = SimTime::ZERO + SimDuration::from_millis(1_250);
+    let heal = split + SimDuration::from_secs(10);
+    let first_tick = heal + SimDuration::from_millis(250);
+    w.split_at(
+        split,
+        vec![vec![servers[0], clients[0]], vec![servers[1], clients[1]]],
+    );
+    w.run_until(split);
+    let before = gossip(&w);
+    for (c, hwg) in [(0, 7), (1, 9)] {
+        let m = mapping(vid(2 + c as u32, 1), hwg, &[clients[c]]);
+        let at = split + SimDuration::from_secs(1);
+        w.invoke_at(at, clients[c], move |a: &mut ClientApp, ctx| {
+            a.ns.set(ctx, A, m, vec![]);
+        });
+    }
+    w.heal_at(heal);
+    w.run_until(heal);
+    assert_digests_only(&w, before, 40, "the split");
+    let [a, b] = replicas(&mut w, &servers);
+    assert_ne!(a.root(), b.root(), "each side wrote its own mapping");
+
+    w.run_until(first_tick + max_latency().saturating_mul(2));
+    let [a, b] = replicas(&mut w, &servers);
+    assert_eq!(a, b, "reconciled by the first tick and a round trip");
+    assert_eq!(a.read(A).len(), 2, "both mappings coexist");
 }
 
 // --- when MULTIPLE-MAPPINGS callbacks are sent ----------------------------
@@ -462,7 +550,11 @@ fn a_gossip_merge_notifies_exactly_the_changed_inconsistent_lwgs() {
         peer.set(lwg, mapping(vid(c, 1), 7, &[m]), &[]);
     }
     w.invoke(m, move |_: &mut ClientApp, ctx| {
-        ctx.send(s, encode_frame(family::NS, &NsMsg::Gossip { db: peer }));
+        let sync = NsMsg::Sync {
+            root: peer.root(),
+            db: peer,
+        };
+        ctx.send(s, encode_frame(family::NS, &sync));
     });
     w.run_for(SimDuration::from_millis(100));
     assert_eq!(w.metrics().counter(plwg_naming::keys::RECONCILIATIONS), 1);

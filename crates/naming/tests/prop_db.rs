@@ -1,11 +1,13 @@
 //! Randomised property tests for the mapping database: reconciliation is a
-//! proper join (commutative, idempotent), tombstones win, and garbage
-//! collection only ever removes true ancestors. Cases come from a seeded
-//! in-tree RNG so every run is deterministic.
+//! proper join (commutative, idempotent), tombstones win, garbage
+//! collection only ever removes true ancestors, and the maintained digest
+//! is what a recomputation gives and drives an exchange that ends where
+//! full-snapshot gossip does. Cases come from a seeded in-tree RNG so
+//! every run is deterministic.
 
 use plwg_hwg::{HwgId, ViewId};
-use plwg_naming::{LwgId, Mapping, MappingDb};
-use plwg_sim::{NodeId, SimRng};
+use plwg_naming::{Digest, LwgId, Mapping, MappingDb};
+use plwg_sim::{Decode, Encode, Frame, NodeId, Reader, SimRng};
 
 const CASES: u64 = 300;
 
@@ -226,6 +228,185 @@ fn no_current_mapping_is_an_ancestor() {
             }
         }
     }
+}
+
+// --- the digest -----------------------------------------------------------
+
+/// The bytes a snapshot of `db` puts on the wire.
+fn encoded(db: &MappingDb) -> Vec<u8> {
+    let mut out = Vec::new();
+    db.encode_into(&mut out);
+    out
+}
+
+/// A snapshot's trip over the wire; decoding rebuilds the hashes.
+fn round_trip(db: &MappingDb) -> MappingDb {
+    let frame = Frame::from_vec(encoded(db));
+    MappingDb::decode_from(&mut Reader::new(&frame)).expect("round trip")
+}
+
+/// One random mutation of `dbs[i]`: a set or unset, a test-and-set, a
+/// merge of a random replica, a compaction, or a wire round trip.
+fn mutate(rng: &mut SimRng, dbs: &mut [MappingDb], i: usize) {
+    match rng.range(0, 6) {
+        0 | 1 => apply(&mut dbs[i], &[random_op(rng)]),
+        2 => {
+            if let Op::Set { lwg, v, preds, hwg } = random_op(rng) {
+                let preds: Vec<ViewId> = preds.iter().map(|&p| vid(p)).collect();
+                dbs[i].testset(LwgId(u64::from(lwg)), mapping(v, hwg), &preds);
+            }
+        }
+        3 => {
+            let other = dbs[rng.range(0, dbs.len() as u64) as usize].clone();
+            dbs[i].merge(&other);
+        }
+        4 => {
+            dbs[i].compact();
+        }
+        _ => {
+            let back = round_trip(&dbs[i]);
+            assert_eq!(encoded(&back), encoded(&dbs[i]));
+            dbs[i] = back;
+        }
+    }
+}
+
+/// After every mutation the maintained root equals one recomputed from
+/// every entry, and replicas with the same content have the same root.
+#[test]
+fn the_root_is_maintained_through_every_mutation() {
+    let mut equal_pairs = 0;
+    for case in 0..CASES {
+        let mut rng = SimRng::from_seed(0xDB_6600 ^ case);
+        let mut dbs = vec![MappingDb::new(); 3];
+        for step in 0..30 {
+            let i = rng.range(0, 3) as usize;
+            mutate(&mut rng, &mut dbs, i);
+            let db = &dbs[i];
+            assert_eq!(
+                db.root(),
+                db.root_from_scratch(),
+                "case {case}, step {step}"
+            );
+        }
+        // Replicas built in different orders: merged both ways, and each
+        // against a wire copy.
+        let (mut ab, mut ba) = (dbs[0].clone(), dbs[1].clone());
+        ab.merge(&dbs[1]);
+        ba.merge(&dbs[0]);
+        let copy = round_trip(&dbs[2]);
+        for (x, y) in [(&ab, &ba), (&dbs[0], &dbs[1]), (&dbs[2], &copy)] {
+            if encoded(x) == encoded(y) {
+                equal_pairs += 1;
+                assert_eq!(x.root(), y.root(), "case {case}");
+            }
+        }
+    }
+    assert!(equal_pairs > CASES, "{equal_pairs} equal pairs");
+}
+
+/// A `Sync`: the sender's root, and its replica or nothing.
+type Sync = (Digest, Option<MappingDb>);
+
+/// One name server's end of the digest exchange, under the two rules
+/// `NameServer` runs.
+#[derive(Default)]
+struct Side {
+    db: MappingDb,
+    /// The peer's latest root, while it arrived after this side's last
+    /// `Sync`.
+    fresh: Option<Digest>,
+    /// The root of the snapshot sent since the previous tick.
+    shipped: Option<Digest>,
+    snapshots: usize,
+}
+
+impl Side {
+    /// Rule 1: every tick sends the root, and the replica only if the
+    /// peer's fresh root differs from it and this root was not shipped
+    /// since the previous tick.
+    fn tick(&mut self) -> Sync {
+        let root = self.db.root();
+        let differs = self.fresh.take().is_some_and(|theirs| theirs != root);
+        let ship = differs && self.shipped != Some(root);
+        self.shipped = ship.then_some(root);
+        self.snapshots += usize::from(ship);
+        (root, ship.then(|| self.db.clone()))
+    }
+
+    /// Rule 2: a `Sync` that ends a silence with a root that differs
+    /// (after merging what it carried) is answered at once with the
+    /// replica.
+    fn receive(&mut self, (root, db): Sync, after_silence: bool) -> Option<Sync> {
+        if let Some(db) = db {
+            self.db.merge(&round_trip(&db));
+        }
+        self.fresh = Some(root);
+        if !after_silence || root == self.db.root() {
+            return None;
+        }
+        self.fresh = None;
+        self.shipped = Some(self.db.root());
+        self.snapshots += 1;
+        Some((self.db.root(), Some(self.db.clone())))
+    }
+}
+
+/// Two replicas grown apart from a common base, then exchanged by the two
+/// rules for four ticks, end where one round of full-snapshot gossip (the
+/// reference) leaves them; each side ships at most two snapshots, the
+/// next tick ships none, and sides that never differed ship none at all.
+#[test]
+fn the_digest_exchange_ends_where_full_snapshot_gossip_does() {
+    let mut differed = 0;
+    for case in 0..CASES {
+        let mut rng = SimRng::from_seed(0xDB_7700 ^ case);
+        let mut base = MappingDb::new();
+        apply(&mut base, &random_ops(&mut rng, 15));
+        let mut grown = [base.clone(), base];
+        for side in &mut grown {
+            for _ in 0..rng.range(0, 12) {
+                mutate(&mut rng, std::slice::from_mut(side), 0);
+            }
+        }
+
+        // The reference: both replicas shipped whole, and merged.
+        let [mut ref_a, mut ref_b] = grown.clone();
+        ref_a.merge(&grown[1]);
+        ref_b.merge(&grown[0]);
+
+        let [a, b] = grown;
+        let same = a == b;
+        let (mut a, mut b) = (
+            Side {
+                db: a,
+                ..Side::default()
+            },
+            Side {
+                db: b,
+                ..Side::default()
+            },
+        );
+        for tick in 0..4 {
+            let (to_b, to_a) = (a.tick(), b.tick());
+            let (from_b, from_a) = (b.receive(to_b, tick == 0), a.receive(to_a, tick == 0));
+            if let Some(sync) = from_b {
+                a.receive(sync, false);
+            }
+            if let Some(sync) = from_a {
+                b.receive(sync, false);
+            }
+        }
+        assert_eq!(a.db, ref_a, "case {case}");
+        assert_eq!(b.db, ref_b, "case {case}");
+        assert!(a.snapshots <= 2 && b.snapshots <= 2, "case {case}");
+        assert!(a.tick().1.is_none() && b.tick().1.is_none(), "case {case}");
+        if same {
+            assert_eq!(a.snapshots + b.snapshots, 0, "case {case}");
+        }
+        differed += usize::from(!same);
+    }
+    assert!(differed > 100, "{differed} cases grew apart");
 }
 
 /// Compaction drops only lineage nothing current or tombstoned can reach.

@@ -295,7 +295,10 @@ fn ns_msg(rng: &mut SimRng) -> NsMsg {
                 let m = mapping(rng);
                 db.set(LwgId(rng.range(0, 32)), m, &[]);
             }
-            NsMsg::Gossip { db }
+            NsMsg::Sync {
+                root: db.root(),
+                db,
+            }
         }
     }
 }
@@ -804,7 +807,16 @@ fn golden_entries() -> Vec<(&'static str, Frame)> {
                 },
             ),
         ),
-        ("ns.gossip", encode_frame(family::NS, &NsMsg::Gossip { db })),
+        (
+            "ns.sync",
+            encode_frame(
+                family::NS,
+                &NsMsg::Sync {
+                    root: db.root(),
+                    db,
+                },
+            ),
+        ),
         ("net.hello", net_frame(&NetMsg::Hello { node: NodeId(300) })),
         (
             "net.block",
