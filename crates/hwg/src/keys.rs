@@ -32,6 +32,9 @@ plwg_sim::metric_keys! {
     pub const FLUSH_FILLS: CounterKey = "hwg.flush_fills";
     /// Flush rounds started.
     pub const FLUSHES: CounterKey = "hwg.flushes";
+    /// Initiator side, per concluded flush round: µs from its `FlushReq` to
+    /// the successor view or the merge report.
+    pub const FLUSH_DURATION: HistogramKey = "hwg.flush_duration";
     /// Views installed.
     pub const VIEWS_INSTALLED: CounterKey = "hwg.views_installed";
     /// Gap NACKs sent.

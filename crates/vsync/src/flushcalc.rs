@@ -1,7 +1,8 @@
 //! Pure computation at the heart of the flush protocol: given every
 //! member's digest, derive the **delivery target** (the exact message set
 //! the closing view will have delivered) and the **pull plan** (which
-//! member retransmits which missing message).
+//! member retransmits which missing message of a sender that did not
+//! report; a reporting sender serves its own when a member asks).
 //!
 //! Kept free of protocol state so the correctness conditions can be tested
 //! exhaustively — see the property tests in `tests/prop_flushcalc.rs`.
@@ -43,7 +44,8 @@ impl Digest {
 pub struct FlushPlan {
     /// sender → final sequence number every member must deliver.
     pub target: BTreeMap<NodeId, u64>,
-    /// holder → messages it must retransmit to the group.
+    /// holder → messages of non-reporting senders it must retransmit to
+    /// the group.
     pub pulls: BTreeMap<NodeId, Vec<(NodeId, u64)>>,
 }
 
@@ -73,10 +75,17 @@ pub struct FlushPlan {
 /// The target for sender `s` is the longest gap-free prefix of `s`'s
 /// messages that *somebody* in the view holds (delivered or held back):
 /// anything beyond a hole that exists nowhere was never delivered to
-/// anyone and may be dropped consistently. For every `(sender, seq)` in
-/// the target that some member lacks, the lowest-id member holding it is
-/// scheduled to retransmit — preferring members that hold the real payload
-/// over those holding only a subset-delivery skip marker.
+/// anyone and may be dropped consistently.
+///
+/// A sender that reported (one of the digest keys) serves itself: it
+/// delivered each of its own messages when it sent it, sends nothing after
+/// its digest, and keeps every message until it is stable, so its digest
+/// covers its whole stream up to the target with the real payloads. A
+/// member short of such a message asks the sender at the target, and the
+/// plan pulls nothing for it. For every other `(sender, seq)` in the target
+/// that some member lacks, the lowest-id member holding it is scheduled to
+/// retransmit — preferring members that hold the real payload over those
+/// holding only a subset-delivery skip marker.
 pub fn compute_plan(digests: &BTreeMap<NodeId, Digest>) -> FlushPlan {
     // Union of what exists, per sender.
     let mut max_prefix: BTreeMap<NodeId, u64> = BTreeMap::new();
@@ -118,6 +127,9 @@ pub fn compute_plan(digests: &BTreeMap<NodeId, Digest>) -> FlushPlan {
     }
     let mut pulls: BTreeMap<NodeId, Vec<(NodeId, u64)>> = BTreeMap::new();
     for (s, seq) in needed {
+        if digests.contains_key(&s) {
+            continue; // a reporter serves its own messages when asked
+        }
         let holds = |d: &Digest| {
             d.prefix.get(&s).copied().unwrap_or(0) >= seq || d.extras.contains(&(s, seq))
         };
@@ -168,32 +180,53 @@ mod tests {
 
     #[test]
     fn laggard_gets_fill_from_lowest_holder() {
+        // Sender 9 did not report (it left or crashed).
         let mut d = BTreeMap::new();
-        d.insert(n(0), digest(&[(0, 5)], &[]));
-        d.insert(n(1), digest(&[(0, 5)], &[]));
-        d.insert(n(2), digest(&[(0, 2)], &[]));
+        d.insert(n(0), digest(&[(9, 5)], &[]));
+        d.insert(n(1), digest(&[(9, 5)], &[]));
+        d.insert(n(2), digest(&[(9, 2)], &[]));
         let plan = compute_plan(&d);
-        assert_eq!(plan.target[&n(0)], 5);
+        assert_eq!(plan.target[&n(9)], 5);
         assert_eq!(
             plan.pulls.get(&n(0)).map(Vec::as_slice),
-            Some(&[(n(0), 3), (n(0), 4), (n(0), 5)][..]),
+            Some(&[(n(9), 3), (n(9), 4), (n(9), 5)][..]),
             "node 0 (lowest id) serves the laggard"
         );
     }
 
     #[test]
     fn holdback_extras_extend_the_target() {
-        // Nobody delivered 3 (gap at 2 is filled by an extra), but member 1
-        // holds 2 and 3 out of order: target extends through them.
+        // Nobody delivered 3 of the departed sender 9 (gap at 2 is filled
+        // by an extra), but member 1 holds 2 and 3 out of order: target
+        // extends through them.
         let mut d = BTreeMap::new();
-        d.insert(n(0), digest(&[(0, 1)], &[]));
-        d.insert(n(1), digest(&[(0, 1)], &[(0, 2), (0, 3)]));
+        d.insert(n(0), digest(&[(9, 1)], &[]));
+        d.insert(n(1), digest(&[(9, 1)], &[(9, 2), (9, 3)]));
         let plan = compute_plan(&d);
-        assert_eq!(plan.target[&n(0)], 3);
+        assert_eq!(plan.target[&n(9)], 3);
         // Member 0 lacks 2 and 3; member 1 holds them.
         assert_eq!(
             plan.pulls.get(&n(1)).map(Vec::as_slice),
-            Some(&[(n(0), 2), (n(0), 3)][..])
+            Some(&[(n(9), 2), (n(9), 3)][..])
+        );
+    }
+
+    #[test]
+    fn a_reporting_sender_is_never_pulled() {
+        // Members 1 and 2 lack sender 0's 4 and 5, and sender 9's 3;
+        // sender 0 reported, sender 9 did not. Only sender 9's message is
+        // pulled; the laggards ask sender 0 themselves at the target.
+        let mut d = BTreeMap::new();
+        d.insert(n(0), digest(&[(0, 5), (9, 3)], &[]));
+        d.insert(n(1), digest(&[(0, 3), (9, 2)], &[]));
+        d.insert(n(2), digest(&[(0, 3), (9, 2)], &[(0, 5)]));
+        let plan = compute_plan(&d);
+        assert_eq!(plan.target[&n(0)], 5);
+        assert_eq!(plan.target[&n(9)], 3);
+        assert_eq!(
+            plan.pulls,
+            BTreeMap::from([(n(0), vec![(n(9), 3)])]),
+            "only the non-reporter's message is pulled"
         );
     }
 

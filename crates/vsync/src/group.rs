@@ -47,10 +47,17 @@ const PROBE_RETRIES: u32 = 3;
 #[derive(Debug)]
 struct MemberFlush {
     flush: FlushId,
+    /// The members the flush keeps (`FlushReq::proposed`): each reports a
+    /// digest, serves its own messages at the target, and is the only
+    /// audience of this member's sends while the flush runs.
+    reporters: Vec<NodeId>,
     /// Waiting for the owner's `stop_ok` before sending the digest.
     awaiting_stop_ok: bool,
     digest_sent: bool,
     target: Option<BTreeMap<NodeId, u64>>,
+    /// When this member last asked the reporters for what it lacks at the
+    /// target (re-asked every `NACK_DELAY` while short).
+    asked_at: Option<SimTime>,
     done_sent: bool,
     started_at: SimTime,
 }
@@ -237,6 +244,18 @@ impl GroupEndpoint {
         }
     }
 
+    /// Who this member's multicasts go to: the whole view, or while a flush
+    /// runs only the members it keeps. A member the flush excludes is
+    /// leaving this view; if a superseding flush takes it back, it asks for
+    /// what it lacks at the target.
+    fn audience(&self) -> &[NodeId] {
+        match (&self.flush, &self.view) {
+            (Some(f), _) => &f.reporters,
+            (None, Some(view)) => &view.members,
+            (None, None) => &[],
+        }
+    }
+
     /// Sends one already-encoded frame to every node in `to`. The frame is
     /// encoded exactly once by the caller; each copy is a refcount bump.
     fn multicast(&self, ctx: &mut dyn Transport, to: &[NodeId], frame: &Payload) {
@@ -374,6 +393,7 @@ impl GroupEndpoint {
         self.restart_stalled_flush(ctx, now, fd, events);
         self.conclude_overdue_merge(ctx, now);
         self.abandon_orphaned_flush(ctx, now, fd, events);
+        self.reask_reporters(ctx, now);
         self.check_nacks(ctx, now);
         self.stability_tick(ctx, now);
 
@@ -416,8 +436,16 @@ impl GroupEndpoint {
                 payload,
                 ..
             } => self.on_data(ctx, *view_id, *sender, *seq, payload.clone(), events),
-            VsMsg::FlushReq { view_id, flush, .. } => {
-                self.on_flush_req(ctx, from, *view_id, *flush, cfg, events)
+            VsMsg::FlushReq {
+                view_id,
+                flush,
+                proposed,
+                ..
+            } => {
+                self.on_flush_req(ctx, from, *view_id, *flush, proposed, events);
+                if cfg.auto_stop_ok {
+                    self.stop_ok(ctx);
+                }
             }
             VsMsg::FlushDigest {
                 flush,

@@ -14,7 +14,7 @@ use std::ops::Bound::{Excluded, Unbounded};
 /// NACK watchdog: how long a FIFO gap may sit in the hold-back queue before
 /// the receiver asks the sender to retransmit. Without NACKs a message lost
 /// mid-view would block its sender's stream until the next flush.
-const NACK_DELAY: SimDuration = SimDuration::from_millis(200);
+pub(super) const NACK_DELAY: SimDuration = SimDuration::from_millis(200);
 /// Time trigger of the stability exchange: members advertise their
 /// delivered prefixes so everyone can discard retransmission state that is
 /// stable everywhere (bounds per-view memory).
@@ -85,9 +85,11 @@ impl GroupEndpoint {
     /// sender's flush digest), so a message sent in response to a `Stop`
     /// upcall — before the owner confirms with `stop_ok` — is still covered
     /// by the closing view's flush, and the sender keeps the real payload
-    /// regardless of `targets`, so NACK retransmissions always serve the
-    /// real message. Sends after the digest went out are buffered and
-    /// released in the next view as *full* multicasts (the subset is an
+    /// regardless of `targets`, so NACK retransmissions (and the asks of
+    /// members short of the flush target) always serve the real message.
+    /// While a flush runs, only the members it keeps are sent to
+    /// ([`Self::audience`]). Sends after the digest went out are buffered
+    /// and released in the next view as *full* multicasts (the subset is an
     /// optimisation, never required for correctness).
     pub(crate) fn send_payload(
         &mut self,
@@ -122,7 +124,7 @@ impl GroupEndpoint {
         let real = data_frame(Slot::Full(data.clone()));
         let mut marker: Option<Payload> = None;
         let mut trimmed = 0u64;
-        for &m in &view.members {
+        for &m in self.audience() {
             if m == self.me {
                 continue;
             }
@@ -300,26 +302,30 @@ impl GroupEndpoint {
                 .filter(|seq| !self.holdback.contains_key(&(sender, *seq)))
                 .take(32)
                 .collect();
-            if missing.is_empty() {
-                continue;
+            if !missing.is_empty() {
+                self.nack(ctx, sender, missing);
             }
-            let view_id = self.view.as_ref().expect("checked").id;
-            ctx.metrics().incr(keys::NACKS_SENT);
-            ctx.emit(|| HwgTraceEvent::Nack {
-                hwg: self.hwg,
-                sender,
-                missing: missing.clone(),
-            });
-            ctx.send(
-                sender,
-                wire::frame(&VsMsg::Nack {
-                    hwg: self.hwg,
-                    view_id,
-                    sender,
-                    missing,
-                }),
-            );
         }
+    }
+
+    /// Asks `sender` to retransmit its `missing` seqs of the current view.
+    pub(super) fn nack(&self, ctx: &mut dyn Transport, sender: NodeId, missing: Vec<u64>) {
+        let Some(view) = &self.view else { return };
+        ctx.metrics().incr(keys::NACKS_SENT);
+        ctx.emit(|| HwgTraceEvent::Nack {
+            hwg: self.hwg,
+            sender,
+            missing: missing.clone(),
+        });
+        ctx.send(
+            sender,
+            wire::frame(&VsMsg::Nack {
+                hwg: self.hwg,
+                view_id: view.id,
+                sender,
+                missing,
+            }),
+        );
     }
 
     /// Sender side: serve a retransmission request from the local store.

@@ -2,12 +2,18 @@
 //! delivered the same set of messages (virtual synchrony).
 //!
 //! ```text
-//!  initiator                         members
-//!     | -- FlushReq(proposed) ---------> |   freeze sending, Stop upcall
-//!     | <-- FlushDigest(prefix,extras) - |   (after StopOk)
+//!  initiator                         members (the reporters)
+//!     | -- FlushReq(proposed) ---------> |   Stop upcall; sends reach only
+//!     |                                  |   the proposed reporters
+//!     | <-- FlushDigest(prefix,extras) - |   (after StopOk; later sends wait)
 //!     |   compute target T, holders      |
-//!     | -- FlushTarget(T) -------------> |
-//!     | -- FlushPull(missing) --> holder |   holder multicasts FlushFill
+//!     | -- FlushTarget(T) -------------> |   short of a reporter's seqs:
+//!     |                                  |   Nack(missing) --> that reporter,
+//!     |                                  |   which resends them (re-asked
+//!     |                                  |   every NACK_DELAY while short)
+//!     | -- FlushPull(missing) --> holder |   non-reporters' seqs only; the
+//!     |                                  |   holder multicasts FlushFill
+//!     |                                  |   to the reporters
 //!     | <-- FlushDone ------------------ |   once delivered == T
 //!     | -- NewView -------------------->  |   install, resume
 //! ```
@@ -15,14 +21,18 @@
 //! Every member of the closing view delivers *exactly* the target set
 //! before installing the successor view, which is the virtual-synchrony
 //! guarantee ("all processes that install two consecutive views deliver the
-//! same set of messages between these views"). The member side comes first
+//! same set of messages between these views"). Repair is receiver-driven:
+//! a reporter's digest covers its own stream with the real payloads, so a
+//! member short of it asks the reporter, and the initiator pulls only the
+//! messages of senders that did not report. The member side comes first
 //! below, the initiator side second.
 
+use super::data::NACK_DELAY;
 use super::{GroupEndpoint, MemberFlush, RunningFlush};
 use crate::fd::FailureDetector;
 use crate::msg::{FlushId, FlushPurpose, Slot, VsMsg};
 use crate::wire;
-use crate::{GroupStatus, VsEvent, VsyncConfig};
+use crate::{GroupStatus, VsEvent};
 use plwg_hwg::{keys, HwgTraceEvent, View, ViewId};
 use plwg_sim::{NodeId, SimDuration, SimTime, Transport, TransportExt};
 use std::collections::{BTreeMap, BTreeSet};
@@ -41,7 +51,7 @@ impl GroupEndpoint {
         from: NodeId,
         view_id: ViewId,
         flush: FlushId,
-        cfg: &VsyncConfig,
+        proposed: &[NodeId],
         events: &mut Vec<VsEvent>,
     ) {
         let Some(view) = &self.view else { return };
@@ -62,22 +72,21 @@ impl GroupEndpoint {
             flush,
             from,
         });
-        let awaiting = !cfg.auto_stop_ok;
         self.flush = Some(MemberFlush {
             flush,
-            awaiting_stop_ok: awaiting,
+            reporters: proposed.to_vec(),
+            awaiting_stop_ok: true,
             digest_sent: false,
             target: None,
+            asked_at: None,
             done_sent: false,
             started_at: ctx.now(),
         });
         events.push(VsEvent::Stop { hwg: self.hwg });
-        if !awaiting {
-            self.send_digest(ctx);
-        }
     }
 
-    /// Owner acknowledges the `Stop` upcall; the digest can now be sent.
+    /// Owner acknowledges the `Stop` upcall (or `auto_stop_ok` does, on
+    /// its behalf); the digest can now be sent.
     pub(crate) fn stop_ok(&mut self, ctx: &mut dyn Transport) {
         let Some(f) = &mut self.flush else { return };
         if f.awaiting_stop_ok {
@@ -133,6 +142,47 @@ impl GroupEndpoint {
             .retain(|(s, seq), _| *seq <= target.get(s).copied().unwrap_or(0));
         self.try_drain(ctx, events);
         self.check_flush_target_reached(ctx);
+        self.ask_reporters(ctx);
+    }
+
+    /// Asks each reporter this member is still short of at the target for
+    /// the missing messages, with one `Nack` apiece. A reporter delivered
+    /// every message it sent when it sent it, sends nothing after its
+    /// digest, and keeps each message until it is stable, so it always
+    /// holds the real payload (`on_nack` resends it); the initiator pulls
+    /// only the messages of senders that did not report.
+    fn ask_reporters(&mut self, ctx: &mut dyn Transport) {
+        let Some(f) = &self.flush else { return };
+        let Some(target) = f.target.as_ref().filter(|_| !f.done_sent) else {
+            return;
+        };
+        for &sender in &f.reporters {
+            let upto = target.get(&sender).copied().unwrap_or(0);
+            let missing: Vec<u64> = (self.next_expected(sender)..=upto)
+                .filter(|&seq| !self.holdback.contains_key(&(sender, seq)))
+                .collect();
+            if !missing.is_empty() {
+                self.nack(ctx, sender, missing);
+            }
+        }
+        let now = ctx.now();
+        if let Some(f) = &mut self.flush {
+            f.asked_at = Some(now);
+        }
+    }
+
+    /// Re-asks the reporters, [`NACK_DELAY`] after the last ask, while this
+    /// member is still short of the target (the ask or its answer was
+    /// lost). The flush watchdog stays the backstop.
+    pub(super) fn reask_reporters(&mut self, ctx: &mut dyn Transport, now: SimTime) {
+        let due = self
+            .flush
+            .as_ref()
+            .and_then(|f| f.asked_at)
+            .is_some_and(|at| now.saturating_since(at) >= NACK_DELAY);
+        if due {
+            self.ask_reporters(ctx);
+        }
     }
 
     pub(super) fn on_flush_pull(&mut self, ctx: &mut dyn Transport, wants: &[(NodeId, u64)]) {
@@ -152,7 +202,7 @@ impl GroupEndpoint {
                     seq,
                     payload: slot,
                 });
-                self.multicast(ctx, &view.members, &msg);
+                self.multicast(ctx, self.audience(), &msg);
             }
         }
     }
@@ -487,6 +537,9 @@ impl GroupEndpoint {
         let Some(running) = self.running.take() else {
             return;
         };
+        let took = ctx.now().saturating_since(running.started_at);
+        ctx.metrics()
+            .observe(keys::FLUSH_DURATION, took.as_micros());
         let old_view = self.view.clone().expect("flushing requires a view");
         match running.purpose {
             FlushPurpose::ViewChange => {

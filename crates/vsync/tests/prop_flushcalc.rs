@@ -1,7 +1,8 @@
 //! Randomised property tests for the flush-plan computation: the plan must
 //! make the closing view's delivery **consistent** (every member can reach
 //! exactly the target), **complete** (nothing anyone delivered is dropped),
-//! and **serviceable** (every pulled message has a holder).
+//! and **serviceable** (every missing message is pulled from a holder, or
+//! its sender reported and serves it).
 //!
 //! Cases are generated from a seeded in-tree RNG so every run explores the
 //! same space deterministically.
@@ -15,22 +16,32 @@ const CASES: u64 = 400;
 /// Generates a plausible digest set: a few members, a few senders, each
 /// member holding a random prefix of each sender's stream plus random
 /// out-of-order extras, with a random sprinkling of thin (marker-only)
-/// holds.
+/// holds. About half the senders are members that reported too; such a
+/// sender delivered each of its messages when it sent it, so its own
+/// prefix covers every seq of its that anyone holds, with real payloads.
 fn digests_case(rng: &mut SimRng) -> BTreeMap<NodeId, Digest> {
     let member_count = rng.range(1, 5) as usize;
     let sender_count = rng.range(1, 4) as usize;
+    let senders: Vec<NodeId> = (0..sender_count)
+        .map(|si| {
+            if si < member_count && rng.chance(0.5) {
+                NodeId(si as u32)
+            } else {
+                NodeId(100 + si as u32)
+            }
+        })
+        .collect();
     let mut out = BTreeMap::new();
     for mi in 0..member_count {
-        let prefix: BTreeMap<NodeId, u64> = (0..sender_count)
-            .map(|si| (NodeId(100 + si as u32), rng.range(0, 10)))
-            .collect();
+        let prefix: BTreeMap<NodeId, u64> =
+            senders.iter().map(|&s| (s, rng.range(0, 10))).collect();
         // Extras must lie beyond the member's own prefix (a held message
         // below the prefix would have been delivered).
         let extra_count = rng.range(0, 6);
         let extras: Vec<(NodeId, u64)> = (0..extra_count)
             .map(|_| {
                 (
-                    NodeId(100 + rng.range(0, sender_count as u64) as u32),
+                    senders[rng.range(0, sender_count as u64) as usize],
                     rng.range(1, 14),
                 )
             })
@@ -51,6 +62,25 @@ fn digests_case(rng: &mut SimRng) -> BTreeMap<NodeId, Digest> {
             }
         }
         out.insert(NodeId(mi as u32), Digest::new(prefix, extras, thin));
+    }
+    // A reporting sender's own digest holds its whole stream, for real.
+    for &s in &senders {
+        if !out.contains_key(&s) {
+            continue;
+        }
+        let held_anywhere = out
+            .values()
+            .flat_map(|d| {
+                let prefix = d.prefix.get(&s).copied();
+                let extras = d.extras.iter().filter(|e| e.0 == s).map(|e| e.1);
+                prefix.into_iter().chain(extras)
+            })
+            .max()
+            .unwrap_or(0);
+        let own = out.get_mut(&s).expect("a reporter");
+        own.prefix.insert(s, held_anywhere);
+        own.extras.retain(|e| e.0 != s);
+        own.thin.retain(|e| e.0 != s);
     }
     out
 }
@@ -102,19 +132,34 @@ fn plan_is_sound() {
         }
 
         // 4. Serviceable: every member can reach the target using its own
-        //    state plus the pulled retransmissions.
+        //    state plus the pulled retransmissions, or by asking a sender
+        //    that reported and holds the real payload. A reporter's own
+        //    messages are never pulled.
         let pulled: BTreeSet<(NodeId, u64)> = plan
             .pulls
             .values()
             .flat_map(|v| v.iter().copied())
             .collect();
+        let serves_itself = |s: NodeId, seq: u64| {
+            digests.get(&s).is_some_and(|own| {
+                own.prefix.get(&s).copied().unwrap_or(0) >= seq && !own.thin.contains(&(s, seq))
+            })
+        };
+        for &(s, seq) in &pulled {
+            assert!(
+                !digests.contains_key(&s),
+                "case {case}: {s}#{seq} pulled though its sender reported"
+            );
+        }
         for (m, d) in &digests {
             let held: BTreeSet<(NodeId, u64)> = d.extras.iter().copied().collect();
             for (&s, &t) in &plan.target {
                 let have = d.prefix.get(&s).copied().unwrap_or(0);
                 for seq in have + 1..=t {
                     assert!(
-                        held.contains(&(s, seq)) || pulled.contains(&(s, seq)),
+                        held.contains(&(s, seq))
+                            || pulled.contains(&(s, seq))
+                            || serves_itself(s, seq),
                         "case {case}: member {m} cannot obtain {s}#{seq}"
                     );
                 }

@@ -1,7 +1,8 @@
 //! Randomised test of the virtual-synchrony invariant: across randomly
 //! timed crashes, randomly sized bursts, and random loss, processes that
 //! install the same pair of consecutive views deliver exactly the same
-//! messages in between. Cases come from a seeded in-tree RNG so every run
+//! messages in between — including each member's message sent on the
+//! `Stop` upcall, which the flush repairs by asking its sender. Cases come from a seeded in-tree RNG so every run
 //! is deterministic.
 
 use plwg_sim::{
@@ -20,21 +21,32 @@ const G: HwgId = HwgId(1);
 const CASES: u64 = 24;
 
 /// Records, per installed view, the messages delivered while it was
-/// current.
+/// current. Like the LWG layer's ALL-VIEWS advertisement, it multicasts on
+/// every `Stop` upcall before confirming with `stop_ok`, so its message
+/// races the other members' flush digests.
 struct Harness {
     stack: VsyncStack,
     /// (view id, messages delivered in that view).
     epochs: Vec<(ViewId, Vec<(NodeId, u64)>)>,
+    /// Values of the messages sent on `Stop` (distinct from the bursts').
+    next_stop_value: u64,
 }
 
 impl Harness {
     fn new(me: NodeId) -> Self {
         Harness {
-            stack: VsyncStack::new(me, VsyncConfig::default()),
+            stack: VsyncStack::new(
+                me,
+                VsyncConfig {
+                    auto_stop_ok: false,
+                    ..VsyncConfig::default()
+                },
+            ),
             epochs: Vec::new(),
+            next_stop_value: 1_000_000 * (u64::from(me.0) + 1),
         }
     }
-    fn drain(&mut self) {
+    fn drain(&mut self, ctx: &mut dyn Transport) {
         for ev in self.stack.drain_events() {
             match ev {
                 VsEvent::View { view, .. } => self.epochs.push((view.id, Vec::new())),
@@ -44,7 +56,13 @@ impl Harness {
                         msgs.push((src, v));
                     }
                 }
-                _ => {}
+                VsEvent::Stop { hwg } => {
+                    self.next_stop_value += 1;
+                    self.stack.send(ctx, hwg, payload(self.next_stop_value));
+                    self.stack.stop_ok(ctx, hwg);
+                    self.drain(ctx);
+                }
+                VsEvent::Left { .. } => {}
             }
         }
     }
@@ -56,12 +74,12 @@ impl Process for Harness {
     }
     fn on_message(&mut self, ctx: &mut dyn Transport, from: NodeId, msg: Payload) {
         if self.stack.on_message(ctx, from, &msg) {
-            self.drain();
+            self.drain(ctx);
         }
     }
     fn on_timer(&mut self, ctx: &mut dyn Transport, token: TimerToken) {
         if self.stack.on_timer(ctx, token) {
-            self.drain();
+            self.drain(ctx);
         }
     }
     fn as_any_mut(&mut self) -> &mut dyn Any {

@@ -32,6 +32,8 @@ const APPS: usize = 8;
 const CALLBACKS_PER_LWG: u64 = 16;
 /// Heal-window allocations allowed per LWG in the first cycle.
 const ALLOCS_PER_LWG: u64 = 400;
+/// Network bytes allowed per LWG for one split → heal cycle.
+const CYCLE_BYTES_PER_LWG: u64 = 6_000;
 
 /// Two name servers and 8 apps that have joined `lwgs` LWGs — groups
 /// 200 ms apart, members 400 ms apart, one shared HWG — and run until
@@ -176,6 +178,41 @@ fn a_heal_allocates_within_a_per_lwg_budget() {
             "seed {seed}: {} allocations in the heal window of {LWGS} LWGs (budget {})",
             heal.allocs,
             ALLOCS_PER_LWG * LWGS
+        );
+    }
+}
+
+/// A lossless cycle repairs no flush with a `FlushFill`, on seeds 1–4. A
+/// member that reaches the flush target short of a reporting sender's
+/// message asks that sender for it; the initiator pulls only the messages
+/// of senders that did not report, and none is missing in a lossless
+/// world. A flush's sends go only to the members it keeps.
+///
+/// When the initiator pulled every message some digest lacked and the
+/// holder multicast it to the whole closing view, each cycle sent 25 fill
+/// multicasts (8 in the split, 17 in the heal) of 68 192–68 200 B: 27–31 %
+/// of the cycle's 222 060–254 087 B (6 939–7 940 B per LWG). Every one of
+/// the 136 fills delivered (32 + 104) reached a member that already held
+/// the message.
+#[test]
+fn a_lossless_split_and_heal_sends_no_flush_fill() {
+    let sent = |w: &World| {
+        let m = w.metrics();
+        (
+            m.counter(plwg::hwg::keys::FLUSH_FILLS),
+            m.counter(plwg::sim::keys::NET_BYTES_SENT),
+        )
+    };
+    for seed in 1..=4 {
+        let (mut w, servers, apps) = brought_up(seed, LWGS, false);
+        let before = sent(&w);
+        split_and_heal(&mut w, &servers, &apps, 1);
+        let after = sent(&w);
+        assert_eq!(after.0 - before.0, 0, "seed {seed}: FlushFill frames");
+        let per_lwg = (after.1 - before.1) / LWGS;
+        assert!(
+            per_lwg <= CYCLE_BYTES_PER_LWG,
+            "seed {seed}: {per_lwg} B per LWG over the cycle (budget {CYCLE_BYTES_PER_LWG} B)"
         );
     }
 }
