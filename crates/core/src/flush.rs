@@ -296,7 +296,13 @@ impl<S: HwgSubstrate> LwgService<S> {
                 self.announce_successor_view(ctx, lwg);
             }
             None => {}
-            Some((view, on_hwg)) => self.install_lwg_view(ctx, lwg, view, on_hwg),
+            Some((view, on_hwg)) => {
+                let next = state.next_flush().cloned();
+                self.install_lwg_view(ctx, lwg, view, on_hwg);
+                if let Some((flush, members, to)) = next {
+                    self.handle_lwg_flush(ctx, None, lwg, flush, members, to);
+                }
+            }
         }
     }
 

@@ -30,6 +30,9 @@ plwg_sim::metric_keys! {
     pub const MERGE_VIEWS_OBSERVED: CounterKey = "lwg.merge_views_observed";
     /// Merged views computed and announced after a MERGE-VIEWS flush.
     pub const VIEWS_MERGED: CounterKey = "lwg.views_merged";
+    /// LWGs a merge round deferred: a view came only by id, and no view
+    /// that came in full names it as a predecessor.
+    pub const MERGE_DEFERRED: CounterKey = "lwg.merge_deferred";
     /// Forward-pointer redirects sent to joiners with outdated mappings.
     pub const REDIRECTS_SENT: CounterKey = "lwg.redirects_sent";
     /// Redirects followed (join retargeted).

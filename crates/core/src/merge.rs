@@ -8,6 +8,17 @@
 //! views and can deterministically compute the merged views — no extra
 //! agreement round.
 //!
+//! Each view is advertised in full once: by its coordinator, the first of
+//! its members in the closing HWG view. Every other holder advertises only
+//! the view's id. The merged membership comes from the full views alone.
+//! A view whose full copy is missing — its coordinator crashed before
+//! advertising it, or holds another view — is weighed only if a full view
+//! names it as a predecessor or nothing else is advertised for its group.
+//! Otherwise the round defers the group: it merges nothing of it, the HWG
+//! coordinator requests another round, and in that round every holder of
+//! a view of the group advertises it in full. Every member received the
+//! same advertisements, so every member defers the same groups.
+//!
 //! A merge round supersedes the LWG flushes in flight of the groups it
 //! merges. Only the merged view may succeed a view the round merged away:
 //! each member drops the flush or switch it was running from one, keeps
@@ -36,7 +47,7 @@ use crate::wire;
 use plwg_hwg::{HwgId, HwgSubstrate, View, ViewId};
 use plwg_naming::LwgId;
 use plwg_sim::{Decode, NodeId, Payload, Reader, Transport, TransportExt};
-use std::collections::btree_map::Entry;
+use std::collections::BTreeSet;
 
 impl<S: HwgSubstrate> LwgService<S> {
     /// Requests a merge round on `hwg` (rate-limited): multicast
@@ -85,25 +96,28 @@ impl<S: HwgSubstrate> LwgService<S> {
     /// An `AllViews` advertisement arrived on `hwg`: record the advertised
     /// views for the round that concludes with the next HWG view.
     ///
-    /// Every member of a view advertises it, so one copy per view id is
-    /// kept: the first, as a sub-frame of its advertisement. That relies on
-    /// a view id naming one view everywhere, which the debug assertion
-    /// checks byte for byte.
-    pub(crate) fn handle_all_views(&mut self, hwg: Option<HwgId>, views: &AdvertisedViews) {
-        if let Some(hwg) = hwg {
-            let round = self.rounds.entry(hwg).or_default();
-            for (lwg, id, view) in views.iter() {
-                match round.collected.entry((lwg, id)) {
-                    Entry::Vacant(slot) => {
-                        slot.insert(view);
-                    }
-                    Entry::Occupied(kept) => debug_assert_eq!(
-                        *kept.get(),
-                        view,
-                        "two advertisements of one view id differ"
-                    ),
-                }
+    /// Every holder of a view advertises its id and its coordinator the
+    /// view, so one entry per view id is kept: the first full copy, as a
+    /// sub-frame of its advertisement, or `None` until one arrives. Full
+    /// copies from several holders (a deferred group's) rely on a view id
+    /// naming one view everywhere, which the debug assertion checks byte
+    /// for byte.
+    pub(crate) fn handle_all_views(
+        &mut self,
+        hwg: Option<HwgId>,
+        views: &AdvertisedViews,
+        held: &AdvertisedViews<ViewId>,
+    ) {
+        let Some(hwg) = hwg else { return };
+        let round = self.rounds.entry(hwg).or_default();
+        for (lwg, id, view) in views.iter() {
+            match round.collected.entry((lwg, id)).or_default() {
+                Some(kept) => debug_assert_eq!(*kept, view, "two views share an id"),
+                slot => *slot = Some(view),
             }
+        }
+        for key in held.iter() {
+            round.collected.entry(key).or_default();
         }
     }
 
@@ -127,6 +141,7 @@ impl<S: HwgSubstrate> LwgService<S> {
         let Some(round) = self.rounds.remove(&hwg) else {
             return;
         };
+        let mut deferred = BTreeSet::new();
         let mut previous = None;
         for &(lwg, _) in round.collected.keys() {
             if previous.replace(lwg) == Some(lwg) {
@@ -137,7 +152,12 @@ impl<S: HwgSubstrate> LwgService<S> {
                 .range((lwg, ViewId::new(NodeId(0), 0))..)
                 .take_while(move |((l, _), _)| *l == lwg)
                 .map(|((_, id), view)| (*id, view));
-            let views = merge_candidates(collected).unwrap_or_default();
+            let Some(views) = merge_candidates(collected) else {
+                ctx.metrics().incr(keys::MERGE_DEFERRED);
+                deferred.insert(lwg);
+                self.supersede_flushes(ctx, lwg, hwg, Vec::new());
+                continue;
+            };
             let concurrent: Vec<&View> = concurrent_views(&views).collect();
             // Every member holds the same advertisements, so every member
             // knows which views this round merges away, and drops the LWG
@@ -183,12 +203,23 @@ impl<S: HwgSubstrate> LwgService<S> {
             ctx.metrics().incr(keys::VIEWS_MERGED);
             self.send_view(ctx, lwg, None, merged, hwg);
         }
+        if deferred.is_empty() {
+            return;
+        }
+        // The deferred groups are advertised in full at the next flush,
+        // which the HWG coordinator requests now: the cooldown protects
+        // the HWG layer from a stream of empty rounds, not from this one.
+        self.rounds.entry(hwg).or_default().deferred = deferred;
+        if self.substrate.is_coordinator(hwg) {
+            self.last_merge_views.remove(&hwg);
+            self.trigger_merge_views(ctx, hwg);
+        }
     }
 
     /// A merge round on `hwg` concluded, merging `merged_away` (empty when
-    /// it merges nothing of `lwg`). If this node holds one of those views,
-    /// or is still joining over `hwg`, the merge supersedes what it was
-    /// doing: the flush or switch in flight is dropped, the queued joins
+    /// it merges nothing of `lwg`, or defers it). If this node holds one of
+    /// those views, or is still joining over `hwg`, the merge supersedes
+    /// what it was doing: the flush or switch in flight is dropped, the queued joins
     /// and leaves stay for the follow-up flush, and the views are kept to
     /// recognise stale announcements until the merged view is installed.
     /// A round that merges nothing releases a view whose merged view was
@@ -221,40 +252,70 @@ impl<S: HwgSubstrate> LwgService<S> {
     /// The `AllViews` frame advertising the LWG views of groups this node
     /// maps onto `hwg` (piggybacked on every HWG flush), or `None` when it
     /// maps none. The views are found by an indexed query, in ascending
-    /// group-id order, and encoded where they live, without a copy.
+    /// group-id order. A view this node coordinates, or of a group the last
+    /// round deferred, is encoded in full where it lives, without a copy;
+    /// any other only by id.
     ///
     /// A view that is switching to another HWG is left out: its successor
     /// is installed there, possibly before this flush's view arrives, so a
     /// merge here would give it a second successor. The target HWG's merge
     /// round reconciles the switched view instead.
     pub(crate) fn all_views_advert(&self, hwg: HwgId) -> Option<Payload> {
-        let views = AdvertisedViews::new(self.dir.mapped_on(hwg).into_iter().filter_map(|l| {
-            let state = self.dir.get(l)?;
-            if state.switch().is_some() || state.followed().is_some() {
-                return None;
-            }
-            Some((l, state.view.as_ref()?))
-        }));
-        (!views.is_empty()).then(|| wire::frame(&LwgMsg::AllViews { views }))
+        let hview = self.substrate.view_of(hwg)?;
+        let deferred = self.rounds.get(&hwg).map(|round| &round.deferred);
+        let mapped: Vec<(LwgId, &View, bool)> = self
+            .dir
+            .mapped_on(hwg)
+            .into_iter()
+            .filter_map(|l| {
+                let state = self.dir.get(l)?;
+                if state.switch().is_some() || state.followed().is_some() {
+                    return None;
+                }
+                let view = state.view.as_ref()?;
+                let coordinator = view.members.iter().find(|&&m| hview.contains(m));
+                let full =
+                    coordinator == Some(&self.me) || deferred.is_some_and(|d| d.contains(&l));
+                Some((l, view, full))
+            })
+            .collect();
+        if mapped.is_empty() {
+            return None;
+        }
+        let views = AdvertisedViews::new(mapped.iter().filter(|e| e.2).map(|e| (e.0, e.1)));
+        let held = AdvertisedViews::by_id(mapped.iter().filter(|e| !e.2).map(|e| (e.0, e.1.id)));
+        Some(wire::frame(&LwgMsg::AllViews { views, held }))
     }
 }
 
-/// The views one LWG's merge round weighs: the `collected`
-/// advertisements, ascending by id. Only what every member was sent counts
-/// — not this node's own view, which may have changed since it advertised
-/// it — so every member weighs the same views and reaches the same merge.
-/// `None` — decided before anything is decoded or allocated — when there
-/// are fewer than two, as for every group whose members all hold one view.
+/// The full views one LWG's merge round weighs, ascending by id, from its
+/// `collected` advertisements (`None`: advertised only by id). Only what
+/// every member was sent counts — not this node's own view, which may have
+/// changed since it advertised it — so every member weighs the same views
+/// and reaches the same merge.
+///
+/// Empty — decided before anything is decoded or allocated — when there
+/// are fewer than two candidates, as for every group whose members all
+/// hold one view, or whose only view's coordinator is across a partition.
+/// `None` when the round defers the group: some candidate came only by id,
+/// and no full view names it as a predecessor, so what it succeeds, and
+/// whether it is concurrent with the others, is unknown.
 fn merge_candidates<'a>(
-    collected: impl Iterator<Item = (ViewId, &'a Payload)> + Clone,
+    collected: impl Iterator<Item = (ViewId, &'a Option<Payload>)> + Clone,
 ) -> Option<Vec<View>> {
-    collected.clone().nth(1)?;
+    if collected.clone().nth(1).is_none() {
+        return Some(Vec::new());
+    }
     // Advertisements were validated on receipt, so every one decodes.
-    Some(
-        collected
-            .filter_map(|(_, view)| View::decode_from(&mut Reader::new(view)).ok())
-            .collect(),
-    )
+    let views: Vec<View> = collected
+        .clone()
+        .filter_map(|(_, view)| View::decode_from(&mut Reader::new(view.as_ref()?)).ok())
+        .collect();
+    let named = |id: ViewId| views.iter().any(|v| v.predecessors.contains(&id));
+    let unexplained = collected
+        .filter(|(_, view)| view.is_none())
+        .any(|(id, _)| !named(id));
+    (!unexplained).then_some(views)
 }
 
 /// The views of `views` that no view of `views` names as a predecessor, in
@@ -318,23 +379,21 @@ mod tests {
     /// The shipped path: advertisements as encoded sub-frames, candidates,
     /// then the filter. Empty when the round does not merge.
     fn shipped(collected: &[View]) -> Vec<ViewId> {
-        let encoded: BTreeMap<ViewId, Payload> = collected
-            .iter()
-            .map(|v| {
-                let mut out = Vec::new();
-                v.encode_into(&mut out);
-                (v.id, Payload::from_vec(out))
-            })
-            .collect();
-        let Some(views) = merge_candidates(encoded.iter().map(|(id, v)| (*id, v))) else {
-            return Vec::new();
-        };
+        let encoded: BTreeMap<ViewId, Option<Payload>> =
+            collected.iter().map(|v| (v.id, Some(encoded(v)))).collect();
+        let views = merge_candidates(encoded.iter().map(|(id, v)| (*id, v))).expect("all full");
         let concurrent: Vec<ViewId> = concurrent_views(&views).map(|v| v.id).collect();
         if concurrent.len() < 2 {
             Vec::new()
         } else {
             concurrent
         }
+    }
+
+    fn encoded(view: &View) -> Payload {
+        let mut out = Vec::new();
+        view.encode_into(&mut out);
+        Payload::from_vec(out)
     }
 
     fn id(i: u64) -> ViewId {
@@ -407,9 +466,82 @@ mod tests {
     /// advertisement is decoded.
     #[test]
     fn a_single_view_is_skipped_undecoded() {
-        let garbage = Payload::from_vec(vec![0xff]);
-        assert!(merge_candidates([(id(0), &garbage)].into_iter()).is_none());
-        assert!(merge_candidates(std::iter::empty()).is_none());
+        let garbage = Some(Payload::from_vec(vec![0xff]));
+        let weighed = |c: &[(ViewId, &Option<Payload>)]| merge_candidates(c.iter().copied());
+        assert_eq!(weighed(&[(id(0), &garbage)]), Some(vec![]));
+        assert_eq!(weighed(&[]), Some(vec![]));
+    }
+
+    /// The defer rule: a group is deferred when a view that came only by
+    /// id is named by no full view and is one of at least two candidates.
+    #[test]
+    fn a_view_advertised_by_id_defers_only_an_unexplained_rival() {
+        let weighed = |c: &[(ViewId, &Option<Payload>)]| merge_candidates(c.iter().copied());
+        let by_id = None;
+        // The far side of a split: the coordinator's copy is across it.
+        assert_eq!(weighed(&[(id(0), &by_id)]), Some(vec![]), "alone");
+        // A laggard's view, which its group's later view names.
+        let later = view(1, vec![id(0)]);
+        let full = Some(encoded(&later));
+        let named = weighed(&[(id(0), &by_id), (id(1), &full)]);
+        assert_eq!(named, Some(vec![later.clone()]));
+        assert_eq!(concurrent_views(&named.unwrap_or_default()).count(), 1);
+        // A view whose coordinator crashed before advertising it, and a
+        // concurrent view that came in full.
+        let rival = Some(encoded(&view(2, vec![])));
+        assert_eq!(weighed(&[(id(0), &by_id), (id(2), &rival)]), None);
+        assert_eq!(
+            weighed(&[(id(0), &by_id), (id(1), &full), (id(3), &by_id)]),
+            None
+        );
+    }
+
+    /// A holder that does not coordinate a view advertises it by id, and
+    /// in full once the last round deferred its group.
+    #[test]
+    fn a_deferred_group_is_advertised_in_full() {
+        let mut w = World::new(WorldConfig::default());
+        let node = |me| {
+            LwgNode::<ScriptedHwg>::builder(me)
+                .servers([NodeId(0)])
+                .build()
+                .expect("valid config")
+        };
+        w.add_node(Box::new(NameServer::new(
+            NodeId(0),
+            vec![],
+            NamingConfig::default(),
+        )));
+        let coordinator = w.add_node(Box::new(node(NodeId(1))));
+        let me = w.add_node(Box::new(node(NodeId(2))));
+        let (hwg, lwg) = (HwgId(5), LwgId(3));
+        let advertised = w.invoke(me, move |n: &mut LwgNode<ScriptedHwg>, ctx| {
+            let svc = n.service();
+            let view = View::initial(ViewId::new(coordinator, 1), vec![coordinator, me]);
+            svc.hwg_stack_mut().inject_view(hwg, view.clone());
+            svc.join(ctx, lwg);
+            let flush = None;
+            let announce = LwgMsg::NewLwgView {
+                lwg,
+                flush,
+                view,
+                hwg,
+            };
+            svc.hwg_stack_mut()
+                .inject_data(hwg, coordinator, announce.to_frame());
+            svc.pump(ctx);
+            let lists = |svc: &LwgService<ScriptedHwg>| {
+                let frame = svc.all_views_advert(hwg).expect("one view");
+                match plwg_sim::decode_frame(plwg_sim::family::LWG, &frame) {
+                    Ok(LwgMsg::AllViews { views, held }) => Some((views.len(), held.len())),
+                    _ => None,
+                }
+            };
+            let by_id = lists(svc);
+            svc.rounds.entry(hwg).or_default().deferred.insert(lwg);
+            (by_id, lists(svc))
+        });
+        assert_eq!(advertised, (Some((0, 1)), Some((1, 0))));
     }
 
     /// The MERGE-VIEWS cooldown keeps no entry for an HWG this node left.

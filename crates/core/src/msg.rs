@@ -8,6 +8,7 @@ use plwg_hwg::{HwgId, View, ViewId};
 use plwg_naming::LwgId;
 use plwg_sim::{Decode, Encode, NodeId, Payload, Reader};
 use std::fmt;
+use std::marker::PhantomData;
 
 /// Identifies one LWG-level flush round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -124,10 +125,14 @@ pub enum LwgMsg {
     MergeViews,
     /// ALL-VIEWS (paper Fig. 5): the sender's current LWG views mapped on
     /// this HWG, exchanged during the flush so every member can merge
-    /// deterministically.
+    /// deterministically. One holder of each view, its coordinator, sends
+    /// it in full; every other holder sends only its id.
     AllViews {
-        /// `(lwg, current view)` pairs of the sender.
+        /// `(lwg, current view)` pairs of the views the sender coordinates,
+        /// and of every view of a group the last merge round deferred.
         views: AdvertisedViews,
+        /// `(lwg, current view id)` pairs of the sender's other views.
+        held: AdvertisedViews<ViewId>,
     },
     /// The group dissolved: every member of the flushed view asked to
     /// leave, so there is no successor view.
@@ -148,35 +153,31 @@ pub enum LwgMsg {
     },
 }
 
-/// The `(lwg, view)` entries of an [`LwgMsg::AllViews`] advertisement, kept
-/// as their validated wire bytes.
+/// The entries of an [`LwgMsg::AllViews`] advertisement, kept as their
+/// validated wire bytes: `(lwg, view)` pairs (`E = View`, the default) or
+/// `(lwg, view id)` pairs (`E = ViewId`).
 ///
 /// Every member advertises every view it holds on every HWG flush, so a
 /// receiver mostly sees views it already knows. Decoding validates each
-/// entry exactly as decoding a `View` would, but builds nothing and, for
-/// memberships of up to 16, allocates nothing; [`AdvertisedViews::iter`]
-/// then hands out each view as a zero-copy sub-frame, decoded only by a
-/// merge round that needs it.
+/// entry exactly as decoding a `Vec<(LwgId, E)>` would, but builds nothing
+/// and, for memberships of up to 16, allocates nothing; `iter` then hands
+/// out each entry, a full view as a zero-copy sub-frame that only a merge
+/// round that needs it decodes.
 #[derive(Clone, Debug)]
-pub struct AdvertisedViews {
+pub struct AdvertisedViews<E = View> {
     /// The entries' encodings back to back, without the count prefix.
     pub(crate) entries: Payload,
     pub(crate) count: usize,
+    entry: PhantomData<E>,
 }
 
-impl AdvertisedViews {
-    /// Encodes borrowed `(lwg, view)` pairs.
-    pub fn new<'a>(views: impl IntoIterator<Item = (LwgId, &'a View)>) -> Self {
-        let mut entries = Vec::new();
-        let mut count = 0;
-        for (lwg, view) in views {
-            lwg.encode_into(&mut entries);
-            view.encode_into(&mut entries);
-            count += 1;
-        }
+impl<E> AdvertisedViews<E> {
+    /// `count` entries, encoded back to back in `entries`.
+    pub(crate) fn from_parts(entries: Payload, count: usize) -> Self {
         AdvertisedViews {
-            entries: Payload::from_vec(entries),
+            entries,
             count,
+            entry: PhantomData,
         }
     }
 
@@ -188,6 +189,19 @@ impl AdvertisedViews {
     /// Whether no view is advertised.
     pub fn is_empty(&self) -> bool {
         self.count == 0
+    }
+}
+
+impl AdvertisedViews {
+    /// Encodes borrowed `(lwg, view)` pairs.
+    pub fn new<'a>(views: impl IntoIterator<Item = (LwgId, &'a View)>) -> Self {
+        let (mut entries, mut count) = (Vec::new(), 0);
+        for (lwg, view) in views {
+            lwg.encode_into(&mut entries);
+            view.encode_into(&mut entries);
+            count += 1;
+        }
+        Self::from_parts(Payload::from_vec(entries), count)
     }
 
     /// The advertised `(lwg, view id, encoded view)` triples, in order.
@@ -201,6 +215,29 @@ impl AdvertisedViews {
             let lwg = LwgId::decode_from(&mut r).ok()?;
             let (id, view) = r.read_span(View::skip_encoded).ok()?;
             Some((lwg, id, view))
+        })
+    }
+}
+
+impl AdvertisedViews<ViewId> {
+    /// Encodes `(lwg, view id)` pairs.
+    pub fn by_id(ids: impl IntoIterator<Item = (LwgId, ViewId)>) -> Self {
+        let (mut entries, mut count) = (Vec::new(), 0);
+        for pair in ids {
+            pair.encode_into(&mut entries);
+            count += 1;
+        }
+        Self::from_parts(Payload::from_vec(entries), count)
+    }
+
+    /// The advertised `(lwg, view id)` pairs, in order.
+    pub fn iter(&self) -> impl Iterator<Item = (LwgId, ViewId)> + '_ {
+        let mut r = Reader::new(&self.entries);
+        (0..self.count).map_while(move |_| {
+            Some((
+                LwgId::decode_from(&mut r).ok()?,
+                ViewId::decode_from(&mut r).ok()?,
+            ))
         })
     }
 }
@@ -230,7 +267,9 @@ impl fmt::Debug for LwgMsg {
             LwgMsg::SwitchReady { lwg, .. } => write!(f, "LSwitchReady({lwg})"),
             LwgMsg::Dissolved { lwg, .. } => write!(f, "LDissolved({lwg})"),
             LwgMsg::MergeViews => write!(f, "LMergeViews"),
-            LwgMsg::AllViews { views } => write!(f, "LAllViews({} views)", views.len()),
+            LwgMsg::AllViews { views, held } => {
+                write!(f, "LAllViews({} views, {} held)", views.len(), held.len())
+            }
             LwgMsg::Redirect { lwg, to } => write!(f, "LRedirect({lwg}->{to})"),
         }
     }

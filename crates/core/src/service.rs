@@ -539,7 +539,7 @@ impl<S: HwgSubstrate> LwgService<S> {
                 self.try_complete_switch(ctx, *lwg);
             }
             LwgMsg::MergeViews => self.handle_merge_views_msg(ctx, hwg),
-            LwgMsg::AllViews { views } => self.handle_all_views(hwg, views),
+            LwgMsg::AllViews { views, held } => self.handle_all_views(hwg, views, held),
             LwgMsg::Dissolved { lwg, flush } => self.handle_dissolved(ctx, *lwg, *flush),
             LwgMsg::Redirect { lwg, to } => self.handle_redirect(ctx, *lwg, *to),
         }

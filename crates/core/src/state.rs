@@ -61,6 +61,11 @@ pub(crate) struct LwgFlush {
     pub(crate) started_at: SimTime,
 }
 
+/// A flush, `(flush, members, switch target)`, waiting for the view the
+/// flush in flight announced (see [`LwgState::begin_flush`]). Boxed: it is
+/// rare, and costs every group's state a word.
+type NextFlush = Option<Box<(LFlushId, Vec<NodeId>, Option<HwgId>)>>;
+
 /// Coordinator-side state of an in-progress switch (paper §3: the
 /// switching protocol; also step 2 of partition healing, §6.2).
 #[derive(Debug)]
@@ -80,7 +85,7 @@ enum Activity {
     #[default]
     Idle,
     /// Member side of a join or leave flush.
-    Flushing(LwgFlush),
+    Flushing { flush: LwgFlush, next: NextFlush },
     /// Member side of a switch, `of` = its flush and target HWG: stop
     /// data, join the target and report ready there. Until the switched
     /// view installs, a later flush from the same view can take `flush`'s
@@ -88,6 +93,7 @@ enum Activity {
     Following {
         flush: LwgFlush,
         of: (LFlushId, HwgId),
+        next: NextFlush,
     },
     /// Coordinator of a switch; `own` is its member side of the same
     /// flush, once its own `SwitchTo` arrived.
@@ -138,7 +144,7 @@ impl LwgState {
     /// The flush this node takes part in.
     pub(crate) fn flush(&self) -> Option<&LwgFlush> {
         match &self.activity {
-            Activity::Flushing(f)
+            Activity::Flushing { flush: f, .. }
             | Activity::Following { flush: f, .. }
             | Activity::Switching { own: Some(f), .. } => Some(f),
             _ => None,
@@ -147,7 +153,7 @@ impl LwgState {
 
     fn flush_mut(&mut self) -> Option<&mut LwgFlush> {
         match &mut self.activity {
-            Activity::Flushing(f)
+            Activity::Flushing { flush: f, .. }
             | Activity::Following { flush: f, .. }
             | Activity::Switching { own: Some(f), .. } => Some(f),
             _ => None,
@@ -218,6 +224,13 @@ impl LwgState {
     /// layer, a more senior initiator (in view order) or a newer nonce from
     /// the same initiator supersedes. A coordinator's own `SwitchTo` makes
     /// it take part in its switch. Returns whether it took part.
+    ///
+    /// An initiator starts a flush only from a view it installed, so a
+    /// newer flush from the initiator of one whose view is announced waits
+    /// as its `next`: superseding it would lose the announcement, and this
+    /// node would stay behind in the old view. Installing the view at once
+    /// would drop the old view's data still on its way ahead of the
+    /// missing `FlushOk`s.
     pub(crate) fn begin_flush(
         &mut self,
         flush: LFlushId,
@@ -234,6 +247,12 @@ impl LwgState {
             let supersedes = rank(flush.initiator) < rank(cur.initiator)
                 || (flush.initiator == cur.initiator && flush.nonce > cur.nonce);
             if !supersedes {
+                return false;
+            }
+            let announced = self.flush().is_some_and(|lf| lf.new_view.is_some());
+            let waits = announced && flush.initiator == cur.initiator;
+            if let Some(next) = self.next_mut().filter(|_| waits) {
+                *next = Some(Box::new((flush, members, to)));
                 return false;
             }
         }
@@ -257,8 +276,15 @@ impl LwgState {
                 let own = Some(own);
                 Activity::Switching { switch, own }
             }
-            (_, Some(of)) => Activity::Following { flush: own, of },
-            (_, None) => Activity::Flushing(own),
+            (_, Some(of)) => Activity::Following {
+                flush: own,
+                of,
+                next: None,
+            },
+            (_, None) => Activity::Flushing {
+                flush: own,
+                next: None,
+            },
         };
         true
     }
@@ -278,6 +304,21 @@ impl LwgState {
     pub(crate) fn announce(&mut self, view: View, on_hwg: HwgId) {
         if let Some(lf) = self.flush_mut() {
             lf.new_view = Some((view, on_hwg));
+        }
+    }
+
+    /// The flush waiting for the announced view of the one in flight.
+    pub(crate) fn next_flush(&self) -> Option<&(LFlushId, Vec<NodeId>, Option<HwgId>)> {
+        match &self.activity {
+            Activity::Flushing { next, .. } | Activity::Following { next, .. } => next.as_deref(),
+            _ => None,
+        }
+    }
+
+    fn next_mut(&mut self) -> Option<&mut NextFlush> {
+        match &mut self.activity {
+            Activity::Flushing { next, .. } | Activity::Following { next, .. } => Some(next),
+            _ => None,
         }
     }
 
@@ -304,7 +345,11 @@ impl LwgState {
         };
         if let Some(flush) = own {
             let of = (switch.flush, switch.to);
-            self.activity = Activity::Following { flush, of };
+            self.activity = Activity::Following {
+                flush,
+                of,
+                next: None,
+            };
         }
         Some(switch)
     }
@@ -322,8 +367,10 @@ impl LwgState {
     }
 
     /// Installs `view` on `on_hwg` and returns the sends buffered for it.
-    /// Queued joins and leaves the view did not settle stay queued.
+    /// Queued joins and leaves the view did not settle stay queued, and so
+    /// do the early `FlushOk`s of the flush waiting for `view`.
     pub(crate) fn install(&mut self, view: View, on_hwg: HwgId, me: NodeId) -> Vec<Payload> {
+        let next = self.next_flush().map(|(flush, ..)| *flush);
         if let Some(old) = &self.view {
             self.history.insert(old.id);
         }
@@ -341,7 +388,7 @@ impl LwgState {
         self.hwg = Some(on_hwg);
         self.phase = Phase::Member;
         self.activity = Activity::Idle;
-        self.early_oks.clear();
+        self.early_oks.retain(|(f, _)| Some(*f) == next);
         self.prune_since = None;
         std::mem::take(&mut self.pending_send)
     }
@@ -382,10 +429,13 @@ pub(crate) struct MergeRound {
     /// out, so until the next HWG view it announces no successor of a view
     /// it advertised.
     pub(crate) stopped: bool,
-    /// `(lwg, view id)` → the encoded view, as first advertised: a
+    /// `(lwg, view id)` → the encoded view, as first advertised in full: a
     /// sub-frame of that `AllViews` frame, decoded only if the round
-    /// merges the group.
-    pub(crate) collected: BTreeMap<(LwgId, ViewId), Payload>,
+    /// weighs the group; `None` while the view came only by id.
+    pub(crate) collected: BTreeMap<(LwgId, ViewId), Option<Payload>>,
+    /// The groups the previous round deferred: this node advertises its
+    /// views of them in full.
+    pub(crate) deferred: BTreeSet<LwgId>,
 }
 
 /// Recently seen data tagged with an LWG view we do not know — potential
@@ -526,6 +576,30 @@ mod tests {
         assert_eq!(s.followed(), Some((fid(1, 1), TO)), "still following");
         assert!(s.begin_flush(fid(1, 3), all(), Some(H), at(2)));
         assert_eq!(s.followed(), Some((fid(1, 3), H)), "a new switch");
+    }
+
+    /// The successor `1.2` of `{1, 2, 3}`, with the same members.
+    fn view_2() -> View {
+        View::with_predecessors(ViewId::new(n(1), 2), all(), vec![ViewId::new(n(1), 1)])
+    }
+
+    #[test]
+    fn a_newer_flush_from_the_initiator_waits_for_its_announced_view() {
+        let mut s = member();
+        assert!(s.begin_flush(fid(1, 1), all(), None, at(0)));
+        assert!(s.begin_flush(fid(1, 2), all(), None, at(1)), "none yet");
+        s.announce(view_2(), H);
+        assert!(!s.begin_flush(fid(2, 9), all(), None, at(2)), "junior");
+        assert!(!s.begin_flush(fid(1, 3), all(), Some(TO), at(2)));
+        s.check();
+        let lf = s.flush().map(|f| (f.flush, f.new_view.is_some()));
+        assert_eq!(lf, Some((fid(1, 2), true)), "the announced flush stays");
+        assert_eq!(s.next_flush(), Some(&(fid(1, 3), all(), Some(TO))));
+        // Its acks overtook it; they outlast the install it waits for.
+        assert!(!s.ack(fid(1, 3), n(2)) && !s.ack(fid(1, 1), n(3)));
+        assert!(s.install(view_2(), H, n(1)).is_empty());
+        assert_eq!(s.next_flush(), None);
+        assert_eq!(s.early_oks, vec![(fid(1, 3), n(2))]);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! *slice* the incoming allocation instead of copying it.
 
 use crate::msg::{AdvertisedViews, LFlushId, LwgMsg};
-use plwg_hwg::View;
+use plwg_hwg::{View, ViewId};
 use plwg_naming::LwgId;
 use plwg_sim::{encode_frame, family, Decode, Encode, Payload, Reader, WireError};
 
@@ -20,8 +20,8 @@ pub(crate) fn frame(msg: &LwgMsg) -> Payload {
     encode_frame(family::LWG, msg)
 }
 
-/// `count:varint (lwg view)*` — the layout of a `Vec<(LwgId, View)>`.
-impl Encode for AdvertisedViews {
+/// `count:varint (lwg entry)*` — the layout of a `Vec<(LwgId, E)>`.
+impl<E> Encode for AdvertisedViews<E> {
     fn encode_into(&self, out: &mut Vec<u8>) {
         plwg_wire::put_varint(out, self.count as u64);
         out.extend_from_slice(&self.entries);
@@ -33,19 +33,35 @@ impl Encode for AdvertisedViews {
 /// entries as a sub-frame of the incoming one, allocating nothing.
 impl Decode for AdvertisedViews {
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let count = usize::try_from(r.read_varint()?).map_err(|_| WireError::BadLength)?;
-        if count > r.remaining() {
-            return Err(WireError::BadLength);
-        }
-        let ((), entries) = r.read_span(|r| {
-            for _ in 0..count {
-                LwgId::decode_from(r)?;
-                View::skip_encoded(r)?;
-            }
-            Ok(())
-        })?;
-        Ok(AdvertisedViews { entries, count })
+        decode_entries(r, |r| View::skip_encoded(r).map(drop))
     }
+}
+
+/// Accepts exactly what decoding a `Vec<(LwgId, ViewId)>` accepts, as a
+/// sub-frame of the incoming one.
+impl Decode for AdvertisedViews<ViewId> {
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        decode_entries(r, |r| ViewId::decode_from(r).map(drop))
+    }
+}
+
+/// Validates `count:varint (lwg entry)*`, each entry read by `entry`.
+fn decode_entries<E>(
+    r: &mut Reader<'_>,
+    entry: impl Fn(&mut Reader<'_>) -> Result<(), WireError>,
+) -> Result<AdvertisedViews<E>, WireError> {
+    let count = usize::try_from(r.read_varint()?).map_err(|_| WireError::BadLength)?;
+    if count > r.remaining() {
+        return Err(WireError::BadLength);
+    }
+    let ((), entries) = r.read_span(|r| {
+        for _ in 0..count {
+            LwgId::decode_from(r)?;
+            entry(r)?;
+        }
+        Ok(())
+    })?;
+    Ok(AdvertisedViews::from_parts(entries, count))
 }
 
 plwg_wire::wire_struct!(LFlushId { initiator, nonce });
@@ -61,7 +77,7 @@ plwg_wire::wire_enum!(LwgMsg {
     7 => SwitchTo { lwg, flush, to, members },
     8 => SwitchReady { lwg, flush },
     9 => MergeViews,
-    10 => AllViews { views },
+    10 => AllViews { views, held },
     11 => Dissolved { lwg, flush },
     12 => Redirect { lwg, to },
 });
@@ -130,6 +146,7 @@ mod tests {
             LwgMsg::MergeViews,
             LwgMsg::AllViews {
                 views: AdvertisedViews::new([(LwgId(1), &view)]),
+                held: AdvertisedViews::by_id([(LwgId(2), vid)]),
             },
             LwgMsg::Dissolved {
                 lwg: LwgId(1),
@@ -176,12 +193,15 @@ mod tests {
     }
 
     /// Advertised views encode exactly as a `Vec<(LwgId, View)>` of the
-    /// same views, and iterate back as the views they were built from,
-    /// over seeded view lists (the empty list included).
+    /// full views followed by a `Vec<(LwgId, ViewId)>` of the ids, and
+    /// iterate back as the entries they were built from, over seeded lists
+    /// (the empty ones included).
     #[test]
     fn borrowed_all_views_frame_matches_the_owned_one() {
         for seed in 0..32 {
             let mut rng = plwg_sim::SimRng::from_seed(seed);
+            let mut id = || ViewId::new(NodeId(rng.next_u32() % 8), rng.range(1, 300));
+            let ids: Vec<(LwgId, ViewId)> = (0..seed % 5).map(|g| (LwgId(g), id())).collect();
             let views: Vec<(LwgId, View)> = (0..seed)
                 .map(|_| {
                     let id = ViewId::new(NodeId(rng.next_u32() % 8), rng.range(1, 300));
@@ -196,16 +216,15 @@ mod tests {
                 })
                 .collect();
             let adverts = AdvertisedViews::new(views.iter().map(|(l, v)| (*l, v)));
+            let held = AdvertisedViews::by_id(ids.iter().copied());
             let mut owned = vec![10]; // the `AllViews` tag
             views.encode_into(&mut owned);
-            assert_eq!(
-                frame(&LwgMsg::AllViews {
-                    views: adverts.clone()
-                })
-                .bytes()[1..],
-                owned[..],
-                "seed {seed}"
-            );
+            ids.encode_into(&mut owned);
+            let msg = LwgMsg::AllViews {
+                views: adverts.clone(),
+                held: held.clone(),
+            };
+            assert_eq!(frame(&msg).bytes()[1..], owned[..], "seed {seed}");
             let back: Vec<(LwgId, View)> = adverts
                 .iter()
                 .map(|(lwg, id, bytes)| {
@@ -215,6 +234,7 @@ mod tests {
                 })
                 .collect();
             assert_eq!(back, views, "seed {seed}");
+            assert_eq!(held.iter().collect::<Vec<_>>(), ids, "seed {seed}");
         }
     }
 

@@ -756,3 +756,154 @@ fn a_newer_flush_keeps_a_followed_switch_followed() {
         Some(H2)
     );
 }
+
+/// Delivers `msgs` at `node` in order, each as an HWG multicast of its
+/// source on `H1`, and runs the world on for 100 ms (a tick records the
+/// upcalls).
+fn deliver(w: &mut World, node: NodeId, msgs: Vec<(NodeId, LwgMsg)>) {
+    w.invoke(node, move |n: &mut Node, ctx| {
+        for (src, msg) in msgs {
+            let hwg = n.service().hwg_stack_mut();
+            hwg.inject_data(H1, src, msg.to_frame());
+            n.service().pump(ctx);
+        }
+    });
+    w.run_for(ms(100));
+}
+
+/// A member can hold a flush's announced view while it still waits for a
+/// `FlushOk`; the initiator, which had them all, installed that view and
+/// may already flush it again. `b` gets `a`'s `NewLwgView` of flush `f1`
+/// and then `a`'s `Flush` `f2` before `c`'s last `FlushOk` of `f1`. `f2`
+/// waits for that view: `b` delivers `c`'s last message of the old view,
+/// installs `f1`'s view, takes part in `f2` and installs its view. When
+/// `f2` superseded `f1`, the announcement was lost and `b` stayed in the
+/// old view for good (first seen in the seed-5 bring-up of
+/// `heal_budget.rs`, where the next HWG flush merged that view with its
+/// own descendant).
+#[test]
+fn a_flush_from_the_initiator_waits_for_the_view_it_announced() {
+    use plwg_core::LFlushId;
+    let (mut w, apps) = setup(3);
+    let (a, b, c) = (apps[0], apps[1], apps[2]);
+    for &n in &apps {
+        grant(&mut w, n, H1, a, 1, &apps);
+    }
+    let v1 = View::initial(ViewId::new(a, 1), apps.clone());
+    for &n in &apps {
+        seed_lwg_view(&mut w, n, H1, v1.clone());
+    }
+    w.run_for(ms(200));
+    let f = |nonce| LFlushId {
+        initiator: a,
+        nonce,
+    };
+    let flush = |nonce| LwgMsg::Flush {
+        lwg: L,
+        flush: f(nonce),
+        members: apps.clone(),
+    };
+    let ok = |nonce| LwgMsg::FlushOk {
+        lwg: L,
+        flush: f(nonce),
+    };
+    let announce = |nonce, view: &View| LwgMsg::NewLwgView {
+        lwg: L,
+        flush: Some(f(nonce)),
+        view: view.clone(),
+        hwg: H1,
+    };
+    let v2 = View::with_predecessors(ViewId::new(a, 2), apps.clone(), vec![v1.id]);
+    let v3 = View::with_predecessors(ViewId::new(a, 3), vec![a, b], vec![v2.id]);
+
+    deliver(
+        &mut w,
+        b,
+        vec![
+            (a, flush(1)),
+            (a, ok(1)),
+            (a, announce(1, &v2)),
+            (a, flush(2)),
+        ],
+    );
+    assert_eq!(
+        view_at(&mut w, b).as_ref(),
+        Some(&v1),
+        "c's FlushOk is missing"
+    );
+    let data = LwgMsg::Data {
+        lwg: L,
+        lwg_view: v1.id,
+        data: Frame::from_u64(5),
+    };
+    deliver(&mut w, b, vec![(c, data), (c, ok(1))]);
+    assert_eq!(
+        view_at(&mut w, b).as_ref(),
+        Some(&v2),
+        "f1's view installed"
+    );
+    assert_eq!(delivered_from(&mut w, b, c), vec![5], "in the old view");
+    deliver(
+        &mut w,
+        b,
+        vec![(a, ok(2)), (c, ok(2)), (a, announce(2, &v3))],
+    );
+    assert_eq!(view_at(&mut w, b).as_ref(), Some(&v3), "b took part in f2");
+    assert_eq!(plwg_obs::forks_of(w.trace()), vec![]);
+}
+
+/// Two concurrent views of `L` on one HWG, `{a, x}` and `{c, y, z}`, and a
+/// merge round whose flush loses `c`, the coordinator of the second view,
+/// after its `Stop` and before its advertisement went out: the survivors
+/// hold `{c, y, z}` only by id from `y` and `z`, and nothing names it.
+/// Every survivor defers `L` in that round, the HWG coordinator `a`
+/// requests another, and in it the holders advertise their view in full:
+/// that round merges both branches, once.
+#[test]
+fn a_round_missing_a_views_full_copy_defers_its_group_once() {
+    use plwg_core::keys::{MERGE_DEFERRED, MERGE_VIEWS_SENT};
+    let (mut w, apps) = setup(5);
+    let (a, x, c, y, z) = (apps[0], apps[1], apps[2], apps[3], apps[4]);
+    for &n in &apps {
+        grant(&mut w, n, H1, a, 1, &apps);
+    }
+    let va = View::initial(ViewId::new(a, 1), vec![a, x]);
+    let vc = View::initial(ViewId::new(c, 1), vec![c, y, z]);
+    for (&n, view) in apps.iter().zip([&va, &va, &vc, &vc, &vc]) {
+        seed_lwg_view(&mut w, n, H1, view.clone());
+    }
+
+    // A flush `Stop`s every member; `c` crashes before it answers.
+    w.crash(c);
+    let survivors = [a, x, y, z];
+    for &n in &survivors {
+        w.invoke(n, |n: &mut Node, ctx| {
+            n.service().hwg_stack_mut().inject_stop(H1);
+            n.service().pump(ctx);
+        });
+    }
+    w.run_for(ms(50));
+    let counter = |w: &World, key| w.metrics().counter(key);
+    let sent = counter(&w, MERGE_VIEWS_SENT);
+    for &n in &survivors {
+        let before = counter(&w, MERGE_DEFERRED);
+        grant(&mut w, n, H1, a, 2, &survivors);
+        assert_eq!(counter(&w, MERGE_DEFERRED) - before, 1, "{n} deferred L");
+    }
+    assert_eq!(counter(&w, MERGE_VIEWS_SENT) - sent, 1, "a asked again");
+    assert!(w.trace().count("lwg.merge") == 0, "no merge yet");
+
+    w.run_for(ms(300));
+    assert_eq!(counter(&w, MERGE_DEFERRED), 4, "the next round merged");
+    let merges = Timeline::build(w.trace()).merges_of(L.0).len();
+    assert_eq!(merges, 1);
+    // `y` pruned `c` from its view when the HWG view dropped it.
+    let merged = view_at(&mut w, a).expect("merged");
+    assert_eq!(merged.members, vec![a, x, y, z]);
+    assert_eq!(merged.predecessors, vec![va.id, ViewId::new(y, 1)]);
+    for &n in &survivors {
+        assert_eq!(view_at(&mut w, n).as_ref(), Some(&merged), "at {n}");
+        assert_eq!(stop_oks(&mut w, n, H1), 2, "two HWG flushes at {n}");
+    }
+    assert_eq!(plwg_obs::ancestor_merges_of(w.trace()), vec![]);
+}

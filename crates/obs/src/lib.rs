@@ -22,4 +22,6 @@
 pub mod scenarios;
 mod timeline;
 
-pub use timeline::{forks_of, Fork, Timeline, TimelineEntry, ViewKey};
+pub use timeline::{
+    ancestor_merges_of, forks_of, AncestorMerge, Fork, Timeline, TimelineEntry, ViewKey,
+};

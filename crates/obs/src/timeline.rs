@@ -198,7 +198,85 @@ pub struct Fork {
 /// left a view for a branch that does not name it, and the naming
 /// database (paper §5.2) is left with a mapping nothing supersedes.
 pub fn forks_of(trace: &Trace) -> Vec<Fork> {
-    // lwg → installed view → its predecessors.
+    let mut forks = Vec::new();
+    for (&lwg, preds) in &lineages(trace) {
+        let mut successors: BTreeMap<ViewKey, Vec<ViewKey>> = BTreeMap::new();
+        for (&view, parents) in preds {
+            for &p in *parents {
+                successors.entry(p).or_default().push(view);
+            }
+        }
+        for (view, next) in successors {
+            let unordered = next.iter().enumerate().find_map(|(i, &s)| {
+                next.get(i + 1..)?
+                    .iter()
+                    .find(|&&t| !is_ancestor(preds, s, t) && !is_ancestor(preds, t, s))
+                    .map(|&t| [s, t])
+            });
+            if let Some(successors) = unordered {
+                forks.push(Fork {
+                    lwg,
+                    view,
+                    successors,
+                });
+            }
+        }
+    }
+    forks
+}
+
+/// A merge of two views of one lineage chain: `merged` of LWG `lwg` names
+/// both `ancestor` and `descendant`, a view the ancestor precedes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AncestorMerge {
+    /// The light-weight group.
+    pub lwg: u64,
+    /// The merged view.
+    pub merged: ViewKey,
+    /// The earlier of the two merged views.
+    pub ancestor: ViewKey,
+    /// The later one, which the ancestor precedes.
+    pub descendant: ViewKey,
+}
+
+/// Every `lwg.merge` in `trace` whose predecessors include two views of one
+/// lineage chain, in trace order; ancestry is read from the installed views,
+/// as [`forks_of`] reads it.
+///
+/// A merge round merges only concurrent views, so such a merge means some
+/// member still held a view its group had moved past — an announced
+/// successor it never installed — and the round took that old view for a
+/// concurrent branch.
+pub fn ancestor_merges_of(trace: &Trace) -> Vec<AncestorMerge> {
+    let lineages = lineages(trace);
+    let mut found = Vec::new();
+    for ev in trace.events().iter().filter(|e| e.kind == "lwg.merge") {
+        let (Some(lwg), Some(merged)) = (ev.refs.lwg, ev.refs.view) else {
+            continue;
+        };
+        let Some(preds) = lineages.get(&lwg) else {
+            continue;
+        };
+        let parents = &ev.refs.parents;
+        let pair = parents.iter().find_map(|&a| {
+            let d = parents.iter().find(|&&d| is_ancestor(preds, a, d))?;
+            Some((a, *d))
+        });
+        if let Some((ancestor, descendant)) = pair {
+            found.push(AncestorMerge {
+                lwg,
+                merged,
+                ancestor,
+                descendant,
+            });
+        }
+    }
+    found
+}
+
+/// Per LWG, every view some node installed in `trace`, with the
+/// predecessors it names (`lwg.view.install` events only).
+fn lineages(trace: &Trace) -> BTreeMap<u64, BTreeMap<ViewKey, &[ViewKey]>> {
     let mut lineage: BTreeMap<u64, BTreeMap<ViewKey, &[ViewKey]>> = BTreeMap::new();
     for ev in trace
         .events()
@@ -212,46 +290,24 @@ pub fn forks_of(trace: &Trace) -> Vec<Fork> {
                 .insert(view, &ev.refs.parents);
         }
     }
-    let mut forks = Vec::new();
-    for (&lwg, preds) in &lineage {
-        let is_ancestor = |a: ViewKey, b: ViewKey| {
-            let mut stack = vec![b];
-            let mut seen = BTreeSet::new();
-            while let Some(v) = stack.pop() {
-                for &p in preds.get(&v).copied().unwrap_or_default() {
-                    if p == a {
-                        return true;
-                    }
-                    if seen.insert(p) {
-                        stack.push(p);
-                    }
-                }
+    lineage
+}
+
+/// Whether `a` precedes `b` in the lineage `preds`.
+fn is_ancestor(preds: &BTreeMap<ViewKey, &[ViewKey]>, a: ViewKey, b: ViewKey) -> bool {
+    let mut stack = vec![b];
+    let mut seen = BTreeSet::new();
+    while let Some(v) = stack.pop() {
+        for &p in preds.get(&v).copied().unwrap_or_default() {
+            if p == a {
+                return true;
             }
-            false
-        };
-        let mut successors: BTreeMap<ViewKey, Vec<ViewKey>> = BTreeMap::new();
-        for (&view, parents) in preds {
-            for &p in *parents {
-                successors.entry(p).or_default().push(view);
-            }
-        }
-        for (view, next) in successors {
-            let unordered = next.iter().enumerate().find_map(|(i, &s)| {
-                next.get(i + 1..)?
-                    .iter()
-                    .find(|&&t| !is_ancestor(s, t) && !is_ancestor(t, s))
-                    .map(|&t| [s, t])
-            });
-            if let Some(successors) = unordered {
-                forks.push(Fork {
-                    lwg,
-                    view,
-                    successors,
-                });
+            if seen.insert(p) {
+                stack.push(p);
             }
         }
     }
-    forks
+    false
 }
 
 #[cfg(test)]
@@ -369,6 +425,47 @@ mod tests {
                 lwg: 1,
                 view: (1, 4),
                 successors: [(1, 5), (1, 6)],
+            }]
+        );
+    }
+
+    /// `lwg.merge` into view `(c, s)` of the views `preds`, at node `c`.
+    fn merge(t: &mut Trace, (c, s): (u32, u64), preds: &[(u32, u64)]) {
+        let concurrent: Vec<ViewId> = preds
+            .iter()
+            .map(|&(c, s)| ViewId::new(NodeId(c), s))
+            .collect();
+        let merged = View::with_predecessors(
+            ViewId::new(NodeId(c), s),
+            vec![NodeId(c)],
+            concurrent.clone(),
+        );
+        t.record(SimTime::ZERO, Some(NodeId(c)), || LwgProtocolEvent::Merge {
+            lwg: LwgId(1),
+            concurrent,
+            merged,
+        });
+    }
+
+    #[test]
+    fn a_merge_naming_a_view_and_its_descendant_is_flagged() {
+        let mut t = Trace::new(true);
+        install(&mut t, (2, 3), &[]);
+        install(&mut t, (2, 4), &[(2, 3)]);
+        install(&mut t, (2, 5), &[(2, 4)]);
+        install(&mut t, (7, 1), &[]);
+        // Two branches, and a view outside the recorded lineage.
+        merge(&mut t, (2, 6), &[(2, 5), (7, 1), (9, 9)]);
+        assert_eq!(ancestor_merges_of(&t), vec![]);
+        // A laggard's view merged with its group's descendant of it.
+        merge(&mut t, (2, 7), &[(2, 3), (2, 5)]);
+        assert_eq!(
+            ancestor_merges_of(&t),
+            vec![AncestorMerge {
+                lwg: 1,
+                merged: (2, 7),
+                ancestor: (2, 3),
+                descendant: (2, 5),
             }]
         );
     }

@@ -243,8 +243,10 @@ fn lwg_msg(rng: &mut SimRng) -> LwgMsg {
             let views: Vec<(LwgId, View)> = (0..rng.range(0, 3))
                 .map(|_| (LwgId(rng.range(0, 32)), view(rng)))
                 .collect();
+            let held = (0..rng.range(0, 3)).map(|_| (LwgId(rng.range(0, 32)), view_id(rng)));
             LwgMsg::AllViews {
                 views: AdvertisedViews::new(views.iter().map(|(lwg, v)| (*lwg, v))),
+                held: AdvertisedViews::by_id(held.collect::<Vec<_>>()),
             }
         }
         11 => LwgMsg::Dissolved {
@@ -508,34 +510,37 @@ fn corruption_never_panics() {
 /// The `AllViews` variant tag of the `LwgMsg` table.
 const ALL_VIEWS_TAG: u8 = 10;
 
+/// An `AllViews` advertisement as the eager decoder builds it: the views
+/// sent in full, then the ids of the views sent by id.
+type OwnedAllViews = (Vec<(LwgId, View)>, Vec<(LwgId, ViewId)>);
+
 /// An `AllViews` frame as the eager encoder wrote it: the views are
 /// encoded as given, invalid ones included.
-fn all_views_frame(views: &[(LwgId, View)]) -> Frame {
-    struct Owned<'a>(&'a [(LwgId, View)]);
+fn all_views_frame(views: &[(LwgId, View)], held: &[(LwgId, ViewId)]) -> Frame {
+    struct Owned<'a>(&'a [(LwgId, View)], &'a [(LwgId, ViewId)]);
     impl Encode for Owned<'_> {
         fn encode_into(&self, out: &mut Vec<u8>) {
             out.push(ALL_VIEWS_TAG);
-            self.0.to_vec().encode_into(out);
+            (self.0.to_vec(), self.1.to_vec()).encode_into(out);
         }
     }
-    encode_frame(family::LWG, &Owned(views))
+    encode_frame(family::LWG, &Owned(views, held))
 }
 
-/// The reference: the eager `Vec<(LwgId, View)>` decoder the variant had
-/// before it kept its entries as bytes.
-fn reference_all_views(f: &Frame) -> Option<Vec<(LwgId, View)>> {
+/// The reference: the eager decoder of the two lists.
+fn reference_all_views(f: &Frame) -> Option<OwnedAllViews> {
     let mut r = Reader::new(f);
     if r.read_varint().ok()? != family::LWG || r.read_u8().ok()? != ALL_VIEWS_TAG {
         return None;
     }
-    let views = Vec::<(LwgId, View)>::decode_from(&mut r).ok()?;
+    let lists = OwnedAllViews::decode_from(&mut r).ok()?;
     r.finish().ok()?;
-    Some(views)
+    Some(lists)
 }
 
 /// The shipped decoder, its entries then decoded one by one.
-fn lazy_all_views(f: &Frame) -> Option<Vec<(LwgId, View)>> {
-    let Ok(LwgMsg::AllViews { views }) = decode_frame::<LwgMsg>(family::LWG, f) else {
+fn lazy_all_views(f: &Frame) -> Option<OwnedAllViews> {
+    let Ok(LwgMsg::AllViews { views, held }) = decode_frame::<LwgMsg>(family::LWG, f) else {
         return None;
     };
     let entries: Vec<(LwgId, View)> = views
@@ -549,7 +554,9 @@ fn lazy_all_views(f: &Frame) -> Option<Vec<(LwgId, View)>> {
         })
         .collect();
     assert_eq!(entries.len(), views.len(), "entry count");
-    Some(entries)
+    let ids: Vec<(LwgId, ViewId)> = held.iter().collect();
+    assert_eq!(ids.len(), held.len(), "id count");
+    Some((entries, ids))
 }
 
 /// A view as a corrupt or adversarial sender might encode it: sometimes
@@ -568,10 +575,11 @@ fn raw_view(rng: &mut SimRng) -> View {
     v
 }
 
-/// Over seeded frames, every truncation of them and every single-bit flip,
-/// the shipped decoder accepts exactly the frames the reference accepts and
-/// yields the same entries; the valid lists also encode byte for byte as
-/// the reference wrote them.
+/// Over seeded frames, every truncation of them and every single-bit flip
+/// (the id list's bytes, last in the frame, included), the shipped decoder
+/// accepts exactly the frames the reference accepts and yields the same
+/// entries; the valid lists also encode byte for byte as the reference
+/// wrote them.
 #[test]
 fn all_views_decoder_accepts_exactly_what_the_reference_accepts() {
     let mut rng = SimRng::from_seed(28);
@@ -589,13 +597,16 @@ fn all_views_decoder_accepts_exactly_what_the_reference_accepts() {
         let views: Vec<(LwgId, View)> = (0..rng.range(0, 5))
             .map(|_| (LwgId(rng.range(0, 1 << 20)), raw_view(&mut rng)))
             .collect();
-        let f = all_views_frame(&views);
+        let held: Vec<(LwgId, ViewId)> = (0..rng.range(0, 5))
+            .map(|_| (LwgId(rng.range(0, 1 << 20)), view_id(&mut rng)))
+            .collect();
+        let f = all_views_frame(&views, &held);
         if reference_all_views(&f).is_some() {
-            let adverts = AdvertisedViews::new(views.iter().map(|(lwg, v)| (*lwg, v)));
-            assert_eq!(
-                encode_frame(family::LWG, &LwgMsg::AllViews { views: adverts }),
-                f
-            );
+            let msg = LwgMsg::AllViews {
+                views: AdvertisedViews::new(views.iter().map(|(lwg, v)| (*lwg, v))),
+                held: AdvertisedViews::by_id(held.iter().copied()),
+            };
+            assert_eq!(encode_frame(family::LWG, &msg), f);
         }
         check(&f);
         for cut in 0..f.len() {
@@ -616,8 +627,9 @@ fn all_views_decoder_accepts_exactly_what_the_reference_accepts() {
     );
 }
 
-/// Decoding a 128-view advertisement and walking its entries allocates
-/// nothing: the entries are a sub-frame of the incoming frame.
+/// Decoding an advertisement of 128 views in full and 128 by id, and
+/// walking both lists, allocates nothing: the entries are sub-frames of
+/// the incoming frame.
 #[test]
 fn all_views_decode_allocates_nothing() {
     let mut rng = SimRng::from_seed(1);
@@ -631,16 +643,17 @@ fn all_views_decode_allocates_nothing() {
             (LwgId(g), v)
         })
         .collect();
-    let f = all_views_frame(&views);
+    let held: Vec<(LwgId, ViewId)> = (128..256).map(|g| (LwgId(g), view_id(&mut rng))).collect();
+    let f = all_views_frame(&views, &held);
     let before = allocs();
     let msg = decode_frame::<LwgMsg>(family::LWG, &f);
     let walked = match &msg {
-        Ok(LwgMsg::AllViews { views }) => views.iter().count(),
-        _ => 0,
+        Ok(LwgMsg::AllViews { views, held }) => (views.iter().count(), held.iter().count()),
+        _ => (0, 0),
     };
     let allocs = allocs() - before;
-    assert_eq!(walked, 128, "every entry walked");
-    assert_eq!(allocs, 0, "allocations decoding and walking 128 views");
+    assert_eq!(walked, (128, 128), "every entry walked");
+    assert_eq!(allocs, 0, "allocations decoding and walking 256 entries");
     drop(msg);
 }
 
@@ -771,6 +784,16 @@ fn golden_entries() -> Vec<(&'static str, Frame)> {
                     }),
                     view: view.clone(),
                     hwg: HwgId(7),
+                },
+            ),
+        ),
+        (
+            "lwg.all_views",
+            encode_frame(
+                family::LWG,
+                &LwgMsg::AllViews {
+                    views: AdvertisedViews::new([(LwgId(3), &view)]),
+                    held: AdvertisedViews::by_id([(LwgId(4), v1), (LwgId(5), v2)]),
                 },
             ),
         ),
