@@ -165,7 +165,7 @@ impl<S: HwgSubstrate> LwgService<S> {
             return;
         };
         let Some(view) = &state.view else { return };
-        if !view.contains(self.me) || !members.contains(&self.me) || state.merged_away() {
+        if !view.contains(self.me) || !members.contains(&self.me) {
             return;
         }
         // A flush of a view that lists us but that we do not hold (two
@@ -211,13 +211,6 @@ impl<S: HwgSubstrate> LwgService<S> {
         view: View,
         on_hwg: HwgId,
     ) {
-        if self
-            .dir
-            .get(lwg)
-            .is_some_and(|s| s.is_stale(&view, flush.is_some()))
-        {
-            return; // a merge round superseded it
-        }
         if !view.contains(self.me) {
             // Excludes us: our leave completed (or we were pruned).
             let ours = self
@@ -233,50 +226,42 @@ impl<S: HwgSubstrate> LwgService<S> {
         let Some(mut state) = self.dir.get_mut(lwg) else {
             return;
         };
-        match flush {
-            Some(f) => {
-                // Ordinary join/leave/switch view: wait for the flush to
-                // complete (all FlushOks) before installing.
-                let succeeds = state
-                    .view
-                    .as_ref()
-                    .is_none_or(|cur| view.predecessors.contains(&cur.id));
-                match state.flush().map(|lf| lf.flush == f) {
-                    None => {
-                        // We were admitted as a *joiner*: no old view to drain.
-                        let fresh = state.view.is_none();
-                        drop(state);
-                        if fresh {
-                            self.install_lwg_view(ctx, lwg, view, on_hwg);
-                        }
-                    }
-                    Some(true) if succeeds => {
-                        state.announce(view, on_hwg);
-                        drop(state);
-                        self.try_conclude_lwg_flush(ctx, lwg);
-                    }
-                    Some(true) => {
-                        // We took part in a flush whose successor does not
-                        // follow our view: installing it would leave our
-                        // view without a successor in any lineage.
-                        drop(state);
-                        self.drop_flush(ctx, lwg);
-                    }
-                    Some(false) => {}
-                }
+        let succeeds = state
+            .view
+            .as_ref()
+            .is_none_or(|cur| view.predecessors.contains(&cur.id));
+        let Some(f) = flush else {
+            // Prune path: the HWG flush already drained the old view.
+            drop(state);
+            if succeeds {
+                self.install_lwg_view(ctx, lwg, view, on_hwg);
             }
+            return;
+        };
+        // Ordinary join/leave/switch view: wait for the flush to complete
+        // (all FlushOks) before installing.
+        match state.flush().map(|lf| lf.flush == f) {
             None => {
-                // Merge path: the HWG flush already drained the old views.
-                let acceptable = match &state.view {
-                    Some(cur) => view.predecessors.contains(&cur.id) || view.id == cur.id,
-                    None => true,
-                };
-                let differs = state.view.as_ref().map(|v| v.id) != Some(view.id);
+                // We were admitted as a *joiner*: no old view to drain.
+                let fresh = state.view.is_none();
                 drop(state);
-                if acceptable && differs {
+                if fresh {
                     self.install_lwg_view(ctx, lwg, view, on_hwg);
                 }
             }
+            Some(true) if succeeds => {
+                state.announce(view, on_hwg);
+                drop(state);
+                self.try_conclude_lwg_flush(ctx, lwg);
+            }
+            Some(true) => {
+                // We took part in a flush whose successor does not follow
+                // our view: installing it would leave our view without a
+                // successor in any lineage.
+                drop(state);
+                self.drop_flush(ctx, lwg);
+            }
+            Some(false) => {}
         }
     }
 
@@ -373,8 +358,8 @@ impl<S: HwgSubstrate> LwgService<S> {
         let Some(state) = self.dir.get(lwg) else {
             return;
         };
-        if state.busy() || state.merged_away() || self.stopped_on(state.hwg) {
-            return; // a flush, a merge or the HWG view will reshape the view
+        if state.busy() || self.stopped_on(state.hwg) {
+            return; // a flush or the HWG view will reshape the view
         }
         let Some(view) = state.view.clone() else {
             return;
@@ -483,6 +468,11 @@ impl<S: HwgSubstrate> LwgService<S> {
 
     /// Starts an LWG flush if this node coordinates `lwg` and membership
     /// changes are pending (join/leave/members fallen out of the HWG).
+    ///
+    /// Not while this node is stopped on the group's HWG: the `Flush`
+    /// would be delivered after the HWG view, whose merge round may have
+    /// replaced the view it flushes (see [`LwgService::stopped_on`]). The
+    /// HWG view starts it.
     pub(crate) fn maybe_start_lwg_flush(&mut self, ctx: &mut dyn Transport, lwg: LwgId) {
         if self.lwg_coordinator(lwg) != Some(self.me) {
             return;
@@ -490,7 +480,7 @@ impl<S: HwgSubstrate> LwgService<S> {
         let Some(state) = self.dir.get(lwg) else {
             return;
         };
-        if state.busy() || state.merged_away() {
+        if state.busy() || self.stopped_on(state.hwg) {
             return;
         }
         let Some(view) = &state.view else { return };
@@ -562,8 +552,7 @@ impl<S: HwgSubstrate> LwgService<S> {
         flush: LFlushId,
     ) {
         let leaving = self.dir.get(lwg).is_some_and(|s| {
-            !s.merged_away()
-                && (s.phase == Phase::Leaving || s.flush().is_some_and(|f| f.flush == flush))
+            s.phase == Phase::Leaving || s.flush().is_some_and(|f| f.flush == flush)
         });
         if leaving {
             self.depart(ctx, lwg);

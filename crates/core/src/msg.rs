@@ -87,8 +87,9 @@ pub enum LwgMsg {
     },
     /// Installs a new LWG view. With `flush: Some(..)` the receiver waits
     /// until the flush's `FlushOk`s are complete (ordinary join/leave/
-    /// switch); with `None` it installs immediately (merge path — the HWG
-    /// flush already drained the old views).
+    /// switch); with `None` it installs immediately (prune path — the HWG
+    /// flush already drained the old view). A merged view is never
+    /// announced: every member computes it from the `AllViews` round.
     NewLwgView {
         /// The group.
         lwg: LwgId,
@@ -133,6 +134,10 @@ pub enum LwgMsg {
         views: AdvertisedViews,
         /// `(lwg, current view id)` pairs of the sender's other views.
         held: AdvertisedViews<ViewId>,
+        /// The largest view counter of the groups listed: no view id the
+        /// sender took for one of them has a larger seq. A merged view
+        /// the sender creates takes the next one.
+        seq_floor: u64,
     },
     /// The group dissolved: every member of the flushed view asked to
     /// leave, so there is no successor view.
@@ -157,8 +162,9 @@ pub enum LwgMsg {
 /// validated wire bytes: `(lwg, view)` pairs (`E = View`, the default) or
 /// `(lwg, view id)` pairs (`E = ViewId`).
 ///
-/// Every member advertises every view it holds on every HWG flush, so a
-/// receiver mostly sees views it already knows. Decoding validates each
+/// Each view is advertised on every HWG flush, in full by its coordinator
+/// and by id by its other holders, so a receiver mostly sees views it
+/// already knows. Decoding validates each
 /// entry exactly as decoding a `Vec<(LwgId, E)>` would, but builds nothing
 /// and, for memberships of up to 16, allocates nothing; `iter` then hands
 /// out each entry, a full view as a zero-copy sub-frame that only a merge
@@ -267,7 +273,7 @@ impl fmt::Debug for LwgMsg {
             LwgMsg::SwitchReady { lwg, .. } => write!(f, "LSwitchReady({lwg})"),
             LwgMsg::Dissolved { lwg, .. } => write!(f, "LDissolved({lwg})"),
             LwgMsg::MergeViews => write!(f, "LMergeViews"),
-            LwgMsg::AllViews { views, held } => {
+            LwgMsg::AllViews { views, held, .. } => {
                 write!(f, "LAllViews({} views, {} held)", views.len(), held.len())
             }
             LwgMsg::Redirect { lwg, to } => write!(f, "LRedirect({lwg}->{to})"),

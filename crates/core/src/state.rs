@@ -77,9 +77,8 @@ pub(crate) struct SwitchState {
     pub(crate) started_at: SimTime,
 }
 
-/// Which of the group's protocols runs at this node: an LWG flush, a
-/// switch (§3), or the wait for the merged view of a MERGE-VIEWS round
-/// (§6, Fig. 5). Written only by the transitions of [`LwgState`].
+/// Which of the group's protocols runs at this node: an LWG flush or a
+/// switch (§3). Written only by the transitions of [`LwgState`].
 #[derive(Debug, Default)]
 enum Activity {
     #[default]
@@ -101,11 +100,6 @@ enum Activity {
         switch: SwitchState,
         own: Option<LwgFlush>,
     },
-    /// The views of this group that the last merge round on its HWG
-    /// merged away, until the next view install: only the merged view may
-    /// succeed them, so a flush, switch or prune from one of them is
-    /// superseded and its announcement is stale.
-    MergedAway(Vec<ViewId>),
 }
 
 /// Per-LWG state at one node; a new one is reading the naming service.
@@ -179,7 +173,7 @@ impl LwgState {
 
     /// Whether an LWG flush or a switch is in flight.
     pub(crate) fn busy(&self) -> bool {
-        !matches!(self.activity, Activity::Idle | Activity::MergedAway(_))
+        !matches!(self.activity, Activity::Idle)
     }
 
     /// The view and HWG a send goes out in now, or `None` when sends are
@@ -201,24 +195,6 @@ impl LwgState {
         switch.or(self.flush().map(|f| f.started_at))
     }
 
-    /// Whether the last merge round merged away the view this node holds
-    /// (or the views it was joining): it may change only into the merged
-    /// view.
-    pub(crate) fn merged_away(&self) -> bool {
-        matches!(self.activity, Activity::MergedAway(_))
-    }
-
-    /// Whether the announced `view` succeeds a view that was merged away
-    /// without being the merge itself (a merge names several predecessors
-    /// and comes without a flush): a stale flush or prune.
-    pub(crate) fn is_stale(&self, view: &View, by_flush: bool) -> bool {
-        let Activity::MergedAway(away) = &self.activity else {
-            return false;
-        };
-        let merge = !by_flush && view.predecessors.len() > 1;
-        !merge && view.predecessors.iter().any(|p| away.contains(p))
-    }
-
     /// Member side: takes part in `flush` (of a switch to `to`, when set)
     /// unless the flush it takes part in supersedes it. As at the HWG
     /// layer, a more senior initiator (in view order) or a newer nonce from
@@ -238,9 +214,6 @@ impl LwgState {
         to: Option<HwgId>,
         now: SimTime,
     ) -> bool {
-        if self.merged_away() {
-            return false;
-        }
         if let Some(cur) = self.flush().map(|f| f.flush) {
             let view = self.view.as_ref();
             let rank = |m| view.and_then(|v| v.rank(m)).unwrap_or(usize::MAX);
@@ -354,11 +327,6 @@ impl LwgState {
         Some(switch)
     }
 
-    /// A merge round merged `views` away: whatever ran is superseded.
-    pub(crate) fn supersede(&mut self, views: Vec<ViewId>) {
-        self.activity = Activity::MergedAway(views);
-    }
-
     /// Drops what runs. It froze the data plane, so the sends it buffered
     /// are returned, to be released into the view that is still installed.
     pub(crate) fn abandon(&mut self) -> Vec<Payload> {
@@ -401,7 +369,6 @@ impl LwgState {
         if let (Some(switch), Some(own)) = (self.switch(), self.flush()) {
             debug_assert_eq!(switch.flush, own.flush);
         }
-        debug_assert!(!matches!(&self.activity, Activity::MergedAway(v) if v.is_empty()));
     }
 
     pub(crate) fn take_view_seq(&mut self) -> u64 {
@@ -429,10 +396,13 @@ pub(crate) struct MergeRound {
     /// out, so until the next HWG view it announces no successor of a view
     /// it advertised.
     pub(crate) stopped: bool,
-    /// `(lwg, view id)` → the encoded view, as first advertised in full: a
+    /// `(lwg, view id)` → the encoded view, as first advertised in full (a
     /// sub-frame of that `AllViews` frame, decoded only if the round
-    /// weighs the group; `None` while the view came only by id.
-    pub(crate) collected: BTreeMap<(LwgId, ViewId), Option<Payload>>,
+    /// weighs the group), and the lowest node that advertised it in full;
+    /// `None` while the view came only by id.
+    pub(crate) collected: BTreeMap<(LwgId, ViewId), Option<(Payload, NodeId)>>,
+    /// Each advertiser's largest `seq_floor` (see [`crate::merge`]).
+    pub(crate) floors: BTreeMap<NodeId, u64>,
     /// The groups the previous round deferred: this node advertises its
     /// views of them in full.
     pub(crate) deferred: BTreeSet<LwgId>,
@@ -616,22 +586,6 @@ mod tests {
     }
 
     #[test]
-    fn supersede_ends_every_protocol_in_flight() {
-        for mut s in busy_states() {
-            assert!(s.busy() && frozen(&s));
-            s.supersede(vec![ViewId::new(n(1), 1), ViewId::new(n(4), 1)]);
-            s.check();
-            assert!(!s.busy() && frozen(&s) && s.merged_away());
-            assert_eq!((s.flush().is_none(), s.switch().is_none()), (true, true));
-            assert_eq!((s.followed(), s.started_at()), (None, None));
-            let late =
-                View::with_predecessors(ViewId::new(n(1), 2), all(), vec![ViewId::new(n(1), 1)]);
-            assert!(s.is_stale(&late, true), "the superseded flush's view");
-            assert!(!s.begin_flush(fid(1, 2), all(), None, at(9)));
-        }
-    }
-
-    #[test]
     fn abandon_returns_the_buffered_sends() {
         for mut s in busy_states() {
             s.pending_send.push(Frame::from_u64(7));
@@ -663,11 +617,7 @@ mod tests {
 
     #[test]
     fn install_clears_every_variant_but_keeps_the_queued_joins_and_leaves() {
-        let mut states = busy_states();
-        let mut merged = member();
-        merged.supersede(vec![ViewId::new(n(1), 1)]);
-        states.push(merged);
-        for mut s in states {
+        for mut s in busy_states() {
             s.pending_joins.extend([n(4), n(5)]);
             s.pending_leaves.extend([n(2), n(3)]);
             s.prune_since = Some(at(1));
@@ -680,7 +630,7 @@ mod tests {
             );
             assert_eq!(s.install(next, TO, n(1)).len(), 1);
             s.check();
-            assert!(!s.busy() && !frozen(&s) && !s.merged_away());
+            assert!(!s.busy() && !frozen(&s));
             assert_eq!((s.prune_since, s.early_oks.len()), (None, 0));
             assert_eq!(s.pending_joins.iter().collect::<Vec<_>>(), vec![&n(5)]);
             assert_eq!(s.pending_leaves.iter().collect::<Vec<_>>(), vec![&n(3)]);

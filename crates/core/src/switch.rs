@@ -32,7 +32,8 @@ impl<S: HwgSubstrate> LwgService<S> {
     /// Operator-initiated re-mapping of `lwg` onto the HWG `to` — the same
     /// switch the Figure-1 policies and the §6.2 reconciliation rule issue
     /// internally. No-op unless this node currently coordinates `lwg` (or
-    /// while another flush/switch is in progress).
+    /// while another flush/switch is in progress, or the group's HWG
+    /// flushes).
     pub fn switch(&mut self, ctx: &mut dyn Transport, lwg: LwgId, to: HwgId) {
         self.start_switch(ctx, lwg, to, false);
     }
@@ -52,7 +53,9 @@ impl<S: HwgSubstrate> LwgService<S> {
         let Some(state) = self.dir.get(lwg) else {
             return;
         };
-        if state.busy() || state.merged_away() || state.hwg == Some(to) {
+        // Not while stopped on the group's HWG: `SwitchTo` doubles as a
+        // flush, held back as in `maybe_start_lwg_flush`.
+        if state.busy() || state.hwg == Some(to) || self.stopped_on(state.hwg) {
             return;
         }
         let (Some(view), Some(hwg)) = (&state.view, state.hwg) else {

@@ -77,7 +77,7 @@ plwg_wire::wire_enum!(LwgMsg {
     7 => SwitchTo { lwg, flush, to, members },
     8 => SwitchReady { lwg, flush },
     9 => MergeViews,
-    10 => AllViews { views, held },
+    10 => AllViews { views, held, seq_floor },
     11 => Dissolved { lwg, flush },
     12 => Redirect { lwg, to },
 });
@@ -147,6 +147,7 @@ mod tests {
             LwgMsg::AllViews {
                 views: AdvertisedViews::new([(LwgId(1), &view)]),
                 held: AdvertisedViews::by_id([(LwgId(2), vid)]),
+                seq_floor: 300,
             },
             LwgMsg::Dissolved {
                 lwg: LwgId(1),
@@ -193,9 +194,10 @@ mod tests {
     }
 
     /// Advertised views encode exactly as a `Vec<(LwgId, View)>` of the
-    /// full views followed by a `Vec<(LwgId, ViewId)>` of the ids, and
-    /// iterate back as the entries they were built from, over seeded lists
-    /// (the empty ones included).
+    /// full views followed by a `Vec<(LwgId, ViewId)>` of the ids and the
+    /// `seq_floor` varint, and iterate back as the entries they were built
+    /// from, over seeded lists (the empty ones included) and floors of one
+    /// to ten bytes.
     #[test]
     fn borrowed_all_views_frame_matches_the_owned_one() {
         for seed in 0..32 {
@@ -217,12 +219,15 @@ mod tests {
                 .collect();
             let adverts = AdvertisedViews::new(views.iter().map(|(l, v)| (*l, v)));
             let held = AdvertisedViews::by_id(ids.iter().copied());
+            let seq_floor = u64::MAX >> (2 * seed);
             let mut owned = vec![10]; // the `AllViews` tag
             views.encode_into(&mut owned);
             ids.encode_into(&mut owned);
+            seq_floor.encode_into(&mut owned);
             let msg = LwgMsg::AllViews {
                 views: adverts.clone(),
                 held: held.clone(),
+                seq_floor,
             };
             assert_eq!(frame(&msg).bytes()[1..], owned[..], "seed {seed}");
             let back: Vec<(LwgId, View)> = adverts

@@ -6,7 +6,19 @@
 use plwg_net::keys::{NETIO_BYTES_TX, NETIO_DGRAM_TX};
 use plwg_net::{NetOptions, NetRuntime, PeerState, DGRAM_BUDGET};
 use plwg_sim::{NodeId, Payload, Process, SimDuration, Transport};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+/// The tests of this file run one at a time. Most of them time reactor
+/// turns on the wall clock, and one starts 200 receive threads; run side
+/// by side, the threads' start-up stretched a timed turn past its bound.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Holds the file's test lock; a test that failed holding it does not
+/// fail the others.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Records the frames it is handed, and when.
 #[derive(Default)]
@@ -57,6 +69,7 @@ fn connected_pair(opts: NetOptions) -> (NetRuntime, Sink, NetRuntime, Sink) {
 
 #[test]
 fn idle_turns_honour_sub_millisecond_deadlines() {
+    let _serial = serial();
     let mut rt = bind(1, NetOptions::default());
     let mut p = Sink::default();
     let turn = SimDuration::from_micros(100);
@@ -87,6 +100,7 @@ fn idle_turns_honour_sub_millisecond_deadlines() {
 
 #[test]
 fn a_datagram_ends_the_wait_not_the_turn() {
+    let _serial = serial();
     let (mut a, mut pa, mut b, mut pb) = connected_pair(quiet());
     let sent = Instant::now();
     a.send(NodeId(2), Payload::copy_from_slice(b"ping"));
@@ -109,6 +123,7 @@ fn a_datagram_ends_the_wait_not_the_turn() {
 
 #[test]
 fn sends_between_turns_coalesce_per_peer_within_the_budget() {
+    let _serial = serial();
     let (mut a, mut pa, mut b, mut pb) = connected_pair(quiet());
     let sent = |rt: &NetRuntime| {
         (
@@ -169,14 +184,14 @@ fn rx_threads_and_fds() -> Option<(usize, usize)> {
 
 #[test]
 fn dropping_a_runtime_ends_its_receive_thread() {
+    let _serial = serial();
     let before = rx_threads_and_fds();
     let mut p = Sink::default();
     for i in 0..200 {
         let mut rt = bind(100 + i, NetOptions::default());
         rt.run_for(&mut p, SimDuration::from_micros(100));
     }
-    // Tests of this binary run in parallel and own a handful of runtimes
-    // themselves; 200 leaked threads or sockets would stand out.
+    // 200 leaked threads or sockets would stand out.
     if let (Some((threads0, fds0)), Some((threads, fds))) = (before, rx_threads_and_fds()) {
         assert!(threads < threads0 + 50, "{threads} receive threads alive");
         assert!(fds < fds0 + 100, "{fds} descriptors open");
@@ -185,6 +200,7 @@ fn dropping_a_runtime_ends_its_receive_thread() {
 
 #[test]
 fn the_pool_is_serviced_on_its_deadlines_without_any_traffic() {
+    let _serial = serial();
     let (hb, suspect) = (SimDuration::from_millis(50), SimDuration::from_millis(250));
     let fast = NetOptions {
         hb_interval: hb,

@@ -165,7 +165,7 @@ impl Timeline {
             .collect()
     }
 
-    /// Merged-view announcements (`lwg.merge`) for one group — the single
+    /// The `lwg.merge` entries of one group — the single
     /// MERGE-VIEWS conclusion per healed LWG the paper's Fig. 5 promises.
     pub fn merges_of(&self, lwg: u64) -> Vec<&TimelineEntry> {
         self.of_kind("lwg.merge")

@@ -265,3 +265,153 @@ fn the_packaged_heal_scenario_runs_the_four_steps_in_order() {
     assert!(steps.is_sorted(), "the four steps out of order: {steps:?}");
     assert_eq!(timeline.merges_of(9).len(), 1, "one MERGE-VIEWS conclusion");
 }
+
+/// Counts the merge announcements `inner` sends: each `NewLwgView` naming
+/// two or more predecessors inside an HWG data multicast.
+struct Tap<'a> {
+    inner: &'a mut dyn plwg::sim::Transport,
+    merges_sent: &'a mut u64,
+}
+
+impl plwg::sim::Transport for Tap<'_> {
+    fn now(&self) -> SimTime {
+        self.inner.now()
+    }
+    fn id(&self) -> NodeId {
+        self.inner.id()
+    }
+    fn send(&mut self, to: NodeId, msg: Payload) {
+        use plwg::core::LwgMsg;
+        use plwg::sim::{decode_frame, family};
+        use plwg::vsync::{Slot, VsMsg};
+        if let Ok(VsMsg::Data {
+            payload: Slot::Full(data),
+            ..
+        }) = decode_frame::<VsMsg>(family::VS, &msg)
+        {
+            if let Ok(LwgMsg::NewLwgView { view, .. }) = decode_frame(family::LWG, &data) {
+                *self.merges_sent += u64::from(view.predecessors.len() >= 2);
+            }
+        }
+        self.inner.send(to, msg);
+    }
+    fn broadcast(&mut self, msg: Payload) {
+        self.inner.broadcast(msg);
+    }
+    fn set_timer(&mut self, delay: SimDuration, token: plwg::sim::TimerToken) {
+        self.inner.set_timer(delay, token);
+    }
+    fn cancel_timer(&mut self, token: plwg::sim::TimerToken) {
+        self.inner.cancel_timer(token);
+    }
+    fn metrics(&mut self) -> &mut plwg::sim::MetricsRegistry {
+        self.inner.metrics()
+    }
+    fn trace(&mut self) -> &mut plwg::sim::Trace {
+        self.inner.trace()
+    }
+}
+
+/// An `LwgNode` whose sends go through a [`Tap`].
+struct Tapped {
+    node: LwgNode,
+    merges_sent: u64,
+}
+
+impl Process for Tapped {
+    fn on_start(&mut self, ctx: &mut dyn plwg::sim::Transport) {
+        let mut tap = Tap {
+            inner: ctx,
+            merges_sent: &mut self.merges_sent,
+        };
+        self.node.on_start(&mut tap);
+    }
+    fn on_message(&mut self, ctx: &mut dyn plwg::sim::Transport, from: NodeId, msg: Payload) {
+        let mut tap = Tap {
+            inner: ctx,
+            merges_sent: &mut self.merges_sent,
+        };
+        self.node.on_message(&mut tap, from, msg);
+    }
+    fn on_timer(&mut self, ctx: &mut dyn plwg::sim::Transport, token: plwg::sim::TimerToken) {
+        let mut tap = Tap {
+            inner: ctx,
+            merges_sent: &mut self.merges_sent,
+        };
+        self.node.on_timer(&mut tap, token);
+    }
+    fn on_crash(&mut self, now: SimTime) {
+        self.node.on_crash(now);
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// A merged view is computed, not announced: two co-mapped LWGs split
+/// 2|2 and heal, no member ever sends a `NewLwgView` naming two
+/// predecessors, each LWG merges once in the heal, and every member of a
+/// merged view installs it at the same virtual instant as the HWG view
+/// whose round merged it.
+#[test]
+fn every_member_installs_the_merged_view_with_the_hwg_view_that_ends_the_round() {
+    let (mut w, servers, apps) = Scenario::traced(37, 4).build_with(|me, servers| Tapped {
+        node: LwgNode::builder(me)
+            .servers(servers)
+            .build()
+            .expect("valid config"),
+        merges_sent: 0,
+    });
+    let groups = [LwgId(11), LwgId(12)];
+    for g in groups {
+        for (i, &m) in apps.iter().enumerate() {
+            let at = SimTime::ZERO + SimDuration::from_millis(400 * i as u64);
+            w.invoke_at(at, m, move |t: &mut Tapped, ctx| {
+                t.node.service().join(ctx, g)
+            });
+        }
+    }
+    w.run_until(SimTime::from_secs(10));
+    let (a0, a1, b0, b1) = (apps[0], apps[1], apps[2], apps[3]);
+    w.split_at(
+        SimTime::from_secs(10),
+        vec![vec![servers[0], a0, a1], vec![servers[1], b0, b1]],
+    );
+    w.heal_at(SimTime::from_secs(25));
+    w.run_until(SimTime::from_secs(45));
+
+    let sent: u64 = apps
+        .iter()
+        .map(|&m| w.inspect(m, |t: &Tapped| t.merges_sent))
+        .sum();
+    assert_eq!(sent, 0, "merge announcements sent");
+    let trace = w.trace();
+    let at_hwg_view = |node, time| {
+        trace
+            .of_kind("lwg.hwg_view")
+            .any(|e| e.node == Some(node) && e.time == time)
+    };
+    let installs = |g: LwgId, merged| {
+        trace
+            .of_kind("lwg.view.install")
+            .filter(move |e| e.refs.lwg == Some(g.0) && e.refs.view == merged)
+    };
+    for g in groups {
+        let healed = SimTime::from_secs(25);
+        let merges: Vec<_> = trace
+            .of_kind("lwg.merge")
+            .filter(|e| e.refs.lwg == Some(g.0))
+            .collect();
+        let merged: Vec<_> = merges.iter().filter(|e| e.time >= healed).collect();
+        assert_eq!(merged.len(), 1, "{g}: one lwg.merge in the heal");
+        let merged = merged[0].refs.view;
+        assert_eq!(installs(g, merged).count(), apps.len(), "{g}: installs");
+        // The bring-up's merges of concurrent founders too.
+        for merge in merges {
+            for e in installs(g, merge.refs.view) {
+                let node = e.node.expect("a node's event");
+                assert!(at_hwg_view(node, e.time), "{g} at {node}: {:?}", e.time);
+            }
+        }
+    }
+}

@@ -10,8 +10,8 @@
 //! `WIRE_GOLDEN_BLESS=1 cargo test --test wire_codec`.
 //!
 //! `AllViews` keeps its entries as validated bytes; it is checked against
-//! the eager decoder it replaced, kept here as the reference, and decoding
-//! it must not allocate.
+//! the eager decoder it replaced, kept here as the reference (its trailing
+//! `seq_floor` varint included), and decoding it must not allocate.
 
 mod counting_alloc;
 
@@ -36,6 +36,11 @@ fn node(rng: &mut SimRng) -> NodeId {
 
 fn view_id(rng: &mut SimRng) -> ViewId {
     ViewId::new(node(rng), rng.range(0, 64))
+}
+
+/// An `AllViews` seq floor, encoded in one to ten varint bytes.
+fn seq_floor(rng: &mut SimRng) -> u64 {
+    rng.next_u64() >> rng.range(0, 64)
 }
 
 fn flush_id(rng: &mut SimRng) -> FlushId {
@@ -247,6 +252,7 @@ fn lwg_msg(rng: &mut SimRng) -> LwgMsg {
             LwgMsg::AllViews {
                 views: AdvertisedViews::new(views.iter().map(|(lwg, v)| (*lwg, v))),
                 held: AdvertisedViews::by_id(held.collect::<Vec<_>>()),
+                seq_floor: seq_floor(rng),
             }
         }
         11 => LwgMsg::Dissolved {
@@ -511,23 +517,23 @@ fn corruption_never_panics() {
 const ALL_VIEWS_TAG: u8 = 10;
 
 /// An `AllViews` advertisement as the eager decoder builds it: the views
-/// sent in full, then the ids of the views sent by id.
-type OwnedAllViews = (Vec<(LwgId, View)>, Vec<(LwgId, ViewId)>);
+/// sent in full, the ids of the views sent by id, and the seq floor.
+type OwnedAllViews = (Vec<(LwgId, View)>, Vec<(LwgId, ViewId)>, u64);
 
 /// An `AllViews` frame as the eager encoder wrote it: the views are
 /// encoded as given, invalid ones included.
-fn all_views_frame(views: &[(LwgId, View)], held: &[(LwgId, ViewId)]) -> Frame {
-    struct Owned<'a>(&'a [(LwgId, View)], &'a [(LwgId, ViewId)]);
+fn all_views_frame(views: &[(LwgId, View)], held: &[(LwgId, ViewId)], seq_floor: u64) -> Frame {
+    struct Owned<'a>(&'a [(LwgId, View)], &'a [(LwgId, ViewId)], u64);
     impl Encode for Owned<'_> {
         fn encode_into(&self, out: &mut Vec<u8>) {
             out.push(ALL_VIEWS_TAG);
-            (self.0.to_vec(), self.1.to_vec()).encode_into(out);
+            (self.0.to_vec(), self.1.to_vec(), self.2).encode_into(out);
         }
     }
-    encode_frame(family::LWG, &Owned(views, held))
+    encode_frame(family::LWG, &Owned(views, held, seq_floor))
 }
 
-/// The reference: the eager decoder of the two lists.
+/// The reference: the eager decoder of the two lists and the floor.
 fn reference_all_views(f: &Frame) -> Option<OwnedAllViews> {
     let mut r = Reader::new(f);
     if r.read_varint().ok()? != family::LWG || r.read_u8().ok()? != ALL_VIEWS_TAG {
@@ -540,7 +546,12 @@ fn reference_all_views(f: &Frame) -> Option<OwnedAllViews> {
 
 /// The shipped decoder, its entries then decoded one by one.
 fn lazy_all_views(f: &Frame) -> Option<OwnedAllViews> {
-    let Ok(LwgMsg::AllViews { views, held }) = decode_frame::<LwgMsg>(family::LWG, f) else {
+    let Ok(LwgMsg::AllViews {
+        views,
+        held,
+        seq_floor,
+    }) = decode_frame::<LwgMsg>(family::LWG, f)
+    else {
         return None;
     };
     let entries: Vec<(LwgId, View)> = views
@@ -556,7 +567,7 @@ fn lazy_all_views(f: &Frame) -> Option<OwnedAllViews> {
     assert_eq!(entries.len(), views.len(), "entry count");
     let ids: Vec<(LwgId, ViewId)> = held.iter().collect();
     assert_eq!(ids.len(), held.len(), "id count");
-    Some((entries, ids))
+    Some((entries, ids, seq_floor))
 }
 
 /// A view as a corrupt or adversarial sender might encode it: sometimes
@@ -575,8 +586,8 @@ fn raw_view(rng: &mut SimRng) -> View {
     v
 }
 
-/// Over seeded frames, every truncation of them and every single-bit flip
-/// (the id list's bytes, last in the frame, included), the shipped decoder
+/// Over seeded frames, every truncation of them (inside the trailing seq
+/// floor's varint included) and every single-bit flip, the shipped decoder
 /// accepts exactly the frames the reference accepts and yields the same
 /// entries; the valid lists also encode byte for byte as the reference
 /// wrote them.
@@ -600,11 +611,13 @@ fn all_views_decoder_accepts_exactly_what_the_reference_accepts() {
         let held: Vec<(LwgId, ViewId)> = (0..rng.range(0, 5))
             .map(|_| (LwgId(rng.range(0, 1 << 20)), view_id(&mut rng)))
             .collect();
-        let f = all_views_frame(&views, &held);
+        let floor = seq_floor(&mut rng);
+        let f = all_views_frame(&views, &held, floor);
         if reference_all_views(&f).is_some() {
             let msg = LwgMsg::AllViews {
                 views: AdvertisedViews::new(views.iter().map(|(lwg, v)| (*lwg, v))),
                 held: AdvertisedViews::by_id(held.iter().copied()),
+                seq_floor: floor,
             };
             assert_eq!(encode_frame(family::LWG, &msg), f);
         }
@@ -627,9 +640,9 @@ fn all_views_decoder_accepts_exactly_what_the_reference_accepts() {
     );
 }
 
-/// Decoding an advertisement of 128 views in full and 128 by id, and
-/// walking both lists, allocates nothing: the entries are sub-frames of
-/// the incoming frame.
+/// Decoding an advertisement of 128 views in full, 128 by id and a
+/// ten-byte seq floor, and walking both lists, allocates nothing: the
+/// entries are sub-frames of the incoming frame.
 #[test]
 fn all_views_decode_allocates_nothing() {
     let mut rng = SimRng::from_seed(1);
@@ -644,15 +657,19 @@ fn all_views_decode_allocates_nothing() {
         })
         .collect();
     let held: Vec<(LwgId, ViewId)> = (128..256).map(|g| (LwgId(g), view_id(&mut rng))).collect();
-    let f = all_views_frame(&views, &held);
+    let f = all_views_frame(&views, &held, u64::MAX);
     let before = allocs();
     let msg = decode_frame::<LwgMsg>(family::LWG, &f);
     let walked = match &msg {
-        Ok(LwgMsg::AllViews { views, held }) => (views.iter().count(), held.iter().count()),
-        _ => (0, 0),
+        Ok(LwgMsg::AllViews {
+            views,
+            held,
+            seq_floor,
+        }) => (views.iter().count(), held.iter().count(), *seq_floor),
+        _ => (0, 0, 0),
     };
     let allocs = allocs() - before;
-    assert_eq!(walked, (128, 128), "every entry walked");
+    assert_eq!(walked, (128, 128, u64::MAX), "every entry walked");
     assert_eq!(allocs, 0, "allocations decoding and walking 256 entries");
     drop(msg);
 }
@@ -794,6 +811,7 @@ fn golden_entries() -> Vec<(&'static str, Frame)> {
                 &LwgMsg::AllViews {
                     views: AdvertisedViews::new([(LwgId(3), &view)]),
                     held: AdvertisedViews::by_id([(LwgId(4), v1), (LwgId(5), v2)]),
+                    seq_floor: 300,
                 },
             ),
         ),
