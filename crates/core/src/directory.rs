@@ -207,6 +207,9 @@ impl DirIndex {
 pub(crate) struct GroupDirectory {
     shards: Vec<BTreeMap<LwgId, LwgState>>,
     index: DirIndex,
+    /// The view and flush counters of each removed group, given back to its
+    /// next record: ids of its views and flushes must never repeat.
+    departed: BTreeMap<LwgId, (u64, u64)>,
 }
 
 impl GroupDirectory {
@@ -226,6 +229,7 @@ impl GroupDirectory {
                 index_queries: Cell::new(0),
                 visited: Cell::new(0),
             },
+            departed: BTreeMap::new(),
         }
     }
 
@@ -265,8 +269,11 @@ impl GroupDirectory {
         self.get_mut(lwg).ok_or(LwgError::UnknownGroup(lwg))
     }
 
-    pub(crate) fn insert(&mut self, lwg: LwgId, state: LwgState) {
+    pub(crate) fn insert(&mut self, lwg: LwgId, mut state: LwgState) {
         self.index.lookups.set(self.index.lookups.get() + 1);
+        let (seq, nonce) = self.departed.remove(&lwg).unwrap_or_default();
+        state.bump_view_seq(seq);
+        state.next_flush_nonce = state.next_flush_nonce.max(nonce);
         let facets = Facets::of(&state);
         let Some(shard) = self.shards.get_mut(shard_of(lwg)) else {
             return;
@@ -284,6 +291,8 @@ impl GroupDirectory {
         let state = self.shards.get_mut(shard_of(lwg))?.remove(&lwg)?;
         self.index.unlink(lwg, &Facets::of(&state));
         self.index.len -= 1;
+        self.departed
+            .insert(lwg, (state.next_view_seq, state.next_flush_nonce));
         Some(state)
     }
 
@@ -585,6 +594,9 @@ mod tests {
         assert!(d.mapped_on(HwgId(2)).is_empty());
         assert!(d.watched_ids().is_empty());
         assert!(!d.hwg_in_use(HwgId(2)));
+        // All but the counters: a new record of the group continues them.
+        d.insert(LwgId(5), LwgState::default());
+        assert_eq!(d.get(LwgId(5)).map(|r| r.next_view_seq), Some(1));
     }
 
     #[test]

@@ -90,7 +90,7 @@ impl<S: HwgSubstrate> LwgService<S> {
             match existing {
                 Some(hwg) => self.begin_hwg_join(ctx, lwg, hwg, false),
                 None => {
-                    let hwg = self.fresh_hwg_id();
+                    let hwg = self.dir.alloc_hwg_id();
                     self.begin_hwg_join(ctx, lwg, hwg, true);
                 }
             }
@@ -495,7 +495,7 @@ impl<S: HwgSubstrate> LwgService<S> {
                     self.start_switch(ctx, lwg, target, false);
                 }
                 PolicyAction::CreateAndSwitch => {
-                    let fresh = self.fresh_hwg_id();
+                    let fresh = self.dir.alloc_hwg_id();
                     ctx.emit(|| LwgProtocolEvent::PolicyCreate { lwg, fresh });
                     self.start_switch(ctx, lwg, fresh, true);
                 }
@@ -537,30 +537,15 @@ impl<S: HwgSubstrate> LwgService<S> {
     // Misc
     // ------------------------------------------------------------------
 
-    /// A fresh node-prefixed HWG id from the directory's allocation index
-    /// — strictly above every prefixed id this node has allocated *or
-    /// observed*, so a restarted node never re-allocates an id it will
-    /// re-learn from the naming service.
-    pub(crate) fn fresh_hwg_id(&mut self) -> HwgId {
-        self.dir.alloc_hwg_id()
-    }
-
     /// Restarts the join flow for a group whose transport vanished.
     pub(crate) fn restart_join(&mut self, ctx: &mut dyn Transport, lwg: LwgId) {
-        let Some(mut state) = self.dir.get_mut(lwg) else {
+        // A new record, to which the directory gives the old one's counters.
+        let Some(old) = self.dir.remove(lwg) else {
             return;
         };
-        let had_view = state.view.clone();
-        *state = LwgState::default();
-        if let Some(v) = had_view {
-            state.history.insert(v.id);
-            state.bump_view_seq(if v.id.coordinator == self.me {
-                v.id.seq
-            } else {
-                0
-            });
-        }
-        drop(state);
+        let mut state = LwgState::default();
+        state.history.extend(old.view.map(|v| v.id));
+        self.dir.insert(lwg, state);
         ctx.emit(|| LwgProtocolEvent::Rejoin { lwg });
         let req = self.ns.read(ctx, lwg);
         self.ns_lookups.insert(req, (lwg, NsPurpose::JoinLookup));
