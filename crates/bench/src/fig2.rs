@@ -7,8 +7,8 @@
 //! sharing a snug HWG. For recovery, the crashed process belonged to n
 //! independent HWGs under *no LWG*, each running its own flush, so recovery
 //! grows with n; with the LWG service **one** HWG flush serves every
-//! co-mapped group and the per-group work shrinks to a single pruned-view
-//! announcement, so recovery stays nearly flat.
+//! co-mapped group: its view installs each group's pruned view at every
+//! survivor, with no LWG message, so recovery stays nearly flat.
 
 use crate::mode::ServiceMode;
 use crate::report::{fmt_us, page, Table};

@@ -29,7 +29,9 @@
 
 use crate::report::{page, Table};
 use crate::{LiveBytes, Output};
-use plwg_core::{DirCounters, HwgId, LwgConfig, LwgId, LwgMsg, ScriptedHwg, View, ViewId};
+use plwg_core::{
+    DirCounters, HwgId, LFlushId, LwgConfig, LwgId, LwgMsg, ScriptedHwg, View, ViewId,
+};
 use plwg_naming::{Mapping, NameServer, NamingConfig, NsMsg, RequestId};
 use plwg_obs::scenarios::Scenario;
 use plwg_sim::{
@@ -148,7 +150,10 @@ fn seed(w: &mut World, a: NodeId, first: u64, count: u64, target: Option<HwgId>,
                 a,
                 LwgMsg::NewLwgView {
                     lwg,
-                    flush: None,
+                    flush: LFlushId {
+                        initiator: a,
+                        nonce: 1,
+                    },
                     view,
                     hwg: h,
                 }

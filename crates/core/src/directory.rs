@@ -20,7 +20,7 @@
 //!   mapping, switch target, switch being followed) — `hwg_in_use` and the
 //!   view-install scans become index reads;
 //! - **phase and watchdog indexes** (per-phase id sets, and the ids with a
-//!   flush, switch or prune in flight) — the housekeeping tick visits only
+//!   flush or switch in flight) — the housekeeping tick visits only
 //!   candidates;
 //! - **per-HWG load accounts** (mapped-LWG count plus a data-plane traffic
 //!   window) — what the placement policy and the rebalancer decide on.
@@ -81,7 +81,7 @@ impl Facets {
             phase: phase_slot(state.phase),
             hwg: state.hwg,
             target: (state.switch().map(|sw| sw.to)).or(state.followed().map(|f| f.1)),
-            watched: state.busy() || state.prune_since.is_some(),
+            watched: state.busy(),
         }
     }
 }
@@ -123,7 +123,7 @@ struct DirIndex {
     by_target: BTreeMap<HwgId, BTreeSet<LwgId>>,
     /// Per-phase id sets ([`phase_slot`] order).
     by_phase: [BTreeSet<LwgId>; 4],
-    /// Records with an LWG flush, a switch or a pruned view in flight.
+    /// Records with an LWG flush or a switch in flight.
     watched: BTreeSet<LwgId>,
     /// Data-plane multicasts per HWG in the current traffic window.
     traffic: BTreeMap<HwgId, u64>,
@@ -331,7 +331,7 @@ impl GroupDirectory {
         self.index.collect(self.index.by_phase.get(JOINING))
     }
 
-    /// Ids with a flush, switch or prune in flight (watchdog candidates).
+    /// Ids with a flush or switch in flight (watchdog candidates).
     pub(crate) fn watched_ids(&self) -> Vec<LwgId> {
         self.index.collect(Some(&self.index.watched))
     }
@@ -586,7 +586,11 @@ mod tests {
         {
             let mut r = d.get_mut(LwgId(5)).unwrap();
             install(&mut r, HwgId(2));
-            r.prune_since = Some(SimTime::ZERO);
+            let flush = LFlushId {
+                initiator: NodeId(3),
+                nonce: 1,
+            };
+            assert!(r.begin_flush(flush, vec![NodeId(3)], None, SimTime::ZERO));
         }
         assert_eq!(d.watched_ids(), vec![LwgId(5)]);
         assert!(d.remove(LwgId(5)).is_some());

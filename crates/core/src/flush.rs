@@ -5,10 +5,11 @@
 //! multicasts `Flush`, members stop sending, flush their pack buffers and
 //! answer `FlushOk`; once every reachable member has acknowledged, the
 //! coordinator announces the successor view with `NewLwgView`, and each
-//! member installs it. Prune views (members that fell out of the backing
-//! HWG) skip the LWG flush entirely — the HWG flush that produced the new
-//! HWG view already equalised the delivered sets (see
-//! `LwgService::handle_hwg_view`).
+//! member installs it. A view whose members fell out of the backing HWG
+//! needs neither: the HWG flush that produced the new HWG view already
+//! equalised the delivered sets, and its round installs the pruned view at
+//! every holder (see [`crate::merge`]). The coordinator flushes only a view
+//! the round could not shrink.
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -207,18 +208,16 @@ impl<S: HwgSubstrate> LwgService<S> {
         &mut self,
         ctx: &mut dyn Transport,
         lwg: LwgId,
-        flush: Option<LFlushId>,
+        flush: LFlushId,
         view: View,
         on_hwg: HwgId,
     ) {
         if !view.contains(self.me) {
-            // Excludes us: our leave completed (or we were pruned).
-            let ours = self
-                .dir
-                .get(lwg)
-                .and_then(|s| s.view.as_ref())
-                .is_some_and(|v| view.predecessors.contains(&v.id));
-            if ours {
+            // Excludes us: our leave completed.
+            if self
+                .view_of(lwg)
+                .is_some_and(|v| view.predecessors.contains(&v.id))
+            {
                 self.depart(ctx, lwg);
             }
             return;
@@ -230,17 +229,8 @@ impl<S: HwgSubstrate> LwgService<S> {
             .view
             .as_ref()
             .is_none_or(|cur| view.predecessors.contains(&cur.id));
-        let Some(f) = flush else {
-            // Prune path: the HWG flush already drained the old view.
-            drop(state);
-            if succeeds {
-                self.install_lwg_view(ctx, lwg, view, on_hwg);
-            }
-            return;
-        };
-        // Ordinary join/leave/switch view: wait for the flush to complete
-        // (all FlushOks) before installing.
-        match state.flush().map(|lf| lf.flush == f) {
+        // Wait for the flush to complete (all FlushOks) before installing.
+        match state.flush().map(|lf| lf.flush == flush) {
             None => {
                 // We were admitted as a *joiner*: no old view to drain.
                 let fresh = state.view.is_none();
@@ -292,7 +282,7 @@ impl<S: HwgSubstrate> LwgService<S> {
     }
 
     /// Coordinator: all FlushOks are in — compute and multicast the
-    /// successor view (join/leave/prune path).
+    /// successor view.
     fn announce_successor_view(&mut self, ctx: &mut dyn Transport, lwg: LwgId) {
         let Some(state) = self.dir.get(lwg) else {
             return;
@@ -307,23 +297,18 @@ impl<S: HwgSubstrate> LwgService<S> {
         let Some(flush) = state.flush().map(|lf| lf.flush) else {
             return;
         };
-        let hview_members: Vec<NodeId> = self
-            .substrate
-            .view_of(hwg)
-            .map(|v| v.members.clone())
-            .unwrap_or_default();
-        let me = self.me;
+        let in_hview = |m: &NodeId| self.substrate.view_of(hwg).is_some_and(|v| v.contains(*m));
         let mut members: Vec<NodeId> = view
             .members
             .iter()
             .copied()
-            .filter(|m| hview_members.contains(m) && !state.pending_leaves.contains(m))
+            .filter(|m| in_hview(m) && !state.pending_leaves.contains(m))
             .collect();
         let mut joiners: Vec<NodeId> = state
             .pending_joins
             .iter()
             .copied()
-            .filter(|j| hview_members.contains(j) && !view.contains(*j))
+            .filter(|j| in_hview(j) && !view.contains(*j))
             .collect();
         joiners.sort_unstable();
         members.extend(joiners);
@@ -338,61 +323,21 @@ impl<S: HwgSubstrate> LwgService<S> {
         let Some(seq) = self.dir.get_mut(lwg).map(|mut s| s.take_view_seq()) else {
             return;
         };
-        let new_view = View::with_predecessors(ViewId::new(me, seq), members, vec![view.id]);
+        let new_view = View::with_predecessors(ViewId::new(self.me, seq), members, vec![view.id]);
         ctx.emit(|| LwgProtocolEvent::ViewAnnounce {
             lwg,
             view: new_view.clone(),
         });
-        self.send_view(ctx, lwg, Some(flush), new_view, hwg);
+        self.send_view(ctx, lwg, flush, new_view, hwg);
     }
 
-    /// Coordinator: announce the view with the members that fell out of
-    /// the HWG removed (no LWG flush needed — see
-    /// `LwgService::handle_hwg_view`).
-    pub(crate) fn announce_pruned_view(
-        &mut self,
-        ctx: &mut dyn Transport,
-        lwg: LwgId,
-        hview: &View,
-    ) {
-        let Some(state) = self.dir.get(lwg) else {
-            return;
-        };
-        if state.busy() || self.stopped_on(state.hwg) {
-            return; // a flush or the HWG view will reshape the view
-        }
-        let Some(view) = state.view.clone() else {
-            return;
-        };
-        let Some(hwg) = state.hwg else { return };
-        let members: Vec<NodeId> = view
-            .members
-            .iter()
-            .copied()
-            .filter(|m| hview.contains(*m))
-            .collect();
-        if members.is_empty() {
-            return;
-        }
-        let Some(seq) = self.dir.get_mut(lwg).map(|mut s| s.take_view_seq()) else {
-            return;
-        };
-        let pruned = View::with_predecessors(ViewId::new(self.me, seq), members, vec![view.id]);
-        ctx.emit(|| LwgProtocolEvent::Prune {
-            lwg,
-            view: pruned.clone(),
-        });
-        ctx.metrics().incr(keys::PRUNES);
-        self.send_view(ctx, lwg, None, pruned, hwg);
-    }
-
-    /// Multicasts `view` of `lwg` (the successor that `flush` announces,
-    /// if any) on `hwg`, the HWG it is installed on.
+    /// Multicasts `view` of `lwg`, the successor that `flush` announces, on
+    /// `hwg`, the HWG it is installed on.
     pub(crate) fn send_view(
         &mut self,
         ctx: &mut dyn Transport,
         lwg: LwgId,
-        flush: Option<LFlushId>,
+        flush: LFlushId,
         view: View,
         hwg: HwgId,
     ) {
@@ -467,7 +412,8 @@ impl<S: HwgSubstrate> LwgService<S> {
     }
 
     /// Starts an LWG flush if this node coordinates `lwg` and membership
-    /// changes are pending (join/leave/members fallen out of the HWG).
+    /// changes are pending: joins, leaves, or members fallen out of the HWG
+    /// view that its round did not prune (see [`crate::merge`]).
     ///
     /// Not while this node is stopped on the group's HWG: the `Flush`
     /// would be delivered after the HWG view, whose merge round may have
@@ -493,25 +439,22 @@ impl<S: HwgSubstrate> LwgService<S> {
             .iter()
             .any(|j| hview.contains(*j) && !view.contains(*j));
         let has_leave = state.pending_leaves.iter().any(|l| view.contains(*l));
-        if !(has_join || has_leave) {
+        let has_gone = view.members.iter().any(|m| !hview.contains(*m));
+        if !(has_join || has_leave || has_gone) {
             return;
         }
-        // Members still reachable participate in the flush.
+        // Members still reachable participate in the flush (this node is).
         let members: Vec<NodeId> = view
             .members
             .iter()
             .copied()
             .filter(|m| hview.contains(*m))
             .collect();
-        if members.is_empty() {
-            return;
-        }
-        let me = self.me;
         let Some(nonce) = self.dir.get_mut(lwg).map(|mut s| s.take_flush_nonce()) else {
             return;
         };
         let flush = LFlushId {
-            initiator: me,
+            initiator: self.me,
             nonce,
         };
         ctx.emit(|| LwgProtocolEvent::FlushStart {

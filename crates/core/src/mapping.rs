@@ -32,8 +32,8 @@ use std::collections::BTreeSet;
 /// Admission retries (one per `lwg_join_timeout`) before a joiner founds
 /// its own LWG view.
 const LWG_JOIN_RETRIES: u32 = 2;
-/// Watchdog for LWG-level flushes, switches and prunes: on expiry the
-/// coordinator restarts and stuck members fall back to re-joining.
+/// Watchdog for LWG-level flushes and switches: on expiry the coordinator
+/// restarts and stuck members fall back to re-joining.
 const LWG_FLUSH_TIMEOUT: SimDuration = SimDuration::from_secs(3);
 
 impl<S: HwgSubstrate> LwgService<S> {
@@ -234,6 +234,20 @@ impl<S: HwgSubstrate> LwgService<S> {
             // fresh one if the group is still inconsistent.
             return;
         }
+        // A mapping of an ancestor of our view is stale: its name server
+        // missed the views between. Tombstone it and act on nothing else:
+        // an HWG flush would re-register every mapping, and call back again.
+        let mut stale = false;
+        for m in mappings
+            .iter()
+            .filter(|m| state.history.contains(&m.lwg_view))
+        {
+            self.ns.unset(ctx, lwg, m.lwg_view);
+            stale = true;
+        }
+        if stale {
+            return;
+        }
         let current = state.hwg;
         if current == Some(target) {
             // We are already on the winning HWG. A MERGE-VIEWS barrier only
@@ -349,33 +363,6 @@ impl<S: HwgSubstrate> LwgService<S> {
             // Re-evaluate: the coordinator will re-flush with the members
             // still reachable.
             self.maybe_start_lwg_flush(ctx, lwg);
-        }
-
-        // A pruned-view announcement that never arrived (lost, coordinator
-        // died): release the send buffer; the acting-coordinator rule will
-        // re-announce on the next HWG view change.
-        for lwg in self.dir.watched_ids() {
-            let expired = self.dir.get(lwg).is_some_and(|s| {
-                s.prune_since
-                    .is_some_and(|t| now.saturating_since(t) >= LWG_FLUSH_TIMEOUT)
-            });
-            if !expired {
-                continue;
-            }
-            let hview = self
-                .dir
-                .get(lwg)
-                .and_then(|s| s.hwg)
-                .and_then(|h| self.substrate.view_of(h))
-                .cloned();
-            if let Some(mut state) = self.dir.get_mut(lwg) {
-                state.prune_since = None;
-            }
-            if let Some(hview) = hview {
-                if self.lwg_coordinator(lwg) == Some(self.me) {
-                    self.announce_pruned_view(ctx, lwg, &hview);
-                }
-            }
         }
 
         // Foreign-tagged data: if still unexplained after the grace period,

@@ -1,13 +1,14 @@
-//! MERGE-VIEWS: healing concurrent LWG views that share one HWG with a
-//! **single** HWG flush (paper Fig. 5, step 4 of the §6 procedure).
+//! The merge round: every LWG view an HWG view change implies, computed at
+//! every member from one HWG flush — merged views of concurrent LWG views
+//! sharing the HWG (MERGE-VIEWS, paper Fig. 5, step 4 of §6), and pruned
+//! views of groups whose members fell out of it (Fig. 2's recovery).
 //!
 //! Any member that suspects concurrent views multicasts `MergeViews`; the
 //! HWG coordinator turns it into a forced flush. Every member piggybacks
-//! its LWG view advertisements (`AllViews`) on the flush, so when the new
-//! HWG view is delivered every member holds the same set of advertised
-//! views and computes the same merged views — no extra agreement round,
-//! and no announcement: each member installs the merged view of a group
-//! it holds a view of at that HWG view.
+//! its LWG view advertisements (`AllViews`) on every flush, so at the new
+//! HWG view every member holds the same advertisements and computes the
+//! same views — no extra agreement round, and no announcement: each member
+//! installs the new view of a group it holds a view of at that HWG view.
 //!
 //! Each view is advertised in full once: by its coordinator, the first of
 //! its members in the closing HWG view. Every other holder advertises only
@@ -17,17 +18,19 @@
 //! names it as a predecessor or nothing else is advertised for its group.
 //! Otherwise the round defers the group: it merges nothing of it, the HWG
 //! coordinator requests another round, and in that round every holder of
-//! a view of the group advertises it in full. Every member received the
-//! same advertisements, so every member defers the same groups.
+//! a view of the group advertises it in full. A group's one maximal view
+//! that lost members is pruned, by each holder from its own copy; a view
+//! the round cannot shrink is shrunk by its coordinator's LWG flush.
 //!
-//! The merged id is `(creator, its seq_floor + 1)`: the creator is the
+//! A new view's id is `(creator, its seq_floor + 1)`: for a merge the
 //! lowest node of the new HWG view that sent a concurrent view in full (no
-//! such node: the group is deferred), and its `AllViews::seq_floor` bounds
-//! every seq it took for the groups listed. After its `Stop` it takes none
-//! (see [`LwgService::stopped_on`]), and at the round it counts the merged
-//! seq as taken, so no id of a group repeats. Installing the merged view
-//! drops the flush or switch a member ran from a merged view, and a late
-//! announcement of that flush succeeds no view held any more.
+//! such node: the group is deferred), for a prune the first member. The
+//! `seq_floor` bounds every seq the sender took for the groups it maps on
+//! the HWG, and it takes none after its `Stop` (see
+//! [`LwgService::stopped_on`]). At the round it counts the new seq as
+//! taken, as does a node that moved on from a listed view, so no id of a
+//! group repeats. The install drops the flush or switch a member ran from
+//! a predecessor, whose late announcement succeeds no view held any more.
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -139,10 +142,10 @@ impl<S: HwgSubstrate> LwgService<S> {
             .is_some_and(|round| round.stopped)
     }
 
-    /// After an HWG flush: merge every set of concurrent LWG views the
-    /// AllViews exchange revealed, installing each merged view here if
-    /// this node takes part in it. Returns the groups whose merged view
-    /// this node installed.
+    /// After an HWG flush: install every LWG view the view change implies,
+    /// here if this node takes part in it. A group's round merges its
+    /// concurrent views, or prunes its one view whose members fell out of
+    /// `hview`. Returns the groups whose view this node installed.
     pub(crate) fn complete_merge_round(
         &mut self,
         ctx: &mut dyn Transport,
@@ -153,7 +156,7 @@ impl<S: HwgSubstrate> LwgService<S> {
         let Some(round) = self.rounds.remove(&hwg) else {
             return installed;
         };
-        let mut deferred = BTreeSet::new();
+        let (mut deferred, mut moved_on) = (BTreeSet::new(), Vec::new());
         let mut previous = None;
         for &(lwg, _) in round.collected.keys() {
             if previous.replace(lwg) == Some(lwg) {
@@ -164,20 +167,39 @@ impl<S: HwgSubstrate> LwgService<S> {
                 .range((lwg, ViewId::new(NodeId(0), 0))..)
                 .take_while(move |((l, _), _)| *l == lwg)
                 .map(|((_, id), view)| (*id, view));
-            let merged = match merge_candidates(collected) {
+            if self.moved_on(lwg, collected.clone().map(|(id, _)| id)) {
+                moved_on.push(lwg);
+            }
+            let next = match merge_candidates(collected.clone()) {
                 Some(views) => match concurrent_views(&views).collect::<Vec<_>>() {
-                    concurrent if concurrent.len() < 2 => continue,
-                    concurrent => merged_view(&concurrent, hview, &round.floors),
+                    concurrent if concurrent.len() < 2 => {
+                        let only = concurrent.first().map(|(v, _)| v.id);
+                        let only = only.or(collected.map(|(id, _)| id).next());
+                        let Some(pruned) = self.pruned_view(lwg, only, hview, &round.floors) else {
+                            continue;
+                        };
+                        Some(pruned)
+                    }
+                    concurrent => next_view(&concurrent, hview, &round.floors),
                 },
                 None => None,
             };
-            let Some(merged) = merged else {
+            let Some(next) = next else {
                 ctx.metrics().incr(keys::MERGE_DEFERRED);
                 deferred.insert(lwg);
                 continue;
             };
-            if self.install_merged(ctx, lwg, hwg, merged) {
+            if self.install_merged(ctx, lwg, hwg, next) {
                 installed.insert(lwg);
+            }
+        }
+        let reserved = round
+            .floors
+            .get(&self.me)
+            .map_or(0, |f| f.saturating_add(1));
+        for lwg in moved_on {
+            if let Some(mut state) = self.dir.get_mut(lwg) {
+                state.bump_view_seq(reserved);
             }
         }
         if deferred.is_empty() {
@@ -194,39 +216,85 @@ impl<S: HwgSubstrate> LwgService<S> {
         installed
     }
 
-    /// The round on `hwg` merged `lwg` into `merged`: its creator counts the
-    /// seq as taken, its coordinator reports the merge, and a holder of a
-    /// merged view (or a listed joiner over `hwg`) installs it. Returns
-    /// whether this node installed it.
+    /// The view `only`, the one maximal candidate of `lwg`'s round, prunes
+    /// into at `hview`, if this node holds it; its first member in `hview`
+    /// creates it. `None` when this node holds another view, nobody fell
+    /// out, or the creator sent no floor. A view id names one view
+    /// everywhere, so every holder computes it alike from its own copy.
+    fn pruned_view(
+        &self,
+        lwg: LwgId,
+        only: Option<ViewId>,
+        hview: &View,
+        floors: &BTreeMap<NodeId, u64>,
+    ) -> Option<View> {
+        let view = self.dir.get(lwg)?.view.as_ref();
+        let view =
+            view.filter(|v| Some(v.id) == only && !v.members.iter().all(|&m| hview.contains(m)))?;
+        let creator = *view.members.iter().find(|&&m| hview.contains(m))?;
+        next_view(&[(view, creator)], hview, floors)
+    }
+
+    /// Whether this node's view of `lwg` succeeds a view of `listed`, the
+    /// round's, without being listed itself: it moved on during the flush,
+    /// and may create a view the round prunes from the listed one.
+    fn moved_on(&self, lwg: LwgId, mut listed: impl Iterator<Item = ViewId> + Clone) -> bool {
+        let Some(state) = self.dir.get(lwg) else {
+            return false;
+        };
+        let current = state.view.as_ref().map(|v| v.id);
+        !listed.clone().any(|id| Some(id) == current)
+            && listed.any(|id| state.history.contains(&id))
+    }
+
+    /// The round on `hwg` gave `lwg` the merged or pruned view `next`: its
+    /// creator counts the seq as taken, its first member reports it, and a
+    /// holder of a predecessor (or a listed joiner over `hwg`) installs it,
+    /// a pruned one only if not switching: the switched view may be
+    /// installed elsewhere already. Returns whether this node installed it.
     fn install_merged(
         &mut self,
         ctx: &mut dyn Transport,
         lwg: LwgId,
         hwg: HwgId,
-        merged: View,
+        next: View,
     ) -> bool {
         let Some(mut state) = self.dir.get_mut(lwg) else {
             return false;
         };
-        if merged.id.coordinator == self.me {
-            debug_assert!(state.next_view_seq < merged.id.seq, "{lwg}: floor passed");
-            state.bump_view_seq(merged.id.seq);
+        if next.id.coordinator == self.me {
+            debug_assert!(state.next_view_seq < next.id.seq, "{lwg}: floor passed");
+            state.bump_view_seq(next.id.seq);
         }
+        let merge = next.predecessors.len() > 1;
+        let switching = state.switch().is_some() || state.followed().is_some();
         let takes_part = state.hwg == Some(hwg)
-            && state.view.as_ref().map_or(merged.contains(self.me), |v| {
-                merged.predecessors.contains(&v.id)
+            && (merge || !switching)
+            && state.view.as_ref().map_or(next.contains(self.me), |v| {
+                next.predecessors.contains(&v.id)
             });
         drop(state);
-        if merged.members.first() == Some(&self.me) {
-            ctx.emit(|| LwgProtocolEvent::Merge {
-                lwg,
-                concurrent: merged.predecessors.clone(),
-                merged: merged.clone(),
+        if next.members.first() == Some(&self.me) {
+            ctx.emit(|| match merge {
+                true => LwgProtocolEvent::Merge {
+                    lwg,
+                    concurrent: next.predecessors.clone(),
+                    merged: next.clone(),
+                },
+                false => LwgProtocolEvent::Prune {
+                    lwg,
+                    view: next.clone(),
+                },
             });
-            ctx.metrics().incr(keys::VIEWS_MERGED);
+            let key = if merge {
+                keys::VIEWS_MERGED
+            } else {
+                keys::PRUNES
+            };
+            ctx.metrics().incr(key);
         }
         if takes_part {
-            self.install_lwg_view(ctx, lwg, merged, hwg);
+            self.install_lwg_view(ctx, lwg, next, hwg);
         }
         takes_part
     }
@@ -237,7 +305,7 @@ impl<S: HwgSubstrate> LwgService<S> {
     /// group-id order. A view this node coordinates, or of a group the last
     /// round deferred, is encoded in full where it lives, without a copy;
     /// any other only by id. The frame's `seq_floor` is the largest view
-    /// counter of the groups it lists.
+    /// counter of the groups this node maps onto `hwg`, listed or not.
     ///
     /// A view that is switching to another HWG is left out: its successor
     /// is installed there, possibly before this flush's view arrives, so a
@@ -253,6 +321,7 @@ impl<S: HwgSubstrate> LwgService<S> {
             .into_iter()
             .filter_map(|l| {
                 let state = self.dir.get(l)?;
+                seq_floor = seq_floor.max(state.next_view_seq);
                 if state.switch().is_some() || state.followed().is_some() {
                     return None;
                 }
@@ -260,7 +329,6 @@ impl<S: HwgSubstrate> LwgService<S> {
                 let coordinator = view.members.iter().find(|&&m| hview.contains(m));
                 let full =
                     coordinator == Some(&self.me) || deferred.is_some_and(|d| d.contains(&l));
-                seq_floor = seq_floor.max(state.next_view_seq);
                 Some((l, view, full))
             })
             .collect();
@@ -318,19 +386,20 @@ fn merge_candidates<'a>(
 /// of predecessors from one of them to another ends in a collected view
 /// naming the ancestor directly. Being named is therefore the whole test:
 /// no walk, no visited set, and no bound on the number of views.
-fn concurrent_views(views: &[(View, NodeId)]) -> impl Iterator<Item = &(View, NodeId)> {
+fn concurrent_views(views: &[(View, NodeId)]) -> impl Iterator<Item = (&View, NodeId)> {
     views
         .iter()
         .filter(|(v, _)| !views.iter().any(|(u, _)| u.predecessors.contains(&v.id)))
+        .map(|(v, sender)| (v, *sender))
 }
 
-/// The view the `concurrent` views (with their lowest full senders) merge
-/// into at `hview`: their members in `hview`, in view-id order, and the id
-/// `(creator, floor + 1)` of the lowest full sender in `hview`; `None` when
-/// no full sender stayed to count the seq as taken, or the creator's floor
-/// is unknown (the group defers).
-fn merged_view(
-    concurrent: &[&(View, NodeId)],
+/// The view the `concurrent` views (with their lowest full senders, or a
+/// pruned view's creator) merge or prune into at `hview`: their members in
+/// `hview`, in view-id order, and the id `(creator, floor + 1)` of the
+/// lowest sender in `hview`; `None` when no sender stayed to count the seq
+/// as taken, or the creator's floor is unknown.
+fn next_view(
+    concurrent: &[(&View, NodeId)],
     hview: &View,
     floors: &BTreeMap<NodeId, u64>,
 ) -> Option<View> {

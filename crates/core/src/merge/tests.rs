@@ -4,6 +4,7 @@
 #![allow(clippy::expect_used, clippy::indexing_slicing)]
 
 use super::*;
+use crate::msg::LFlushId;
 use crate::{LwgNode, ScriptedHwg};
 use plwg_naming::{NameServer, NamingConfig};
 use plwg_sim::{Encode, SimRng, World, WorldConfig};
@@ -191,7 +192,10 @@ fn a_deferred_group_is_advertised_in_full() {
         let view = View::initial(ViewId::new(coordinator, 1), vec![coordinator, me]);
         svc.hwg_stack_mut().inject_view(hwg, view.clone());
         svc.join(ctx, lwg);
-        let flush = None;
+        let flush = LFlushId {
+            initiator: coordinator,
+            nonce: 1,
+        };
         let announce = LwgMsg::NewLwgView {
             lwg,
             flush,
@@ -226,8 +230,7 @@ fn the_lowest_full_sender_in_the_hwg_view_creates_the_merged_view() {
     // deferred group's), `b` from its coordinator n3.
     let a = View::initial(ViewId::new(n(4), 1), vec![n(4), n(2)]);
     let b = View::initial(ViewId::new(n(3), 1), vec![n(3)]);
-    let (a, b) = ((a, n(2)), (b, n(3)));
-    let concurrent = [&b, &a];
+    let concurrent = [(&b, n(3)), (&a, n(2))];
     let floors = BTreeMap::from([(n(2), 5), (n(3), 9), (n(4), 7)]);
     let hview = |members: &[u32]| {
         View::initial(
@@ -235,12 +238,12 @@ fn the_lowest_full_sender_in_the_hwg_view_creates_the_merged_view() {
             members.iter().map(|&m| n(m)).collect(),
         )
     };
-    let merged = |members: &[u32]| merged_view(&concurrent, &hview(members), &floors);
+    let merged = |members: &[u32]| next_view(&concurrent, &hview(members), &floors);
 
     let lowest = merged(&[2, 3, 4]).expect("a creator");
     assert_eq!(lowest.id, ViewId::new(n(2), 6), "the lowest full sender");
     assert_eq!(lowest.members, vec![n(3), n(4), n(2)]);
-    assert_eq!(lowest.predecessors, vec![b.0.id, a.0.id]);
+    assert_eq!(lowest.predecessors, vec![b.id, a.id]);
 
     let skipped = merged(&[3, 4]).expect("a creator");
     assert_eq!(skipped.id, ViewId::new(n(3), 10), "n2 left the HWG view");
@@ -309,7 +312,10 @@ fn a_creator_that_moved_on_counts_the_merged_seq_as_taken() {
             .inject_view(hwg, View::initial(ViewId::new(c, 1), vec![c]));
         svc.join(ctx, lwg);
         let held = View::with_predecessors(ViewId::new(c, 2), vec![c], vec![ViewId::new(c, 1)]);
-        let flush = None;
+        let flush = LFlushId {
+            initiator: c,
+            nonce: 1,
+        };
         let announce = LwgMsg::NewLwgView {
             lwg,
             flush,
@@ -327,6 +333,93 @@ fn a_creator_that_moved_on_counts_the_merged_seq_as_taken() {
     assert_eq!(next, (false, Some(ViewId::new(c, 2)), Some(6)));
 }
 
+/// The first member `c` of a pruned view that moved on during the flush:
+/// `V = {d, c, e}` was listed by id in the round, `d` left the HWG view,
+/// and the holders still on `V` prune it to `(c, 4 + 1)`, `c`'s floor
+/// after it. `c` itself installed `V`'s successor `W` after its `Stop`, so
+/// it prunes nothing, but it counts seq 5 as taken: its next view of the
+/// group is `(c, 6)`, not a second `(c, 5)`.
+#[test]
+fn a_creator_that_moved_on_counts_the_pruned_seq_as_taken() {
+    let mut w = World::new(WorldConfig::default());
+    w.add_node(Box::new(NameServer::new(
+        NodeId(0),
+        vec![],
+        NamingConfig::default(),
+    )));
+    let c = w.add_node(Box::new(
+        LwgNode::<ScriptedHwg>::builder(NodeId(1))
+            .servers([NodeId(0)])
+            .build()
+            .expect("valid config"),
+    ));
+    let (d, e) = (NodeId(2), NodeId(3));
+    let (hwg, lwg) = (HwgId(5), LwgId(3));
+    let outcome = w.invoke(c, move |n: &mut LwgNode<ScriptedHwg>, ctx| {
+        let svc = n.service();
+        let v = View::initial(ViewId::new(d, 1), vec![d, c, e]);
+        let later = View::with_predecessors(ViewId::new(d, 2), vec![d, c], vec![v.id]);
+        svc.hwg_stack_mut()
+            .inject_view(hwg, View::initial(ViewId::new(d, 1), vec![d, c, e]));
+        svc.join(ctx, lwg);
+        svc.install_lwg_view(ctx, lwg, v.clone(), hwg);
+        let round = svc.rounds.entry(hwg).or_default();
+        round.collected.insert((lwg, v.id), None);
+        round.floors.extend([(c, 4), (e, 2)]);
+        svc.install_lwg_view(ctx, lwg, later, hwg);
+        let hview = View::initial(ViewId::new(c, 2), vec![c, e]);
+        let installed = svc.complete_merge_round(ctx, hwg, &hview);
+        let next = svc.dir.get_mut(lwg).map(|mut s| s.take_view_seq());
+        (installed, svc.view_of(lwg).map(|v| v.id), next)
+    });
+    assert_eq!(outcome, (BTreeSet::new(), Some(ViewId::new(d, 2)), Some(6)));
+    assert_eq!(w.metrics().counter(keys::PRUNES), 0);
+}
+
+/// Only a holder of the group's one maximal candidate prunes: `n` still
+/// holds `V = {x, n, a}`, which the round lists by id, while `x`
+/// advertised its successor `W = {x, n}` in full. `a` left the HWG view,
+/// but `W`, the candidate, lost nobody, so the round prunes nothing. Had
+/// `n` pruned its own `V`, it would have installed `(x, 3 + 1)` as `{x, n}`
+/// while `x`, which holds `W`, counts no such seq as taken.
+#[test]
+fn a_holder_of_a_view_the_round_does_not_weigh_prunes_nothing() {
+    let mut w = World::new(WorldConfig::default());
+    w.add_node(Box::new(NameServer::new(
+        NodeId(0),
+        vec![],
+        NamingConfig::default(),
+    )));
+    let n = w.add_node(Box::new(
+        LwgNode::<ScriptedHwg>::builder(NodeId(1))
+            .servers([NodeId(0)])
+            .build()
+            .expect("valid config"),
+    ));
+    let (x, a) = (NodeId(2), NodeId(3));
+    let (hwg, lwg) = (HwgId(5), LwgId(3));
+    let outcome = w.invoke(n, move |node: &mut LwgNode<ScriptedHwg>, ctx| {
+        let svc = node.service();
+        let v = View::initial(ViewId::new(x, 1), vec![x, n, a]);
+        let later = View::with_predecessors(ViewId::new(x, 2), vec![x, n], vec![v.id]);
+        svc.hwg_stack_mut()
+            .inject_view(hwg, View::initial(ViewId::new(x, 1), vec![x, n, a]));
+        svc.join(ctx, lwg);
+        svc.install_lwg_view(ctx, lwg, v.clone(), hwg);
+        let round = svc.rounds.entry(hwg).or_default();
+        round.collected.insert((lwg, v.id), None);
+        round
+            .collected
+            .insert((lwg, later.id), Some((encoded(&later), x)));
+        round.floors.extend([(x, 3), (n, 1)]);
+        let hview = View::initial(ViewId::new(x, 2), vec![x, n]);
+        let installed = svc.complete_merge_round(ctx, hwg, &hview);
+        (installed, svc.view_of(lwg).map(|v| v.id))
+    });
+    assert_eq!(outcome, (BTreeSet::new(), Some(ViewId::new(x, 1))));
+    assert_eq!(w.metrics().counter(keys::PRUNES), 0);
+}
+
 /// The future creator `c` had taken seq 2 for the view of its flush
 /// `f`, in which `x` takes part, when the merge round's `Stop` came:
 /// the announcement of `(c, 2)` was still on its way, so `c`
@@ -336,7 +429,6 @@ fn a_creator_that_moved_on_counts_the_merged_seq_as_taken() {
 /// view anyone holds, and every member ignores it.
 #[test]
 fn a_merged_id_passes_the_seq_of_a_superseded_announcement() {
-    use crate::msg::LFlushId;
     let mut cfg = WorldConfig {
         trace: true,
         ..WorldConfig::default()
@@ -382,7 +474,10 @@ fn a_merged_id_passes_the_seq_of_a_superseded_announcement() {
         });
         let announce = LwgMsg::NewLwgView {
             lwg,
-            flush: None,
+            flush: LFlushId {
+                initiator: view.id.coordinator,
+                nonce: 1,
+            },
             view: view.clone(),
             hwg,
         };
@@ -413,7 +508,7 @@ fn a_merged_id_passes_the_seq_of_a_superseded_announcement() {
     assert_eq!(taken, Some(2));
     let late = LwgMsg::NewLwgView {
         lwg,
-        flush: Some(flush),
+        flush,
         view: View::with_predecessors(ViewId::new(c, 2), vec![c, x], vec![vc.id]),
         hwg,
     };

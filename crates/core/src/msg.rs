@@ -85,16 +85,16 @@ pub enum LwgMsg {
         /// Round identifier.
         flush: LFlushId,
     },
-    /// Installs a new LWG view. With `flush: Some(..)` the receiver waits
-    /// until the flush's `FlushOk`s are complete (ordinary join/leave/
-    /// switch); with `None` it installs immediately (prune path — the HWG
-    /// flush already drained the old view). A merged view is never
-    /// announced: every member computes it from the `AllViews` round.
+    /// Installs the successor view of an LWG flush (join, leave or
+    /// switch): the receiver waits until the flush's `FlushOk`s are
+    /// complete. A merged or pruned view is never announced: every member
+    /// computes it from the `AllViews` round of the HWG view that implies
+    /// it.
     NewLwgView {
         /// The group.
         lwg: LwgId,
-        /// The flush this view concludes, if any.
-        flush: Option<LFlushId>,
+        /// The flush this view concludes.
+        flush: LFlushId,
         /// The view to install.
         view: View,
         /// The HWG the view is mapped onto.

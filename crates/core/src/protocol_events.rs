@@ -34,8 +34,9 @@ pub enum LwgProtocolEvent {
         /// The announced successor view.
         view: View,
     },
-    /// Coordinator: announcing the view with members that fell out of the
-    /// backing HWG removed (no LWG flush needed).
+    /// First member of a pruned view: the round of the HWG view that
+    /// dropped some of the members of `view`'s predecessor computed it at
+    /// every holder (no LWG flush, no announcement).
     Prune {
         /// The group.
         lwg: LwgId,

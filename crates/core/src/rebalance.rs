@@ -107,17 +107,14 @@ impl<S: HwgSubstrate> LwgService<S> {
     }
 
     /// Whether `lwg` may be migrated by the rebalancer right now: a stable
-    /// member (no flush, switch or prune in flight, not stopped on its HWG)
+    /// member (no flush or switch in flight, not stopped on its HWG)
     /// whose coordinator is this node. `start_switch` re-checks all of
     /// this, but testing first keeps the planner from wasting its move
     /// budget on no-op switches.
     fn rebalance_candidate(&self, lwg: LwgId) -> bool {
         self.lwg_coordinator(lwg) == Some(self.me)
             && self.dir.get(lwg).is_some_and(|s| {
-                s.phase == crate::state::Phase::Member
-                    && !s.busy()
-                    && s.prune_since.is_none()
-                    && !self.stopped_on(s.hwg)
+                s.phase == crate::state::Phase::Member && !s.busy() && !self.stopped_on(s.hwg)
             })
     }
 }

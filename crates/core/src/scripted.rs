@@ -74,6 +74,8 @@ struct Group {
     /// `stop_ok`). `Some(nonce)` for a coordinator-driven flush, `None`
     /// for a test-injected `Stop`.
     stopping: Option<Option<u64>>,
+    /// Whether a `Stop` was raised since `view` was installed.
+    stopped: bool,
     /// Coordinator-side flush bookkeeping.
     round: Option<FlushRound>,
     next_seq: u64,
@@ -91,6 +93,7 @@ impl Group {
             status: GroupStatus::Joining,
             view: None,
             stopping: None,
+            stopped: false,
             round: None,
             next_seq: 0,
             next_nonce: 0,
@@ -128,6 +131,8 @@ impl ScriptedHwg {
     /// Installs `view` on `hwg` as if the membership protocol delivered
     /// it, raising the `View` upcall. A view that does not contain this
     /// node evicts it (raises `Left`) if it was a member.
+    /// A view that succeeds the one held here must come after a `Stop`, as
+    /// [`HwgSubstrate`] requires (checked in debug builds).
     pub fn inject_view(&mut self, hwg: HwgId, view: View) {
         if !view.contains(self.me) {
             if self.groups.remove(&hwg).is_some() {
@@ -136,6 +141,12 @@ impl ScriptedHwg {
             return;
         }
         let g = self.groups.entry(hwg).or_insert_with(Group::new);
+        let succeeds = g
+            .view
+            .as_ref()
+            .is_some_and(|v| view.predecessors.contains(&v.id));
+        debug_assert!(g.stopped || !succeeds, "{hwg}: {view} without a Stop");
+        g.stopped = false;
         g.status = GroupStatus::Member;
         g.next_seq = g.next_seq.max(view.id.seq);
         g.view = Some(view.clone());
@@ -149,6 +160,7 @@ impl ScriptedHwg {
     pub fn inject_stop(&mut self, hwg: HwgId) {
         if let Some(g) = self.groups.get_mut(&hwg) {
             g.stopping = Some(None);
+            g.stopped = true;
             self.events.push(HwgEvent::Stop { hwg });
         }
     }
@@ -188,9 +200,11 @@ impl ScriptedHwg {
         self.groups.get(&hwg).map_or(0, |g| g.stop_oks)
     }
 
-    /// Whether a flush `Stop` is outstanding locally on `hwg`.
-    pub fn is_stopping(&self, hwg: HwgId) -> bool {
-        self.groups.get(&hwg).is_some_and(|g| g.stopping.is_some())
+    /// Whether a flush of `hwg` is under way here: a `Stop` outstanding,
+    /// sends held for the flush's view, or acknowledgements awaited.
+    pub fn in_flush(&self, hwg: HwgId) -> bool {
+        let busy = |g: &Group| g.stopping.is_some() || g.held.is_some() || g.round.is_some();
+        self.groups.get(&hwg).is_some_and(busy)
     }
 
     // ------------------------------------------------------------------
@@ -230,6 +244,7 @@ impl ScriptedHwg {
                 if let Some(g) = self.groups.get_mut(hwg) {
                     if g.status == GroupStatus::Member && g.stopping.is_none() {
                         g.stopping = Some(Some(*nonce));
+                        g.stopped = true;
                         self.events.push(HwgEvent::Stop { hwg: *hwg });
                     }
                 }

@@ -76,6 +76,9 @@ pub struct LwgService<S: HwgSubstrate> {
     /// Reusable buffer for [`LwgService::pump`] (capacity persists across
     /// pumps so draining the substrate is allocation-free).
     hwg_scratch: Vec<HwgEvent>,
+    /// The HWG views this node holds, to check the `Stop` obligation.
+    #[cfg(debug_assertions)]
+    hwg_views: BTreeMap<HwgId, plwg_hwg::ViewId>,
 }
 
 impl<S: HwgSubstrate> LwgService<S> {
@@ -109,6 +112,8 @@ impl<S: HwgSubstrate> LwgService<S> {
             pack_timer_armed: false,
             events: Vec::new(),
             hwg_scratch: Vec::new(),
+            #[cfg(debug_assertions)]
+            hwg_views: BTreeMap::new(),
         }
     }
 
@@ -218,7 +223,7 @@ impl<S: HwgSubstrate> LwgService<S> {
             members: s.view.as_ref().map_or(0, View::len),
             hwg: s.hwg,
             coordinator: self.lwg_coordinator(lwg) == Some(self.me),
-            busy: s.busy() || s.prune_since.is_some(),
+            busy: s.busy(),
         }
     }
 
@@ -363,6 +368,8 @@ impl<S: HwgSubstrate> LwgService<S> {
             }
             HwgEvent::View { hwg, view } => self.handle_hwg_view(ctx, hwg, view),
             HwgEvent::Left { hwg } => {
+                #[cfg(debug_assertions)]
+                self.hwg_views.remove(&hwg);
                 self.idle_hwgs.remove(&hwg);
                 self.rounds.remove(&hwg);
                 self.last_merge_views.remove(&hwg);
@@ -379,13 +386,24 @@ impl<S: HwgSubstrate> LwgService<S> {
     }
 
     /// Reacts to a new HWG view: complete joins/switches that were waiting
-    /// for HWG membership, run the merge round, refresh naming, prune LWG
-    /// members that fell out of the HWG.
+    /// for HWG membership, run the merge round (which merges concurrent LWG
+    /// views and prunes LWG members that fell out of the HWG), refresh
+    /// naming.
     fn handle_hwg_view(&mut self, ctx: &mut dyn Transport, hwg: HwgId, hview: View) {
         ctx.emit(|| LwgProtocolEvent::HwgView {
             hwg,
             view: hview.clone(),
         });
+        // The round relies on `HwgSubstrate`'s `Stop` obligation. Vsync's
+        // exclusion rebirth, a singleton view of this node, breaks it: its
+        // round prunes nothing, and step 5's LWG flush shrinks its views.
+        #[cfg(debug_assertions)]
+        {
+            let held = self.hwg_views.insert(hwg, hview.id);
+            let stopped = self.stopped_on(Some(hwg)) || hview.members == [self.me];
+            let succeeds = held.is_some_and(|h| hview.predecessors.contains(&h));
+            debug_assert!(stopped || !succeeds, "{hwg}: {hview} without a Stop");
+        }
 
         // Feed the directory's HWG-id allocation floor: ids re-learned
         // after a restart must never be re-allocated.
@@ -419,9 +437,10 @@ impl<S: HwgSubstrate> LwgService<S> {
         }
 
         // 3. Merge round: the flush that produced this view carried every
-        //    member's AllViews; merge concurrent LWG views now. Each member
-        //    installs the merged views of its groups at once.
-        let merged = self.complete_merge_round(ctx, hwg, &hview);
+        //    member's AllViews. Each member installs every view the change
+        //    implies now, merged or pruned: one HWG flush serves every
+        //    co-mapped group (the resource sharing of Fig. 2's recovery).
+        let installed = self.complete_merge_round(ctx, hwg, &hview);
 
         // 4. An HWG *merge* (several predecessors) means concurrent LWG
         //    views may now share this HWG without knowing it: trigger
@@ -432,48 +451,27 @@ impl<S: HwgSubstrate> LwgService<S> {
         }
 
         // 5. Coordinators refresh the naming service with the new HWG view
-        //    (paper Table 4 stage 2) and prune members that fell out.
-        //
-        //    Pruning needs no LWG-level flush: the HWG flush that produced
-        //    this view already guaranteed all members the same delivered
-        //    set. One announcement installs the pruned view; until it
-        //    arrives, members buffer their sends (`prune_since`). This
-        //    is the resource sharing the paper measures in Figure 2's
-        //    recovery panel: one HWG flush serves every co-mapped group.
+        //    (paper Table 4 stage 2), and flush a view the round could not
+        //    prune.
         //
         //    An HWG merge refreshes nothing: step 4's round replaces the
         //    views, and the other side's name server would answer each with
         //    a callback. The next HWG view (the round's) refreshes the rest.
         for lwg in self.dir.mapped_on(hwg) {
-            let Some(stale) = self
-                .dir
-                .get(lwg)
-                .and_then(|s| s.view.as_ref())
-                .map(|view| view.members.iter().any(|m| !hview.contains(*m)))
-            else {
-                continue; // no installed view (still joining)
-            };
-            if stale {
-                if let Some(mut state) = self.dir.get_mut(lwg) {
-                    state.prune_since.get_or_insert(ctx.now());
-                }
-            }
-            // A merged view installed by step 3 was registered by its
-            // coordinator there, and lists only members of this view.
-            if self.lwg_coordinator(lwg) != Some(self.me) || merged.contains(&lwg) {
+            // A view installed by step 3 was registered by its coordinator
+            // there, and lists only members of this view.
+            if self.lwg_coordinator(lwg) != Some(self.me) || installed.contains(&lwg) {
                 continue;
             }
             // Announcements held back while this node was stopped.
             self.try_conclude_lwg_flush(ctx, lwg);
             self.try_complete_switch(ctx, lwg);
-            if stale {
-                self.announce_pruned_view(ctx, lwg, &hview);
-            } else {
-                if hview.predecessors.len() < 2 {
-                    self.refresh_mapping(ctx, lwg);
-                }
-                self.maybe_start_lwg_flush(ctx, lwg);
+            let whole = |v: &View| v.members.iter().all(|&m| hview.contains(m));
+            let whole = self.view_of(lwg).is_some_and(whole);
+            if whole && hview.predecessors.len() < 2 {
+                self.refresh_mapping(ctx, lwg);
             }
+            self.maybe_start_lwg_flush(ctx, lwg);
         }
 
         self.note_idle_if_unused(ctx, hwg);

@@ -123,13 +123,6 @@ pub(crate) struct LwgState {
     /// `FlushOk`s that arrived before their `Flush` (FIFO is per sender;
     /// a peer's ack can overtake the coordinator's flush announcement).
     pub(crate) early_oks: Vec<(LFlushId, NodeId)>,
-    /// When the backing HWG view dropped some of this LWG's members: a
-    /// pruned view announcement is imminent (sends are buffered until it
-    /// arrives so no member delivers messages others will not see). A
-    /// field, not an [`Activity`]: it is a fact about the HWG view, set
-    /// whatever runs, and it outlives a flush the watchdog drops, holding
-    /// sends until this time plus the prune timeout.
-    pub(crate) prune_since: Option<SimTime>,
     pub(crate) next_view_seq: u64,
     pub(crate) next_flush_nonce: u64,
 }
@@ -177,12 +170,9 @@ impl LwgState {
     }
 
     /// The view and HWG a send goes out in now, or `None` when sends are
-    /// buffered: not a member, a pruned view pending or a protocol running.
+    /// buffered: not a member, or a protocol running.
     pub(crate) fn send_target(&self) -> Option<(ViewId, HwgId)> {
-        if self.phase != Phase::Member
-            || self.prune_since.is_some()
-            || !matches!(self.activity, Activity::Idle)
-        {
+        if self.phase != Phase::Member || self.busy() {
             return None;
         }
         Some((self.view.as_ref()?.id, self.hwg?))
@@ -357,7 +347,6 @@ impl LwgState {
         self.phase = Phase::Member;
         self.activity = Activity::Idle;
         self.early_oks.retain(|(f, _)| Some(*f) == next);
-        self.prune_since = None;
         std::mem::take(&mut self.pending_send)
     }
 
@@ -436,7 +425,7 @@ pub struct LwgStatus {
     pub hwg: Option<HwgId>,
     /// Whether this node acts as the group's coordinator.
     pub coordinator: bool,
-    /// Whether a flush/switch/prune is in progress.
+    /// Whether a flush or switch is in progress.
     pub busy: bool,
 }
 
@@ -620,7 +609,6 @@ mod tests {
         for mut s in busy_states() {
             s.pending_joins.extend([n(4), n(5)]);
             s.pending_leaves.extend([n(2), n(3)]);
-            s.prune_since = Some(at(1));
             s.early_oks.push((fid(2, 1), n(2)));
             s.pending_send.push(Frame::from_u64(7));
             let next = View::with_predecessors(
@@ -631,7 +619,7 @@ mod tests {
             assert_eq!(s.install(next, TO, n(1)).len(), 1);
             s.check();
             assert!(!s.busy() && !frozen(&s));
-            assert_eq!((s.prune_since, s.early_oks.len()), (None, 0));
+            assert!(s.early_oks.is_empty());
             assert_eq!(s.pending_joins.iter().collect::<Vec<_>>(), vec![&n(5)]);
             assert_eq!(s.pending_leaves.iter().collect::<Vec<_>>(), vec![&n(3)]);
             assert_eq!(s.hwg, Some(TO));

@@ -131,7 +131,7 @@ impl<S: HwgSubstrate> LwgService<S> {
             to: sw.to,
             view: new_view.clone(),
         });
-        self.send_view(ctx, lwg, Some(sw.flush), new_view, sw.to);
+        self.send_view(ctx, lwg, sw.flush, new_view, sw.to);
         // Pull any concurrent views present on the target HWG into a merge.
         self.trigger_merge_views(ctx, sw.to);
     }

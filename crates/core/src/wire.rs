@@ -129,7 +129,7 @@ mod tests {
             },
             LwgMsg::NewLwgView {
                 lwg: LwgId(1),
-                flush: Some(fid),
+                flush: fid,
                 view: view.clone(),
                 hwg: HwgId(7),
             },

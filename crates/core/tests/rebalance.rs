@@ -3,7 +3,7 @@
 //! typed `lwg.rebalance.*` events record every decision, and a quiescent
 //! balanced system never moves anything again (no oscillation).
 
-use plwg_core::{HwgId, LwgConfig, LwgId, LwgMsg, ScriptedHwg, View, ViewId};
+use plwg_core::{HwgId, LFlushId, LwgConfig, LwgId, LwgMsg, ScriptedHwg, View, ViewId};
 use plwg_obs::{scenarios::Scenario, Timeline};
 use plwg_sim::{NodeId, SimDuration, World};
 
@@ -58,7 +58,10 @@ fn seed(w: &mut World, a: NodeId, on_h1: u64, on_h2: u64) -> (Vec<LwgId>, Vec<Lw
                 a,
                 LwgMsg::NewLwgView {
                     lwg,
-                    flush: None,
+                    flush: LFlushId {
+                        initiator: a,
+                        nonce: 1,
+                    },
                     view,
                     hwg,
                 }

@@ -9,7 +9,7 @@
 //! scripted substrate requires (it has no retransmission or reordering
 //! repair of its own).
 
-use plwg_core::{HwgId, LwgConfig, LwgId, LwgMsg, ScriptedHwg, View, ViewId};
+use plwg_core::{HwgId, LFlushId, LwgConfig, LwgId, LwgMsg, ScriptedHwg, View, ViewId};
 use plwg_hwg::view_key;
 use plwg_naming::{NameServer, NamingConfig};
 use plwg_obs::{scenarios::Scenario, Timeline};
@@ -87,7 +87,10 @@ fn seed_lwg_view(w: &mut World, node: NodeId, hwg: HwgId, view: View) {
             src,
             LwgMsg::NewLwgView {
                 lwg: L,
-                flush: None,
+                flush: LFlushId {
+                    initiator: src,
+                    nonce: 1,
+                },
                 view,
                 hwg,
             }
@@ -227,7 +230,7 @@ fn hwg_stop_is_answered_while_lwg_flush_in_flight() {
         n.service().hwg_stack_mut().inject_stop(H1);
         n.service().pump(ctx);
         let after = n.service_ref().hwg_stack().stop_oks(H1);
-        let stopping = n.service_ref().hwg_stack().is_stopping(H1);
+        let stopping = n.service_ref().hwg_stack().in_flush(H1);
         let busy = n.service_ref().lwg_status(L).is_some_and(|s| s.busy);
         (before, after, stopping, busy)
     });
@@ -525,9 +528,18 @@ fn packed_sends_share_one_hwg_multicast() {
     );
 }
 
+/// Raises an HWG flush's `Stop` at `node` on `H1`: the service advertises
+/// its views, and the next HWG view concludes the round.
+fn stop(w: &mut World, node: NodeId) {
+    w.invoke(node, |n: &mut Node, ctx| {
+        n.service().hwg_stack_mut().inject_stop(H1);
+        n.service().pump(ctx);
+    });
+}
+
 /// Losing HWG membership: the evicted member transparently re-joins via
-/// the recorded mapping, while the coordinator prunes it from the view
-/// (no LWG flush needed) and later re-admits it.
+/// the recorded mapping, while the HWG view's round prunes it from the
+/// coordinator's view (no LWG flush needed), which later re-admits it.
 #[test]
 fn eviction_prunes_view_then_readmits_via_mapping() {
     let (mut w, apps) = setup(2);
@@ -539,11 +551,12 @@ fn eviction_prunes_view_then_readmits_via_mapping() {
     seed_lwg_view(&mut w, b, H1, v1);
     w.run_for(ms(200));
 
-    // b falls out of the HWG; a observes the shrunken HWG view.
+    // b falls out of the HWG; a observes the flush and the shrunken view.
     w.invoke(b, |n: &mut Node, ctx| {
         n.service().hwg_stack_mut().inject_left(H1);
         n.service().pump(ctx);
     });
+    stop(&mut w, a);
     grant(&mut w, a, H1, a, 2, &[a]);
     w.run_for(ms(300));
     assert_eq!(
@@ -578,7 +591,6 @@ fn eviction_prunes_view_then_readmits_via_mapping() {
 /// `LWG_FLUSH_TIMEOUT` and unfreezes — the watchdog path of the tick.
 #[test]
 fn stuck_lwg_flush_is_abandoned_by_the_watchdog() {
-    use plwg_core::LFlushId;
     let (mut w, apps) = setup(2);
     let (a, b) = (apps[0], apps[1]);
     grant(&mut w, a, H1, a, 1, &[a, b]);
@@ -628,16 +640,17 @@ fn stuck_lwg_flush_is_abandoned_by_the_watchdog() {
 
 /// An HWG view that drops a member while an LWG flush waits for that
 /// member's `FlushOk`: the join flush of `{a, b, c}` loses `c` (crashed)
-/// one second in. The coordinator does not prune while its flush is in
-/// flight, so the flush never concludes and the watchdog drops it after
-/// `LWG_FLUSH_TIMEOUT` at `a` and `b`. The sends frozen behind it stay
-/// buffered after that: the HWG view marked the group as awaiting a pruned
-/// view, and the prune deadline (`LWG_FLUSH_TIMEOUT` after that HWG view)
-/// is what makes the coordinator announce `{a, b}`. Both members install
-/// it and release their sends into it; the join of `j`, who left the HWG
-/// with `c`, is not re-run.
+/// one second in, and the sends made meanwhile are frozen behind it. The
+/// HWG flush gave `a` and `b` one delivered set, so the HWG view's round
+/// prunes `{a, b, c}` to `{a, b}` at both, at that view: the flush is
+/// dropped, not abandoned by the watchdog, and the frozen sends go out in
+/// the pruned view. The join of `j`, who left the HWG with `c`, is not
+/// re-run. Before the round pruned, the coordinator announced the pruned
+/// view, and only once the watchdog had dropped its flush and a prune
+/// deadline (`LWG_FLUSH_TIMEOUT` after the HWG view) had passed: 3.5 s
+/// after the view.
 #[test]
-fn an_hwg_view_dropping_a_flush_member_prunes_at_the_prune_deadline() {
+fn an_hwg_view_dropping_a_flush_member_prunes_at_the_hwg_view() {
     let (mut w, apps) = setup(4);
     let (a, b, c, j) = (apps[0], apps[1], apps[2], apps[3]);
     for &n in &apps {
@@ -659,48 +672,39 @@ fn an_hwg_view_dropping_a_flush_member_prunes_at_the_prune_deadline() {
     send_u64(&mut w, a, 1);
     send_u64(&mut w, b, 2);
     w.run_for(ms(1000));
-    // The HWG view drops `c` (and `j`) while the flush waits for `c`.
-    for &n in &[a, b] {
-        grant(&mut w, n, H1, a, 2, &[a, b]);
-    }
     let busy = |w: &mut World, n: NodeId| {
         w.inspect(n, |n: &Node| n.service_ref().lwg_status(L))
             .is_some_and(|s| s.busy)
     };
-    let frozen = |w: &mut World| {
-        for &n in &[a, b] {
-            assert_eq!(view_at(w, n).as_ref(), Some(&v1), "at {n}");
-            assert!(busy(w, n), "at {n}");
-            for &src in &[a, b] {
-                assert_eq!(delivered_from(w, n, src), Vec::<u64>::new(), "at {n}");
-            }
-        }
-    };
-
-    // 2.9 s into the flush: still waiting for `c`, nothing pruned.
-    w.run_for(ms(1880));
-    frozen(&mut w);
-    assert_eq!(w.trace().count("lwg.flush.abandon"), 0);
-
-    // 3.5 s: both members dropped the flush, but the sends stay frozen
-    // behind the pending prune.
-    w.run_for(ms(600));
-    assert_eq!(w.trace().count("lwg.flush.abandon"), 2, "at a and b");
-    assert_eq!(w.trace().count("lwg.prune"), 0);
-    frozen(&mut w);
-
-    // 4.5 s (3.5 s after the HWG view): the pruned view is installed and
-    // the buffered sends are delivered in it.
-    w.run_for(ms(1000));
-    assert_eq!(w.trace().count("lwg.prune"), 1);
     for &n in &[a, b] {
+        assert_eq!(view_at(&mut w, n).as_ref(), Some(&v1), "at {n}");
+        assert!(busy(&mut w, n), "still waiting for c at {n}");
+        assert_eq!(delivered_from(&mut w, n, a), Vec::<u64>::new(), "at {n}");
+    }
+
+    // The HWG flush and its view drop `c` (and `j`).
+    for &n in &[a, b] {
+        stop(&mut w, n);
+    }
+    w.run_for(ms(5));
+    for &n in &[a, b] {
+        grant(&mut w, n, H1, a, 2, &[a, b]);
         let v = view_at(&mut w, n).expect("pruned view");
         assert_eq!(v.members, vec![a, b], "at {n}");
         assert_eq!(v.predecessors, vec![v1.id], "at {n}");
+        assert_eq!(v.id.coordinator, a, "the first member creates it");
         assert!(!busy(&mut w, n), "at {n}");
+    }
+    w.run_for(ms(100));
+    assert_eq!(w.trace().count("lwg.prune"), 1);
+    assert_eq!(w.trace().count("lwg.flush.abandon"), 0);
+    for &n in &[a, b] {
         assert_eq!(delivered_from(&mut w, n, a), vec![1], "at {n}");
         assert_eq!(delivered_from(&mut w, n, b), vec![2], "at {n}");
     }
+    w.run_for(SimDuration::from_secs(4));
+    assert_eq!(w.trace().count("lwg.flush.abandon"), 0);
+    assert_eq!(w.trace().count("lwg.flush.start"), 1, "j's join");
 }
 
 /// A member following a switch can take part in a later flush from the
@@ -711,7 +715,6 @@ fn an_hwg_view_dropping_a_flush_member_prunes_at_the_prune_deadline() {
 /// seen in the 128-LWG quiet-world bring-up of `heal_budget.rs`).
 #[test]
 fn a_newer_flush_keeps_a_followed_switch_followed() {
-    use plwg_core::LFlushId;
     let (mut w, apps) = setup(2);
     let (a, b) = (apps[0], apps[1]);
     grant(&mut w, a, H1, a, 1, &[a, b]);
@@ -783,7 +786,6 @@ fn deliver(w: &mut World, node: NodeId, msgs: Vec<(NodeId, LwgMsg)>) {
 /// own descendant).
 #[test]
 fn a_flush_from_the_initiator_waits_for_the_view_it_announced() {
-    use plwg_core::LFlushId;
     let (mut w, apps) = setup(3);
     let (a, b, c) = (apps[0], apps[1], apps[2]);
     for &n in &apps {
@@ -809,7 +811,7 @@ fn a_flush_from_the_initiator_waits_for_the_view_it_announced() {
     };
     let announce = |nonce, view: &View| LwgMsg::NewLwgView {
         lwg: L,
-        flush: Some(f(nonce)),
+        flush: f(nonce),
         view: view.clone(),
         hwg: H1,
     };
@@ -859,6 +861,12 @@ fn a_flush_from_the_initiator_waits_for_the_view_it_announced() {
 /// Every survivor defers `L` in that round, the HWG coordinator `a`
 /// requests another, and in it the holders advertise their view in full:
 /// that round merges both branches, once.
+///
+/// The merge names `{c, y, z}` itself. The round that deferred `L` could
+/// not prune it either, and the LWG flush `y` starts at that view to drop
+/// `c` waits behind the second round's `Stop`, whose view merges the
+/// branches and drops the flush. When `y` announced a pruned view at the
+/// first view, the merge named `y`'s `{y, z}`.
 #[test]
 fn a_round_missing_a_views_full_copy_defers_its_group_once() {
     use plwg_core::keys::{MERGE_DEFERRED, MERGE_VIEWS_SENT};
@@ -897,10 +905,9 @@ fn a_round_missing_a_views_full_copy_defers_its_group_once() {
     assert_eq!(counter(&w, MERGE_DEFERRED), 4, "the next round merged");
     let merges = Timeline::build(w.trace()).merges_of(L.0).len();
     assert_eq!(merges, 1);
-    // `y` pruned `c` from its view when the HWG view dropped it.
     let merged = view_at(&mut w, a).expect("merged");
     assert_eq!(merged.members, vec![a, x, y, z]);
-    assert_eq!(merged.predecessors, vec![va.id, ViewId::new(y, 1)]);
+    assert_eq!(merged.predecessors, vec![va.id, vc.id]);
     for &n in &survivors {
         assert_eq!(view_at(&mut w, n).as_ref(), Some(&merged), "at {n}");
         assert_eq!(stop_oks(&mut w, n, H1), 2, "two HWG flushes at {n}");

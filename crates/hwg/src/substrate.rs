@@ -82,6 +82,12 @@ pub enum HwgEvent {
 ///   a view change emits [`HwgEvent::Stop`] and blocks until every member
 ///   answers [`HwgSubstrate::stop_ok`], giving the layer above a final
 ///   chance to send (the paper's MERGE-VIEWS message rides this window).
+///   Precisely: a [`HwgEvent::View`] that succeeds a view this node held
+///   comes after a `Stop` at this node, and everything the node sent before
+///   its `stop_ok` is delivered to every survivor before that `View`. What
+///   it sends after `stop_ok` is delivered in the next view. The LWG layer
+///   installs the LWG views a view change implies at that `View` on this
+///   alone, with no LWG flush.
 ///
 /// Implementations: `plwg_vsync::VsyncStack` (the real partitionable
 /// protocol stack) and `plwg_core::ScriptedHwg` (a deterministic scripted

@@ -266,11 +266,11 @@ fn the_packaged_heal_scenario_runs_the_four_steps_in_order() {
     assert_eq!(timeline.merges_of(9).len(), 1, "one MERGE-VIEWS conclusion");
 }
 
-/// Counts the merge announcements `inner` sends: each `NewLwgView` naming
-/// two or more predecessors inside an HWG data multicast.
+/// Records the view announcements `inner` sends: the time and the number
+/// of predecessors of each `NewLwgView` inside an HWG data multicast.
 struct Tap<'a> {
     inner: &'a mut dyn plwg::sim::Transport,
-    merges_sent: &'a mut u64,
+    views_sent: &'a mut Vec<(SimTime, usize)>,
 }
 
 impl plwg::sim::Transport for Tap<'_> {
@@ -290,7 +290,8 @@ impl plwg::sim::Transport for Tap<'_> {
         }) = decode_frame::<VsMsg>(family::VS, &msg)
         {
             if let Ok(LwgMsg::NewLwgView { view, .. }) = decode_frame(family::LWG, &data) {
-                *self.merges_sent += u64::from(view.predecessors.len() >= 2);
+                let sent = (self.inner.now(), view.predecessors.len());
+                self.views_sent.push(sent);
             }
         }
         self.inner.send(to, msg);
@@ -315,28 +316,28 @@ impl plwg::sim::Transport for Tap<'_> {
 /// An `LwgNode` whose sends go through a [`Tap`].
 struct Tapped {
     node: LwgNode,
-    merges_sent: u64,
+    views_sent: Vec<(SimTime, usize)>,
 }
 
 impl Process for Tapped {
     fn on_start(&mut self, ctx: &mut dyn plwg::sim::Transport) {
         let mut tap = Tap {
             inner: ctx,
-            merges_sent: &mut self.merges_sent,
+            views_sent: &mut self.views_sent,
         };
         self.node.on_start(&mut tap);
     }
     fn on_message(&mut self, ctx: &mut dyn plwg::sim::Transport, from: NodeId, msg: Payload) {
         let mut tap = Tap {
             inner: ctx,
-            merges_sent: &mut self.merges_sent,
+            views_sent: &mut self.views_sent,
         };
         self.node.on_message(&mut tap, from, msg);
     }
     fn on_timer(&mut self, ctx: &mut dyn plwg::sim::Transport, token: plwg::sim::TimerToken) {
         let mut tap = Tap {
             inner: ctx,
-            merges_sent: &mut self.merges_sent,
+            views_sent: &mut self.views_sent,
         };
         self.node.on_timer(&mut tap, token);
     }
@@ -348,11 +349,16 @@ impl Process for Tapped {
     }
 }
 
-/// A merged view is computed, not announced: two co-mapped LWGs split
-/// 2|2 and heal, no member ever sends a `NewLwgView` naming two
+/// A merged or pruned view is computed, not announced: two co-mapped LWGs
+/// split 2|2 and heal, no member ever sends a `NewLwgView` naming two
 /// predecessors, each LWG merges once in the heal, and every member of a
-/// merged view installs it at the same virtual instant as the HWG view
-/// whose round merged it.
+/// merged or pruned view installs it at the same virtual instant as the
+/// HWG view whose round computed it. The only `NewLwgView`s in the split
+/// window announce the views of LWG flushes and switches started in it: a
+/// policy switch of LWG 12 starts at the split, the round prunes nothing
+/// of a switching group, and the watchdog drops the switch for a flush
+/// 3 s later. When coordinators announced pruned views, the split window
+/// sent one more per group and side.
 #[test]
 fn every_member_installs_the_merged_view_with_the_hwg_view_that_ends_the_round() {
     let (mut w, servers, apps) = Scenario::traced(37, 4).build_with(|me, servers| Tapped {
@@ -360,7 +366,7 @@ fn every_member_installs_the_merged_view_with_the_hwg_view_that_ends_the_round()
             .servers(servers)
             .build()
             .expect("valid config"),
-        merges_sent: 0,
+        views_sent: Vec::new(),
     });
     let groups = [LwgId(11), LwgId(12)];
     for g in groups {
@@ -380,11 +386,22 @@ fn every_member_installs_the_merged_view_with_the_hwg_view_that_ends_the_round()
     w.heal_at(SimTime::from_secs(25));
     w.run_until(SimTime::from_secs(45));
 
-    let sent: u64 = apps
+    let sent: Vec<(SimTime, usize)> = apps
         .iter()
-        .map(|&m| w.inspect(m, |t: &Tapped| t.merges_sent))
-        .sum();
-    assert_eq!(sent, 0, "merge announcements sent");
+        .flat_map(|&m| w.inspect(m, |t: &Tapped| t.views_sent.clone()))
+        .collect();
+    let merges = sent.iter().filter(|(_, preds)| *preds >= 2).count();
+    assert_eq!(merges, 0, "merge announcements sent");
+    let split = SimTime::from_secs(10)..SimTime::from_secs(25);
+    let in_split = sent.iter().filter(|(at, _)| split.contains(at)).count();
+    let started = ["lwg.flush.start", "lwg.switch.start"].map(|kind| {
+        let started = w.trace().of_kind(kind);
+        started.filter(|e| split.contains(&e.time)).count()
+    });
+    assert!(
+        in_split <= started.iter().sum(),
+        "{in_split} view announcements in the split, for {started:?} flushes and switches"
+    );
     let trace = w.trace();
     let at_hwg_view = |node, time| {
         trace
@@ -406,9 +423,14 @@ fn every_member_installs_the_merged_view_with_the_hwg_view_that_ends_the_round()
         assert_eq!(merged.len(), 1, "{g}: one lwg.merge in the heal");
         let merged = merged[0].refs.view;
         assert_eq!(installs(g, merged).count(), apps.len(), "{g}: installs");
-        // The bring-up's merges of concurrent founders too.
-        for merge in merges {
-            for e in installs(g, merge.refs.view) {
+        // The bring-up's merges of concurrent founders, and the prunes.
+        let pruned: Vec<_> = trace
+            .of_kind("lwg.prune")
+            .filter(|e| e.refs.lwg == Some(g.0))
+            .collect();
+        assert!(!pruned.is_empty(), "{g}: a prune in the split");
+        for computed in merges.into_iter().chain(pruned) {
+            for e in installs(g, computed.refs.view) {
                 let node = e.node.expect("a node's event");
                 assert!(at_hwg_view(node, e.time), "{g} at {node}: {:?}", e.time);
             }

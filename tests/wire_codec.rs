@@ -225,11 +225,7 @@ fn lwg_msg(rng: &mut SimRng) -> LwgMsg {
         },
         6 => LwgMsg::NewLwgView {
             lwg,
-            flush: if rng.chance(0.5) {
-                Some(lflush_id(rng))
-            } else {
-                None
-            },
+            flush: lflush_id(rng),
             view: view(rng),
             hwg: HwgId(rng.range(0, 32)),
         },
@@ -795,10 +791,10 @@ fn golden_entries() -> Vec<(&'static str, Frame)> {
                 family::LWG,
                 &LwgMsg::NewLwgView {
                     lwg: LwgId(3),
-                    flush: Some(LFlushId {
+                    flush: LFlushId {
                         initiator: NodeId(1),
                         nonce: 2,
-                    }),
+                    },
                     view: view.clone(),
                     hwg: HwgId(7),
                 },
