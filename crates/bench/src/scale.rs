@@ -148,14 +148,18 @@ fn seed(w: &mut World, a: NodeId, first: u64, count: u64, target: Option<HwgId>,
             n.service().hwg_stack_mut().inject_data(
                 h,
                 a,
-                LwgMsg::NewLwgView {
+                // The join path: a `Flush` whose successor is the view,
+                // awaiting no `FlushOk`.
+                LwgMsg::Flush {
                     lwg,
                     flush: LFlushId {
                         initiator: a,
-                        nonce: 1,
+                        nonce: 0,
                     },
-                    view,
-                    hwg: h,
+                    view: ViewId::new(a, 0),
+                    members: vec![],
+                    next: Some(view),
+                    to: None,
                 }
                 .to_frame(),
             );

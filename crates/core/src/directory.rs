@@ -80,7 +80,7 @@ impl Facets {
         Facets {
             phase: phase_slot(state.phase),
             hwg: state.hwg,
-            target: (state.switch().map(|sw| sw.to)).or(state.followed().map(|f| f.1)),
+            target: state.followed().map(|f| f.1),
             watched: state.busy(),
         }
     }
@@ -492,7 +492,7 @@ impl Drop for RecordMut<'_> {
 mod tests {
     use super::*;
     use crate::msg::LFlushId;
-    use crate::state::SwitchState;
+    use crate::state::{FlushReq, Part};
     use plwg_hwg::{View, ViewId};
     use plwg_sim::SimTime;
 
@@ -511,6 +511,21 @@ mod tests {
     fn install(r: &mut LwgState, hwg: HwgId) {
         let view = View::initial(ViewId::new(NodeId(3), 1), vec![NodeId(3), NodeId(4)]);
         r.install(view, hwg, NodeId(3));
+    }
+
+    /// Node 3 flushes the view `install` installed, on `hwg`: a switch to
+    /// `to` when set.
+    fn begin(r: &mut LwgState, hwg: HwgId, to: Option<HwgId>) -> Part {
+        let (initiator, nonce) = (NodeId(3), 1);
+        let req = FlushReq {
+            flush: LFlushId { initiator, nonce },
+            hwg,
+            view: ViewId::new(initiator, 1),
+            members: vec![initiator],
+            next: None,
+            to,
+        };
+        r.begin_flush(req, SimTime::ZERO)
     }
 
     #[test]
@@ -546,33 +561,15 @@ mod tests {
     }
 
     #[test]
-    fn switch_and_follow_targets_keep_hwg_in_use() {
+    fn a_followed_switch_target_keeps_hwg_in_use() {
         let mut d = dir();
         d.insert(LwgId(1), LwgState::default());
-        let flush = LFlushId {
-            initiator: NodeId(3),
-            nonce: 1,
-        };
-        let members = vec![NodeId(3), NodeId(4)];
         let mut r = d.get_mut(LwgId(1)).unwrap();
         install(&mut r, HwgId(10));
-        r.begin_switch(SwitchState {
-            flush,
-            to: HwgId(99),
-            members: members.clone(),
-            ready: BTreeSet::new(),
-            started_at: SimTime::ZERO,
-        });
+        assert_eq!(begin(&mut r, HwgId(10), Some(HwgId(99))), Part::Takes);
         drop(r);
         assert!(d.hwg_in_use(HwgId(99)), "switch target counts as in use");
-        assert_eq!(d.watched_ids(), vec![LwgId(1)]);
-        // Its own `SwitchTo` makes the coordinator follow, past the switch.
-        let mut r = d.get_mut(LwgId(1)).unwrap();
-        assert!(r.begin_flush(flush, members, Some(HwgId(99)), SimTime::ZERO));
-        drop(r);
         assert_eq!(d.switching_to(HwgId(99)), vec![LwgId(1)]);
-        assert!(d.get_mut(LwgId(1)).unwrap().complete_switch().is_some());
-        assert!(d.hwg_in_use(HwgId(99)), "still followed");
         assert_eq!(d.watched_ids(), vec![LwgId(1)]);
         d.get_mut(LwgId(1)).unwrap().abandon();
         assert!(!d.hwg_in_use(HwgId(99)));
@@ -586,11 +583,7 @@ mod tests {
         {
             let mut r = d.get_mut(LwgId(5)).unwrap();
             install(&mut r, HwgId(2));
-            let flush = LFlushId {
-                initiator: NodeId(3),
-                nonce: 1,
-            };
-            assert!(r.begin_flush(flush, vec![NodeId(3)], None, SimTime::ZERO));
+            assert_eq!(begin(&mut r, HwgId(2), None), Part::Takes);
         }
         assert_eq!(d.watched_ids(), vec![LwgId(5)]);
         assert!(d.remove(LwgId(5)).is_some());

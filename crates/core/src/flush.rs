@@ -2,14 +2,20 @@
 //! (paper Table 1) and the LWG-level flush that installs successor views.
 //!
 //! An LWG flush mirrors the HWG layer's in miniature: the coordinator
-//! multicasts `Flush`, members stop sending, flush their pack buffers and
-//! answer `FlushOk`; once every reachable member has acknowledged, the
-//! coordinator announces the successor view with `NewLwgView`, and each
-//! member installs it. A view whose members fell out of the backing HWG
-//! needs neither: the HWG flush that produced the new HWG view already
-//! equalised the delivered sets, and its round installs the pruned view at
-//! every holder (see [`crate::merge`]). The coordinator flushes only a view
-//! the round could not shrink.
+//! multicasts a `Flush` that names the successor view, members stop
+//! sending, flush their pack buffers and answer `FlushOk`. Each `FlushOk`
+//! is an HWG multicast, so every member, and every joiner the successor
+//! lists, sees them all and installs the successor itself once they are
+//! in: no view is announced. Unlike paper §3, where the coordinator sends
+//! the new view after collecting the acknowledgements, the coordinator
+//! fixes it before, from what it knows then; the members' collecting the
+//! same acknowledgements stands in for its commit (DESIGN.md, "LWG
+//! flush"). A switch is a flush with a target HWG (see [`crate::switch`]).
+//! A view whose members fell out of the backing HWG needs no flush: the
+//! HWG flush that produced the new HWG view already equalised the
+//! delivered sets, and its round installs the pruned view at every holder
+//! (see [`crate::merge`]). The coordinator flushes only a view the round
+//! could not shrink.
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -26,9 +32,9 @@ use crate::keys;
 use crate::msg::{LFlushId, LwgMsg};
 use crate::protocol_events::LwgProtocolEvent;
 use crate::service::LwgService;
-use crate::state::{LwgFlush, LwgState, NsPurpose, Phase};
+use crate::state::{Ack, FlushReq, LwgState, NsPurpose, Part, Phase};
 use crate::wire;
-use plwg_hwg::{GroupStatus, HwgId, HwgSubstrate, View, ViewId};
+use plwg_hwg::{HwgId, HwgSubstrate, View, ViewId};
 use plwg_naming::{LwgId, Mapping};
 use plwg_sim::{NodeId, Transport, TransportExt};
 
@@ -119,14 +125,15 @@ impl<S: HwgSubstrate> LwgService<S> {
                 }
             }
             if self.lwg_coordinator(lwg) == Some(self.me) {
+                // A member that asks again holds no view: it missed the
+                // acknowledgements of the flush that admitted it, and the
+                // next flush admits it again.
                 let Ok(mut state) = self.dir.record(lwg) else {
                     return;
                 };
-                if !state.view.as_ref().is_some_and(|v| v.contains(from)) {
-                    state.pending_joins.insert(from);
-                    drop(state);
-                    self.maybe_start_lwg_flush(ctx, lwg);
-                }
+                state.pending_joins.insert(from);
+                drop(state);
+                self.maybe_start_lwg_flush(ctx, lwg);
             }
         } else if let Some(&to) = self.forward.get(&lwg) {
             // We are not a member but remember where the group went.
@@ -150,204 +157,108 @@ impl<S: HwgSubstrate> LwgService<S> {
     // The LWG flush protocol
     // ------------------------------------------------------------------
 
-    /// Member side of an LWG flush (also the old-HWG half of a switch when
-    /// `switch_to` is set): stop sending, acknowledge on the HWG the flush
-    /// `arrived_on`, and for a switch, start joining the target HWG.
-    pub(crate) fn handle_lwg_flush(
-        &mut self,
-        ctx: &mut dyn Transport,
-        arrived_on: Option<HwgId>,
-        lwg: LwgId,
-        flush: LFlushId,
-        members: Vec<NodeId>,
-        switch_to: Option<HwgId>,
-    ) {
+    /// A `Flush` arrived: a member of its view stops sending, acknowledges
+    /// it, and for a switch joins the target HWG and reports ready there;
+    /// a joiner its successor lists follows it without acknowledging.
+    pub(crate) fn handle_lwg_flush(&mut self, ctx: &mut dyn Transport, lwg: LwgId, req: FlushReq) {
         let Some(mut state) = self.dir.get_mut(lwg) else {
             return;
         };
-        let Some(view) = &state.view else { return };
-        if !view.contains(self.me) || !members.contains(&self.me) {
+        let listed = req.members.contains(&self.me);
+        let joins = state.view.is_none() && req.next.as_ref().is_some_and(|v| v.contains(self.me));
+        if !(listed || joins) {
             return;
         }
-        // A flush of a view that lists us but that we do not hold (two
-        // coordinators admitted us) is acknowledged, so that it does not
-        // wait for us, but not followed: we stay in our own view.
-        let foreign = !view.contains(flush.initiator);
-        if !foreign && !state.begin_flush(flush, members, switch_to, ctx.now()) {
-            return;
-        }
-        // A node listed in a view it does not hold maps the group onto
-        // another HWG; the coordinator hears its ack only where it asked.
-        let hwg = arrived_on.or(state.hwg);
+        let (flush, hwg, to) = (req.flush, req.hwg, req.to);
+        let part = state.begin_flush(req, ctx.now());
         drop(state);
-        if let Some(hwg) = hwg {
+        if listed && matches!(part, Part::Takes | Part::Foreign) {
             // Barrier: data we buffered in the closing LWG view must
             // precede our FlushOk in the per-sender FIFO stream, so every
             // member drains it before installing the successor view.
             self.flush_pack(ctx, hwg, FlushReason::Barrier);
             self.substrate
                 .send(ctx, hwg, wire::frame(&LwgMsg::FlushOk { lwg, flush }));
-        }
-        if let Some(to) = switch_to {
-            if self
-                .substrate
-                .view_of(to)
-                .is_some_and(|v| v.contains(self.me))
-            {
-                // Already a member: report ready immediately.
-                self.substrate
-                    .send(ctx, to, wire::frame(&LwgMsg::SwitchReady { lwg, flush }));
-            } else if !foreign && self.substrate.status_of(to) == GroupStatus::Left {
-                // Join the target HWG (the coordinator pre-created it).
-                self.substrate.join(ctx, to);
+            if let Some(to) = to {
+                self.follow_switch(ctx, lwg, flush, to, part);
             }
+        }
+        if part == Part::Takes {
+            self.try_conclude_lwg_flush(ctx, lwg);
         }
     }
 
-    pub(crate) fn handle_new_lwg_view(
+    /// A `FlushOk` or a `SwitchReady` from `from`: counted for the flush in
+    /// flight on `lwg`, which it may complete, or kept for its `Flush`.
+    pub(crate) fn handle_ack(
         &mut self,
         ctx: &mut dyn Transport,
         lwg: LwgId,
         flush: LFlushId,
-        view: View,
-        on_hwg: HwgId,
+        ack: Ack,
+        from: NodeId,
     ) {
-        if !view.contains(self.me) {
-            // Excludes us: our leave completed.
-            if self
-                .view_of(lwg)
-                .is_some_and(|v| view.predecessors.contains(&v.id))
-            {
-                self.depart(ctx, lwg);
-            }
-            return;
-        }
-        let Some(mut state) = self.dir.get_mut(lwg) else {
-            return;
-        };
-        let succeeds = state
-            .view
-            .as_ref()
-            .is_none_or(|cur| view.predecessors.contains(&cur.id));
-        // Wait for the flush to complete (all FlushOks) before installing.
-        match state.flush().map(|lf| lf.flush == flush) {
-            None => {
-                // We were admitted as a *joiner*: no old view to drain.
-                let fresh = state.view.is_none();
-                drop(state);
-                if fresh {
-                    self.install_lwg_view(ctx, lwg, view, on_hwg);
-                }
-            }
-            Some(true) if succeeds => {
-                state.announce(view, on_hwg);
-                drop(state);
-                self.try_conclude_lwg_flush(ctx, lwg);
-            }
-            Some(true) => {
-                // We took part in a flush whose successor does not follow
-                // our view: installing it would leave our view without a
-                // successor in any lineage.
-                drop(state);
-                self.drop_flush(ctx, lwg);
-            }
-            Some(false) => {}
+        if self
+            .dir
+            .get_mut(lwg)
+            .is_some_and(|mut s| s.ack(flush, ack, from))
+        {
+            self.try_conclude_lwg_flush(ctx, lwg);
         }
     }
 
-    /// Installs `view` if its flush (when any) has fully acknowledged.
-    pub(crate) fn try_conclude_lwg_flush(&mut self, ctx: &mut dyn Transport, lwg: LwgId) {
-        let Some(state) = self.dir.get(lwg) else {
-            return;
-        };
-        let all_ok = |lf: &&LwgFlush| lf.members.iter().all(|m| lf.oks.contains(m));
-        let Some(lf) = state.flush().filter(all_ok) else {
-            return;
-        };
-        match lf.new_view.clone() {
-            // Coordinator side: every member acknowledged, so announce the
-            // successor view.
-            None if lf.flush.initiator == self.me && state.switch().is_none() => {
-                self.announce_successor_view(ctx, lwg);
-            }
-            None => {}
-            Some((view, on_hwg)) => {
-                let next = state.next_flush().cloned();
-                self.install_lwg_view(ctx, lwg, view, on_hwg);
-                if let Some((flush, members, to)) = next {
-                    self.handle_lwg_flush(ctx, None, lwg, flush, members, to);
-                }
-            }
-        }
+    /// Concludes the flush in flight on `lwg` once its acknowledgements
+    /// are in. Not while this node is stopped on the flush's HWG (see
+    /// [`LwgService::stopped_on`]): the HWG view does it. Returns whether
+    /// the flush concluded.
+    pub(crate) fn try_conclude_lwg_flush(&mut self, ctx: &mut dyn Transport, lwg: LwgId) -> bool {
+        let lf = self.dir.get(lwg).and_then(|s| s.flush());
+        let ready = lf.is_some_and(|lf| lf.complete() && !self.stopped_on(Some(lf.req.hwg)));
+        ready && self.conclude_lwg_flush(ctx, lwg)
     }
 
-    /// Coordinator: all FlushOks are in — compute and multicast the
-    /// successor view.
-    fn announce_successor_view(&mut self, ctx: &mut dyn Transport, lwg: LwgId) {
-        let Some(state) = self.dir.get(lwg) else {
-            return;
+    /// Concludes the flush in flight on `lwg`, whose acknowledgements are
+    /// in: installs its successor, or departs if the successor leaves this
+    /// node out. Returns whether a flush was in flight.
+    pub(crate) fn conclude_lwg_flush(&mut self, ctx: &mut dyn Transport, lwg: LwgId) -> bool {
+        let Some(lf) = self.dir.get(lwg).and_then(|s| s.flush()) else {
+            return false;
         };
-        if self.stopped_on(state.hwg) {
-            return; // until the HWG view (see `stopped_on`)
+        let (flush, view, hwg, to) = (lf.req.flush, lf.req.view, lf.req.hwg, lf.req.to);
+        let (next, waiting) = (lf.req.next.clone(), lf.waiting.clone());
+        let Some(next) = next.filter(|v| v.contains(self.me)) else {
+            // Excluded: our leave completed, or the group dissolved.
+            if lf.req.next.is_none() && flush.initiator == self.me {
+                ctx.emit(|| LwgProtocolEvent::Dissolve { lwg });
+                self.ns.unset(ctx, lwg, view);
+            }
+            self.depart(ctx, lwg);
+            return true;
+        };
+        let first = next.members.first() == Some(&self.me);
+        if let Some(to) = to.filter(|_| first) {
+            ctx.emit(|| LwgProtocolEvent::SwitchComplete {
+                lwg,
+                to,
+                view: next.clone(),
+            });
         }
-        let Some(view) = state.view.clone() else {
-            return;
-        };
-        let Some(hwg) = state.hwg else { return };
-        let Some(flush) = state.flush().map(|lf| lf.flush) else {
-            return;
-        };
-        let in_hview = |m: &NodeId| self.substrate.view_of(hwg).is_some_and(|v| v.contains(*m));
-        let mut members: Vec<NodeId> = view
-            .members
-            .iter()
-            .copied()
-            .filter(|m| in_hview(m) && !state.pending_leaves.contains(m))
-            .collect();
-        let mut joiners: Vec<NodeId> = state
-            .pending_joins
-            .iter()
-            .copied()
-            .filter(|j| in_hview(j) && !view.contains(*j))
-            .collect();
-        joiners.sort_unstable();
-        members.extend(joiners);
-        if members.is_empty() {
-            // Everybody left: dissolve the group (no successor view).
-            ctx.emit(|| LwgProtocolEvent::Dissolve { lwg });
-            self.ns.unset(ctx, lwg, view.id);
-            self.substrate
-                .send(ctx, hwg, wire::frame(&LwgMsg::Dissolved { lwg, flush }));
-            return;
+        let on = to.unwrap_or(hwg);
+        self.install_lwg_view(ctx, lwg, next, on);
+        if self.lwg_coordinator(lwg) != Some(self.me) {
+            // Its coordinator may complete the flush only after its `Stop`
+            // and advertise the flushed view (see `MergeRound::fresh`).
+            self.rounds.entry(on).or_default().fresh.insert(lwg);
         }
-        let Some(seq) = self.dir.get_mut(lwg).map(|mut s| s.take_view_seq()) else {
-            return;
-        };
-        let new_view = View::with_predecessors(ViewId::new(self.me, seq), members, vec![view.id]);
-        ctx.emit(|| LwgProtocolEvent::ViewAnnounce {
-            lwg,
-            view: new_view.clone(),
-        });
-        self.send_view(ctx, lwg, flush, new_view, hwg);
-    }
-
-    /// Multicasts `view` of `lwg`, the successor that `flush` announces, on
-    /// `hwg`, the HWG it is installed on.
-    pub(crate) fn send_view(
-        &mut self,
-        ctx: &mut dyn Transport,
-        lwg: LwgId,
-        flush: LFlushId,
-        view: View,
-        hwg: HwgId,
-    ) {
-        let msg = LwgMsg::NewLwgView {
-            lwg,
-            flush,
-            view,
-            hwg,
-        };
-        self.substrate.send(ctx, hwg, wire::frame(&msg));
+        if let Some(to) = to.filter(|_| first) {
+            // Pull any concurrent views present on the target HWG into a
+            // merge.
+            self.trigger_merge_views(ctx, to);
+        }
+        if let Some(waiting) = waiting {
+            self.handle_lwg_flush(ctx, lwg, *waiting);
+        }
+        true
     }
 
     pub(crate) fn install_lwg_view(
@@ -434,10 +345,7 @@ impl<S: HwgSubstrate> LwgService<S> {
         let Some(hview) = self.substrate.view_of(hwg) else {
             return;
         };
-        let has_join = state
-            .pending_joins
-            .iter()
-            .any(|j| hview.contains(*j) && !view.contains(*j));
+        let has_join = state.pending_joins.iter().any(|j| hview.contains(*j));
         let has_leave = state.pending_leaves.iter().any(|l| view.contains(*l));
         let has_gone = view.members.iter().any(|m| !hview.contains(*m));
         if !(has_join || has_leave || has_gone) {
@@ -450,31 +358,75 @@ impl<S: HwgSubstrate> LwgService<S> {
             .copied()
             .filter(|m| hview.contains(*m))
             .collect();
-        let Some(nonce) = self.dir.get_mut(lwg).map(|mut s| s.take_flush_nonce()) else {
+        // The successor: those of them not leaving, then the joiners in
+        // the HWG view, in id order.
+        let staying = members.iter().filter(|m| !state.pending_leaves.contains(m));
+        let joiners =
+            (state.pending_joins.iter()).filter(|j| hview.contains(**j) && !view.contains(**j));
+        let next = staying.chain(joiners).copied().collect();
+        self.start_flush(ctx, lwg, members, next, None);
+    }
+
+    /// Multicasts the `Flush` of `lwg`'s view that awaits the `FlushOk`s of
+    /// `members` and installs a view of `next` (none: a dissolve), on `to`
+    /// for a switch, and takes part in it. The successor's id is taken now,
+    /// before any `Stop` on the group's HWG, so the `seq_floor` this node
+    /// advertises covers it.
+    pub(crate) fn start_flush(
+        &mut self,
+        ctx: &mut dyn Transport,
+        lwg: LwgId,
+        members: Vec<NodeId>,
+        next: Vec<NodeId>,
+        to: Option<HwgId>,
+    ) {
+        let Some(mut state) = self.dir.get_mut(lwg) else {
+            return;
+        };
+        let (Some(view), Some(hwg)) = (state.view.as_ref().map(|v| v.id), state.hwg) else {
             return;
         };
         let flush = LFlushId {
             initiator: self.me,
-            nonce,
+            nonce: state.take_flush_nonce(),
         };
-        ctx.emit(|| LwgProtocolEvent::FlushStart {
-            lwg,
-            flush,
-            members: members.clone(),
+        let next = (!next.is_empty()).then(|| {
+            let id = ViewId::new(self.me, state.take_view_seq());
+            View::with_predecessors(id, next, vec![view])
         });
-        ctx.metrics().incr(keys::FLUSHES);
-        // Barrier: the flush announcement must not overtake our own
-        // buffered data for the closing view.
-        self.flush_pack(ctx, hwg, FlushReason::Barrier);
-        self.substrate.send(
-            ctx,
+        // The initiator takes part at once: until its own `Flush` comes
+        // back, it starts no other.
+        let req = FlushReq {
+            flush,
             hwg,
-            wire::frame(&LwgMsg::Flush {
+            view,
+            members: members.clone(),
+            next: next.clone(),
+            to,
+        };
+        state.begin_flush(req, ctx.now());
+        drop(state);
+        if to.is_none() {
+            ctx.emit(|| LwgProtocolEvent::FlushStart {
                 lwg,
                 flush,
-                members,
-            }),
-        );
+                members: members.clone(),
+                next: next.clone(),
+            });
+            ctx.metrics().incr(keys::FLUSHES);
+        }
+        // Barrier: the flush must not overtake our own buffered data for
+        // the closing view.
+        self.flush_pack(ctx, hwg, FlushReason::Barrier);
+        let msg = LwgMsg::Flush {
+            lwg,
+            flush,
+            view,
+            members,
+            next,
+            to,
+        };
+        self.substrate.send(ctx, hwg, wire::frame(&msg));
     }
 
     /// Drops the flush or switch in flight on `lwg`. It froze the data
@@ -485,20 +437,6 @@ impl<S: HwgSubstrate> LwgService<S> {
         let pending = self.dir.get_mut(lwg).map(|mut s| s.abandon());
         for data in pending.into_iter().flatten() {
             self.send(ctx, lwg, data);
-        }
-    }
-
-    pub(crate) fn handle_dissolved(
-        &mut self,
-        ctx: &mut dyn Transport,
-        lwg: LwgId,
-        flush: LFlushId,
-    ) {
-        let leaving = self.dir.get(lwg).is_some_and(|s| {
-            s.phase == Phase::Leaving || s.flush().is_some_and(|f| f.flush == flush)
-        });
-        if leaving {
-            self.depart(ctx, lwg);
         }
     }
 

@@ -13,7 +13,7 @@ plwg_sim::metric_keys! {
     pub const VIEWS_INSTALLED: CounterKey = "lwg.views_installed";
     /// LWG-level flush rounds started by a coordinator.
     pub const FLUSHES: CounterKey = "lwg.flushes";
-    /// Pruned views announced (members fell out of the backing HWG).
+    /// Pruned views computed (members fell out of the backing HWG).
     pub const PRUNES: CounterKey = "lwg.prunes";
     /// Switches started (policy, reconciliation or operator initiated).
     pub const SWITCHES: CounterKey = "lwg.switches";
@@ -28,7 +28,7 @@ plwg_sim::metric_keys! {
     pub const MERGE_VIEWS_SENT: CounterKey = "lwg.merge_views_sent";
     /// Merge rounds observed (first `MergeViews` per round).
     pub const MERGE_VIEWS_OBSERVED: CounterKey = "lwg.merge_views_observed";
-    /// Merged views computed and announced after a MERGE-VIEWS flush.
+    /// Merged views computed after a MERGE-VIEWS flush.
     pub const VIEWS_MERGED: CounterKey = "lwg.views_merged";
     /// LWGs a merge round deferred: a view came only by id, and no view
     /// that came in full names it as a predecessor.

@@ -348,12 +348,20 @@ impl<S: HwgSubstrate> LwgService<S> {
             self.maybe_start_lwg_flush(ctx, lwg);
         }
 
+        // A flush's successor stays advertised in full for one to two ticks
+        // at the members that do not coordinate it (see `MergeRound`).
+        for round in self.rounds.values_mut() {
+            round.aged = std::mem::take(&mut round.fresh);
+        }
+
         // LWG flush / switch watchdogs.
+        self.foreign_switches
+            .retain(|_, (.., since)| now.saturating_since(*since) < LWG_FLUSH_TIMEOUT);
         for lwg in self.dir.watched_ids() {
             let timed_out = self
                 .dir
                 .get(lwg)
-                .and_then(LwgState::started_at)
+                .and_then(|s| Some(s.flush()?.started_at))
                 .is_some_and(|t| now.saturating_since(t) >= LWG_FLUSH_TIMEOUT);
             if !timed_out {
                 continue;

@@ -30,7 +30,7 @@
 //! [`LwgService::stopped_on`]). At the round it counts the new seq as
 //! taken, as does a node that moved on from a listed view, so no id of a
 //! group repeats. The install drops the flush or switch a member ran from
-//! a predecessor, whose late announcement succeeds no view held any more.
+//! a predecessor, and so does a joiner that followed one.
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -134,9 +134,10 @@ impl<S: HwgSubstrate> LwgService<S> {
 
     /// Whether this node has answered a flush `Stop` on `hwg` whose view
     /// has not arrived yet. Its advertisement is out, and the merge round
-    /// weighs that: a successor of an advertised view announced now could
-    /// be merged away or forked by the round, and its seq could pass the
-    /// advertised `seq_floor`, so it waits for the view.
+    /// weighs that: a flush's successor installed now could be merged away
+    /// or forked by the round, and a flush started now would arrive after
+    /// it, from a view the round may replace (and its seq could pass the
+    /// advertised `seq_floor`), so both wait for the view.
     pub(crate) fn stopped_on(&self, hwg: Option<HwgId>) -> bool {
         hwg.and_then(|h| self.rounds.get(&h))
             .is_some_and(|round| round.stopped)
@@ -153,6 +154,21 @@ impl<S: HwgSubstrate> LwgService<S> {
         hview: &View,
     ) -> BTreeSet<LwgId> {
         let mut installed = BTreeSet::new();
+        // A flush whose acknowledgements are all in completed at every
+        // member by this view: they were sent in the closing one. Where the
+        // round lists its successor, a member completed it before its
+        // `Stop`; each installs it before the round weighs the group, still
+        // stopped, so that no flush starts from it before the round.
+        for lwg in self.dir.watched_ids() {
+            let lf = self.dir.get(lwg).and_then(|s| s.flush());
+            let next = lf
+                .filter(|lf| lf.complete())
+                .and_then(|lf| lf.req.next.as_ref());
+            let round = self.rounds.get(&hwg);
+            if next.is_some_and(|v| round.is_some_and(|r| r.collected.contains_key(&(lwg, v.id)))) {
+                self.conclude_lwg_flush(ctx, lwg);
+            }
+        }
         let Some(round) = self.rounds.remove(&hwg) else {
             return installed;
         };
@@ -251,7 +267,9 @@ impl<S: HwgSubstrate> LwgService<S> {
     /// creator counts the seq as taken, its first member reports it, and a
     /// holder of a predecessor (or a listed joiner over `hwg`) installs it,
     /// a pruned one only if not switching: the switched view may be
-    /// installed elsewhere already. Returns whether this node installed it.
+    /// installed elsewhere already. Whoever else follows a flush of a
+    /// predecessor, a joiner of it, drops that flush: its members drop it
+    /// by installing `next`. Returns whether this node installed it.
     fn install_merged(
         &mut self,
         ctx: &mut dyn Transport,
@@ -267,12 +285,14 @@ impl<S: HwgSubstrate> LwgService<S> {
             state.bump_view_seq(next.id.seq);
         }
         let merge = next.predecessors.len() > 1;
-        let switching = state.switch().is_some() || state.followed().is_some();
-        let takes_part = state.hwg == Some(hwg)
-            && (merge || !switching)
+        let applies = merge || state.followed().is_none();
+        let takes_part = applies
+            && state.hwg == Some(hwg)
             && state.view.as_ref().map_or(next.contains(self.me), |v| {
                 next.predecessors.contains(&v.id)
             });
+        let flushed = state.flush().map(|lf| lf.req.view);
+        let drops = applies && flushed.is_some_and(|v| next.predecessors.contains(&v));
         drop(state);
         if next.members.first() == Some(&self.me) {
             ctx.emit(|| match merge {
@@ -295,6 +315,8 @@ impl<S: HwgSubstrate> LwgService<S> {
         }
         if takes_part {
             self.install_lwg_view(ctx, lwg, next, hwg);
+        } else if drops {
+            self.drop_flush(ctx, lwg);
         }
         takes_part
     }
@@ -313,7 +335,7 @@ impl<S: HwgSubstrate> LwgService<S> {
     /// round reconciles the switched view instead.
     pub(crate) fn all_views_advert(&self, hwg: HwgId) -> Option<Payload> {
         let hview = self.substrate.view_of(hwg)?;
-        let deferred = self.rounds.get(&hwg).map(|round| &round.deferred);
+        let round = self.rounds.get(&hwg);
         let mut seq_floor = 0;
         let mapped: Vec<(LwgId, &View, bool)> = self
             .dir
@@ -322,13 +344,12 @@ impl<S: HwgSubstrate> LwgService<S> {
             .filter_map(|l| {
                 let state = self.dir.get(l)?;
                 seq_floor = seq_floor.max(state.next_view_seq);
-                if state.switch().is_some() || state.followed().is_some() {
+                if state.followed().is_some() {
                     return None;
                 }
                 let view = state.view.as_ref()?;
                 let coordinator = view.members.iter().find(|&&m| hview.contains(m));
-                let full =
-                    coordinator == Some(&self.me) || deferred.is_some_and(|d| d.contains(&l));
+                let full = coordinator == Some(&self.me) || round.is_some_and(|r| r.full(l));
                 Some((l, view, full))
             })
             .collect();

@@ -10,6 +10,23 @@ use plwg_naming::{NameServer, NamingConfig};
 use plwg_sim::{Encode, SimRng, World, WorldConfig};
 use std::collections::{BTreeMap, BTreeSet};
 
+/// The `Flush` that admits a joiner to `view` of `lwg` through the join
+/// path: `view` is its successor, and it awaits no `FlushOk`.
+fn admit(lwg: LwgId, view: View) -> LwgMsg {
+    let src = view.coordinator();
+    LwgMsg::Flush {
+        lwg,
+        flush: LFlushId {
+            initiator: src,
+            nonce: 0,
+        },
+        view: ViewId::new(src, 0),
+        members: vec![],
+        next: Some(view),
+        to: None,
+    }
+}
+
 /// The reference filter: for every pair of views, a walk of the
 /// predecessor edges through the collected views with an explicit
 /// stack and visited set. Empty when fewer than two views are
@@ -168,8 +185,9 @@ fn a_view_advertised_by_id_defers_only_an_unexplained_rival() {
     );
 }
 
-/// A holder that does not coordinate a view advertises it by id, and
-/// in full once the last round deferred its group.
+/// A holder that does not coordinate a view advertises it in full just
+/// after it installed it at a flush's acknowledgements, then by id two
+/// ticks on, and in full again once the last round deferred its group.
 #[test]
 fn a_deferred_group_is_advertised_in_full() {
     let mut w = World::new(WorldConfig::default());
@@ -192,18 +210,8 @@ fn a_deferred_group_is_advertised_in_full() {
         let view = View::initial(ViewId::new(coordinator, 1), vec![coordinator, me]);
         svc.hwg_stack_mut().inject_view(hwg, view.clone());
         svc.join(ctx, lwg);
-        let flush = LFlushId {
-            initiator: coordinator,
-            nonce: 1,
-        };
-        let announce = LwgMsg::NewLwgView {
-            lwg,
-            flush,
-            view,
-            hwg,
-        };
         svc.hwg_stack_mut()
-            .inject_data(hwg, coordinator, announce.to_frame());
+            .inject_data(hwg, coordinator, admit(lwg, view).to_frame());
         svc.pump(ctx);
         let lists = |svc: &LwgService<ScriptedHwg>| {
             let frame = svc.all_views_advert(hwg).expect("one view");
@@ -212,11 +220,16 @@ fn a_deferred_group_is_advertised_in_full() {
                 _ => None,
             }
         };
+        let fresh = lists(svc);
+        for _ in 0..2 {
+            svc.tick(ctx);
+        }
         let by_id = lists(svc);
         svc.rounds.entry(hwg).or_default().deferred.insert(lwg);
-        (by_id, lists(svc))
+        (fresh, by_id, lists(svc))
     });
-    assert_eq!(advertised, (Some((0, 1)), Some((1, 0))));
+    let (full, by_id) = (Some((1, 0)), Some((0, 1)));
+    assert_eq!(advertised, (full, by_id, full));
 }
 
 /// The creator rule: the merged id belongs to the lowest node of the
@@ -312,17 +325,8 @@ fn a_creator_that_moved_on_counts_the_merged_seq_as_taken() {
             .inject_view(hwg, View::initial(ViewId::new(c, 1), vec![c]));
         svc.join(ctx, lwg);
         let held = View::with_predecessors(ViewId::new(c, 2), vec![c], vec![ViewId::new(c, 1)]);
-        let flush = LFlushId {
-            initiator: c,
-            nonce: 1,
-        };
-        let announce = LwgMsg::NewLwgView {
-            lwg,
-            flush,
-            view: held,
-            hwg,
-        };
-        svc.hwg_stack_mut().inject_data(hwg, c, announce.to_frame());
+        svc.hwg_stack_mut()
+            .inject_data(hwg, c, admit(lwg, held).to_frame());
         svc.pump(ctx);
         let preds = vec![ViewId::new(c, 1), ViewId::new(NodeId(7), 1)];
         let merged = View::with_predecessors(ViewId::new(c, 5), vec![c], preds);
@@ -420,15 +424,15 @@ fn a_holder_of_a_view_the_round_does_not_weigh_prunes_nothing() {
     assert_eq!(w.metrics().counter(keys::PRUNES), 0);
 }
 
-/// The future creator `c` had taken seq 2 for the view of its flush
-/// `f`, in which `x` takes part, when the merge round's `Stop` came:
-/// the announcement of `(c, 2)` was still on its way, so `c`
-/// advertised `(c, 1)` in full. The round merges `(c, 1)` with `b`'s
-/// view into `(c, 3)`, past the announced seq, and every member
-/// installs it at the HWG view. The late announcement then succeeds no
-/// view anyone holds, and every member ignores it.
+/// The future creator `c` had taken seq 2 for the successor of its
+/// flush `f`, in which `x` takes part, when the merge round's `Stop`
+/// came: each member's `FlushOk` was still on its way to the other, so
+/// both hold the install and `c` advertised `(c, 1)` in full. The round
+/// merges `(c, 1)` with `b`'s view into `(c, 3)`, past the successor's
+/// seq, and every member installs it at the HWG view; that drops `f`,
+/// whose successor nobody installs.
 #[test]
-fn a_merged_id_passes_the_seq_of_a_superseded_announcement() {
+fn a_merged_id_passes_the_seq_of_a_flush_the_round_drops() {
     let mut cfg = WorldConfig {
         trace: true,
         ..WorldConfig::default()
@@ -472,16 +476,7 @@ fn a_merged_id_passes_the_seq_of_a_superseded_announcement() {
         w.invoke(node, |n: &mut LwgNode<ScriptedHwg>, ctx| {
             n.service().join(ctx, lwg);
         });
-        let announce = LwgMsg::NewLwgView {
-            lwg,
-            flush: LFlushId {
-                initiator: view.id.coordinator,
-                nonce: 1,
-            },
-            view: view.clone(),
-            hwg,
-        };
-        deliver(&mut w, node, view.id.coordinator, announce);
+        deliver(&mut w, node, view.id.coordinator, admit(lwg, view.clone()));
     }
 
     let flush = LFlushId {
@@ -489,29 +484,22 @@ fn a_merged_id_passes_the_seq_of_a_superseded_announcement() {
         nonce: 1,
     };
     let members = vec![c, x];
+    let next = View::with_predecessors(ViewId::new(c, 2), members.clone(), vec![vc.id]);
     for &node in &members {
-        let members = members.clone();
-        deliver(
-            &mut w,
-            node,
-            c,
-            LwgMsg::Flush {
-                lwg,
-                flush,
-                members,
-            },
-        );
+        let msg = LwgMsg::Flush {
+            lwg,
+            flush,
+            view: vc.id,
+            members: members.clone(),
+            next: Some(next.clone()),
+            to: None,
+        };
+        deliver(&mut w, node, c, msg);
     }
     let taken = w.invoke(c, move |n: &mut LwgNode<ScriptedHwg>, _| {
         n.service().dir.get_mut(lwg).map(|mut s| s.take_view_seq())
     });
     assert_eq!(taken, Some(2));
-    let late = LwgMsg::NewLwgView {
-        lwg,
-        flush,
-        view: View::with_predecessors(ViewId::new(c, 2), vec![c, x], vec![vc.id]),
-        hwg,
-    };
     for &node in &apps {
         w.invoke(node, |n: &mut LwgNode<ScriptedHwg>, ctx| {
             n.service().hwg_stack_mut().inject_stop(hwg);
@@ -532,10 +520,6 @@ fn a_merged_id_passes_the_seq_of_a_superseded_announcement() {
     assert_eq!(merged.id, ViewId::new(c, 3), "past the announced (c, 2)");
     assert_eq!(merged.members, vec![c, x, b]);
     assert_eq!(merged.predecessors, vec![vc.id, vb.id]);
-    for &node in &apps {
-        assert_eq!(view_at(&mut w, node).as_ref(), Some(&merged), "at {node}");
-        deliver(&mut w, node, c, late.clone());
-    }
     w.run_for(plwg_sim::SimDuration::from_millis(50));
     for &node in &apps {
         assert_eq!(view_at(&mut w, node).as_ref(), Some(&merged), "at {node}");

@@ -3,6 +3,11 @@
 //! Most of these travel *inside* HWG multicasts (the payload of a
 //! [`plwg_vsync::VsMsg::Data`]); `Redirect` is the only one sent directly
 //! node-to-node (the forward-pointer reply of paper §3.1).
+//!
+//! None of them announces an LWG view: every member computes each view it
+//! installs — a flush's successor from the `Flush` that names it, once
+//! the flush's acknowledgements are in, and a merged or pruned view from
+//! the `AllViews` round of the HWG view that implies it.
 
 use plwg_hwg::{HwgId, View, ViewId};
 use plwg_naming::LwgId;
@@ -63,20 +68,32 @@ pub enum LwgMsg {
         /// Group to leave.
         lwg: LwgId,
     },
-    /// LWG-level flush: members stop sending on `lwg` and answer
+    /// LWG-level flush of `view`, which installs `next` (a join, leave or
+    /// dissolve) or re-maps the group onto `to` (a switch, paper §3 and
+    /// §6.2). Members stop sending on `lwg` and answer
     /// [`LwgMsg::FlushOk`]. Because the HWG multicast is FIFO per sender, a
     /// member that has seen every `FlushOk` has also seen every message
     /// sent before them — the flush makes "all in-transit messages
     /// delivered before the new view" (paper §3.1) without touching the
-    /// HWG.
+    /// HWG. Every member, and every joiner `next` lists, then installs
+    /// `next` itself: no view is announced.
     Flush {
         /// The group being flushed.
         lwg: LwgId,
         /// Round identifier.
         flush: LFlushId,
-        /// Members of the view being flushed (the set whose `FlushOk`s are
-        /// awaited).
+        /// The view being flushed: only its holders follow the flush.
+        view: ViewId,
+        /// Members of `view` in the HWG view (the set whose `FlushOk`s
+        /// are awaited).
         members: Vec<NodeId>,
+        /// The successor view, named when the flush starts, with `view`
+        /// as its one predecessor; `None` when every member left and the
+        /// group dissolves.
+        next: Option<View>,
+        /// For a switch, the target HWG: `next` is installed there once
+        /// each of its members reported [`LwgMsg::SwitchReady`] on it.
+        to: Option<HwgId>,
     },
     /// A member's confirmation that it stopped sending in the old view.
     FlushOk {
@@ -84,34 +101,6 @@ pub enum LwgMsg {
         lwg: LwgId,
         /// Round identifier.
         flush: LFlushId,
-    },
-    /// Installs the successor view of an LWG flush (join, leave or
-    /// switch): the receiver waits until the flush's `FlushOk`s are
-    /// complete. A merged or pruned view is never announced: every member
-    /// computes it from the `AllViews` round of the HWG view that implies
-    /// it.
-    NewLwgView {
-        /// The group.
-        lwg: LwgId,
-        /// The flush this view concludes.
-        flush: LFlushId,
-        /// The view to install.
-        view: View,
-        /// The HWG the view is mapped onto.
-        hwg: HwgId,
-    },
-    /// Coordinator tells the members of `lwg` to re-map onto `to`: the
-    /// switching protocol (paper §3, §6.2). Doubles as a `Flush` of the
-    /// old mapping.
-    SwitchTo {
-        /// The group being switched.
-        lwg: LwgId,
-        /// Flush round on the *old* HWG.
-        flush: LFlushId,
-        /// Target HWG.
-        to: HwgId,
-        /// Members expected to move.
-        members: Vec<NodeId>,
     },
     /// A member reports (on the *target* HWG) that it has joined and is
     /// ready to install the switched view.
@@ -138,14 +127,6 @@ pub enum LwgMsg {
         /// sender took for one of them has a larger seq. A merged view
         /// the sender creates takes the next one.
         seq_floor: u64,
-    },
-    /// The group dissolved: every member of the flushed view asked to
-    /// leave, so there is no successor view.
-    Dissolved {
-        /// The group.
-        lwg: LwgId,
-        /// The flush this concludes.
-        flush: LFlushId,
     },
     /// Forward-pointer reply (paper §3.1): the LWG asked about has been
     /// switched to `to`; sent directly to a joiner that used an outdated
@@ -264,14 +245,12 @@ impl fmt::Debug for LwgMsg {
             LwgMsg::Batch { entries } => write!(f, "LBatch({} msgs)", entries.len()),
             LwgMsg::JoinReq { lwg } => write!(f, "LJoinReq({lwg})"),
             LwgMsg::LeaveReq { lwg } => write!(f, "LLeaveReq({lwg})"),
-            LwgMsg::Flush { lwg, flush, .. } => write!(f, "LFlush({lwg},{flush})"),
+            LwgMsg::Flush { lwg, flush, to, .. } => match to {
+                Some(to) => write!(f, "LFlush({lwg},{flush}->{to})"),
+                None => write!(f, "LFlush({lwg},{flush})"),
+            },
             LwgMsg::FlushOk { lwg, flush } => write!(f, "LFlushOk({lwg},{flush})"),
-            LwgMsg::NewLwgView { lwg, view, hwg, .. } => {
-                write!(f, "LNewView({lwg},{view} on {hwg})")
-            }
-            LwgMsg::SwitchTo { lwg, to, .. } => write!(f, "LSwitchTo({lwg}->{to})"),
             LwgMsg::SwitchReady { lwg, .. } => write!(f, "LSwitchReady({lwg})"),
-            LwgMsg::Dissolved { lwg, .. } => write!(f, "LDissolved({lwg})"),
             LwgMsg::MergeViews => write!(f, "LMergeViews"),
             LwgMsg::AllViews { views, held, .. } => {
                 write!(f, "LAllViews({} views, {} held)", views.len(), held.len())

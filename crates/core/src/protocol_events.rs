@@ -26,14 +26,6 @@ pub enum LwgProtocolEvent {
         /// The dissolved group.
         lwg: LwgId,
     },
-    /// Coordinator: all `FlushOk`s are in — the successor view is being
-    /// announced (join/leave path).
-    ViewAnnounce {
-        /// The group.
-        lwg: LwgId,
-        /// The announced successor view.
-        view: View,
-    },
     /// First member of a pruned view: the round of the HWG view that
     /// dropped some of the members of `view`'s predecessor computed it at
     /// every holder (no LWG flush, no announcement).
@@ -52,7 +44,8 @@ pub enum LwgProtocolEvent {
         /// The HWG the view is mapped onto.
         hwg: HwgId,
     },
-    /// Coordinator started an LWG flush round.
+    /// Coordinator started an LWG flush round, naming the successor view
+    /// every member installs once the `FlushOk`s are in.
     FlushStart {
         /// The group being flushed.
         lwg: LwgId,
@@ -60,6 +53,8 @@ pub enum LwgProtocolEvent {
         flush: LFlushId,
         /// Members whose `FlushOk`s are awaited.
         members: Vec<NodeId>,
+        /// The successor view; `None` when the group dissolves.
+        next: Option<View>,
     },
     /// A flush or switch timed out and was abandoned (watchdog).
     FlushAbandon {
@@ -137,8 +132,9 @@ pub enum LwgProtocolEvent {
         /// The target HWG.
         to: HwgId,
     },
-    /// Every member reported ready on the target HWG: the switched view is
-    /// announced there.
+    /// First member of a switched view: every `FlushOk` and every member's
+    /// `SwitchReady` on the target HWG are in, and it installs the switched
+    /// view there.
     SwitchComplete {
         /// The group.
         lwg: LwgId,
@@ -199,7 +195,6 @@ impl ProtocolEvent for LwgProtocolEvent {
         match self {
             LwgProtocolEvent::JoinStart { .. } => "lwg.join.start",
             LwgProtocolEvent::Dissolve { .. } => "lwg.dissolve",
-            LwgProtocolEvent::ViewAnnounce { .. } => "lwg.view.announce",
             LwgProtocolEvent::Prune { .. } => "lwg.prune",
             LwgProtocolEvent::ViewInstall { .. } => "lwg.view.install",
             LwgProtocolEvent::FlushStart { .. } => "lwg.flush.start",
@@ -228,8 +223,7 @@ impl ProtocolEvent for LwgProtocolEvent {
             | LwgProtocolEvent::Dissolve { lwg }
             | LwgProtocolEvent::FlushAbandon { lwg }
             | LwgProtocolEvent::Rejoin { lwg } => refs.lwg = Some(lwg.0),
-            LwgProtocolEvent::ViewAnnounce { lwg, view }
-            | LwgProtocolEvent::Prune { lwg, view } => {
+            LwgProtocolEvent::Prune { lwg, view } => {
                 refs.lwg = Some(lwg.0);
                 refs.view = Some(view_key(view.id));
                 refs.parents = view.predecessors.iter().copied().map(view_key).collect();
@@ -241,9 +235,15 @@ impl ProtocolEvent for LwgProtocolEvent {
                 refs.view = Some(view_key(view.id));
                 refs.parents = view.predecessors.iter().copied().map(view_key).collect();
             }
-            LwgProtocolEvent::FlushStart { lwg, flush, .. } => {
+            LwgProtocolEvent::FlushStart {
+                lwg, flush, next, ..
+            } => {
                 refs.lwg = Some(lwg.0);
                 refs.flush = Some(lflush_key(*flush));
+                if let Some(next) = next {
+                    refs.view = Some(view_key(next.id));
+                    refs.parents = next.predecessors.iter().copied().map(view_key).collect();
+                }
             }
             LwgProtocolEvent::Claim { lwg, planned, hwg } => {
                 refs.lwg = Some(lwg.0);
@@ -306,16 +306,20 @@ impl ProtocolEvent for LwgProtocolEvent {
             | LwgProtocolEvent::Dissolve { lwg }
             | LwgProtocolEvent::FlushAbandon { lwg }
             | LwgProtocolEvent::Rejoin { lwg } => format!("{lwg}"),
-            LwgProtocolEvent::ViewAnnounce { lwg, view }
-            | LwgProtocolEvent::Prune { lwg, view } => {
-                format!("{lwg} {view}")
-            }
+            LwgProtocolEvent::Prune { lwg, view } => format!("{lwg} {view}"),
             LwgProtocolEvent::ViewInstall { lwg, view, hwg } => format!("{lwg} {view} on {hwg}"),
             LwgProtocolEvent::FlushStart {
                 lwg,
                 flush,
                 members,
-            } => format!("{lwg} {flush} members {members:?}"),
+                next: Some(next),
+            } => format!("{lwg} {flush} members {members:?} -> {next}"),
+            LwgProtocolEvent::FlushStart {
+                lwg,
+                flush,
+                members,
+                next: None,
+            } => format!("{lwg} {flush} members {members:?} -> dissolve"),
             LwgProtocolEvent::Claim { lwg, planned, hwg } => format!("{lwg} {planned} on {hwg}"),
             LwgProtocolEvent::Found { lwg, view, hwg } => format!("{lwg} {view} on {hwg}"),
             LwgProtocolEvent::Reconcile {
@@ -373,7 +377,9 @@ mod tests {
     }
 
     #[test]
-    fn flush_start_carries_flush_key() {
+    fn flush_start_carries_flush_key_and_successor() {
+        let (from, id) = (ViewId::new(NodeId(5), 3), ViewId::new(NodeId(5), 4));
+        let next = View::with_predecessors(id, vec![NodeId(5), NodeId(7)], vec![from]);
         let e = LwgProtocolEvent::FlushStart {
             lwg: LwgId(2),
             flush: LFlushId {
@@ -381,10 +387,19 @@ mod tests {
                 nonce: 9,
             },
             members: vec![NodeId(5), NodeId(6)],
+            next: Some(next),
         };
         assert_eq!(e.kind(), "lwg.flush.start");
-        assert_eq!(e.refs().flush, Some((5, 9)));
-        assert_eq!(e.detail(), "lwg2 n5~9 members [NodeId(5), NodeId(6)]");
+        let refs = e.refs();
+        assert_eq!(refs.flush, Some((5, 9)));
+        assert_eq!(
+            (refs.view, refs.parents),
+            (Some(view_key(id)), vec![view_key(from)])
+        );
+        assert_eq!(
+            e.detail(),
+            "lwg2 n5~9 members [NodeId(5), NodeId(6)] -> n5#4{n5,n7}"
+        );
     }
 
     #[test]

@@ -20,9 +20,11 @@ use crate::batch::{FlushReason, PackBuffer};
 use crate::config::LwgConfig;
 use crate::directory::{DirCounters, GroupDirectory};
 use crate::events::LwgEvent;
-use crate::msg::LwgMsg;
+use crate::msg::{LFlushId, LwgMsg};
 use crate::protocol_events::LwgProtocolEvent;
-use crate::state::{ForeignTag, LwgStatus, MergeRound, NsPurpose, Phase, ServiceStats};
+use crate::state::{
+    Ack, FlushReq, ForeignTag, LwgStatus, MergeRound, NsPurpose, Phase, ServiceStats,
+};
 use crate::wire;
 use plwg_hwg::{HwgEvent, HwgId, HwgSubstrate, View};
 use plwg_naming::{LwgId, NsClient, RequestId};
@@ -59,6 +61,10 @@ pub struct LwgService<S: HwgSubstrate> {
     pub(crate) foreign: Vec<ForeignTag>,
     /// HWGs with no local LWG mapped, and since when (shrink rule).
     pub(crate) idle_hwgs: BTreeMap<HwgId, SimTime>,
+    /// Switches, `(flush, target, since)`, of views this node does not
+    /// hold that list it (see [`crate::switch`]): it reports ready on the
+    /// target like a follower, until the flush watchdog's span has passed.
+    pub(crate) foreign_switches: BTreeMap<LwgId, (LFlushId, HwgId, SimTime)>,
     pub(crate) last_ns_poll: SimTime,
     /// Last time the rebalancer ran (rate limit; see [`crate::rebalance`]).
     pub(crate) last_rebalance: SimTime,
@@ -105,6 +111,7 @@ impl<S: HwgSubstrate> LwgService<S> {
             ns_lookups: BTreeMap::new(),
             foreign: Vec::new(),
             idle_hwgs: BTreeMap::new(),
+            foreign_switches: BTreeMap::new(),
             last_ns_poll: SimTime::ZERO,
             last_rebalance: SimTime::ZERO,
             last_merge_views: BTreeMap::new(),
@@ -411,7 +418,7 @@ impl<S: HwgSubstrate> LwgService<S> {
 
         // Barrier (belt and braces — the Stop upcall already flushed):
         // anything still buffered is multicast now, entirely inside the
-        // new view, before any announcement below.
+        // new view, before anything the steps below send.
         self.flush_pack(ctx, hwg, FlushReason::Barrier);
 
         // 1. Joiners waiting for this HWG ask for admission now (the
@@ -427,13 +434,19 @@ impl<S: HwgSubstrate> LwgService<S> {
             }
         }
 
-        // 2. Members following a switch to this HWG report readiness.
-        for lwg in self.dir.switching_to(hwg) {
-            let flush = self.dir.get(lwg).and_then(|s| s.followed()).map(|f| f.0);
-            if let Some(flush) = flush.filter(|_| hview.contains(self.me)) {
-                self.substrate
-                    .send(ctx, hwg, wire::frame(&LwgMsg::SwitchReady { lwg, flush }));
-            }
+        // 2. Members following a switch to this HWG report readiness, and
+        //    so do the members listed in one they do not follow.
+        let following = self.dir.switching_to(hwg).into_iter().filter_map(|lwg| {
+            let (flush, _) = self.dir.get(lwg)?.followed()?;
+            Some((lwg, flush))
+        });
+        let listed = (self.foreign_switches.iter())
+            .filter(|(_, (_, to, _))| *to == hwg)
+            .map(|(&lwg, &(flush, ..))| (lwg, flush));
+        let ready: Vec<(LwgId, LFlushId)> = following.chain(listed).collect();
+        for (lwg, flush) in ready.into_iter().filter(|_| hview.contains(self.me)) {
+            self.substrate
+                .send(ctx, hwg, wire::frame(&LwgMsg::SwitchReady { lwg, flush }));
         }
 
         // 3. Merge round: the flush that produced this view carried every
@@ -450,7 +463,8 @@ impl<S: HwgSubstrate> LwgService<S> {
             self.trigger_merge_views(ctx, hwg);
         }
 
-        // 5. Coordinators refresh the naming service with the new HWG view
+        // 5. Installs held back while this node was stopped conclude now.
+        //    Coordinators refresh the naming service with the new HWG view
         //    (paper Table 4 stage 2), and flush a view the round could not
         //    prune.
         //
@@ -458,14 +472,15 @@ impl<S: HwgSubstrate> LwgService<S> {
         //    views, and the other side's name server would answer each with
         //    a callback. The next HWG view (the round's) refreshes the rest.
         for lwg in self.dir.mapped_on(hwg) {
-            // A view installed by step 3 was registered by its coordinator
-            // there, and lists only members of this view.
-            if self.lwg_coordinator(lwg) != Some(self.me) || installed.contains(&lwg) {
+            // A view installed by step 3 or here was registered by its
+            // coordinator at the install, and lists only members of this
+            // view.
+            if installed.contains(&lwg) || self.try_conclude_lwg_flush(ctx, lwg) {
                 continue;
             }
-            // Announcements held back while this node was stopped.
-            self.try_conclude_lwg_flush(ctx, lwg);
-            self.try_complete_switch(ctx, lwg);
+            if self.lwg_coordinator(lwg) != Some(self.me) {
+                continue;
+            }
             let whole = |v: &View| v.members.iter().all(|&m| hview.contains(m));
             let whole = self.view_of(lwg).is_some_and(whole);
             if whole && hview.predecessors.len() < 2 {
@@ -509,37 +524,26 @@ impl<S: HwgSubstrate> LwgService<S> {
             LwgMsg::Flush {
                 lwg,
                 flush,
-                members,
-            } => self.handle_lwg_flush(ctx, hwg, *lwg, *flush, members.clone(), None),
-            LwgMsg::FlushOk { lwg, flush } => {
-                if self
-                    .dir
-                    .get_mut(*lwg)
-                    .is_some_and(|mut s| s.ack(*flush, from))
-                {
-                    self.try_conclude_lwg_flush(ctx, *lwg);
-                }
-            }
-            LwgMsg::NewLwgView {
-                lwg,
-                flush,
                 view,
-                hwg: on_hwg,
-            } => self.handle_new_lwg_view(ctx, *lwg, *flush, view.clone(), *on_hwg),
-            LwgMsg::SwitchTo {
-                lwg,
-                flush,
-                to,
                 members,
+                next,
+                to,
             } => {
-                // A switch doubles as a flush of the old mapping…
-                self.handle_lwg_flush(ctx, hwg, *lwg, *flush, members.clone(), Some(*to));
-            }
-            LwgMsg::SwitchReady { lwg, flush } => {
-                if let Some(mut state) = self.dir.get_mut(*lwg) {
-                    state.ready(*flush, from);
+                if let Some(hwg) = hwg {
+                    let req = FlushReq {
+                        flush: *flush,
+                        hwg,
+                        view: *view,
+                        members: members.clone(),
+                        next: next.clone(),
+                        to: *to,
+                    };
+                    self.handle_lwg_flush(ctx, *lwg, req);
                 }
-                self.try_complete_switch(ctx, *lwg);
+            }
+            LwgMsg::FlushOk { lwg, flush } => self.handle_ack(ctx, *lwg, *flush, Ack::Ok, from),
+            LwgMsg::SwitchReady { lwg, flush } => {
+                self.handle_ack(ctx, *lwg, *flush, Ack::Ready, from);
             }
             LwgMsg::MergeViews => self.handle_merge_views_msg(ctx, hwg),
             LwgMsg::AllViews {
@@ -547,7 +551,6 @@ impl<S: HwgSubstrate> LwgService<S> {
                 held,
                 seq_floor,
             } => self.handle_all_views(hwg, from, views, held, *seq_floor),
-            LwgMsg::Dissolved { lwg, flush } => self.handle_dissolved(ctx, *lwg, *flush),
             LwgMsg::Redirect { lwg, to } => self.handle_redirect(ctx, *lwg, *to),
         }
     }

@@ -49,57 +49,84 @@ impl Phase {
     }
 }
 
-/// Member-side state of an in-progress LWG flush (join/leave/switch).
-#[derive(Debug)]
-pub(crate) struct LwgFlush {
+/// A delivered [`crate::LwgMsg::Flush`]: the flush of `view` that installs
+/// `next` (on `to` for a switch), as it arrived on `hwg`.
+#[derive(Debug, Clone)]
+pub(crate) struct FlushReq {
     pub(crate) flush: LFlushId,
+    /// The HWG it arrived on: acknowledgements go there, and while this
+    /// node is stopped on it, the install waits (see
+    /// [`crate::LwgService::stopped_on`]).
+    pub(crate) hwg: HwgId,
+    /// The view being flushed.
+    pub(crate) view: ViewId,
     /// Members whose `FlushOk` is awaited.
     pub(crate) members: Vec<NodeId>,
-    pub(crate) oks: BTreeSet<NodeId>,
-    /// The successor view, once announced.
-    pub(crate) new_view: Option<(View, HwgId)>,
-    pub(crate) started_at: SimTime,
+    /// The successor; `None` dissolves the group.
+    pub(crate) next: Option<View>,
+    /// A switch's target HWG.
+    pub(crate) to: Option<HwgId>,
 }
 
-/// A flush, `(flush, members, switch target)`, waiting for the view the
-/// flush in flight announced (see [`LwgState::begin_flush`]). Boxed: it is
-/// rare, and costs every group's state a word.
-type NextFlush = Option<Box<(LFlushId, Vec<NodeId>, Option<HwgId>)>>;
-
-/// Coordinator-side state of an in-progress switch (paper §3: the
-/// switching protocol; also step 2 of partition healing, §6.2).
+/// The LWG flush this node takes part in: a join, leave, dissolve or
+/// switch. It installs `req.next` once [`LwgFlush::complete`].
 #[derive(Debug)]
-pub(crate) struct SwitchState {
-    pub(crate) flush: LFlushId,
-    pub(crate) to: HwgId,
-    pub(crate) members: Vec<NodeId>,
+pub(crate) struct LwgFlush {
+    pub(crate) req: FlushReq,
+    /// Senders of the `FlushOk`s received.
+    pub(crate) oks: BTreeSet<NodeId>,
+    /// Senders of the `SwitchReady`s received (a switch only).
     pub(crate) ready: BTreeSet<NodeId>,
     pub(crate) started_at: SimTime,
+    /// A flush of `req.next`, waiting for its install (see
+    /// [`LwgState::begin_flush`]). Boxed: it is rare, and costs every
+    /// group's state a word.
+    pub(crate) waiting: Option<Box<FlushReq>>,
 }
 
-/// Which of the group's protocols runs at this node: an LWG flush or a
-/// switch (§3). Written only by the transitions of [`LwgState`].
-#[derive(Debug, Default)]
-enum Activity {
-    #[default]
-    Idle,
-    /// Member side of a join or leave flush.
-    Flushing { flush: LwgFlush, next: NextFlush },
-    /// Member side of a switch, `of` = its flush and target HWG: stop
-    /// data, join the target and report ready there. Until the switched
-    /// view installs, a later flush from the same view can take `flush`'s
-    /// place; the member still follows the switch.
-    Following {
-        flush: LwgFlush,
-        of: (LFlushId, HwgId),
-        next: NextFlush,
-    },
-    /// Coordinator of a switch; `own` is its member side of the same
-    /// flush, once its own `SwitchTo` arrived.
-    Switching {
-        switch: SwitchState,
-        own: Option<LwgFlush>,
-    },
+impl LwgFlush {
+    /// Whether every acknowledgement the install needs is in: a `FlushOk`
+    /// from each of `req.members` and, for a switch, a `SwitchReady` from
+    /// each member of `req.next`.
+    pub(crate) fn complete(&self) -> bool {
+        let ready = |v: &View| v.members.iter().all(|m| self.ready.contains(m));
+        self.req.members.iter().all(|m| self.oks.contains(m))
+            && (self.req.to.is_none() || self.req.next.as_ref().is_some_and(ready))
+    }
+}
+
+/// How a node meets a delivered `Flush` (see
+/// [`LwgState::begin_flush`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Part {
+    /// It follows the flush.
+    Takes,
+    /// The flush flushes the successor of the one in flight, and waits
+    /// for its install.
+    Waits,
+    /// The flush in flight supersedes it.
+    Declines,
+    /// The flush is of a view this node does not hold: a member listed in
+    /// it acknowledges it, so that it does not wait, but does not follow.
+    Foreign,
+}
+
+/// Which kind of acknowledgement of a flush a message carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Ack {
+    /// A `FlushOk`: its sender stopped sending in the flushed view.
+    Ok,
+    /// A `SwitchReady`: its sender is a member of the switch's target.
+    Ready,
+}
+
+/// Whether the flush `new` of `view` supersedes `old`, another flush of
+/// it: a more senior initiator (in view order) or a newer nonce from the
+/// same initiator.
+fn supersedes(view: Option<&View>, new: LFlushId, old: LFlushId) -> bool {
+    let rank = |m| view.and_then(|v| v.rank(m)).unwrap_or(usize::MAX);
+    rank(new.initiator) < rank(old.initiator)
+        || (new.initiator == old.initiator && new.nonce > old.nonce)
 }
 
 /// Per-LWG state at one node; a new one is reading the naming service.
@@ -119,10 +146,12 @@ pub(crate) struct LwgState {
     /// Coordinator bookkeeping.
     pub(crate) pending_joins: BTreeSet<NodeId>,
     pub(crate) pending_leaves: BTreeSet<NodeId>,
-    activity: Activity,
-    /// `FlushOk`s that arrived before their `Flush` (FIFO is per sender;
-    /// a peer's ack can overtake the coordinator's flush announcement).
-    pub(crate) early_oks: Vec<(LFlushId, NodeId)>,
+    /// The flush this node takes part in. Written only by the transitions
+    /// below.
+    flush: Option<LwgFlush>,
+    /// Acknowledgements that arrived before their `Flush` (FIFO is per
+    /// sender; a peer's ack can overtake the initiator's `Flush`).
+    pub(crate) early_acks: Vec<(LFlushId, Ack, NodeId)>,
     pub(crate) next_view_seq: u64,
     pub(crate) next_flush_nonce: u64,
 }
@@ -130,43 +159,18 @@ pub(crate) struct LwgState {
 impl LwgState {
     /// The flush this node takes part in.
     pub(crate) fn flush(&self) -> Option<&LwgFlush> {
-        match &self.activity {
-            Activity::Flushing { flush: f, .. }
-            | Activity::Following { flush: f, .. }
-            | Activity::Switching { own: Some(f), .. } => Some(f),
-            _ => None,
-        }
-    }
-
-    fn flush_mut(&mut self) -> Option<&mut LwgFlush> {
-        match &mut self.activity {
-            Activity::Flushing { flush: f, .. }
-            | Activity::Following { flush: f, .. }
-            | Activity::Switching { own: Some(f), .. } => Some(f),
-            _ => None,
-        }
-    }
-
-    /// The switch this node coordinates.
-    pub(crate) fn switch(&self) -> Option<&SwitchState> {
-        match &self.activity {
-            Activity::Switching { switch, .. } => Some(switch),
-            _ => None,
-        }
+        self.flush.as_ref()
     }
 
     /// The switch this node follows: its flush and target HWG.
     pub(crate) fn followed(&self) -> Option<(LFlushId, HwgId)> {
-        match &self.activity {
-            Activity::Following { of, .. } => Some(*of),
-            Activity::Switching { switch, own } => own.as_ref().map(|_| (switch.flush, switch.to)),
-            _ => None,
-        }
+        let req = &self.flush.as_ref()?.req;
+        Some((req.flush, req.to?))
     }
 
     /// Whether an LWG flush or a switch is in flight.
     pub(crate) fn busy(&self) -> bool {
-        !matches!(self.activity, Activity::Idle)
+        self.flush.is_some()
     }
 
     /// The view and HWG a send goes out in now, or `None` when sends are
@@ -178,157 +182,89 @@ impl LwgState {
         Some((self.view.as_ref()?.id, self.hwg?))
     }
 
-    /// When the flush or switch in flight started (the watchdog's clock). A
-    /// coordinator's own part of its switch starts after the switch.
-    pub(crate) fn started_at(&self) -> Option<SimTime> {
-        let switch = self.switch().map(|sw| sw.started_at);
-        switch.or(self.flush().map(|f| f.started_at))
-    }
-
-    /// Member side: takes part in `flush` (of a switch to `to`, when set)
-    /// unless the flush it takes part in supersedes it. As at the HWG
-    /// layer, a more senior initiator (in view order) or a newer nonce from
-    /// the same initiator supersedes. A coordinator's own `SwitchTo` makes
-    /// it take part in its switch. Returns whether it took part.
+    /// Takes part in `req` unless the flush in flight supersedes it. A
+    /// joiner (no view) follows any flush it is handed; a member only a
+    /// flush of the view it holds. As at the HWG layer, a more senior
+    /// initiator or a newer nonce from the same initiator supersedes (see
+    /// [`supersedes`]). The initiator begins its flush when it sends it,
+    /// and takes part in it again when it comes back.
     ///
-    /// An initiator starts a flush only from a view it installed, so a
-    /// newer flush from the initiator of one whose view is announced waits
-    /// as its `next`: superseding it would lose the announcement, and this
-    /// node would stay behind in the old view. Installing the view at once
-    /// would drop the old view's data still on its way ahead of the
+    /// A flush of the in-flight flush's successor waits for its install:
+    /// its initiator installed that view already, and this node must
+    /// first deliver the old view's data still on its way ahead of the
     /// missing `FlushOk`s.
-    pub(crate) fn begin_flush(
-        &mut self,
-        flush: LFlushId,
-        members: Vec<NodeId>,
-        to: Option<HwgId>,
-        now: SimTime,
-    ) -> bool {
-        if let Some(cur) = self.flush().map(|f| f.flush) {
-            let view = self.view.as_ref();
-            let rank = |m| view.and_then(|v| v.rank(m)).unwrap_or(usize::MAX);
-            let supersedes = rank(flush.initiator) < rank(cur.initiator)
-                || (flush.initiator == cur.initiator && flush.nonce > cur.nonce);
-            if !supersedes {
-                return false;
+    pub(crate) fn begin_flush(&mut self, req: FlushReq, now: SimTime) -> Part {
+        if let Some(cur) = &mut self.flush {
+            if cur.req.flush == req.flush {
+                return Part::Takes; // its initiator's own, begun when sent
             }
-            let announced = self.flush().is_some_and(|lf| lf.new_view.is_some());
-            let waits = announced && flush.initiator == cur.initiator;
-            if let Some(next) = self.next_mut().filter(|_| waits) {
-                *next = Some(Box::new((flush, members, to)));
-                return false;
+            let next = cur.req.next.as_ref();
+            if next.map(|v| v.id) == Some(req.view) {
+                if cur
+                    .waiting
+                    .as_ref()
+                    .is_none_or(|w| supersedes(next, req.flush, w.flush))
+                {
+                    cur.waiting = Some(Box::new(req));
+                }
+                return Part::Waits;
+            }
+            if cur.req.view != req.view {
+                return Part::Foreign;
+            }
+            if !supersedes(self.view.as_ref(), req.flush, cur.req.flush) {
+                return Part::Declines;
+            }
+        } else if self.view.as_ref().is_some_and(|v| v.id != req.view) {
+            return Part::Foreign;
+        }
+        let (mut oks, mut ready) = (BTreeSet::new(), BTreeSet::new());
+        for &(f, ack, from) in &self.early_acks {
+            if f == req.flush {
+                match ack {
+                    Ack::Ok => oks.insert(from),
+                    Ack::Ready => ready.insert(from),
+                };
             }
         }
-        let early = self.early_oks.iter().filter(|(f, _)| *f == flush);
-        let oks = early.map(|(_, n)| *n).collect();
-        self.early_oks.retain(|(f, _)| *f != flush);
-        let own = LwgFlush {
-            flush,
-            members,
+        self.early_acks.retain(|(f, ..)| *f != req.flush);
+        self.flush = Some(LwgFlush {
+            req,
             oks,
-            new_view: None,
+            ready,
             started_at: now,
-        };
-        let of = match (&self.activity, to) {
-            (_, Some(to)) => Some((flush, to)),
-            (Activity::Following { of, .. }, None) => Some(*of),
-            _ => None,
-        };
-        self.activity = match (std::mem::take(&mut self.activity), of) {
-            (Activity::Switching { switch, .. }, _) if switch.flush == flush => {
-                let own = Some(own);
-                Activity::Switching { switch, own }
-            }
-            (_, Some(of)) => Activity::Following {
-                flush: own,
-                of,
-                next: None,
-            },
-            (_, None) => Activity::Flushing {
-                flush: own,
-                next: None,
-            },
-        };
-        true
+            waiting: None,
+        });
+        Part::Takes
     }
 
-    /// A `FlushOk` from `from`: counted if it is for the flush in flight,
-    /// kept for that flush otherwise. Returns whether it counted.
-    pub(crate) fn ack(&mut self, flush: LFlushId, from: NodeId) -> bool {
-        let Some(lf) = self.flush_mut().filter(|lf| lf.flush == flush) else {
-            self.early_oks.push((flush, from));
+    /// An acknowledgement from `from`: counted if it is for the flush in
+    /// flight, kept for that flush otherwise. Returns whether it counted.
+    pub(crate) fn ack(&mut self, flush: LFlushId, ack: Ack, from: NodeId) -> bool {
+        let Some(lf) = self.flush.as_mut().filter(|lf| lf.req.flush == flush) else {
+            self.early_acks.push((flush, ack, from));
             return false;
         };
-        lf.oks.insert(from);
-        true
-    }
-
-    /// The successor view of the flush in flight was announced.
-    pub(crate) fn announce(&mut self, view: View, on_hwg: HwgId) {
-        if let Some(lf) = self.flush_mut() {
-            lf.new_view = Some((view, on_hwg));
-        }
-    }
-
-    /// The flush waiting for the announced view of the one in flight.
-    pub(crate) fn next_flush(&self) -> Option<&(LFlushId, Vec<NodeId>, Option<HwgId>)> {
-        match &self.activity {
-            Activity::Flushing { next, .. } | Activity::Following { next, .. } => next.as_deref(),
-            _ => None,
-        }
-    }
-
-    fn next_mut(&mut self) -> Option<&mut NextFlush> {
-        match &mut self.activity {
-            Activity::Flushing { next, .. } | Activity::Following { next, .. } => Some(next),
-            _ => None,
-        }
-    }
-
-    /// Coordinator: starts `switch`.
-    pub(crate) fn begin_switch(&mut self, switch: SwitchState) {
-        self.activity = Activity::Switching { switch, own: None };
-    }
-
-    /// A `SwitchReady` from `from` for the switch this node coordinates.
-    pub(crate) fn ready(&mut self, flush: LFlushId, from: NodeId) {
-        if let Activity::Switching { switch, .. } = &mut self.activity {
-            if switch.flush == flush {
-                switch.ready.insert(from);
-            }
-        }
-    }
-
-    /// Coordinator: the switched view is announced. The switch ends and
-    /// this node follows it like every other member.
-    pub(crate) fn complete_switch(&mut self) -> Option<SwitchState> {
-        self.switch()?;
-        let Activity::Switching { switch, own } = std::mem::take(&mut self.activity) else {
-            return None;
+        match ack {
+            Ack::Ok => lf.oks.insert(from),
+            Ack::Ready => lf.ready.insert(from),
         };
-        if let Some(flush) = own {
-            let of = (switch.flush, switch.to);
-            self.activity = Activity::Following {
-                flush,
-                of,
-                next: None,
-            };
-        }
-        Some(switch)
+        true
     }
 
     /// Drops what runs. It froze the data plane, so the sends it buffered
     /// are returned, to be released into the view that is still installed.
     pub(crate) fn abandon(&mut self) -> Vec<Payload> {
-        self.activity = Activity::Idle;
+        self.flush = None;
         std::mem::take(&mut self.pending_send)
     }
 
     /// Installs `view` on `on_hwg` and returns the sends buffered for it.
     /// Queued joins and leaves the view did not settle stay queued, and so
-    /// do the early `FlushOk`s of the flush waiting for `view`.
+    /// do the early acknowledgements of the flush waiting for `view`.
     pub(crate) fn install(&mut self, view: View, on_hwg: HwgId, me: NodeId) -> Vec<Payload> {
-        let next = self.next_flush().map(|(flush, ..)| *flush);
+        let waiting = self.flush.as_ref().and_then(|lf| lf.waiting.as_ref());
+        let waiting = waiting.map(|req| req.flush);
         if let Some(old) = &self.view {
             self.history.insert(old.id);
         }
@@ -345,8 +281,8 @@ impl LwgState {
         self.view = Some(view);
         self.hwg = Some(on_hwg);
         self.phase = Phase::Member;
-        self.activity = Activity::Idle;
-        self.early_oks.retain(|(f, _)| Some(*f) == next);
+        self.flush = None;
+        self.early_acks.retain(|(f, ..)| Some(*f) == waiting);
         std::mem::take(&mut self.pending_send)
     }
 
@@ -355,9 +291,6 @@ impl LwgState {
     pub(crate) fn check(&self) {
         let member = matches!(self.phase, Phase::Member | Phase::Leaving);
         debug_assert_eq!(member, self.view.is_some(), "{:?}", self.phase);
-        if let (Some(switch), Some(own)) = (self.switch(), self.flush()) {
-            debug_assert_eq!(switch.flush, own.flush);
-        }
     }
 
     pub(crate) fn take_view_seq(&mut self) -> u64 {
@@ -382,8 +315,8 @@ pub(crate) struct MergeRound {
     /// Whether MERGE-VIEWS was multicast/observed in this HWG view.
     pub(crate) triggered: bool,
     /// Whether this node answered the flush's `Stop`: its advertisement is
-    /// out, so until the next HWG view it announces no successor of a view
-    /// it advertised.
+    /// out, so until the next HWG view it installs no successor of a view
+    /// it advertised, and starts no flush.
     pub(crate) stopped: bool,
     /// `(lwg, view id)` → the encoded view, as first advertised in full (a
     /// sub-frame of that `AllViews` frame, decoded only if the round
@@ -395,6 +328,23 @@ pub(crate) struct MergeRound {
     /// The groups the previous round deferred: this node advertises its
     /// views of them in full.
     pub(crate) deferred: BTreeSet<LwgId>,
+    /// The groups whose view this node installed at a flush's
+    /// acknowledgements without coordinating it, since the last tick and
+    /// the one before (`aged`): advertised in full, for the coordinator
+    /// may complete the flush only after its `Stop` and advertise the
+    /// flushed view (see [`crate::merge`]).
+    pub(crate) fresh: BTreeSet<LwgId>,
+    pub(crate) aged: BTreeSet<LwgId>,
+}
+
+impl MergeRound {
+    /// Whether this node advertises its view of `lwg` in full although it
+    /// does not coordinate it.
+    pub(crate) fn full(&self, lwg: LwgId) -> bool {
+        [&self.deferred, &self.fresh, &self.aged]
+            .iter()
+            .any(|set| set.contains(&lwg))
+    }
 }
 
 /// Recently seen data tagged with an LWG view we do not know — potential
@@ -469,28 +419,35 @@ mod tests {
         SimTime::ZERO + SimDuration::from_millis(ms)
     }
 
-    /// A member of the view `{1, 2, 3}` (id `1.1`) on `H`, at node 1.
-    fn member() -> LwgState {
-        let mut s = LwgState::default();
-        let view = View::initial(ViewId::new(n(1), 1), vec![n(1), n(2), n(3)]);
-        assert!(s.install(view, H, n(1)).is_empty());
-        s.check();
-        s
-    }
-
     fn all() -> Vec<NodeId> {
         vec![n(1), n(2), n(3)]
     }
 
-    /// Node 1 switches `{1, 2, 3}` to `TO` with flush `1.1`.
-    fn switch(s: &mut LwgState) {
-        s.begin_switch(SwitchState {
-            flush: fid(1, 1),
-            to: TO,
+    /// The view `{1, 2, 3}` with id `1.seq`, succeeding `1.(seq - 1)`.
+    fn view(seq: u64) -> View {
+        let id = ViewId::new(n(1), seq);
+        View::with_predecessors(id, all(), vec![ViewId::new(n(1), seq - 1)])
+    }
+
+    /// A member of `view(1)` on `H`, at node 1.
+    fn member() -> LwgState {
+        let mut s = LwgState::default();
+        assert!(s.install(view(1), H, n(1)).is_empty());
+        s.check();
+        s
+    }
+
+    /// The flush `flush` of view `1.seq` (into `view(seq + 1)`), a switch
+    /// to `to` when set.
+    fn req(flush: LFlushId, seq: u64, to: Option<HwgId>) -> FlushReq {
+        FlushReq {
+            flush,
+            hwg: H,
+            view: ViewId::new(n(1), seq),
             members: all(),
-            ready: BTreeSet::new(),
-            started_at: at(0),
-        });
+            next: Some(view(seq + 1)),
+            to,
+        }
     }
 
     /// Whether sends are buffered.
@@ -498,80 +455,96 @@ mod tests {
         s.send_target().is_none()
     }
 
-    /// Node 1 in each variant that runs a protocol: a join flush, a
-    /// followed switch, and a switch it coordinates with its own part.
+    /// Node 1 in each state that runs a protocol: a join flush and a
+    /// followed switch.
     fn busy_states() -> Vec<LwgState> {
         let mut flushing = member();
-        assert!(flushing.begin_flush(fid(1, 1), all(), None, at(0)));
+        assert_eq!(
+            flushing.begin_flush(req(fid(1, 1), 1, None), at(0)),
+            Part::Takes
+        );
         let mut following = member();
-        assert!(following.begin_flush(fid(1, 1), all(), Some(TO), at(0)));
-        let mut switching = member();
-        switch(&mut switching);
-        assert!(switching.begin_flush(fid(1, 1), all(), Some(TO), at(5)));
-        vec![flushing, following, switching]
+        let switch = req(fid(1, 1), 1, Some(TO));
+        assert_eq!(following.begin_flush(switch, at(0)), Part::Takes);
+        vec![flushing, following]
     }
 
     #[test]
     fn a_more_senior_initiators_flush_replaces_the_current_one() {
         let mut s = member();
-        assert!(s.begin_flush(fid(2, 1), all(), None, at(0)));
-        assert!(!s.begin_flush(fid(3, 9), all(), None, at(1)), "junior");
-        assert!(!s.begin_flush(fid(2, 1), all(), None, at(1)), "the same");
-        assert!(s.begin_flush(fid(2, 2), all(), None, at(2)), "newer nonce");
-        assert!(s.begin_flush(fid(1, 1), all(), Some(TO), at(3)), "senior");
+        assert_eq!(s.begin_flush(req(fid(2, 1), 1, None), at(0)), Part::Takes);
+        let junior = s.begin_flush(req(fid(3, 9), 1, None), at(1));
+        assert_eq!(junior, Part::Declines);
+        let same = s.begin_flush(req(fid(2, 1), 1, None), at(1));
+        assert_eq!(same, Part::Takes, "its initiator's own, back");
+        assert_eq!(s.flush().map(|f| f.started_at), Some(at(0)), "kept");
+        let newer = s.begin_flush(req(fid(2, 2), 1, None), at(2));
+        assert_eq!(newer, Part::Takes);
+        let senior = s.begin_flush(req(fid(1, 1), 1, Some(TO)), at(3));
+        assert_eq!(senior, Part::Takes);
         s.check();
-        assert_eq!(s.flush().map(|f| f.flush), Some(fid(1, 1)));
+        assert_eq!(s.flush().map(|f| f.req.flush), Some(fid(1, 1)));
         assert_eq!(s.followed(), Some((fid(1, 1), TO)));
-        assert_eq!(s.started_at(), Some(at(3)));
+        assert_eq!(s.flush().map(|f| f.started_at), Some(at(3)));
     }
 
+    /// The waiting rule, by the flushed view: a flush of the successor of
+    /// the flush in flight waits for its install; one of the current view
+    /// supersedes (a watchdog restart); one of a view this node does not
+    /// hold is foreign.
     #[test]
-    fn a_later_flush_from_the_view_keeps_a_followed_switch_followed() {
+    fn a_flush_waits_for_the_successor_it_flushes() {
         let mut s = member();
-        assert!(s.begin_flush(fid(1, 1), all(), Some(TO), at(0)));
-        assert!(s.begin_flush(fid(1, 2), all(), None, at(1)));
+        assert_eq!(s.begin_flush(req(fid(1, 1), 1, None), at(0)), Part::Takes);
+        let restart = s.begin_flush(req(fid(1, 2), 1, None), at(1));
+        assert_eq!(restart, Part::Takes, "a flush of the current view");
+        let foreign = s.begin_flush(req(fid(4, 1), 5, None), at(2));
+        assert_eq!(foreign, Part::Foreign, "a view this node does not hold");
+        let junior = s.begin_flush(req(fid(2, 9), 2, None), at(2));
+        assert_eq!(junior, Part::Waits, "a flush of the successor");
+        let waits = s.begin_flush(req(fid(1, 3), 2, Some(TO)), at(2));
+        assert_eq!(waits, Part::Waits);
+        let stale = s.begin_flush(req(fid(2, 10), 2, None), at(3));
+        assert_eq!(stale, Part::Waits, "junior to the waiting one");
         s.check();
-        assert_eq!(s.flush().map(|f| f.flush), Some(fid(1, 2)));
-        assert_eq!(s.followed(), Some((fid(1, 1), TO)), "still following");
-        assert!(s.begin_flush(fid(1, 3), all(), Some(H), at(2)));
-        assert_eq!(s.followed(), Some((fid(1, 3), H)), "a new switch");
-    }
-
-    /// The successor `1.2` of `{1, 2, 3}`, with the same members.
-    fn view_2() -> View {
-        View::with_predecessors(ViewId::new(n(1), 2), all(), vec![ViewId::new(n(1), 1)])
-    }
-
-    #[test]
-    fn a_newer_flush_from_the_initiator_waits_for_its_announced_view() {
-        let mut s = member();
-        assert!(s.begin_flush(fid(1, 1), all(), None, at(0)));
-        assert!(s.begin_flush(fid(1, 2), all(), None, at(1)), "none yet");
-        s.announce(view_2(), H);
-        assert!(!s.begin_flush(fid(2, 9), all(), None, at(2)), "junior");
-        assert!(!s.begin_flush(fid(1, 3), all(), Some(TO), at(2)));
-        s.check();
-        let lf = s.flush().map(|f| (f.flush, f.new_view.is_some()));
-        assert_eq!(lf, Some((fid(1, 2), true)), "the announced flush stays");
-        assert_eq!(s.next_flush(), Some(&(fid(1, 3), all(), Some(TO))));
+        let lf = s.flush().expect("in flight");
+        assert_eq!(lf.req.flush, fid(1, 2), "the flush of the current view");
+        let waiting = lf.waiting.as_deref().map(|w| (w.flush, w.to));
+        assert_eq!(waiting, Some((fid(1, 3), Some(TO))));
         // Its acks overtook it; they outlast the install it waits for.
-        assert!(!s.ack(fid(1, 3), n(2)) && !s.ack(fid(1, 1), n(3)));
-        assert!(s.install(view_2(), H, n(1)).is_empty());
-        assert_eq!(s.next_flush(), None);
-        assert_eq!(s.early_oks, vec![(fid(1, 3), n(2))]);
+        assert!(!s.ack(fid(1, 3), Ack::Ok, n(2)) && !s.ack(fid(1, 1), Ack::Ok, n(3)));
+        assert!(s.install(view(2), H, n(1)).is_empty());
+        assert!(!s.busy());
+        assert_eq!(s.early_acks, vec![(fid(1, 3), Ack::Ok, n(2))]);
     }
 
     #[test]
-    fn acks_count_for_the_flush_in_flight_and_wait_for_theirs() {
+    fn a_joiner_follows_the_flush_it_is_handed() {
+        let mut s = LwgState::default();
+        assert!(!s.ack(fid(1, 1), Ack::Ok, n(1)), "overtook its Flush");
+        assert_eq!(s.begin_flush(req(fid(1, 1), 1, None), at(0)), Part::Takes);
+        assert!(s.ack(fid(1, 1), Ack::Ok, n(2)));
+        assert!(!s.flush().is_some_and(LwgFlush::complete), "3 is missing");
+        assert!(s.ack(fid(1, 1), Ack::Ok, n(3)));
+        assert!(s.flush().is_some_and(LwgFlush::complete));
+        assert!(s.early_acks.is_empty());
+    }
+
+    #[test]
+    fn a_switch_completes_with_every_ready() {
         let mut s = member();
-        assert!(!s.ack(fid(1, 1), n(3)), "overtook its Flush");
-        assert!(s.begin_flush(fid(1, 1), all(), None, at(0)));
-        assert!(s.ack(fid(1, 1), n(2)));
-        let oks: Vec<NodeId> = s
-            .flush()
-            .map_or(vec![], |f| f.oks.iter().copied().collect());
-        assert_eq!(oks, vec![n(2), n(3)]);
-        assert!(s.early_oks.is_empty());
+        assert!(!s.ack(fid(1, 1), Ack::Ready, n(2)), "overtook its Flush");
+        assert_eq!(
+            s.begin_flush(req(fid(1, 1), 1, Some(TO)), at(0)),
+            Part::Takes
+        );
+        for m in all() {
+            assert!(s.ack(fid(1, 1), Ack::Ok, m));
+        }
+        assert!(s.ack(fid(1, 1), Ack::Ready, n(1)));
+        assert!(!s.flush().is_some_and(LwgFlush::complete), "3 is not ready");
+        assert!(s.ack(fid(1, 1), Ack::Ready, n(3)));
+        assert!(s.flush().is_some_and(LwgFlush::complete));
     }
 
     #[test]
@@ -587,29 +560,11 @@ mod tests {
     }
 
     #[test]
-    fn complete_switch_leaves_the_coordinator_following() {
-        let mut s = member();
-        switch(&mut s);
-        assert!(s.flush().is_none(), "its own SwitchTo is still on the way");
-        assert!(s.begin_flush(fid(1, 1), all(), Some(TO), at(5)));
-        assert_eq!(s.started_at(), Some(at(0)), "the earlier start counts");
-        s.ready(fid(1, 1), n(2));
-        assert_eq!(s.switch().map(|sw| sw.ready.len()), Some(1));
-        let sw = s.complete_switch().map(|sw| (sw.flush, sw.to));
-        assert_eq!(sw, Some((fid(1, 1), TO)));
-        s.check();
-        assert_eq!(s.flush().map(|f| f.flush), Some(fid(1, 1)));
-        assert_eq!(s.followed(), Some((fid(1, 1), TO)));
-        assert_eq!(s.started_at(), Some(at(5)));
-        assert!(s.complete_switch().is_none(), "nothing left to complete");
-    }
-
-    #[test]
-    fn install_clears_every_variant_but_keeps_the_queued_joins_and_leaves() {
+    fn install_clears_every_flush_but_keeps_the_queued_joins_and_leaves() {
         for mut s in busy_states() {
             s.pending_joins.extend([n(4), n(5)]);
             s.pending_leaves.extend([n(2), n(3)]);
-            s.early_oks.push((fid(2, 1), n(2)));
+            s.early_acks.push((fid(2, 1), Ack::Ok, n(2)));
             s.pending_send.push(Frame::from_u64(7));
             let next = View::with_predecessors(
                 ViewId::new(n(1), 2),
@@ -619,7 +574,7 @@ mod tests {
             assert_eq!(s.install(next, TO, n(1)).len(), 1);
             s.check();
             assert!(!s.busy() && !frozen(&s));
-            assert!(s.early_oks.is_empty());
+            assert!(s.early_acks.is_empty());
             assert_eq!(s.pending_joins.iter().collect::<Vec<_>>(), vec![&n(5)]);
             assert_eq!(s.pending_leaves.iter().collect::<Vec<_>>(), vec![&n(3)]);
             assert_eq!(s.hwg, Some(TO));

@@ -1,11 +1,14 @@
 //! Switching: re-mapping a light-weight group onto another HWG (paper §3's
 //! switching protocol; also step 2 of partition healing, §6.2).
 //!
-//! The coordinator flushes the old mapping (`SwitchTo` doubles as an LWG
-//! flush), every member joins the target HWG and reports `SwitchReady`
-//! there, and the coordinator installs the switched view on the target. A
-//! forward pointer stays behind so stale joiners get redirected
-//! ([`crate::flush`] handles the member-side flush half).
+//! A switch is an LWG flush with a target HWG: the coordinator multicasts
+//! a `Flush` whose `to` names the target and whose successor view keeps
+//! the members. Every member acknowledges it on the old HWG, joins the
+//! target and reports `SwitchReady` there, and installs the switched view
+//! on the target once it holds every `FlushOk` and every member's
+//! `SwitchReady` ([`crate::flush`] runs the flush half). The coordinator
+//! follows its own switch like every other member. A forward pointer stays
+//! behind so stale joiners get redirected.
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -16,17 +19,15 @@
     clippy::indexing_slicing
 )]
 
-use crate::batch::FlushReason;
 use crate::keys;
 use crate::msg::{LFlushId, LwgMsg};
 use crate::protocol_events::LwgProtocolEvent;
 use crate::service::LwgService;
-use crate::state::SwitchState;
+use crate::state::Part;
 use crate::wire;
-use plwg_hwg::{GroupStatus, HwgId, HwgSubstrate, View, ViewId};
+use plwg_hwg::{GroupStatus, HwgId, HwgSubstrate};
 use plwg_naming::LwgId;
 use plwg_sim::{Transport, TransportExt};
-use std::collections::BTreeSet;
 
 impl<S: HwgSubstrate> LwgService<S> {
     /// Operator-initiated re-mapping of `lwg` onto the HWG `to` — the same
@@ -53,8 +54,8 @@ impl<S: HwgSubstrate> LwgService<S> {
         let Some(state) = self.dir.get(lwg) else {
             return;
         };
-        // Not while stopped on the group's HWG: `SwitchTo` doubles as a
-        // flush, held back as in `maybe_start_lwg_flush`.
+        // Not while stopped on the group's HWG: the switch is a flush,
+        // held back as in `maybe_start_lwg_flush`.
         if state.busy() || state.hwg == Some(to) || self.stopped_on(state.hwg) {
             return;
         }
@@ -62,21 +63,6 @@ impl<S: HwgSubstrate> LwgService<S> {
             return;
         };
         let members = view.members.clone();
-        let Ok(mut state) = self.dir.record(lwg) else {
-            return;
-        };
-        let flush = LFlushId {
-            initiator: self.me,
-            nonce: state.take_flush_nonce(),
-        };
-        state.begin_switch(SwitchState {
-            flush,
-            to,
-            members: members.clone(),
-            ready: BTreeSet::new(),
-            started_at: ctx.now(),
-        });
-        drop(state);
         ctx.emit(|| LwgProtocolEvent::SwitchStart { lwg, from: hwg, to });
         ctx.metrics().incr(keys::SWITCHES);
         if create {
@@ -84,55 +70,40 @@ impl<S: HwgSubstrate> LwgService<S> {
         } else if self.substrate.status_of(to) == GroupStatus::Left {
             self.substrate.join(ctx, to);
         }
-        // Barrier: a switch doubles as a flush of the old mapping.
-        self.flush_pack(ctx, hwg, FlushReason::Barrier);
-        self.substrate.send(
-            ctx,
-            hwg,
-            wire::frame(&LwgMsg::SwitchTo {
-                lwg,
-                flush,
-                to,
-                members,
-            }),
-        );
+        self.start_flush(ctx, lwg, members.clone(), members, Some(to));
     }
 
-    /// Coordinator: once every member reported ready on the target HWG,
-    /// install the switched view there. Not while the old HWG flushes
-    /// (see [`LwgService::stopped_on`]): its view completes it.
-    pub(crate) fn try_complete_switch(&mut self, ctx: &mut dyn Transport, lwg: LwgId) {
-        let Some(state) = self.dir.get(lwg) else {
-            return;
-        };
-        let ready = state
-            .switch()
-            .is_some_and(|sw| sw.ready.len() == sw.members.len());
-        if !ready || self.stopped_on(state.hwg) {
-            return;
+    /// Member side of the switch `flush` of `lwg` to `to`, acknowledged on
+    /// the old HWG as `part`: report ready on the target if this node is a
+    /// member of it already, or else join it if it follows the switch.
+    ///
+    /// Step 2 of the HWG-view handler reports ready again at every view of
+    /// the target, so every follower in its final view holds every report:
+    /// a follower that joins the target late never misses one sent before.
+    /// A member listed in a switch of a view it does not hold (two
+    /// coordinators admitted it) reports too, so that the switch does not
+    /// wait for it, for the flush watchdog's span.
+    pub(crate) fn follow_switch(
+        &mut self,
+        ctx: &mut dyn Transport,
+        lwg: LwgId,
+        flush: LFlushId,
+        to: HwgId,
+        part: Part,
+    ) {
+        if part == Part::Foreign {
+            self.foreign_switches.insert(lwg, (flush, to, ctx.now()));
         }
-        let Some(mut state) = self.dir.get_mut(lwg) else {
-            return;
-        };
-        let Some(sw) = state.complete_switch() else {
-            return;
-        };
-        let Some(view) = state.view.clone() else {
-            return;
-        };
-        let new_view = View::with_predecessors(
-            ViewId::new(self.me, state.take_view_seq()),
-            sw.members.clone(),
-            vec![view.id],
-        );
-        drop(state);
-        ctx.emit(|| LwgProtocolEvent::SwitchComplete {
-            lwg,
-            to: sw.to,
-            view: new_view.clone(),
-        });
-        self.send_view(ctx, lwg, sw.flush, new_view, sw.to);
-        // Pull any concurrent views present on the target HWG into a merge.
-        self.trigger_merge_views(ctx, sw.to);
+        if self
+            .substrate
+            .view_of(to)
+            .is_some_and(|v| v.contains(self.me))
+        {
+            self.substrate
+                .send(ctx, to, wire::frame(&LwgMsg::SwitchReady { lwg, flush }));
+        } else if part == Part::Takes && self.substrate.status_of(to) == GroupStatus::Left {
+            // Join the target HWG (the coordinator pre-created it).
+            self.substrate.join(ctx, to);
+        }
     }
 }

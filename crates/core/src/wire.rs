@@ -3,7 +3,8 @@
 //! Every [`LwgMsg`] is one `plwg-wire` frame: the `LWG` family tag, a
 //! one-byte variant tag, then the variant's fields in the order of the
 //! `wire_enum!` table below, whose left column is the tag space
-//! (wire-stable, append-only). These frames usually travel *inside* an HWG
+//! (wire-stable, append-only: a retired tag stays unused, and decoding it
+//! fails with `BadTag`). These frames usually travel *inside* an HWG
 //! data multicast (so the delivered `HwgEvent::Data` payload is itself a
 //! complete `LWG` frame); `Redirect` additionally goes node-to-node.
 //! Application payloads inside `Data` / `Batch` are length-prefixed, so a
@@ -71,14 +72,13 @@ plwg_wire::wire_enum!(LwgMsg {
     1 => Batch { entries },
     2 => JoinReq { lwg },
     3 => LeaveReq { lwg },
-    4 => Flush { lwg, flush, members },
+    4 => Flush { lwg, flush, view, members, next, to },
     5 => FlushOk { lwg, flush },
-    6 => NewLwgView { lwg, flush, view, hwg },
-    7 => SwitchTo { lwg, flush, to, members },
+    // 6 (`NewLwgView`) and 7 (`SwitchTo`) are retired.
     8 => SwitchReady { lwg, flush },
     9 => MergeViews,
     10 => AllViews { views, held, seq_floor },
-    11 => Dissolved { lwg, flush },
+    // 11 (`Dissolved`) is retired.
     12 => Redirect { lwg, to },
 });
 
@@ -121,23 +121,22 @@ mod tests {
             LwgMsg::Flush {
                 lwg: LwgId(1),
                 flush: fid,
+                view: vid,
                 members: vec![NodeId(0), NodeId(1)],
+                next: Some(view.clone()),
+                to: None,
+            },
+            LwgMsg::Flush {
+                lwg: LwgId(1),
+                flush: fid,
+                view: vid,
+                members: vec![NodeId(0)],
+                next: None,
+                to: Some(HwgId(8)),
             },
             LwgMsg::FlushOk {
                 lwg: LwgId(1),
                 flush: fid,
-            },
-            LwgMsg::NewLwgView {
-                lwg: LwgId(1),
-                flush: fid,
-                view: view.clone(),
-                hwg: HwgId(7),
-            },
-            LwgMsg::SwitchTo {
-                lwg: LwgId(1),
-                flush: fid,
-                to: HwgId(8),
-                members: vec![NodeId(0)],
             },
             LwgMsg::SwitchReady {
                 lwg: LwgId(1),
@@ -148,10 +147,6 @@ mod tests {
                 views: AdvertisedViews::new([(LwgId(1), &view)]),
                 held: AdvertisedViews::by_id([(LwgId(2), vid)]),
                 seq_floor: 300,
-            },
-            LwgMsg::Dissolved {
-                lwg: LwgId(1),
-                flush: fid,
             },
             LwgMsg::Redirect {
                 lwg: LwgId(1),
@@ -245,13 +240,15 @@ mod tests {
 
     #[test]
     fn bad_variant_tag_is_rejected() {
-        let f = Frame::from_vec(vec![family::LWG as u8, 77]);
-        assert_eq!(
-            decode_frame::<LwgMsg>(family::LWG, &f).err(),
-            Some(WireError::BadTag {
-                what: "LwgMsg",
-                tag: 77,
-            })
-        );
+        for tag in [6, 7, 11, 77] {
+            let f = Frame::from_vec(vec![family::LWG as u8, tag]);
+            assert_eq!(
+                decode_frame::<LwgMsg>(family::LWG, &f).err(),
+                Some(WireError::BadTag {
+                    what: "LwgMsg",
+                    tag: tag.into(),
+                })
+            );
+        }
     }
 }

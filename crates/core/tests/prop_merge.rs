@@ -75,19 +75,22 @@ fn seed_views(w: &mut World, apps: &[NodeId], rng: &mut SimRng) {
     }
     views.remove(&sides);
     for members in views.values() {
-        let view = View::initial(ViewId::new(members[0], 1), members.clone());
-        let announce = LwgMsg::NewLwgView {
+        // The join path: a `Flush` whose successor is the view, awaiting
+        // no `FlushOk`.
+        let admit = LwgMsg::Flush {
             lwg: L,
             flush: LFlushId {
                 initiator: members[0],
-                nonce: 1,
+                nonce: 0,
             },
-            view,
-            hwg: H,
+            view: ViewId::new(members[0], 0),
+            members: vec![],
+            next: Some(View::initial(ViewId::new(members[0], 1), members.clone())),
+            to: None,
         };
         for &n in members {
             w.invoke(n, |node: &mut Node, ctx| node.service().join(ctx, L));
-            deliver(w, n, members[0], &announce);
+            deliver(w, n, members[0], &admit);
         }
     }
 }

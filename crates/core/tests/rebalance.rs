@@ -56,14 +56,18 @@ fn seed(w: &mut World, a: NodeId, on_h1: u64, on_h2: u64) -> (Vec<LwgId>, Vec<Lw
             n.service().hwg_stack_mut().inject_data(
                 hwg,
                 a,
-                LwgMsg::NewLwgView {
+                // The join path: a `Flush` whose successor is the view,
+                // awaiting no `FlushOk`.
+                LwgMsg::Flush {
                     lwg,
                     flush: LFlushId {
                         initiator: a,
-                        nonce: 1,
+                        nonce: 0,
                     },
-                    view,
-                    hwg,
+                    view: ViewId::new(a, 0),
+                    members: vec![],
+                    next: Some(view),
+                    to: None,
                 }
                 .to_frame(),
             );

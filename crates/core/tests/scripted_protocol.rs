@@ -76,26 +76,28 @@ fn grant(w: &mut World, node: NodeId, hwg: HwgId, coord: NodeId, seq: u64, membe
 }
 
 /// Manufactures an installed LWG view at `node` (the state a node is in
-/// after operating inside its own partition): joins `L` and delivers the
-/// view announcement as if its coordinator had multicast it on `hwg`.
+/// after operating inside its own partition) through the join path: joins
+/// `L` and delivers, as an HWG multicast on `hwg` of the view's
+/// coordinator, a `Flush` whose successor is `view` and which awaits no
+/// `FlushOk`.
 fn seed_lwg_view(w: &mut World, node: NodeId, hwg: HwgId, view: View) {
     w.invoke(node, move |n: &mut Node, ctx| {
         let src = view.coordinator();
         n.service().join(ctx, L);
-        n.service().hwg_stack_mut().inject_data(
-            hwg,
-            src,
-            LwgMsg::NewLwgView {
-                lwg: L,
-                flush: LFlushId {
-                    initiator: src,
-                    nonce: 1,
-                },
-                view,
-                hwg,
-            }
-            .to_frame(),
-        );
+        let admit = LwgMsg::Flush {
+            lwg: L,
+            flush: LFlushId {
+                initiator: src,
+                nonce: 0,
+            },
+            view: ViewId::new(src, 0),
+            members: vec![],
+            next: Some(view),
+            to: None,
+        };
+        n.service()
+            .hwg_stack_mut()
+            .inject_data(hwg, src, admit.to_frame());
         n.service().pump(ctx);
     });
 }
@@ -238,7 +240,7 @@ fn hwg_stop_is_answered_while_lwg_flush_in_flight() {
     assert_eq!(oks_after, oks_before + 1, "Stop answered immediately");
     assert!(!stopping, "stop_ok cleared the outstanding Stop");
 
-    // The coordinator advertised its view with the Stop, so it announces
+    // The coordinator advertised its view with the Stop, so it installs
     // no successor until the HWG flush ends with a view.
     w.run_for(ms(400));
     assert_eq!(view_at(&mut w, a).expect("member").len(), 2, "held");
@@ -356,8 +358,8 @@ fn assert_one_lineage(w: &mut World, holders: &[NodeId]) {
 
 /// Two concurrent views of `L` on one HWG, `{a, x}` and `{b}`, and a
 /// merge round that starts while `a` is admitting the joiner `j`. `x`'s
-/// `FlushOk` reaches `a` after `a` answered the HWG flush's `Stop`, so the
-/// join view `a` would announce could only be delivered after the HWG view
+/// `FlushOk` reaches `a` after `a` answered the HWG flush's `Stop`, so `a`
+/// could install the join view its flush names only after the HWG view
 /// that concludes the merge round. The round supersedes the join flush:
 /// no member installs the join view, everybody installs the merged view,
 /// and the join runs again in the follow-up flush. Without that, `a` and
@@ -392,7 +394,7 @@ fn a_merge_round_supersedes_the_announcers_join_flush() {
 /// The mirror image: `b`, coordinator of `{b, y}`, is admitting `j` when
 /// the merge round with `{a}` starts. `b` collects its last `FlushOk` after
 /// answering `Stop`, and would install its join view after the HWG view, as
-/// a sibling of the merged view `a` announces. The round supersedes the
+/// a sibling of the merged view. The round supersedes the
 /// flush instead, and `b` and `y` both install the merged view (first seen
 /// with world seed 5, LWG 17 of `heal_budget.rs`).
 #[test]
@@ -587,7 +589,7 @@ fn eviction_prunes_view_then_readmits_via_mapping() {
 }
 
 /// A member whose LWG flush never concludes (the initiator multicast
-/// `Flush` and then vanished without a successor view) abandons it after
+/// `Flush` and then vanished without acknowledging it) abandons it after
 /// `LWG_FLUSH_TIMEOUT` and unfreezes — the watchdog path of the tick.
 #[test]
 fn stuck_lwg_flush_is_abandoned_by_the_watchdog() {
@@ -597,15 +599,16 @@ fn stuck_lwg_flush_is_abandoned_by_the_watchdog() {
     grant(&mut w, b, H1, a, 1, &[a, b]);
     let v1 = View::initial(ViewId::new(a, 1), vec![a, b]);
     seed_lwg_view(&mut w, a, H1, v1.clone());
-    seed_lwg_view(&mut w, b, H1, v1);
+    seed_lwg_view(&mut w, b, H1, v1.clone());
     w.run_for(ms(200));
 
-    // b receives a Flush from its coordinator… which then never announces
-    // the successor view (as if it crashed right after the multicast).
+    // b receives a Flush from its coordinator… whose own FlushOk never
+    // comes (as if it crashed right after the multicast).
     let flush = LFlushId {
         initiator: a,
         nonce: 99,
     };
+    let next = View::with_predecessors(ViewId::new(a, 2), vec![a, b], vec![v1.id]);
     w.invoke(b, move |n: &mut Node, ctx| {
         n.service().hwg_stack_mut().inject_data(
             H1,
@@ -613,7 +616,10 @@ fn stuck_lwg_flush_is_abandoned_by_the_watchdog() {
             LwgMsg::Flush {
                 lwg: L,
                 flush,
+                view: v1.id,
                 members: vec![a, b],
+                next: Some(next),
+                to: None,
             }
             .to_frame(),
         );
@@ -707,21 +713,21 @@ fn an_hwg_view_dropping_a_flush_member_prunes_at_the_hwg_view() {
     assert_eq!(w.trace().count("lwg.flush.start"), 1, "j's join");
 }
 
-/// A member following a switch can take part in a later flush from the
-/// same view before the switched view installs: `b` follows `a`'s switch
-/// to `H2`, then a newer flush of `a`'s replaces the switch flush at `b`.
-/// `b` still follows the switch, so when it becomes an `H2` member it
-/// reports ready for the switch flush, and `a` completes the switch (first
-/// seen in the 128-LWG quiet-world bring-up of `heal_budget.rs`).
+/// A newer flush of the same view supersedes a followed switch: `b` and
+/// `a` follow `a`'s switch to `H2`, then `a`'s newer flush of the view
+/// replaces it at both. Both install that flush's successor on `H1` once
+/// its `FlushOk`s are in, and the switch never completes: a member
+/// completes only the flush it follows, so none reports ready for the
+/// replaced switch.
 #[test]
-fn a_newer_flush_keeps_a_followed_switch_followed() {
+fn a_newer_flush_of_the_view_replaces_a_followed_switch() {
     let (mut w, apps) = setup(2);
     let (a, b) = (apps[0], apps[1]);
     grant(&mut w, a, H1, a, 1, &[a, b]);
     grant(&mut w, b, H1, a, 1, &[a, b]);
     let v1 = View::initial(ViewId::new(a, 1), vec![a, b]);
     seed_lwg_view(&mut w, a, H1, v1.clone());
-    seed_lwg_view(&mut w, b, H1, v1);
+    seed_lwg_view(&mut w, b, H1, v1.clone());
     w.run_for(ms(200));
 
     w.invoke(a, |n: &mut Node, ctx| n.service().switch(ctx, L, H2));
@@ -731,33 +737,32 @@ fn a_newer_flush_keeps_a_followed_switch_followed() {
         initiator: a,
         nonce: 99,
     };
-    w.invoke(b, move |n: &mut Node, ctx| {
-        let msg = LwgMsg::Flush {
-            lwg: L,
-            flush,
-            members: vec![a, b],
-        };
-        n.service()
-            .hwg_stack_mut()
-            .inject_data(H1, a, msg.to_frame());
-        n.service().pump(ctx);
-    });
-    assert_eq!(w.trace().count("lwg.switch.complete"), 0);
-
+    let next = View::with_predecessors(ViewId::new(a, 9), vec![a, b], vec![v1.id]);
+    let msg = LwgMsg::Flush {
+        lwg: L,
+        flush,
+        view: v1.id,
+        members: vec![a, b],
+        next: Some(next.clone()),
+        to: None,
+    };
+    for &n in &[a, b] {
+        let frame = msg.to_frame();
+        w.invoke(n, move |n: &mut Node, ctx| {
+            n.service().hwg_stack_mut().inject_data(H1, a, frame);
+            n.service().pump(ctx);
+        });
+    }
+    w.run_for(ms(100));
     grant(&mut w, a, H2, a, 1, &[a, b]);
     grant(&mut w, b, H2, a, 1, &[a, b]);
     w.run_for(ms(100));
-    assert_eq!(
-        w.trace().count("lwg.switch.complete"),
-        1,
-        "b reported ready for the switch it still follows"
-    );
-    let at_a = view_at(&mut w, a).expect("switched view");
-    assert_eq!((at_a.members.len(), at_a.predecessors.len()), (2, 1));
-    assert_eq!(
-        w.inspect(a, |n: &Node| n.service_ref().mapping_of(L)),
-        Some(H2)
-    );
+    assert_eq!(w.trace().count("lwg.switch.complete"), 0);
+    for &n in &[a, b] {
+        assert_eq!(view_at(&mut w, n).as_ref(), Some(&next), "at {n}");
+        let mapping = w.inspect(n, |n: &Node| n.service_ref().mapping_of(L));
+        assert_eq!(mapping, Some(H1), "at {n}");
+    }
 }
 
 /// Delivers `msgs` at `node` in order, each as an HWG multicast of its
@@ -774,90 +779,128 @@ fn deliver(w: &mut World, node: NodeId, msgs: Vec<(NodeId, LwgMsg)>) {
     w.run_for(ms(100));
 }
 
-/// A member can hold a flush's announced view while it still waits for a
-/// `FlushOk`; the initiator, which had them all, installed that view and
-/// may already flush it again. `b` gets `a`'s `NewLwgView` of flush `f1`
-/// and then `a`'s `Flush` `f2` before `c`'s last `FlushOk` of `f1`. `f2`
-/// waits for that view: `b` delivers `c`'s last message of the old view,
-/// installs `f1`'s view, takes part in `f2` and installs its view. When
-/// `f2` superseded `f1`, the announcement was lost and `b` stayed in the
-/// old view for good (first seen in the seed-5 bring-up of
-/// `heal_budget.rs`, where the next HWG flush merged that view with its
-/// own descendant).
+/// The waiting rule, by the view a `Flush` flushes, at `b`:
+/// - a flush of the view `b` holds, from the initiator of the flush in
+///   flight, supersedes it (a watchdog restart): `b` installs its successor
+///   and ignores the late acknowledgements of the first;
+/// - a flush of the successor of the flush in flight waits for that
+///   install: the initiator, which had every `FlushOk`, installed the
+///   successor and flushed it again while `c`'s last `FlushOk` was still on
+///   its way to `b`. `b` delivers `c`'s last message of the old view,
+///   installs the successor, then takes part in the waiting flush. When the
+///   newer flush superseded the first instead, `b` stayed in the old view
+///   for good (first seen in the seed-5 bring-up of `heal_budget.rs`);
+/// - a flush of a view `b` does not hold, `x`'s `{b, x}`, is acknowledged,
+///   so that `x` does not wait for `b`, but not followed.
 #[test]
-fn a_flush_from_the_initiator_waits_for_the_view_it_announced() {
-    let (mut w, apps) = setup(3);
-    let (a, b, c) = (apps[0], apps[1], apps[2]);
+fn a_flush_waits_for_the_install_of_the_view_it_flushes() {
+    let (mut w, apps) = setup(4);
+    let (a, b, c, x) = (apps[0], apps[1], apps[2], apps[3]);
     for &n in &apps {
         grant(&mut w, n, H1, a, 1, &apps);
     }
-    let v1 = View::initial(ViewId::new(a, 1), apps.clone());
-    for &n in &apps {
+    let abc = vec![a, b, c];
+    let v1 = View::initial(ViewId::new(a, 1), abc.clone());
+    for &n in &abc {
         seed_lwg_view(&mut w, n, H1, v1.clone());
     }
+    // `b` coordinates `x`'s view, so only `a` registers a mapping of `L`.
+    let vx = View::initial(ViewId::new(x, 1), vec![b, x]);
+    seed_lwg_view(&mut w, x, H1, vx.clone());
     w.run_for(ms(200));
     let f = |nonce| LFlushId {
         initiator: a,
         nonce,
     };
-    let flush = |nonce| LwgMsg::Flush {
+    let successor =
+        |seq, of: &View| View::with_predecessors(ViewId::new(a, seq), abc.clone(), vec![of.id]);
+    let flush = |nonce, of: &View, next: &View| LwgMsg::Flush {
         lwg: L,
         flush: f(nonce),
-        members: apps.clone(),
+        view: of.id,
+        members: abc.clone(),
+        next: Some(next.clone()),
+        to: None,
     };
     let ok = |nonce| LwgMsg::FlushOk {
         lwg: L,
         flush: f(nonce),
     };
-    let announce = |nonce, view: &View| LwgMsg::NewLwgView {
-        lwg: L,
-        flush: f(nonce),
-        view: view.clone(),
-        hwg: H1,
-    };
-    let v2 = View::with_predecessors(ViewId::new(a, 2), apps.clone(), vec![v1.id]);
-    let v3 = View::with_predecessors(ViewId::new(a, 3), vec![a, b], vec![v2.id]);
 
+    // A restart supersedes.
+    let (v2, v2r) = (successor(2, &v1), successor(3, &v1));
     deliver(
         &mut w,
         b,
         vec![
-            (a, flush(1)),
+            (a, flush(1, &v1, &v2)),
             (a, ok(1)),
-            (a, announce(1, &v2)),
-            (a, flush(2)),
+            (a, flush(2, &v1, &v2r)),
+        ],
+    );
+    deliver(&mut w, b, vec![(c, ok(1)), (a, ok(2)), (c, ok(2))]);
+    assert_eq!(
+        view_at(&mut w, b).as_ref(),
+        Some(&v2r),
+        "the restart's view"
+    );
+
+    // A flush of the successor waits.
+    let v3 = successor(4, &v2r);
+    let v4 = successor(5, &v3);
+    deliver(
+        &mut w,
+        b,
+        vec![
+            (a, flush(3, &v2r, &v3)),
+            (a, ok(3)),
+            (a, flush(4, &v3, &v4)),
         ],
     );
     assert_eq!(
         view_at(&mut w, b).as_ref(),
-        Some(&v1),
+        Some(&v2r),
         "c's FlushOk is missing"
     );
     let data = LwgMsg::Data {
         lwg: L,
-        lwg_view: v1.id,
+        lwg_view: v2r.id,
         data: Frame::from_u64(5),
     };
-    deliver(&mut w, b, vec![(c, data), (c, ok(1))]);
-    assert_eq!(
-        view_at(&mut w, b).as_ref(),
-        Some(&v2),
-        "f1's view installed"
-    );
+    deliver(&mut w, b, vec![(c, data), (c, ok(3))]);
+    assert_eq!(view_at(&mut w, b).as_ref(), Some(&v3), "f3's view");
     assert_eq!(delivered_from(&mut w, b, c), vec![5], "in the old view");
-    deliver(
-        &mut w,
-        b,
-        vec![(a, ok(2)), (c, ok(2)), (a, announce(2, &v3))],
-    );
-    assert_eq!(view_at(&mut w, b).as_ref(), Some(&v3), "b took part in f2");
+    deliver(&mut w, b, vec![(a, ok(4)), (c, ok(4))]);
+    assert_eq!(view_at(&mut w, b).as_ref(), Some(&v4), "b took part in f4");
+
+    // A flush of a view `b` does not hold is acknowledged, not followed.
+    let vx2 = View::with_predecessors(ViewId::new(x, 2), vec![b, x], vec![vx.id]);
+    let fx = LwgMsg::Flush {
+        lwg: L,
+        flush: LFlushId {
+            initiator: x,
+            nonce: 1,
+        },
+        view: vx.id,
+        members: vec![x, b],
+        next: Some(vx2.clone()),
+        to: None,
+    };
+    deliver(&mut w, b, vec![(x, fx.clone())]);
+    deliver(&mut w, x, vec![(x, fx)]);
+    assert_eq!(view_at(&mut w, x).as_ref(), Some(&vx2), "b's FlushOk came");
+    assert_eq!(view_at(&mut w, b).as_ref(), Some(&v4), "b did not follow");
+    let busy = w.inspect(b, |n: &Node| n.service_ref().lwg_status(L).map(|s| s.busy));
+    assert_eq!(busy, Some(false));
     assert_eq!(plwg_obs::forks_of(w.trace()), vec![]);
 }
 
 /// Two concurrent views of `L` on one HWG, `{a, x}` and `{c, y, z}`, and a
 /// merge round whose flush loses `c`, the coordinator of the second view,
-/// after its `Stop` and before its advertisement went out: the survivors
-/// hold `{c, y, z}` only by id from `y` and `z`, and nothing names it.
+/// before its advertisement went out: the survivors hold `{c, y, z}` only
+/// by id from `y` and `z`, and nothing names it. (Here `c` holds no view,
+/// so that only `a` registers one, and `y` and `z` installed theirs two
+/// ticks before: a fresh view is advertised in full by every holder.)
 /// Every survivor defers `L` in that round, the HWG coordinator `a`
 /// requests another, and in it the holders advertise their view in full:
 /// that round merges both branches, once.
@@ -877,9 +920,10 @@ fn a_round_missing_a_views_full_copy_defers_its_group_once() {
     }
     let va = View::initial(ViewId::new(a, 1), vec![a, x]);
     let vc = View::initial(ViewId::new(c, 1), vec![c, y, z]);
-    for (&n, view) in apps.iter().zip([&va, &va, &vc, &vc, &vc]) {
+    for (&n, view) in [a, x, y, z].iter().zip([&va, &va, &vc, &vc]) {
         seed_lwg_view(&mut w, n, H1, view.clone());
     }
+    w.run_for(ms(150));
 
     // A flush `Stop`s every member; `c` crashes before it answers.
     w.crash(c);

@@ -266,11 +266,50 @@ fn the_packaged_heal_scenario_runs_the_four_steps_in_order() {
     assert_eq!(timeline.merges_of(9).len(), 1, "one MERGE-VIEWS conclusion");
 }
 
-/// Records the view announcements `inner` sends: the time and the number
-/// of predecessors of each `NewLwgView` inside an HWG data multicast.
+/// A control frame of an LWG group that a tapped node sent or received.
+#[derive(Debug, Clone, Copy)]
+struct Control {
+    at: SimTime,
+    lwg: LwgId,
+    /// A `FlushOk` or a `SwitchReady`: it acknowledges a flush.
+    ack: bool,
+    sent: bool,
+}
+
+/// The group of the LWG control frame `msg` carries, sent directly or as
+/// an HWG multicast, and whether it acknowledges a flush. Data, batches
+/// and the per-HWG merge traffic are no group's control frames.
+fn control(msg: &Payload) -> Option<(LwgId, bool)> {
+    use plwg::core::LwgMsg;
+    use plwg::sim::{decode_frame, family, peek_family};
+    use plwg::vsync::{Slot, VsMsg};
+    let data = match decode_frame::<VsMsg>(family::VS, msg) {
+        Ok(VsMsg::Data {
+            payload: Slot::Full(data),
+            ..
+        })
+        | Ok(VsMsg::FlushFill {
+            payload: Slot::Full(data),
+            ..
+        }) => data,
+        _ if peek_family(msg) == Some(family::LWG) => msg.clone(),
+        _ => return None,
+    };
+    match decode_frame(family::LWG, &data).ok()? {
+        LwgMsg::FlushOk { lwg, .. } | LwgMsg::SwitchReady { lwg, .. } => Some((lwg, true)),
+        LwgMsg::JoinReq { lwg }
+        | LwgMsg::LeaveReq { lwg }
+        | LwgMsg::Flush { lwg, .. }
+        | LwgMsg::Redirect { lwg, .. } => Some((lwg, false)),
+        _ => None,
+    }
+}
+
+/// Records the control frames `inner` sends (see [`control`]): a node's
+/// own acknowledgement is delivered to it as it is sent.
 struct Tap<'a> {
     inner: &'a mut dyn plwg::sim::Transport,
-    views_sent: &'a mut Vec<(SimTime, usize)>,
+    seen: &'a mut Vec<Control>,
 }
 
 impl plwg::sim::Transport for Tap<'_> {
@@ -281,18 +320,10 @@ impl plwg::sim::Transport for Tap<'_> {
         self.inner.id()
     }
     fn send(&mut self, to: NodeId, msg: Payload) {
-        use plwg::core::LwgMsg;
-        use plwg::sim::{decode_frame, family};
-        use plwg::vsync::{Slot, VsMsg};
-        if let Ok(VsMsg::Data {
-            payload: Slot::Full(data),
-            ..
-        }) = decode_frame::<VsMsg>(family::VS, &msg)
-        {
-            if let Ok(LwgMsg::NewLwgView { view, .. }) = decode_frame(family::LWG, &data) {
-                let sent = (self.inner.now(), view.predecessors.len());
-                self.views_sent.push(sent);
-            }
+        if let Some((lwg, ack)) = control(&msg) {
+            let at = self.inner.now();
+            let sent = true;
+            self.seen.push(Control { at, lwg, ack, sent });
         }
         self.inner.send(to, msg);
     }
@@ -313,31 +344,46 @@ impl plwg::sim::Transport for Tap<'_> {
     }
 }
 
-/// An `LwgNode` whose sends go through a [`Tap`].
+/// An `LwgNode` whose sends go through a [`Tap`], and which records the
+/// control frames it receives too.
 struct Tapped {
     node: LwgNode,
-    views_sent: Vec<(SimTime, usize)>,
+    seen: Vec<Control>,
+}
+
+impl Tapped {
+    fn new(me: NodeId, servers: Vec<NodeId>) -> Self {
+        let node = LwgNode::builder(me).servers(servers).build();
+        Tapped {
+            node: node.expect("valid config"),
+            seen: Vec::new(),
+        }
+    }
 }
 
 impl Process for Tapped {
     fn on_start(&mut self, ctx: &mut dyn plwg::sim::Transport) {
         let mut tap = Tap {
             inner: ctx,
-            views_sent: &mut self.views_sent,
+            seen: &mut self.seen,
         };
         self.node.on_start(&mut tap);
     }
     fn on_message(&mut self, ctx: &mut dyn plwg::sim::Transport, from: NodeId, msg: Payload) {
+        if let Some((lwg, ack)) = control(&msg) {
+            let (at, sent) = (ctx.now(), false);
+            self.seen.push(Control { at, lwg, ack, sent });
+        }
         let mut tap = Tap {
             inner: ctx,
-            views_sent: &mut self.views_sent,
+            seen: &mut self.seen,
         };
         self.node.on_message(&mut tap, from, msg);
     }
     fn on_timer(&mut self, ctx: &mut dyn plwg::sim::Transport, token: plwg::sim::TimerToken) {
         let mut tap = Tap {
             inner: ctx,
-            views_sent: &mut self.views_sent,
+            seen: &mut self.seen,
         };
         self.node.on_timer(&mut tap, token);
     }
@@ -349,25 +395,42 @@ impl Process for Tapped {
     }
 }
 
-/// A merged or pruned view is computed, not announced: two co-mapped LWGs
-/// split 2|2 and heal, no member ever sends a `NewLwgView` naming two
-/// predecessors, each LWG merges once in the heal, and every member of a
-/// merged or pruned view installs it at the same virtual instant as the
-/// HWG view whose round computed it. The only `NewLwgView`s in the split
-/// window announce the views of LWG flushes and switches started in it: a
-/// policy switch of LWG 12 starts at the split, the round prunes nothing
-/// of a switching group, and the watchdog drops the switch for a flush
-/// 3 s later. When coordinators announced pruned views, the split window
-/// sent one more per group and side.
+/// Every node's control frames (see [`Tapped`]).
+fn controls(w: &mut World, apps: &[NodeId]) -> Vec<(NodeId, Control)> {
+    let seen = |&m: &NodeId| w.inspect(m, |t: &Tapped| t.seen.clone());
+    let per_node: Vec<Vec<Control>> = apps.iter().map(seen).collect();
+    let per_node = apps.iter().zip(per_node);
+    per_node
+        .flat_map(|(&m, seen)| seen.into_iter().map(move |c| (m, c)))
+        .collect()
+}
+
+/// Whether `node` sent or received an acknowledgement of a flush of `lwg`
+/// at `time`.
+fn at_ack(controls: &[(NodeId, Control)], node: NodeId, lwg: LwgId, time: SimTime) -> bool {
+    controls
+        .iter()
+        .any(|(m, c)| *m == node && c.lwg == lwg && c.ack && c.at == time)
+}
+
+/// Whether `node` installed an HWG view at `time`.
+fn at_hwg_view(trace: &plwg::sim::Trace, node: NodeId, time: SimTime) -> bool {
+    trace
+        .of_kind("lwg.hwg_view")
+        .any(|e| e.node == Some(node) && e.time == time)
+}
+
+/// No LWG view is announced: two co-mapped LWGs split 2|2 and heal, each
+/// LWG merges once in the heal, and every view a member installs, but a
+/// founding one, it installs at an HWG view (a merged or pruned view, at
+/// the view whose round computed it) or at a flush acknowledgement it
+/// sent or received (a flush's successor, once the last `FlushOk` or
+/// `SwitchReady` is in). A policy switch of LWG 12 starts at the split;
+/// the round prunes nothing of a switching group, and the watchdog drops
+/// the switch for a flush 3 s later.
 #[test]
 fn every_member_installs_the_merged_view_with_the_hwg_view_that_ends_the_round() {
-    let (mut w, servers, apps) = Scenario::traced(37, 4).build_with(|me, servers| Tapped {
-        node: LwgNode::builder(me)
-            .servers(servers)
-            .build()
-            .expect("valid config"),
-        views_sent: Vec::new(),
-    });
+    let (mut w, servers, apps) = Scenario::traced(37, 4).build_with(Tapped::new);
     let groups = [LwgId(11), LwgId(12)];
     for g in groups {
         for (i, &m) in apps.iter().enumerate() {
@@ -386,33 +449,35 @@ fn every_member_installs_the_merged_view_with_the_hwg_view_that_ends_the_round()
     w.heal_at(SimTime::from_secs(25));
     w.run_until(SimTime::from_secs(45));
 
-    let sent: Vec<(SimTime, usize)> = apps
-        .iter()
-        .flat_map(|&m| w.inspect(m, |t: &Tapped| t.views_sent.clone()))
-        .collect();
-    let merges = sent.iter().filter(|(_, preds)| *preds >= 2).count();
-    assert_eq!(merges, 0, "merge announcements sent");
-    let split = SimTime::from_secs(10)..SimTime::from_secs(25);
-    let in_split = sent.iter().filter(|(at, _)| split.contains(at)).count();
-    let started = ["lwg.flush.start", "lwg.switch.start"].map(|kind| {
-        let started = w.trace().of_kind(kind);
-        started.filter(|e| split.contains(&e.time)).count()
-    });
-    assert!(
-        in_split <= started.iter().sum(),
-        "{in_split} view announcements in the split, for {started:?} flushes and switches"
-    );
+    let controls = controls(&mut w, &apps);
     let trace = w.trace();
-    let at_hwg_view = |node, time| {
-        trace
-            .of_kind("lwg.hwg_view")
-            .any(|e| e.node == Some(node) && e.time == time)
-    };
+    let at_hwg_view = |node, time| at_hwg_view(trace, node, time);
     let installs = |g: LwgId, merged| {
         trace
             .of_kind("lwg.view.install")
             .filter(move |e| e.refs.lwg == Some(g.0) && e.refs.view == merged)
     };
+    let founds = |node, time| {
+        trace
+            .of_kind("lwg.found")
+            .any(|e| e.node == Some(node) && e.time == time)
+    };
+    let mut flushed = 0;
+    for e in trace.of_kind("lwg.view.install") {
+        let (node, t) = (e.node.expect("a node's event"), e.time);
+        let g = LwgId(e.refs.lwg.expect("a group's event"));
+        let at_ack = at_ack(&controls, node, g, t);
+        assert!(
+            at_hwg_view(node, t) || at_ack || founds(node, t),
+            "{:?} installed at {node} at {t:?}, at no HWG view or acknowledgement",
+            e.refs.view
+        );
+        flushed += usize::from(!at_hwg_view(node, t) && at_ack);
+    }
+    assert!(
+        flushed >= apps.len(),
+        "{flushed} installs of a flush's successor"
+    );
     for g in groups {
         let healed = SimTime::from_secs(25);
         let merges: Vec<_> = trace
@@ -434,6 +499,108 @@ fn every_member_installs_the_merged_view_with_the_hwg_view_that_ends_the_round()
                 let node = e.node.expect("a node's event");
                 assert!(at_hwg_view(node, e.time), "{g} at {node}: {:?}", e.time);
             }
+        }
+    }
+}
+
+/// No flush costs a hop after its last acknowledgement. In a vsync world
+/// without jitter, where a frame is delivered as it arrives, a join, a
+/// switch, a leave and a dissolve of one LWG each install their successor
+/// at every member as the flush's last `FlushOk` (for the switch, its last
+/// `SwitchReady` on the target) is delivered there, and no control frame
+/// of the group follows that acknowledgement on either HWG. When the
+/// coordinator announced the successor, or the dissolution, one hop after
+/// the last `FlushOk`, the members installed it on that frame, and it was
+/// the last control frame.
+#[test]
+fn a_flush_installs_its_successor_at_its_last_acknowledgement() {
+    let mut scenario = Scenario::traced(5, 4);
+    scenario.world.net.jitter = SimDuration::ZERO;
+    let (mut w, _, apps) = scenario.build_with(Tapped::new);
+    let (g, to) = (LwgId(1), HwgId(77));
+    let (a, b, c, d) = (apps[0], apps[1], apps[2], apps[3]);
+    for (i, &m) in [a, b, c].iter().enumerate() {
+        let at = SimTime::ZERO + SimDuration::from_millis(400 * i as u64);
+        w.invoke_at(at, m, move |t: &mut Tapped, ctx| {
+            t.node.service().join(ctx, g)
+        });
+    }
+    // Between the policy passes, every 10 s.
+    let secs = |s| SimTime::from_secs(s) + SimDuration::from_millis(500);
+    w.invoke_at(secs(10), d, move |t: &mut Tapped, ctx| {
+        t.node.service().join(ctx, g)
+    });
+    for &m in &apps {
+        w.invoke_at(secs(20), m, move |t: &mut Tapped, ctx| {
+            let svc = t.node.service();
+            if svc.is_lwg_coordinator(g) {
+                svc.hwg_stack_mut().create(ctx, to);
+                svc.pump(ctx);
+                svc.switch(ctx, g, to);
+            }
+        });
+    }
+    w.invoke_at(secs(35), c, move |t: &mut Tapped, ctx| {
+        t.node.service().leave(ctx, g)
+    });
+    for &m in &[a, b, d] {
+        w.invoke_at(secs(45), m, move |t: &mut Tapped, ctx| {
+            t.node.service().leave(ctx, g)
+        });
+    }
+    w.run_until(secs(55));
+
+    let controls = controls(&mut w, &apps);
+    let status = |&m: &NodeId| w.inspect(m, |t: &Tapped| t.node.service_ref().lwg_status(g));
+    let left: Vec<_> = apps.iter().map(status).collect();
+    assert!(
+        left.iter().all(Option::is_none),
+        "every member left: {left:?}"
+    );
+    let trace = w.trace();
+    let steps = [("join", 10, 20), ("switch", 20, 35), ("leave", 35, 45)];
+    let steps = steps.into_iter().chain([("dissolve", 45, 55)]);
+    for (step, from, until) in steps {
+        let window = secs(from)..secs(until);
+        let mut flushed = 0;
+        for e in trace.of_kind("lwg.view.install") {
+            let (node, t) = (e.node.expect("a node's event"), e.time);
+            if !window.contains(&t) {
+                continue;
+            }
+            let at_ack = at_ack(&controls, node, g, t);
+            assert!(
+                at_ack || at_hwg_view(trace, node, t),
+                "{step}: {node} installed {:?} at {t:?} after its last acknowledgement",
+                e.refs.view
+            );
+            flushed += usize::from(at_ack);
+        }
+        let sent = controls
+            .iter()
+            .filter(|(_, c)| c.sent && window.contains(&c.at));
+        let last = sent
+            .max_by_key(|(_, c)| c.at)
+            .map(|(m, c)| (*m, c.ack, c.at));
+        assert!(
+            last.is_some_and(|(_, ack, _)| ack),
+            "{step}: the last control frame of {g}, {last:?}, acknowledges no flush"
+        );
+        if step == "dissolve" {
+            let mut dissolved = trace.of_kind("lwg.dissolve");
+            let at = dissolved.find(|e| window.contains(&e.time));
+            let at = at.map(|e| (e.node.expect("a node's event"), e.time));
+            let at_ack = |(node, t)| at_ack(&controls, node, g, t);
+            assert!(at.is_some_and(at_ack), "{step}: {at:?}");
+        } else {
+            assert!(
+                flushed >= 3,
+                "{step}: {flushed} installs at an acknowledgement"
+            );
+        }
+        if step == "switch" {
+            let mut completed = trace.of_kind("lwg.switch.complete");
+            assert!(completed.any(|e| window.contains(&e.time) && e.refs.hwg == Some(to.0)));
         }
     }
 }

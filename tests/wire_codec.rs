@@ -201,7 +201,7 @@ fn vs_msg(rng: &mut SimRng) -> VsMsg {
 
 fn lwg_msg(rng: &mut SimRng) -> LwgMsg {
     let lwg = LwgId(rng.range(0, 32));
-    match rng.range(0, 13) {
+    match rng.range(0, 10) {
         0 => LwgMsg::Data {
             lwg,
             lwg_view: view_id(rng),
@@ -217,30 +217,21 @@ fn lwg_msg(rng: &mut SimRng) -> LwgMsg {
         4 => LwgMsg::Flush {
             lwg,
             flush: lflush_id(rng),
+            view: view_id(rng),
             members: members(rng),
+            next: (rng.range(0, 4) > 0).then(|| view(rng)),
+            to: (rng.range(0, 2) > 0).then(|| HwgId(rng.range(0, 32))),
         },
         5 => LwgMsg::FlushOk {
             lwg,
             flush: lflush_id(rng),
         },
-        6 => LwgMsg::NewLwgView {
-            lwg,
-            flush: lflush_id(rng),
-            view: view(rng),
-            hwg: HwgId(rng.range(0, 32)),
-        },
-        7 => LwgMsg::SwitchTo {
-            lwg,
-            flush: lflush_id(rng),
-            to: HwgId(rng.range(0, 32)),
-            members: members(rng),
-        },
-        8 => LwgMsg::SwitchReady {
+        6 => LwgMsg::SwitchReady {
             lwg,
             flush: lflush_id(rng),
         },
-        9 => LwgMsg::MergeViews,
-        10 => {
+        7 => LwgMsg::MergeViews,
+        8 => {
             let views: Vec<(LwgId, View)> = (0..rng.range(0, 3))
                 .map(|_| (LwgId(rng.range(0, 32)), view(rng)))
                 .collect();
@@ -251,10 +242,6 @@ fn lwg_msg(rng: &mut SimRng) -> LwgMsg {
                 seq_floor: seq_floor(rng),
             }
         }
-        11 => LwgMsg::Dissolved {
-            lwg,
-            flush: lflush_id(rng),
-        },
         _ => LwgMsg::Redirect {
             lwg,
             to: HwgId(rng.range(0, 32)),
@@ -438,6 +425,49 @@ fn misrouted_family_is_rejected() {
     assert!(decode_frame::<VsMsg>(family::VS, &f).is_err());
     // A frame routed to the right decoder under the wrong family tag.
     assert!(decode_frame::<NetMsg>(family::VS, &f).is_err());
+}
+
+/// The retired `LwgMsg` tags — 6 (`NewLwgView`), 7 (`SwitchTo`) and 11
+/// (`Dissolved`): no LWG view is announced any more, and a switch is a
+/// `Flush` with a target. A frame with one is refused with `BadTag`, and
+/// the service counts it in `DECODE_ERRORS`, both node to node and inside
+/// an HWG multicast, without a panic.
+#[test]
+fn retired_lwg_tags_are_refused_and_counted() {
+    use plwg::core::{keys, LwgNode, ScriptedHwg};
+    use plwg::sim::{WireError, World, WorldConfig};
+    let mut w = World::new(WorldConfig::default());
+    let node = LwgNode::<ScriptedHwg>::builder(NodeId(0))
+        .servers([NodeId(1)])
+        .build()
+        .expect("valid config");
+    let me = w.add_node(Box::new(node));
+    assert_eq!(me, NodeId(0));
+    let hwg = HwgId(5);
+    w.invoke(me, move |n: &mut LwgNode<ScriptedHwg>, ctx| {
+        let view = View::initial(ViewId::new(me, 1), vec![me]);
+        n.service().hwg_stack_mut().inject_view(hwg, view);
+        n.service().pump(ctx);
+    });
+    for (i, tag) in [6u8, 7, 11].into_iter().enumerate() {
+        // A retired tag followed by bytes that would have been its fields.
+        let f = Frame::from_vec(vec![family::LWG as u8, tag, 3, 1, 2]);
+        assert_eq!(
+            decode_frame::<LwgMsg>(family::LWG, &f).err(),
+            Some(WireError::BadTag {
+                what: "LwgMsg",
+                tag: tag.into(),
+            })
+        );
+        let direct = f.clone();
+        w.invoke(me, move |n: &mut LwgNode<ScriptedHwg>, ctx| {
+            assert!(n.service().on_message(ctx, NodeId(2), &direct));
+            n.service().hwg_stack_mut().inject_data(hwg, NodeId(2), f);
+            n.service().pump(ctx);
+        });
+        let counted = w.metrics().counter(keys::DECODE_ERRORS);
+        assert_eq!(counted, 2 * (i as u64 + 1), "tag {tag}");
+    }
 }
 
 /// Arbitrary corruption may decode (flipping a payload byte yields a
@@ -786,17 +816,19 @@ fn golden_entries() -> Vec<(&'static str, Frame)> {
             ),
         ),
         (
-            "lwg.new_lwg_view",
+            "lwg.flush",
             encode_frame(
                 family::LWG,
-                &LwgMsg::NewLwgView {
+                &LwgMsg::Flush {
                     lwg: LwgId(3),
                     flush: LFlushId {
                         initiator: NodeId(1),
                         nonce: 2,
                     },
-                    view: view.clone(),
-                    hwg: HwgId(7),
+                    view: v1,
+                    members: vec![NodeId(1), NodeId(2)],
+                    next: Some(view.clone()),
+                    to: Some(HwgId(7)),
                 },
             ),
         ),

@@ -217,8 +217,8 @@ fn every_protocol_event_kind_is_observed_by_a_test() {
             }
         }
     }
-    let want = "LwgProtocolEvent 21, HwgTraceEvent 15, NamingEvent 2, NetEvent 5, SimEvent 4";
-    assert_eq!(kinds_per_enum.join(", "), want, "all 47 event kinds");
+    let want = "LwgProtocolEvent 20, HwgTraceEvent 15, NamingEvent 2, NetEvent 5, SimEvent 4";
+    assert_eq!(kinds_per_enum.join(", "), want, "all 46 event kinds");
     assert_none("event kinds nothing observes", &unseen);
 }
 
