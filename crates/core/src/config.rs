@@ -35,9 +35,6 @@ pub struct LwgConfig {
     /// How long a joiner waits for LWG admission before retrying, and after
     /// the retries, founding its own LWG view.
     pub lwg_join_timeout: SimDuration,
-    /// How long a view-tagged message for an unknown concurrent view may
-    /// sit before it triggers MERGE-VIEWS (local peer discovery fallback).
-    pub foreign_data_timeout: SimDuration,
     /// Internal housekeeping tick.
     pub tick_interval: SimDuration,
     /// When set, LWG coordinators periodically poll `ns.read` for their
@@ -81,7 +78,6 @@ impl Default for LwgConfig {
             policy_interval: SimDuration::from_secs(10),
             shrink_grace: SimDuration::from_secs(15),
             lwg_join_timeout: SimDuration::from_millis(800),
-            foreign_data_timeout: SimDuration::from_secs(2),
             tick_interval: SimDuration::from_millis(200),
             ns_poll_interval: None,
             pack_max_msgs: 1,
@@ -107,7 +103,6 @@ impl LwgConfig {
             ("policy_interval", self.policy_interval),
             ("tick_interval", self.tick_interval),
             ("lwg_join_timeout", self.lwg_join_timeout),
-            ("foreign_data_timeout", self.foreign_data_timeout),
         ] {
             if v <= SimDuration::ZERO {
                 return Err(ConfigError::new(field, "period must be positive"));

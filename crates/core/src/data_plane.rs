@@ -6,7 +6,9 @@
 //! with the **LWG view id** it was sent in. Receivers deliver upward only
 //! when the tag matches their installed view — the decoupling that lets
 //! concurrent LWG views share one HWG (paper §6.3) and the source of the
-//! interference cost the Figure-1 policies minimise.
+//! interference cost the Figure-1 policies minimise. Data of a view about
+//! to be installed here waits for that install; data of a view unknown to
+//! the group's lineage here requests MERGE-VIEWS as it is delivered.
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -22,7 +24,7 @@ use crate::events::LwgEvent;
 use crate::keys;
 use crate::msg::LwgMsg;
 use crate::service::{LwgService, TOK_PACK};
-use crate::state::ForeignTag;
+use crate::state::Held;
 use crate::wire;
 use plwg_hwg::{HwgId, HwgSubstrate, ViewId};
 use plwg_naming::LwgId;
@@ -143,9 +145,12 @@ impl<S: HwgSubstrate> LwgService<S> {
         }
     }
 
-    /// Delivery side: filter on the LWG view tag and surface
-    /// [`LwgEvent::Data`] to the application (or record foreign-view
-    /// evidence for the merge protocol).
+    /// Delivery side: decides the data message by its LWG view tag against
+    /// this node's lineage of `lwg`, with one directory lookup. The current
+    /// view's is surfaced as [`LwgEvent::Data`]; a view about to be
+    /// installed here holds it; any view unknown here is evidence of a
+    /// concurrent view sharing the HWG (local peer discovery, paper §6.3 /
+    /// Fig. 5 line 106), and MERGE-VIEWS is requested at once.
     pub(crate) fn handle_lwg_data(
         &mut self,
         ctx: &mut dyn Transport,
@@ -161,32 +166,58 @@ impl<S: HwgSubstrate> LwgService<S> {
             ctx.metrics().incr(keys::FILTERED);
             return;
         };
-        match &state.view {
-            Some(view) if view.id == lwg_view => {
-                ctx.metrics().incr(keys::DATA_DELIVERED);
-                self.events.push(LwgEvent::Data { lwg, src, data });
-            }
-            Some(_) if state.history.contains(&lwg_view) => {
-                // From a predecessor of our current view; superseded.
-                ctx.metrics().incr(keys::DATA_STALE);
-            }
-            Some(_) => {
-                // A view we never installed: evidence of a concurrent view
-                // sharing our HWG (local peer discovery, paper §6.3 / Fig. 5
-                // line 106). Remember it; the tick triggers MERGE-VIEWS if
-                // no merge happens first.
+        if state.view.as_ref().is_some_and(|v| v.id == lwg_view) {
+            ctx.metrics().incr(keys::DATA_DELIVERED);
+            self.events.push(LwgEvent::Data { lwg, src, data });
+            return;
+        }
+        // Whether the tag is the successor of the flush in flight, and
+        // whether that lists this node.
+        let next = state.flush().and_then(|lf| lf.req.next.as_ref());
+        let next = next
+            .filter(|v| v.id == lwg_view)
+            .map(|v| v.contains(self.me));
+        let stale = state.history.contains(&lwg_view);
+        match (next, state.view.is_some()) {
+            // Our successor's, or any while joining: the admitting `Flush`
+            // can arrive after the first data of its view (loss repair).
+            (Some(true), _) | (None, false) => self.held.push(Held {
+                lwg,
+                hwg,
+                view: lwg_view,
+                src,
+                data,
+            }),
+            // A leaver's: the view it leaves out.
+            (Some(false), _) => ctx.metrics().incr(keys::FILTERED),
+            // From a predecessor of our current view; superseded.
+            (None, true) if stale => ctx.metrics().incr(keys::DATA_STALE),
+            (None, true) => {
                 ctx.metrics().incr(keys::DATA_FOREIGN);
                 if let Some(hwg) = hwg {
-                    self.foreign.push(ForeignTag {
-                        seen_at: ctx.now(),
-                        hwg,
-                        lwg,
-                        view_id: lwg_view,
-                    });
+                    self.trigger_merge_views(ctx, hwg);
                 }
             }
-            None => {
+        }
+    }
+
+    /// Handles again, in arrival order, the data of `lwg` held for a view
+    /// that was about to be installed, now that its flush ended: at an
+    /// install, what the installed view tags is delivered; at an abandon,
+    /// a successor nobody here installed is foreign. A joiner's first
+    /// install filters the views it never knew instead: it held the data of
+    /// every view its group went through while it waited.
+    pub(crate) fn release_held(&mut self, ctx: &mut dyn Transport, lwg: LwgId, joined: bool) {
+        let released: Vec<Held> = self.held.extract_if(.., |h| h.lwg == lwg).collect();
+        if released.is_empty() {
+            return;
+        }
+        let installed = self.view_of(lwg).map(|v| v.id);
+        for h in released {
+            if joined && Some(h.view) != installed {
                 ctx.metrics().incr(keys::FILTERED);
+            } else {
+                self.handle_lwg_data(ctx, h.hwg, lwg, h.view, h.src, h.data);
             }
         }
     }

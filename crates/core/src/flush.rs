@@ -10,7 +10,10 @@
 //! the new view after collecting the acknowledgements, the coordinator
 //! fixes it before, from what it knows then; the members' collecting the
 //! same acknowledgements stands in for its commit (DESIGN.md, "LWG
-//! flush"). A switch is a flush with a target HWG (see [`crate::switch`]).
+//! flush"). Each member installs at its own last acknowledgement, so a
+//! faster member's data in the successor can arrive first: it waits for
+//! the install (see [`crate::data_plane`]). A switch is a flush with a
+//! target HWG (see [`crate::switch`]).
 //! A view whose members fell out of the backing HWG needs no flush: the
 //! HWG flush that produced the new HWG view already equalised the
 //! delivered sets, and its round installs the pruned view at every holder
@@ -63,8 +66,7 @@ impl<S: HwgSubstrate> LwgService<S> {
         match phase {
             Phase::ReadingNs | Phase::JoiningHwg { .. } | Phase::AwaitingAdmission { .. } => {
                 // Not admitted anywhere yet: just abandon the join.
-                self.dir.remove(lwg);
-                self.events.push(LwgEvent::Left { lwg });
+                self.depart(lwg);
             }
             Phase::Member => {
                 let Some(view) = self.dir.get(lwg).and_then(|s| s.view.clone()) else {
@@ -76,7 +78,7 @@ impl<S: HwgSubstrate> LwgService<S> {
                 if view.len() == 1 {
                     // Sole member: dissolve the group.
                     self.ns.unset(ctx, lwg, view.id);
-                    self.depart(ctx, lwg);
+                    self.depart(lwg);
                     return;
                 }
                 let Some(mut state) = self.dir.get_mut(lwg) else {
@@ -232,7 +234,7 @@ impl<S: HwgSubstrate> LwgService<S> {
                 ctx.emit(|| LwgProtocolEvent::Dissolve { lwg });
                 self.ns.unset(ctx, lwg, view);
             }
-            self.depart(ctx, lwg);
+            self.depart(lwg);
             return true;
         };
         let first = next.members.first() == Some(&self.me);
@@ -277,18 +279,15 @@ impl<S: HwgSubstrate> LwgService<S> {
             hwg: on_hwg,
         });
         ctx.metrics().incr(keys::VIEWS_INSTALLED);
-        let old_hwg = state.hwg;
+        let (old_hwg, joined) = (state.hwg, state.view.is_none());
         let pending = state.install(view.clone(), on_hwg, self.me);
         drop(state);
-        self.idle_hwgs.remove(&on_hwg);
         self.events.push(LwgEvent::View { lwg, view });
-        // If the mapping moved, leave a forward pointer and consider
-        // shrinking the old HWG.
-        if let Some(old) = old_hwg {
-            if old != on_hwg {
-                self.forward.insert(lwg, on_hwg);
-                self.note_idle_if_unused(ctx, old);
-            }
+        self.release_held(ctx, lwg, joined);
+        // If the mapping moved, leave a forward pointer (the tick's shrink
+        // rule finds the old HWG if it went idle).
+        if old_hwg.is_some_and(|old| old != on_hwg) {
+            self.forward.insert(lwg, on_hwg);
         }
         // Coordinator records the mapping.
         if self.lwg_coordinator(lwg) == Some(self.me) {
@@ -435,18 +434,17 @@ impl<S: HwgSubstrate> LwgService<S> {
     /// dropped flush no longer produces.
     pub(crate) fn drop_flush(&mut self, ctx: &mut dyn Transport, lwg: LwgId) {
         let pending = self.dir.get_mut(lwg).map(|mut s| s.abandon());
+        self.release_held(ctx, lwg, false);
         for data in pending.into_iter().flatten() {
             self.send(ctx, lwg, data);
         }
     }
 
-    /// Forgets `lwg`, which this node left: reports `Left` and lets the
-    /// HWG it was mapped onto go idle if no other group uses it.
-    fn depart(&mut self, ctx: &mut dyn Transport, lwg: LwgId) {
-        let hwg = self.dir.remove(lwg).and_then(|s| s.hwg);
+    /// Forgets `lwg`, which this node left or stopped joining, with the
+    /// data held for it, and reports `Left`.
+    fn depart(&mut self, lwg: LwgId) {
+        self.dir.remove(lwg);
+        self.held.retain(|h| h.lwg != lwg);
         self.events.push(LwgEvent::Left { lwg });
-        if let Some(h) = hwg {
-            self.note_idle_if_unused(ctx, h);
-        }
     }
 }

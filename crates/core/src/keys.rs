@@ -50,7 +50,9 @@ plwg_sim::metric_keys! {
     /// local peer discovery evidence of paper §6.3.
     pub const DATA_FOREIGN: CounterKey = "lwg.data_foreign";
     /// Multicasts filtered because this node is not in the group — the
-    /// interference cost the Figure-1 policies minimise.
+    /// interference cost the Figure-1 policies minimise — or not in the
+    /// view they are tagged with: a leaver's successor, or a view a joiner
+    /// waited through before its first install.
     pub const FILTERED: CounterKey = "lwg.filtered";
     /// Incoming frames of the LWG wire family that failed to decode (dropped;
     /// never panicked on).

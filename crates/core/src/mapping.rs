@@ -82,7 +82,7 @@ impl<S: HwgSubstrate> LwgService<S> {
             let candidates: Vec<HwgLoad> = member_hwgs
                 .iter()
                 .copied()
-                .filter(|&h| self.hwg_in_use(h))
+                .filter(|&h| self.dir.hwg_in_use(h))
                 .map(|h| self.dir.load_of(h))
                 .collect();
             let existing =
@@ -287,11 +287,7 @@ impl<S: HwgSubstrate> LwgService<S> {
         if retarget {
             ctx.metrics().incr(keys::REDIRECTS_FOLLOWED);
             ctx.emit(|| LwgProtocolEvent::Redirect { lwg, to });
-            let old = self.dir.get(lwg).and_then(|s| s.hwg);
             self.begin_hwg_join(ctx, lwg, to, false);
-            if let Some(old) = old {
-                self.note_idle_if_unused(ctx, old);
-            }
         }
     }
 
@@ -371,29 +367,6 @@ impl<S: HwgSubstrate> LwgService<S> {
             // Re-evaluate: the coordinator will re-flush with the members
             // still reachable.
             self.maybe_start_lwg_flush(ctx, lwg);
-        }
-
-        // Foreign-tagged data: if still unexplained after the grace period,
-        // trigger MERGE-VIEWS on the HWG (Fig. 5 line 106).
-        let deadline = self.cfg.foreign_data_timeout;
-        let mut trigger: BTreeSet<HwgId> = BTreeSet::new();
-        self.foreign.retain(|f| {
-            let expired = now.saturating_since(f.seen_at) >= deadline;
-            if expired {
-                let still_unknown = self.dir.get(f.lwg).is_some_and(|s| {
-                    s.view.as_ref().is_some_and(|v| v.id != f.view_id)
-                        && !s.history.contains(&f.view_id)
-                });
-                if still_unknown {
-                    trigger.insert(f.hwg);
-                }
-                false
-            } else {
-                true
-            }
-        });
-        for hwg in trigger {
-            self.trigger_merge_views(ctx, hwg);
         }
 
         // Callback-vs-polling ablation: coordinators poll the naming
@@ -503,16 +476,6 @@ impl<S: HwgSubstrate> LwgService<S> {
     // Shrink-rule bookkeeping
     // ------------------------------------------------------------------
 
-    pub(crate) fn hwg_in_use(&self, hwg: HwgId) -> bool {
-        self.dir.hwg_in_use(hwg)
-    }
-
-    pub(crate) fn note_idle_if_unused(&mut self, ctx: &mut dyn Transport, hwg: HwgId) {
-        if self.substrate.status_of(hwg) == GroupStatus::Member && !self.hwg_in_use(hwg) {
-            self.idle_hwgs.entry(hwg).or_insert(ctx.now());
-        }
-    }
-
     fn refresh_idle_hwgs(&mut self, ctx: &mut dyn Transport) {
         let now = ctx.now();
         let member_hwgs: Vec<HwgId> = self.hwgs();
@@ -520,7 +483,7 @@ impl<S: HwgSubstrate> LwgService<S> {
             if self.substrate.status_of(hwg) != GroupStatus::Member {
                 continue;
             }
-            if self.hwg_in_use(hwg) {
+            if self.dir.hwg_in_use(hwg) {
                 self.idle_hwgs.remove(&hwg);
             } else {
                 self.idle_hwgs.entry(hwg).or_insert(now);
@@ -541,6 +504,7 @@ impl<S: HwgSubstrate> LwgService<S> {
         let mut state = LwgState::default();
         state.history.extend(old.view.map(|v| v.id));
         self.dir.insert(lwg, state);
+        self.held.retain(|h| h.lwg != lwg);
         ctx.emit(|| LwgProtocolEvent::Rejoin { lwg });
         let req = self.ns.read(ctx, lwg);
         self.ns_lookups.insert(req, (lwg, NsPurpose::JoinLookup));

@@ -30,7 +30,6 @@ impl<S: HwgSubstrate> LwgService<S> {
     /// start a switch for each. Driven by the `rebalance_interval` timer;
     /// public so experiments and tests can force a round directly.
     pub fn run_rebalance(&mut self, ctx: &mut dyn Transport) {
-        self.last_rebalance = ctx.now();
         ctx.metrics().incr(keys::REBALANCE_ROUNDS);
         let mut loads = self.dir.loads();
         // Each round consumes the traffic window: hotness is judged per

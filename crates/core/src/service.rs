@@ -22,9 +22,7 @@ use crate::directory::{DirCounters, GroupDirectory};
 use crate::events::LwgEvent;
 use crate::msg::{LFlushId, LwgMsg};
 use crate::protocol_events::LwgProtocolEvent;
-use crate::state::{
-    Ack, FlushReq, ForeignTag, LwgStatus, MergeRound, NsPurpose, Phase, ServiceStats,
-};
+use crate::state::{Ack, FlushReq, Held, LwgStatus, MergeRound, NsPurpose, Phase, ServiceStats};
 use crate::wire;
 use plwg_hwg::{HwgEvent, HwgId, HwgSubstrate, View};
 use plwg_naming::{LwgId, NsClient, RequestId};
@@ -58,7 +56,10 @@ pub struct LwgService<S: HwgSubstrate> {
     pub(crate) forward: BTreeMap<LwgId, HwgId>,
     /// Naming requests awaiting a reply, with their purpose.
     pub(crate) ns_lookups: BTreeMap<RequestId, (LwgId, NsPurpose)>,
-    pub(crate) foreign: Vec<ForeignTag>,
+    /// Data held for a view about to be installed here, in arrival order
+    /// (see [`LwgService::release_held`]): it lives as long as one flush
+    /// or one join.
+    pub(crate) held: Vec<Held>,
     /// HWGs with no local LWG mapped, and since when (shrink rule).
     pub(crate) idle_hwgs: BTreeMap<HwgId, SimTime>,
     /// Switches, `(flush, target, since)`, of views this node does not
@@ -66,8 +67,6 @@ pub struct LwgService<S: HwgSubstrate> {
     /// target like a follower, until the flush watchdog's span has passed.
     pub(crate) foreign_switches: BTreeMap<LwgId, (LFlushId, HwgId, SimTime)>,
     pub(crate) last_ns_poll: SimTime,
-    /// Last time the rebalancer ran (rate limit; see [`crate::rebalance`]).
-    pub(crate) last_rebalance: SimTime,
     /// Rate limit for MERGE-VIEWS per HWG: a forced flush is pointless (and
     /// starves the HWG-level beacon merge) more than ~once a second.
     pub(crate) last_merge_views: BTreeMap<HwgId, SimTime>,
@@ -109,11 +108,10 @@ impl<S: HwgSubstrate> LwgService<S> {
             rounds: BTreeMap::new(),
             forward: BTreeMap::new(),
             ns_lookups: BTreeMap::new(),
-            foreign: Vec::new(),
+            held: Vec::new(),
             idle_hwgs: BTreeMap::new(),
             foreign_switches: BTreeMap::new(),
             last_ns_poll: SimTime::ZERO,
-            last_rebalance: SimTime::ZERO,
             last_merge_views: BTreeMap::new(),
             packs: BTreeMap::new(),
             pack_timer_armed: false,
@@ -488,8 +486,6 @@ impl<S: HwgSubstrate> LwgService<S> {
             }
             self.maybe_start_lwg_flush(ctx, lwg);
         }
-
-        self.note_idle_if_unused(ctx, hwg);
     }
 
     // ------------------------------------------------------------------

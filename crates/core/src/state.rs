@@ -347,14 +347,15 @@ impl MergeRound {
     }
 }
 
-/// Recently seen data tagged with an LWG view we do not know — potential
-/// evidence of a concurrent view (local peer-discovery fallback).
+/// A data message of `lwg` tagged with `view`, a view about to be installed
+/// here, held until its flush ends (see [`crate::data_plane`]).
 #[derive(Debug)]
-pub(crate) struct ForeignTag {
-    pub(crate) seen_at: SimTime,
-    pub(crate) hwg: HwgId,
+pub(crate) struct Held {
     pub(crate) lwg: LwgId,
-    pub(crate) view_id: ViewId,
+    pub(crate) hwg: Option<HwgId>,
+    pub(crate) view: ViewId,
+    pub(crate) src: NodeId,
+    pub(crate) data: Payload,
 }
 
 /// A snapshot of one group's state at this node (see

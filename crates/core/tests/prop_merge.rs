@@ -38,7 +38,6 @@ fn world(seed: u64, apps: usize) -> (World, Vec<NodeId>) {
         lwg: LwgConfig {
             lwg_join_timeout: ms(100),
             tick_interval: ms(50),
-            foreign_data_timeout: ms(400),
             ..LwgConfig::default()
         },
         ..Scenario::traced(seed, apps)

@@ -9,7 +9,7 @@
 //! scripted substrate requires (it has no retransmission or reordering
 //! repair of its own).
 
-use plwg_core::{HwgId, LFlushId, LwgConfig, LwgId, LwgMsg, ScriptedHwg, View, ViewId};
+use plwg_core::{HwgId, LFlushId, LwgConfig, LwgEvent, LwgId, LwgMsg, ScriptedHwg, View, ViewId};
 use plwg_hwg::view_key;
 use plwg_naming::{NameServer, NamingConfig};
 use plwg_obs::{scenarios::Scenario, Timeline};
@@ -39,7 +39,6 @@ fn cfg() -> LwgConfig {
     LwgConfig {
         lwg_join_timeout: ms(100),
         tick_interval: ms(50),
-        foreign_data_timeout: ms(400),
         ..LwgConfig::default()
     }
 }
@@ -893,6 +892,186 @@ fn a_flush_waits_for_the_install_of_the_view_it_flushes() {
     let busy = w.inspect(b, |n: &Node| n.service_ref().lwg_status(L).map(|s| s.busy));
     assert_eq!(busy, Some(false));
     assert_eq!(plwg_obs::forks_of(w.trace()), vec![]);
+}
+
+/// `{a, b, c}` holding `v1` on `H1`, and the messages of `a`'s flush of it
+/// into `next`, `{a, b, c}` minus `out`: the `Flush`, a `FlushOk`, and data
+/// tagged with a view.
+struct Succession {
+    a: NodeId,
+    b: NodeId,
+    c: NodeId,
+    v1: View,
+    next: View,
+}
+
+impl Succession {
+    fn new(w: &mut World, apps: &[NodeId], out: Option<NodeId>) -> Self {
+        let (a, b, c) = (apps[0], apps[1], apps[2]);
+        for &n in apps {
+            grant(w, n, H1, a, 1, apps);
+        }
+        let v1 = View::initial(ViewId::new(a, 1), vec![a, b, c]);
+        for &n in &[a, b, c] {
+            seed_lwg_view(w, n, H1, v1.clone());
+        }
+        w.run_for(ms(200));
+        let members = [a, b, c].into_iter().filter(|&m| Some(m) != out).collect();
+        let next = View::with_predecessors(ViewId::new(a, 2), members, vec![v1.id]);
+        Succession { a, b, c, v1, next }
+    }
+
+    fn flush(&self) -> LwgMsg {
+        LwgMsg::Flush {
+            lwg: L,
+            flush: LFlushId {
+                initiator: self.a,
+                nonce: 1,
+            },
+            view: self.v1.id,
+            members: vec![self.a, self.b, self.c],
+            next: Some(self.next.clone()),
+            to: None,
+        }
+    }
+
+    fn ok(&self) -> LwgMsg {
+        LwgMsg::FlushOk {
+            lwg: L,
+            flush: LFlushId {
+                initiator: self.a,
+                nonce: 1,
+            },
+        }
+    }
+
+    fn data(&self, view: &View, v: u64) -> LwgMsg {
+        LwgMsg::Data {
+            lwg: L,
+            lwg_view: view.id,
+            data: Frame::from_u64(v),
+        }
+    }
+}
+
+/// The counter `key`, over the whole world.
+fn counter(w: &World, key: plwg_sim::CounterKey) -> u64 {
+    w.metrics().counter(key)
+}
+
+/// A member installs a flush's successor at its own last `FlushOk`, so a
+/// faster member's data in the successor can reach it first: `a` had every
+/// acknowledgement and sent two messages in `next` before `c`'s `FlushOk`
+/// reached `b`. `b` holds them, and delivers them, in arrival order, right
+/// after the `View` upcall of `next`; nothing is foreign. When such data
+/// was dropped as foreign, `b` delivered neither.
+#[test]
+fn successor_data_that_overtakes_the_last_flush_ok_waits_for_the_install() {
+    use plwg_core::keys::{DATA_FOREIGN, MERGE_VIEWS_SENT};
+    let (mut w, apps) = setup(3);
+    let s = Succession::new(&mut w, &apps, None);
+    let (a, b, c) = (s.a, s.b, s.c);
+    let (foreign, asked) = (counter(&w, DATA_FOREIGN), counter(&w, MERGE_VIEWS_SENT));
+    let early = vec![
+        (a, s.flush()),
+        (a, s.ok()),
+        (a, s.data(&s.next, 10)),
+        (a, s.data(&s.next, 11)),
+    ];
+    deliver(&mut w, b, early);
+    assert_eq!(
+        view_at(&mut w, b).as_ref(),
+        Some(&s.v1),
+        "c's FlushOk is missing"
+    );
+    assert_eq!(delivered_from(&mut w, b, a), Vec::<u64>::new(), "held");
+    deliver(&mut w, b, vec![(c, s.data(&s.v1, 5)), (c, s.ok())]);
+    assert_eq!(view_at(&mut w, b).as_ref(), Some(&s.next));
+    assert_eq!(delivered_from(&mut w, b, c), vec![5], "in the old view");
+    assert_eq!(
+        delivered_from(&mut w, b, a),
+        vec![10, 11],
+        "in the new view"
+    );
+    let upcalls: Vec<String> = w.inspect(b, |n: &Node| {
+        let history = n.events_ref().history();
+        let last = history.iter().rev().take(3).rev();
+        last.map(|ev| match ev {
+            LwgEvent::View { view, .. } => format!("view {}", view.id),
+            LwgEvent::Data { data, .. } => format!("data {}", data.try_u64().unwrap_or(0)),
+            LwgEvent::Left { .. } => "left".to_string(),
+        })
+        .collect()
+    });
+    let installed = format!("view {}", s.next.id);
+    assert_eq!(upcalls, vec![installed.as_str(), "data 10", "data 11"]);
+    assert_eq!(counter(&w, DATA_FOREIGN), foreign);
+    assert_eq!(counter(&w, MERGE_VIEWS_SENT), asked);
+}
+
+/// A member whose flush's successor leaves it out, a leaver, filters the
+/// data of that successor that reaches it before its last `FlushOk`
+/// (`lwg.filtered`) and asks for no merge; then it departs. When such data
+/// was foreign, it counted as `lwg.data_foreign`.
+#[test]
+fn a_leaver_filters_the_data_of_the_view_that_leaves_it_out() {
+    use plwg_core::keys::{DATA_FOREIGN, FILTERED, MERGE_VIEWS_SENT};
+    let (mut w, apps) = setup(3);
+    let s = Succession::new(&mut w, &apps, Some(apps[2]));
+    let (a, b, c) = (s.a, s.b, s.c);
+    deliver(&mut w, c, vec![(a, s.flush()), (a, s.ok())]);
+    let before = [FILTERED, DATA_FOREIGN, MERGE_VIEWS_SENT].map(|k| counter(&w, k));
+    w.invoke(c, |n: &mut Node, ctx| {
+        let hwg = n.service().hwg_stack_mut();
+        hwg.inject_data(H1, a, s.data(&s.next, 10).to_frame());
+        n.service().pump(ctx);
+    });
+    let after = [FILTERED, DATA_FOREIGN, MERGE_VIEWS_SENT].map(|k| counter(&w, k));
+    assert_eq!(after, [before[0] + 1, before[1], before[2]]);
+    deliver(&mut w, c, vec![(b, s.ok())]);
+    assert_eq!(view_at(&mut w, c), None);
+    let lefts = w.inspect(c, |n: &Node| n.events_ref().lefts());
+    assert_eq!(lefts, vec![L]);
+    assert_eq!(delivered_from(&mut w, c, a), Vec::<u64>::new());
+    assert_eq!(counter(&w, MERGE_VIEWS_SENT), before[2]);
+}
+
+/// Data tagged with a view of `L` that is neither `b`'s, an ancestor of
+/// it, nor the successor of a flush in flight at `b` is evidence of a
+/// concurrent view on the HWG: `b` multicasts `MergeViews` as it delivers
+/// it, with no grace period. (`x` holds the concurrent `{b, x}`, which
+/// `b` coordinates, so only `a` registers a mapping and no
+/// MULTIPLE-MAPPINGS callback asks for a merge first.) A message of a view
+/// `b` held before is stale, and asks for nothing.
+#[test]
+fn data_of_an_unknown_view_requests_merge_views_at_its_delivery() {
+    use plwg_core::keys::{DATA_FOREIGN, DATA_STALE, MERGE_VIEWS_SENT};
+    let (mut w, mut apps) = setup(4);
+    let x = apps.pop().expect("four apps");
+    let s = Succession::new(&mut w, &apps, None);
+    let (a, b, c) = (s.a, s.b, s.c);
+    grant(&mut w, x, H1, a, 1, &[a, b, c, x]);
+    let vx = View::initial(ViewId::new(x, 1), vec![b, x]);
+    seed_lwg_view(&mut w, x, H1, vx.clone());
+    deliver(&mut w, b, vec![(a, s.flush()), (a, s.ok()), (c, s.ok())]);
+    assert_eq!(view_at(&mut w, b).as_ref(), Some(&s.next));
+    w.run_for(ms(200));
+    let inject = |w: &mut World, src: NodeId, msg: LwgMsg| {
+        let keys = [DATA_STALE, DATA_FOREIGN, MERGE_VIEWS_SENT];
+        let before = keys.map(|k| counter(w, k));
+        w.invoke(b, move |n: &mut Node, ctx| {
+            n.service()
+                .hwg_stack_mut()
+                .inject_data(H1, src, msg.to_frame());
+            n.service().pump(ctx);
+        });
+        let after = keys.map(|k| counter(w, k));
+        [0, 1, 2].map(|i| after[i] - before[i])
+    };
+    assert_eq!(inject(&mut w, c, s.data(&s.v1, 1)), [1, 0, 0], "stale");
+    let foreign = inject(&mut w, x, s.data(&vx, 2));
+    assert_eq!(foreign, [0, 1, 1], "MergeViews at the delivery");
+    assert_eq!(delivered_from(&mut w, b, x), Vec::<u64>::new());
 }
 
 /// Two concurrent views of `L` on one HWG, `{a, x}` and `{c, y, z}`, and a

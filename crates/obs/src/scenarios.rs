@@ -8,6 +8,8 @@
 //! [`join_staggered`], [`run_until`] and [`agree`] are the join wave, the
 //! wait and the agreement check they share. The schedule is the [`World`]'s
 //! own (`split_at`, `heal_at`, `crash_at`, `invoke_at`, …).
+//! [`delivery_mismatches`] is the virtual-synchrony oracle over what the
+//! members delivered.
 //!
 //! The packaged scenarios in [`SCENARIOS`] drive the full PLWG stack (name
 //! servers + `LwgService` over the virtually-synchronous substrate) through
@@ -15,10 +17,11 @@
 //! inspect `world.trace()` — the `timeline` bin renders
 //! [`crate::Timeline::build`] over it.
 
-use plwg_core::{HwgSubstrate, LwgConfig, LwgId, LwgNode, View};
+use plwg_core::{HwgSubstrate, LwgConfig, LwgEvent, LwgId, LwgNode, View, ViewId};
 use plwg_naming::{NameServer, NamingConfig};
 use plwg_sim::{Frame, NodeId, Process, SimDuration, SimTime, World, WorldConfig};
 use plwg_vsync::VsyncStack;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The production node type the scenarios simulate.
 pub type Node = LwgNode<VsyncStack>;
@@ -147,6 +150,89 @@ pub fn agree<S: HwgSubstrate + 'static>(world: &mut World, lwg: LwgId, members: 
         .all(|&m| world.inspect(m, |n: &LwgNode<S>| n.current_view(lwg).is_some_and(exact)))
 }
 
+/// Two members of an LWG that installed `view` and then `next`, but
+/// delivered different messages in `view` (see [`delivery_mismatches`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DeliveryMismatch {
+    /// The view whose delivered sets differ.
+    pub view: ViewId,
+    /// The successor both members installed after it.
+    pub next: ViewId,
+    /// The two members, in the order they were given.
+    pub pair: (NodeId, NodeId),
+    /// How many messages each of the two delivered that the other did not.
+    pub only: (usize, usize),
+}
+
+/// The messages (sender, payload) one member delivered in one view.
+type Messages = BTreeSet<(NodeId, Vec<u8>)>;
+
+/// The messages one member delivered in each view of a group, keyed by
+/// that view and the next one it installed.
+type Delivered = BTreeMap<(ViewId, ViewId), Messages>;
+
+/// Virtual synchrony of `lwg` over `members` (each an `LwgNode<S>`), read
+/// from their recorded upcalls: every two members that installed the same
+/// view followed by the same successor delivered the same messages in it.
+/// Returns each pair and view for which that fails, so empty is the pass.
+/// A view a member left, or still holds, is not compared.
+pub fn delivery_mismatches<S: HwgSubstrate + 'static>(
+    world: &mut World,
+    lwg: LwgId,
+    members: &[NodeId],
+) -> Vec<DeliveryMismatch> {
+    let delivered: Vec<(NodeId, Delivered)> = members
+        .iter()
+        .map(|&m| {
+            let history = |n: &LwgNode<S>| delivered_by_view(n.events_ref().history(), lwg);
+            (m, world.inspect(m, history))
+        })
+        .collect();
+    let mut found = Vec::new();
+    for (i, (a, of_a)) in delivered.iter().enumerate() {
+        for (b, of_b) in delivered.iter().skip(i + 1) {
+            for (&(view, next), at_a) in of_a {
+                let Some(at_b) = of_b.get(&(view, next)) else {
+                    continue;
+                };
+                if at_a != at_b {
+                    found.push(DeliveryMismatch {
+                        view,
+                        next,
+                        pair: (*a, *b),
+                        only: (at_a.difference(at_b).count(), at_b.difference(at_a).count()),
+                    });
+                }
+            }
+        }
+    }
+    found
+}
+
+/// What one member delivered in each view of `lwg` that it installed a
+/// successor of, from its upcalls in delivery order.
+fn delivered_by_view(history: &[LwgEvent], lwg: LwgId) -> Delivered {
+    let mut delivered = Delivered::new();
+    let mut current: Option<(ViewId, Messages)> = None;
+    for event in history {
+        match event {
+            LwgEvent::View { lwg: l, view } if *l == lwg => {
+                if let Some((id, set)) = current.replace((view.id, Messages::new())) {
+                    delivered.insert((id, view.id), set);
+                }
+            }
+            LwgEvent::Data { lwg: l, src, data } if *l == lwg => {
+                if let Some((_, set)) = &mut current {
+                    set.insert((*src, data.to_vec()));
+                }
+            }
+            LwgEvent::Left { lwg: l } if *l == lwg => current = None,
+            _ => {}
+        }
+    }
+    delivered
+}
+
 /// Two members join one group and exchange a multicast — the smallest
 /// end-to-end run (mirrors `examples/quickstart.rs`).
 pub fn quickstart() -> World {
@@ -229,3 +315,40 @@ pub type Packaged = (&'static str, fn() -> World);
 
 /// Every packaged scenario, by name: what the `timeline` bin can render.
 pub const SCENARIOS: &[Packaged] = &[("quickstart", quickstart), ("heal", heal), ("churn", churn)];
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_view_is_compared_only_between_the_same_two_views() {
+        let (g, other) = (LwgId(1), LwgId(2));
+        let view = |seq| View::initial(ViewId::new(NodeId(1), seq), vec![NodeId(1)]);
+        let install = |seq| LwgEvent::View {
+            lwg: g,
+            view: view(seq),
+        };
+        let data = |lwg, v| LwgEvent::Data {
+            lwg,
+            src: NodeId(1),
+            data: Frame::from_u64(v),
+        };
+        let history = [
+            data(g, 0),
+            install(1),
+            data(g, 1),
+            data(other, 9),
+            data(g, 2),
+            install(2),
+            data(g, 3),
+            LwgEvent::Left { lwg: g },
+            install(4),
+            data(g, 4),
+        ];
+        let delivered = delivered_by_view(&history, g);
+        let payload = |v| (NodeId(1), Frame::from_u64(v).to_vec());
+        let first = (ViewId::new(NodeId(1), 1), ViewId::new(NodeId(1), 2));
+        assert_eq!(delivered.keys().collect::<Vec<_>>(), vec![&first]);
+        assert_eq!(delivered[&first], BTreeSet::from([payload(1), payload(2)]));
+    }
+}

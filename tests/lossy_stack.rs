@@ -1,8 +1,9 @@
 //! Whole-stack run over a lossy network: the NACK/flush machinery below
 //! must hide the loss from the LWG layer entirely — FIFO per sender, no
-//! gaps, across a membership change.
+//! gaps, across membership changes, and the same messages at every member
+//! of a view.
 
-use plwg::obs::scenarios::{agree, join_staggered, run_until, Scenario};
+use plwg::obs::scenarios::{agree, delivery_mismatches, join_staggered, run_until, Scenario};
 use plwg::prelude::*;
 
 #[test]
@@ -100,4 +101,62 @@ fn lwg_streams_survive_message_loss_and_a_crash() {
             "fresh stream at {m}"
         );
     }
+}
+
+/// Virtual synchrony under loss and churn, over seeds 1–32: at 5 % loss,
+/// 3 of 5 members bring up one LWG, then every member multicasts every
+/// 10 ms for 5 s while the other two join (1 s and 2 s in) and one of the
+/// three leaves (3 s in). Every two members that installed the same view
+/// and the same successor delivered the same messages in that view
+/// ([`delivery_mismatches`]).
+///
+/// A member installs a flush's successor at its own last `FlushOk`, so a
+/// faster member's data in the successor can reach it first; that data
+/// waits for the install. While it was dropped as foreign-view data
+/// instead, 16 of the 29 seeds that bring up delivered different sets
+/// (82 mismatches, each a pair of members in one view).
+///
+/// A seed whose bring-up does not converge within 60 s is printed and
+/// skipped, not replaced: under loss the vsync layer thrashes on some
+/// seeds (2, 21 and 30 here).
+#[test]
+fn lwg_views_deliver_alike_under_loss_through_joins_and_a_leave() {
+    let g = LwgId(1);
+    let mut down = Vec::new();
+    for seed in 1..=32 {
+        let mut scenario = Scenario::new(seed, 5);
+        scenario.world.net.loss = 0.05;
+        let (mut world, _, apps) = scenario.build::<VsyncStack>();
+        let gap = SimDuration::from_millis(500);
+        join_staggered::<VsyncStack>(&mut world, g, &apps[..3], SimTime::ZERO, gap);
+        let up = run_until(
+            &mut world,
+            SimDuration::from_secs(1),
+            SimDuration::from_secs(60),
+            |w| agree::<VsyncStack>(w, g, &apps[..3]),
+        );
+        if up.is_none() {
+            down.push(seed);
+            continue;
+        }
+        let t0 = world.now();
+        let at = |ms: u64| t0 + SimDuration::from_millis(ms);
+        for (i, &app) in apps.iter().enumerate() {
+            for k in 0..500u64 {
+                let v = (i as u64) << 32 | k;
+                world.invoke_at(at(10 * k), app, move |n: &mut LwgNode, ctx| {
+                    n.service().send(ctx, g, plwg::sim::Frame::from_u64(v))
+                });
+            }
+        }
+        let second = SimDuration::from_secs(1);
+        join_staggered::<VsyncStack>(&mut world, g, &apps[3..], at(1_000), second);
+        world.invoke_at(at(3_000), apps[1], move |n: &mut LwgNode, ctx| {
+            n.service().leave(ctx, g)
+        });
+        world.run_until(at(10_000));
+        let mismatches = delivery_mismatches::<VsyncStack>(&mut world, g, &apps);
+        assert_eq!(mismatches, vec![], "seed {seed}");
+    }
+    println!("seeds whose bring-up did not converge within 60 s: {down:?}");
 }
