@@ -43,10 +43,6 @@ use std::ops::{Deref, DerefMut};
 /// Record shard count (power of two; shard key = top Fibonacci-hash bits).
 const SHARDS: usize = 16;
 
-/// High bit marking HWG ids minted by [`GroupDirectory::alloc_hwg_id`]
-/// (`0x8000…| node << 32 | counter`).
-const ALLOC_BIT: u64 = 0x8000_0000_0000_0000;
-
 fn shard_of(lwg: LwgId) -> usize {
     // Fibonacci hashing: deterministic, well-mixed even for dense small ids.
     (lwg.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60) as usize & (SHARDS - 1)
@@ -131,7 +127,7 @@ struct DirIndex {
     /// allocation prefix — including ids re-learned from naming after a
     /// restart, which is what makes [`GroupDirectory::alloc_hwg_id`]
     /// collision-free.
-    hwg_floor: u64,
+    hwg_floor: u32,
     len: usize,
     lookups: Cell<u64>,
     index_queries: Cell<u64>,
@@ -143,8 +139,10 @@ impl DirIndex {
     /// raise the floor future [`GroupDirectory::alloc_hwg_id`] calls
     /// allocate above.
     fn note_hwg(&mut self, hwg: HwgId) {
-        if hwg.0 & ALLOC_BIT != 0 && (hwg.0 >> 32) & 0x7FFF_FFFF == u64::from(self.me.0) {
-            self.hwg_floor = self.hwg_floor.max(hwg.0 & 0xFFFF_FFFF);
+        if let Some((node, counter)) = hwg.parts() {
+            if node == self.me {
+                self.hwg_floor = self.hwg_floor.max(counter);
+            }
         }
     }
 
@@ -432,7 +430,7 @@ impl GroupDirectory {
     pub(crate) fn alloc_hwg_id(&mut self) -> HwgId {
         let next = self.index.hwg_floor + 1;
         self.index.hwg_floor = next;
-        HwgId(ALLOC_BIT | (u64::from(self.index.me.0) << 32) | next)
+        HwgId::allocated(self.index.me, next)
     }
 
     /// Raises the allocation floor from an HWG id observed outside the
@@ -612,14 +610,8 @@ mod tests {
         let mut d = dir();
         // Without restart evidence the sequence is the seed's: counter
         // 1, 2, 3 … under the node prefix (bench byte-identity).
-        assert_eq!(
-            d.alloc_hwg_id(),
-            HwgId(0x8000_0000_0000_0000 | (3 << 32) | 1)
-        );
-        assert_eq!(
-            d.alloc_hwg_id(),
-            HwgId(0x8000_0000_0000_0000 | (3 << 32) | 2)
-        );
+        assert_eq!(d.alloc_hwg_id(), HwgId::allocated(NodeId(3), 1));
+        assert_eq!(d.alloc_hwg_id(), HwgId::allocated(NodeId(3), 2));
     }
 
     #[test]
@@ -628,19 +620,13 @@ mod tests {
         // A pre-restart allocation of ours (counter 7) comes back from the
         // naming service as a record's mapping target…
         d.insert(LwgId(1), LwgState::default());
-        let hwg = HwgId(0x8000_0000_0000_0000 | (3 << 32) | 7);
+        let hwg = HwgId::allocated(NodeId(3), 7);
         join(&mut d.get_mut(LwgId(1)).unwrap(), hwg);
         // …so the next allocation lands above it, not at counter 1.
-        assert_eq!(
-            d.alloc_hwg_id(),
-            HwgId(0x8000_0000_0000_0000 | (3 << 32) | 8)
-        );
+        assert_eq!(d.alloc_hwg_id(), HwgId::allocated(NodeId(3), 8));
         // Another node's prefixed ids do not move our floor.
-        d.observe_hwg(HwgId(0x8000_0000_0000_0000 | (9 << 32) | 100));
-        assert_eq!(
-            d.alloc_hwg_id(),
-            HwgId(0x8000_0000_0000_0000 | (3 << 32) | 9)
-        );
+        d.observe_hwg(HwgId::allocated(NodeId(9), 100));
+        assert_eq!(d.alloc_hwg_id(), HwgId::allocated(NodeId(3), 9));
     }
 
     #[test]

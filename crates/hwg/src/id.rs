@@ -8,19 +8,37 @@ use std::fmt;
 /// Identifiers are totally ordered; the paper uses this order for
 /// deterministic tie-breaks ("switch to the HWG with the highest group
 /// identifier", §6.2).
+///
+/// An id minted at run time ([`HwgId::allocated`]) sets bit 63 and names
+/// its allocating node in bits 62–32 and that node's counter in bits
+/// 31–0; any other value is a static id (`HwgId(7)`), with bit 63 clear.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct HwgId(pub u64);
 
+impl HwgId {
+    /// Bit 63: set in every allocated id and in no static one.
+    const ALLOCATED: u64 = 1 << 63;
+
+    /// The id that `node` mints with its allocation counter at `counter`.
+    /// `node` must fit in 31 bits.
+    pub fn allocated(node: NodeId, counter: u32) -> HwgId {
+        debug_assert!(node.0 < 1 << 31, "{node} does not fit an allocated HwgId");
+        HwgId(Self::ALLOCATED | u64::from(node.0) << 32 | u64::from(counter))
+    }
+
+    /// The allocating node and counter of an [allocated](HwgId::allocated)
+    /// id; `None` for a static id.
+    pub fn parts(self) -> Option<(NodeId, u32)> {
+        (self.0 & Self::ALLOCATED != 0)
+            .then_some((NodeId((self.0 >> 32) as u32 & 0x7FFF_FFFF), self.0 as u32))
+    }
+}
+
 impl fmt::Display for HwgId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0 & (1 << 63) != 0 {
-            // A dynamically allocated id (see `plwg-core`): encodes the
-            // allocating node and a local counter.
-            let node = (self.0 >> 32) & 0x7FFF_FFFF;
-            let ctr = self.0 & 0xFFFF_FFFF;
-            write!(f, "hwg[n{node}.{ctr}]")
-        } else {
-            write!(f, "hwg{}", self.0)
+        match self.parts() {
+            Some((node, counter)) => write!(f, "hwg[{node}.{counter}]"),
+            None => write!(f, "hwg{}", self.0),
         }
     }
 }
@@ -83,6 +101,17 @@ mod tests {
     fn hwg_id_order_is_numeric() {
         assert!(HwgId(2) > HwgId(1));
         assert_eq!(HwgId(3).to_string(), "hwg3");
+    }
+
+    #[test]
+    fn allocated_ids_name_their_node_and_counter() {
+        let id = HwgId::allocated(NodeId(3), 1);
+        assert_eq!(id, HwgId(1 << 63 | 3 << 32 | 1));
+        assert_eq!(id.parts(), Some((NodeId(3), 1)));
+        assert_eq!(id.to_string(), "hwg[n3.1]");
+        assert_eq!(HwgId(3 << 32 | 1).parts(), None);
+        // Every allocated id sorts above every static one.
+        assert!(HwgId::allocated(NodeId(0), 0) > HwgId(u64::MAX >> 1));
     }
 
     #[test]

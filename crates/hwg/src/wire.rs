@@ -8,9 +8,35 @@
 
 use crate::id::{FlushId, HwgId, ViewId};
 use crate::view::View;
-use plwg_sim::{Decode, NodeId, Reader, WireError};
+use plwg_sim::{Decode, Encode, NodeId, Reader, WireError};
 
-plwg_wire::wire_struct!(HwgId { 0 });
+/// An `HwgId` travels as its two 32-bit halves, each its own varint, with
+/// the allocation flag moved from bit 63 into bit 0 of the high half: an
+/// allocated id is `node << 1 | 1` then its counter (`hwg[n3.1]` is
+/// `07 01`, 2 bytes where the `u64` as one varint takes 10), and a static
+/// id is `high << 1` then its low half (`hwg7` is `00 07`). The mapping is
+/// a bijection over all of `u64`; a half above `u32::MAX` is refused.
+impl Encode for HwgId {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        let halves = match self.parts() {
+            Some((node, counter)) => (node.0 << 1 | 1, counter),
+            None => (((self.0 >> 32) as u32) << 1, self.0 as u32),
+        };
+        halves.encode_into(out);
+    }
+}
+
+impl Decode for HwgId {
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let (high, low) = <(u32, u32)>::decode_from(r)?;
+        Ok(if high & 1 == 1 {
+            HwgId::allocated(NodeId(high >> 1), low)
+        } else {
+            HwgId(u64::from(high >> 1) << 32 | u64::from(low))
+        })
+    }
+}
+
 plwg_wire::wire_struct!(ViewId { coordinator, seq });
 plwg_wire::wire_struct!(FlushId { initiator, nonce });
 plwg_wire::wire_struct!(encode View { id, members, predecessors });
@@ -90,7 +116,7 @@ impl View {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use plwg_sim::{Encode, Frame};
+    use plwg_sim::Frame;
 
     fn roundtrip<T: Encode + Decode + PartialEq + std::fmt::Debug>(v: &T) -> T {
         let mut out = Vec::new();
@@ -104,7 +130,14 @@ mod tests {
 
     #[test]
     fn ids_roundtrip() {
-        for id in [HwgId(0), HwgId(7), HwgId(1 << 63 | 42)] {
+        for id in [
+            HwgId(0),
+            HwgId(7),
+            HwgId(1 << 32),
+            HwgId(u64::MAX >> 1),
+            HwgId(1 << 63 | 42),
+            HwgId(u64::MAX),
+        ] {
             assert_eq!(roundtrip(&id), id);
         }
         let vid = ViewId::new(NodeId(3), 129);
@@ -114,6 +147,22 @@ mod tests {
             nonce: 300,
         };
         assert_eq!(roundtrip(&fid), fid);
+    }
+
+    #[test]
+    fn an_hwg_id_travels_as_its_halves() {
+        let bytes = |id: HwgId| {
+            let mut out = Vec::new();
+            id.encode_into(&mut out);
+            out
+        };
+        assert_eq!(bytes(HwgId::allocated(NodeId(3), 1)), [0x07, 0x01]);
+        assert_eq!(bytes(HwgId(7)), [0x00, 0x07]);
+        // A high half past 32 bits is refused, not truncated.
+        let mut out = Vec::new();
+        (1u64 << 32, 1u64).encode_into(&mut out);
+        let f = Frame::from_vec(out);
+        assert!(HwgId::decode_from(&mut Reader::new(&f)).is_err());
     }
 
     #[test]

@@ -56,7 +56,20 @@ impl Decode for Digest {
 }
 
 plwg_wire::wire_struct!(LwgId { 0 });
-plwg_wire::wire_struct!(RequestId { 0 });
+// A request id is `node << 32 | counter` (see `NsClient`): its halves
+// travel as two varints, 2–3 bytes where the `u64` as one takes 5–6.
+impl Encode for RequestId {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        ((self.0 >> 32) as u32, self.0 as u32).encode_into(out);
+    }
+}
+
+impl Decode for RequestId {
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let (high, low) = <(u32, u32)>::decode_from(r)?;
+        Ok(RequestId(u64::from(high) << 32 | u64::from(low)))
+    }
+}
 plwg_wire::wire_struct! { Mapping { lwg_view, members, hwg, hwg_view } }
 
 plwg_wire::wire_enum!(NsMsg {
