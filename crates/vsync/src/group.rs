@@ -151,7 +151,7 @@ impl GroupEndpoint {
     /// Creates an endpoint that will *probe* for an existing view.
     pub(crate) fn new_joining(hwg: HwgId, me: NodeId, ctx: &mut dyn Transport) -> Self {
         let mut ep = GroupEndpoint::blank(hwg, me);
-        ep.status = GroupStatus::Joining;
+        ep.set_status(GroupStatus::Joining);
         ep.send_probe(ctx);
         ep
     }
@@ -165,7 +165,7 @@ impl GroupEndpoint {
         events: &mut Vec<VsEvent>,
     ) -> Self {
         let mut ep = GroupEndpoint::blank(hwg, me);
-        ep.status = GroupStatus::Member;
+        ep.set_status(GroupStatus::Member);
         let view = View::initial(ViewId::new(me, ep.take_view_seq()), vec![me]);
         ep.install_view(view, ctx, events);
         ep
@@ -207,6 +207,18 @@ impl GroupEndpoint {
 
     pub(crate) fn status(&self) -> GroupStatus {
         self.status
+    }
+
+    /// Every status change goes through here: a leaver never becomes a
+    /// member again.
+    fn set_status(&mut self, next: GroupStatus) {
+        debug_assert!(
+            !(self.status == GroupStatus::Leaving && next == GroupStatus::Member),
+            "{} of {}: Leaving back to Member",
+            self.me,
+            self.hwg
+        );
+        self.status = next;
     }
 
     pub(crate) fn view(&self) -> Option<&View> {
@@ -267,7 +279,7 @@ impl GroupEndpoint {
     /// The terminal transition: this endpoint is out of the group (the
     /// stack drops it on its next pass).
     fn become_left(&mut self, events: &mut Vec<VsEvent>) {
-        self.status = GroupStatus::Left;
+        self.set_status(GroupStatus::Left);
         self.view = None;
         events.push(VsEvent::Left { hwg: self.hwg });
     }
@@ -293,7 +305,7 @@ impl GroupEndpoint {
                     self.become_left(events);
                     return;
                 }
-                self.status = GroupStatus::Leaving;
+                self.set_status(GroupStatus::Leaving);
                 self.pending_leaves.insert(self.me);
                 self.request_leave(ctx, fd);
                 self.maybe_start_flush(ctx, fd, events);
@@ -320,7 +332,7 @@ impl GroupEndpoint {
     }
 
     fn form_singleton(&mut self, ctx: &mut dyn Transport, events: &mut Vec<VsEvent>) {
-        self.status = GroupStatus::Member;
+        self.set_status(GroupStatus::Member);
         self.probe_deadline = None;
         let view = View::initial(ViewId::new(self.me, self.take_view_seq()), vec![self.me]);
         ctx.emit(|| HwgTraceEvent::Singleton {
@@ -520,7 +532,12 @@ impl GroupEndpoint {
         if self.view.as_ref().is_some_and(|cur| cur.id == view.id) {
             return; // duplicate
         }
-        self.status = GroupStatus::Member;
+        // A leaver stays one through every install that still lists it
+        // (say, one that makes it the coordinator): only a view that
+        // excludes it ends the leave.
+        if self.status == GroupStatus::Joining {
+            self.set_status(GroupStatus::Member);
+        }
         self.probe_deadline = None;
         self.join_target = None;
         self.install_view(view, ctx, events);

@@ -277,3 +277,34 @@ fn rapid_join_leave_interleaving_converges() {
     }
     w2.inspect(nodes[1], |a: &App| assert_eq!(a.lefts, 1));
 }
+
+/// Every member of an 8-member group leaves at the same instant: each
+/// coordinator in turn flushes out the leavers whose requests reached it,
+/// itself among them, and every endpoint ends `Left` without a flush
+/// restart. A leaver that became the coordinator used to turn back into
+/// a member at its next install, so the view that excluded it did not end
+/// its leave: it kept flushing its stale view until the watchdog restarted
+/// the flush and excluded everyone.
+#[test]
+fn a_whole_group_leaving_at_once_ends_left_everywhere() {
+    let (mut w, nodes) = bring_up(8, 87);
+    w.run_until(SimTime::from_secs(12));
+    for &m in &nodes {
+        let members = w.inspect(m, |a: &App| a.view().map(View::sorted_members));
+        assert_eq!(members.as_ref(), Some(&nodes), "{m} before the leave");
+    }
+    let restarts = w.trace().count("hwg.flush.restart");
+    for &m in &nodes {
+        w.invoke_at(SimTime::from_secs(12), m, |a: &mut App, ctx| {
+            a.stack.leave(ctx, G)
+        });
+    }
+    w.run_until(SimTime::from_secs(30));
+    for &m in &nodes {
+        w.inspect(m, |a: &App| {
+            assert_eq!(a.stack.status_of(G), GroupStatus::Left, "{m}");
+            assert_eq!(a.lefts, 1, "{m}");
+        });
+    }
+    assert_eq!(w.trace().count("hwg.flush.restart") - restarts, 0);
+}
