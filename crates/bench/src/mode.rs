@@ -13,7 +13,7 @@ use plwg_core::{LwgConfig, LwgEvent, LwgId, LwgService};
 use plwg_sim::{
     Frame, NodeId, Payload, Process, SimDuration, SimTime, TimerToken, Transport, World,
 };
-use plwg_vsync::{HwgId, VsEvent, VsyncStack};
+use plwg_vsync::{HwgEvent, HwgId, HwgSubstrate, VsyncStack};
 use std::any::Any;
 
 /// Which of the paper's three configurations a [`BenchNode`] runs.
@@ -190,7 +190,7 @@ impl BenchNode {
     /// Raw ids of the HWGs this node belongs to.
     pub fn hwg_ids(&self) -> Vec<u64> {
         match &self.inner {
-            Inner::Raw(stack) => stack.groups().map(|h| h.0).collect(),
+            Inner::Raw(stack) => stack.groups().into_iter().map(|h| h.0).collect(),
             Inner::Lwg(svc) => svc.hwgs().into_iter().map(|h| h.0).collect(),
         }
     }
@@ -233,9 +233,9 @@ impl BenchNode {
             Inner::Raw(stack) => {
                 for ev in stack.drain_events() {
                     match ev {
-                        VsEvent::Data { src, data, .. } => on_data(src, &data),
-                        VsEvent::View { hwg, view } => on_view(hwg.0, view.sorted_members()),
-                        VsEvent::Stop { .. } | VsEvent::Left { .. } => {}
+                        HwgEvent::Data { src, data, .. } => on_data(src, &data),
+                        HwgEvent::View { hwg, view } => on_view(hwg.0, view.sorted_members()),
+                        HwgEvent::Stop { .. } | HwgEvent::Left { .. } => {}
                     }
                 }
             }

@@ -1,16 +1,16 @@
 //! Builder-style construction of [`LwgService`] and [`LwgNode`].
 //!
-//! The builders are the one place configuration is validated and the
-//! substrate is created, and they return `Result` instead of panicking:
+//! The builder is the one place configuration is validated and the
+//! substrate is created, and it returns `Result` instead of panicking:
 //!
 //! ```
-//! use plwg_core::{LwgConfig, LwgNode, ScriptedHwg};
+//! use plwg_core::{LwgConfig, LwgNode, LwgService, ScriptedHwg};
 //! use plwg_sim::NodeId;
 //!
-//! let node: LwgNode<ScriptedHwg> = LwgNode::builder(NodeId(3))
+//! let node: LwgNode<ScriptedHwg> = LwgService::builder(NodeId(3))
 //!     .servers([NodeId(0)])
 //!     .config(LwgConfig::default())
-//!     .build()
+//!     .build_node()
 //!     .expect("valid config");
 //! # let _ = node;
 //! ```
@@ -22,15 +22,14 @@
 
 use crate::config::LwgConfig;
 use crate::error::LwgError;
-use crate::events::LwgEvents;
 use crate::node::LwgNode;
 use crate::service::LwgService;
 use plwg_hwg::HwgSubstrate;
 use plwg_sim::NodeId;
 
-/// Builds an [`LwgService`] for one node. Created by
-/// [`LwgService::builder`]; most applications want the node-level
-/// variant, [`LwgNode::builder`].
+/// Builds an [`LwgService`] for one node ([`LwgBuilder::build`]), or the
+/// ready-made [`LwgNode`] process around it ([`LwgBuilder::build_node`]).
+/// Created by [`LwgService::builder`].
 #[derive(Debug)]
 pub struct LwgBuilder<S: HwgSubstrate> {
     me: NodeId,
@@ -96,46 +95,11 @@ impl<S: HwgSubstrate> LwgBuilder<S> {
         };
         Ok(LwgService::from_parts(substrate, self.servers, cfg))
     }
-}
 
-/// Builds an [`LwgNode`] (the ready-made [`plwg_sim::Process`] wrapper).
-/// Created by [`LwgNode::builder`]; same setters as [`LwgBuilder`].
-#[derive(Debug)]
-pub struct LwgNodeBuilder<S: HwgSubstrate> {
-    inner: LwgBuilder<S>,
-}
-
-impl<S: HwgSubstrate> LwgNodeBuilder<S> {
-    pub(crate) fn new(me: NodeId) -> Self {
-        LwgNodeBuilder {
-            inner: LwgBuilder::new(me),
-        }
-    }
-
-    /// Sets the name servers (see [`LwgBuilder::servers`]).
-    pub fn servers(mut self, servers: impl IntoIterator<Item = NodeId>) -> Self {
-        self.inner = self.inner.servers(servers);
-        self
-    }
-
-    /// Sets the service configuration (see [`LwgBuilder::config`]).
-    pub fn config(mut self, cfg: LwgConfig) -> Self {
-        self.inner = self.inner.config(cfg);
-        self
-    }
-
-    /// Injects a pre-built substrate (see [`LwgBuilder::substrate`]).
-    pub fn substrate(mut self, substrate: S) -> Self {
-        self.inner = self.inner.substrate(substrate);
-        self
-    }
-
-    /// Validates the configuration and assembles the node.
-    pub fn build(self) -> Result<LwgNode<S>, LwgError> {
-        Ok(LwgNode::from_service(
-            self.inner.build()?,
-            LwgEvents::default(),
-        ))
+    /// Validates the configuration and assembles the service inside an
+    /// [`LwgNode`] (the ready-made [`plwg_sim::Process`] wrapper).
+    pub fn build_node(self) -> Result<LwgNode<S>, LwgError> {
+        Ok(LwgNode::new(self.build()?))
     }
 }
 
@@ -167,13 +131,13 @@ mod tests {
 
     #[test]
     fn rejects_invalid_config_with_field() {
-        let err = LwgNode::<ScriptedHwg>::builder(NodeId(1))
+        let err = LwgService::<ScriptedHwg>::builder(NodeId(1))
             .servers([NodeId(0)])
             .config(LwgConfig {
                 pack_max_msgs: 0,
                 ..LwgConfig::default()
             })
-            .build()
+            .build_node()
             .expect_err("invalid");
         match err {
             LwgError::Config(e) => assert_eq!(e.field, "pack_max_msgs"),
@@ -200,10 +164,10 @@ mod tests {
 
     #[test]
     fn accepts_matching_substrate() {
-        let node = LwgNode::builder(NodeId(2))
+        let node = LwgService::builder(NodeId(2))
             .servers([NodeId(0), NodeId(1)])
             .substrate(ScriptedHwg::new(NodeId(2)))
-            .build()
+            .build_node()
             .expect("valid");
         assert_eq!(node.service_ref().node(), NodeId(2));
     }

@@ -10,7 +10,7 @@ use plwg_sim::{ConfigError, SimDuration};
 ///
 /// Construct with [`Default`] and struct update
 /// (`LwgConfig { pack_max_msgs: 16, ..Default::default() }`), then hand the
-/// config to [`crate::LwgNode::builder`]; the builder runs
+/// config to [`crate::LwgService::builder`]; the builder runs
 /// [`LwgConfig::validate`] (which also validates the nested
 /// [`HwgConfig`]) and surfaces rejections as [`crate::LwgError::Config`]
 /// instead of panicking.

@@ -65,7 +65,7 @@ mod state;
 mod switch;
 mod wire;
 
-pub use builder::{LwgBuilder, LwgNodeBuilder};
+pub use builder::LwgBuilder;
 pub use config::LwgConfig;
 pub use directory::{DirCounters, HwgLoad};
 pub use error::LwgError;

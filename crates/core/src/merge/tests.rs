@@ -192,9 +192,9 @@ fn a_view_advertised_by_id_defers_only_an_unexplained_rival() {
 fn a_deferred_group_is_advertised_in_full() {
     let mut w = World::new(WorldConfig::default());
     let node = |me| {
-        LwgNode::<ScriptedHwg>::builder(me)
+        LwgService::<ScriptedHwg>::builder(me)
             .servers([NodeId(0)])
-            .build()
+            .build_node()
             .expect("valid config")
     };
     w.add_node(Box::new(NameServer::new(
@@ -276,9 +276,9 @@ fn a_round_without_a_creator_defers_the_group() {
         NamingConfig::default(),
     )));
     let me = w.add_node(Box::new(
-        LwgNode::<ScriptedHwg>::builder(NodeId(1))
+        LwgService::<ScriptedHwg>::builder(NodeId(1))
             .servers([NodeId(0)])
-            .build()
+            .build_node()
             .expect("valid config"),
     ));
     let (hwg, lwg) = (HwgId(5), LwgId(3));
@@ -313,9 +313,9 @@ fn a_creator_that_moved_on_counts_the_merged_seq_as_taken() {
         NamingConfig::default(),
     )));
     let c = w.add_node(Box::new(
-        LwgNode::<ScriptedHwg>::builder(NodeId(1))
+        LwgService::<ScriptedHwg>::builder(NodeId(1))
             .servers([NodeId(0)])
-            .build()
+            .build_node()
             .expect("valid config"),
     ));
     let (hwg, lwg) = (HwgId(5), LwgId(3));
@@ -352,9 +352,9 @@ fn a_creator_that_moved_on_counts_the_pruned_seq_as_taken() {
         NamingConfig::default(),
     )));
     let c = w.add_node(Box::new(
-        LwgNode::<ScriptedHwg>::builder(NodeId(1))
+        LwgService::<ScriptedHwg>::builder(NodeId(1))
             .servers([NodeId(0)])
-            .build()
+            .build_node()
             .expect("valid config"),
     ));
     let (d, e) = (NodeId(2), NodeId(3));
@@ -395,9 +395,9 @@ fn a_holder_of_a_view_the_round_does_not_weigh_prunes_nothing() {
         NamingConfig::default(),
     )));
     let n = w.add_node(Box::new(
-        LwgNode::<ScriptedHwg>::builder(NodeId(1))
+        LwgService::<ScriptedHwg>::builder(NodeId(1))
             .servers([NodeId(0)])
-            .build()
+            .build_node()
             .expect("valid config"),
     ));
     let (x, a) = (NodeId(2), NodeId(3));
@@ -446,9 +446,9 @@ fn a_merged_id_passes_the_seq_of_a_flush_the_round_drops() {
     )));
     let apps: Vec<NodeId> = (1..=3)
         .map(|i| {
-            let node = LwgNode::<ScriptedHwg>::builder(NodeId(i))
+            let node = LwgService::<ScriptedHwg>::builder(NodeId(i))
                 .servers([NodeId(0)])
-                .build()
+                .build_node()
                 .expect("valid config");
             w.add_node(Box::new(node))
         })
@@ -539,9 +539,9 @@ fn a_left_hwg_leaves_no_merge_views_cooldown() {
         NamingConfig::default(),
     )));
     let me = w.add_node(Box::new(
-        LwgNode::<ScriptedHwg>::builder(NodeId(1))
+        LwgService::<ScriptedHwg>::builder(NodeId(1))
             .servers([server])
-            .build()
+            .build_node()
             .expect("valid config"),
     ));
     let hwg = HwgId(5);

@@ -30,27 +30,12 @@ pub struct LwgNode<S: HwgSubstrate> {
 }
 
 impl<S: HwgSubstrate> LwgNode<S> {
-    /// Starts building a node for `me`: set the name servers (and
-    /// optionally a config or pre-built substrate), then call
-    /// [`crate::LwgNodeBuilder::build`]:
-    ///
-    /// ```
-    /// use plwg_core::{LwgConfig, LwgNode, ScriptedHwg};
-    /// use plwg_sim::NodeId;
-    ///
-    /// let node: LwgNode<ScriptedHwg> = LwgNode::builder(NodeId(1))
-    ///     .servers([NodeId(0)])
-    ///     .config(LwgConfig::default())
-    ///     .build()
-    ///     .expect("valid config");
-    /// # let _ = node;
-    /// ```
-    pub fn builder(me: NodeId) -> crate::LwgNodeBuilder<S> {
-        crate::LwgNodeBuilder::new(me)
-    }
-
-    pub(crate) fn from_service(service: LwgService<S>, events: LwgEvents) -> Self {
-        LwgNode { service, events }
+    /// Built by [`crate::LwgBuilder::build_node`].
+    pub(crate) fn new(service: LwgService<S>) -> Self {
+        LwgNode {
+            service,
+            events: LwgEvents::default(),
+        }
     }
 
     /// The wrapped service (join/leave/send and introspection).

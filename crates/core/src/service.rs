@@ -89,7 +89,8 @@ pub struct LwgService<S: HwgSubstrate> {
 impl<S: HwgSubstrate> LwgService<S> {
     /// Starts building a service for node `me`: set the name servers (and
     /// optionally a config or pre-built substrate), then call
-    /// [`crate::LwgBuilder::build`].
+    /// [`crate::LwgBuilder::build`], or [`crate::LwgBuilder::build_node`]
+    /// for the ready-made [`crate::LwgNode`] process.
     pub fn builder(me: NodeId) -> crate::LwgBuilder<S> {
         crate::LwgBuilder::new(me)
     }

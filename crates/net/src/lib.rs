@@ -66,5 +66,7 @@ pub use runtime::NetRuntime;
 
 /// The HWG substrate of a real-socket deployment: the same
 /// [`plwg_vsync::VsyncStack`] the simulator runs, byte-identical wire
-/// frames, a [`NetRuntime`] as its [`plwg_sim::Transport`].
+/// frames, a [`NetRuntime`] as its [`plwg_sim::Transport`]. A second name
+/// for one type, kept only because the benchmark's `net_pair` workload
+/// (`benchmark/src/net_pair.rs`) names it; other code says `VsyncStack`.
 pub type NetSubstrate = plwg_vsync::VsyncStack;

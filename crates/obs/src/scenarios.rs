@@ -17,7 +17,7 @@
 //! inspect `world.trace()` — the `timeline` bin renders
 //! [`crate::Timeline::build`] over it.
 
-use plwg_core::{HwgSubstrate, LwgConfig, LwgEvent, LwgId, LwgNode, View, ViewId};
+use plwg_core::{HwgSubstrate, LwgConfig, LwgEvent, LwgId, LwgNode, LwgService, View, ViewId};
 use plwg_naming::{NameServer, NamingConfig};
 use plwg_sim::{Frame, NodeId, Process, SimDuration, SimTime, World, WorldConfig};
 use plwg_vsync::VsyncStack;
@@ -72,10 +72,10 @@ impl Scenario {
     /// the server ids and the member ids.
     pub fn build<S: HwgSubstrate + 'static>(&self) -> (World, Vec<NodeId>, Vec<NodeId>) {
         self.build_with(|me, servers| {
-            LwgNode::<S>::builder(me)
+            LwgService::<S>::builder(me)
                 .servers(servers)
                 .config(self.lwg.clone())
-                .build()
+                .build_node()
                 .expect("valid LWG config")
         })
     }

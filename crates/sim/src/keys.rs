@@ -7,7 +7,7 @@
 crate::metric_keys! {
     family = SIM;
 
-    /// Messages handed to the network model by [`crate::Context::send`].
+    /// Messages handed to the network model by a simulated node's send.
     pub const NET_SENT: CounterKey = "net.sent";
     /// Messages delivered to a live, reachable process.
     pub const NET_DELIVERED: CounterKey = "net.delivered";

@@ -9,8 +9,8 @@
 //!
 //! The simulator replaces the paper's physical testbed (Horus on SPARC
 //! workstations over 10 Mbps Ethernet). Protocol code written against the
-//! [`Process`] trait and [`Context`] handle is oblivious to the fact that it
-//! runs in virtual time.
+//! [`Process`] trait and the [`Transport`] seam is oblivious to the fact
+//! that it runs in virtual time.
 //!
 //! ## Quick tour
 //!
@@ -64,7 +64,7 @@ pub use metrics::{
     metric_family, CounterKey, GaugeKey, Histogram, HistogramKey, HistogramSummary, MetricsRegistry,
 };
 pub use net::{DeliveryDecision, NetConfig};
-pub use node::{Context, NodeId, Payload, Process, TimerToken};
+pub use node::{NodeId, Payload, Process, TimerToken};
 pub use plwg_wire::{
     decode_frame, encode_frame, family, peek_family, Decode, Encode, Frame, Reader, WireError,
 };

@@ -152,7 +152,7 @@ impl AddAssign for SimDuration {
 /// Three implementations cover the workspace:
 ///
 /// * the simulator's [`crate::World`] *is* a clock (its event queue
-///   advances virtual time; [`crate::Context::now`] reads it);
+///   advances virtual time; [`crate::Transport::now`] reads it);
 /// * `plwg_net::WallClock` anchors an `Instant` at runtime start and
 ///   reports elapsed wall-clock micros — the only place in the workspace
 ///   that reads the OS clock;

@@ -7,8 +7,9 @@
 //! [`Transport`] is that surface as an object-safe trait, so the *same*
 //! protocol code runs over two very different runtimes:
 //!
-//! * [`crate::Context`] — the deterministic discrete-event simulator
-//!   (virtual time, modelled loss and partitions);
+//! * [`crate::World`] — the deterministic discrete-event simulator
+//!   (virtual time, modelled loss and partitions), which lends each
+//!   callback its crate-private `Context`;
 //! * `plwg_net::NetRuntime` — a poll-based reactor over real non-blocking
 //!   UDP sockets (wall-clock time, real loss and real partitions).
 //!
@@ -17,8 +18,7 @@
 //! runs unchanged over the simulator and over Horus") and that the
 //! multi-process partition-heal example demonstrates end-to-end.
 //!
-//! Deliberately **absent**, exactly as on [`crate::Context`]: any oracle
-//! about the network. A protocol cannot ask "is node X reachable?" — it
+//! Deliberately **absent**: any oracle about the network. A protocol cannot ask "is node X reachable?" — it
 //! discovers failures the way the paper's protocols do, through timeouts
 //! and message exchange. Also absent is ambient randomness: protocol
 //! state machines are deterministic functions of their inputs.
@@ -30,7 +30,7 @@ use crate::trace::{ProtocolEvent, Trace};
 
 /// The action surface lent to a protocol endpoint for one callback.
 ///
-/// Implementations: [`crate::Context`] (simulator, virtual time) and the
+/// Implementations: the simulator's (virtual time) and the
 /// real-socket runtime in `plwg-net` (wall-clock time). See the module
 /// docs for the contract both uphold.
 pub trait Transport {

@@ -10,6 +10,7 @@ use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 use crate::trace::{SimEvent, Trace};
+use crate::transport::Transport;
 use std::collections::BTreeMap;
 
 /// Construction parameters for a [`World`].
@@ -238,7 +239,7 @@ impl World {
     // Direct node access
     // ------------------------------------------------------------------
 
-    /// Calls `f` on the concrete process at `node` with a live [`Context`]
+    /// Calls `f` on the concrete process at `node` with a live [`Transport`]
     /// — the way experiment drivers issue API calls ("join group g now").
     ///
     /// # Panics
@@ -247,7 +248,7 @@ impl World {
     pub fn invoke<P: Process, R>(
         &mut self,
         node: NodeId,
-        f: impl FnOnce(&mut P, &mut Context<'_>) -> R,
+        f: impl FnOnce(&mut P, &mut dyn Transport) -> R,
     ) -> R {
         self.with_node(node, |p, ctx| {
             let p = p
@@ -264,7 +265,7 @@ impl World {
         &mut self,
         at: SimTime,
         node: NodeId,
-        f: impl FnOnce(&mut P, &mut Context<'_>) + 'static,
+        f: impl FnOnce(&mut P, &mut dyn Transport) + 'static,
     ) {
         self.schedule_at(at, move |w| {
             w.invoke(node, f);
@@ -359,7 +360,7 @@ impl World {
     fn with_node<R>(
         &mut self,
         id: NodeId,
-        f: impl FnOnce(&mut dyn Process, &mut Context<'_>) -> R,
+        f: impl FnOnce(&mut dyn Process, &mut dyn Transport) -> R,
     ) -> Option<R> {
         if !self.alive[id.index()] {
             return None;

@@ -27,7 +27,7 @@ use self::data::SenderStream;
 use crate::fd::FailureDetector;
 use crate::msg::{FlushId, FlushPurpose, Slot, VsMsg};
 use crate::wire;
-use crate::{GroupStatus, VsEvent, VsyncConfig};
+use crate::{GroupStatus, HwgConfig, HwgEvent};
 use plwg_hwg::{keys, HwgId, HwgTraceEvent, View, ViewId};
 use plwg_sim::{NodeId, Payload, SimDuration, SimTime, Transport, TransportExt};
 use std::collections::{BTreeMap, BTreeSet};
@@ -35,7 +35,7 @@ use std::collections::{BTreeMap, BTreeSet};
 // The protocol's watchdogs (here and in the role modules) bound how long a
 // lost message or a dead peer can stall a join, a view change or a FIFO
 // stream; none of them is a performance parameter, so none of them is a
-// `VsyncConfig` field.
+// `HwgConfig` field.
 
 /// Join-probe watchdog: how long a joiner waits for a `JoinOffer` before
 /// probing again.
@@ -98,8 +98,6 @@ pub(crate) struct GroupEndpoint {
     me: NodeId,
     status: GroupStatus,
     view: Option<View>,
-    /// Ids of views this endpoint has installed (its lineage).
-    history: BTreeSet<ViewId>,
 
     // --- data plane (valid while `view` is Some) ---
     send_seq: u64,
@@ -162,7 +160,7 @@ impl GroupEndpoint {
         hwg: HwgId,
         me: NodeId,
         ctx: &mut dyn Transport,
-        events: &mut Vec<VsEvent>,
+        events: &mut Vec<HwgEvent>,
     ) -> Self {
         let mut ep = GroupEndpoint::blank(hwg, me);
         ep.set_status(GroupStatus::Member);
@@ -177,7 +175,6 @@ impl GroupEndpoint {
             me,
             status: GroupStatus::Left,
             view: None,
-            history: BTreeSet::new(),
             send_seq: 0,
             streams: BTreeMap::new(),
             holdback: BTreeMap::new(),
@@ -278,10 +275,10 @@ impl GroupEndpoint {
 
     /// The terminal transition: this endpoint is out of the group (the
     /// stack drops it on its next pass).
-    fn become_left(&mut self, events: &mut Vec<VsEvent>) {
+    fn become_left(&mut self, events: &mut Vec<HwgEvent>) {
         self.set_status(GroupStatus::Left);
         self.view = None;
-        events.push(VsEvent::Left { hwg: self.hwg });
+        events.push(HwgEvent::Left { hwg: self.hwg });
     }
 
     // ------------------------------------------------------------------
@@ -293,7 +290,7 @@ impl GroupEndpoint {
         &mut self,
         ctx: &mut dyn Transport,
         fd: &FailureDetector,
-        events: &mut Vec<VsEvent>,
+        events: &mut Vec<HwgEvent>,
     ) {
         match self.status {
             GroupStatus::Left => {}
@@ -331,7 +328,7 @@ impl GroupEndpoint {
         self.probe_deadline = Some(ctx.now() + PROBE_TIMEOUT);
     }
 
-    fn form_singleton(&mut self, ctx: &mut dyn Transport, events: &mut Vec<VsEvent>) {
+    fn form_singleton(&mut self, ctx: &mut dyn Transport, events: &mut Vec<HwgEvent>) {
         self.set_status(GroupStatus::Member);
         self.probe_deadline = None;
         let view = View::initial(ViewId::new(self.me, self.take_view_seq()), vec![self.me]);
@@ -380,7 +377,7 @@ impl GroupEndpoint {
         ctx: &mut dyn Transport,
         now: SimTime,
         fd: &FailureDetector,
-        events: &mut Vec<VsEvent>,
+        events: &mut Vec<HwgEvent>,
     ) {
         // Joiner: probe retries / give up into a singleton view.
         if self.status == GroupStatus::Joining {
@@ -423,8 +420,8 @@ impl GroupEndpoint {
         from: NodeId,
         msg: &VsMsg,
         fd: &FailureDetector,
-        cfg: &VsyncConfig,
-        events: &mut Vec<VsEvent>,
+        cfg: &HwgConfig,
+        events: &mut Vec<HwgEvent>,
     ) {
         match msg {
             VsMsg::JoinProbe { .. } => self.on_join_probe(ctx, from, fd),
@@ -507,7 +504,7 @@ impl GroupEndpoint {
         ctx: &mut dyn Transport,
         view: View,
         fd: &FailureDetector,
-        events: &mut Vec<VsEvent>,
+        events: &mut Vec<HwgEvent>,
     ) {
         if !view.contains(self.me) {
             // A view excluding us: if we were leaving, the leave completed.
@@ -546,10 +543,7 @@ impl GroupEndpoint {
         self.maybe_start_flush(ctx, fd, events);
     }
 
-    fn install_view(&mut self, view: View, ctx: &mut dyn Transport, events: &mut Vec<VsEvent>) {
-        if let Some(old) = &self.view {
-            self.history.insert(old.id);
-        }
+    fn install_view(&mut self, view: View, ctx: &mut dyn Transport, events: &mut Vec<HwgEvent>) {
         ctx.emit(|| HwgTraceEvent::ViewInstall {
             hwg: self.hwg,
             view: view.clone(),
@@ -571,7 +565,7 @@ impl GroupEndpoint {
         }
         self.pending_leaves.retain(|l| view.contains(*l));
         self.view = Some(view.clone());
-        events.push(VsEvent::View {
+        events.push(HwgEvent::View {
             hwg: self.hwg,
             view,
         });

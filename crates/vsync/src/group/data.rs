@@ -5,7 +5,7 @@
 use super::GroupEndpoint;
 use crate::msg::{Slot, VsMsg};
 use crate::wire;
-use crate::{GroupStatus, VsEvent};
+use crate::{GroupStatus, HwgEvent};
 use plwg_hwg::{keys, HwgTraceEvent, ViewId};
 use plwg_sim::{NodeId, Payload, SimDuration, SimTime, Transport, TransportExt};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -96,7 +96,7 @@ impl GroupEndpoint {
         ctx: &mut dyn Transport,
         targets: Option<&BTreeSet<NodeId>>,
         data: Payload,
-        events: &mut Vec<VsEvent>,
+        events: &mut Vec<HwgEvent>,
     ) {
         if self.status == GroupStatus::Left {
             return;
@@ -153,7 +153,7 @@ impl GroupEndpoint {
         sender: NodeId,
         seq: u64,
         data: Slot,
-        events: &mut Vec<VsEvent>,
+        events: &mut Vec<HwgEvent>,
     ) {
         let Some(view) = &self.view else { return };
         if view.id != view_id {
@@ -180,7 +180,7 @@ impl GroupEndpoint {
         sender: NodeId,
         seq: u64,
         slot: Slot,
-        events: &mut Vec<VsEvent>,
+        events: &mut Vec<HwgEvent>,
     ) {
         if self.flush.is_none() && self.holdback.is_empty() && seq == self.next_expected(sender) {
             self.deliver(ctx, sender, seq, slot, events);
@@ -194,7 +194,7 @@ impl GroupEndpoint {
 
     /// Delivers from the hold-back queue every message that is in FIFO
     /// order and allowed by the current flush phase.
-    pub(super) fn try_drain(&mut self, ctx: &mut dyn Transport, events: &mut Vec<VsEvent>) {
+    pub(super) fn try_drain(&mut self, ctx: &mut dyn Transport, events: &mut Vec<HwgEvent>) {
         if self.delivery_frozen() || self.view.is_none() {
             return;
         }
@@ -235,7 +235,7 @@ impl GroupEndpoint {
         sender: NodeId,
         seq: u64,
         slot: Slot,
-        events: &mut Vec<VsEvent>,
+        events: &mut Vec<HwgEvent>,
     ) {
         let view = self.view.as_ref().expect("delivery needs a view");
         let stream = self.streams.entry(sender).or_default();
@@ -253,7 +253,7 @@ impl GroupEndpoint {
             Slot::Skip => ctx.metrics().incr(keys::SUBSET_SKIPPED),
             Slot::Full(data) => {
                 ctx.metrics().incr(keys::DATA_DELIVERED);
-                events.push(VsEvent::Data {
+                events.push(HwgEvent::Data {
                     hwg: self.hwg,
                     view_id: view.id,
                     src: sender,

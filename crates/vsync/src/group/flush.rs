@@ -32,7 +32,7 @@ use super::{GroupEndpoint, MemberFlush, RunningFlush};
 use crate::fd::FailureDetector;
 use crate::msg::{FlushId, FlushPurpose, Slot, VsMsg};
 use crate::wire;
-use crate::{GroupStatus, VsEvent};
+use crate::{GroupStatus, HwgEvent};
 use plwg_hwg::{keys, HwgTraceEvent, View, ViewId};
 use plwg_sim::{NodeId, SimDuration, SimTime, Transport, TransportExt};
 use std::collections::{BTreeMap, BTreeSet};
@@ -52,7 +52,7 @@ impl GroupEndpoint {
         view_id: ViewId,
         flush: FlushId,
         proposed: &[NodeId],
-        events: &mut Vec<VsEvent>,
+        events: &mut Vec<HwgEvent>,
     ) {
         let Some(view) = &self.view else { return };
         if view.id != view_id || !view.contains(from) {
@@ -82,7 +82,7 @@ impl GroupEndpoint {
             done_sent: false,
             started_at: ctx.now(),
         });
-        events.push(VsEvent::Stop { hwg: self.hwg });
+        events.push(HwgEvent::Stop { hwg: self.hwg });
     }
 
     /// Owner acknowledges the `Stop` upcall (or `auto_stop_ok` does, on
@@ -130,7 +130,7 @@ impl GroupEndpoint {
         ctx: &mut dyn Transport,
         flush: FlushId,
         target: BTreeMap<NodeId, u64>,
-        events: &mut Vec<VsEvent>,
+        events: &mut Vec<HwgEvent>,
     ) {
         let Some(f) = &mut self.flush else { return };
         if f.flush != flush || f.target.is_some() {
@@ -214,7 +214,7 @@ impl GroupEndpoint {
         sender: NodeId,
         seq: u64,
         data: Slot,
-        events: &mut Vec<VsEvent>,
+        events: &mut Vec<HwgEvent>,
     ) {
         let Some(view) = &self.view else { return };
         if view.id != view_id {
@@ -266,7 +266,7 @@ impl GroupEndpoint {
         ctx: &mut dyn Transport,
         now: SimTime,
         fd: &FailureDetector,
-        events: &mut Vec<VsEvent>,
+        events: &mut Vec<HwgEvent>,
     ) {
         let Some(f) = &self.flush else { return };
         if now.saturating_since(f.started_at) < FLUSH_TIMEOUT.saturating_mul(2) {
@@ -289,7 +289,7 @@ impl GroupEndpoint {
         &mut self,
         ctx: &mut dyn Transport,
         fd: &FailureDetector,
-        events: &mut Vec<VsEvent>,
+        events: &mut Vec<HwgEvent>,
     ) {
         if self.running.is_some()
             || self.flush.is_some()
@@ -309,7 +309,7 @@ impl GroupEndpoint {
         &mut self,
         ctx: &mut dyn Transport,
         fd: &FailureDetector,
-        events: &mut Vec<VsEvent>,
+        events: &mut Vec<HwgEvent>,
     ) {
         if self.running.is_some() || self.view.is_none() || self.has_merge_in_progress() {
             return;
@@ -348,7 +348,7 @@ impl GroupEndpoint {
         fd: &FailureDetector,
         excluded: &[NodeId],
         attempts: u32,
-        events: &mut Vec<VsEvent>,
+        events: &mut Vec<HwgEvent>,
     ) {
         let Some(view) = self.view.clone() else {
             return;
@@ -424,7 +424,7 @@ impl GroupEndpoint {
         ctx: &mut dyn Transport,
         now: SimTime,
         fd: &FailureDetector,
-        events: &mut Vec<VsEvent>,
+        events: &mut Vec<HwgEvent>,
     ) {
         let Some(running) = &self.running else { return };
         if now.saturating_since(running.started_at) < FLUSH_TIMEOUT {

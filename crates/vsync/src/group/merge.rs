@@ -8,7 +8,7 @@ use super::{GroupEndpoint, MergeState};
 use crate::fd::FailureDetector;
 use crate::msg::VsMsg;
 use crate::wire;
-use crate::{GroupStatus, VsEvent};
+use crate::{GroupStatus, HwgEvent};
 use plwg_hwg::{keys, HwgTraceEvent, View, ViewId};
 use plwg_sim::{NodeId, SimDuration, SimTime, Transport, TransportExt};
 use std::collections::BTreeMap;
@@ -56,7 +56,7 @@ impl GroupEndpoint {
         from: NodeId,
         their_view: ViewId,
         fd: &FailureDetector,
-        events: &mut Vec<VsEvent>,
+        events: &mut Vec<HwgEvent>,
     ) {
         if from == self.me || self.status != GroupStatus::Member {
             return;
@@ -152,7 +152,7 @@ impl GroupEndpoint {
         from: NodeId,
         invitee_view: ViewId,
         fd: &FailureDetector,
-        events: &mut Vec<VsEvent>,
+        events: &mut Vec<HwgEvent>,
     ) {
         let stale = self.view.as_ref().map(|v| v.id) != Some(invitee_view)
             || self.status != GroupStatus::Member

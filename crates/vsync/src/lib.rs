@@ -27,9 +27,9 @@
 //!
 //! The stack is a *passive component*: the owning [`plwg_sim::Process`]
 //! (an application node or the LWG service) forwards messages and timers to
-//! [`VsyncStack`] and drains the resulting [`VsEvent`] upcalls — the
-//! `Join/Leave/Send/StopOk` down-calls and `View/Data/Stop` up-calls of
-//! Table 1 in the paper.
+//! [`VsyncStack`] and drains the resulting [`HwgEvent`] upcalls through its
+//! one API, [`HwgSubstrate`] — the `Join/Leave/Send/StopOk` down-calls and
+//! `View/Data/Stop` up-calls of Table 1 in the paper.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,13 +41,11 @@ mod group;
 pub mod keys;
 mod msg;
 mod stack;
-mod substrate;
 mod wire;
 
 pub use fd::{FailureDetector, FdEvent};
 pub use msg::{FlushId, FlushPurpose, Slot, VsMsg};
 pub use plwg_hwg::{
-    GroupStatus, HwgConfig as VsyncConfig, HwgEvent as VsEvent, HwgId, HwgSubstrate, HwgTraceEvent,
-    View, ViewId,
+    GroupStatus, HwgConfig, HwgEvent, HwgId, HwgSubstrate, HwgTraceEvent, View, ViewId,
 };
 pub use stack::VsyncStack;

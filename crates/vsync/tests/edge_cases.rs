@@ -5,7 +5,7 @@ use plwg_sim::{
     Frame, NodeId, Payload, Process, SimDuration, SimTime, TimerToken, Transport, World,
     WorldConfig,
 };
-use plwg_vsync::{GroupStatus, HwgId, View, VsEvent, VsyncConfig, VsyncStack};
+use plwg_vsync::{GroupStatus, HwgConfig, HwgEvent, HwgId, HwgSubstrate, View, VsyncStack};
 use std::any::Any;
 
 /// Test payload: a bare 8-byte little-endian integer frame.
@@ -23,7 +23,7 @@ struct App {
 impl App {
     fn new(me: NodeId) -> Self {
         App {
-            stack: VsyncStack::new(me, VsyncConfig::default()),
+            stack: VsyncStack::new(me, HwgConfig::default()),
             views: Vec::new(),
             delivered: Vec::new(),
             lefts: 0,
@@ -32,12 +32,12 @@ impl App {
     fn drain(&mut self) {
         for ev in self.stack.drain_events() {
             match ev {
-                VsEvent::View { view, .. } => self.views.push(view),
-                VsEvent::Data { src, data, .. } => {
+                HwgEvent::View { view, .. } => self.views.push(view),
+                HwgEvent::Data { src, data, .. } => {
                     self.delivered.push((src, data.try_u64().expect("u64")));
                 }
-                VsEvent::Left { .. } => self.lefts += 1,
-                VsEvent::Stop { .. } => {}
+                HwgEvent::Left { .. } => self.lefts += 1,
+                HwgEvent::Stop { .. } => {}
             }
         }
     }

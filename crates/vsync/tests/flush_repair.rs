@@ -9,7 +9,7 @@ use plwg_sim::{
     World, WorldConfig,
 };
 use plwg_vsync::keys::{FLUSH_DURATION, FLUSH_FILLS};
-use plwg_vsync::{HwgId, Slot, View, ViewId, VsEvent, VsMsg, VsyncConfig, VsyncStack};
+use plwg_vsync::{HwgConfig, HwgEvent, HwgId, HwgSubstrate, Slot, View, ViewId, VsMsg, VsyncStack};
 use std::any::Any;
 
 const G: HwgId = HwgId(1);
@@ -29,9 +29,9 @@ struct App {
 
 impl App {
     fn new(me: NodeId) -> Self {
-        let cfg = VsyncConfig {
+        let cfg = HwgConfig {
             auto_stop_ok: false,
-            ..VsyncConfig::default()
+            ..HwgConfig::default()
         };
         App {
             stack: VsyncStack::new(me, cfg),
@@ -45,21 +45,21 @@ impl App {
     fn drain(&mut self, ctx: &mut dyn Transport) {
         for ev in self.stack.drain_events() {
             match ev {
-                VsEvent::View { view, .. } => self.views.push(view),
-                VsEvent::Data {
+                HwgEvent::View { view, .. } => self.views.push(view),
+                HwgEvent::Data {
                     view_id, src, data, ..
                 } => {
                     let v = data.try_u64().expect("u64 payloads in tests");
                     self.delivered.push((view_id, src, v));
                 }
-                VsEvent::Stop { hwg } => {
+                HwgEvent::Stop { hwg } => {
                     if let Some(v) = self.on_stop.take() {
                         self.stack.send(ctx, hwg, Frame::from_u64(v));
                     }
                     self.stack.stop_ok(ctx, hwg);
                     self.drain(ctx);
                 }
-                VsEvent::Left { .. } => {}
+                HwgEvent::Left { .. } => {}
             }
         }
     }

@@ -9,7 +9,7 @@ use plwg_sim::{
     Frame, NetConfig, NodeId, Payload, Process, SimDuration, SimRng, SimTime, TimerToken,
     Transport, World, WorldConfig,
 };
-use plwg_vsync::{HwgId, ViewId, VsEvent, VsyncConfig, VsyncStack};
+use plwg_vsync::{HwgConfig, HwgEvent, HwgId, HwgSubstrate, ViewId, VsyncStack};
 use std::any::Any;
 
 /// Test payload: a bare 8-byte little-endian integer frame.
@@ -37,9 +37,9 @@ impl Harness {
         Harness {
             stack: VsyncStack::new(
                 me,
-                VsyncConfig {
+                HwgConfig {
                     auto_stop_ok: false,
-                    ..VsyncConfig::default()
+                    ..HwgConfig::default()
                 },
             ),
             epochs: Vec::new(),
@@ -49,20 +49,20 @@ impl Harness {
     fn drain(&mut self, ctx: &mut dyn Transport) {
         for ev in self.stack.drain_events() {
             match ev {
-                VsEvent::View { view, .. } => self.epochs.push((view.id, Vec::new())),
-                VsEvent::Data { src, data, .. } => {
+                HwgEvent::View { view, .. } => self.epochs.push((view.id, Vec::new())),
+                HwgEvent::Data { src, data, .. } => {
                     let v = data.try_u64().expect("u64");
                     if let Some((_, msgs)) = self.epochs.last_mut() {
                         msgs.push((src, v));
                     }
                 }
-                VsEvent::Stop { hwg } => {
+                HwgEvent::Stop { hwg } => {
                     self.next_stop_value += 1;
                     self.stack.send(ctx, hwg, payload(self.next_stop_value));
                     self.stack.stop_ok(ctx, hwg);
                     self.drain(ctx);
                 }
-                VsEvent::Left { .. } => {}
+                HwgEvent::Left { .. } => {}
             }
         }
     }

@@ -6,7 +6,8 @@ use plwg_sim::{
     WorldConfig,
 };
 use plwg_vsync::{
-    FlushId, FlushPurpose, GroupStatus, HwgId, View, VsEvent, VsMsg, VsyncConfig, VsyncStack,
+    FlushId, FlushPurpose, GroupStatus, HwgConfig, HwgEvent, HwgId, HwgSubstrate, View, VsMsg,
+    VsyncStack,
 };
 use std::any::Any;
 use std::collections::BTreeSet;
@@ -26,7 +27,7 @@ struct App {
 }
 
 impl App {
-    fn new(me: NodeId, cfg: VsyncConfig) -> Self {
+    fn new(me: NodeId, cfg: HwgConfig) -> Self {
         App {
             stack: VsyncStack::new(me, cfg),
             views: Vec::new(),
@@ -39,13 +40,13 @@ impl App {
     fn drain(&mut self) {
         for ev in self.stack.drain_events() {
             match ev {
-                VsEvent::View { hwg, view } => self.views.push((hwg, view)),
-                VsEvent::Data { hwg, src, data, .. } => {
+                HwgEvent::View { hwg, view } => self.views.push((hwg, view)),
+                HwgEvent::Data { hwg, src, data, .. } => {
                     let v = data.try_u64().expect("u64 payloads in tests");
                     self.delivered.push((hwg, src, v));
                 }
-                VsEvent::Stop { .. } => self.stops += 1,
-                VsEvent::Left { hwg } => self.lefts.push(hwg),
+                HwgEvent::Stop { .. } => self.stops += 1,
+                HwgEvent::Left { hwg } => self.lefts.push(hwg),
             }
         }
     }
@@ -87,7 +88,7 @@ fn world_with(n: u32, seed: u64) -> (World, Vec<NodeId>) {
         ..WorldConfig::default()
     });
     let nodes: Vec<NodeId> = (0..n)
-        .map(|i| w.add_node(Box::new(App::new(NodeId(i), VsyncConfig::default()))))
+        .map(|i| w.add_node(Box::new(App::new(NodeId(i), HwgConfig::default()))))
         .collect();
     (w, nodes)
 }
@@ -219,7 +220,7 @@ fn crash_is_excluded_from_next_view() {
 
 /// How long after a crash the survivors' exclusion view installs, under
 /// the given failure-detector settings.
-fn exclusion_delay(cfg: &VsyncConfig) -> SimDuration {
+fn exclusion_delay(cfg: &HwgConfig) -> SimDuration {
     let mut w = World::new(WorldConfig {
         seed: 12,
         ..WorldConfig::default()
@@ -249,12 +250,12 @@ fn exclusion_delay(cfg: &VsyncConfig) -> SimDuration {
 /// noticed sooner with a faster heartbeat.
 #[test]
 fn exclusion_view_waits_for_the_suspect_timeout() {
-    let hb = VsyncConfig::default().hb_interval;
+    let hb = HwgConfig::default().hb_interval;
     let slack = SimDuration::from_millis(500);
     let (short, long) = (SimDuration::from_millis(500), secs(2));
-    let with_timeout = |suspect_timeout| VsyncConfig {
+    let with_timeout = |suspect_timeout| HwgConfig {
         suspect_timeout,
-        ..VsyncConfig::default()
+        ..HwgConfig::default()
     };
     for timeout in [short, long] {
         let delay = exclusion_delay(&with_timeout(timeout));
@@ -270,7 +271,7 @@ fn exclusion_view_waits_for_the_suspect_timeout() {
     }
     assert!(short + slack < long, "the two windows must not overlap");
 
-    let fast_hb = VsyncConfig {
+    let fast_hb = HwgConfig {
         hb_interval: SimDuration::from_millis(20),
         ..with_timeout(short)
     };
@@ -449,7 +450,7 @@ fn virtual_synchrony_under_message_loss() {
         ..WorldConfig::default()
     });
     let nodes: Vec<NodeId> = (0..3)
-        .map(|i| w.add_node(Box::new(App::new(NodeId(i), VsyncConfig::default()))))
+        .map(|i| w.add_node(Box::new(App::new(NodeId(i), HwgConfig::default()))))
         .collect();
     bring_up(&mut w, &nodes);
     for burst in 0..20u64 {
@@ -583,7 +584,7 @@ fn nack_recovers_lost_messages_without_view_change() {
         ..WorldConfig::default()
     });
     let nodes: Vec<NodeId> = (0..3)
-        .map(|i| w.add_node(Box::new(App::new(NodeId(i), VsyncConfig::default()))))
+        .map(|i| w.add_node(Box::new(App::new(NodeId(i), HwgConfig::default()))))
         .collect();
     bring_up(&mut w, &nodes);
     for k in 0..60u64 {
@@ -715,7 +716,7 @@ fn burst_of_20k_in_one_second(loss: f64) -> (usize, u64) {
         ..WorldConfig::default()
     });
     let nodes: Vec<NodeId> = (0..3)
-        .map(|i| w.add_node(Box::new(App::new(NodeId(i), VsyncConfig::default()))))
+        .map(|i| w.add_node(Box::new(App::new(NodeId(i), HwgConfig::default()))))
         .collect();
     bring_up(&mut w, &nodes);
     let view = assert_common_view(&mut w, &nodes, 3);
@@ -840,7 +841,7 @@ fn singleton_stores_nothing_and_still_admits_a_joiner() {
 /// What one [`ten_sends`] run left behind, per node in node order.
 #[derive(Debug, PartialEq)]
 struct SendRun {
-    /// `VsEvent::Data` upcalls.
+    /// `HwgEvent::Data` upcalls.
     delivered: Vec<Vec<(HwgId, NodeId, u64)>>,
     /// `retransmit_buffer_len` once the sends have arrived.
     stored: Vec<usize>,

@@ -29,10 +29,10 @@ fn main() {
     let users: Vec<NodeId> = (1..=8)
         .map(|i| {
             world.add_node(Box::new(
-                LwgNode::builder(NodeId(i))
+                LwgService::builder(NodeId(i))
                     .servers(vec![ns])
                     .config(cfg.clone())
-                    .build()
+                    .build_node()
                     .expect("valid LWG config"),
             ))
         })

@@ -28,10 +28,10 @@ fn main() {
     let nodes: Vec<NodeId> = (2..6)
         .map(|i| {
             world.add_node(Box::new(
-                LwgNode::builder(NodeId(i))
+                LwgService::builder(NodeId(i))
                     .servers(vec![s0, s1])
                     .config(LwgConfig::default())
-                    .build()
+                    .build_node()
                     .expect("valid LWG config"),
             ))
         })

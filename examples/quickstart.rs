@@ -17,10 +17,10 @@ fn main() {
     let nodes: Vec<NodeId> = (1..=3)
         .map(|i| {
             world.add_node(Box::new(
-                LwgNode::builder(NodeId(i))
+                LwgService::builder(NodeId(i))
                     .servers(vec![ns])
                     .config(LwgConfig::default())
-                    .build()
+                    .build_node()
                     .expect("valid LWG config"),
             ))
         })

@@ -16,12 +16,12 @@ const GROUP: HwgId = HwgId(42);
 /// A chat node: the stack plus the upcalls it has made so far.
 struct ChatNode {
     stack: VsyncStack,
-    events: Vec<VsEvent>,
+    events: Vec<HwgEvent>,
 }
 
 fn chat_node(me: NodeId) -> Box<ChatNode> {
     Box::new(ChatNode {
-        stack: VsyncStack::new(me, VsyncConfig::default()),
+        stack: VsyncStack::new(me, HwgConfig::default()),
         events: Vec::new(),
     })
 }
@@ -46,16 +46,16 @@ impl Process for ChatNode {
 }
 
 /// Renders the recorded upcalls as chat-log lines.
-fn render(events: &[VsEvent]) -> Vec<String> {
+fn render(events: &[HwgEvent]) -> Vec<String> {
     events
         .iter()
         .filter_map(|ev| match ev {
-            VsEvent::View { view, .. } => Some(format!("view {view}")),
-            VsEvent::Data { src, data, .. } => {
+            HwgEvent::View { view, .. } => Some(format!("view {view}")),
+            HwgEvent::Data { src, data, .. } => {
                 let text = std::str::from_utf8(data.bytes()).expect("utf-8 payload");
                 Some(format!("{src}: {text}"))
             }
-            VsEvent::Stop { .. } | VsEvent::Left { .. } => None,
+            HwgEvent::Stop { .. } | HwgEvent::Left { .. } => None,
         })
         .collect()
 }

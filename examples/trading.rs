@@ -54,10 +54,10 @@ fn main() {
     let gateways: Vec<NodeId> = (2..10)
         .map(|i| {
             world.add_node(Box::new(
-                LwgNode::builder(NodeId(i))
+                LwgService::builder(NodeId(i))
                     .servers(vec![s0, s1])
                     .config(LwgConfig::default())
-                    .build()
+                    .build_node()
                     .expect("valid LWG config"),
             ))
         })

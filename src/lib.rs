@@ -41,10 +41,10 @@
 //!     NamingConfig::default(),
 //! )));
 //! let a = world.add_node(Box::new(
-//!     LwgNode::builder(NodeId(1)).servers([ns]).build().unwrap(),
+//!     LwgService::builder(NodeId(1)).servers([ns]).build_node().unwrap(),
 //! ));
 //! let b = world.add_node(Box::new(
-//!     LwgNode::builder(NodeId(2)).servers([ns]).build().unwrap(),
+//!     LwgService::builder(NodeId(2)).servers([ns]).build_node().unwrap(),
 //! ));
 //!
 //! // Both join light-weight group 7 and exchange a message.
@@ -83,19 +83,19 @@ pub use plwg_vsync as vsync;
 /// protocol tests), use the generic types from [`plwg_core`] directly.
 pub mod prelude {
     pub use plwg_core::{
-        HwgId, HwgSubstrate, LwgConfig, LwgError, LwgEvent, LwgEvents, LwgId, View, ViewId,
+        HwgConfig, HwgEvent, HwgId, HwgSubstrate, LwgConfig, LwgError, LwgEvent, LwgEvents, LwgId,
+        View, ViewId,
     };
     pub use plwg_naming::{Mapping, NameServer, NamingConfig, NsClient, NsEvent};
-    pub use plwg_net::{NetOptions, NetRuntime, NetSubstrate};
+    pub use plwg_net::{NetOptions, NetRuntime};
     pub use plwg_sim::{
-        Context, Frame, NodeId, Payload, Process, SimDuration, SimTime, World, WorldConfig,
+        Frame, NodeId, Payload, Process, SimDuration, SimTime, Transport, World, WorldConfig,
     };
-    pub use plwg_vsync::{VsEvent, VsyncConfig, VsyncStack};
+    pub use plwg_vsync::VsyncStack;
 
     /// The LWG service over the production virtual-synchrony substrate.
     pub type LwgService = plwg_core::LwgService<VsyncStack>;
-    /// The ready-made simulated node over the production substrate.
+    /// The ready-made node over the production substrate, on a simulated
+    /// node and on a real-socket runtime (`plwg-net`) alike.
     pub type LwgNode = plwg_core::LwgNode<VsyncStack>;
-    /// The same node over the real-socket substrate (`plwg-net`).
-    pub type NetLwgNode = plwg_core::LwgNode<NetSubstrate>;
 }

@@ -55,17 +55,17 @@ fn run_name_server() {
 
 fn run_app(me: NodeId) {
     let mut rt = child_runtime(me);
-    let mut node: NetLwgNode = plwg::core::LwgNode::builder(me)
+    let mut node: LwgNode = LwgService::builder(me)
         .servers([NS])
         .config(LwgConfig::default())
-        .build()
+        .build_node()
         .expect("valid LWG config");
     rt.run_for(&mut node, SimDuration::from_millis(20));
     node.service().join(&mut rt, GROUP);
 
     let view_len = |p: &mut dyn Process| -> usize {
         p.as_any_mut()
-            .downcast_mut::<NetLwgNode>()
+            .downcast_mut::<LwgNode>()
             .expect("hosts an LwgNode")
             .current_view(GROUP)
             .map_or(0, |v| v.len())

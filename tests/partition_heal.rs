@@ -353,7 +353,7 @@ struct Tapped {
 
 impl Tapped {
     fn new(me: NodeId, servers: Vec<NodeId>) -> Self {
-        let node = LwgNode::builder(me).servers(servers).build();
+        let node = LwgService::builder(me).servers(servers).build_node();
         Tapped {
             node: node.expect("valid config"),
             seen: Vec::new(),

@@ -548,12 +548,12 @@ fn misrouted_family_is_rejected() {
 /// an HWG multicast, without a panic.
 #[test]
 fn retired_lwg_tags_are_refused_and_counted() {
-    use plwg::core::{keys, LwgNode, ScriptedHwg};
+    use plwg::core::{keys, LwgNode, LwgService, ScriptedHwg};
     use plwg::sim::{WireError, World, WorldConfig};
     let mut w = World::new(WorldConfig::default());
-    let node = LwgNode::<ScriptedHwg>::builder(NodeId(0))
+    let node = LwgService::<ScriptedHwg>::builder(NodeId(0))
         .servers([NodeId(1)])
-        .build()
+        .build_node()
         .expect("valid config");
     let me = w.add_node(Box::new(node));
     assert_eq!(me, NodeId(0));
