@@ -88,6 +88,33 @@ pub enum HwgEvent {
 ///   it sends after `stop_ok` is delivered in the next view. The LWG layer
 ///   installs the LWG views a view change implies at that `View` on this
 ///   alone, with no LWG flush.
+/// * **Data between views** — on one group, a [`HwgEvent::Data`] carries
+///   the id of the last [`HwgEvent::View`] raised before it at this node:
+///   a message sent in a view is delivered after that view's `View` and
+///   before its successor's, or not at all, and no `Data` comes between a
+///   [`HwgEvent::Left`] and the next `View`. A send before this node's
+///   `stop_ok` is tagged with the closing view, even if the `Stop` has not
+///   been raised yet; a send after it is held back and delivered in the
+///   successor view, after that view's `View`. `VsyncStack` drops a
+///   message tagged with any other view; `ScriptedHwg` does not check the
+///   tag and keeps the rule only over the reliable equal-latency links it
+///   assumes.
+/// * **What `stop_ok` answers** — the flush running when it is called, not
+///   one particular `Stop`. The owner answers every `Stop` it drains, and
+///   an answer with nothing to release is a no-op: one made before the
+///   `Stop` was raised (`VsyncStack` raises the `Stop` of a
+///   [`HwgSubstrate::force_flush`] only when its own flush request comes
+///   back over the transport), a second answer, or one that races with a
+///   `View` already delivered. A flush superseded before it is answered
+///   (in `VsyncStack`, restarted by its watchdog or overridden by a more
+///   senior member's flush) raises a fresh `Stop`, and one `stop_ok`
+///   releases the running round; the `Stop`s of superseded rounds need no
+///   answer of their own. `ScriptedHwg` never supersedes a flush:
+///   `force_flush` during a round is a no-op, and a flush request that
+///   arrives while a `Stop` is outstanding raises no second one.
+///
+/// `tests/substrate_contract.rs` checks these obligations on both
+/// implementations, where one node alone can reach them.
 ///
 /// Implementations: `plwg_vsync::VsyncStack` (the real partitionable
 /// protocol stack) and `plwg_core::ScriptedHwg` (a deterministic scripted
